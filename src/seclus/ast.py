@@ -193,12 +193,6 @@ class Node:
     locals: tuple[VarDecl, ...]
     equations: tuple[AnyEquation, ...]
 
-    def decl(self, name: str) -> VarDecl:
-        for d in self.inputs + self.outputs + self.locals:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
     @property
     def decls(self) -> tuple[VarDecl, ...]:
         return self.inputs + self.outputs + self.locals
@@ -217,9 +211,6 @@ class Program:
             if n.name == name:
                 return n
         raise KeyError(f"unknown node {name!r}")
-
-    def has_node(self, name: str) -> bool:
-        return any(n.name == name for n in self.nodes)
 
     def call_graph(self) -> dict[str, set[str]]:
         return {n.name: called_nodes(n) for n in self.nodes}
@@ -541,11 +532,8 @@ def _all_subexprs(e: Expr) -> Iterator[Expr]:
 
 
 def _check_dag(prog: Program) -> list[Diagnostic]:
-    graph = {}
-    for n in prog.nodes:
-        graph[n.name] = {c for c in called_nodes(n) if c in graph or c == n.name}
-        # only edges to earlier nodes are legal; later/unknown callees are
-        # reported per-node, and a self-edge is already a RecursiveCall
+    # later/unknown callees are reported per node, and a self-edge is
+    # already a RecursiveCall; this catches the remaining cycles
     order = topo_order(prog)
     if order is None:
         return [Diagnostic("RecursiveCall", "<program>", "node dependency cycle")]

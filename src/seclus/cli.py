@@ -379,6 +379,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: expression nesting too deep", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

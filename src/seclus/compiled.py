@@ -46,34 +46,11 @@ from seclus.interp import (
     History,
     StreamPrefix,
     base_of,
+    int_div,
+    int_mod,
     schedule,
+    wrap,
 )
-
-_MOD = 1 << 64
-_HALF = 1 << 63
-
-
-def _w(x: int) -> int:
-    return (x + _HALF) % _MOD - _HALF
-
-
-def _dv(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("division by zero")
-    q = a // b
-    if (a < 0) != (b < 0) and a % b:
-        q += 1
-    return _w(q)
-
-
-def _md(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("division by zero")
-    q = a // b
-    if (a < 0) != (b < 0) and a % b:
-        q += 1
-    return a - b * q
-
 
 _BIN_FMT = {
     "+": "_w({}+{})",
@@ -327,7 +304,8 @@ class CompiledNode:
         self.call_nodes = comp.call_nodes
         self.factories = factories
         code = compile(self.source, f"<compiled {node.name}>", "exec")
-        self.namespace_proto = {"_w": _w, "_dv": _dv, "_md": _md}
+        # the reference interpreter's arithmetic, so both engines agree on every value
+        self.namespace_proto = {"_w": wrap, "_dv": int_div, "_md": int_mod}
         self.code = code
 
     def instantiate(self):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from seclus.ast import (
     BASE,
@@ -74,33 +74,44 @@ _MOD = 1 << 64
 _HALF = 1 << 63
 
 
-def _wrap(x: int) -> int:
+def wrap(x: int) -> int:
     return (x + _HALF) % _MOD - _HALF
+
+
+def int_mod(a: int, b: int) -> int:
+    """Remainder of the division rounded toward zero (it takes the sign
+    of a), exact on integers of any size."""
+    if b == 0:
+        raise EvalError("division by zero")
+    r = a % b
+    return r - b if r and (a < 0) != (b < 0) else r
+
+
+def int_div(a: int, b: int) -> int:
+    """Quotient rounded toward zero, wrapped to 64 bits (a less its
+    remainder is an exact multiple of b)."""
+    return wrap((a - int_mod(a, b)) // b)
 
 
 def apply_unop(op: str, v: Value) -> Value:
     if op == "not":
         return not v
     if op == "-":
-        return _wrap(-v)
+        return wrap(-v)
     raise EvalError(f"unknown unary operator {op!r}")
 
 
 def apply_binop(op: str, a: Value, b: Value) -> Value:
     if op == "+":
-        return _wrap(a + b)
+        return wrap(a + b)
     if op == "-":
-        return _wrap(a - b)
+        return wrap(a - b)
     if op == "*":
-        return _wrap(a * b)
+        return wrap(a * b)
     if op == "div":
-        if b == 0:
-            raise EvalError("division by zero")
-        return _wrap(int(a / b) if (a < 0) != (b < 0) and a % b else a // b)
+        return int_div(a, b)
     if op == "mod":
-        if b == 0:
-            raise EvalError("division by zero")
-        return a - b * (int(a / b) if (a < 0) != (b < 0) and a % b else a // b)
+        return int_mod(a, b)
     if op == "=":
         return a == b
     if op == "<>":

@@ -15,9 +15,7 @@ fail evaluates to Undefined.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -405,7 +403,6 @@ def satisfies(s: GroundInstantiation, cs: Iterable[Constraint], lat: SecurityLat
 # ---------------------------------------------------------------------------
 
 ENUM_VAR_LIMIT = 24
-SAMPLE_COUNT = 10**5
 
 _TWO = two_point()
 
@@ -414,7 +411,6 @@ _TWO = two_point()
 class ImpliesResult:
     holds: bool
     witness: Optional[dict] = None
-    probabilistic: bool = False
 
     def __bool__(self) -> bool:
         return self.holds
@@ -425,32 +421,59 @@ def implies(
     rho2: Iterable[Constraint],
     variables: Optional[Iterable[str]] = None,
     lat: Optional[SecurityLattice] = None,
-    seed: int = 0,
 ) -> ImpliesResult:
     """Does every instantiation satisfying rho1 also satisfy rho2?
 
-    Decided by exhaustive enumeration over the two-point lattice (sound
-    and complete for all lattices for refinement-free join-term
-    inequalities); pass `lat` to check a specific finite lattice instead.
-    Falls back to randomised sampling beyond ENUM_VAR_LIMIT variables.
+    When every constraint of rho1 bounds a single variable (a definite
+    set: Horn clauses), the answer is exact in every lattice and comes
+    from reachability: `S <= T` follows iff from each variable of S the
+    constraints of rho1 reach a variable of T.  Otherwise every
+    instantiation over `lat` (default: the two-point lattice) is
+    enumerated, which raises ValueError beyond ENUM_VAR_LIMIT variables.
+    A witness assigns every variable of either set (and of `variables`).
     """
     rho1 = list(flatten_constraints(rho1))
     rho2 = list(flatten_constraints(rho2))
     lat = lat or _TWO
     occurring = set().union(set(), *(tvars(c) for c in rho1 + rho2))
     names = sorted(occurring if variables is None else occurring | set(variables))
-    total = len(lat.elements) ** len(names)
-    if len(names) > ENUM_VAR_LIMIT or total > 2**ENUM_VAR_LIMIT:
-        rng = random.Random(seed)
-        for _ in range(SAMPLE_COUNT):
-            s = {x: rng.choice(lat.elements) for x in names}
-            if satisfies(s, rho1, lat) and not satisfies(s, rho2, lat):
-                return ImpliesResult(False, s, probabilistic=True)
-        return ImpliesResult(True, probabilistic=True)
+    if all(isinstance(c.rhs, TVar) for c in rho1):
+        return _implies_definite(rho1, rho2, names, lat)
+    if len(names) > ENUM_VAR_LIMIT or len(lat.elements) ** len(names) > 2**ENUM_VAR_LIMIT:
+        raise ValueError(
+            f"implication over {len(names)} variables with a non-definite"
+            " premise is too large to enumerate"
+        )
     for combo in itertools.product(lat.elements, repeat=len(names)):
         s = dict(zip(names, combo))
         if satisfies(s, rho1, lat) and not satisfies(s, rho2, lat):
             return ImpliesResult(False, s)
+    return ImpliesResult(True)
+
+
+def _implies_definite(rho1, rho2, names, lat: SecurityLattice) -> ImpliesResult:
+    """Every model of rho1 that raises x raises everything x reaches, and
+    raising exactly that (to the top) is a model; so `S <= T` fails iff
+    some x of S reaches no variable of T, and that model is the witness."""
+    top = lat.top
+    if top == lat.bottom:
+        return ImpliesResult(True)
+    succ: dict[str, set[str]] = {}
+    for c in rho1:
+        for a in tvars(c.lhs):
+            succ.setdefault(a, set()).add(c.rhs.name)
+    for c in sorted(rho2, key=_con_key):
+        target = tvars(c.rhs)
+        for x in sorted(tvars(c.lhs)):
+            seen = {x}
+            todo = [x]
+            while todo:
+                for y in succ.get(todo.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            if not seen & target:
+                return ImpliesResult(False, {v: top if v in seen else lat.bottom for v in names})
     return ImpliesResult(True)
 
 
@@ -477,7 +500,3 @@ def render(t: SecType) -> str:
 
 def render_constraint(c: Constraint) -> str:
     return f"{render(c.lhs)} <= {render(c.rhs)}"
-
-
-def render_constraints(cs: Iterable[Constraint]) -> str:
-    return "{ " + ", ".join(sorted(render_constraint(c) for c in cs)) + " }"

@@ -1,9 +1,16 @@
 """Security-flow typing for Lustre/NLustre nodes.
 
 Each node gets a signature: type variables for its inputs, outputs and
-base clock plus a constraint set relating them.  Locals (and per-call-site
-output variables) are eliminated by serial substitution, so a signature
-speaks only about the node's interface.
+base clock plus a constraint set relating them.  Every constraint the
+rules produce is definite, `join(atoms) <= v` with `v` a single type
+variable (Rehof & Mogensen's definite inequalities; Horn clauses), so an
+expression's type is just the set of variables it joins, and a node call
+adds the callee's constraints, renamed, as bounds on fresh result
+variables.  The locals and call results are then eliminated by graph
+reachability: each one stands for the least solution of its constraints,
+the interface variables it reaches.  This gives the same signatures as
+serially substituting the term algebra of `seclus.sectypes`, but
+follows each constraint once.
 
 Deterministic fresh naming: inputs a1, a2, ...; outputs b1, b2, ...;
 base clock g; locals and call-site result variables d1, d2, ... in
@@ -14,7 +21,7 @@ the same program therefore produces literally identical signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from seclus.ast import (
     BASE,
@@ -32,7 +39,6 @@ from seclus.ast import (
     Merge,
     Node,
     NodeCall,
-    On,
     Program,
     SimpleEq,
     Unop,
@@ -42,26 +48,21 @@ from seclus.ast import (
     topo_order,
 )
 from seclus.sectypes import (
-    BOT,
+    Bot,
     Constraint,
     ConstraintSet,
     GroundInstantiation,
-    Refine,
+    Join,
     SecType,
     SecurityLattice,
     TVar,
-    canon_constraints,
-    canonicalize,
     join,
     satisfies,
-    substitute,
     tvars,
 )
 
 # the reserved environment key for the base-clock type
 BASE_KEY = "base"
-
-TypeEnv = Dict[str, SecType]
 
 
 class TypingError(Exception):
@@ -73,9 +74,9 @@ class NodeSignature:
     """Interface-level flow contract of a node.
 
     `constraints` mention only `input_vars`, `output_vars` and
-    `clock_var`.  `local_types` records, for every eliminated variable
-    that names a declared local, the interface-level type it was
-    substituted by (used to assign observation levels to locals).
+    `clock_var`.  `local_types` records, for every declared local, its
+    interface-level type: the least type its constraints allow (used to
+    assign observation levels to locals).
     """
 
     name: str
@@ -85,178 +86,140 @@ class NodeSignature:
     constraints: ConstraintSet
     local_types: Mapping[str, SecType] = field(default_factory=dict, compare=False)
 
-    def rename(self, mapping: Mapping[str, str]) -> "NodeSignature":
-        subst = {k: TVar(v) for k, v in mapping.items()}
-        return NodeSignature(
-            self.name,
-            tuple(mapping.get(v, v) for v in self.input_vars),
-            tuple(mapping.get(v, v) for v in self.output_vars),
-            mapping.get(self.clock_var, self.clock_var),
-            substitute(self.constraints, subst),
-            {k: substitute(t, subst) for k, t in self.local_types.items()},
-        )
-
 
 SignatureEnv = Dict[str, NodeSignature]
 
-
-class _Fresh:
-    """Counter for the d-class variables (locals + call results)."""
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def next(self) -> str:
-        self.n += 1
-        return f"d{self.n}"
+# A type during inference: the set of type-variable names it joins.
+Atoms = FrozenSet[str]
+_NONE: Atoms = frozenset()
 
 
-def _lookup(env: TypeEnv, name: str) -> SecType:
-    try:
-        return env[name]
-    except KeyError:
-        raise TypingError(f"unbound variable {name!r}") from None
+class _NodeTyper:
+    """Types the equations of one node into definite constraints, kept
+    as `bounds[v]`: the left sides of the constraints `join(lhs) <= v`."""
 
+    def __init__(self, sigs: SignatureEnv, env: Dict[str, str], n: Node) -> None:
+        self.sigs = sigs
+        self.types = {x: frozenset((v,)) for x, v in env.items()}
+        self.clocks = clock_env(n)
+        self.bounds: Dict[str, set] = {}
+        self.fresh = len(n.locals)  # d-variables named so far
 
-def type_clock(env: TypeEnv, ck: Clock) -> SecType:
-    """Base clocks read the environment's base entry; sampled clocks
-    join in the type of the sampling variable."""
-    if isinstance(ck, Base):
-        return _lookup(env, BASE_KEY)
-    assert isinstance(ck, On)
-    return join(type_clock(env, ck.clock), _lookup(env, ck.var))
+    def type_of(self, name: str) -> Atoms:
+        try:
+            return self.types[name]
+        except KeyError:
+            raise TypingError(f"unbound variable {name!r}") from None
 
+    def bound(self, target: Atoms, lhs: Atoms) -> None:
+        """Record `join(lhs) <= v` for the single variable v of `target`,
+        less the part that holds trivially."""
+        (v,) = target
+        lhs = lhs - target
+        if lhs:
+            self.bounds.setdefault(v, set()).add(lhs)
 
-def type_expr(
-    env: TypeEnv, sigs: SignatureEnv, e: Expr, fresh: Optional[_Fresh] = None
-) -> list[SecType]:
-    """One security type per component stream of `e`, in order.
+    def clock(self, ck: Clock) -> Atoms:
+        """Base clocks read the base entry; sampled clocks join in the
+        sampling variable."""
+        if isinstance(ck, Base):
+            return self.type_of(BASE_KEY)
+        return self.clock(ck.clock) | self.type_of(ck.var)
 
-    Node-call results are refinement types: fresh result variables
-    constrained by the callee signature instantiated at the argument
-    types and the caller's base-clock type.
-    """
-    if fresh is None:
-        fresh = _Fresh()
-    if isinstance(e, Const):
-        return [BOT]
-    if isinstance(e, Var):
-        return [_lookup(env, e.name)]
-    if isinstance(e, Unop):
-        return type_expr(env, sigs, e.operand, fresh)
-    if isinstance(e, Binop):
-        (l,) = type_expr(env, sigs, e.left, fresh)
-        (r,) = type_expr(env, sigs, e.right, fresh)
-        return [join(l, r)]
-    if isinstance(e, When):
-        x = _lookup(env, e.var)
-        return [join(t, x) for t in _type_all(env, sigs, e.exprs, fresh)]
-    if isinstance(e, Merge):
-        theta = _lookup(env, e.var)
-        ts = _type_all(env, sigs, e.on_true, fresh)
-        fs = _type_all(env, sigs, e.on_false, fresh)
-        _same_width(ts, fs)
-        return [join(theta, a, b) for a, b in zip(ts, fs)]
-    if isinstance(e, Ite):
-        (theta,) = type_expr(env, sigs, e.cond, fresh)
-        ts = _type_all(env, sigs, e.on_true, fresh)
-        fs = _type_all(env, sigs, e.on_false, fresh)
-        _same_width(ts, fs)
-        return [join(theta, a, b) for a, b in zip(ts, fs)]
-    if isinstance(e, Fby):
-        ts = _type_all(env, sigs, e.init, fresh)
-        fs = _type_all(env, sigs, e.rest, fresh)
-        _same_width(ts, fs)
-        return [join(a, b) for a, b in zip(ts, fs)]
-    if isinstance(e, NodeCall):
-        return _type_call(env, sigs, e.node, e.args, _lookup(env, BASE_KEY), fresh)
-    raise TypingError(f"cannot type {type(e).__name__}")
+    def expr(self, e: Expr) -> List[Atoms]:
+        """One type per component stream of `e`, in order."""
+        if isinstance(e, Const):
+            return [_NONE]
+        if isinstance(e, Var):
+            return [self.type_of(e.name)]
+        if isinstance(e, Unop):
+            return self.expr(e.operand)
+        if isinstance(e, Binop):
+            (l,) = self.expr(e.left)
+            (r,) = self.expr(e.right)
+            return [l | r]
+        if isinstance(e, When):
+            x = self.type_of(e.var)
+            return [t | x for t in self.all(e.exprs)]
+        if isinstance(e, Merge):
+            return self.branches(self.type_of(e.var), e.on_true, e.on_false)
+        if isinstance(e, Ite):
+            (theta,) = self.expr(e.cond)
+            return self.branches(theta, e.on_true, e.on_false)
+        if isinstance(e, Fby):
+            return self.branches(_NONE, e.init, e.rest)
+        if isinstance(e, NodeCall):
+            return self.call(e.node, e.args, self.type_of(BASE_KEY))
+        raise TypingError(f"cannot type {type(e).__name__}")
 
+    def all(self, es) -> List[Atoms]:
+        out: List[Atoms] = []
+        for e in es:
+            out.extend(self.expr(e))
+        return out
 
-def _type_call(
-    env: TypeEnv,
-    sigs: SignatureEnv,
-    node: str,
-    args: tuple[Expr, ...],
-    clock_type: SecType,
-    fresh: _Fresh,
-) -> list[SecType]:
-    if node not in sigs:
-        raise TypingError(f"unknown node {node!r}")
-    sig = sigs[node]
-    arg_types = _type_all(env, sigs, args, fresh)
-    if len(arg_types) != len(sig.input_vars):
-        raise TypingError(
-            f"call to {node!r}: {len(arg_types)} argument streams,"
-            f" signature has {len(sig.input_vars)}"
-        )
-    results = [fresh.next() for _ in sig.output_vars]
-    subst: dict[str, SecType] = {sig.clock_var: clock_type}
-    subst.update(zip(sig.input_vars, arg_types))
-    subst.update((b, TVar(r)) for b, r in zip(sig.output_vars, results))
-    rho = substitute(sig.constraints, subst)
-    if not rho:
-        return [TVar(r) for r in results]
-    return [canonicalize(Refine(TVar(r), rho)) for r in results]
+    def branches(self, theta: Atoms, on_true, on_false) -> List[Atoms]:
+        ts = self.all(on_true)
+        fs = self.all(on_false)
+        if len(ts) != len(fs):
+            raise TypingError("branch width mismatch")
+        return [theta | t | f for t, f in zip(ts, fs)]
 
-
-def _type_all(env, sigs, es, fresh) -> list[SecType]:
-    out: list[SecType] = []
-    for e in es:
-        out.extend(type_expr(env, sigs, e, fresh))
-    return out
-
-
-def _same_width(a: list, b: list) -> None:
-    if len(a) != len(b):
-        raise TypingError("branch width mismatch")
-
-
-def type_equation(
-    env: TypeEnv,
-    sigs: SignatureEnv,
-    eq: AnyEquation,
-    clocks: Optional[Mapping[str, Clock]] = None,
-    fresh: Optional[_Fresh] = None,
-) -> ConstraintSet:
-    """Constraints of one equation: for each defined variable x with rhs
-    component type t and clock type c, require c|t <= env(x).  Refinement
-    types are flattened into the set."""
-    if fresh is None:
-        fresh = _Fresh()
-    if isinstance(eq, Equation):
-        if clocks is None:
-            clocks = {}
-        types = _type_all(env, sigs, eq.exprs, fresh)
-        if len(types) != len(eq.targets):
+    def call(self, node: str, args, ck: Atoms) -> List[Atoms]:
+        """Fresh result variables bounded by the callee's constraints,
+        instantiated at the argument types and the call's clock type."""
+        if node not in self.sigs:
+            raise TypingError(f"unknown node {node!r}")
+        sig = self.sigs[node]
+        arg_types = self.all(args)
+        if len(arg_types) != len(sig.input_vars):
             raise TypingError(
-                f"equation for {', '.join(eq.targets)}: width mismatch"
-                f" ({len(types)} vs {len(eq.targets)})"
+                f"call to {node!r}: {len(arg_types)} argument streams,"
+                f" signature has {len(sig.input_vars)}"
             )
-        cons = []
-        for x, t in zip(eq.targets, types):
-            ckt = type_clock(env, clocks.get(x, BASE))
-            cons.append(Constraint(join(ckt, t), _lookup(env, x)))
-        return canon_constraints(cons)
-    ckt = type_clock(env, eq.clock)
-    if isinstance(eq, SimpleEq):
-        (t,) = type_expr(env, sigs, eq.rhs, fresh)
-        return canon_constraints([Constraint(join(ckt, t), _lookup(env, eq.target))])
-    if isinstance(eq, FbyEq):
-        (a,) = type_expr(env, sigs, eq.init, fresh)
-        (b,) = type_expr(env, sigs, eq.rhs, fresh)
-        return canon_constraints([Constraint(join(ckt, a, b), _lookup(env, eq.target))])
-    if isinstance(eq, CallEq):
-        # the clock type at the call's own annotation stands in for the
-        # caller's base entry when instantiating the callee signature
-        types = _type_call(env, sigs, eq.node, eq.args, ckt, fresh)
-        if len(types) != len(eq.targets):
-            raise TypingError(f"call equation for {', '.join(eq.targets)}: width mismatch")
-        cons = [
-            Constraint(join(ckt, t), _lookup(env, x)) for x, t in zip(eq.targets, types)
-        ]
-        return canon_constraints(cons)
-    raise TypingError(f"cannot type equation {type(eq).__name__}")
+        subst: Dict[str, Atoms] = {sig.clock_var: ck}
+        subst.update(zip(sig.input_vars, arg_types))
+        for b in sig.output_vars:
+            self.fresh += 1
+            subst[b] = frozenset((f"d{self.fresh}",))
+        for c in sig.constraints:
+            target = subst[c.rhs.name]
+            if len(target) != 1:
+                raise TypingError(f"call to {node!r}: the node redefines an input")
+            self.bound(target, _NONE.union(*(subst[a] for a in tvars(c.lhs))))
+        return [subst[b] for b in sig.output_vars]
+
+    def equation(self, eq: AnyEquation) -> None:
+        """For each defined variable x with right-side component type t
+        and clock type c: c|t <= x."""
+        if isinstance(eq, Equation):
+            types = self.all(eq.exprs)
+            if len(types) != len(eq.targets):
+                raise TypingError(
+                    f"equation for {', '.join(eq.targets)}: width mismatch"
+                    f" ({len(types)} vs {len(eq.targets)})"
+                )
+            for x, t in zip(eq.targets, types):
+                ck = self.clock(self.clocks.get(x, BASE))
+                self.bound(self.type_of(x), ck | t)
+            return
+        ck = self.clock(eq.clock)
+        if isinstance(eq, SimpleEq):
+            (t,) = self.expr(eq.rhs)
+            self.bound(self.type_of(eq.target), ck | t)
+        elif isinstance(eq, FbyEq):
+            (a,) = self.expr(eq.init)
+            (b,) = self.expr(eq.rhs)
+            self.bound(self.type_of(eq.target), ck | a | b)
+        elif isinstance(eq, CallEq):
+            # the call's own clock stands in for the caller's base entry
+            types = self.call(eq.node, eq.args, ck)
+            if len(types) != len(eq.targets):
+                raise TypingError(f"call equation for {', '.join(eq.targets)}: width mismatch")
+            for x, t in zip(eq.targets, types):
+                self.bound(self.type_of(x), ck | t)
+        else:
+            raise TypingError(f"cannot type equation {type(eq).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,43 +227,71 @@ def type_equation(
 # ---------------------------------------------------------------------------
 
 
-def simplify(
-    types: list[SecType], rho: ConstraintSet, deltas: list[str]
-) -> tuple[list[SecType], ConstraintSet]:
-    """Serially eliminate each variable in `deltas` by substituting the
-    left side of its unique defining constraint for it."""
-    out, _ = _eliminate(types, rho, deltas, strict=True)
-    return out
+def _close(bounds: Mapping[str, set], deltas: List[str]) -> Dict[str, Atoms]:
+    """The least solution of the constraints on `deltas`: each one maps
+    to the other variables it reaches through them.
 
-
-def _eliminate(
-    types: list[SecType], rho: ConstraintSet, deltas: list[str], strict: bool = False
-) -> tuple[tuple[list[SecType], ConstraintSet], dict[str, SecType]]:
-    types = [canonicalize(t) for t in types]
-    rho = canon_constraints(rho)
-    resolved: dict[str, SecType] = {}
+    Each variable of `deltas` must be bounded by exactly one constraint;
+    one with none that nothing mentions is bottom.  The graph is closed
+    one strongly connected component at a time (Tarjan), sinks first, so
+    every edge is followed once.
+    """
+    edges: Dict[str, Atoms] = {}
+    used = None
     for d in deltas:
-        defining = [c for c in rho if c.rhs == TVar(d)]
-        if len(defining) != 1:
-            # a call-result variable loses its defining constraint when
-            # the callee ignores the argument it refines; if nothing else
-            # mentions it, eliminating with bottom is exact
-            occurs = any(d in tvars(c) for c in rho)
-            if strict or defining or occurs:
-                raise TypingError(
-                    f"{len(defining)} constraints define {d!r}; expected exactly one"
-                )
-            resolved[d] = BOT
+        lhss = bounds.get(d, ())
+        if len(lhss) == 1:
+            (edges[d],) = lhss
             continue
-        nu = defining[0].lhs
-        if d in tvars(nu):
-            raise TypingError(f"{d!r} occurs in its own bound {nu}")
-        step = {d: nu}
-        rho = substitute(frozenset(rho - {defining[0]}), step)
-        types = [substitute(t, step) for t in types]
-        resolved = {k: substitute(v, step) for k, v in resolved.items()}
-        resolved[d] = canonicalize(nu)
-    return (types, rho), resolved
+        if used is None:
+            used = _NONE.union(*(lhs for ls in bounds.values() for lhs in ls))
+        if lhss or d in used:
+            raise TypingError(f"{len(lhss)} constraints define {d!r}; expected exactly one")
+        edges[d] = _NONE
+    # successors in a fixed order, so the walk is the same in every run
+    succ = {d: sorted(edges.keys() & e) for d, e in edges.items()}
+    outer = {d: e.difference(edges) for d, e in edges.items()}
+
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    closed: Dict[str, Atoms] = {}
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in closed:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    k = stack.index(v)
+                    scc = stack[k:]
+                    del stack[k:]
+                    value = _NONE.union(
+                        *(outer[m] for m in scc),
+                        *(closed[w] for m in scc for w in succ[m] if w in closed),
+                    )
+                    for m in scc:
+                        closed[m] = value
+    return closed
+
+
+def _term(atoms) -> SecType:
+    return join(*map(TVar, atoms))
 
 
 def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
@@ -308,28 +299,28 @@ def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
     the locals and call-result variables."""
     in_vars = tuple(f"a{i}" for i in range(1, len(n.inputs) + 1))
     out_vars = tuple(f"b{i}" for i in range(1, len(n.outputs) + 1))
-    fresh = _Fresh()
-    local_vars = {d.name: fresh.next() for d in n.locals}
-    env: TypeEnv = {BASE_KEY: TVar("g")}
-    env.update(zip((d.name for d in n.inputs), map(TVar, in_vars)))
-    env.update(zip((d.name for d in n.outputs), map(TVar, out_vars)))
-    env.update((x, TVar(v)) for x, v in local_vars.items())
+    local_vars = {d.name: f"d{i}" for i, d in enumerate(n.locals, 1)}
+    env = {BASE_KEY: "g"}
+    env.update(zip((d.name for d in n.inputs), in_vars))
+    env.update(zip((d.name for d in n.outputs), out_vars))
+    env.update(local_vars)
 
-    clocks = clock_env(n)
-    rho: set[Constraint] = set()
+    typer = _NodeTyper(sigs, env, n)
     for eq in n.equations:
-        rho |= type_equation(env, sigs, eq, clocks, fresh)
+        typer.equation(eq)
 
-    deltas = list(local_vars.values())
-    deltas += [f"d{i}" for i in range(len(n.locals) + 1, fresh.n + 1)]
-    (_, final), resolved = _eliminate([], frozenset(rho), deltas)
-
-    interface = set(in_vars) | set(out_vars) | {"g"}
-    leftover = tvars(final) - interface
-    if leftover:
-        raise TypingError(f"unresolved type variables {sorted(leftover)}")
-    local_types = {x: resolved[v] for x, v in local_vars.items()}
-    return NodeSignature(n.name, in_vars, out_vars, "g", final, local_types)
+    deltas = [f"d{i}" for i in range(1, typer.fresh + 1)]
+    closed = _close(typer.bounds, deltas)
+    constraints = set()
+    for v, lhss in typer.bounds.items():
+        if v in closed:
+            continue
+        for lhs in lhss:
+            atoms = _NONE.union(*(closed.get(a, (a,)) for a in lhs)).difference((v,))
+            if atoms:
+                constraints.add(Constraint(_term(atoms), TVar(v)))
+    local_types = {x: _term(closed[v]) for x, v in local_vars.items()}
+    return NodeSignature(n.name, in_vars, out_vars, "g", frozenset(constraints), local_types)
 
 
 def check_program(prog: Program) -> SignatureEnv:
@@ -411,13 +402,11 @@ def _var_key(name: str) -> tuple:
 
 
 def _dump_type(t: SecType) -> str:
-    from seclus.sectypes import Join as _Join, Bot as _Bot
-
-    if isinstance(t, _Bot):
+    if isinstance(t, Bot):
         return "bot"
     if isinstance(t, TVar):
         return t.name
-    if isinstance(t, _Join):
+    if isinstance(t, Join):
         names = sorted((e.name for e in t.elems if isinstance(e, TVar)), key=_var_key)
         rest = [_dump_type(e) for e in t.elems if not isinstance(e, TVar)]
         return "|".join(names + rest)

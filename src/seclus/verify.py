@@ -14,8 +14,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from seclus.ast import (
     BASE,
@@ -35,39 +35,19 @@ from seclus.ast import (
     When,
     validate,
 )
-from seclus.interp import (
-    ABSENT,
-    ClockMismatch,
-    EvalError,
-    History,
-    StreamPrefix,
-    run_node,
-    schedule,
-)
+from seclus.interp import ClockMismatch, EvalError, StreamPrefix, run_node, schedule
 from seclus.normalise import fby_init, normalize_program
 from seclus.sectypes import (
     GroundInstantiation,
     SecurityLattice,
     eval_ground,
     implies,
-    two_point,
 )
-from seclus.typing import NodeSignature, check_program, node_signature
+from seclus.typing import NodeSignature, check_program
 
 # ---------------------------------------------------------------------------
 # Observation machinery
 # ---------------------------------------------------------------------------
-
-
-def project_history(
-    H: History,
-    X: Sequence[str],
-    levels: Mapping[str, object],
-    t: object,
-    lat: SecurityLattice,
-) -> History:
-    """Restrict H to the variables of X whose level is at or below t."""
-    return {x: H[x] for x in X if lat.leq(levels[x], t)}
 
 
 def minimal_instantiation(
@@ -152,8 +132,9 @@ def check_preservation(G: Program) -> List[PreservationVerdict]:
     inferred after each pass (interface variables coincide by the
     deterministic naming scheme)."""
     before = check_program(G)
-    after_n = check_program(normalize_program(G))
-    after_i = check_program(fby_init(normalize_program(G)))
+    denested = normalize_program(G)
+    after_n = check_program(denested)
+    after_i = check_program(fby_init(denested))
     out = []
     for name, sig in before.items():
         rn = implies(sig.constraints, after_n[name].constraints)
@@ -267,11 +248,8 @@ def _chunks(n: int, k: int) -> List[Tuple[int, int]]:
 
 def _diff_trials(args) -> List[Divergence]:
     G, N, seed, engine, nodes, lo, hi = args
-    forms = [
-        (G, "lustre"),
-        (normalize_program(G), "nlustre"),
-        (fby_init(normalize_program(G)), "nlustre"),
-    ]
+    denested = normalize_program(G)
+    forms = [(G, "lustre"), (denested, "nlustre"), (fby_init(denested), "nlustre")]
     if engine == "compiled":
         from seclus.compiled import CompiledProgram
 

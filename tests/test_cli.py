@@ -230,3 +230,12 @@ def test_empty_program(capsys, tmp_path):
     assert code == 0 and out.strip() == ""
     code, _, err = run(capsys, "interpret", str(empty))
     assert code == 1 and "no nodes" in err
+
+
+def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
+    deep = tmp_path / "deep.lus"
+    terms = " + ".join(["a"] * 3000)
+    deep.write_text(f"node deep(a: int) returns (o: int)\nlet\n  o = {terms};\ntel\n")
+    code, _, err = run(capsys, "check", str(deep))
+    assert code == 1
+    assert err.strip() == "error: expression nesting too deep"

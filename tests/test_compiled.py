@@ -6,7 +6,7 @@ import random
 import pytest
 
 from seclus.compiled import CompiledProgram
-from seclus.interp import EvalError, run_node
+from seclus.interp import EvalError, check_history, run_node
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.verify import GenConfig, generate_program, random_inputs
@@ -90,6 +90,20 @@ def test_wrapping_arithmetic_matches_reference():
     p = parse_program(src)
     ins = [[2**20, -(2**20), 7]]
     assert CompiledProgram(p).run("f", ins, N=3) == run_node(p, "f", ins)
+
+
+def test_large_div_mod_agree_on_both_engines_and_replay():
+    src = "node f(x: int; y: int) returns (q: int; r: int) let q = x div y; r = x mod y; tel"
+    p = parse_program(src)
+    big = 2**62 + 1
+    ins = [[big, -big, big, -big, -(2**63), -(2**63)], [-3, 3, 3, -3, -1, 7]]
+    ref = run_node(p, "f", ins)
+    assert ref["q"][:2] == [-1537228672809129301, -1537228672809129301]
+    assert ref["r"][:2] == [2, -2]
+    assert ref["q"][4:] == [-(2**63), -1317624576693539401]  # the quotient wraps
+    assert ref["r"][4:] == [0, -1]
+    assert CompiledProgram(p).run("f", ins) == ref
+    assert check_history(p, "f", ref, [True] * 6) == []
 
 
 def test_instances_are_fresh_per_run():

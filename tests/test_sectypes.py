@@ -2,6 +2,7 @@
 soundness, implication, and lattices."""
 
 import random
+import time
 
 import pytest
 
@@ -195,6 +196,54 @@ def test_implies_examples():
     assert implies(rho, [Constraint(a, b)]).holds  # weaker rhs constraint
     r = implies([Constraint(a, b)], rho)
     assert not r.holds and r.witness is not None
+
+
+def test_implies_definite_is_exact_beyond_the_enumeration_limit():
+    a = TVar("a")
+    xs = [TVar(f"x{i}") for i in range(24)]
+    rho2 = [Constraint(a, Join(tuple(xs)))]
+    r = implies([], rho2)
+    assert not r.holds
+    lat = two_point()
+    assert r.witness == {"a": "H", **{x.name: "L" for x in xs}}
+    assert satisfies(r.witness, [], lat) and not satisfies(r.witness, rho2, lat)
+
+
+def test_implies_40_variable_chain_exact_and_fast():
+    chain = [TVar(f"c{i}") for i in range(40)]
+    rho1 = [Constraint(join(u, V[0]), v) for u, v in zip(chain, chain[1:])]
+    elapsed = float("inf")
+    for _ in range(3):  # the best of three, so a busy host does not decide
+        t0 = time.perf_counter()
+        forward = implies(rho1, [Constraint(join(chain[0], V[0]), chain[-1])])
+        backward = implies(rho1, [Constraint(chain[-1], chain[0])])
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    assert forward.holds
+    assert not backward.holds
+    lat = two_point()
+    assert satisfies(backward.witness, rho1, lat)
+    assert not satisfies(backward.witness, [Constraint(chain[-1], chain[0])], lat)
+    assert elapsed < 0.01, f"40-variable implication took {elapsed * 1000:.1f} ms"
+
+
+def test_implies_definite_witness_in_a_bigger_lattice():
+    a, b, g = V[0], V[1], V[2]
+    lat = powerset_lattice(2)
+    r = implies([Constraint(a, b)], [Constraint(join(g, a), b)], lat=lat)
+    assert not r.holds
+    assert satisfies(r.witness, [Constraint(a, b)], lat)
+    assert not satisfies(r.witness, [Constraint(join(g, a), b)], lat)
+
+
+def test_implies_non_definite_enumerates_up_to_the_limit():
+    a, b, c = V[0], V[1], V[2]
+    rho1 = [Constraint(a, BOT)]  # a must be bottom: not a definite set
+    assert implies(rho1, [Constraint(a, b)]).holds
+    r = implies(rho1, [Constraint(b, c)])
+    assert not r.holds and r.witness == {"v0": "L", "v1": "H", "v2": "L"}
+    big = [Constraint(TVar(f"y{i}"), BOT) for i in range(25)]
+    with pytest.raises(ValueError):
+        implies(big, [Constraint(a, b)])
 
 
 def test_implies_two_point_sound_for_powerset():

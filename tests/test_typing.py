@@ -1,8 +1,10 @@
 """Flow-type inference: golden signatures, eliminated local types,
-policy checking, and minimal instantiations."""
+agreement with the term-algebra reference, typing errors, policy
+checking, and minimal instantiations."""
 
 import pytest
 
+import reference_typing
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.sectypes import render, two_point
@@ -13,9 +15,9 @@ from seclus.typing import (
     policy_instantiation,
     render_signature,
 )
-from seclus.verify import minimal_instantiation
+from seclus.verify import GenConfig, generate_program, minimal_instantiation
 
-from conftest import load
+from conftest import leaky_pairs, load
 
 GOLDEN = "cnt_dn(a1,a2) =>g (b1) { g|a1|a2 <= b1 }"
 
@@ -185,3 +187,77 @@ def test_two_outputs_independent_bounds():
         render_signature(sig)
         == "two(a1,a2) =>g (b1,b2) { g|a1 <= b1, g|a2 <= b2 }"
     )
+
+
+# -- agreement with the term-algebra reference ----------------------------------
+
+
+def _three_forms(p):
+    n = normalize_program(p)
+    return (p, n, fby_init(n))
+
+
+def _rendered(sigs):
+    return {
+        name: (
+            render_signature(sig),
+            sig.constraints,
+            {x: render(t) for x, t in sig.local_types.items()},
+        )
+        for name, sig in sigs.items()
+    }
+
+
+def _corpus():
+    yield from ("cnt_dn.lus", "re_trig.lus")
+    for lus, _ in leaky_pairs():
+        yield "leaky/" + lus.rsplit("/", 1)[1]
+    yield from range(100)
+
+
+@pytest.mark.parametrize("case", list(_corpus()))
+def test_signatures_equal_reference_on_three_forms(case):
+    p = load(case) if isinstance(case, str) else generate_program(GenConfig(seed=case))
+    for form in _three_forms(p):
+        assert _rendered(check_program(form)) == _rendered(reference_typing.check_program(form))
+
+
+# -- typing errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("node f(x: int) returns (o: int) let o = y; tel", "unbound variable 'y'"),
+        ("node f(x: int) returns (o: int) let o = g(x); tel", "unknown node 'g'"),
+        (
+            "node g(x: int; y: int) returns (o: int) let o = x + y; tel\n"
+            "node f(x: int) returns (o: int) let o = g(x); tel",
+            "call to 'g': 1 argument streams, signature has 2",
+        ),
+        ("node f(x: int) returns (o: int; p: int) let (o, p) = x; tel", "width mismatch"),
+        (
+            "node f(c: bool; x: int) returns (o: int) let o = if c then (x, x) else x; tel",
+            "branch width mismatch",
+        ),
+        (
+            "node f(x: int) returns (o: int) var v: int; let v = x; v = 1; o = v; tel",
+            "2 constraints define 'd1'; expected exactly one",
+        ),
+        (
+            "node f(x: int) returns (o: int) var v: int; let o = v; tel",
+            "0 constraints define 'd1'; expected exactly one",
+        ),
+    ],
+)
+@pytest.mark.parametrize("check", [check_program, reference_typing.check_program])
+def test_typing_errors(src, message, check):
+    with pytest.raises(TypingError, match=message):
+        check(parse_program(src))
+
+
+def test_undefined_unused_local_is_bottom():
+    p = parse_program("node f(x: int) returns (o: int) var v: int; let o = x; tel")
+    sig = check_program(p)["f"]
+    assert render(sig.local_types["v"]) == "bot"
+    assert render_signature(sig) == "f(a1) =>g (b1) { g|a1 <= b1 }"

@@ -68,6 +68,23 @@ def test_differential_on_fixtures(fixture):
     assert rep.ok and rep.divergences == ()
 
 
+def test_each_harness_denests_once(monkeypatch):
+    import seclus.verify as verify
+
+    calls = []
+
+    def counting(prog):
+        calls.append(prog)
+        return normalize_program(prog)
+
+    monkeypatch.setattr(verify, "normalize_program", counting)
+    p = load("re_trig.lus")
+    check_preservation(p)
+    assert len(calls) == 1
+    differential_semantics(p, trials=2, N=5)
+    assert len(calls) == 2
+
+
 def test_differential_engines_agree():
     p = load("re_trig.lus")
     a = differential_semantics(p, trials=10, N=30, engine="compiled")
