@@ -19,7 +19,7 @@ import random
 import sys
 from typing import Dict, Optional
 
-from seclus.ast import ClockError, Program
+from seclus.ast import ClockError, Program, validate
 from seclus.interp import (
     CausalityError,
     ClockMismatch,
@@ -68,11 +68,16 @@ def _red(s: str) -> str:
 
 
 def _load_program(path: str) -> Program:
+    """Parse and validate a program file: one error line per diagnostic."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_program(fh.read(), filename=path)
+            prog = parse_program(fh.read(), filename=path)
     except OSError as exc:
         raise CliError(str(exc)) from None
+    diags = validate(prog)
+    if diags:
+        raise CliError("\n".join(f"{path}: {d}" for d in diags))
+    return prog
 
 
 def _pick_node(prog: Program, name: Optional[str]):
@@ -377,7 +382,8 @@ def main(argv=None) -> int:
         CausalityError,
         EvalError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return 1
     except RecursionError:
         print("error: expression nesting too deep", file=sys.stderr)

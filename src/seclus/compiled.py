@@ -1,21 +1,48 @@
-"""Fast evaluator: compiles each node to a plain Python step function.
+"""Fast evaluator: compiles an entry node, with every node it calls
+inlined, into one Python function that runs the whole horizon.
 
 Produces exactly the same histories as `interp.run_node` for well-formed,
-well-clocked programs, but one instant costs one Python call instead of
-an AST walk.  Presence is resolved statically from clock annotations, so
-unlike the reference interpreter this path does not diagnose ill-clocked
-programs — the test suite pins its agreement with `run_node`.
+well-clocked programs, but the instant loop runs inside generated code
+instead of walking the AST.  Presence is resolved statically from clock
+annotations, so unlike the reference interpreter this path does not
+diagnose ill-clocked programs — the test suite pins its agreement with
+`run_node`.
 
-Layout of a generated step function (per instant):
-  phase 1: clock flags + variable values in schedule order; delays emit
-           their stored state; calls made with their clock's activity
-  phase 2: delayed operands evaluated under the completed environment,
-           then all delay registers committed at once
+The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
+& Pouzet, LCTES 2008) with the loop over instants moved into the
+generated code, as in Vélus's translation to Obc (Bourke et al., PLDI
+2017).  Layout of the `run` function generated for one entry node and
+one set of recorded columns:
+
+  before the loop  every delay register is a Python local, holding its
+                   constant initial value or the `first` sentinel
+  per instant      the input columns are zipped with the base clock; on a
+                   base-false instant every recorded column gets None and
+                   nothing else happens, otherwise the body runs with the
+                   base clock known to be true (base-clocked statements
+                   carry no guard)
+  phase 1          clock flags and variable values in schedule order;
+                   delays read their register; a call inlines the
+                   callee's whole instant (both phases, its registers
+                   committed) under the call's clock flag, its outputs
+                   None when the flag is off
+  phase 2          delayed operands evaluated under the completed
+                   environment, then every register committed
+  record           only the requested columns, through bound
+                   `list.append`; requested inputs are copied from the
+                   input columns
+
+Program variables are mangled into their own namespace: `V_x` in the
+entry node and `V<k>_x` in the k-th inlined call site (non-ASCII
+identifiers are spelt in hex).  Every name the generator makes up
+starts with a lower-case letter, so no program identifier can shadow
+one.  Inlining copies a callee's body once per call site, so the code
+grows with the number of paths through the call graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from seclus.ast import (
     BASE,
@@ -42,6 +69,7 @@ from seclus.ast import (
     width,
 )
 from seclus.interp import (
+    WRAP,
     EvalError,
     History,
     StreamPrefix,
@@ -49,303 +77,374 @@ from seclus.interp import (
     int_div,
     int_mod,
     schedule,
-    wrap,
 )
 
 _BIN_FMT = {
-    "+": "_w({}+{})",
-    "-": "_w({}-{})",
-    "*": "_w({}*{})",
-    "div": "_dv({},{})",
-    "mod": "_md({},{})",
-    "=": "({}=={})",
-    "<>": "({}!={})",
-    "<": "({}<{})",
-    "<=": "({}<={})",
-    ">": "({}>{})",
-    ">=": "({}>={})",
+    "+": "(" + WRAP.format("{} + {}") + ")",
+    "-": "(" + WRAP.format("{} - {}") + ")",
+    "*": "(" + WRAP.format("{} * {}") + ")",
+    "div": "div({}, {})",
+    "mod": "mod({}, {})",
+    "=": "({} == {})",
+    "<>": "({} != {})",
+    "<": "({} < {})",
+    "<=": "({} <= {})",
+    ">": "({} > {})",
+    ">=": "({} >= {})",
     # bitwise forms keep both operands strict, matching the reference
     # interpreter (an error in either operand is an error)
     "and": "({} & {})",
     "or": "({} | {})",
     "xor": "({} ^ {})",
 }
+_NEG_FMT = "(" + WRAP.format("-{}") + ")"
 
 
-class _NodeCompiler:
-    def __init__(self, node: Node, prog: Program):
-        self.node = node
+# content of a delay register before the delay's first instant
+_FIRST = object()
+
+
+def _mangle(prefix: str, name: str) -> str:
+    # the lexer's ASCII identifiers keep their spelling; any other is
+    # spelt in hex, so no two names meet under Python's NFKC folding
+    return f"{prefix}_{name}" if name.isascii() else f"{prefix}x{name.encode().hex()}"
+
+
+def _const(v) -> str:
+    return f"({v!r})" if not isinstance(v, bool) and v < 0 else repr(v)
+
+
+def _atom(code: str) -> bool:
+    return code.isidentifier() or code.strip("(-)").isdigit()
+
+
+def _guard(code: str, flag: Optional[str]) -> str:
+    return code if flag is None else f"{code} if {flag} else None"
+
+
+class _Codegen:
+    """Counters and register initialisations shared by every instance
+    inlined into one generated function."""
+
+    def __init__(self, prog: Program):
         self.prog = prog
-        self.lines: List[str] = []
-        self.clock_names: Dict[Clock, str] = {}
-        self.n_clocks = 0
-        self.n_fby = 0
-        self.n_calls = 0
-        self.call_nodes: List[str] = []
-        self.fby_of: Dict[int, int] = {}
-        self.call_of: Dict[int, int] = {}
+        self.counts: Dict[str, int] = {}
+        self.registers: List[str] = []
+        self.schedules: Dict[str, List[AnyEquation]] = {}
+
+    def fresh(self, kind: str) -> str:
+        n = self.counts.get(kind, 0)
+        self.counts[kind] = n + 1
+        return f"{kind}{n}"
+
+    def register(self, initial: str) -> str:
+        reg = self.fresh("r")
+        self.registers.append(f"{reg} = {initial}")
+        return reg
+
+    def schedule(self, node: Node) -> List[AnyEquation]:
+        order = self.schedules.get(node.name)
+        if order is None:
+            order = self.schedules[node.name] = schedule(node)
+        return order
+
+
+class _Instance:
+    """Statements of one instant of one node instance: the entry node,
+    or a callee inlined at one call site.  `env` maps each of the node's
+    variables to the code that names it."""
+
+    def __init__(self, gen: _Codegen, node: Node, env: Dict[str, str]):
+        self.gen = gen
+        self.node = node
+        self.env = env
+        self.flags: Dict[Clock, str] = {}
+        self.lines: List[str] = []  # phase 1
         self.phase2: List[str] = []
         self.commits: List[str] = []
-        self.n_tmp = 0
+        # register reads and `div`/`mod` calls emitted so far; a call to
+        # `div` or `mod` is the only code that raises on a well-clocked
+        # program
+        self.reads = 0
+        self.divs = 0
 
-    def _tmp(self) -> str:
-        self.n_tmp += 1
-        return f"e{self.n_tmp}"
+    def body(self) -> List[str]:
+        for eq in self.gen.schedule(self.node):
+            self.equation(eq)
+        return self.lines + self.phase2 + self.commits
+
+    def hoist(self, code: str, sink: List[str]) -> str:
+        name = self.gen.fresh("e")
+        sink.append(f"{name} = {code}")
+        return name
 
     # -- clocks --
 
-    def clock_flag(self, ck: Optional[Clock]) -> str:
-        """Named activity flag, defined among the phase-1 statements.
-
-        Only safe while building phase 1: the clock's variables are
-        instantaneous dependencies of whatever is being compiled, so the
-        schedule has already assigned them."""
+    def flag(self, ck: Optional[Clock], sink: List[str]) -> Optional[str]:
+        """Activity of `ck`, None for the instance's base clock (always
+        on where the instance's statements run).  In phase 1 a derived
+        clock gets a named flag at its first use, once the schedule has
+        assigned its variable.  In phase 2 a clock without a phase-1 flag
+        is tested inline, as every variable is assigned by then."""
         ck = ck if ck is not None else BASE
         if isinstance(ck, Base):
-            return "B"
-        name = self.clock_names.get(ck)
-        if name is None:
-            parent = self.clock_flag(ck.clock)
-            name = f"K{self.n_clocks}"
-            self.n_clocks += 1
-            test = f"{ck.var}" if ck.value else f"not {ck.var}"
-            self.lines.append(f"    {name} = {parent} and {test}")
-            self.clock_names[ck] = name
-        return name
-
-    def clock_inline(self, ck: Optional[Clock]) -> str:
-        """Activity test as an inline expression, for phase-2 statements
-        (a clock first needed there may have no phase-1 flag, and its
-        variables are only guaranteed assigned once phase 1 is done)."""
-        ck = ck if ck is not None else BASE
-        if isinstance(ck, Base):
-            return "B"
-        name = self.clock_names.get(ck)
+            return None
+        name = self.flags.get(ck)
         if name is not None:
             return name
-        parent = self.clock_inline(ck.clock)
-        test = f"{ck.var}" if ck.value else f"not {ck.var}"
-        return f"({parent} and {test})"
+        parent = self.flag(ck.clock, sink)
+        var = self.env[ck.var]
+        test = var if ck.value else f"not {var}"
+        code = test if parent is None else f"{parent} and {test}"
+        if sink is not self.lines:
+            return f"({code})"
+        name = self.gen.fresh("k")
+        sink.append(f"{name} = {code}")
+        self.flags[ck] = name
+        return name
 
-    def flag_for(self, ck: Optional[Clock], sink: List[str]) -> str:
-        return self.clock_inline(ck) if sink is self.phase2 else self.clock_flag(ck)
-
-    # -- occurrence bookkeeping --
-
-    def _fby_slot(self, e: Expr, comp: int) -> int:
-        key = id(e) * 64 + comp
-        slot = self.fby_of.get(key)
-        if slot is None:
-            slot = self.fby_of[key] = self.n_fby
-            self.n_fby += 1
-        return slot
-
-    def _call_slot(self, e: NodeCall) -> int:
-        slot = self.call_of.get(id(e))
-        if slot is None:
-            slot = self.call_of[id(e)] = self.n_calls
-            self.n_calls += 1
-            self.call_nodes.append(e.node)
-        return slot
-
-    # -- expression code (one string per component stream) --
+    # -- expressions: one code string per component stream --
     # `sink` collects hoisted statements (phase-1 lines or phase-2 lines)
 
     def expr(self, e: Expr, sink: List[str]) -> List[str]:
         if isinstance(e, Const):
-            return [repr(e.value)]
+            return [_const(e.value)]
         if isinstance(e, Var):
-            return [e.name]
+            return [self.env[e.name]]
         if isinstance(e, Unop):
             (s,) = self.expr(e.operand, sink)
-            return [f"(not {s})" if e.op == "not" else f"_w(-{s})"]
+            return [f"(not {s})" if e.op == "not" else _NEG_FMT.format(s)]
         if isinstance(e, Binop):
             (l,) = self.expr(e.left, sink)
             (r,) = self.expr(e.right, sink)
+            if e.op in ("div", "mod"):
+                self.divs += 1
             return [_BIN_FMT[e.op].format(l, r)]
         if isinstance(e, When):
-            return self._all(e.exprs, sink)  # operand present whenever active
+            return self.all(e.exprs, sink)  # operand present whenever active
         if isinstance(e, Merge):
-            ts = self._all(e.on_true, sink)
-            fs = self._all(e.on_false, sink)
-            return [f"({t} if {e.var} else {f})" for t, f in zip(ts, fs)]
+            ts = self.all(e.on_true, sink)
+            fs = self.all(e.on_false, sink)
+            x = self.env[e.var]
+            return [f"({t} if {x} else {f})" for t, f in zip(ts, fs)]
         if isinstance(e, Ite):
-            # both branches share the condition's clock and are evaluated
-            # strictly (hoisted to temps), matching the reference
-            ckf = self.flag_for(e.clock, sink)
-            (c,) = self.expr(e.cond, sink)
-            ts = self._all(e.on_true, sink)
-            fs = self._all(e.on_false, sink)
-            out = []
-            for t, f in zip(ts, fs):
-                tn, fn = self._tmp(), self._tmp()
-                sink.append(f"    {tn} = ({t}) if {ckf} else None")
-                sink.append(f"    {fn} = ({f}) if {ckf} else None")
-                out.append(f"({tn} if {c} else {fn})")
-            return out
+            return self.ite(e, sink)
         if isinstance(e, Fby):
-            return self._fby(e, sink)
+            return self.fby(e, sink)
         if isinstance(e, NodeCall):
-            return self._call(e, sink)
+            return self.call(e.node, e.args, e.clock, None, sink)
         raise TypeError(type(e))
 
-    def _all(self, es, sink) -> List[str]:
+    def all(self, es: Sequence[Expr], sink: List[str]) -> List[str]:
         out: List[str] = []
         for e in es:
             out.extend(self.expr(e, sink))
         return out
 
-    def _fby(self, e: Fby, sink: List[str]) -> List[str]:
-        ckf = self.flag_for(e.clock, sink)
-        ck2 = self.clock_inline(e.clock)
-        inits = self._all(e.init, sink)
-        names = []
-        for comp, init in enumerate(inits):
-            k = self._fby_slot(e, comp)
-            sink.append(
-                f"    f{k} = (({init}) if SF[{k}] else SP[{k}]) if {ckf} else None"
-            )
-            names.append(f"f{k}")
-        rests = self._all(e.rest, self.phase2)
-        for comp, rest in enumerate(rests):
-            k = self._fby_slot(e, comp)
-            self.phase2.append(f"    t{k} = ({rest}) if {ck2} else None")
-            self.commits.append(f"    if {ck2}: SF[{k}] = False; SP[{k}] = t{k}")
-        return names
+    def ite(self, e: Ite, sink: List[str]) -> List[str]:
+        # the reference evaluates both branches: a branch that can raise
+        # is computed on the conditional's clock before the selection
+        (c,) = self.expr(e.cond, sink)
+        before = self.divs
+        ts = self.all(e.on_true, sink)
+        fs = self.all(e.on_false, sink)
+        if self.divs != before:
+            flag = self.flag(e.clock, sink)
+            ts = [self.hoist(_guard(t, flag), sink) for t in ts]
+            fs = [self.hoist(_guard(f, flag), sink) for f in fs]
+        return [f"({t} if {c} else {f})" for t, f in zip(ts, fs)]
 
-    def _call(self, e: NodeCall, sink: List[str]) -> List[str]:
-        ckf = self.flag_for(e.clock, sink)
-        k = self._call_slot(e)
-        args = self._all(e.args, sink)
-        tup = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-        absent = "(" + "None, " * len(args) + ")"
-        sink.append(f"    c{k} = C{k}({tup} if {ckf} else {absent}, {ckf})")
-        callee = self.prog.node(e.node)
-        off = len(callee.inputs)  # step returns (inputs, outputs, locals)
-        return [f"c{k}[{off + j}]" for j in range(len(callee.outputs))]
+    def read(
+        self, init: Optional[Expr], code: str, strict: bool, flag: Optional[str], sink: List[str]
+    ) -> Tuple[str, str]:
+        """A new register for a delay whose first operand `init` compiles
+        to `code`, and the code that reads the delay's current value.  A
+        constant is the register's initial content.  The reference
+        evaluates the first operand at every instant of the delay, so a
+        `strict` one (it can raise) is computed even after the first."""
+        if isinstance(init, Const):
+            reg = self.gen.register(code)
+            return reg, reg
+        reg = self.gen.register("first")
+        if strict:
+            code = self.hoist(_guard(code, flag), sink)
+        return reg, f"({code} if {reg} is first else {reg})"
+
+    def commit(self, reg: str, rest: str, flag: Optional[str], reading: bool) -> None:
+        """Store the delayed operand: straight into the register at the
+        end of the instant, or through a phase-2 temporary when `rest`
+        reads a register that may be committed before it."""
+        if reading:
+            t = self.gen.fresh("t")
+            self.phase2.append(f"{t} = {rest} if {flag} else {reg}" if flag else f"{t} = {rest}")
+            self.commits.append(f"{reg} = {t}")
+        else:
+            self.commits.append(f"if {flag}: {reg} = {rest}" if flag else f"{reg} = {rest}")
+
+    def fby(self, e: Fby, sink: List[str]) -> List[str]:
+        flag = self.flag(e.clock, sink)
+        before = self.divs
+        inits = self.all(e.init, sink)
+        strict = self.divs != before
+        # one expression per component, unless a call yields several
+        exprs = e.init if len(e.init) == len(inits) else (None,) * len(inits)
+        regs, reads = [], []
+        for init, code in zip(exprs, inits):
+            reg, read = self.read(init, code, strict, flag, sink)
+            regs.append(reg)
+            reads.append(read)
+        self.reads += len(reads)
+        before = self.reads
+        rests = self.all(e.rest, self.phase2)
+        reading = self.reads != before
+        flag2 = self.flag(e.clock, self.phase2)
+        for reg, rest in zip(regs, rests):
+            self.commit(reg, rest, flag2, reading)
+        return reads
+
+    def call(
+        self,
+        name: str,
+        args: Sequence[Expr],
+        ck: Optional[Clock],
+        targets: Optional[List[str]],
+        sink: List[str],
+    ) -> List[str]:
+        """Inline one instant of `name` at this call site; returns the
+        codes of its outputs (`targets` when given)."""
+        callee = self.gen.prog.node(name)
+        flag = self.flag(ck, sink)
+        codes = self.all(args, sink)
+        prefix = self.gen.fresh("V")
+        block: List[str] = []
+        env: Dict[str, str] = {}
+        for d, code in zip(callee.inputs, codes):
+            if _atom(code):
+                env[d.name] = code
+            else:
+                env[d.name] = _mangle(prefix, d.name)
+                block.append(f"{env[d.name]} = {code}")
+        outs = targets or [_mangle(prefix, d.name) for d in callee.outputs]
+        env.update(zip((d.name for d in callee.outputs), outs))
+        env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
+        block += _Instance(self.gen, callee, env).body()
+        if flag is None:
+            sink.extend(block)
+        else:
+            sink.append(f"if {flag}:")
+            sink.extend("    " + line for line in block)
+            sink.append("else:")
+            sink.append("    " + " = ".join(outs) + " = None")
+        return outs
 
     # -- equations --
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
+        env = self.env
         if isinstance(eq, Equation):
             pos = 0
             for e in eq.exprs:
-                w = width(e, self.prog)
-                targets = eq.targets[pos : pos + w]
+                w = width(e, self.gen.prog)
+                targets = [env[x] for x in eq.targets[pos : pos + w]]
                 pos += w
-                ckf = self.clock_flag(e.clock)
-                codes = self.expr(e, L)
-                for x, code in zip(targets, codes):
-                    L.append(f"    {x} = ({code}) if {ckf} else None")
-            return
-        if isinstance(eq, SimpleEq):
-            ckf = self.clock_flag(eq.clock)
+                if isinstance(e, NodeCall):
+                    self.call(e.node, e.args, e.clock, targets, L)
+                    continue
+                flag = self.flag(e.clock, L)
+                for x, code in zip(targets, self.expr(e, L)):
+                    L.append(f"{x} = {_guard(code, flag)}")
+        elif isinstance(eq, SimpleEq):
+            flag = self.flag(eq.clock, L)
             (code,) = self.expr(eq.rhs, L)
-            L.append(f"    {eq.target} = ({code}) if {ckf} else None")
-            return
-        if isinstance(eq, FbyEq):
-            ckf = self.clock_flag(eq.clock)
-            k = self.n_fby
-            self.n_fby += 1
+            L.append(f"{env[eq.target]} = {_guard(code, flag)}")
+        elif isinstance(eq, FbyEq):
+            flag = self.flag(eq.clock, L)
+            before = self.divs
             (init,) = self.expr(eq.init, L)
-            L.append(
-                f"    {eq.target} = (({init}) if SF[{k}] else SP[{k}])"
-                f" if {ckf} else None"
-            )
+            reg, read = self.read(eq.init, init, self.divs != before, flag, L)
+            L.append(f"{env[eq.target]} = {_guard(read, flag)}")
+            before = self.reads
             (rest,) = self.expr(eq.rhs, self.phase2)
-            self.phase2.append(f"    t{k} = ({rest}) if {ckf} else None")
-            self.commits.append(f"    if {ckf}: SF[{k}] = False; SP[{k}] = t{k}")
-            return
-        if isinstance(eq, CallEq):
-            ckf = self.clock_flag(eq.clock)
-            k = self._call_slot_eq(eq)
-            args = self._all(eq.args, L)
-            tup = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-            absent = "(" + "None, " * len(args) + ")"
-            L.append(f"    c{k} = C{k}({tup} if {ckf} else {absent}, {ckf})")
-            off = len(self.prog.node(eq.node).inputs)
-            for j, x in enumerate(eq.targets):
-                L.append(f"    {x} = c{k}[{off + j}]")
-            return
-        raise TypeError(type(eq))
-
-    def _call_slot_eq(self, eq: CallEq) -> int:
-        slot = self.call_of.get(id(eq))
-        if slot is None:
-            slot = self.call_of[id(eq)] = self.n_calls
-            self.n_calls += 1
-            self.call_nodes.append(eq.node)
-        return slot
-
-    # -- whole node --
-
-    def source(self) -> str:
-        n = self.node
-        names = [d.name for d in (*n.inputs, *n.outputs, *n.locals)]
-        args = ", ".join(d.name for d in n.inputs)
-        self.lines.append(f"def step(IN, B):")
-        if n.inputs:
-            self.lines.append(f"    ({args},) = IN" if len(n.inputs) == 1
-                              else f"    {args} = IN")
-        for eq in schedule(n):
-            self.equation(eq)
-        body = self.lines + self.phase2 + self.commits
-        body.append("    return (" + ", ".join(names) + ("," if len(names) == 1 else "") + ")")
-        return "\n".join(body) + "\n"
+            self.commit(reg, rest, self.flag(eq.clock, self.phase2), self.reads != before)
+        elif isinstance(eq, CallEq):
+            self.call(eq.node, eq.args, eq.clock, [env[x] for x in eq.targets], L)
+        else:
+            raise TypeError(type(eq))
 
 
-class CompiledNode:
-    def __init__(self, prog: Program, node: Node, factories: Dict[str, "CompiledNode"]):
-        comp = _NodeCompiler(node, prog)
-        self.source = comp.source()
-        self.node = node
-        self.n_fby = comp.n_fby
-        self.call_nodes = comp.call_nodes
-        self.factories = factories
-        code = compile(self.source, f"<compiled {node.name}>", "exec")
-        # the reference interpreter's arithmetic, so both engines agree on every value
-        self.namespace_proto = {"_w": wrap, "_dv": int_div, "_md": int_mod}
-        self.code = code
+class _Run(NamedTuple):
+    source: str
+    fn: Callable
+    # per requested column: the index of the input it copies, or None
+    # for the next column the generated function records
+    layout: Tuple[Tuple[str, Optional[int]], ...]
 
-    def instantiate(self):
-        """Fresh step closure: own delay registers, own sub-instances."""
-        ns = dict(self.namespace_proto)
-        sf = [True] * self.n_fby
-        sp: List[object] = [None] * self.n_fby
-        ns["SF"], ns["SP"] = sf, sp
-        for k, callee in enumerate(self.call_nodes):
-            ns[f"C{k}"] = self.factories[callee].instantiate()
-        exec(self.code, ns)
-        return ns["step"]
+
+def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
+    gen = _Codegen(prog)
+    env = {d.name: _mangle("V", d.name) for d in node.decls}
+    body = _Instance(gen, node, env).body()
+    inputs = {d.name: k for k, d in enumerate(node.inputs)}
+    recorded = [x for x in want if x not in inputs]
+    appends = [f"a{j}" for j in range(len(recorded))]
+    targets = [env[d.name] for d in node.inputs] + ["b"]
+    lines = ["def run(cols, bs, div=int_div, mod=int_mod, first=FIRST):"]
+    lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
+    lines += ["    " + line for line in gen.registers]
+    lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
+    lines.append("        if not b:")
+    lines += [f"            {a}(None)" for a in appends]
+    lines.append("            continue")
+    lines += ["        " + line for line in body]
+    lines += [f"        {a}({env[x]})" for a, x in zip(appends, recorded)]
+    lines.append("    return (" + "".join(f"o{j}, " for j in range(len(recorded))) + ")")
+    source = "\n".join(lines) + "\n"
+    namespace = {"int_div": int_div, "int_mod": int_mod, "FIRST": _FIRST}
+    exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
+    layout = tuple((x, inputs.get(x)) for x in want)
+    return _Run(source, namespace["run"], layout)
 
 
 class CompiledProgram:
     def __init__(self, prog: Program):
-        prog = annotate_program(prog)
-        self.prog = prog
-        self.nodes: Dict[str, CompiledNode] = {}
-        for n in prog.nodes:  # call graph is a DAG in source order
-            self.nodes[n.name] = CompiledNode(prog, n, self.nodes)
+        self.prog = annotate_program(prog)
+        # generated code by (entry node, requested columns), made at the
+        # first run that asks for it
+        self.nodes: Dict[Tuple[str, Tuple[str, ...]], _Run] = {}
 
-    def run(self, name: str, inputs: Sequence[StreamPrefix], N: Optional[int] = None) -> History:
-        node = self.nodes[name].node
+    def run(
+        self,
+        name: str,
+        inputs: Sequence[StreamPrefix],
+        N: Optional[int] = None,
+        want: Optional[Sequence[str]] = None,
+    ) -> History:
+        """Execute `name` over the given input prefixes.  Returns the
+        history of the variables in `want` (every input, output and
+        local when None), in that order."""
+        node = self.prog.node(name)
         if len(inputs) != len(node.inputs):
             raise EvalError(f"{name}: expected {len(node.inputs)} input streams")
         if inputs:
-            N = len(inputs[0])
+            lengths = {len(s) for s in inputs}
+            if len(lengths) != 1:
+                raise EvalError("input streams must share one length")
+            N = lengths.pop()
         elif N is None:
             raise EvalError("a horizon is required for a node without inputs")
-        base_inputs = [
-            s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)
-        ]
+        cols = tuple(d.name for d in node.decls) if want is None else tuple(dict.fromkeys(want))
+        gen = self.nodes.get((name, cols))
+        if gen is None:
+            declared = {d.name for d in node.decls}
+            unknown = [x for x in cols if x not in declared]
+            if unknown:
+                raise ValueError(f"{name} has no variable {unknown[0]!r}")
+            gen = self.nodes[(name, cols)] = _generate(self.prog, node, cols)
+        base_inputs = [s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)]
         bs = base_of(base_inputs) if base_inputs else [True] * N
-        step = self.nodes[name].instantiate()
-        names = [d.name for d in (*node.inputs, *node.outputs, *node.locals)]
-        H: History = {x: [] for x in names}
-        cols = [H[x] for x in names]
-        for i in range(N):
-            row = step(tuple(s[i] for s in inputs), bs[i])
-            for col, v in zip(cols, row):
-                col.append(v)
-        return H
+        recorded = iter(gen.fn(inputs, bs))
+        return {
+            x: list(inputs[k]) if k is not None else next(recorded)
+            for x, k in gen.layout
+        }

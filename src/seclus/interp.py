@@ -70,12 +70,17 @@ class EvalError(Exception):
 # Value operations (wrapping 64-bit integers)
 # ---------------------------------------------------------------------------
 
-_MOD = 1 << 64
 _HALF = 1 << 63
+_MASK = (1 << 64) - 1
+INT_MIN = -_HALF
+INT_MAX = _HALF - 1
 
+#: Two's-complement wrapping to 64 bits, as Python source around one
+#: integer operand `{}`.  `wrap` is compiled from it and the compiled
+#: engine inlines it, so both engines wrap by the same text.
+WRAP = f"(({{}}) + {_HALF} & {_MASK}) - {_HALF}"
 
-def wrap(x: int) -> int:
-    return (x + _HALF) % _MOD - _HALF
+wrap = eval(compile("lambda x: " + WRAP.format("x"), "<wrap>", "eval"))
 
 
 def int_mod(a: int, b: int) -> int:
@@ -748,9 +753,12 @@ def parse_value(text: str) -> CV:
     if low in ("false", "f"):
         return False
     try:
-        return int(text)
+        v = int(text)
     except ValueError:
         raise EvalError(f"bad stream value {text!r}") from None
+    if not INT_MIN <= v <= INT_MAX:
+        raise EvalError(f"stream value {text!r} is outside the 64-bit integers")
+    return v
 
 
 def format_value(v: CV) -> str:

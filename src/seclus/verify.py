@@ -35,7 +35,14 @@ from seclus.ast import (
     When,
     validate,
 )
-from seclus.interp import ClockMismatch, EvalError, StreamPrefix, run_node, schedule
+from seclus.interp import (
+    CausalityError,
+    ClockMismatch,
+    EvalError,
+    StreamPrefix,
+    run_node,
+    schedule,
+)
 from seclus.normalise import fby_init, normalize_program
 from seclus.sectypes import (
     GroundInstantiation,
@@ -255,12 +262,12 @@ def _diff_trials(args) -> List[Divergence]:
 
         compiled = [CompiledProgram(form) for form, _ in forms]
 
-        def runner(k, name, inputs):
-            return compiled[k].run(name, inputs, N=N)
+        def runner(k, name, inputs, outs):
+            return compiled[k].run(name, inputs, N=N, want=outs)
 
     else:
 
-        def runner(k, name, inputs):
+        def runner(k, name, inputs, outs):
             form, dialect = forms[k]
             return run_node(form, name, inputs, N=N, dialect=dialect)
 
@@ -273,7 +280,7 @@ def _diff_trials(args) -> List[Divergence]:
             results = []
             for k in range(len(forms)):
                 try:
-                    H = runner(k, node.name, inputs)
+                    H = runner(k, node.name, inputs, outs)
                     results.append({x: H[x] for x in outs})
                 except (ClockMismatch, EvalError) as exc:
                     results.append({"!error": [repr(exc)]})
@@ -377,22 +384,22 @@ def _ni_trials(args):
      clock_pairing, engine, lo, hi) = args
     node = G.node(f)
     sig = check_program(G)[f]
+    levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
+    low_inputs = [d.name for d in node.inputs if lat.leq(levels[d.name], t)]
+    observed = sorted(x for x in levels if lat.leq(levels[x], t))
     if engine == "compiled":
         from seclus.compiled import CompiledProgram
 
         cp = CompiledProgram(G)
 
         def runner(ins):
-            return cp.run(f, ins, N=N)
+            return cp.run(f, ins, N=N, want=observed)
 
     else:
 
         def runner(ins):
             return run_node(G, f, ins, N=N)
 
-    levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
-    low_inputs = [d.name for d in node.inputs if lat.leq(levels[d.name], t)]
-    observed = sorted(x for x in levels if lat.leq(levels[x], t))
     violations: List[NIViolation] = []
     errors: List[str] = []
     skipped = 0
@@ -563,20 +570,25 @@ class _Gen:
         return Const(rng.randrange(-4, 5))
 
 
+GEN_ATTEMPTS = 100
+
+
 def generate_program(cfg: GenConfig) -> Program:
-    """Seeded random well-formed, causal, well-clocked program; retries
-    internally until validation and scheduling succeed."""
+    """Seeded random well-formed, causal, well-clocked program; draws
+    again from a derived seed until validation and scheduling succeed,
+    and raises ValueError after `GEN_ATTEMPTS` draws."""
     seed = cfg.seed
-    while True:
+    for _ in range(GEN_ATTEMPTS):
         p = _Gen(GenConfig(**{**cfg.__dict__, "seed": seed})).program()
         if not validate(p):
             try:
                 for n in p.nodes:
                     schedule(n)
                 return p
-            except Exception:
+            except CausalityError:
                 pass
         seed = seed * 1_000_003 + 17
+    raise ValueError(f"no valid program in {GEN_ATTEMPTS} draws from seed {cfg.seed}")
 
 
 # ---------------------------------------------------------------------------

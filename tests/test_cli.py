@@ -137,6 +137,16 @@ def test_interpret_trace_includes_locals(capsys, tmp_path):
     assert set(header) >= {"i", "n", "o", "edge", "c", "v"}
 
 
+def test_interpret_rejects_values_outside_64_bits(capsys, tmp_path):
+    csv = tmp_path / "in.csv"
+    csv.write_text("res,n\ntrue,9223372036854775808\n")
+    code, out, err = run(
+        capsys, "interpret", fixture_path("cnt_dn.lus"), "--inputs", str(csv)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "64-bit" in err
+
+
 def test_interpret_missing_column_is_an_error(capsys, tmp_path):
     csv = tmp_path / "in.csv"
     csv.write_text("res\ntrue\n")
@@ -239,3 +249,19 @@ def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(deep))
     assert code == 1
     assert err.strip() == "error: expression nesting too deep"
+
+
+@pytest.mark.parametrize(
+    "body, diagnostic",
+    [
+        ("let x = 1; o = x; tel", "InputRedefined in f: x"),
+        ("var y: int; let y = 1; y = x; o = y; tel", "DuplicateDefinition in f: y"),
+    ],
+)
+def test_invalid_program_is_rejected_at_load(capsys, tmp_path, body, diagnostic):
+    src = tmp_path / "bad.lus"
+    src.write_text(f"node f(x: int) returns (o: int) {body}\n")
+    for argv in (["check"], ["verify", "--what", "preservation"], ["normalize"]):
+        code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+        assert code == 1 and out == "", argv
+        assert err == f"error: {src}: {diagnostic}\n", argv

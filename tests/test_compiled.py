@@ -6,7 +6,7 @@ import random
 import pytest
 
 from seclus.compiled import CompiledProgram
-from seclus.interp import EvalError, check_history, run_node
+from seclus.interp import INT_MAX, INT_MIN, EvalError, check_history, run_node
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.verify import GenConfig, generate_program, random_inputs
@@ -124,3 +124,148 @@ def test_sub_instance_state_is_per_call_site():
     H = CompiledProgram(p).run("top", [[1, 1, 1]], N=3)
     assert H["p"] == [1, 2, 3]
     assert H["q"] == [2, 4, 6]
+
+
+# -- generated names --------------------------------------------------------------
+
+COLLIDING = [
+    "B", "SF", "SP", "IN", "N", "i", "step", "run", "e1", "K0", "c0", "C0",
+    "f0", "t0", "_w", "_dv", "_md", "lambda", "is", "None", "True_",
+]
+
+
+@pytest.mark.parametrize("name", COLLIDING)
+def test_program_names_cannot_meet_generated_names(name):
+    # the name as an int local with a delay, as the input of a callee
+    # under a sampled clock, and as a boolean clock variable
+    src = f"""
+    node g({name}: int) returns (o: int)
+      var y: int;
+    let y = 0 fby {name}; o = {name} + y; tel
+
+    node f(x: int; c: bool) returns (o: int)
+      var {name}: int; w: int :: base on c;
+    let
+      {name} = x + (0 fby {name});
+      w = g(({name} + 1) when c);
+      o = merge c (w) (({name} * 2) when not c);
+    tel
+
+    node h(x: int; c: bool) returns (o: int)
+      var {name}: bool; z: int :: base on {name};
+    let
+      {name} = c;
+      z = (x div 2) when {name};
+      o = merge {name} (z) ((x mod 3) when not {name});
+    tel
+    """
+    inputs = [[1, 2, 3, 4], [True, False, True, False]]
+    for form, dialect in all_forms(parse_program(src)):
+        cp = CompiledProgram(form)
+        for entry in ("f", "h"):
+            ref = run_node(form, entry, inputs, dialect=dialect)
+            assert cp.run(entry, inputs) == ref, (name, entry)
+    assert run_node(parse_program(src), "f", inputs)["o"] == [2, 6, 9, 20]
+
+
+def test_non_ascii_names_stay_apart():
+    # `ﬁ` and `fi` are one identifier to Python after NFKC folding
+    src = """
+    node f(x: int) returns (o: int)
+      var ﬁ: int; fi: int; x²: int;
+    let ﬁ = x + 1; fi = 0 fby ﬁ; x² = fi * 2; o = ﬁ - x²; tel
+    """
+    p = parse_program(src)
+    ins = [[3, 4, 5]]
+    assert CompiledProgram(p).run("f", ins) == run_node(p, "f", ins)
+
+
+# -- recorded columns ------------------------------------------------------------
+
+
+def test_want_selects_the_recorded_columns():
+    p = load("cnt_dn.lus")
+    cp = CompiledProgram(p)
+    ins = [[True, False, False, True], [3, 0, 0, 2]]
+    full = cp.run("cnt_dn", ins)
+    assert list(full) == [d.name for d in p.node("cnt_dn").decls]
+    some = cp.run("cnt_dn", ins, want=["cpt", "n"])
+    assert list(some) == ["cpt", "n"]
+    assert some == {x: full[x] for x in ("cpt", "n")}
+    assert cp.run("cnt_dn", ins, want=[]) == {}
+    assert set(cp.nodes) == {
+        ("cnt_dn", tuple(full)), ("cnt_dn", ("cpt", "n")), ("cnt_dn", ()),
+    }
+    with pytest.raises(ValueError):
+        cp.run("cnt_dn", ins, want=["nope"])
+
+
+def test_base_clock_off_records_absence():
+    src = """
+    node f(x: int) returns (o: int)
+    let o = 0 fby (o + x); tel
+    """
+    p = parse_program(src)
+    ins = [[1, None, 2, None, 3]]
+    fast = CompiledProgram(p).run("f", ins)
+    assert fast == run_node(p, "f", ins)
+    assert fast["o"] == [0, None, 1, None, 3]
+
+
+# -- boundary values -------------------------------------------------------------
+
+
+# the small range together with the ends of the 64-bit range and the
+# integers next to 2**53, where floating point stops being exact
+BOUNDARY_VALUES = tuple(range(-8, 9)) + (
+    INT_MIN, INT_MAX, 2**53 - 1, 2**53 + 1, -(2**53) - 1, -(2**53) + 1,
+)
+
+
+def boundary_inputs(node, N, rng):
+    return [
+        [rng.random() < 0.5 for _ in range(N)] if d.type == "bool"
+        else [rng.choice(BOUNDARY_VALUES) for _ in range(N)]
+        for d in node.inputs
+    ]
+
+
+def _outcome(thunk):
+    try:
+        return thunk(), None
+    except EvalError as exc:
+        return None, type(exc)
+
+
+def test_engines_agree_on_boundary_values():
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        for form, dialect in all_forms(p):
+            node = form.nodes[-1]
+            inputs = boundary_inputs(node, 20, random.Random(seed))
+            ref = _outcome(lambda: run_node(form, node.name, inputs, dialect=dialect))
+            fast = _outcome(lambda: CompiledProgram(form).run(node.name, inputs))
+            assert fast == ref, (seed, dialect)
+
+
+def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
+    # `acc` under the sampled clock advances only when `c` is true; the
+    # two base-clocked calls each keep their own register
+    src = """
+    node acc(x: int) returns (o: int) let o = x + (0 fby o); tel
+    node top(c: bool; x: int) returns (p: int; q: int; s: int)
+    let
+      p = acc(x);
+      q = acc(x * 3);
+      s = merge c (acc(x when c)) ((1 fby x) when not c);
+    tel
+    """
+    p = parse_program(src)
+    for trial in range(10):
+        inputs = boundary_inputs(p.node("top"), 30, random.Random(trial))
+        for form, dialect in all_forms(p):
+            ref = run_node(form, "top", inputs, dialect=dialect)
+            assert CompiledProgram(form).run("top", inputs) == ref
+    H = CompiledProgram(p).run("top", [[True, False, True, True], [5, 7, 1, 2]])
+    assert H["s"] == [5, 5, 6, 8]
+    assert H["p"] == [5, 12, 13, 15] and H["q"] == [15, 36, 39, 45]

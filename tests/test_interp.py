@@ -6,9 +6,15 @@ import pytest
 from seclus.ast import BASE, On
 from seclus.interp import (
     ABSENT,
+    INT_MAX,
+    INT_MIN,
+    WRAP,
     ClockMismatch,
     CausalityError,
+    EvalError,
     base_of,
+    parse_value,
+    read_streams,
     check_history,
     respects_clock,
     run_node,
@@ -22,6 +28,7 @@ from seclus.interp import (
     sem_lift2,
     sem_merge,
     sem_when,
+    wrap,
 )
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
@@ -219,3 +226,25 @@ def test_clock_discipline():
     H = run_node(p, "s", [[True, False, True], [1, 2, 3]])
     assert H["x"] == [2, A, 4]
     assert H["o"] == [2, 0, 4]
+
+
+# -- 64-bit values -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, -1, INT_MIN, INT_MAX, INT_MIN - 1, INT_MAX + 1, 2**128, -(2**128)]
+)
+def test_wrap_is_the_inlined_expression(x):
+    # the compiled engine inlines WRAP; `wrap` must be the same function
+    assert wrap(x) == eval(WRAP.format(repr(x))) == (x + 2**63) % 2**64 - 2**63
+    assert INT_MIN <= wrap(x) <= INT_MAX
+
+
+def test_stream_values_are_64_bit_integers():
+    assert parse_value(str(INT_MIN)) == INT_MIN
+    assert parse_value(str(INT_MAX)) == INT_MAX
+    for text in (str(INT_MAX + 1), str(INT_MIN - 1), "1" + "0" * 40):
+        with pytest.raises(EvalError):
+            parse_value(text)
+    with pytest.raises(EvalError):
+        read_streams(f"x\n1\n{INT_MAX + 1}\n")

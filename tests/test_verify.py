@@ -203,6 +203,48 @@ def test_generator_is_deterministic():
     assert generate_program(GenConfig(seed=9)) == generate_program(GenConfig(seed=9))
 
 
+# `parser.pretty` of the generated programs, as the generator drew them
+# before its retries were bounded: seeds 0-499 all succeed at the first draw
+GENERATED_SHA256 = {
+    0: "cc514a6c085afe0083a04d217ae36f639ea9f67db0071e01b2c7532779317522",
+    1: "5b118662438a589608c5ade41a6f5e7b5faba723a89302145fd6f3de7264dffe",
+    74: "2f2a7ec4af53407f44fbecfdc11d43a543be02316a07babadf7b73723a62e895",
+    250: "88daad237c325999383d50a66eeca2d9eac785a783295ac5627f83d26a1544da",
+    499: "a636e506b462a7c51273b997e840caf5f8f1d815407ad480dc7412e675e6431b",
+}
+
+
+def test_generated_programs_are_unchanged():
+    import hashlib
+
+    from seclus.parser import pretty
+
+    assert pretty(generate_program(GenConfig(seed=176))) == (
+        "node n0(i0: bool) returns (out: int)\n  var x0: int;\nlet\n"
+        "  x0 = -4;\n  out = x0;\ntel\n"
+    )
+    for seed, digest in GENERATED_SHA256.items():
+        text = pretty(generate_program(GenConfig(seed=seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
+
+
+def test_generator_gives_up_after_bounded_draws(monkeypatch):
+    import seclus.verify as verify
+
+    draws = []
+    real = verify._Gen
+
+    def counted(cfg):
+        draws.append(cfg.seed)
+        return real(cfg)
+
+    monkeypatch.setattr(verify, "_Gen", counted)
+    monkeypatch.setattr(verify, "validate", lambda p: ["always invalid"])
+    with pytest.raises(ValueError):
+        generate_program(GenConfig(seed=3))
+    assert len(draws) == verify.GEN_ATTEMPTS
+
+
 def test_report_json_is_plain_data():
     import json
 
