@@ -70,10 +70,9 @@ from seclus.ast import (
 )
 from seclus.interp import (
     WRAP,
-    EvalError,
     History,
     StreamPrefix,
-    base_of,
+    base_clock,
     int_div,
     int_mod,
     schedule,
@@ -149,7 +148,7 @@ class _Codegen:
         return order
 
 
-class _Instance:
+class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
     or a callee inlined at one call site.  `env` maps each of the node's
     variables to the code that names it."""
@@ -327,7 +326,7 @@ class _Instance:
         outs = targets or [_mangle(prefix, d.name) for d in callee.outputs]
         env.update(zip((d.name for d in callee.outputs), outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        block += _Instance(self.gen, callee, env).body()
+        block += _NodeCode(self.gen, callee, env).body()
         if flag is None:
             sink.extend(block)
         else:
@@ -384,7 +383,7 @@ class _Run(NamedTuple):
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     gen = _Codegen(prog)
     env = {d.name: _mangle("V", d.name) for d in node.decls}
-    body = _Instance(gen, node, env).body()
+    body = _NodeCode(gen, node, env).body()
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
     recorded = [x for x in want if x not in inputs]
     appends = [f"a{j}" for j in range(len(recorded))]
@@ -424,15 +423,7 @@ class CompiledProgram:
         history of the variables in `want` (every input, output and
         local when None), in that order."""
         node = self.prog.node(name)
-        if len(inputs) != len(node.inputs):
-            raise EvalError(f"{name}: expected {len(node.inputs)} input streams")
-        if inputs:
-            lengths = {len(s) for s in inputs}
-            if len(lengths) != 1:
-                raise EvalError("input streams must share one length")
-            N = lengths.pop()
-        elif N is None:
-            raise EvalError("a horizon is required for a node without inputs")
+        bs = base_clock(node, inputs, N)
         cols = tuple(d.name for d in node.decls) if want is None else tuple(dict.fromkeys(want))
         gen = self.nodes.get((name, cols))
         if gen is None:
@@ -441,8 +432,6 @@ class CompiledProgram:
             if unknown:
                 raise ValueError(f"{name} has no variable {unknown[0]!r}")
             gen = self.nodes[(name, cols)] = _generate(self.prog, node, cols)
-        base_inputs = [s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)]
-        bs = base_of(base_inputs) if base_inputs else [True] * N
         recorded = iter(gen.fn(inputs, bs))
         return {
             x: list(inputs[k]) if k is not None else next(recorded)

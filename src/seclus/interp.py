@@ -5,9 +5,13 @@ A stream prefix is a list of length N whose entries are either a value
 operators (`sem_*`) transcribe the relational semantics rule by rule and
 are partial: mixed presence raises ClockMismatch.
 
-`run_node` is a deterministic instant-by-instant evaluator (equations
-scheduled by instantaneous dependency, delay state carried across
-instants).  `check_history` is an independent route: it replays a
+`ReferenceProgram` is a deterministic instant-by-instant evaluator
+(equations scheduled by instantaneous dependency, delay state carried
+across instants).  It annotates a program once and turns each node into
+closures over a frame of slots once, at the node's first run, in the
+manner of Feeley & Lapalme, "Using closures for code generation"
+(Computer Languages, 1987); `run_node` runs one node of a program
+through it.  `check_history` is an independent route: it replays a
 produced history through the whole-stream operators and reports every
 equation whose defined streams disagree.
 """
@@ -15,8 +19,11 @@ equation whose defined streams disagree.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from seclus.ast import (
     BASE,
@@ -43,6 +50,7 @@ from seclus.ast import (
     annotate_program,
     clock_env,
     fv,
+    width_all,
 )
 
 Value = Union[bool, int]
@@ -98,44 +106,39 @@ def int_div(a: int, b: int) -> int:
     return wrap((a - int_mod(a, b)) // b)
 
 
+# The scalar operators by name.  `apply_unop`/`apply_binop` and the
+# prepared evaluator look them up here.
+_UNARY = {"not": operator.not_, "-": lambda v: wrap(-v)}
+_BINARY = {
+    "+": lambda a, b: wrap(a + b),
+    "-": lambda a, b: wrap(a - b),
+    "*": lambda a, b: wrap(a * b),
+    "div": int_div,
+    "mod": int_mod,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
+    "xor": lambda a, b: bool(a) != bool(b),
+}
+
+
 def apply_unop(op: str, v: Value) -> Value:
-    if op == "not":
-        return not v
-    if op == "-":
-        return wrap(-v)
-    raise EvalError(f"unknown unary operator {op!r}")
+    fn = _UNARY.get(op)
+    if fn is None:
+        raise EvalError(f"unknown unary operator {op!r}")
+    return fn(v)
 
 
 def apply_binop(op: str, a: Value, b: Value) -> Value:
-    if op == "+":
-        return wrap(a + b)
-    if op == "-":
-        return wrap(a - b)
-    if op == "*":
-        return wrap(a * b)
-    if op == "div":
-        return int_div(a, b)
-    if op == "mod":
-        return int_mod(a, b)
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "and":
-        return bool(a) and bool(b)
-    if op == "or":
-        return bool(a) or bool(b)
-    if op == "xor":
-        return bool(a) != bool(b)
-    raise EvalError(f"unknown binary operator {op!r}")
+    fn = _BINARY.get(op)
+    if fn is None:
+        raise EvalError(f"unknown binary operator {op!r}")
+    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,25 @@ def base_of(vs: Sequence[StreamPrefix]) -> ClockStream:
     return pattern
 
 
+def base_clock(
+    node: Node, inputs: Sequence[StreamPrefix], N: Optional[int] = None
+) -> ClockStream:
+    """The base clock of a run of `node` on `inputs`: the presence of its
+    base-clocked inputs, else N instants that all tick.  EvalError when
+    the inputs do not fit the node."""
+    if len(inputs) != len(node.inputs):
+        raise EvalError(f"{node.name}: expected {len(node.inputs)} input streams")
+    if inputs:
+        lengths = {len(s) for s in inputs}
+        if len(lengths) != 1:
+            raise EvalError("input streams must share one length")
+        N = lengths.pop()
+    elif N is None:
+        raise EvalError("a horizon is required for a node without inputs")
+    base_inputs = [s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)]
+    return base_of(base_inputs) if base_inputs else [True] * N
+
+
 def respects_clock(H: History, bs: ClockStream) -> bool:
     return all(
         v is ABSENT for s in H.values() for v, b in zip(s, bs) if not b
@@ -299,9 +321,14 @@ def _deps_all(es) -> set[str]:
     return out
 
 
-def _eq_deps(eq: AnyEquation) -> set[str]:
+def _eq_deps(eq: AnyEquation, clocks: Dict[str, Clock]) -> set[str]:
+    """Variables an equation needs at the current instant: those of its
+    expressions and those of its targets' clocks."""
     if isinstance(eq, Equation):
-        return _deps_all(eq.exprs)
+        out = _deps_all(eq.exprs)
+        for x in eq.targets:
+            out |= fv(clocks[x])
+        return out
     if isinstance(eq, SimpleEq):
         return inst_deps(eq.rhs) | fv(eq.clock)
     if isinstance(eq, FbyEq):
@@ -321,8 +348,10 @@ def schedule(n: Node) -> List[AnyEquation]:
     """Topological order by instantaneous dependency (stable w.r.t. the
     source order); CausalityError on an instantaneous cycle."""
     defined = {x: i for i, eq in enumerate(n.equations) for x in _eq_targets(eq)}
+    clocks = clock_env(n)
     deps = [
-        {defined[x] for x in _eq_deps(eq) if x in defined} for eq in n.equations
+        {defined[x] for x in _eq_deps(eq, clocks) if x in defined}
+        for eq in n.equations
     ]
     out: List[AnyEquation] = []
     placed = [False] * len(n.equations)
@@ -348,260 +377,548 @@ def schedule(n: Node) -> List[AnyEquation]:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic instant-by-instant evaluator
+# Prepared instant-by-instant evaluator
 # ---------------------------------------------------------------------------
 
+# A frame is one instance of one node, as a list: the node's variables in
+# declaration order (inputs, outputs, locals), then the slots the node's
+# closures allocated (delay registers, saved delay heads, callee frames).
+Frame = List[Any]
 
-class _FbyState:
-    __slots__ = ("first", "pending")
-
-    def __init__(self) -> None:
-        self.first = True
-        self.pending: CV = ABSENT
+# content of a delay register before the delay's first present instant
+_FIRST = object()
 
 
-class _Instance:
-    """One run of one node: per-occurrence delay state plus one
-    sub-instance per syntactic call site, stepped synchronously."""
+def _base(f: Frame, base: bool) -> bool:
+    return base
 
-    def __init__(self, prog: Program, node: Node):
-        self.prog = prog
-        self.node = node
-        self.order = schedule(node)
-        self.clocks = clock_env(node)
-        self.fby: Dict[int, _FbyState] = {}
-        self.calls: Dict[int, "_Instance"] = {}
-        self.env: Dict[str, CV] = {}
-        self.history: History = {
-            d.name: [] for d in (*node.inputs, *node.outputs, *node.locals)
-        }
 
-    # -- state helpers --
+def _one(vector: Callable[[Frame], List[CV]]) -> Callable[[Frame], CV]:
+    """A scalar closure for an operand position that must hold one
+    stream; an operand of another width raises ValueError when run."""
 
-    def _fby_state(self, key: int) -> _FbyState:
-        st = self.fby.get(key)
-        if st is None:
-            st = self.fby[key] = _FbyState()
-        return st
+    def one(f: Frame) -> CV:
+        (v,) = vector(f)
+        return v
 
-    def _call_instance(self, key: int, name: str) -> "_Instance":
-        inst = self.calls.get(key)
-        if inst is None:
-            inst = self.calls[key] = _Instance(self.prog, self.prog.node(name))
-        return inst
+    return one
 
-    def _clock_on(self, ck: Clock, base: bool) -> bool:
-        if isinstance(ck, Base):
-            return base
-        assert isinstance(ck, On)
-        if not self._clock_on(ck.clock, base):
-            if self.env[ck.var] is not ABSENT:
-                raise ClockMismatch(f"{ck.var} present while its clock is off")
-            return False
-        x = self.env[ck.var]
-        if x is ABSENT:
-            raise ClockMismatch(f"{ck.var} absent while its clock ticks")
-        return x == ck.value
 
-    # -- expression evaluation at the current instant --
-    # phase 1 (update=False): delays emit stored state, their second
-    # operands are not entered.  phase 2 (update=True): second operands
-    # are evaluated under the completed instant environment and states
-    # advance; each occurrence is reached exactly once per phase.
+# Scalar presence rules of the sampling, merge and conditional operators.
 
-    def _eval(self, e: Expr, update: bool) -> List[CV]:
-        if isinstance(e, Const):
-            # clock-polymorphic: presence resolved by the annotated clock
-            base = self.base_now
-            ck = e.clock if e.clock is not None else BASE
-            return [e.value if self._clock_on(ck, base) else ABSENT]
-        if isinstance(e, Var):
-            return [self.env[e.name]]
-        if isinstance(e, Unop):
-            (v,) = self._eval(e.operand, update)
-            return [ABSENT if v is ABSENT else apply_unop(e.op, v)]
-        if isinstance(e, Binop):
-            (a,) = self._eval(e.left, update)
-            (b,) = self._eval(e.right, update)
-            if (a is ABSENT) != (b is ABSENT):
-                raise ClockMismatch("mixed presence in binary operator")
-            return [ABSENT if a is ABSENT else apply_binop(e.op, a, b)]
-        if isinstance(e, When):
-            (x,) = self._eval(Var(e.var), update)
-            vals = self._eval_all(e.exprs, update)
-            out = []
-            for v in vals:
-                if (x is ABSENT) != (v is ABSENT):
-                    raise ClockMismatch("mixed presence in sampling")
-                out.append(v if x is not ABSENT and x == e.value else ABSENT)
-            return out
-        if isinstance(e, Merge):
-            (x,) = self._eval(Var(e.var), update)
-            ts = self._eval_all(e.on_true, update)
-            fs = self._eval_all(e.on_false, update)
-            out = []
-            for t, f in zip(ts, fs):
-                if x is ABSENT:
-                    if t is not ABSENT or f is not ABSENT:
-                        raise ClockMismatch("merge branch present under absent scrutinee")
-                    out.append(ABSENT)
-                elif x:
-                    if t is ABSENT or f is not ABSENT:
-                        raise ClockMismatch("merge true-branch presence mismatch")
-                    out.append(t)
-                else:
-                    if f is ABSENT or t is not ABSENT:
-                        raise ClockMismatch("merge false-branch presence mismatch")
-                    out.append(f)
-            return out
-        if isinstance(e, Ite):
-            (c,) = self._eval(e.cond, update)
-            ts = self._eval_all(e.on_true, update)
-            fs = self._eval_all(e.on_false, update)
-            out = []
-            for t, f in zip(ts, fs):
-                present = [v is not ABSENT for v in (c, t, f)]
-                if not any(present):
-                    out.append(ABSENT)
-                elif all(present):
-                    out.append(t if c else f)
-                else:
-                    raise ClockMismatch("mixed presence in conditional")
-            return out
-        if isinstance(e, Fby):
-            inits = self._eval_all(e.init, update)
-            out = []
-            for k, i_val in enumerate(inits):
-                st = self._fby_state(id(e) * 64 + k)
-                if i_val is ABSENT:
-                    out.append(ABSENT)
-                else:
-                    out.append(i_val if st.first else st.pending)
-            if update:
-                rests = self._eval_all(e.rest, update)
-                for k, (i_val, r_val) in enumerate(zip(inits, rests)):
-                    if (i_val is ABSENT) != (r_val is ABSENT):
-                        raise ClockMismatch("mixed presence in delay")
-                    if i_val is ABSENT:
-                        continue
-                    st = self._fby_state(id(e) * 64 + k)
-                    st.pending = r_val
-                    st.first = False
-            return out
-        if isinstance(e, NodeCall):
-            key = id(e)
-            if key in self.call_outputs:
-                if update:
-                    # still advance delay state inside the argument trees
-                    self._eval_all(e.args, update)
-                return list(self.call_outputs[key])
-            args = self._eval_all(e.args, update)
-            if args:
-                active = args[0] is not ABSENT
-            else:
-                active = self._clock_on(e.clock if e.clock is not None else BASE,
-                                        self.base_now)
-            outs = self._step_call(key, e.node, args, active)
-            self.call_outputs[key] = list(outs)
-            return outs
-        raise TypeError(type(e))
 
-    def _eval_all(self, es, update: bool) -> List[CV]:
-        out: List[CV] = []
-        for e in es:
-            out.extend(self._eval(e, update))
-        return out
+def _sample(x: CV, v: CV, k: bool) -> CV:
+    if (x is ABSENT) != (v is ABSENT):
+        raise ClockMismatch("mixed presence in sampling")
+    return v if x is not ABSENT and x == k else ABSENT
 
-    def _step_call(self, key: int, name: str, args: List[CV], active: bool) -> List[CV]:
-        present = [a is not ABSENT for a in args]
-        if any(p != active for p in present):
-            raise ClockMismatch(f"call to {name}: mixed argument presence")
-        inst = self._call_instance(key, name)
-        return inst.step(args, active)
 
-    # -- one synchronous instant --
+def _choose(x: CV, t: CV, e: CV) -> CV:
+    if x is ABSENT:
+        if t is not ABSENT or e is not ABSENT:
+            raise ClockMismatch("merge branch present under absent scrutinee")
+        return ABSENT
+    if x:
+        if t is ABSENT or e is not ABSENT:
+            raise ClockMismatch("merge true-branch presence mismatch")
+        return t
+    if e is ABSENT or t is not ABSENT:
+        raise ClockMismatch("merge false-branch presence mismatch")
+    return e
 
-    def step(self, inputs: List[CV], base: bool) -> List[CV]:
-        n = self.node
-        if len(inputs) != len(n.inputs):
-            raise EvalError(f"{n.name}: expected {len(n.inputs)} inputs")
-        self.base_now = base
-        self.call_outputs: Dict[int, List[CV]] = {}
-        self.env = {d.name: v for d, v in zip(n.inputs, inputs)}
-        for d in (*n.outputs, *n.locals):
-            self.env[d.name] = ABSENT
 
-        # declared input clocks must agree with actual presence
-        for d in n.inputs:
-            on = self._clock_on(d.clock, base)
-            if on != (self.env[d.name] is not ABSENT):
+def _select(c: CV, t: CV, e: CV) -> CV:
+    if c is ABSENT and t is ABSENT and e is ABSENT:
+        return ABSENT
+    if c is ABSENT or t is ABSENT or e is ABSENT:
+        raise ClockMismatch("mixed presence in conditional")
+    return t if c else e
+
+
+class _Prepared:
+    """One node turned into closures over a frame, built once per
+    program.  Each closure was chosen for its expression's kind when it
+    was built, so an instant dispatches on nothing.
+
+    An instant runs the node's body: phase 1 evaluates the equations in
+    schedule order, every delay reading its register and saving its first
+    operand's value; phase 2 visits the delays alone, in the order in
+    which phase 1 reached them (a delay nested in another's first operand
+    first), and evaluates each delay's second operand, which sees the
+    whole instant, to commit its register.  A delay inside a second
+    operand is evaluated, read and committed right there.  The node's
+    base clock is true whenever its body runs: the caller skips the
+    instants at which it is false, where every stream of the node is
+    absent and no register moves."""
+
+    def __init__(self, program: "ReferenceProgram", node: Node):
+        # kept while the closures are built only, so that no cycle holds
+        # the program once they are
+        self.program = program
+        self.slots = {d.name: i for i, d in enumerate(node.decls)}
+        self.nin = len(node.inputs)
+        self.nvars = len(self.slots)
+        self.outputs = [self.slots[d.name] for d in node.outputs]
+        self.idle = [ABSENT] * (self.nvars - self.nin)  # outputs and locals
+        self.template: Frame = [ABSENT] * self.nvars
+        self.callees: List[Tuple[int, Optional["_Prepared"]]] = []
+        self.phase2: List[Callable[[Frame], None]] = []
+        order = schedule(node)
+        # inputs on the base clock are present exactly when it ticks
+        self.checks = [
+            self.input_check(k, d) for k, d in enumerate(node.inputs)
+            if not isinstance(d.clock, Base)
+        ]
+        phase1 = [self.equation(eq) for eq in order]
+        self.body = phase1 + self.phase2
+        del self.program
+
+    def slot(self, initial: Any) -> int:
+        self.template.append(initial)
+        return len(self.template) - 1
+
+    def new_frame(self) -> Frame:
+        f = list(self.template)
+        for i, callee in self.callees:
+            if callee is not None:
+                f[i] = callee.new_frame()
+        return f
+
+    def step(self, f: Frame, inputs: Sequence[CV]) -> None:
+        """One instant at which the base clock ticks."""
+        f[: self.nin] = inputs
+        f[self.nin : self.nvars] = self.idle
+        for check in self.checks:
+            check(f, True)
+        for run in self.body:
+            run(f)
+
+    # -- clocks --
+
+    def clock(self, ck: Optional[Clock]) -> Callable[[Frame, bool], bool]:
+        """Whether `ck` ticks, given whether the base clock does."""
+        if ck is None or isinstance(ck, Base):
+            return _base
+        parent = self.clock(ck.clock)
+        var, i, k = ck.var, self.slots[ck.var], ck.value
+
+        def on(f: Frame, base: bool) -> bool:
+            if not parent(f, base):
+                if f[i] is not ABSENT:
+                    raise ClockMismatch(f"{var} present while its clock is off")
+                return False
+            x = f[i]
+            if x is ABSENT:
+                raise ClockMismatch(f"{var} absent while its clock ticks")
+            return x == k
+
+        return on
+
+    def input_check(self, k: int, d) -> Callable[[Frame, bool], None]:
+        on = self.clock(d.clock)
+
+        def check(f: Frame, base: bool) -> None:
+            if on(f, base) != (f[k] is not ABSENT):
                 raise ClockMismatch(f"input {d.name} off its declared clock")
 
-        # phase 1: values, in schedule order, delays reading stored state
-        for eq in self.order:
-            self._assign(eq)
-        # phase 2: advance delay state under the completed environment
-        for eq in self.order:
-            self._advance(eq)
+        return check
 
-        for name, s in self.history.items():
-            s.append(self.env[name])
-        return [self.env[d.name] for d in n.outputs]
+    # -- expressions --
+    # `expr` returns the width of `e` and its closure: a scalar when the
+    # width is 1, a list otherwise.  `delayed` is true inside a delay's
+    # second operand, which runs in phase 2.
 
-    def _assign(self, eq: AnyEquation) -> None:
+    def expr(self, e: Expr, delayed: bool) -> Tuple[int, Callable[[Frame], Any]]:
+        if isinstance(e, Const):
+            v, on = e.value, self.clock(e.clock)
+            if on is _base:
+                return 1, lambda f: v
+            return 1, lambda f: v if on(f, True) else ABSENT
+        if isinstance(e, Var):
+            return 1, itemgetter(self.slots[e.name])
+        if isinstance(e, Unop):
+            return 1, self.unop(e, delayed)
+        if isinstance(e, Binop):
+            return 1, self.binop(e, delayed)
+        if isinstance(e, When):
+            return self.when(e, delayed)
+        if isinstance(e, Merge):
+            return self.merge(e, delayed)
+        if isinstance(e, Ite):
+            return self.ite(e, delayed)
+        if isinstance(e, Fby):
+            return self.fby(e, delayed)
+        if isinstance(e, NodeCall):
+            return self.node_call(e, delayed)
+        raise TypeError(type(e))
+
+    def one(self, e: Expr, delayed: bool) -> Callable[[Frame], CV]:
+        w, fn = self.expr(e, delayed)
+        return fn if w == 1 else _one(fn)
+
+    def many(self, es: Sequence[Expr], delayed: bool) -> Tuple[int, Callable[[Frame], Any]]:
+        """Width and closure of an operand list: the scalar closure of a
+        lone one-stream operand, else a closure for the flattened list."""
+        parts = [self.expr(e, delayed) for e in es]
+        if len(parts) == 1:
+            return parts[0]
+
+        def vector(f: Frame) -> List[CV]:
+            out: List[CV] = []
+            for w, fn in parts:
+                if w == 1:
+                    out.append(fn(f))
+                else:
+                    out.extend(fn(f))
+            return out
+
+        return sum(w for w, _ in parts), vector
+
+    def vector(self, es: Sequence[Expr], delayed: bool) -> Tuple[int, Callable[[Frame], List[CV]]]:
+        w, fn = self.many(es, delayed)
+        if w == 1 and len(es) == 1:
+            return 1, lambda f: [fn(f)]
+        return w, fn
+
+    def unop(self, e: Unop, delayed: bool) -> Callable[[Frame], CV]:
+        operand = self.one(e.operand, delayed)
+        op = _UNARY.get(e.op) or (lambda v: apply_unop(e.op, v))
+
+        def unop(f: Frame) -> CV:
+            v = operand(f)
+            return ABSENT if v is ABSENT else op(v)
+
+        return unop
+
+    def binop(self, e: Binop, delayed: bool) -> Callable[[Frame], CV]:
+        left = self.one(e.left, delayed)
+        right = self.one(e.right, delayed)
+        op = _BINARY.get(e.op) or (lambda a, b: apply_binop(e.op, a, b))
+
+        def binop(f: Frame) -> CV:
+            a = left(f)
+            b = right(f)
+            if a is ABSENT:
+                if b is not ABSENT:
+                    raise ClockMismatch("mixed presence in binary operator")
+                return ABSENT
+            if b is ABSENT:
+                raise ClockMismatch("mixed presence in binary operator")
+            return op(a, b)
+
+        return binop
+
+    def when(self, e: When, delayed: bool):
+        x, k = self.slots[e.var], e.value
+        w, operand = self.many(e.exprs, delayed)
+        if w == 1:
+            return 1, lambda f: _sample(f[x], operand(f), k)
+        return w, lambda f: [_sample(f[x], v, k) for v in operand(f)]
+
+    def merge(self, e: Merge, delayed: bool):
+        x = self.slots[e.var]
+        w, on_true = self.many(e.on_true, delayed)
+        _, on_false = (self.many if w == 1 else self.vector)(e.on_false, delayed)
+        if w == 1:
+
+            def merge(f: Frame) -> CV:
+                t = on_true(f)
+                return _choose(f[x], t, on_false(f))
+
+            return 1, merge
+
+        def merge_n(f: Frame) -> List[CV]:
+            xv, ts = f[x], on_true(f)
+            return [_choose(xv, t, v) for t, v in zip(ts, on_false(f))]
+
+        return w, merge_n
+
+    def ite(self, e: Ite, delayed: bool):
+        cond = self.one(e.cond, delayed)
+        w, on_true = self.many(e.on_true, delayed)
+        _, on_false = (self.many if w == 1 else self.vector)(e.on_false, delayed)
+        if w == 1:
+
+            def ite(f: Frame) -> CV:
+                c = cond(f)
+                t = on_true(f)
+                return _select(c, t, on_false(f))
+
+            return 1, ite
+
+        def ite_n(f: Frame) -> List[CV]:
+            c, ts = cond(f), on_true(f)
+            return [_select(c, t, v) for t, v in zip(ts, on_false(f))]
+
+        return w, ite_n
+
+    def fby(self, e: Fby, delayed: bool):
+        """A delay reads its registers and saves its first operand's
+        values in phase 1, and commits in phase 2; inside a second
+        operand (`delayed`) it reads and commits at once."""
+        w = width_all(e.init, self.program.prog)
+        if w == 1 and not delayed:
+            return 1, self.delay(e)
+        _, init = self.vector(e.init, delayed)
+        _, rest = self.vector(e.rest, True)
+        regs = [self.slot(_FIRST) for _ in range(w)]
+
+        def read(f: Frame, inits: List[CV]) -> List[CV]:
+            return [
+                ABSENT if i is ABSENT else (i if f[r] is _FIRST else f[r])
+                for i, r in zip(inits, regs)
+            ]
+
+        def commit(f: Frame, inits: List[CV]) -> None:
+            for i, v, r in zip(inits, rest(f), regs):
+                if (i is ABSENT) != (v is ABSENT):
+                    raise ClockMismatch("mixed presence in delay")
+                if i is not ABSENT:
+                    f[r] = v
+
+        if delayed:
+
+            def fby(f: Frame) -> List[CV]:
+                inits = init(f)
+                out = read(f, inits)
+                commit(f, inits)
+                return out
+
+        else:
+            h = self.slot(ABSENT)
+
+            def fby(f: Frame) -> List[CV]:
+                inits = f[h] = init(f)
+                return read(f, inits)
+
+            self.phase2.append(lambda f: commit(f, f[h]))
+        return (1, lambda f: fby(f)[0]) if w == 1 else (w, fby)
+
+    def delay(self, e: Fby) -> Callable[[Frame], CV]:
+        """`fby` for the common case, one stream in phase 1."""
+        _, init = self.many(e.init, False)
+        w, rest = self.many(e.rest, True)
+        rest = rest if w == 1 else _one(rest)
+        r, h = self.slot(_FIRST), self.slot(ABSENT)
+
+        def fby(f: Frame) -> CV:
+            i = f[h] = init(f)
+            if i is ABSENT:
+                return ABSENT
+            v = f[r]
+            return i if v is _FIRST else v
+
+        def commit(f: Frame) -> None:
+            v = rest(f)
+            i = f[h]
+            if (i is ABSENT) != (v is ABSENT):
+                raise ClockMismatch("mixed presence in delay")
+            if i is not ABSENT:
+                f[r] = v
+
+        self.phase2.append(commit)
+        return fby
+
+    def call_site(self, name: str) -> Callable[[Frame, List[CV], bool], List[CV]]:
+        """Closure stepping the callee `name` at one call site: checks
+        its arguments' presence against the call's activity and returns
+        its outputs, all absent when the call is inactive."""
+        absent = [ABSENT] * len(self.program.prog.node(name).outputs)
+        try:
+            callee: Optional[_Prepared] = self.program.prepared(name)
+            error: Optional[Exception] = None
+        except CausalityError as exc:  # raised where the call runs
+            callee, error = None, exc
+        i = self.slot(None)
+        self.callees.append((i, callee))
+        nin = callee.nin if callee is not None else -1
+
+        def call(f: Frame, args: List[CV], active: bool) -> List[CV]:
+            for a in args:
+                if (a is not ABSENT) != active:
+                    raise ClockMismatch(f"call to {name}: mixed argument presence")
+            if callee is None:
+                raise error
+            if len(args) != nin:
+                raise EvalError(f"{name}: expected {nin} inputs")
+            if not active:
+                return absent
+            sub = f[i]
+            callee.step(sub, args)
+            return [sub[o] for o in callee.outputs]
+
+        return call
+
+    def node_call(self, e: NodeCall, delayed: bool):
+        _, args = self.vector(e.args, delayed)
+        call = self.call_site(e.node)
+        on = self.clock(e.clock)
+
+        def node_call(f: Frame) -> List[CV]:
+            a = args(f)
+            return call(f, a, a[0] is not ABSENT if a else on(f, True))
+
+        w = len(self.program.prog.node(e.node).outputs)
+        if w == 1:
+            return 1, lambda f: node_call(f)[0]
+        return w, node_call
+
+    # -- equations: one phase-1 closure each --
+
+    def equation(self, eq: AnyEquation) -> Callable[[Frame], None]:
         if isinstance(eq, Equation):
-            vals = self._eval_all(eq.exprs, update=False)
-            if len(vals) != len(eq.targets):
-                raise EvalError("equation width mismatch")
-            for x, v in zip(eq.targets, vals):
-                self.env[x] = v
-            return
-        active = self._clock_on(eq.clock, self.base_now)
+            return self.lustre_equation(eq)
+        ts = [self.slots[x] for x in _eq_targets(eq)]
+        on = self.clock(eq.clock)
         if isinstance(eq, SimpleEq):
-            (v,) = self._eval(eq.rhs, update=False)
-        elif isinstance(eq, FbyEq):
-            st = self._fby_state(id(eq))
-            (i_val,) = self._eval(eq.init, update=False)
-            if (i_val is ABSENT) == active:
-                raise ClockMismatch(f"{eq.target}: operand off the equation clock")
-            v = ABSENT if not active else (i_val if st.first else st.pending)
-        elif isinstance(eq, CallEq):
-            args = self._eval_all(eq.args, update=False)
-            vals = self._step_call(id(eq), eq.node, args, active)
-            if len(vals) != len(eq.targets):
+            return self.simple_equation(eq, ts[0], on)
+        if isinstance(eq, FbyEq):
+            return self.fby_equation(eq, ts[0], on)
+        if isinstance(eq, CallEq):
+            return self.call_equation(eq, ts, on)
+        raise TypeError(type(eq))
+
+    def lustre_equation(self, eq: Equation) -> Callable[[Frame], None]:
+        # clock annotation has checked that the widths match
+        ts = [self.slots[x] for x in eq.targets]
+        w, rhs = self.many(eq.exprs, False)
+        if w == 1:
+            (t,) = ts
+
+            def assign(f: Frame) -> None:
+                f[t] = rhs(f)
+
+            return assign
+
+        def assign_n(f: Frame) -> None:
+            for t, v in zip(ts, rhs(f)):
+                f[t] = v
+
+        return assign_n
+
+    def simple_equation(self, eq: SimpleEq, t: int, on) -> Callable[[Frame], None]:
+        rhs = self.one(eq.rhs, False)
+        message = f"{eq.target}: value off the equation clock"
+        if on is _base:
+
+            def simple_base(f: Frame) -> None:
+                v = rhs(f)
+                if v is ABSENT:
+                    raise ClockMismatch(message)
+                f[t] = v
+
+            return simple_base
+
+        def simple(f: Frame) -> None:
+            active = on(f, True)
+            v = rhs(f)
+            if (v is ABSENT) == active:
+                raise ClockMismatch(message)
+            f[t] = v
+
+        return simple
+
+    def fby_equation(self, eq: FbyEq, t: int, on) -> Callable[[Frame], None]:
+        init = self.one(eq.init, False)
+        rest = self.one(eq.rhs, True)
+        r = self.slot(_FIRST)
+        x = eq.target
+
+        def fby(f: Frame) -> None:
+            active = on(f, True)
+            i = init(f)
+            if (i is ABSENT) == active:
+                raise ClockMismatch(f"{x}: operand off the equation clock")
+            if active:
+                v = f[r]
+                f[t] = i if v is _FIRST else v
+            else:
+                f[t] = ABSENT
+
+        def commit(f: Frame) -> None:
+            v = rest(f)
+            active = f[t] is not ABSENT
+            if (v is ABSENT) == active:
+                raise ClockMismatch(f"{x}: delayed operand off the clock")
+            if active:
+                f[r] = v
+
+        self.phase2.append(commit)
+        return fby
+
+    def call_equation(self, eq: CallEq, ts: List[int], on) -> Callable[[Frame], None]:
+        # the arguments of a call equation hold no delays to advance
+        queued = len(self.phase2)
+        _, args = self.vector(eq.args, False)
+        del self.phase2[queued:]
+        call = self.call_site(eq.node)
+
+        def call_eq(f: Frame) -> None:
+            active = on(f, True)
+            vals = call(f, args(f), active)
+            if len(vals) != len(ts):
                 raise EvalError("call equation width mismatch")
-            for x, v in zip(eq.targets, vals):
+            for x, t, v in zip(eq.targets, ts, vals):
                 if (v is ABSENT) == active:
                     raise ClockMismatch(f"{x}: callee output off the equation clock")
-                self.env[x] = v
-            return
-        else:
-            raise TypeError(type(eq))
-        if (v is ABSENT) == active:
-            raise ClockMismatch(f"{_eq_targets(eq)[0]}: value off the equation clock")
-        self.env[_eq_targets(eq)[0]] = v
+                f[t] = v
 
-    def _advance(self, eq: AnyEquation) -> None:
-        if isinstance(eq, Equation):
-            self._eval_all(eq.exprs, update=True)
-            return
-        if isinstance(eq, SimpleEq):
-            self._eval(eq.rhs, update=True)
-            return
-        if isinstance(eq, FbyEq):
-            self._eval(eq.init, update=True)
-            (r_val,) = self._eval(eq.rhs, update=True)
-            active = self.env[eq.target] is not ABSENT
-            if (r_val is ABSENT) == active:
-                raise ClockMismatch(f"{eq.target}: delayed operand off the clock")
-            if active:
-                st = self._fby_state(id(eq))
-                st.pending = r_val
-                st.first = False
-            return
-        if isinstance(eq, CallEq):
-            return  # argument expressions contain no delays or calls
-        raise TypeError(type(eq))
+        return call_eq
+
+
+class ReferenceProgram:
+    """The reference interpreter prepared for one program: annotated
+    once; each node is scheduled and turned into closures once, at its
+    first run."""
+
+    def __init__(self, prog: Program):
+        self.prog = annotate_program(prog)
+        self.nodes: Dict[str, _Prepared] = {}
+
+    def prepared(self, name: str) -> _Prepared:
+        p = self.nodes.get(name)
+        if p is None:
+            p = self.nodes[name] = _Prepared(self, self.prog.node(name))
+        return p
+
+    def run(
+        self,
+        name: str,
+        inputs: Sequence[StreamPrefix],
+        N: Optional[int] = None,
+        want: Optional[Sequence[str]] = None,
+        dialect: str = "lustre",
+    ) -> History:
+        """Execute `name` over the given input prefixes.  Returns the
+        history of the variables in `want` (every input, output and
+        local when None), in that order."""
+        node = self.prog.node(name)
+        bs = base_clock(node, inputs, N)
+        p = self.prepared(name)
+        cols = [d.name for d in node.decls] if want is None else list(dict.fromkeys(want))
+        unknown = [x for x in cols if x not in p.slots]
+        if unknown:
+            raise ValueError(f"{name} has no variable {unknown[0]!r}")
+        f = p.new_frame()
+        nin, nvars, idle, checks, body = p.nin, p.nvars, p.idle, p.checks, p.body
+        absent = [ABSENT] * nvars
+        rows: List[Frame] = []
+        for vals, base in zip(zip(*inputs) if inputs else repeat(()), bs):
+            f[:nin] = vals
+            f[nin:nvars] = idle
+            for check in checks:
+                check(f, base)
+            if base:
+                for run in body:
+                    run(f)
+                rows.append(f[:nvars])
+            else:
+                rows.append(absent)
+        columns = list(zip(*rows)) or [()] * nvars
+        H = {x: list(columns[p.slots[x]]) for x in cols}
+        if dialect == "nlustre" and not respects_clock(H, bs):
+            raise ClockMismatch("history does not respect the base clock")
+        return H
 
 
 def run_node(
@@ -613,30 +930,7 @@ def run_node(
 ) -> History:
     """Execute `name` over the given input prefixes; returns the full
     history (inputs, outputs and locals)."""
-    prog = annotate_program(prog)
-    node = prog.node(name)
-    if len(inputs) != len(node.inputs):
-        raise EvalError(f"{name}: expected {len(node.inputs)} input streams")
-    if inputs:
-        lengths = {len(s) for s in inputs}
-        if len(lengths) != 1:
-            raise EvalError("input streams must share one length")
-        N = lengths.pop()
-    elif N is None:
-        raise EvalError("a horizon is required for a node without inputs")
-
-    base_inputs = [
-        s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)
-    ]
-    bs = base_of(base_inputs) if base_inputs else [True] * N
-
-    inst = _Instance(prog, node)
-    for i in range(N):
-        inst.step([s[i] for s in inputs], bs[i])
-    H = inst.history
-    if dialect == "nlustre" and not respects_clock(H, bs):
-        raise ClockMismatch("history does not respect the base clock")
-    return H
+    return ReferenceProgram(prog).run(name, inputs, N=N, dialect=dialect)
 
 
 # ---------------------------------------------------------------------------
@@ -653,49 +947,57 @@ class Discrepancy:
     actual: CV
 
 
-def _sem_expr(prog: Program, H: History, bs: ClockStream, e: Expr) -> List[StreamPrefix]:
+def _sem_expr(
+    rp: ReferenceProgram, H: History, bs: ClockStream, e: Expr
+) -> List[StreamPrefix]:
     if isinstance(e, Const):
         ck = e.clock if e.clock is not None else BASE
         return [sem_const(sem_clock(H, bs, ck), e.value)]
     if isinstance(e, Var):
         return [list(H[e.name])]
     if isinstance(e, Unop):
-        (s,) = _sem_expr(prog, H, bs, e.operand)
+        (s,) = _sem_expr(rp, H, bs, e.operand)
         return [sem_lift1(e.op, s)]
     if isinstance(e, Binop):
-        (a,) = _sem_expr(prog, H, bs, e.left)
-        (b,) = _sem_expr(prog, H, bs, e.right)
+        (a,) = _sem_expr(rp, H, bs, e.left)
+        (b,) = _sem_expr(rp, H, bs, e.right)
         return [sem_lift2(e.op, a, b)]
     if isinstance(e, When):
         xs = H[e.var]
-        return [sem_when(e.value, xs, s) for s in _sem_all(prog, H, bs, e.exprs)]
+        return [sem_when(e.value, xs, s) for s in _sem_all(rp, H, bs, e.exprs)]
     if isinstance(e, Merge):
         xs = H[e.var]
-        ts = _sem_all(prog, H, bs, e.on_true)
-        fs = _sem_all(prog, H, bs, e.on_false)
+        ts = _sem_all(rp, H, bs, e.on_true)
+        fs = _sem_all(rp, H, bs, e.on_false)
         return [sem_merge(xs, t, f) for t, f in zip(ts, fs)]
     if isinstance(e, Ite):
-        (c,) = _sem_expr(prog, H, bs, e.cond)
-        ts = _sem_all(prog, H, bs, e.on_true)
-        fs = _sem_all(prog, H, bs, e.on_false)
+        (c,) = _sem_expr(rp, H, bs, e.cond)
+        ts = _sem_all(rp, H, bs, e.on_true)
+        fs = _sem_all(rp, H, bs, e.on_false)
         return [sem_ite(c, t, f) for t, f in zip(ts, fs)]
     if isinstance(e, Fby):
-        xs = _sem_all(prog, H, bs, e.init)
-        ys = _sem_all(prog, H, bs, e.rest)
+        xs = _sem_all(rp, H, bs, e.init)
+        ys = _sem_all(rp, H, bs, e.rest)
         return [sem_fby_L(x, y) for x, y in zip(xs, ys)]
     if isinstance(e, NodeCall):
-        args = _sem_all(prog, H, bs, e.args)
-        callee = prog.node(e.node)
-        sub = run_node(prog, e.node, args)
-        return [list(sub[d.name]) for d in callee.outputs]
+        return _callee_streams(rp, e.node, _sem_all(rp, H, bs, e.args))
     raise TypeError(type(e))
 
 
-def _sem_all(prog, H, bs, es) -> List[StreamPrefix]:
+def _sem_all(rp, H, bs, es) -> List[StreamPrefix]:
     out: List[StreamPrefix] = []
     for e in es:
-        out.extend(_sem_expr(prog, H, bs, e))
+        out.extend(_sem_expr(rp, H, bs, e))
     return out
+
+
+def _callee_streams(
+    rp: ReferenceProgram, name: str, args: List[StreamPrefix]
+) -> List[StreamPrefix]:
+    """Output streams of the callee `name` run on the argument streams."""
+    outs = [d.name for d in rp.prog.node(name).outputs]
+    sub = rp.run(name, args, want=outs)
+    return [sub[x] for x in outs]
 
 
 def check_history(
@@ -704,29 +1006,26 @@ def check_history(
     """Replay every equation of `name` through the whole-stream
     operators against the history `H`; empty result means H satisfies
     the relational semantics of each equation."""
-    prog = annotate_program(prog)
-    node = prog.node(name)
+    rp = ReferenceProgram(prog)
+    node = rp.prog.node(name)
     out: List[Discrepancy] = []
     for eq in node.equations:
         if isinstance(eq, Equation):
-            expected = _sem_all(prog, H, bs, eq.exprs)
+            expected = _sem_all(rp, H, bs, eq.exprs)
             targets = eq.targets
         elif isinstance(eq, SimpleEq):
-            expected = _sem_expr(prog, H, bs, eq.rhs)
+            expected = _sem_expr(rp, H, bs, eq.rhs)
             targets = (eq.target,)
         elif isinstance(eq, FbyEq):
-            (xs,) = _sem_expr(prog, H, bs, eq.init)
-            (ys,) = _sem_expr(prog, H, bs, eq.rhs)
+            (xs,) = _sem_expr(rp, H, bs, eq.init)
+            (ys,) = _sem_expr(rp, H, bs, eq.rhs)
             if isinstance(eq.init, Const):
                 expected = [sem_fby_NL(eq.init.value, ys)]
             else:
                 expected = [sem_fby_L(xs, ys)]
             targets = (eq.target,)
         elif isinstance(eq, CallEq):
-            args = _sem_all(prog, H, bs, eq.args)
-            callee = prog.node(eq.node)
-            sub = run_node(prog, eq.node, args)
-            expected = [list(sub[d.name]) for d in callee.outputs]
+            expected = _callee_streams(rp, eq.node, _sem_all(rp, H, bs, eq.args))
             targets = eq.targets
         else:
             raise TypeError(type(eq))

@@ -43,6 +43,7 @@ from seclus.ast import (
     VarDecl,
     Var,
     When,
+    children,
 )
 
 KEYWORDS = {
@@ -50,6 +51,14 @@ KEYWORDS = {
     "merge", "fby", "when", "on", "base", "true", "false",
     "and", "or", "xor", "not", "div", "mod", "bool", "int",
 }
+
+#: The deepest expression accepted, in nested operators (a variable or a
+#: constant alone has depth 1).  Clock inference, typing, normalisation,
+#: both engines and the replay checker all recurse by expression depth;
+#: this bound keeps them far from Python's recursion limit and keeps the
+#: compiled engine's generated code within the parenthesis nesting that
+#: Python's own parser accepts (200 levels).
+MAX_EXPR_DEPTH = 64
 
 SYMBOLS = ["::", "<=", ">=", "<>", "(", ")", ",", ";", ":", "=", "<", ">", "+", "-", "*"]
 
@@ -150,10 +159,24 @@ def _splice(e: Expr) -> tuple[Expr, ...]:
     return e.exprs if isinstance(e, _Tuple) else (e,)
 
 
+def _too_deep(es: tuple[Expr, ...]) -> bool:
+    """Whether an expression of `es` is deeper than MAX_EXPR_DEPTH (an
+    explicit stack: left-nested chains such as `a + a + ... + a` are
+    built by loops, not by recursion)."""
+    stack = [(e, 1) for e in es]
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_EXPR_DEPTH:
+            return True
+        stack.extend((c, depth + 1) for c in children(e))
+    return False
+
+
 class Parser:
     def __init__(self, text: str, filename: str = "<input>"):
         self.toks = tokenize(text, filename)
         self.pos = 0
+        self.level = 0  # expressions being parsed, one inside the other
 
     # -- token plumbing ------------------------------------------------
 
@@ -179,6 +202,16 @@ class Parser:
             t = self.peek()
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
         return self.next()
+
+    def nested(self, parse):
+        """`parse()` one expression inside the current one (a ParseError
+        ends the parse, so the level need not be restored on it)."""
+        if self.level >= MAX_EXPR_DEPTH:
+            raise ParseError("expression nesting too deep", self.peek().span)
+        self.level += 1
+        e = parse()
+        self.level -= 1
+        return e
 
     def ident(self) -> str:
         t = self.peek()
@@ -258,7 +291,11 @@ class Parser:
         if self.eat("::"):
             ck = self.clock()
         self.expect("=")
+        start = self.pos
         rhs = self.expr_list()
+        # each level of an expression takes a token of its own
+        if self.pos - start > MAX_EXPR_DEPTH and _too_deep(rhs):
+            raise ParseError("expression nesting too deep", self.toks[start].span)
         self.expect(";")
         if ck is None:
             return Equation(tuple(targets), rhs)
@@ -290,7 +327,7 @@ class Parser:
         return tuple(out)
 
     def expr(self) -> Expr:
-        return self.when_expr()
+        return self.nested(self.when_expr)
 
     def when_expr(self) -> Expr:
         e = self.fby_expr()
@@ -311,7 +348,7 @@ class Parser:
     def fby_expr(self) -> Expr:
         e = self.or_expr()
         if self.eat("fby"):
-            rest = self.fby_expr()
+            rest = self.nested(self.fby_expr)
             return Fby(_splice(e), _splice(rest))
         return e
 
@@ -353,10 +390,10 @@ class Parser:
     def unary_expr(self) -> Expr:
         if self.at("not"):
             self.next()
-            return Unop("not", self.unary_expr())
+            return Unop("not", self.nested(self.unary_expr))
         if self.at("-"):
             span = self.next().span
-            e = self.unary_expr()
+            e = self.nested(self.unary_expr)
             if isinstance(e, Const) and not isinstance(e.value, bool):
                 return Const(-e.value)
             if isinstance(e, _Tuple):
@@ -384,8 +421,8 @@ class Parser:
             return Ite(cond, on_true, on_false)
         if self.eat("merge"):
             x = self.ident()
-            on_true = _splice(self.primary())
-            on_false = _splice(self.primary())
+            on_true = _splice(self.nested(self.primary))
+            on_false = _splice(self.nested(self.primary))
             return Merge(x, on_true, on_false)
         if self.eat("("):
             exprs = [self.expr()]

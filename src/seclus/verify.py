@@ -35,12 +35,14 @@ from seclus.ast import (
     When,
     validate,
 )
+from seclus.compiled import CompiledProgram
 from seclus.interp import (
     CausalityError,
     ClockMismatch,
     EvalError,
+    ReferenceProgram,
     StreamPrefix,
-    run_node,
+    run_node,  # unused here; bench/layers.py traces the reference engine by this name
     schedule,
 )
 from seclus.normalise import fby_init, normalize_program
@@ -219,16 +221,7 @@ def differential_semantics(
     Each trial draws its inputs from its own seed, so the report is
     identical whatever the execution order; `jobs > 1` splits the trial
     range over worker processes."""
-    work = [
-        (G, N, seed, engine, nodes, lo, hi) for lo, hi in _chunks(trials, jobs)
-    ]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_diff_trials, work)
-    else:
-        parts = [_diff_trials(w) for w in work]
+    parts = _map_trials(_diff_trials, (G, N, seed, engine, nodes), trials, jobs)
     run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
     names = tuple(n.name for n in run_list)
     divergences: List[Divergence] = []
@@ -247,30 +240,31 @@ def _trial_rng(seed: int, stream: int, trial: int) -> random.Random:
     return random.Random((seed * 1_000_003 + stream) * 1_000_003 + trial)
 
 
-def _chunks(n: int, k: int) -> List[Tuple[int, int]]:
-    k = max(1, min(k, n))
-    size = (n + k - 1) // k
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
+    """`fn(args + (lo, hi))` over consecutive chunks of the trial range,
+    in trial order: one chunk in this process, or one per worker
+    process when `jobs > 1`."""
+    k = max(1, min(jobs, trials))
+    size = (trials + k - 1) // k
+    work = [args + (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    if jobs > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(fn, work)
+    return [fn(w) for w in work]
+
+
+def _engine(name: str):
+    """The evaluator class of an engine name: "compiled" or "reference"."""
+    return CompiledProgram if name == "compiled" else ReferenceProgram
 
 
 def _diff_trials(args) -> List[Divergence]:
     G, N, seed, engine, nodes, lo, hi = args
     denested = normalize_program(G)
-    forms = [(G, "lustre"), (denested, "nlustre"), (fby_init(denested), "nlustre")]
-    if engine == "compiled":
-        from seclus.compiled import CompiledProgram
-
-        compiled = [CompiledProgram(form) for form, _ in forms]
-
-        def runner(k, name, inputs, outs):
-            return compiled[k].run(name, inputs, N=N, want=outs)
-
-    else:
-
-        def runner(k, name, inputs, outs):
-            form, dialect = forms[k]
-            return run_node(form, name, inputs, N=N, dialect=dialect)
-
+    engine_class = _engine(engine)
+    forms = [engine_class(form) for form in (G, denested, fby_init(denested))]
     run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
     out: List[Divergence] = []
     for ni, node in enumerate(run_list):
@@ -278,9 +272,9 @@ def _diff_trials(args) -> List[Divergence]:
         for trial in range(lo, hi):
             inputs = random_inputs(node, N, _trial_rng(seed, ni, trial))
             results = []
-            for k in range(len(forms)):
+            for form in forms:
                 try:
-                    H = runner(k, node.name, inputs, outs)
+                    H = form.run(node.name, inputs, N=N, want=outs)
                     results.append({x: H[x] for x in outs})
                 except (ClockMismatch, EvalError) as exc:
                     results.append({"!error": [repr(exc)]})
@@ -355,19 +349,9 @@ def check_noninterference(
 
     Per-trial seeding keeps the report independent of execution order;
     `jobs > 1` splits the trial range over worker processes."""
-    work = [
-        (G, f, lat, dict(input_levels), t, N, seed,
-         dict(output_levels) if output_levels else None,
-         clock_pairing, engine, lo, hi)
-        for lo, hi in _chunks(trials, jobs)
-    ]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_ni_trials, work)
-    else:
-        parts = [_ni_trials(w) for w in work]
+    args = (G, f, lat, dict(input_levels), t, N, seed,
+            dict(output_levels) if output_levels else None, clock_pairing, engine)
+    parts = _map_trials(_ni_trials, args, trials, jobs)
     violations: List[NIViolation] = []
     errors: List[str] = []
     skipped = 0
@@ -387,19 +371,7 @@ def _ni_trials(args):
     levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
     low_inputs = [d.name for d in node.inputs if lat.leq(levels[d.name], t)]
     observed = sorted(x for x in levels if lat.leq(levels[x], t))
-    if engine == "compiled":
-        from seclus.compiled import CompiledProgram
-
-        cp = CompiledProgram(G)
-
-        def runner(ins):
-            return cp.run(f, ins, N=N, want=observed)
-
-    else:
-
-        def runner(ins):
-            return run_node(G, f, ins, N=N)
-
+    program = _engine(engine)(G)
     violations: List[NIViolation] = []
     errors: List[str] = []
     skipped = 0
@@ -416,8 +388,8 @@ def _ni_trials(args):
             skipped += 1
             continue
         try:
-            H1 = runner(ins1)
-            H2 = runner(ins2)
+            H1 = program.run(f, ins1, N=N, want=observed)
+            H2 = program.run(f, ins2, N=N, want=observed)
         except (ClockMismatch, EvalError) as exc:
             errors.append(f"trial {trial}: {exc!r}")
             continue

@@ -248,7 +248,8 @@ def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
     deep.write_text(f"node deep(a: int) returns (o: int)\nlet\n  o = {terms};\ntel\n")
     code, _, err = run(capsys, "check", str(deep))
     assert code == 1
-    assert err.strip() == "error: expression nesting too deep"
+    # the parser's depth limit names the equation's right-hand side
+    assert err.strip() == f"error: {deep}:3:7: expression nesting too deep"
 
 
 @pytest.mark.parametrize(

@@ -248,3 +248,171 @@ def test_stream_values_are_64_bit_integers():
             parse_value(text)
     with pytest.raises(EvalError):
         read_streams(f"x\n1\n{INT_MAX + 1}\n")
+
+
+# -- scheduling by the targets' clocks ------------------------------------------
+
+
+CLOCKED_TARGET = """
+node f(a: bool) returns (y: int)
+  var c: bool; z: int :: base on c;
+let
+  z = 1;
+  c = a;
+  y = merge c (z) (0 when not c);
+tel
+"""
+
+
+def test_schedule_orders_an_equation_after_its_targets_clock():
+    # `z = 1` is written first, but the constant's presence is c's value
+    p = parse_program(CLOCKED_TARGET)
+    order = [eq.targets for eq in schedule(p.node("f"))]
+    assert order.index(("c",)) < order.index(("z",))
+
+
+def test_equation_on_a_later_clock_runs_on_both_engines():
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(CLOCKED_TARGET)
+    ins = [[True, False, True]]
+    for form, dialect in _forms(p):
+        H = run_node(form, "f", ins, dialect=dialect)
+        assert H["y"] == [1, 0, 1] and H["z"] == [1, A, 1]
+        assert CompiledProgram(form).run("f", ins) == H
+        assert check_history(form, "f", H, [True] * 3) == []
+
+
+# -- the reference evaluates sampled operands eagerly --------------------------------
+
+
+LAZY_IN_COMPILED = """
+node f(c: bool; x: int) returns (o: int)
+  var y: int :: base on c;
+let
+  y = (1 div x) when c;
+  o = merge c (y) (0 when not c);
+tel
+"""
+
+
+def test_reference_evaluates_a_sampled_operand_at_every_instant():
+    # the compiled engine computes `1 div x` only where c is true
+    # (tests/test_compiled.py::test_merge_stays_lazy); the reference and
+    # the replay compute it wherever x is present
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(LAZY_IN_COMPILED)
+    ins = [[False, True], [0, 5]]
+    with pytest.raises(EvalError, match="division by zero"):
+        run_node(p, "f", ins)
+    clean = CompiledProgram(p).run("f", ins)
+    assert clean["o"] == [0, 0]
+    with pytest.raises(EvalError, match="division by zero"):
+        check_history(p, "f", clean, [True, True])
+    ins = [[False, True], [2, 5]]
+    H = run_node(p, "f", ins)
+    assert H["o"] == [0, 0] and H == CompiledProgram(p).run("f", ins)
+    assert check_history(p, "f", H, [True, True]) == []
+
+
+# -- delays advanced in phase 2 ------------------------------------------------------
+
+
+def _forms(p):
+    n = normalize_program(p)
+    return [(p, "lustre"), (n, "nlustre"), (fby_init(n), "nlustre")]
+
+
+_BOUNDARY = tuple(range(-8, 9)) + (INT_MIN, INT_MAX, 2**53 - 1, 2**53 + 1, -(2**53) - 1)
+
+
+def _agree_at_boundary_values(src, entry, N=30, trials=5):
+    """Both engines give one history on every form, and it replays."""
+    import random
+
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(src)
+    for trial in range(trials):
+        rng = random.Random(trial)
+        ins = [
+            [rng.random() < 0.5 for _ in range(N)] if d.type == "bool"
+            else [rng.choice(_BOUNDARY) for _ in range(N)]
+            for d in p.node(entry).inputs
+        ]
+        for form, dialect in _forms(p):
+            H = run_node(form, entry, ins, dialect=dialect)
+            assert CompiledProgram(form).run(entry, ins) == H, (trial, dialect)
+            assert check_history(form, entry, H, [True] * N) == [], (trial, dialect)
+    return p
+
+
+def test_delay_nested_in_a_delayed_operand():
+    src = "node f(x: int) returns (o: int; p: int) let o = 0 fby (x + (1 fby o)); p = (2 fby x) fby (p - x); tel"
+    p = _agree_at_boundary_values(src, "f")
+    H = run_node(p, "f", [[10, 20, 30, 40]])
+    # o: x(i-1) + o(i-2), the inner delay reading 1 first
+    assert H["o"] == [0, 11, 20, 41]
+    # p: the inner delay in the first operand is read once, at instant 0
+    assert H["p"] == [2, -8, -28, -58]
+
+
+def test_delay_of_a_tuple_with_delays_in_both_operands():
+    src = "node f(x: int) returns (a: int; b: int) let (a, b) = (0 fby x, x) fby (b, a + (1 fby x)); tel"
+    p = _agree_at_boundary_values(src, "f")
+    H = run_node(p, "f", [[10, 20, 30, 40]])
+    assert H["a"] == [0, 10, 1, 20] and H["b"] == [10, 1, 20, 21]
+
+
+def test_delays_in_call_arguments_and_branches():
+    src = """
+    node g(a: int; b: bool) returns (s: int) let s = a + (0 fby s); tel
+    node f(c: bool; x: int) returns (o: int; m: int)
+    let
+      o = g(1 fby (x + o), c fby not c) + (if c then (3 fby o) else (4 fby x));
+      m = merge c ((5 fby x) when c) ((x fby m) when not c);
+    tel
+    """
+    p = _agree_at_boundary_values(src, "f")
+    H = run_node(p, "f", [[True, False, False, True], [1, 2, 3, 4]])
+    # g sums its first argument: 1, then x + o of the instant before;
+    # both delays of the conditional advance at every instant
+    assert H["o"] == [1 + 3, (1 + 5) + 1, (6 + 9) + 2, (15 + 20) + 17]
+    # the sampled delays advance at every instant too, not only where
+    # their branch is taken
+    assert H["m"] == [5, 5, 5, 3]
+
+
+def test_callee_called_twice_keeps_a_register_per_call():
+    src = """
+    node acc(x: int) returns (o: int) let o = x + (0 fby o); tel
+    node f(c: bool; x: int) returns (p: int; q: int)
+    let
+      p = acc(x) - acc(x * 2);
+      q = merge c (acc(x when c)) (0 fby q when not c);
+    tel
+    """
+    p = _agree_at_boundary_values(src, "f")
+    H = run_node(p, "f", [[True, False, True], [1, 2, 3]])
+    assert H["p"] == [-1, -3, -6] and H["q"] == [1, 1, 4]
+
+
+def test_check_history_annotates_once(monkeypatch):
+    import seclus.interp as interp
+
+    src = """
+    node g(a: int) returns (s: int) let s = a + (0 fby s); tel
+    node f(x: int) returns (o: int) let o = g(x) + g(g(x) + g(1 fby x)); tel
+    """
+    p = parse_program(src)
+    H = run_node(p, "f", [[1, 2, 3]])
+    calls = []
+    real = interp.annotate_program
+    monkeypatch.setattr(interp, "annotate_program", lambda q: calls.append(q) or real(q))
+    for form, dialect in _forms(p):
+        calls.clear()
+        H = run_node(form, "f", [[1, 2, 3]], dialect=dialect)
+        assert len(calls) == 1
+        assert check_history(form, "f", H, [True] * 3) == []
+        assert len(calls) == 2

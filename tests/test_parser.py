@@ -97,3 +97,30 @@ def test_precedence_printing_stable():
     src = "node f(x: int; y: int) returns (o: int) let o = (x + y) * x - y; tel"
     p = parse_program(src)
     assert parse_program(pretty(p)) == p
+
+
+def _depth_cases(depth):
+    """Expressions of the given depth, each nested by another construct."""
+    return {
+        "sum": " + ".join(["a"] * depth),
+        "parens": "(" * (depth - 1) + "a" + " + a)" * (depth - 1),
+        "negation": "- " * (depth - 1) + "a",
+        "fby": "a fby " * (depth - 1) + "a",
+        "merge": "merge c " * (depth - 1) + "a" + " a" * (depth - 1),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_depth_cases(2)))
+def test_expression_depth_limit(kind):
+    from seclus.parser import MAX_EXPR_DEPTH
+
+    def parse(depth):
+        rhs = _depth_cases(depth)[kind]
+        return parse_program(f"node d(a: int; c: bool) returns (o: int)\nlet\n  o = {rhs};\ntel\n")
+
+    parse(MAX_EXPR_DEPTH)
+    for depth in (MAX_EXPR_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as info:
+            parse(depth)
+        assert info.value.message == "expression nesting too deep"
+        assert info.value.span.line == 3
