@@ -4,13 +4,15 @@ Expressions, clocks, equations, nodes and programs are immutable
 dataclasses.  Lustre equations (`Equation`) allow tuples and arbitrary
 nesting; NLustre equations come in three restricted shapes (`SimpleEq`,
 `FbyEq`, `CallEq`).  Free/defined-variable computation, stream-arity
-(width) computation, program validation and a small clock-inference
-pass live here as well.
+(width) computation, program validation and the clock pass live here as
+well.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 Value = Union[bool, int]
@@ -205,6 +207,15 @@ class Node:
 @dataclass(frozen=True)
 class Program:
     nodes: tuple[Node, ...]
+    # set by the passes that emit every expression with its clock: such
+    # a program is its own annotation
+    annotated: bool = field(default=False, compare=False, repr=False)
+
+    @cached_property
+    def annotation(self) -> Program:
+        """This program with every expression's clock set, built at the
+        first use; see `annotate_program`."""
+        return self if self.annotated else _annotate(self)
 
     def node(self, name: str) -> Node:
         for n in self.nodes:
@@ -217,27 +228,10 @@ class Program:
 
 
 def called_nodes(n: Node) -> set[str]:
-    calls: set[str] = set()
+    calls = {eq.node for eq in n.equations if isinstance(eq, CallEq)}
     for eq in n.equations:
-        if isinstance(eq, Equation):
-            for e in eq.exprs:
-                calls |= _calls_in(e)
-        elif isinstance(eq, CallEq):
-            calls.add(eq.node)
-            for e in eq.args:
-                calls |= _calls_in(e)
-        elif isinstance(eq, (SimpleEq, FbyEq)):
-            for e in subexprs(eq):
-                if isinstance(e, NodeCall):
-                    calls.add(e.node)
+        calls.update(e.node for e in subexprs(eq) if isinstance(e, NodeCall))
     return calls
-
-
-def _calls_in(e: Expr) -> set[str]:
-    out = {e.node} if isinstance(e, NodeCall) else set()
-    for c in children(e):
-        out |= _calls_in(c)
-    return out
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -289,22 +283,14 @@ def fv(x: Union[Expr, Clock, AnyEquation, Iterable[Expr]]) -> set[str]:
         return set()
     if isinstance(x, On):
         return fv(x.clock) | {x.var}
-    if isinstance(x, Const):
-        return set()
-    if isinstance(x, Var):
-        return {x.name}
-    if isinstance(x, When):
-        return _fv_all(x.exprs) | {x.var}
-    if isinstance(x, Merge):
-        return {x.var} | _fv_all(x.on_true) | _fv_all(x.on_false)
     if isinstance(x, Expr):
-        return _fv_all(children(x))
+        return _fv_all((x,))
     if isinstance(x, Equation):
         return _fv_all(x.exprs) - set(x.targets)
     if isinstance(x, SimpleEq):
         return (fv(x.clock) | fv(x.rhs)) - {x.target}
     if isinstance(x, FbyEq):
-        return (fv(x.clock) | fv(x.init) | fv(x.rhs)) - {x.target}
+        return (fv(x.clock) | _fv_all((x.init, x.rhs))) - {x.target}
     if isinstance(x, CallEq):
         return (fv(x.clock) | _fv_all(x.args)) - set(x.targets)
     return _fv_all(x)
@@ -312,17 +298,23 @@ def fv(x: Union[Expr, Clock, AnyEquation, Iterable[Expr]]) -> set[str]:
 
 def _fv_all(es: Iterable[Expr]) -> set[str]:
     out: set[str] = set()
-    for e in es:
-        out |= fv(e)
+    stack = list(es)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            out.add(e.name)
+        elif isinstance(e, (When, Merge)):
+            out.add(e.var)
+        stack.extend(children(e))
     return out
 
 
 def dv(eq: AnyEquation) -> set[str]:
-    if isinstance(eq, Equation):
-        return set(eq.targets)
-    if isinstance(eq, CallEq):
-        return set(eq.targets)
-    return {eq.target}
+    return set(_targets(eq))
+
+
+def _targets(eq: AnyEquation) -> tuple[str, ...]:
+    return eq.targets if isinstance(eq, (Equation, CallEq)) else (eq.target,)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +372,6 @@ def validate(prog: Program, dialect: str = "lustre") -> list[Diagnostic]:
             continue
         seen_nodes.add(n.name)
         diags.extend(_validate_node(n, prog, seen_nodes, dialect))
-    diags.extend(_check_dag(prog))
     return diags
 
 
@@ -389,26 +380,29 @@ def _validate_node(
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     declared = [d.name for d in n.decls]
+    counts = Counter(declared)
     for name in declared:
-        if declared.count(name) > 1:
+        if counts[name] > 1:
             diags.append(Diagnostic("DuplicateDeclaration", n.name, name))
             return diags
 
     defined: list[str] = []
     for eq in n.equations:
         defined.extend(sorted(dv(eq)))
+    counts = Counter(defined)
     must_define = {d.name for d in n.outputs} | {d.name for d in n.locals}
+    inputs = {d.name for d in n.inputs}
     for x in defined:
-        if defined.count(x) > 1:
+        if counts[x] > 1:
             diags.append(Diagnostic("DuplicateDefinition", n.name, x))
             return diags
         if x not in must_define:
-            kind = "InputRedefined" if any(d.name == x for d in n.inputs) else "UndeclaredTarget"
+            kind = "InputRedefined" if x in inputs else "UndeclaredTarget"
             diags.append(Diagnostic(kind, n.name, x))
-    for x in sorted(must_define - set(defined)):
+    for x in sorted(must_define - counts.keys()):
         diags.append(Diagnostic("MissingDefinition", n.name, x))
 
-    scope = set(declared)
+    scope = inputs | must_define
     for eq in n.equations:
         for x in sorted((fv(eq) | dv(eq)) - scope):
             diags.append(Diagnostic("FreeVariable", n.name, x))
@@ -416,6 +410,8 @@ def _validate_node(
         for x in sorted(fv(d.clock) - scope):
             diags.append(Diagnostic("FreeVariable", n.name, f"{x} (clock of {d.name})"))
 
+    # a node may call only the nodes declared before it, so the calls of
+    # a program without diagnostics form no cycle
     for call in sorted(called_nodes(n)):
         if call == n.name:
             diags.append(Diagnostic("RecursiveCall", n.name, call))
@@ -423,70 +419,34 @@ def _validate_node(
             diags.append(Diagnostic("UnknownNode", n.name, call))
 
     if not diags:
-        diags.extend(_check_arities(n, prog))
+        diags.extend(_check_equations(n, prog))
     if dialect == "nlustre" and not diags:
         diags.extend(_check_normalised(n, prog))
     return diags
 
 
-def _check_arities(n: Node, prog: Program) -> list[Diagnostic]:
+def _check_equations(n: Node, prog: Program) -> list[Diagnostic]:
+    """The clock pass (clocks and widths), then the value types, one
+    diagnostic at most per equation."""
     diags: list[Diagnostic] = []
+    clocks = _ClockPass(n, prog, build=False)
+    types = type_env(n)
     for eq in n.equations:
-        for e in subexprs(eq):
-            try:
-                if isinstance(e, (Merge, Ite)):
-                    wt = width_all(e.on_true, prog)
-                    wf = width_all(e.on_false, prog)
-                    if wt != wf:
-                        diags.append(
-                            Diagnostic("ArityMismatch", n.name, f"branch widths {wt} vs {wf}")
-                        )
-                elif isinstance(e, Fby):
-                    w0 = width_all(e.init, prog)
-                    w1 = width_all(e.rest, prog)
-                    if w0 != w1:
-                        diags.append(
-                            Diagnostic("ArityMismatch", n.name, f"fby widths {w0} vs {w1}")
-                        )
-                elif isinstance(e, NodeCall):
-                    callee = prog.node(e.node)
-                    got = width_all(e.args, prog)
-                    if got != len(callee.inputs):
-                        diags.append(
-                            Diagnostic(
-                                "ArityMismatch",
-                                n.name,
-                                f"{e.node} expects {len(callee.inputs)} inputs, got {got}",
-                            )
-                        )
-            except KeyError as exc:
-                diags.append(Diagnostic("UnknownNode", n.name, str(exc)))
-        if isinstance(eq, Equation):
-            try:
-                w = width_all(eq.exprs, prog)
-            except KeyError:
-                continue
-            if w != len(eq.targets):
-                diags.append(
-                    Diagnostic(
-                        "ArityMismatch",
-                        n.name,
-                        f"{len(eq.targets)} targets but rhs width {w}",
-                    )
-                )
-        elif isinstance(eq, CallEq):
-            try:
-                callee = prog.node(eq.node)
-            except KeyError:
-                continue
-            if len(eq.targets) != len(callee.outputs):
-                diags.append(
-                    Diagnostic(
-                        "ArityMismatch",
-                        n.name,
-                        f"{eq.node} returns {len(callee.outputs)}, got {len(eq.targets)} targets",
-                    )
-                )
+        try:
+            clocks.equation(eq)
+        except ClockError as exc:
+            diags.append(Diagnostic(exc.kind, n.name, str(exc)))
+            continue
+        where = clocks.where
+        try:
+            got = _rhs_types(eq, types, prog)
+        except TypeError_ as exc:
+            diags.append(Diagnostic("TypeMismatch", n.name, f"{where}: {exc}"))
+            continue
+        want = [types[x] for x in _targets(eq)]
+        if got != want:
+            detail = f"{where}: {', '.join(got)} vs declared {', '.join(want)}"
+            diags.append(Diagnostic("TypeMismatch", n.name, detail))
     return diags
 
 
@@ -529,15 +489,6 @@ def _all_subexprs(e: Expr) -> Iterator[Expr]:
     yield e
     for c in children(e):
         yield from _all_subexprs(c)
-
-
-def _check_dag(prog: Program) -> list[Diagnostic]:
-    # later/unknown callees are reported per node, and a self-edge is
-    # already a RecursiveCall; this catches the remaining cycles
-    order = topo_order(prog)
-    if order is None:
-        return [Diagnostic("RecursiveCall", "<program>", "node dependency cycle")]
-    return []
 
 
 def topo_order(prog: Program) -> Optional[list[str]]:
@@ -654,187 +605,211 @@ def type_env(n: Node) -> dict[str, str]:
     return {d.name: d.type for d in n.decls}
 
 
+def _rhs_types(eq: AnyEquation, env: dict[str, str], prog: Program) -> list[str]:
+    """Value types of the streams an equation's right-hand side defines."""
+    if isinstance(eq, Equation):
+        return _types_all(eq.exprs, env, prog)
+    if isinstance(eq, SimpleEq):
+        return expr_types(eq.rhs, env, prog)
+    if isinstance(eq, FbyEq):
+        return expr_types(Fby((eq.init,), (eq.rhs,)), env, prog)
+    return expr_types(NodeCall(eq.node, eq.args), env, prog)
+
+
 # ---------------------------------------------------------------------------
-# Clock inference
+# The clock pass
 # ---------------------------------------------------------------------------
 
 
 class ClockError(Exception):
-    """Clock annotation conflict or missing clock information."""
+    """An expression off the clock its context expects.  `kind` names
+    the diagnostic that `validate` reports for it."""
+
+    kind = "ClockConflict"
 
 
-def infer_clocks(e: Expr, env: dict[str, Clock], prog: Program) -> list[Optional[Clock]]:
-    """Per-component clocks of `e`; None marks a clock-polymorphic
-    component (constants), resolved by the surrounding context."""
-    if isinstance(e, Const):
-        return [None]
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise ClockError(f"unbound variable {e.name}")
-        return [env[e.name]]
-    if isinstance(e, Unop):
-        return infer_clocks(e.operand, env, prog)
-    if isinstance(e, Binop):
-        (cl,) = infer_clocks(e.left, env, prog)
-        (cr,) = infer_clocks(e.right, env, prog)
-        return [_unify(cl, cr)]
-    if isinstance(e, When):
-        base = env.get(e.var)
-        if base is None:
-            raise ClockError(f"unbound variable {e.var}")
-        out = []
-        for ck in _clocks_all(e.exprs, env, prog):
-            _unify(ck, base)
-            out.append(On(base, e.var, e.value))
-        return out
-    if isinstance(e, Merge):
-        xck = env.get(e.var)
-        if xck is None:
-            raise ClockError(f"unbound variable {e.var}")
-        ts = _clocks_all(e.on_true, env, prog)
-        fs = _clocks_all(e.on_false, env, prog)
-        out = []
-        for ct, cf in zip(ts, fs):
-            _unify(ct, On(xck, e.var, True))
-            _unify(cf, On(xck, e.var, False))
-            out.append(xck)
-        return out
-    if isinstance(e, Ite):
-        (cc,) = infer_clocks(e.cond, env, prog)
-        ts = _clocks_all(e.on_true, env, prog)
-        fs = _clocks_all(e.on_false, env, prog)
-        return [_unify(_unify(cc, ct), cf) for ct, cf in zip(ts, fs)]
-    if isinstance(e, Fby):
-        c0 = _clocks_all(e.init, env, prog)
-        c1 = _clocks_all(e.rest, env, prog)
-        return [_unify(a, b) for a, b in zip(c0, c1)]
-    if isinstance(e, NodeCall):
-        # arguments pulse on the callee's base clock; outputs share it
-        arg_cks = _clocks_all(e.args, env, prog)
-        common: Optional[Clock] = None
-        for ck in arg_cks:
-            common = _unify(common, ck)
-        k = len(prog.node(e.node).outputs)
-        return [common] * k
-    raise TypeError(type(e))
+class ArityError(ClockError):
+    """Widths that differ where the clock pass pairs streams up."""
 
-
-def _clocks_all(
-    es: Iterable[Expr], env: dict[str, Clock], prog: Program
-) -> list[Optional[Clock]]:
-    out: list[Optional[Clock]] = []
-    for e in es:
-        out.extend(infer_clocks(e, env, prog))
-    return out
-
-
-def _unify(a: Optional[Clock], b: Optional[Clock]) -> Optional[Clock]:
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise ClockError(f"clock conflict: {a!r} vs {b!r}")
+    kind = "ArityMismatch"
 
 
 def clock_env(n: Node) -> dict[str, Clock]:
     return {d.name: d.clock for d in n.decls}
 
 
-def annotate_clocks(e: Expr, env: dict[str, Clock], prog: Program, at: Optional[Clock]) -> Expr:
-    """Rebuild `e` with every subexpression's `clock` field set.
+class _ClockPass:
+    """The clock rules, applied to the equations of one node.
 
-    `at` is the context clock used to resolve clock-polymorphic leaves.
+    A right-hand side runs on the clock of its equation (NLustre) or of
+    the targets it defines (Lustre), so the clock that every
+    subexpression must have is known before it is visited.  It is passed
+    down, and each subexpression is checked against it once:
+
+    - a constant takes it; a variable must be declared on it;
+    - `e when x` runs on `ck on x`, where `ck` is the clock of `x`, and
+      `e` runs on `ck`;
+    - `merge x a b` runs on the clock of `x`, `a` on the sub-clock where
+      `x` is true and `b` where it is false;
+    - every other operator runs on the clock of its operands.  So do
+      the components of a tuple-valued `fby` or `if`, and a node call
+      with all of its arguments and outputs, so the callee must declare
+      every input and output on its base clock.
+
+    Each visit returns the width of the subexpression and, with `build`,
+    the subexpression with every `clock` field set (else None).
     """
-    if isinstance(e, Const):
-        return replace(e, clock=at if at is not None else BASE)
-    if isinstance(e, Var):
-        return replace(e, clock=env[e.name])
-    if isinstance(e, Unop):
-        op = annotate_clocks(e.operand, env, prog, at)
-        return replace(e, operand=op, clock=op.clock)
-    if isinstance(e, Binop):
-        (ck,) = infer_clocks(e, env, prog)
-        ck = ck if ck is not None else at
-        left = annotate_clocks(e.left, env, prog, ck)
-        right = annotate_clocks(e.right, env, prog, ck)
-        return replace(e, left=left, right=right, clock=ck if ck is not None else BASE)
-    if isinstance(e, When):
-        under = env[e.var]
-        exprs = tuple(annotate_clocks(x, env, prog, under) for x in e.exprs)
-        return replace(e, exprs=exprs, clock=On(under, e.var, e.value))
-    if isinstance(e, Merge):
-        xck = env[e.var]
-        on_true = tuple(
-            annotate_clocks(x, env, prog, On(xck, e.var, True)) for x in e.on_true
-        )
-        on_false = tuple(
-            annotate_clocks(x, env, prog, On(xck, e.var, False)) for x in e.on_false
-        )
-        return replace(e, on_true=on_true, on_false=on_false, clock=xck)
-    if isinstance(e, Ite):
-        cks = infer_clocks(e, env, prog)
-        ck = next((c for c in cks if c is not None), at)
-        cond = annotate_clocks(e.cond, env, prog, ck)
-        on_true = tuple(annotate_clocks(x, env, prog, ck) for x in e.on_true)
-        on_false = tuple(annotate_clocks(x, env, prog, ck) for x in e.on_false)
-        return replace(e, cond=cond, on_true=on_true, on_false=on_false,
-                       clock=ck if ck is not None else BASE)
-    if isinstance(e, Fby):
-        cks = infer_clocks(e, env, prog)
-        ck = next((c for c in cks if c is not None), at)
-        init = tuple(annotate_clocks(x, env, prog, ck) for x in e.init)
-        rest = tuple(annotate_clocks(x, env, prog, ck) for x in e.rest)
-        return replace(e, init=init, rest=rest, clock=ck if ck is not None else BASE)
-    if isinstance(e, NodeCall):
-        cks = infer_clocks(e, env, prog)
-        ck = next((c for c in cks if c is not None), at)
-        args = tuple(annotate_clocks(a, env, prog, ck) for a in e.args)
-        return replace(e, args=args, clock=ck if ck is not None else BASE)
-    raise TypeError(type(e))
 
+    def __init__(self, n: Node, prog: Program, build: bool) -> None:
+        self.env = clock_env(n)
+        self.prog = prog
+        self.build = build
+        self.where = ""  # the targets of the equation, for messages
 
-def annotate_node(n: Node, prog: Program) -> Node:
-    """Clock-annotate every expression in a Lustre node, checking each
-    defined variable's inferred clock against its declaration."""
-    env = clock_env(n)
-    new_eqs: list[AnyEquation] = []
-    for eq in n.equations:
-        if not isinstance(eq, Equation):
-            new_eqs.append(_annotate_neq(eq, env, prog, n))
-            continue
-        declared = [env[t] for t in eq.targets]
-        inferred: list[Optional[Clock]] = []
-        for e in eq.exprs:
-            inferred.extend(infer_clocks(e, env, prog))
-        if len(inferred) != len(declared):
-            raise ClockError(
-                f"{n.name}: {len(declared)} targets vs rhs width {len(inferred)}"
+    def clock_of(self, x: str) -> Clock:
+        ck = self.env.get(x)
+        if ck is None:
+            raise ClockError(f"{self.where}: unbound variable {x}")
+        return ck
+
+    def same(self, got: Clock, want: Clock) -> None:
+        if got is not want and got != want:
+            raise ClockError(f"{self.where}: {got!r} vs {want!r}")
+
+    def expr(self, e: Expr, ck: Clock) -> tuple[int, Optional[Expr]]:
+        build = self.build
+        if isinstance(e, Const):
+            return 1, replace(e, clock=ck) if build else None
+        if isinstance(e, Var):
+            self.same(self.clock_of(e.name), ck)
+            return 1, replace(e, clock=ck) if build else None
+        if isinstance(e, Unop):
+            operand = self.one(e.operand, ck)
+            return 1, replace(e, operand=operand, clock=ck) if build else None
+        if isinstance(e, Binop):
+            left = self.one(e.left, ck)
+            right = self.one(e.right, ck)
+            return 1, replace(e, left=left, right=right, clock=ck) if build else None
+        if isinstance(e, When):
+            under = self.clock_of(e.var)
+            self.same(On(under, e.var, e.value), ck)
+            w, exprs = self.all(e.exprs, under)
+            return w, replace(e, exprs=exprs, clock=ck) if build else None
+        if isinstance(e, Merge):
+            self.same(self.clock_of(e.var), ck)
+            w, on_true = self.all(e.on_true, On(ck, e.var, True))
+            wf, on_false = self.all(e.on_false, On(ck, e.var, False))
+            if w != wf:
+                raise ArityError(f"branch widths {w} vs {wf}")
+            return w, replace(e, on_true=on_true, on_false=on_false, clock=ck) if build else None
+        if isinstance(e, Ite):
+            cond = self.one(e.cond, ck)
+            w, on_true = self.all(e.on_true, ck)
+            wf, on_false = self.all(e.on_false, ck)
+            if w != wf:
+                raise ArityError(f"branch widths {w} vs {wf}")
+            return w, (
+                replace(e, cond=cond, on_true=on_true, on_false=on_false, clock=ck)
+                if build else None
             )
-        for t, want, got in zip(eq.targets, declared, inferred):
-            _unify(got, want)
-        new_exprs = []
-        i = 0
-        for e in eq.exprs:
-            w = width(e, prog)
-            new_exprs.append(annotate_clocks(e, env, prog, declared[i]))
-            i += w
-        new_eqs.append(replace(eq, exprs=tuple(new_exprs)))
-    return replace(n, equations=tuple(new_eqs))
+        if isinstance(e, Fby):
+            w, init = self.all(e.init, ck)
+            w1, rest = self.all(e.rest, ck)
+            if w != w1:
+                raise ArityError(f"fby widths {w} vs {w1}")
+            return w, replace(e, init=init, rest=rest, clock=ck) if build else None
+        if isinstance(e, NodeCall):
+            w, args = self.call(e.node, e.args, ck)
+            return w, replace(e, args=args, clock=ck) if build else None
+        raise TypeError(type(e))
+
+    def one(self, e: Expr, ck: Clock) -> Optional[Expr]:
+        w, built = self.expr(e, ck)
+        if w != 1:
+            raise ArityError(f"{w} streams where one is expected")
+        return built
+
+    def all(self, es: Iterable[Expr], ck: Clock) -> tuple[int, Optional[tuple[Expr, ...]]]:
+        w = 0
+        built = []
+        for e in es:
+            k, b = self.expr(e, ck)
+            w += k
+            built.append(b)
+        return w, tuple(built) if self.build else None
+
+    def call(
+        self, node: str, args: tuple[Expr, ...], ck: Clock
+    ) -> tuple[int, Optional[tuple[Expr, ...]]]:
+        """The number of outputs of `node`, and its arguments."""
+        callee = self.prog.node(node)
+        w, built = self.all(args, ck)
+        if w != len(callee.inputs):
+            raise ArityError(f"{node} expects {len(callee.inputs)} inputs, got {w}")
+        for d in callee.inputs + callee.outputs:
+            if d.clock != BASE:
+                raise ClockError(
+                    f"{self.where}: {node} declares {d.name} on {d.clock!r}, off its base clock"
+                )
+        return len(callee.outputs), built
+
+    def equation(self, eq: AnyEquation) -> AnyEquation:
+        """Check `eq`; with `build`, return it with its clocks set."""
+        self.where = ", ".join(_targets(eq))
+        if isinstance(eq, Equation):
+            return self.lustre(eq)
+        ck, build = eq.clock, self.build
+        if isinstance(eq, CallEq):
+            k, args = self.call(eq.node, eq.args, ck)
+            if k != len(eq.targets):
+                raise ArityError(f"{eq.node} returns {k}, got {len(eq.targets)} targets")
+            for x in eq.targets:
+                self.same(self.clock_of(x), ck)
+            return replace(eq, args=args) if build else eq
+        if isinstance(eq, SimpleEq):
+            rhs = self.one(eq.rhs, ck)
+            self.same(self.clock_of(eq.target), ck)
+            return replace(eq, rhs=rhs) if build else eq
+        init = self.one(eq.init, ck)
+        rhs = self.one(eq.rhs, ck)
+        self.same(self.clock_of(eq.target), ck)
+        return replace(eq, init=init, rhs=rhs) if build else eq
+
+    def lustre(self, eq: Equation) -> Equation:
+        """Each expression of the tuple runs on the declared clock of the
+        targets it defines."""
+        declared = [self.clock_of(x) for x in eq.targets]
+        exprs = []
+        pos = 0
+        for k, e in enumerate(eq.exprs):
+            if pos >= len(declared):
+                pos += width_all(eq.exprs[k:], self.prog)
+                break
+            ck = declared[pos]
+            w, built = self.expr(e, ck)
+            for want in declared[pos + 1 : pos + w]:
+                self.same(ck, want)
+            exprs.append(built)
+            pos += w
+        if pos != len(declared):
+            raise ArityError(f"{len(declared)} targets but rhs width {pos}")
+        return replace(eq, exprs=tuple(exprs)) if self.build else eq
 
 
-def _annotate_neq(eq: NEquation, env: dict[str, Clock], prog: Program, n: Node) -> NEquation:
-    if isinstance(eq, SimpleEq):
-        return replace(eq, rhs=annotate_clocks(eq.rhs, env, prog, eq.clock))
-    if isinstance(eq, FbyEq):
-        return replace(
-            eq,
-            init=annotate_clocks(eq.init, env, prog, eq.clock),
-            rhs=annotate_clocks(eq.rhs, env, prog, eq.clock),
-        )
-    return replace(
-        eq, args=tuple(annotate_clocks(a, env, prog, eq.clock) for a in eq.args)
-    )
+def _annotate(prog: Program) -> Program:
+    nodes = []
+    for n in prog.nodes:
+        clocks = _ClockPass(n, prog, build=True)
+        try:
+            eqs = tuple(clocks.equation(eq) for eq in n.equations)
+        except ClockError as exc:
+            raise type(exc)(f"{n.name}: {exc}") from None
+        nodes.append(replace(n, equations=eqs))
+    return Program(tuple(nodes), annotated=True)
 
 
 def annotate_program(prog: Program) -> Program:
-    return Program(tuple(annotate_node(n, prog) for n in prog.nodes))
+    """`prog` with the clock of every expression set, made once per
+    program object.  Raises `ClockError` (`ArityError` for widths) where
+    `validate` reports a `ClockConflict` (an `ArityMismatch`)."""
+    return prog.annotation

@@ -26,7 +26,6 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from seclus.ast import (
-    BASE,
     AnyEquation,
     Base,
     Binop,
@@ -951,8 +950,7 @@ def _sem_expr(
     rp: ReferenceProgram, H: History, bs: ClockStream, e: Expr
 ) -> List[StreamPrefix]:
     if isinstance(e, Const):
-        ck = e.clock if e.clock is not None else BASE
-        return [sem_const(sem_clock(H, bs, ck), e.value)]
+        return [sem_const(sem_clock(H, bs, e.clock), e.value)]
     if isinstance(e, Var):
         return [list(H[e.name])]
     if isinstance(e, Unop):

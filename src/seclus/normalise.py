@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 from seclus.ast import (
-    BASE,
     AnyEquation,
     Binop,
     CallEq,
@@ -222,16 +221,17 @@ def normalize_node(n: Node, prog: Program) -> Node:
 
 def normalize_program(p: Program) -> Program:
     """De-nest every node; the result is in NLustre shape (delays may
-    still have non-constant first operands until `fby_init`)."""
+    still have non-constant first operands until `fby_init`) and every
+    expression in it carries its clock."""
     p = annotate_program(p)
-    return Program(tuple(normalize_node(n, p) for n in p.nodes))
+    return Program(tuple(normalize_node(n, p) for n in p.nodes), annotated=True)
 
 
 # ---------------------------------------------------------------------------
 # Explicit delay initialisation
 # ---------------------------------------------------------------------------
 
-_DEFAULT = {"bool": Const(False), "int": Const(0)}
+_DEFAULT = {"bool": False, "int": 0}
 
 
 def fby_init_node(n: Node, prog: Program) -> Node:
@@ -246,20 +246,23 @@ def fby_init_node(n: Node, prog: Program) -> Node:
         vt = types[eq.target]
         flag = fresh.next("xinit")
         prev = fresh.next("px")
-        new_locals.append(VarDecl(flag, "bool", eq.clock))
-        new_locals.append(VarDecl(prev, vt, eq.clock))
-        eqs.append(FbyEq(flag, Const(True), Const(False), eq.clock))
-        eqs.append(FbyEq(prev, _DEFAULT[vt], eq.rhs, eq.clock))
+        ck = eq.clock
+        new_locals.append(VarDecl(flag, "bool", ck))
+        new_locals.append(VarDecl(prev, vt, ck))
+        eqs.append(FbyEq(flag, Const(True, clock=ck), Const(False, clock=ck), ck))
+        eqs.append(FbyEq(prev, Const(_DEFAULT[vt], clock=ck), eq.rhs, ck))
         eqs.append(
             SimpleEq(
                 eq.target,
-                Ite(Var(flag), (eq.init,), (Var(prev),), clock=eq.clock),
-                eq.clock,
+                Ite(Var(flag, clock=ck), (eq.init,), (Var(prev, clock=ck),), clock=ck),
+                ck,
             )
         )
     return Node(n.name, n.inputs, n.outputs, n.locals + tuple(new_locals), tuple(eqs))
 
 
 def fby_init(p: Program) -> Program:
-    """Rewrite non-constant-headed delays into flag + register + select."""
-    return Program(tuple(fby_init_node(n, p) for n in p.nodes))
+    """Rewrite non-constant-headed delays into flag + register + select.
+    The new expressions carry their clocks, so an annotated program
+    stays annotated."""
+    return Program(tuple(fby_init_node(n, p) for n in p.nodes), annotated=p.annotated)

@@ -7,6 +7,7 @@ from seclus.ast import (
     BASE,
     ClockError,
     On,
+    Program,
     TypeError_,
     annotate_program,
     expr_types,
@@ -17,9 +18,12 @@ from seclus.ast import (
     validate,
     width,
 )
+from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
+from seclus.verify import GenConfig, generate_program
 
-from conftest import load
+import reference_clocks
+from conftest import leaky_pairs, load
 
 
 def diags(src, dialect="lustre"):
@@ -189,3 +193,24 @@ def test_declared_clock_must_match():
     """
     with pytest.raises(ClockError):
         annotate_program(parse_program(src))
+
+
+def _corpus():
+    yield from ("cnt_dn.lus", "re_trig.lus")
+    for lus, _ in leaky_pairs():
+        yield "leaky/" + lus.rsplit("/", 1)[1]
+    yield from range(100)
+
+
+@pytest.mark.parametrize("case", list(_corpus()))
+def test_annotation_equals_reference_on_three_forms(case):
+    p = load(case) if isinstance(case, str) else generate_program(GenConfig(seed=case))
+    assert validate(p) == []
+    n = normalize_program(p)
+    for form in (p, n, fby_init(n)):
+        # `repr` shows the clock fields, which `==` ignores
+        want = repr(reference_clocks.annotate_program(form))
+        assert repr(annotate_program(form)) == want
+        # the derived forms come annotated: the pass, run on an unmarked
+        # copy, builds the same clocks
+        assert repr(annotate_program(Program(form.nodes))) == want

@@ -257,12 +257,65 @@ def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
     [
         ("let x = 1; o = x; tel", "InputRedefined in f: x"),
         ("var y: int; let y = 1; y = x; o = y; tel", "DuplicateDefinition in f: y"),
+        # a binary operator across clocks
+        (
+            "var c: bool; let c = true; o = x + (x when c); tel",
+            "ClockConflict in f: o: base on c=T vs base",
+        ),
+        # a merge branch on the wrong clock
+        (
+            "var c: bool; let c = true; o = merge c (x) (x when not c); tel",
+            "ClockConflict in f: o: base vs base on c=T",
+        ),
+        # call arguments on different clocks
+        (
+            "let o = x; tel\n"
+            "node g(a: int; b: int) returns (o: int) let o = a + b; tel\n"
+            "node h(c: bool; x: int) returns (o: int) let o = g(x, x when c); tel",
+            "ClockConflict in h: o: base on c=T vs base",
+        ),
+        # a Lustre target declared on another clock than its right-hand side
+        (
+            "var c: bool; y: int :: base on c; let c = true; y = x + 1; o = x; tel",
+            "ClockConflict in f: y: base vs base on c=T",
+        ),
+        # the components of a tuple-valued fby share one clock
+        (
+            "var c: bool; y: int :: base on c; let c = true; o, y = (0, 1) fby (2, 3); tel",
+            "ClockConflict in f: o, y: base vs base on c=T",
+        ),
+        # an NLustre equation whose right-hand side is off its clock
+        (
+            "var c: bool; y: int :: base on c; let c = true; y :: base on c = x; o = x; tel",
+            "ClockConflict in f: y: base vs base on c=T",
+        ),
+        ("let o = x + true; tel", "TypeMismatch in f: o: + applied to int and bool"),
+        ("let o = x > 0; tel", "TypeMismatch in f: o: bool vs declared int"),
+        ("let o = if x > 0 then (x, x) else x; tel", "ArityMismatch in f: branch widths 2 vs 1"),
+        ("let o = (x, x) fby x; tel", "ArityMismatch in f: fby widths 2 vs 1"),
+        ("let o = x, x; tel", "ArityMismatch in f: 1 targets but rhs width 2"),
+        # the arguments of a call share one clock, so a callee input on
+        # a derived clock cannot be fed
+        (
+            "let o = x; tel\n"
+            "node g(c: bool; x: int :: base on c) returns (y: int :: base on c) let y = x; tel\n"
+            "node h(c: bool; y: int) returns (o: int) let o = g(c, y when c); tel",
+            "ClockConflict in h: o: base on c=T vs base",
+        ),
+        (
+            "let o = x; tel\n"
+            "node g(c: bool; x: int :: base on c) returns (y: int :: base on c) let y = x; tel\n"
+            "node h(c: bool; y: int) returns (o: int) let o = g(c, y); tel",
+            "ClockConflict in h: o: g declares x on base on c=T, off its base clock",
+        ),
     ],
 )
 def test_invalid_program_is_rejected_at_load(capsys, tmp_path, body, diagnostic):
     src = tmp_path / "bad.lus"
     src.write_text(f"node f(x: int) returns (o: int) {body}\n")
-    for argv in (["check"], ["verify", "--what", "preservation"], ["normalize"]):
+    for argv in (
+        ["check"], ["verify", "--what", "preservation"], ["normalize"], ["interpret"]
+    ):
         code, out, err = run(capsys, argv[0], str(src), *argv[1:])
         assert code == 1 and out == "", argv
         assert err == f"error: {src}: {diagnostic}\n", argv

@@ -399,7 +399,9 @@ def test_callee_called_twice_keeps_a_register_per_call():
 
 
 def test_check_history_annotates_once(monkeypatch):
+    import seclus.ast as ast
     import seclus.interp as interp
+    from seclus.compiled import CompiledProgram
 
     src = """
     node g(a: int) returns (s: int) let s = a + (0 fby s); tel
@@ -416,3 +418,17 @@ def test_check_history_annotates_once(monkeypatch):
         assert len(calls) == 1
         assert check_history(form, "f", H, [True] * 3) == []
         assert len(calls) == 2
+    # the engines and the normaliser share the one annotation of a
+    # program object, and the forms they derive come annotated
+    built = []
+    build = ast._annotate
+    monkeypatch.setattr(ast, "_annotate", lambda q: built.append(q) or build(q))
+    q = parse_program(src)
+    interp.ReferenceProgram(q)
+    CompiledProgram(q)
+    n = normalize_program(q)
+    assert len(built) == 1 and built[0] is q
+    for form in (n, fby_init(n)):
+        assert ast.annotate_program(form) is form
+        assert interp.ReferenceProgram(form).prog is form
+    assert len(built) == 1
