@@ -217,6 +217,18 @@ class Program:
         first use; see `annotate_program`."""
         return self if self.annotated else _annotate(self)
 
+    @cached_property
+    def memo(self) -> dict:
+        """What later layers derive from this program object once (its
+        signatures, its generated code), keyed by the layer."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # the memo holds generated functions, which cannot be pickled
+        state = dict(self.__dict__)
+        state.pop("memo", None)
+        return state
+
     def node(self, name: str) -> Node:
         for n in self.nodes:
             if n.name == name:
@@ -528,7 +540,11 @@ class TypeError_(Exception):
 def expr_types(e: Expr, env: dict[str, str], prog: Program) -> list[str]:
     """Value types ("bool"/"int") of each component stream of `e`."""
     if isinstance(e, Const):
-        return [BOOL if isinstance(e.value, bool) else INT]
+        if isinstance(e.value, bool):
+            return [BOOL]
+        if not -(1 << 63) <= e.value < 1 << 63:
+            raise TypeError_(f"integer literal {e.value} is outside the 64-bit integers")
+        return [INT]
     if isinstance(e, Var):
         if e.name not in env:
             raise TypeError_(f"unbound variable {e.name}")

@@ -1,12 +1,12 @@
 """Fast evaluator: compiles an entry node, with every node it calls
 inlined, into one Python function that runs the whole horizon.
 
-Produces exactly the same histories as `interp.run_node` for well-formed,
-well-clocked programs, but the instant loop runs inside generated code
-instead of walking the AST.  Presence is resolved statically from clock
-annotations, so unlike the reference interpreter this path does not
-diagnose ill-clocked programs — the test suite pins its agreement with
-`run_node`.
+Produces exactly the same histories as `interp.run_node` for valid
+programs on 64-bit integer inputs, but the instant loop runs inside
+generated code instead of walking the AST.  Presence is resolved
+statically from clock annotations, so unlike the reference interpreter
+this path does not diagnose ill-clocked programs — the test suite pins
+its agreement with `run_node`.
 
 The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 & Pouzet, LCTES 2008) with the loop over instants moved into the
@@ -38,6 +38,13 @@ identifiers are spelt in hex).  Every name the generator makes up
 starts with a lower-case letter, so no program identifier can shadow
 one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
+
+`div` and `mod` by a positive integer literal (all the generator's
+divisions) are inline floor operations with the sign fixed up, through
+the scratch local `q`; any other divisor calls `interp.int_div` or
+`int_mod`, which test for zero.  The generated functions are kept on
+the program object (`Program.memo`), so every `CompiledProgram` of one
+program generates each (entry node, columns) pair once.
 """
 
 from __future__ import annotations
@@ -97,6 +104,12 @@ _BIN_FMT = {
     "xor": "({} ^ {})",
 }
 _NEG_FMT = "(" + WRAP.format("-{}") + ")"
+# `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
+# toward zero: it cannot raise, nor leave the 64-bit integers
+_LITERAL_FMT = {
+    "div": "(q // {0} if (q := {1}) >= 0 else -(-q // {0}))",
+    "mod": "(q % {0} if (q := {1}) >= 0 else -(-q % {0}))",
+}
 
 
 # content of a delay register before the delay's first instant
@@ -115,6 +128,10 @@ def _const(v) -> str:
 
 def _atom(code: str) -> bool:
     return code.isidentifier() or code.strip("(-)").isdigit()
+
+
+def _positive_literal(e: Expr) -> bool:
+    return isinstance(e, Const) and not isinstance(e.value, bool) and e.value > 0
 
 
 def _guard(code: str, flag: Optional[str]) -> str:
@@ -162,8 +179,8 @@ class _NodeCode:
         self.phase2: List[str] = []
         self.commits: List[str] = []
         # register reads and `div`/`mod` calls emitted so far; a call to
-        # `div` or `mod` is the only code that raises on a well-clocked
-        # program
+        # `div` or `mod` (a divisor other than a positive literal) is the
+        # only code that raises on a well-clocked program
         self.reads = 0
         self.divs = 0
 
@@ -215,8 +232,10 @@ class _NodeCode:
             return [f"(not {s})" if e.op == "not" else _NEG_FMT.format(s)]
         if isinstance(e, Binop):
             (l,) = self.expr(e.left, sink)
+            if e.op in _LITERAL_FMT and _positive_literal(e.right):
+                return [_LITERAL_FMT[e.op].format(e.right.value, l)]
             (r,) = self.expr(e.right, sink)
-            if e.op in ("div", "mod"):
+            if e.op in _LITERAL_FMT:
                 self.divs += 1
             return [_BIN_FMT[e.op].format(l, r)]
         if isinstance(e, When):
@@ -409,8 +428,11 @@ class CompiledProgram:
     def __init__(self, prog: Program):
         self.prog = annotate_program(prog)
         # generated code by (entry node, requested columns), made at the
-        # first run that asks for it
-        self.nodes: Dict[Tuple[str, Tuple[str, ...]], _Run] = {}
+        # first run that asks for it and shared by every CompiledProgram
+        # of the same program object
+        self.nodes: Dict[Tuple[str, Tuple[str, ...]], _Run] = self.prog.memo.setdefault(
+            "compiled", {}
+        )
 
     def run(
         self,

@@ -15,6 +15,7 @@ fail evaluates to Undefined.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Union
 
@@ -261,27 +262,38 @@ class SecurityLattice:
 
     def __init__(self, elements: Sequence, leq_pairs: Iterable[tuple]):
         self.elements = list(elements)
-        order = {(a, a) for a in self.elements}
-        order |= set(leq_pairs)
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(order):
-                for c, d in list(order):
-                    if b == c and (a, d) not in order:
-                        order.add((a, d))
-                        changed = True
-        self._leq = order
+        count = Counter(self.elements)
+        # up[a]: everything at or above a, in the reflexive-transitive
+        # closure of the given pairs
+        succ: dict = {}
+        for a, b in leq_pairs:
+            succ.setdefault(a, set()).add(b)
+        up: dict = {}
+        for a in {*count, *succ}:
+            seen = {a} if a in count else set()
+            todo = [a]
+            while todo:
+                for b in succ.get(todo.pop(), ()):
+                    if b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            up[a] = seen
+        self._leq = {(a, b) for a, above in up.items() for b in above}
+        # the join of a and b is the common upper bound below all the
+        # others: the one with the largest up-set.  Sizes count an element
+        # listed twice twice, so that it is never a unique join
+        up = {a: up[a] & count.keys() for a in count}
+        size = {a: sum(count[b] for b in up[a]) for a in count}
         self._join: dict[tuple, object] = {}
         for a in self.elements:
             for b in self.elements:
-                ubs = [c for c in self.elements if (a, c) in order and (b, c) in order]
-                lubs = [c for c in ubs if all((c, d) in order for d in ubs)]
-                if len(lubs) != 1:
+                ubs = up[a] & up[b]
+                n = sum(count[c] for c in ubs)
+                lubs = [c for c in ubs if size[c] == n]
+                if sum(count[c] for c in lubs) != 1:
                     raise LatticeError(f"no unique join of {a!r} and {b!r}")
                 self._join[(a, b)] = lubs[0]
-        bots = [a for a in self.elements if all((a, b) in order for b in self.elements)]
+        bots = [a for a in self.elements if size[a] == len(self.elements)]
         if len(bots) != 1:
             raise LatticeError("no unique bottom element")
         self.bottom = bots[0]

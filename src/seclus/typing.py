@@ -324,15 +324,18 @@ def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
 
 
 def check_program(prog: Program) -> SignatureEnv:
-    """Signatures for every node, in dependency order."""
-    order = topo_order(prog)
-    if order is None:
-        raise TypingError("node call graph is cyclic")
-    sigs: SignatureEnv = {}
-    for name in order:
-        node = prog.node(name)
-        sigs[name] = node_signature(prog, sigs, node)
-    return sigs
+    """Signatures for every node, in dependency order: inferred once per
+    program object, each caller getting its own dict."""
+    sigs = prog.memo.get("signatures")
+    if sigs is None:
+        order = topo_order(prog)
+        if order is None:
+            raise TypingError("node call graph is cyclic")
+        sigs = {}
+        for name in order:
+            sigs[name] = node_signature(prog, sigs, prog.node(name))
+        prog.memo["signatures"] = sigs
+    return dict(sigs)
 
 
 # ---------------------------------------------------------------------------

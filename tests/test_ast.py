@@ -159,6 +159,14 @@ def test_expr_types_rejects_mismatch():
         )
 
 
+def test_integer_literals_stay_in_64_bits():
+    # a literal is folded with its sign, so the least integer is valid
+    assert diags("node f(x: int) returns (o: int) let o = x div -9223372036854775808; tel") == []
+    for lit in ("9223372036854775808", "-9223372036854775809"):
+        (d,) = validate(parse_program(f"node f(x: int) returns (o: int) let o = x + {lit}; tel"))
+        assert d.kind == "TypeMismatch" and "outside the 64-bit integers" in d.detail
+
+
 # -- clock annotation --------------------------------------------------------------
 
 

@@ -269,3 +269,60 @@ def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
     H = CompiledProgram(p).run("top", [[True, False, True, True], [5, 7, 1, 2]])
     assert H["s"] == [5, 5, 6, 8]
     assert H["p"] == [5, 12, 13, 15] and H["q"] == [15, 36, 39, 45]
+
+
+# -- literal divisors ---------------------------------------------------------------
+
+LITERAL_DIVISORS = (1, 2, 3, 5, 7, -1, -2, -3, INT_MAX, INT_MIN)
+
+
+@pytest.mark.parametrize("c", LITERAL_DIVISORS)
+def test_literal_divisors_agree_over_boundary_values(c):
+    src = f"node f(x: int) returns (q: int; r: int) let q = x div {c}; r = x mod {c}; tel"
+    p = parse_program(src)
+    assert p.nodes[0].equations[0].exprs[0].right.value == c
+    ins = [list(BOUNDARY_VALUES)]
+    for form, dialect in all_forms(p):
+        ref = run_node(form, "f", ins, dialect=dialect)
+        cp = CompiledProgram(form)
+        assert cp.run("f", ins) == ref, (c, dialect)
+        assert check_history(form, "f", ref, [True] * len(BOUNDARY_VALUES)) == []
+        # a positive divisor is inline; any other calls the zero-testing
+        # helpers
+        (run,) = cp.nodes.values()
+        assert ("div(" in run.source) == (c < 0)
+    for x, q, r in zip(BOUNDARY_VALUES, ref["q"], ref["r"]):
+        exact = abs(x) // abs(c) * (1 if (x < 0) == (c < 0) else -1)
+        assert q == (exact + 2**63) % 2**64 - 2**63 and r == x - exact * c
+
+
+def test_literal_divisors_in_branches_and_delay_heads():
+    src = """
+    node f(c: bool; x: int) returns (o: int; p: int)
+    let
+      o = if c then x div 2 else x mod 3;
+      p = (x div 5) fby (p + x mod 7);
+    tel
+    """
+    p = parse_program(src)
+    for trial in range(10):
+        inputs = boundary_inputs(p.node("f"), 30, random.Random(trial))
+        for form, dialect in all_forms(p):
+            ref = run_node(form, "f", inputs, dialect=dialect)
+            cp = CompiledProgram(form)
+            assert cp.run("f", inputs) == ref, (trial, dialect)
+            assert check_history(form, "f", ref, [True] * 30) == []
+            (run,) = cp.nodes.values()
+            assert "div(" not in run.source and "mod(" not in run.source
+    H = CompiledProgram(p).run("f", [[True, False, True], [-7, -8, 9]])
+    assert H["o"] == [-3, -2, 4] and H["p"] == [-1, -1, -2]
+
+
+def test_generated_code_is_shared_per_program_object():
+    p = load("cnt_dn.lus")
+    ins = [[True, False], [5, 5]]
+    CompiledProgram(p).run("cnt_dn", ins)
+    again = CompiledProgram(p)
+    assert set(again.nodes) == {("cnt_dn", tuple(d.name for d in p.node("cnt_dn").decls))}
+    assert CompiledProgram(p.annotation).nodes is again.nodes
+    assert CompiledProgram(load("cnt_dn.lus")).nodes == {}

@@ -11,7 +11,9 @@ from seclus.sectypes import (
     Bot,
     Constraint,
     Join,
+    LatticeError,
     Refine,
+    SecurityLattice,
     TVar,
     UNDEF,
     canon_constraint,
@@ -287,3 +289,81 @@ def test_parse_lattice_specs(tmp_path):
     lat = parse_lattice(str(f))
     assert lat.bottom == "bot"
     assert lat.join("a", "b") == "top"
+
+
+def _former_tables(elements, leq_pairs):
+    """The former construction: one quadratic closure pass over all
+    pairs until nothing changes, and each join found among every upper
+    bound.  Returns (leq pairs, join table, bottom) or the error text."""
+    elements = list(elements)
+    order = {(a, a) for a in elements} | set(leq_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(order):
+            for c, d in list(order):
+                if b == c and (a, d) not in order:
+                    order.add((a, d))
+                    changed = True
+    joins = {}
+    for a in elements:
+        for b in elements:
+            ubs = [c for c in elements if (a, c) in order and (b, c) in order]
+            lubs = [c for c in ubs if all((c, d) in order for d in ubs)]
+            if len(lubs) != 1:
+                return f"no unique join of {a!r} and {b!r}"
+            joins[(a, b)] = lubs[0]
+    bots = [a for a in elements if all((a, b) in order for b in elements)]
+    if len(bots) != 1:
+        return "no unique bottom element"
+    return order, joins, bots[0]
+
+
+def _tables(elements, leq_pairs):
+    try:
+        lat = SecurityLattice(elements, leq_pairs)
+    except LatticeError as exc:
+        return str(exc)
+    return lat._leq, lat._join, lat.bottom
+
+
+def test_lattice_tables_equal_former_construction(tmp_path):
+    f = tmp_path / "five.lat"
+    f.write_text("elements: bot a b c top\nbot <= a\nbot <= b\na <= c\nb <= c\nc <= top\n")
+    file_lat = parse_lattice(str(f))
+    cases = [(["L", "H"], [("L", "H")]), (file_lat.elements, [
+        ("bot", "a"), ("bot", "b"), ("a", "c"), ("b", "c"), ("c", "top")])]
+    for n in range(1, 5):
+        lat = powerset_lattice(n)
+        cases.append((lat.elements, [(a, b) for a in lat.elements for b in lat.elements if a <= b]))
+    for elements, pairs in cases:
+        assert _tables(elements, pairs) == _former_tables(elements, pairs)
+    for lat, (elements, pairs) in zip(
+        [two_point(), file_lat] + [powerset_lattice(n) for n in range(1, 5)], cases
+    ):
+        assert (lat._leq, lat._join, lat.bottom) == _former_tables(elements, pairs)
+
+
+@pytest.mark.parametrize(
+    "elements, pairs",
+    [
+        (["a", "b", "c"], [("a", "b"), ("a", "c")]),  # b, c have no join
+        (["a", "b"], []),  # no bottom, no join
+        (["a", "b"], [("a", "b"), ("b", "a")]),  # a cycle: two joins
+        (["a", "a", "b"], [("a", "b")]),  # an element listed twice
+        (["a", "b", "c"], [("a", "b"), ("b", "z"), ("z", "c")]),  # via a non-element
+        ([], []),
+        (["a", "b", "c", "d", "e"],
+         [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("b", "e"), ("c", "e")]),
+    ],
+)
+def test_lattice_errors_equal_former_construction(elements, pairs):
+    assert _tables(elements, pairs) == _former_tables(elements, pairs)
+
+
+def test_powerset_8_builds_fast():
+    t0 = time.perf_counter()
+    lat = powerset_lattice(8)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(lat.elements) == 256 and lat.bottom == frozenset()
+    assert lat.join(frozenset({0, 3}), frozenset({3, 7})) == frozenset({0, 3, 7})
