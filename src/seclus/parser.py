@@ -16,15 +16,15 @@ security types are never written (they are inferred).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 from seclus.ast import (
     BASE,
     AnyEquation,
     Base,
     Binop,
-    BINOPS,
     CallEq,
     Clock,
     Const,
@@ -60,7 +60,27 @@ KEYWORDS = {
 #: Python's own parser accepts (200 levels).
 MAX_EXPR_DEPTH = 64
 
-SYMBOLS = ["::", "<=", ">=", "<>", "(", ")", ",", ";", ":", "=", "<", ">", "+", "-", "*"]
+#: One alternative per lexical class, tried in order.  Blanks and comments
+#: have no group and yield no token.  A word (`\w` is a letter, a digit or
+#: `_`) is an identifier or a keyword when it starts with a letter or `_`;
+#: an ASCII digit starts an `int` instead, any other digit is an error.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|--[^\n]*|(?P<int>[0-9]+)|(?P<ident>\w+)"
+    r"|(?P<sym>::|<=|>=|<>|[(),;:=<>+*-])|(?P<other>.)"
+)
+
+#: Binary operators by precedence; higher binds tighter.  Each level
+#: associates to the left except the comparisons, which do not associate:
+#: `a < b < c` is an error and `(a < b) = c` keeps its parentheses.
+_PREC = {
+    "or": 2, "xor": 2, "and": 3,
+    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "div": 6, "mod": 6,
+}
+_CMP_PREC = _PREC["="]
+_UNARY_PREC = max(_PREC.values()) + 1
+_WHEN_PREC = 1
+_FBY_PREC = 1
 
 
 @dataclass(frozen=True)
@@ -78,11 +98,11 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "sym" | "kw" | "eof"
     text: str
-    span: SourceSpan
+    line: int
+    col: int
 
 
 class ParseError(Exception):
@@ -92,57 +112,33 @@ class ParseError(Exception):
         self.span = span
 
 
+def _error(message: str, filename: str, t: Token) -> ParseError:
+    """A ParseError located on the text of `t`."""
+    return ParseError(message, SourceSpan(filename, t.line, t.col, t.line, t.col + len(t.text)))
+
+
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def span(l: int, c: int, l2: int, c2: int) -> SourceSpan:
-        return SourceSpan(filename, l, c, l2, c2)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], span(line, col, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, span(line, col, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, span(line, col, line, col + len(sym))))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", span(line, col, line, col + 1))
-    toks.append(Token("eof", "", span(line, col, line, col)))
+        word = m.group()
+        if kind == "ident":
+            if word in KEYWORDS:
+                kind = "kw"
+            elif not (word[0].isalpha() or word[0] == "_"):
+                kind, word = "other", word[0]
+        t = Token(kind, word, line, m.start() - line_start + 1)
+        if kind == "other":
+            raise _error(f"unexpected character {word!r}", filename, t)
+        toks.append(t)
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -174,50 +170,56 @@ def _too_deep(es: tuple[Expr, ...]) -> bool:
 
 class Parser:
     def __init__(self, text: str, filename: str = "<input>"):
+        self.filename = filename
         self.toks = tokenize(text, filename)
         self.pos = 0
         self.level = 0  # expressions being parsed, one inside the other
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def error(self, message: str, t: Token) -> ParseError:
+        return _error(message, self.filename, t)
+
+    def peek(self) -> Token:
+        # only `eof` ends the list, and nothing consumes it
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("sym", "kw")
+        # `text` is a keyword or a symbol, which no other kind of token spells
+        return self.toks[self.pos].text == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
+        if self.toks[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            t = self.peek()
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
-        return self.next()
+        t = self.next()
+        if t.text != text:
+            raise self.error(f"expected {text!r}, found {t.text!r}", t)
+        return t
 
     def nested(self, parse):
         """`parse()` one expression inside the current one (a ParseError
         ends the parse, so the level need not be restored on it)."""
         if self.level >= MAX_EXPR_DEPTH:
-            raise ParseError("expression nesting too deep", self.peek().span)
+            raise self.error("expression nesting too deep", self.peek())
         self.level += 1
         e = parse()
         self.level -= 1
         return e
 
     def ident(self) -> str:
-        t = self.peek()
+        t = self.next()
         if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.text!r}", t.span)
-        return self.next().text
+            raise self.error(f"expected identifier, found {t.text!r}", t)
+        return t.text
 
     # -- program structure ----------------------------------------------
 
@@ -256,10 +258,9 @@ class Parser:
             while self.eat(","):
                 names.append(self.ident())
             self.expect(":")
-            t = self.peek()
+            t = self.next()
             if t.text not in ("bool", "int"):
-                raise ParseError(f"expected a type, found {t.text!r}", t.span)
-            self.next()
+                raise self.error(f"expected a type, found {t.text!r}", t)
             ck: Clock = BASE
             if self.eat("::"):
                 ck = self.clock()
@@ -295,7 +296,7 @@ class Parser:
         rhs = self.expr_list()
         # each level of an expression takes a token of its own
         if self.pos - start > MAX_EXPR_DEPTH and _too_deep(rhs):
-            raise ParseError("expression nesting too deep", self.toks[start].span)
+            raise self.error("expression nesting too deep", self.toks[start])
         self.expect(";")
         if ck is None:
             return Equation(tuple(targets), rhs)
@@ -308,13 +309,11 @@ class Parser:
             call = rhs[0]
             return CallEq(targets, call.node, call.args, ck)
         if len(targets) != 1 or len(rhs) != 1:
-            t = self.peek()
-            raise ParseError("clock-annotated equations define a single stream", t.span)
+            raise self.error("clock-annotated equations define a single stream", self.peek())
         e = rhs[0]
         if isinstance(e, Fby):
             if len(e.init) != 1 or len(e.rest) != 1:
-                t = self.peek()
-                raise ParseError("tupled fby in a clocked equation", t.span)
+                raise self.error("tupled fby in a clocked equation", self.peek())
             return FbyEq(targets[0], e.init[0], e.rest[0], ck)
         return SimpleEq(targets[0], e, ck)
 
@@ -341,110 +340,82 @@ class Parser:
                     self.expect("false")
                     value = not value
                 elif not value:
-                    raise ParseError("use `when x = false`, not `when not x = true`", t.span)
+                    raise self.error("use `when x = false`, not `when not x = true`", t)
             e = When(_splice(e), x, value)
         return e
 
     def fby_expr(self) -> Expr:
-        e = self.or_expr()
+        e = self.binary()
         if self.eat("fby"):
             rest = self.nested(self.fby_expr)
             return Fby(_splice(e), _splice(rest))
         return e
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.peek().text in ("or", "xor"):
-            op = self.next().text
-            e = Binop(op, e, self.and_expr())
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.cmp_expr()
-        while self.at("and"):
-            self.next()
-            e = Binop("and", e, self.cmp_expr())
-        return e
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        if self.peek().text in ("=", "<>", "<", "<=", ">", ">="):
-            op = self.next().text
-            return Binop(op, e, self.add_expr())
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            e = Binop(op, e, self.mul_expr())
-        return e
-
-    def mul_expr(self) -> Expr:
+    def binary(self, min_prec: int = _PREC["or"]) -> Expr:
+        """An expression whose operators bind at `min_prec` or tighter, by
+        precedence climbing over `_PREC` (Pratt, POPL 1973).  After a
+        left-associative operator only one as loose or looser may follow;
+        after a comparison, only a looser one."""
         e = self.unary_expr()
-        while self.peek().text in ("*", "div", "mod"):
-            op = self.next().text
-            e = Binop(op, e, self.unary_expr())
-        return e
+        limit = _UNARY_PREC
+        while True:
+            t = self.peek()
+            p = _PREC.get(t.text, 0)
+            if not min_prec <= p < limit:
+                return e
+            self.pos += 1
+            right = self.binary(p + 1)
+            if isinstance(e, _Tuple) or isinstance(right, _Tuple):
+                raise self.error(f"{t.text} applied to a tuple", t)
+            e = Binop(t.text, e, right)
+            limit = p if p == _CMP_PREC else p + 1
 
     def unary_expr(self) -> Expr:
-        if self.at("not"):
-            self.next()
-            return Unop("not", self.nested(self.unary_expr))
-        if self.at("-"):
-            span = self.next().span
-            e = self.nested(self.unary_expr)
-            if isinstance(e, Const) and not isinstance(e.value, bool):
-                return Const(-e.value)
-            if isinstance(e, _Tuple):
-                raise ParseError("unary - applied to a tuple", span)
-            return Unop("-", e)
-        return self.primary()
+        t = self.peek()
+        if t.text not in ("not", "-"):
+            return self.primary()
+        self.pos += 1
+        e = self.nested(self.unary_expr)
+        if isinstance(e, _Tuple):
+            raise self.error(f"unary {t.text} applied to a tuple", t)
+        if t.text == "-" and isinstance(e, Const) and not isinstance(e.value, bool):
+            return Const(-e.value)
+        return Unop(t.text, e)
 
     def primary(self) -> Expr:
-        t = self.peek()
+        t = self.next()
+        if t.kind == "ident":
+            if not self.eat("("):
+                return Var(t.text)
+            args = () if self.at(")") else self.expr_list()
+            self.expect(")")
+            return NodeCall(t.text, args)
         if t.kind == "int":
-            self.next()
-            return Const(int(t.text))
-        if self.eat("true"):
-            return Const(True)
-        if self.eat("false"):
-            return Const(False)
-        if self.eat("if"):
+            try:
+                return Const(int(t.text))
+            except ValueError:  # more digits than Python converts
+                raise self.error(f"integer literal of {len(t.text)} digits is too long", t) from None
+        if t.text in ("true", "false"):
+            return Const(t.text == "true")
+        if t.text == "(":
+            es = self.expr_list()
+            self.expect(")")
+            return es[0] if len(es) == 1 else _Tuple(es)
+        if t.text == "if":
             cond = self.expr()
             self.expect("then")
             on_true = _splice(self.expr())
             self.expect("else")
             on_false = _splice(self.expr())
             if isinstance(cond, _Tuple):
-                raise ParseError("tuple condition in if", t.span)
+                raise self.error("tuple condition in if", t)
             return Ite(cond, on_true, on_false)
-        if self.eat("merge"):
+        if t.text == "merge":
             x = self.ident()
             on_true = _splice(self.nested(self.primary))
             on_false = _splice(self.nested(self.primary))
             return Merge(x, on_true, on_false)
-        if self.eat("("):
-            exprs = [self.expr()]
-            while self.eat(","):
-                exprs.append(self.expr())
-            self.expect(")")
-            flat: list[Expr] = []
-            for e in exprs:
-                flat.extend(_splice(e))
-            if len(flat) == 1:
-                return flat[0]
-            return _Tuple(tuple(flat))
-        if t.kind == "ident":
-            name = self.next().text
-            if self.eat("("):
-                args: list[Expr] = []
-                if not self.at(")"):
-                    args = list(self.expr_list())
-                self.expect(")")
-                return NodeCall(name, tuple(args))
-            return Var(name)
-        raise ParseError(f"unexpected token {t.text!r}", t.span)
+        raise self.error(f"unexpected token {t.text!r}", t)
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
@@ -454,16 +425,6 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 # ---------------------------------------------------------------------------
 # Pretty-printing
 # ---------------------------------------------------------------------------
-
-# precedence levels used when deciding parentheses; higher binds tighter
-_PREC = {
-    "or": 2, "xor": 2, "and": 3,
-    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "div": 6, "mod": 6,
-}
-_WHEN_PREC = 1
-_FBY_PREC = 1
-
 
 def pretty_clock(ck: Clock) -> str:
     if isinstance(ck, Base):
@@ -482,12 +443,13 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
         return e.name
     if isinstance(e, Unop):
         op = "not " if e.op == "not" else "-"
-        s = op + pretty_expr(e.operand, 7)
-        return f"({s})" if prec > 6 else s
+        s = op + pretty_expr(e.operand, _UNARY_PREC)
+        return f"({s})" if prec >= _UNARY_PREC else s
     if isinstance(e, Binop):
         p = _PREC[e.op]
-        s = f"{pretty_expr(e.left, p)} {e.op} {pretty_expr(e.right, p + 1)}"
-        return f"({s})" if prec >= p + 1 else s
+        left = pretty_expr(e.left, p + 1 if p == _CMP_PREC else p)
+        s = f"{left} {e.op} {pretty_expr(e.right, p + 1)}"
+        return f"({s})" if prec > p else s
     if isinstance(e, When):
         operand = _pretty_list(e.exprs, _WHEN_PREC + 1)
         pol = "" if e.value else "not "

@@ -7,7 +7,14 @@ import pytest
 
 from seclus.cli import main
 
-from conftest import fixture_path, leaky_pairs
+from conftest import (
+    ASCII_PIECES,
+    fixture_path,
+    fixture_texts,
+    leaky_pairs,
+    mutants,
+    printed_forms,
+)
 
 GOLDEN = "cnt_dn(a1,a2) =>g (b1) { g|a1|a2 <= b1 }"
 
@@ -250,6 +257,43 @@ def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
     assert code == 1
     # the parser's depth limit names the equation's right-hand side
     assert err.strip() == f"error: {deep}:3:7: expression nesting too deep"
+
+
+@pytest.mark.parametrize(
+    "rhs, col, message",
+    [
+        # `str.isdigit` digits that are not ASCII start no token
+        ("x + \u00b2", 11, "unexpected character '\u00b2'"),
+        ("x + \u0663", 11, "unexpected character '\u0663'"),
+        # more digits than Python converts to an int (4300)
+        ("x + " + "5" * 5000, 11, "integer literal of 5000 digits is too long"),
+        # a parenthesised list is no operand of an operator
+        ("(x, x) + x", 14, "+ applied to a tuple"),
+        ("not (x, x)", 7, "unary not applied to a tuple"),
+    ],
+)
+def test_bad_literal_or_operand_is_a_located_diagnostic(capsys, tmp_path, rhs, col, message):
+    src = tmp_path / "bad.lus"
+    src.write_text(f"node f(x: int) returns (o: int)\nlet\n  o = {rhs};\ntel\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert code == 1 and out == ""
+    assert err == f"error: {src}:3:{col}: {message}\n"
+
+
+def test_mutated_sources_end_in_exit_code_0_or_1(capsys, tmp_path):
+    """A seeded fuzz guard: bad input ends in a diagnostic, never a traceback."""
+    texts = fixture_texts() + printed_forms(range(3))
+    pieces = ASCII_PIECES + ["\u00b2", "\u0663", "5" * 5000]
+    src = tmp_path / "mutant.lus"
+    for i, text in enumerate(mutants(texts, 500, 8, pieces)):
+        src.write_text(text, encoding="utf-8")
+        for argv in (["check", str(src)], ["normalize", str(src), "--emit", "fby-init"]):
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"mutant {i}: {argv[0]} raised {exc!r}")
+            assert code in (0, 1), (i, argv)
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize(

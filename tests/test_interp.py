@@ -432,3 +432,53 @@ def test_check_history_annotates_once(monkeypatch):
         assert ast.annotate_program(form) is form
         assert interp.ReferenceProgram(form).prog is form
     assert len(built) == 1
+
+
+# -- tuple-valued operators, calls inside expressions, inputs on a derived clock --
+
+
+TUPLES_AND_DERIVED_INPUT = """
+node swap(a: int; b: int) returns (p: int; q: int)
+let
+  p = b;
+  q = a + 1;
+tel
+
+node add(a: int; b: int; k: int) returns (s: int)
+let
+  s = a + b - k;
+tel
+
+node f(c: bool; x: int; y: int :: base on c)
+  returns (m1: int; m2: int; i1: int; i2: int; f1: int; f2: int; z: int; w: int)
+let
+  (m1, m2) = merge c (y, x when c) ((x, x + 1) when not c);
+  (i1, i2) = if c then (x, 1) else swap(x, 2);
+  (f1, f2) = (0, 1) fby swap(x, f2);
+  z = add(swap(x, 3), 4) + 1;
+  w = merge c (y + 1) (0 when not c);
+tel
+"""
+
+
+def test_tuple_operators_and_an_input_on_a_derived_clock():
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(TUPLES_AND_DERIVED_INPUT)
+    c = [True, False, False, True, True, False]
+    x = [3, -1, 7, 0, 5, 2]
+    ins = [c, x, [10 * t if on else A for t, on in enumerate(c, 1)]]
+    for form, dialect in _forms(p):
+        H = run_node(form, "f", ins, dialect=dialect)
+        assert CompiledProgram(form).run("f", ins) == H, dialect
+        assert check_history(form, "f", H, [True] * 6) == [], dialect
+    assert H["m1"] == [10, -1, 7, 40, 50, 2] and H["m2"] == [3, 0, 8, 0, 5, 3]
+    assert H["i1"] == [3, 2, 2, 0, 5, 2] and H["i2"] == [1, 0, 8, 1, 1, 3]
+    assert H["f1"] == [0, 1, 4, 0, 8, 1] and H["f2"] == [1, 4, 0, 8, 1, 6]
+    assert H["z"] == [4, 0, 8, 1, 6, 3] and H["w"] == [11, 0, 0, 41, 51, 0]
+    # `y` present at an instant where `c` is false
+    with pytest.raises(ClockMismatch, match="input y off its declared clock"):
+        run_node(p, "f", [c, x, [1] * 6])
+    # and absent where it is true
+    with pytest.raises(ClockMismatch, match="input y off its declared clock"):
+        run_node(p, "f", [c, x, [A] * 6])
