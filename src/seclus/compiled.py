@@ -11,21 +11,32 @@ its agreement with `run_node`.
 The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 & Pouzet, LCTES 2008) with the loop over instants moved into the
 generated code, as in Vélus's translation to Obc (Bourke et al., PLDI
-2017).  Layout of the `run` function generated for one entry node and
-one set of recorded columns:
+2017).  Each node instance (the entry node, or a callee inlined at one
+call site) emits only the equations in the cone of influence of its
+wanted variables: the entry's recorded columns, the targets of a call
+that its caller reads, every output of a call in expression position.
+The cone is the backward closure over the equations that define them,
+through every operand (the delayed operand of a `fby` included), every
+`when`/`merge` variable and the variables of the targets' clocks.  An
+equation that may raise (a `div`/`mod` whose divisor is not a positive
+literal, or a call to a node holding one) is always in the cone, so
+leaving out the rest removes no `EvalError`; neither a dead equation
+nor its delay registers are generated.  Layout of the `run` function
+generated for one entry node and one set of recorded columns:
 
   before the loop  every delay register is a Python local, holding its
                    constant initial value or the `first` sentinel
-  per instant      the input columns are zipped with the base clock; on a
-                   base-false instant every recorded column gets None and
-                   nothing else happens, otherwise the body runs with the
-                   base clock known to be true (base-clocked statements
-                   carry no guard)
+  per instant      the input columns are zipped with the base clock; an
+                   input declared on a derived clock is checked against
+                   it, as in the reference; on a base-false instant every
+                   recorded column gets None and nothing else happens,
+                   otherwise the body runs with the base clock known to be
+                   true (base-clocked statements carry no guard)
   phase 1          clock flags and variable values in schedule order;
                    delays read their register; a call inlines the
-                   callee's whole instant (both phases, its registers
-                   committed) under the call's clock flag, its outputs
-                   None when the flag is off
+                   callee's instant (both phases, its registers
+                   committed) under the call's clock flag, the outputs
+                   the caller reads None when the flag is off
   phase 2          delayed operands evaluated under the completed
                    environment, then every register committed
   record           only the requested columns, through bound
@@ -49,7 +60,7 @@ program generates each (entry node, columns) pair once.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from seclus.ast import (
     BASE,
@@ -73,10 +84,15 @@ from seclus.ast import (
     Var,
     When,
     annotate_program,
+    children,
+    clock_env,
+    dv,
+    fv,
     width,
 )
 from seclus.interp import (
     WRAP,
+    ClockMismatch,
     History,
     StreamPrefix,
     base_clock,
@@ -138,15 +154,53 @@ def _guard(code: str, flag: Optional[str]) -> str:
     return code if flag is None else f"{code} if {flag} else None"
 
 
+def _on(parent: bool, x, var: str, k: bool) -> bool:
+    """Whether `... on var` (`k`) ticks at the start of an instant, given
+    whether its parent clock does, with `x` the value of `var`: the rule
+    by which `interp.ReferenceProgram` checks a declared input clock."""
+    if not parent:
+        if x is not None:
+            raise ClockMismatch(f"{var} present while its clock is off")
+        return False
+    if x is None:
+        raise ClockMismatch(f"{var} absent while its clock ticks")
+    return x == k
+
+
+class _Deps(NamedTuple):
+    """One node's dependency map, by position in `node.equations`."""
+
+    # every variable the equation reads: each operand, the delayed
+    # operand of a `fby` included, each `when`/`merge` variable and the
+    # variables of its targets' clocks
+    reads: List[Set[str]]
+    defining: Dict[str, int]
+    # the equations that may raise: a `div`/`mod` whose divisor is not a
+    # positive literal, or a call to a node that contains one
+    raising: List[int]
+
+
+class _Cone(NamedTuple):
+    """The equations to emit for one node instance, in schedule order,
+    and the variables they and the instance's caller read (None when
+    the cone is the whole node)."""
+
+    equations: List[AnyEquation]
+    needed: Optional[Set[str]]
+
+
 class _Codegen:
     """Counters and register initialisations shared by every instance
-    inlined into one generated function."""
+    inlined into one generated function, and the per-node analyses that
+    every instance of a node shares."""
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.counts: Dict[str, int] = {}
         self.registers: List[str] = []
         self.schedules: Dict[str, List[AnyEquation]] = {}
+        self.deps_of: Dict[str, _Deps] = {}
+        self.cones: Dict[Tuple[str, FrozenSet[str]], _Cone] = {}
 
     def fresh(self, kind: str) -> str:
         n = self.counts.get(kind, 0)
@@ -164,16 +218,95 @@ class _Codegen:
             order = self.schedules[node.name] = schedule(node)
         return order
 
+    def raises(self, name: str) -> bool:
+        return bool(self.deps(self.prog.node(name)).raising)
+
+    def deps(self, node: Node) -> _Deps:
+        d = self.deps_of.get(node.name)
+        if d is not None:
+            return d
+        clocks = clock_env(node)
+        d = _Deps([], {}, [])
+        for i, eq in enumerate(node.equations):
+            raising = False
+            if isinstance(eq, Equation):
+                reads = set().union(*(fv(clocks[x]) for x in eq.targets))
+                todo = list(eq.exprs)
+            else:
+                reads = fv(eq.clock)
+                if isinstance(eq, SimpleEq):
+                    todo = [eq.rhs]
+                elif isinstance(eq, FbyEq):
+                    todo = [eq.init, eq.rhs]
+                else:
+                    todo = list(eq.args)
+                    raising = self.raises(eq.node)
+            # one walk over the equation; dispatch on the exact type, as
+            # the walk meets every subexpression of every equation
+            while todo:
+                e = todo.pop()
+                t = type(e)
+                if t is Var:
+                    reads.add(e.name)
+                    continue
+                if t is Const:
+                    continue
+                if t is Binop:
+                    if e.op in _LITERAL_FMT and not _positive_literal(e.right):
+                        raising = True
+                elif t is When or t is Merge:
+                    reads.add(e.var)
+                elif t is NodeCall and not raising:
+                    raising = self.raises(e.node)
+                todo.extend(children(e))
+            d.reads.append(reads)
+            d.defining.update((x, i) for x in dv(eq))
+            if raising:
+                d.raising.append(i)
+        self.deps_of[node.name] = d
+        return d
+
+    def cone(self, node: Node, wanted: FrozenSet[str]) -> _Cone:
+        """The cone of influence of `wanted` in `node`: the backward
+        closure, over the dependency map, of the equations that define a
+        wanted variable or may raise."""
+        key = (node.name, wanted)
+        c = self.cones.get(key)
+        if c is not None:
+            return c
+        order = self.schedule(node)
+        if all(d.name in wanted for d in node.outputs + node.locals):
+            c = self.cones[key] = _Cone(order, None)
+            return c
+        d = self.deps(node)
+        needed = set(wanted)
+        live = set(d.raising)
+        live.update(d.defining[x] for x in wanted if x in d.defining)
+        todo = list(live)
+        while todo:
+            for x in d.reads[todo.pop()]:
+                if x not in needed:
+                    needed.add(x)
+                    i = d.defining.get(x)
+                    if i is not None and i not in live:
+                        live.add(i)
+                        todo.append(i)
+        keep = {id(node.equations[i]) for i in live}
+        c = self.cones[key] = _Cone([eq for eq in order if id(eq) in keep], needed)
+        return c
+
 
 class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
     or a callee inlined at one call site.  `env` maps each of the node's
-    variables to the code that names it."""
+    variables to the code that names it; only the equations in the cone
+    of the `wanted` variables are emitted."""
 
-    def __init__(self, gen: _Codegen, node: Node, env: Dict[str, str]):
+    def __init__(self, gen: _Codegen, node: Node, env: Dict[str, str], wanted: FrozenSet[str]):
         self.gen = gen
         self.node = node
         self.env = env
+        self.cone = gen.cone(node, wanted)
         self.flags: Dict[Clock, str] = {}
         self.lines: List[str] = []  # phase 1
         self.phase2: List[str] = []
@@ -185,7 +318,7 @@ class _NodeCode:
         self.divs = 0
 
     def body(self) -> List[str]:
-        for eq in self.gen.schedule(self.node):
+        for eq in self.cone.equations:
             self.equation(eq)
         return self.lines + self.phase2 + self.commits
 
@@ -320,16 +453,23 @@ class _NodeCode:
             self.commit(reg, rest, flag2, reading)
         return reads
 
+    def call_targets(self, names: Sequence[str]) -> List[Optional[str]]:
+        """The codes of the call targets `names`, None for one that no
+        emitted equation reads."""
+        needed = self.cone.needed
+        return [self.env[x] if needed is None or x in needed else None for x in names]
+
     def call(
         self,
         name: str,
         args: Sequence[Expr],
         ck: Optional[Clock],
-        targets: Optional[List[str]],
+        targets: Optional[List[Optional[str]]],
         sink: List[str],
     ) -> List[str]:
         """Inline one instant of `name` at this call site; returns the
-        codes of its outputs (`targets` when given)."""
+        codes of its outputs.  `targets` gives the code of each output,
+        None for a dead one; without it every output is wanted."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
         codes = self.all(args, sink)
@@ -342,17 +482,23 @@ class _NodeCode:
             else:
                 env[d.name] = _mangle(prefix, d.name)
                 block.append(f"{env[d.name]} = {code}")
-        outs = targets or [_mangle(prefix, d.name) for d in callee.outputs]
-        env.update(zip((d.name for d in callee.outputs), outs))
+        names = [d.name for d in callee.outputs]
+        if targets is None:
+            targets = [_mangle(prefix, x) for x in names]
+        outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
+        live = [t for t in targets if t]
+        env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        block += _NodeCode(self.gen, callee, env).body()
+        wanted = frozenset(x for x, t in zip(names, targets) if t)
+        block += _NodeCode(self.gen, callee, env, wanted).body()
         if flag is None:
             sink.extend(block)
-        else:
+        elif block:
             sink.append(f"if {flag}:")
             sink.extend("    " + line for line in block)
-            sink.append("else:")
-            sink.append("    " + " = ".join(outs) + " = None")
+            if live:
+                sink.append("else:")
+                sink.append("    " + " = ".join(live) + " = None")
         return outs
 
     # -- equations --
@@ -364,14 +510,14 @@ class _NodeCode:
             pos = 0
             for e in eq.exprs:
                 w = width(e, self.gen.prog)
-                targets = [env[x] for x in eq.targets[pos : pos + w]]
+                names = eq.targets[pos : pos + w]
                 pos += w
                 if isinstance(e, NodeCall):
-                    self.call(e.node, e.args, e.clock, targets, L)
+                    self.call(e.node, e.args, e.clock, self.call_targets(names), L)
                     continue
                 flag = self.flag(e.clock, L)
-                for x, code in zip(targets, self.expr(e, L)):
-                    L.append(f"{x} = {_guard(code, flag)}")
+                for x, code in zip(names, self.expr(e, L)):
+                    L.append(f"{env[x]} = {_guard(code, flag)}")
         elif isinstance(eq, SimpleEq):
             flag = self.flag(eq.clock, L)
             (code,) = self.expr(eq.rhs, L)
@@ -386,7 +532,7 @@ class _NodeCode:
             (rest,) = self.expr(eq.rhs, self.phase2)
             self.commit(reg, rest, self.flag(eq.clock, self.phase2), self.reads != before)
         elif isinstance(eq, CallEq):
-            self.call(eq.node, eq.args, eq.clock, [env[x] for x in eq.targets], L)
+            self.call(eq.node, eq.args, eq.clock, self.call_targets(eq.targets), L)
         else:
             raise TypeError(type(eq))
 
@@ -399,10 +545,22 @@ class _Run(NamedTuple):
     layout: Tuple[Tuple[str, Optional[int]], ...]
 
 
+def _ticks(ck: Clock, env: Dict[str, str]) -> str:
+    """Code for whether `ck` ticks at the start of an instant, where only
+    the inputs (named in `env`) are present; `b` is the base clock."""
+    if isinstance(ck, Base):
+        return "b"
+    return f"on({_ticks(ck.clock, env)}, {env.get(ck.var, 'None')}, {ck.var!r}, {ck.value!r})"
+
+
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     gen = _Codegen(prog)
     env = {d.name: _mangle("V", d.name) for d in node.decls}
-    body = _NodeCode(gen, node, env).body()
+    # the roots of the entry's cone: the recorded columns, and the clock
+    # variables of the inputs declared on a derived clock
+    derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
+    wanted = frozenset(want).union(*(fv(d.clock) for d in derived))
+    body = _NodeCode(gen, node, env, wanted).body()
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
     recorded = [x for x in want if x not in inputs]
     appends = [f"a{j}" for j in range(len(recorded))]
@@ -411,6 +569,15 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
     lines += ["    " + line for line in gen.registers]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
+    # an input on a derived clock is checked against it, as in the
+    # reference, before the instant runs
+    in_env = {d.name: env[d.name] for d in node.inputs}
+    for d in derived:
+        mismatch = f"input {d.name} off its declared clock"
+        lines.append(
+            f"        if {_ticks(d.clock, in_env)} != ({env[d.name]} is not None): "
+            f"raise mismatch({mismatch!r})"
+        )
     lines.append("        if not b:")
     lines += [f"            {a}(None)" for a in appends]
     lines.append("            continue")
@@ -418,7 +585,13 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     lines += [f"        {a}({env[x]})" for a, x in zip(appends, recorded)]
     lines.append("    return (" + "".join(f"o{j}, " for j in range(len(recorded))) + ")")
     source = "\n".join(lines) + "\n"
-    namespace = {"int_div": int_div, "int_mod": int_mod, "FIRST": _FIRST}
+    namespace = {
+        "int_div": int_div,
+        "int_mod": int_mod,
+        "FIRST": _FIRST,
+        "on": _on,
+        "mismatch": ClockMismatch,
+    }
     exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
     layout = tuple((x, inputs.get(x)) for x in want)
     return _Run(source, namespace["run"], layout)

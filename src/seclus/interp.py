@@ -275,7 +275,9 @@ def base_clock(
     elif N is None:
         raise EvalError("a horizon is required for a node without inputs")
     base_inputs = [s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)]
-    return base_of(base_inputs) if base_inputs else [True] * N
+    if any(ABSENT in s for s in base_inputs):
+        return base_of(base_inputs)
+    return [True] * N
 
 
 def respects_clock(H: History, bs: ClockStream) -> bool:

@@ -288,19 +288,20 @@ def _diff_trials(args) -> List[Divergence]:
             results = []
             for form in forms:
                 try:
-                    H = form.run(node.name, inputs, N=N, want=outs)
-                    results.append({x: H[x] for x in outs})
+                    results.append(form.run(node.name, inputs, N=N, want=outs))
                 except (ClockMismatch, EvalError) as exc:
                     results.append({"!error": [repr(exc)]})
-            d = _first_divergence(node.name, trial, outs, results)
+            d = _first_divergence(node.name, trial, results)
             if d is not None:
                 out.append(d)
                 break
     return out
 
 
-def _first_divergence(name, trial, outs, results) -> Optional[Divergence]:
+def _first_divergence(name, trial, results) -> Optional[Divergence]:
     a, b, c = results
+    if a == b == c:
+        return None
     if a.keys() != b.keys() or a.keys() != c.keys():
         return Divergence(name, trial, "!error", -1, (str(a), str(b), str(c)))
     for x in a:

@@ -2,11 +2,20 @@
 interpreter on fixtures and random programs, and matching strictness."""
 
 import random
+import re
 
 import pytest
 
+from seclus.ast import clock_env, dv, fv
 from seclus.compiled import CompiledProgram
-from seclus.interp import INT_MAX, INT_MIN, EvalError, check_history, run_node
+from seclus.interp import (
+    INT_MAX,
+    INT_MIN,
+    EvalError,
+    ReferenceProgram,
+    check_history,
+    run_node,
+)
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.verify import GenConfig, generate_program, random_inputs
@@ -326,3 +335,109 @@ def test_generated_code_is_shared_per_program_object():
     assert set(again.nodes) == {("cnt_dn", tuple(d.name for d in p.node("cnt_dn").decls))}
     assert CompiledProgram(p.annotation).nodes is again.nodes
     assert CompiledProgram(load("cnt_dn.lus")).nodes == {}
+
+
+# -- cone of influence ---------------------------------------------------------------
+
+
+def test_recorded_columns_equal_reference_on_random_subsets():
+    # each node of each form as the entry, recording a few of its
+    # variables: only their cone is generated, the rest is not computed
+    programs = [load("cnt_dn.lus"), load("re_trig.lus")]
+    programs += [generate_program(GenConfig(seed=seed)) for seed in range(200)]
+    rng = random.Random(9)
+    for p in programs:
+        for form, dialect in all_forms(p):
+            cp, rp = CompiledProgram(form), ReferenceProgram(form)
+            for node in form.nodes:
+                names = [d.name for d in node.decls]
+                want = rng.sample(names, rng.randint(0, min(3, len(names))))
+                inputs = random_inputs(node, 6, rng)
+                ref = rp.run(node.name, inputs, want=want, dialect=dialect)
+                assert cp.run(node.name, inputs, want=want) == ref, (node.name, want)
+
+
+DEAD_BUT_RAISING = [
+    # a local that nothing reads
+    """
+    node f(x: int) returns (o: int)
+      var d: int;
+    let d = 1 div x; o = x + 1; tel
+    """,
+    # a call whose result nothing reads
+    """
+    node g(x: int) returns (p: int) let p = 1 mod x; tel
+    node f(x: int) returns (o: int)
+      var d: int;
+    let d = g(x); o = x + 1; tel
+    """,
+    # an output of a callee that the caller never reads, on the base
+    # clock and under a sampled clock
+    """
+    node g(x: int) returns (p: int; q: int) let p = x + 1; q = 1 mod x; tel
+    node f(x: int) returns (o: int)
+      var d: int; e: int; o2: int;
+    let (o, d) = g(x); (o2, e) = g(1); tel
+    """,
+    """
+    node g(x: int) returns (p: int; q: int) let p = x + 1; q = 1 mod x; tel
+    node f(x: int) returns (o: int)
+      var c: bool; u: int :: base on c; v: int :: base on c;
+    let c = x >= 0; (u, v) = g(x when c); o = x + 1; tel
+    """,
+]
+
+
+@pytest.mark.parametrize("src", DEAD_BUT_RAISING)
+def test_dead_equations_that_may_raise_are_kept(src):
+    p = parse_program(src)
+    for form, dialect in all_forms(p):
+        for engine in (CompiledProgram(form), ReferenceProgram(form)):
+            assert engine.run("f", [[2, 1]], want=["o"]) == {"o": [3, 2]}
+            with pytest.raises(EvalError):
+                engine.run("f", [[1, 0, 1]], want=["o"])
+        (run,) = CompiledProgram(form).nodes.values()
+        assert "div(" in run.source or "mod(" in run.source
+
+
+def test_the_clock_of_a_recorded_column_is_in_its_cone():
+    # `z` reads `c` through its declared clock alone
+    src = """
+    node f(a: bool; x: int) returns (o: int)
+      var c: bool; z: int :: base on c;
+    let c = not a; z = 1 fby (z + 1); o = 0 fby x; tel
+    """
+    inputs = [[True, False, True, False], [1, 2, 3, 4]]
+    for form, dialect in all_forms(parse_program(src)):
+        H = CompiledProgram(form).run("f", inputs, want=["z"])
+        assert H == {"z": run_node(form, "f", inputs, dialect=dialect)["z"]}
+        assert H == {"z": [None, 1, None, 2]}
+
+
+def _assigned(source):
+    """The entry node's variables that the generated code assigns."""
+    return set(re.findall(r"^ +V_(\w+) = ", source, re.M))
+
+
+def test_only_the_cone_of_the_recorded_columns_is_generated():
+    p = generate_program(GenConfig(seed=7))
+    node = p.nodes[-1]
+    defining = {x: eq for eq in node.equations for x in dv(eq)}
+    clocks = clock_env(node)
+    cone, todo = set(), ["out"]
+    while todo:
+        x = todo.pop()
+        if x not in cone:
+            cone.add(x)
+            eq = defining.get(x)
+            todo += fv(eq) | set().union(*(fv(clocks[y]) for y in dv(eq))) if eq else ()
+    inputs = {d.name for d in node.inputs}
+    cp = CompiledProgram(p)
+    cp.run(node.name, random_inputs(node, 5, random.Random(7)), want=["out"])
+    (narrow,) = cp.nodes.values()
+    assert _assigned(narrow.source) == cone - inputs
+    assert {"x0", "x4"} <= {d.name for d in node.locals} - cone
+    cp.run(node.name, random_inputs(node, 5, random.Random(7)))
+    full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
+    assert _assigned(full.source) == {d.name for d in node.outputs + node.locals}
+    assert full.source.count("\n") > narrow.source.count("\n")

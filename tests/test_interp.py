@@ -476,9 +476,13 @@ def test_tuple_operators_and_an_input_on_a_derived_clock():
     assert H["i1"] == [3, 2, 2, 0, 5, 2] and H["i2"] == [1, 0, 8, 1, 1, 3]
     assert H["f1"] == [0, 1, 4, 0, 8, 1] and H["f2"] == [1, 4, 0, 8, 1, 6]
     assert H["z"] == [4, 0, 8, 1, 6, 3] and H["w"] == [11, 0, 0, 41, 51, 0]
-    # `y` present at an instant where `c` is false
-    with pytest.raises(ClockMismatch, match="input y off its declared clock"):
-        run_node(p, "f", [c, x, [1] * 6])
-    # and absent where it is true
-    with pytest.raises(ClockMismatch, match="input y off its declared clock"):
-        run_node(p, "f", [c, x, [A] * 6])
+    # `y` present at an instant where `c` is false, absent where it is
+    # true, and present where the base clock is off: both engines check
+    # the declared clock of an input
+    off = [c[:5] + [A], x[:5] + [A], [10 * t if on else A for t, on in enumerate(c, 1)]]
+    off[2][5] = 1
+    for ins in ([c, x, [1] * 6], [c, x, [A] * 6], off):
+        with pytest.raises(ClockMismatch, match="input y off its declared clock"):
+            run_node(p, "f", ins)
+        with pytest.raises(ClockMismatch, match="input y off its declared clock"):
+            CompiledProgram(p).run("f", ins, want=["w"])
