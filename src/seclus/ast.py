@@ -3,9 +3,11 @@
 Expressions, clocks, equations, nodes and programs are immutable
 dataclasses.  Lustre equations (`Equation`) allow tuples and arbitrary
 nesting; NLustre equations come in three restricted shapes (`SimpleEq`,
-`FbyEq`, `CallEq`).  Free/defined-variable computation, stream-arity
-(width) computation, program validation and the clock pass live here as
-well.
+`FbyEq`, `CallEq`).  Free/defined variables and stream widths are
+computed here, and so is validation: `validate` checks each node's
+declarations and definitions, then runs `Checker` once over each
+equation.  That one walk checks scope, calls, clocks, widths and value
+types, and, for `annotate_program`, builds the tree with every clock set.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Value = Union[bool, int]
 
@@ -21,12 +23,17 @@ BOOL = "bool"
 INT = "int"
 
 UNOPS = {"not": BOOL, "-": INT}
-# op -> (operand type, result type); comparison ops take ints, return bool
-ARITH_BINOPS = {"+", "-", "*", "div", "mod"}
-CMP_BINOPS = {"<", "<=", ">", ">="}
-EQ_BINOPS = {"=", "<>"}
-BOOL_BINOPS = {"and", "or", "xor"}
-BINOPS = ARITH_BINOPS | CMP_BINOPS | EQ_BINOPS | BOOL_BINOPS
+# op -> (operand types, result type)
+BINOPS = {
+    **dict.fromkeys(("+", "-", "*", "div", "mod"), ((INT,), INT)),
+    **dict.fromkeys(("<", "<=", ">", ">="), ((INT,), BOOL)),
+    **dict.fromkeys(("=", "<>"), ((BOOL, INT), BOOL)),
+    **dict.fromkeys(("and", "or", "xor"), ((BOOL,), BOOL)),
+}
+# (op, operand types...) -> the value types of the result, one entry per
+# well-typed application
+_APPLY = {(op, t): (t,) for op, t in UNOPS.items()}
+_APPLY.update(((op, t, t), (r,)) for op, (ts, r) in BINOPS.items() for t in ts)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +73,8 @@ BASE = Base()
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class; `clock` is a per-component annotation filled by clock
-    inference (None until inferred, compare-insensitive)."""
+    """Base class; `clock` is the clock of the expression, set by
+    `annotate_program` (None until annotated, compare-insensitive)."""
 
     clock: Optional[Clock] = field(default=None, compare=False, kw_only=True)
 
@@ -235,16 +242,6 @@ class Program:
                 return n
         raise KeyError(f"unknown node {name!r}")
 
-    def call_graph(self) -> dict[str, set[str]]:
-        return {n.name: called_nodes(n) for n in self.nodes}
-
-
-def called_nodes(n: Node) -> set[str]:
-    calls = {eq.node for eq in n.equations if isinstance(eq, CallEq)}
-    for eq in n.equations:
-        calls.update(e.node for e in subexprs(eq) if isinstance(e, NodeCall))
-    return calls
-
 
 def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, Unop):
@@ -322,10 +319,11 @@ def _fv_all(es: Iterable[Expr]) -> set[str]:
 
 
 def dv(eq: AnyEquation) -> set[str]:
-    return set(_targets(eq))
+    return set(targets(eq))
 
 
-def _targets(eq: AnyEquation) -> tuple[str, ...]:
+def targets(eq: AnyEquation) -> tuple[str, ...]:
+    """The variables an equation defines, in source order."""
     return eq.targets if isinstance(eq, (Equation, CallEq)) else (eq.target,)
 
 
@@ -370,6 +368,10 @@ class Diagnostic:
         return f"{self.kind} in {self.node}: {self.detail}"
 
 
+# the faults of scope and calls, reported before any clock or type fault
+_UNBOUND = {"FreeVariable", "UnknownNode", "RecursiveCall"}
+
+
 def validate(prog: Program, dialect: str = "lustre") -> list[Diagnostic]:
     """Check program invariants; returns one diagnostic per violation.
 
@@ -377,19 +379,19 @@ def validate(prog: Program, dialect: str = "lustre") -> list[Diagnostic]:
     every equation in NEquation form with constant fby heads.
     """
     diags: list[Diagnostic] = []
-    seen_nodes: set[str] = set()
+    # a node may call only the nodes declared before it, so the calls of
+    # a program without diagnostics form no cycle
+    known: dict[str, Node] = {}
     for n in prog.nodes:
-        if n.name in seen_nodes:
+        if n.name in known:
             diags.append(Diagnostic("DuplicateNode", n.name, n.name))
             continue
-        seen_nodes.add(n.name)
-        diags.extend(_validate_node(n, prog, seen_nodes, dialect))
+        diags.extend(_validate_node(n, known, dialect))
+        known[n.name] = n
     return diags
 
 
-def _validate_node(
-    n: Node, prog: Program, known: set[str], dialect: str
-) -> list[Diagnostic]:
+def _validate_node(n: Node, known: dict[str, Node], dialect: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     declared = [d.name for d in n.decls]
     counts = Counter(declared)
@@ -414,55 +416,27 @@ def _validate_node(
     for x in sorted(must_define - counts.keys()):
         diags.append(Diagnostic("MissingDefinition", n.name, x))
 
-    scope = inputs | must_define
+    # one walk per equation, which ends at its first fault
+    check = Checker(n, known, build=False)
+    faults: list[Diagnostic] = []
     for eq in n.equations:
-        for x in sorted((fv(eq) | dv(eq)) - scope):
-            diags.append(Diagnostic("FreeVariable", n.name, x))
+        try:
+            check.equation(eq)
+        except ClockError as exc:
+            d = Diagnostic(exc.kind, n.name, str(exc))
+            (diags if exc.kind in _UNBOUND else faults).append(d)
     for d in n.decls:
-        for x in sorted(fv(d.clock) - scope):
+        for x in sorted(fv(d.clock) - check.env.keys()):
             diags.append(Diagnostic("FreeVariable", n.name, f"{x} (clock of {d.name})"))
 
-    # a node may call only the nodes declared before it, so the calls of
-    # a program without diagnostics form no cycle
-    for call in sorted(called_nodes(n)):
-        if call == n.name:
-            diags.append(Diagnostic("RecursiveCall", n.name, call))
-        elif call not in known:
-            diags.append(Diagnostic("UnknownNode", n.name, call))
-
     if not diags:
-        diags.extend(_check_equations(n, prog))
+        diags = faults
     if dialect == "nlustre" and not diags:
-        diags.extend(_check_normalised(n, prog))
+        diags.extend(_check_normalised(n))
     return diags
 
 
-def _check_equations(n: Node, prog: Program) -> list[Diagnostic]:
-    """The clock pass (clocks and widths), then the value types, one
-    diagnostic at most per equation."""
-    diags: list[Diagnostic] = []
-    clocks = _ClockPass(n, prog, build=False)
-    types = type_env(n)
-    for eq in n.equations:
-        try:
-            clocks.equation(eq)
-        except ClockError as exc:
-            diags.append(Diagnostic(exc.kind, n.name, str(exc)))
-            continue
-        where = clocks.where
-        try:
-            got = _rhs_types(eq, types, prog)
-        except TypeError_ as exc:
-            diags.append(Diagnostic("TypeMismatch", n.name, f"{where}: {exc}"))
-            continue
-        want = [types[x] for x in _targets(eq)]
-        if got != want:
-            detail = f"{where}: {', '.join(got)} vs declared {', '.join(want)}"
-            diags.append(Diagnostic("TypeMismatch", n.name, detail))
-    return diags
-
-
-def _check_normalised(n: Node, prog: Program) -> list[Diagnostic]:
+def _check_normalised(n: Node) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for eq in n.equations:
         if isinstance(eq, Equation):
@@ -503,159 +477,39 @@ def _all_subexprs(e: Expr) -> Iterator[Expr]:
         yield from _all_subexprs(c)
 
 
-def topo_order(prog: Program) -> Optional[list[str]]:
-    """Topological order of nodes by the call graph, or None on a cycle."""
-    graph = prog.call_graph()
-    state: dict[str, int] = {}
-    order: list[str] = []
-
-    def visit(name: str) -> bool:
-        if state.get(name) == 1:
-            return False
-        if state.get(name) == 2:
-            return True
-        state[name] = 1
-        for callee in sorted(graph.get(name, ())):
-            if callee in graph and not visit(callee):
-                return False
-        state[name] = 2
-        order.append(name)
-        return True
-
-    for n in prog.nodes:
-        if not visit(n.name):
-            return None
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Value-type inference
-# ---------------------------------------------------------------------------
-
-
-class TypeError_(Exception):
-    """Value-type inconsistency (named to avoid shadowing the builtin)."""
-
-
-def expr_types(e: Expr, env: dict[str, str], prog: Program) -> list[str]:
-    """Value types ("bool"/"int") of each component stream of `e`."""
-    if isinstance(e, Const):
-        if isinstance(e.value, bool):
-            return [BOOL]
-        if not -(1 << 63) <= e.value < 1 << 63:
-            raise TypeError_(f"integer literal {e.value} is outside the 64-bit integers")
-        return [INT]
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise TypeError_(f"unbound variable {e.name}")
-        return [env[e.name]]
-    if isinstance(e, Unop):
-        (t,) = expr_types(e.operand, env, prog)
-        want = UNOPS[e.op]
-        if t != want:
-            raise TypeError_(f"{e.op} applied to {t}")
-        return [want]
-    if isinstance(e, Binop):
-        (tl,) = expr_types(e.left, env, prog)
-        (tr,) = expr_types(e.right, env, prog)
-        if tl != tr:
-            raise TypeError_(f"{e.op} applied to {tl} and {tr}")
-        if e.op in ARITH_BINOPS:
-            if tl != INT:
-                raise TypeError_(f"{e.op} applied to {tl}")
-            return [INT]
-        if e.op in CMP_BINOPS:
-            if tl != INT:
-                raise TypeError_(f"{e.op} applied to {tl}")
-            return [BOOL]
-        if e.op in BOOL_BINOPS:
-            if tl != BOOL:
-                raise TypeError_(f"{e.op} applied to {tl}")
-            return [BOOL]
-        return [BOOL]  # = / <>
-    if isinstance(e, When):
-        if env.get(e.var) != BOOL:
-            raise TypeError_(f"when condition {e.var} is not bool")
-        return _types_all(e.exprs, env, prog)
-    if isinstance(e, Merge):
-        if env.get(e.var) != BOOL:
-            raise TypeError_(f"merge scrutinee {e.var} is not bool")
-        ts = _types_all(e.on_true, env, prog)
-        fs = _types_all(e.on_false, env, prog)
-        if ts != fs:
-            raise TypeError_("merge branch types differ")
-        return ts
-    if isinstance(e, Ite):
-        (tc,) = expr_types(e.cond, env, prog)
-        if tc != BOOL:
-            raise TypeError_("if condition is not bool")
-        ts = _types_all(e.on_true, env, prog)
-        fs = _types_all(e.on_false, env, prog)
-        if ts != fs:
-            raise TypeError_("if branch types differ")
-        return ts
-    if isinstance(e, Fby):
-        t0 = _types_all(e.init, env, prog)
-        t1 = _types_all(e.rest, env, prog)
-        if t0 != t1:
-            raise TypeError_("fby operand types differ")
-        return t0
-    if isinstance(e, NodeCall):
-        callee = prog.node(e.node)
-        got = _types_all(e.args, env, prog)
-        want = [d.type for d in callee.inputs]
-        if got != want:
-            raise TypeError_(f"argument types of {e.node}: {got} vs {want}")
-        return [d.type for d in callee.outputs]
-    raise TypeError(type(e))
-
-
-def _types_all(es: Iterable[Expr], env: dict[str, str], prog: Program) -> list[str]:
-    out: list[str] = []
-    for e in es:
-        out.extend(expr_types(e, env, prog))
-    return out
-
-
 def type_env(n: Node) -> dict[str, str]:
     return {d.name: d.type for d in n.decls}
-
-
-def _rhs_types(eq: AnyEquation, env: dict[str, str], prog: Program) -> list[str]:
-    """Value types of the streams an equation's right-hand side defines."""
-    if isinstance(eq, Equation):
-        return _types_all(eq.exprs, env, prog)
-    if isinstance(eq, SimpleEq):
-        return expr_types(eq.rhs, env, prog)
-    if isinstance(eq, FbyEq):
-        return expr_types(Fby((eq.init,), (eq.rhs,)), env, prog)
-    return expr_types(NodeCall(eq.node, eq.args), env, prog)
-
-
-# ---------------------------------------------------------------------------
-# The clock pass
-# ---------------------------------------------------------------------------
-
-
-class ClockError(Exception):
-    """An expression off the clock its context expects.  `kind` names
-    the diagnostic that `validate` reports for it."""
-
-    kind = "ClockConflict"
-
-
-class ArityError(ClockError):
-    """Widths that differ where the clock pass pairs streams up."""
-
-    kind = "ArityMismatch"
 
 
 def clock_env(n: Node) -> dict[str, Clock]:
     return {d.name: d.clock for d in n.decls}
 
 
-class _ClockPass:
-    """The clock rules, applied to the equations of one node.
+# ---------------------------------------------------------------------------
+# The checking pass
+# ---------------------------------------------------------------------------
+
+
+class ClockError(Exception):
+    """A fault that the checking pass meets in an equation.  `kind`
+    names the diagnostic that `validate` reports for it."""
+
+    def __init__(self, detail: str, kind: str = "ClockConflict") -> None:
+        super().__init__(detail)
+        self.kind = kind
+
+
+def _arity(detail: str) -> ClockError:
+    return ClockError(detail, "ArityMismatch")
+
+
+_INT64 = range(-(1 << 63), 1 << 63)
+
+Types = tuple[str, ...]
+
+
+class Checker:
+    """The rules of well-formed equations, applied to those of one node.
 
     A right-hand side runs on the clock of its equation (NLustre) or of
     the targets it defines (Lustre), so the clock that every
@@ -672,160 +526,234 @@ class _ClockPass:
       with all of its arguments and outputs, so the callee must declare
       every input and output on its base clock.
 
-    Each visit returns the width of the subexpression and, with `build`,
-    the subexpression with every `clock` field set (else None).
+    The same visit finds an undeclared variable (`FreeVariable`), a call
+    to a node outside `nodes` (`UnknownNode`, or `RecursiveCall` for the
+    node itself), widths that differ (`ArityMismatch`) and value types
+    that do not fit (`TypeMismatch`); the first fault ends the walk of
+    the equation.  Each visit returns the value types of the component
+    streams of the subexpression, so its width is their number, and,
+    with `build`, the subexpression with every `clock` field set (else
+    None).
     """
 
-    def __init__(self, n: Node, prog: Program, build: bool) -> None:
-        self.env = clock_env(n)
-        self.prog = prog
+    def __init__(self, n: Node, nodes: Mapping[str, Node], build: bool) -> None:
+        self.name = n.name
+        self.nodes = nodes
         self.build = build
+        self.env = {d.name: (d.clock, (d.type,)) for d in n.decls}
         self.where = ""  # the targets of the equation, for messages
 
-    def clock_of(self, x: str) -> Clock:
-        ck = self.env.get(x)
-        if ck is None:
-            raise ClockError(f"{self.where}: unbound variable {x}")
-        return ck
+    def declare(self, d: VarDecl) -> None:
+        self.env[d.name] = (d.clock, (d.type,))
+
+    def var(self, x: str) -> tuple[Clock, Types]:
+        """The declared clock and the value type of `x`."""
+        found = self.env.get(x)
+        if found is None:
+            raise ClockError(x, "FreeVariable")
+        return found
 
     def same(self, got: Clock, want: Clock) -> None:
         if got is not want and got != want:
             raise ClockError(f"{self.where}: {got!r} vs {want!r}")
 
-    def expr(self, e: Expr, ck: Clock) -> tuple[int, Optional[Expr]]:
+    def mismatch(self, detail: str) -> ClockError:
+        return ClockError(f"{self.where}: {detail}", "TypeMismatch")
+
+    def misapplied(self, op: str, t: str, other: Optional[str] = None) -> ClockError:
+        if other is not None and other != t:
+            return self.mismatch(f"{op} applied to {t} and {other}")
+        return self.mismatch(f"{op} applied to {t}")
+
+    def declared(self, got: Types, want: Types) -> None:
+        if got != want:
+            raise self.mismatch(f"{', '.join(got)} vs declared {', '.join(want)}")
+
+    def disagree(self, ts: Types, fs: Types, widths: str, types: str) -> ClockError:
+        """The fault of two operands of a `merge`, an `if` or a `fby`
+        whose value types differ."""
+        if len(ts) != len(fs):
+            return _arity(f"{widths} widths {len(ts)} vs {len(fs)}")
+        return self.mismatch(f"{types} types differ")
+
+    def expr(self, e: Expr, ck: Clock) -> tuple[Types, Optional[Expr]]:
         build = self.build
         if isinstance(e, Const):
-            return 1, replace(e, clock=ck) if build else None
+            if isinstance(e.value, bool):
+                ts = (BOOL,)
+            elif e.value in _INT64:
+                ts = (INT,)
+            else:
+                raise self.mismatch(f"integer literal {e.value} is outside the 64-bit integers")
+            return ts, replace(e, clock=ck) if build else None
         if isinstance(e, Var):
-            self.same(self.clock_of(e.name), ck)
-            return 1, replace(e, clock=ck) if build else None
+            got, ts = self.var(e.name)
+            self.same(got, ck)
+            return ts, replace(e, clock=ck) if build else None
         if isinstance(e, Unop):
-            operand = self.one(e.operand, ck)
-            return 1, replace(e, operand=operand, clock=ck) if build else None
+            t, operand = self.one(e.operand, ck)
+            ts = _APPLY.get((e.op, t))
+            if ts is None:
+                raise self.misapplied(e.op, t)
+            return ts, replace(e, operand=operand, clock=ck) if build else None
         if isinstance(e, Binop):
-            left = self.one(e.left, ck)
-            right = self.one(e.right, ck)
-            return 1, replace(e, left=left, right=right, clock=ck) if build else None
+            tl, left = self.one(e.left, ck)
+            tr, right = self.one(e.right, ck)
+            ts = _APPLY.get((e.op, tl, tr))
+            if ts is None:
+                raise self.misapplied(e.op, tl, tr)
+            return ts, replace(e, left=left, right=right, clock=ck) if build else None
         if isinstance(e, When):
-            under = self.clock_of(e.var)
+            under, tx = self.var(e.var)
             self.same(On(under, e.var, e.value), ck)
-            w, exprs = self.all(e.exprs, under)
-            return w, replace(e, exprs=exprs, clock=ck) if build else None
+            if tx != (BOOL,):
+                raise self.mismatch(f"when condition {e.var} is not bool")
+            ts, exprs = self.all(e.exprs, under)
+            return ts, replace(e, exprs=exprs, clock=ck) if build else None
         if isinstance(e, Merge):
-            self.same(self.clock_of(e.var), ck)
-            w, on_true = self.all(e.on_true, On(ck, e.var, True))
-            wf, on_false = self.all(e.on_false, On(ck, e.var, False))
-            if w != wf:
-                raise ArityError(f"branch widths {w} vs {wf}")
-            return w, replace(e, on_true=on_true, on_false=on_false, clock=ck) if build else None
+            got, tx = self.var(e.var)
+            self.same(got, ck)
+            if tx != (BOOL,):
+                raise self.mismatch(f"merge scrutinee {e.var} is not bool")
+            ts, on_true = self.all(e.on_true, On(ck, e.var, True))
+            fs, on_false = self.all(e.on_false, On(ck, e.var, False))
+            if ts != fs:
+                raise self.disagree(ts, fs, "branch", "merge branch")
+            return ts, replace(e, on_true=on_true, on_false=on_false, clock=ck) if build else None
         if isinstance(e, Ite):
-            cond = self.one(e.cond, ck)
-            w, on_true = self.all(e.on_true, ck)
-            wf, on_false = self.all(e.on_false, ck)
-            if w != wf:
-                raise ArityError(f"branch widths {w} vs {wf}")
-            return w, (
+            tc, cond = self.one(e.cond, ck)
+            if tc != BOOL:
+                raise self.mismatch("if condition is not bool")
+            ts, on_true = self.all(e.on_true, ck)
+            fs, on_false = self.all(e.on_false, ck)
+            if ts != fs:
+                raise self.disagree(ts, fs, "branch", "if branch")
+            return ts, (
                 replace(e, cond=cond, on_true=on_true, on_false=on_false, clock=ck)
                 if build else None
             )
         if isinstance(e, Fby):
-            w, init = self.all(e.init, ck)
-            w1, rest = self.all(e.rest, ck)
-            if w != w1:
-                raise ArityError(f"fby widths {w} vs {w1}")
-            return w, replace(e, init=init, rest=rest, clock=ck) if build else None
+            ts, init = self.all(e.init, ck)
+            rs, rest = self.all(e.rest, ck)
+            if ts != rs:
+                raise self.disagree(ts, rs, "fby", "fby operand")
+            return ts, replace(e, init=init, rest=rest, clock=ck) if build else None
         if isinstance(e, NodeCall):
-            w, args = self.call(e.node, e.args, ck)
-            return w, replace(e, args=args, clock=ck) if build else None
+            ts, args = self.call(e.node, e.args, ck)
+            return ts, replace(e, args=args, clock=ck) if build else None
         raise TypeError(type(e))
 
-    def one(self, e: Expr, ck: Clock) -> Optional[Expr]:
-        w, built = self.expr(e, ck)
-        if w != 1:
-            raise ArityError(f"{w} streams where one is expected")
-        return built
+    def one(self, e: Expr, ck: Clock) -> tuple[str, Optional[Expr]]:
+        ts, built = self.expr(e, ck)
+        try:
+            (t,) = ts
+        except ValueError:
+            raise _arity(f"{len(ts)} streams where one is expected") from None
+        return t, built
 
-    def all(self, es: Iterable[Expr], ck: Clock) -> tuple[int, Optional[tuple[Expr, ...]]]:
-        w = 0
+    def all(self, es: Iterable[Expr], ck: Clock) -> tuple[Types, Optional[tuple[Expr, ...]]]:
+        ts: Types = ()
         built = []
         for e in es:
             k, b = self.expr(e, ck)
-            w += k
+            ts += k
             built.append(b)
-        return w, tuple(built) if self.build else None
+        return ts, tuple(built) if self.build else None
 
     def call(
         self, node: str, args: tuple[Expr, ...], ck: Clock
-    ) -> tuple[int, Optional[tuple[Expr, ...]]]:
-        """The number of outputs of `node`, and its arguments."""
-        callee = self.prog.node(node)
-        w, built = self.all(args, ck)
-        if w != len(callee.inputs):
-            raise ArityError(f"{node} expects {len(callee.inputs)} inputs, got {w}")
+    ) -> tuple[Types, Optional[tuple[Expr, ...]]]:
+        """The value types of the outputs of `node`, and its arguments."""
+        callee = self.nodes.get(node)
+        if callee is None:
+            raise ClockError(node, "RecursiveCall" if node == self.name else "UnknownNode")
+        ts, built = self.all(args, ck)
+        if len(ts) != len(callee.inputs):
+            raise _arity(f"{node} expects {len(callee.inputs)} inputs, got {len(ts)}")
         for d in callee.inputs + callee.outputs:
             if d.clock != BASE:
                 raise ClockError(
                     f"{self.where}: {node} declares {d.name} on {d.clock!r}, off its base clock"
                 )
-        return len(callee.outputs), built
+        want = [d.type for d in callee.inputs]
+        if list(ts) != want:
+            raise self.mismatch(f"argument types of {node}: {list(ts)} vs {want}")
+        return tuple([d.type for d in callee.outputs]), built
 
     def equation(self, eq: AnyEquation) -> AnyEquation:
         """Check `eq`; with `build`, return it with its clocks set."""
-        self.where = ", ".join(_targets(eq))
+        self.where = ", ".join(targets(eq))
         if isinstance(eq, Equation):
             return self.lustre(eq)
         ck, build = eq.clock, self.build
+        on = ck
+        while isinstance(on, On):
+            self.var(on.var)
+            on = on.clock
         if isinstance(eq, CallEq):
-            k, args = self.call(eq.node, eq.args, ck)
-            if k != len(eq.targets):
-                raise ArityError(f"{eq.node} returns {k}, got {len(eq.targets)} targets")
+            ts, args = self.call(eq.node, eq.args, ck)
+            if len(ts) != len(eq.targets):
+                raise _arity(f"{eq.node} returns {len(ts)}, got {len(eq.targets)} targets")
+            want: Types = ()
             for x in eq.targets:
-                self.same(self.clock_of(x), ck)
+                got, t = self.var(x)
+                self.same(got, ck)
+                want += t
+            self.declared(ts, want)
             return replace(eq, args=args) if build else eq
         if isinstance(eq, SimpleEq):
-            rhs = self.one(eq.rhs, ck)
-            self.same(self.clock_of(eq.target), ck)
+            t, rhs = self.one(eq.rhs, ck)
+            got, want = self.var(eq.target)
+            self.same(got, ck)
+            self.declared((t,), want)
             return replace(eq, rhs=rhs) if build else eq
-        init = self.one(eq.init, ck)
-        rhs = self.one(eq.rhs, ck)
-        self.same(self.clock_of(eq.target), ck)
+        t, init = self.one(eq.init, ck)
+        t1, rhs = self.one(eq.rhs, ck)
+        got, want = self.var(eq.target)
+        self.same(got, ck)
+        if t != t1:
+            raise self.mismatch("fby operand types differ")
+        self.declared((t,), want)
         return replace(eq, init=init, rhs=rhs) if build else eq
 
     def lustre(self, eq: Equation) -> Equation:
         """Each expression of the tuple runs on the declared clock of the
-        targets it defines."""
-        declared = [self.clock_of(x) for x in eq.targets]
+        targets it defines; one beyond the targets on the clock of the
+        expression before it."""
+        declared = [self.var(x) for x in eq.targets]
+        got: Types = ()
         exprs = []
-        pos = 0
-        for k, e in enumerate(eq.exprs):
-            if pos >= len(declared):
-                pos += width_all(eq.exprs[k:], self.prog)
-                break
-            ck = declared[pos]
-            w, built = self.expr(e, ck)
-            for want in declared[pos + 1 : pos + w]:
-                self.same(ck, want)
+        ck = BASE
+        for e in eq.exprs:
+            pos = len(got)
+            if pos < len(declared):
+                ck = declared[pos][0]
+            ts, built = self.expr(e, ck)
+            for other, _ in declared[pos + 1 : pos + len(ts)]:
+                self.same(ck, other)
             exprs.append(built)
-            pos += w
-        if pos != len(declared):
-            raise ArityError(f"{len(declared)} targets but rhs width {pos}")
+            got += ts
+        if len(got) != len(declared):
+            raise _arity(f"{len(declared)} targets but rhs width {len(got)}")
+        self.declared(got, tuple([t for _, (t,) in declared]))
         return replace(eq, exprs=tuple(exprs)) if self.build else eq
 
 
 def _annotate(prog: Program) -> Program:
+    by_name = {n.name: n for n in reversed(prog.nodes)}  # the first, as `Program.node`
     nodes = []
     for n in prog.nodes:
-        clocks = _ClockPass(n, prog, build=True)
+        check = Checker(n, by_name, build=True)
         try:
-            eqs = tuple(clocks.equation(eq) for eq in n.equations)
+            eqs = tuple(check.equation(eq) for eq in n.equations)
         except ClockError as exc:
-            raise type(exc)(f"{n.name}: {exc}") from None
+            raise ClockError(str(Diagnostic(exc.kind, n.name, str(exc))), exc.kind) from None
         nodes.append(replace(n, equations=eqs))
     return Program(tuple(nodes), annotated=True)
 
 
 def annotate_program(prog: Program) -> Program:
     """`prog` with the clock of every expression set, made once per
-    program object.  Raises `ClockError` (`ArityError` for widths) where
-    `validate` reports a `ClockConflict` (an `ArityMismatch`)."""
+    program object.  Raises `ClockError` where `validate` would report
+    a fault of an equation; its `kind` names the diagnostic."""
     return prog.annotation

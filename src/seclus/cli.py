@@ -189,6 +189,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_interpret(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise CliError("--steps must be at least 0")
     prog = _load_program(args.file)
     node = _pick_node(prog, args.node)
     if args.inputs:

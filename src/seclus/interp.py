@@ -49,6 +49,7 @@ from seclus.ast import (
     annotate_program,
     clock_env,
     fv,
+    targets,
     width_all,
 )
 
@@ -339,16 +340,10 @@ def _eq_deps(eq: AnyEquation, clocks: Dict[str, Clock]) -> set[str]:
     raise TypeError(type(eq))
 
 
-def _eq_targets(eq: AnyEquation) -> Tuple[str, ...]:
-    if isinstance(eq, (Equation, CallEq)):
-        return eq.targets
-    return (eq.target,)
-
-
 def schedule(n: Node) -> List[AnyEquation]:
     """Topological order by instantaneous dependency (stable w.r.t. the
     source order); CausalityError on an instantaneous cycle."""
-    defined = {x: i for i, eq in enumerate(n.equations) for x in _eq_targets(eq)}
+    defined = {x: i for i, eq in enumerate(n.equations) for x in targets(eq)}
     clocks = clock_env(n)
     deps = [
         {defined[x] for x in _eq_deps(eq, clocks) if x in defined}
@@ -367,7 +362,7 @@ def schedule(n: Node) -> List[AnyEquation]:
                 progress = True
         if not progress:
             stuck = [
-                ", ".join(_eq_targets(eq))
+                ", ".join(targets(eq))
                 for i, eq in enumerate(n.equations)
                 if not placed[i]
             ]
@@ -769,7 +764,7 @@ class _Prepared:
     def equation(self, eq: AnyEquation) -> Callable[[Frame], None]:
         if isinstance(eq, Equation):
             return self.lustre_equation(eq)
-        ts = [self.slots[x] for x in _eq_targets(eq)]
+        ts = [self.slots[x] for x in targets(eq)]
         on = self.clock(eq.clock)
         if isinstance(eq, SimpleEq):
             return self.simple_equation(eq, ts[0], on)
@@ -1012,10 +1007,8 @@ def check_history(
     for eq in node.equations:
         if isinstance(eq, Equation):
             expected = _sem_all(rp, H, bs, eq.exprs)
-            targets = eq.targets
         elif isinstance(eq, SimpleEq):
             expected = _sem_expr(rp, H, bs, eq.rhs)
-            targets = (eq.target,)
         elif isinstance(eq, FbyEq):
             (xs,) = _sem_expr(rp, H, bs, eq.init)
             (ys,) = _sem_expr(rp, H, bs, eq.rhs)
@@ -1023,13 +1016,11 @@ def check_history(
                 expected = [sem_fby_NL(eq.init.value, ys)]
             else:
                 expected = [sem_fby_L(xs, ys)]
-            targets = (eq.target,)
         elif isinstance(eq, CallEq):
             expected = _callee_streams(rp, eq.node, _sem_all(rp, H, bs, eq.args))
-            targets = eq.targets
         else:
             raise TypeError(type(eq))
-        for x, s in zip(targets, expected):
+        for x, s in zip(targets(eq), expected):
             for i, (want, got) in enumerate(zip(s, H[x])):
                 if want != got:
                     out.append(Discrepancy(name, x, i, want, got))

@@ -20,6 +20,7 @@ from seclus.ast import (
     AnyEquation,
     Binop,
     CallEq,
+    Checker,
     Clock,
     Const,
     Equation,
@@ -38,7 +39,6 @@ from seclus.ast import (
     Var,
     When,
     annotate_program,
-    expr_types,
     type_env,
     width,
 )
@@ -65,8 +65,10 @@ class FreshNames:
 class _NodeNormaliser:
     def __init__(self, n: Node, prog: Program):
         self.prog = prog
-        self.types = type_env(n)
-        self.fresh = FreshNames(self.types)
+        # gives the value type of each fresh local's defining component;
+        # calls are pulled out of those, so it knows no node
+        self.check = Checker(n, {}, build=False)
+        self.fresh = FreshNames(self.check.env)
         self.aux_eqs: List[NEquation] = []
         self.new_locals: List[VarDecl] = []
 
@@ -75,11 +77,15 @@ class _NodeNormaliser:
         return e.clock
 
     def _declare(self, e: Expr, ck: Clock) -> str:
-        (vt,) = expr_types(e, self.types, self.prog)
-        name = self.fresh.next()
-        self.types[name] = vt
-        self.new_locals.append(VarDecl(name, vt, ck))
-        return name
+        """A fresh local on `ck` of the value type of `e`."""
+        (vt,), _ = self.check.expr(e, self._clock_of(e))
+        return self._local(vt, ck)
+
+    def _local(self, vt: str, ck: Clock) -> str:
+        d = VarDecl(self.fresh.next(), vt, ck)
+        self.check.declare(d)
+        self.new_locals.append(d)
+        return d.name
 
     # -- expression position: results are atomic expressions -------------
 
@@ -139,13 +145,7 @@ class _NodeNormaliser:
         ck = self._clock_of(e)
         if targets is None:
             callee = self.prog.node(e.node)
-            names = []
-            for out in callee.outputs:
-                name = self.fresh.next()
-                self.types[name] = out.type
-                self.new_locals.append(VarDecl(name, out.type, ck))
-                names.append(name)
-            targets = tuple(names)
+            targets = tuple(self._local(d.type, ck) for d in callee.outputs)
         self.aux_eqs.append(CallEq(targets, e.node, args, ck))
         return targets
 

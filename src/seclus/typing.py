@@ -45,7 +45,6 @@ from seclus.ast import (
     Var,
     When,
     clock_env,
-    topo_order,
 )
 from seclus.sectypes import (
     Bot,
@@ -324,16 +323,14 @@ def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
 
 
 def check_program(prog: Program) -> SignatureEnv:
-    """Signatures for every node, in dependency order: inferred once per
-    program object, each caller getting its own dict."""
+    """Signatures for every node, in declaration order, which `validate`
+    makes the order of calls: inferred once per program object, each
+    caller getting its own dict."""
     sigs = prog.memo.get("signatures")
     if sigs is None:
-        order = topo_order(prog)
-        if order is None:
-            raise TypingError("node call graph is cyclic")
         sigs = {}
-        for name in order:
-            sigs[name] = node_signature(prog, sigs, prog.node(name))
+        for n in prog.nodes:
+            sigs[n.name] = node_signature(prog, sigs, n)
         prog.memo["signatures"] = sigs
     return dict(sigs)
 

@@ -256,15 +256,15 @@ def _trial_rng(seed: int, stream: int, trial: int) -> random.Random:
 
 def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
     """`fn(args + (lo, hi))` over consecutive chunks of the trial range,
-    in trial order: one chunk in this process, or one per worker
-    process when `jobs > 1`."""
+    in trial order: one worker process per chunk when `jobs > 1` cuts
+    more than one, else one chunk in this process."""
     k = max(1, min(jobs, trials))
     size = (trials + k - 1) // k
     work = [args + (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    if jobs > 1:
+    if len(work) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(len(work)) as pool:
             return pool.map(fn, work)
     return [fn(w) for w in work]
 

@@ -35,7 +35,6 @@ from seclus.ast import (
     Var,
     When,
     clock_env,
-    topo_order,
 )
 from seclus.sectypes import (
     BOT,
@@ -51,6 +50,8 @@ from seclus.sectypes import (
     tvars,
 )
 from seclus.typing import BASE_KEY, NodeSignature, SignatureEnv, TypingError
+
+from reference_validate import topo_order
 
 TypeEnv = Dict[str, SecType]
 

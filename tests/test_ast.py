@@ -1,5 +1,5 @@
-"""Program representation: validation diagnostics, dependency order,
-widths, simple types, and clock annotation."""
+"""Program representation: validation diagnostics, call order, widths,
+value types, and clock annotation."""
 
 import pytest
 
@@ -8,21 +8,19 @@ from seclus.ast import (
     ClockError,
     On,
     Program,
-    TypeError_,
     annotate_program,
-    expr_types,
     fv,
     dv,
-    topo_order,
-    type_env,
     validate,
     width,
 )
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
+from seclus.typing import TypingError, check_program
 from seclus.verify import GenConfig, generate_program
 
 import reference_clocks
+import reference_validate
 from conftest import leaky_pairs, load
 
 
@@ -104,18 +102,26 @@ def test_nlustre_rejects_nested_forms():
     assert "NotNormalised" in diags(src, dialect="nlustre")
 
 
-# -- dependency order and structural queries ------------------------------------
+# -- call order and structural queries -----------------------------------------
 
 
-def test_topo_order(re_trig):
-    order = topo_order(re_trig)
-    assert order.index("cnt_dn") < order.index("re_trig")
+def test_forward_call_is_unknown_node():
+    # a node calls only the nodes declared before it, so declaration
+    # order is call order
+    src = """
+    node f(x: int) returns (o: int) let o = g(x); tel
+    node g(x: int) returns (o: int) let o = x; tel
+    """
+    assert [str(d) for d in validate(parse_program(src))] == ["UnknownNode in f: g"]
 
 
-def test_topo_order_detects_cycles():
-    # self-recursion is already rejected; cycles through validate too
-    src = "node f(x: int) returns (o: int) let o = f(x); tel"
-    assert topo_order(parse_program(src)) is None
+def test_cyclic_program_is_a_typing_error():
+    src = """
+    node f(x: int) returns (o: int) let o = g(x); tel
+    node g(x: int) returns (o: int) let o = f(x); tel
+    """
+    with pytest.raises(TypingError, match="unknown node 'g'"):
+        check_program(parse_program(src))
 
 
 def test_fv_dv(re_trig):
@@ -132,31 +138,38 @@ def test_width(re_trig):
     assert width(node.equations[0].exprs[0], re_trig) == 1
 
 
-# -- simple types ----------------------------------------------------------------
+# -- value types -----------------------------------------------------------------
+
+_G = "node g(a: bool) returns (r: int) let r = 1; tel\n"
 
 
-def test_type_env_and_expr_types(re_trig):
-    node = re_trig.node("re_trig")
-    env = type_env(node)
-    assert env["i"] == "bool" and env["v"] == "int"
-    eq = node.equations[3]  # o = v > 0
-    assert expr_types(eq.exprs[0], env, re_trig) == ["bool"]
-
-
-def test_expr_types_rejects_mismatch():
-    p = parse_program("node f(x: int) returns (o: int) let o = x; tel")
-    env = type_env(p.node("f"))
-    with pytest.raises(TypeError_):
-        expr_types(
-            parse_program(
-                "node g(c: bool) returns (o: bool) let o = c and c; tel"
-            )
-            .node("g")
-            .equations[0]
-            .exprs[0],
-            env,
-            p,
-        )
+@pytest.mark.parametrize(
+    "body, detail",
+    [
+        ("p = not x; o = x;", "p: not applied to int"),
+        ("o = - c; p = c;", "o: - applied to bool"),
+        ("o = x + c; p = c;", "o: + applied to int and bool"),
+        ("o = c * c; p = c;", "o: * applied to bool"),
+        ("p = c <= c; o = x;", "p: <= applied to bool"),
+        ("p = x xor x; o = x;", "p: xor applied to int"),
+        ("p = (x = c); o = x;", "p: = applied to int and bool"),
+        ("var y: int :: base on x; let y = x when x; o = x; p = c;",
+         "y: when condition x is not bool"),
+        ("o = merge x (1) (2); p = c;", "o: merge scrutinee x is not bool"),
+        ("o = merge c (1) (true); p = c;", "o: merge branch types differ"),
+        ("o = if c then 1 else true; p = c;", "o: if branch types differ"),
+        ("o = if x then 1 else 2; p = c;", "o: if condition is not bool"),
+        ("o = 0 fby c; p = c;", "o: fby operand types differ"),
+        ("o = g(x); p = c;", "o: argument types of g: ['int'] vs ['bool']"),
+        ("o, p = c, x;", "o, p: bool, int vs declared int, bool"),
+    ],
+)
+def test_type_mismatch_details(body, detail):
+    if not body.startswith("var"):
+        body = "let " + body
+    p = parse_program(_G + f"node f(x: int; c: bool) returns (o: int; p: bool) {body} tel")
+    assert [str(d) for d in validate(p)] == [f"TypeMismatch in f: {detail}"]
+    assert validate(p) == reference_validate.validate(p)
 
 
 def test_integer_literals_stay_in_64_bits():

@@ -128,6 +128,15 @@ def test_interpret_steps_zero(capsys, tmp_path):
     assert code == 0 and out.strip() == "cpt"
 
 
+def test_interpret_negative_steps_is_an_error(capsys, tmp_path):
+    csv = tmp_path / "in.csv"
+    csv.write_text("res,n\ntrue,4\nfalse,4\n")
+    code, out, err = run(
+        capsys, "interpret", fixture_path("cnt_dn.lus"), "--inputs", str(csv), "--steps", "-1"
+    )
+    assert (code, out, err) == (1, "", "error: --steps must be at least 0\n")
+
+
 def test_interpret_trace_includes_locals(capsys, tmp_path):
     csv = tmp_path / "in.csv"
     csv.write_text("i,n\ntrue,2\nfalse,2\n")

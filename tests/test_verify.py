@@ -12,6 +12,7 @@ from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.sectypes import Constraint, TVar, implies, two_point
 from seclus.typing import check_program
+from seclus import verify
 from seclus.verify import (
     GenConfig,
     check_noninterference,
@@ -97,6 +98,34 @@ def test_differential_jobs_deterministic():
     a = differential_semantics(p, trials=12, N=20, jobs=1)
     b = differential_semantics(p, trials=12, N=20, jobs=3)
     assert report_json(a) == report_json(b)
+
+
+def test_pool_has_one_worker_per_chunk(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        """Records its size and maps in this process: starts nothing."""
+
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    assert verify._map_trials(tuple, ("x",), 3, 64) == [("x", 0, 1), ("x", 1, 2), ("x", 2, 3)]
+    assert sizes == [3]
+    # a single chunk runs in this process
+    assert verify._map_trials(tuple, ("x",), 1, 64) == [("x", 0, 1)]
+    assert sizes == [3]
 
 
 def test_differential_catches_broken_initialisation():
