@@ -3,11 +3,12 @@
 Expressions, clocks, equations, nodes and programs are immutable
 dataclasses.  Lustre equations (`Equation`) allow tuples and arbitrary
 nesting; NLustre equations come in three restricted shapes (`SimpleEq`,
-`FbyEq`, `CallEq`).  Free/defined variables and stream widths are
-computed here, and so is validation: `validate` checks each node's
-declarations and definitions, then runs `Checker` once over each
-equation.  That one walk checks scope, calls, clocks, widths and value
-types, and, for `annotate_program`, builds the tree with every clock set.
+`FbyEq`, `CallEq`).  Free/defined variables are computed here, and so
+is validation: `validate` checks each node's declarations and
+definitions, then runs `Checker` once over each equation.  That one
+walk checks scope, calls, clocks, widths and value types, and, for
+`annotate_program`, builds the tree with every expression's clock and
+value types set.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ BASE = Base()
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class; `clock` is the clock of the expression, set by
-    `annotate_program` (None until annotated, compare-insensitive)."""
+    """Base class.  `clock` is the clock of the expression and `types`
+    the value types of its component streams, one per stream, so its
+    width is their number.  Both are set by `annotate_program` (None
+    until annotated) and ignored by `==`; `repr` shows the clock only."""
 
     clock: Optional[Clock] = field(default=None, compare=False, kw_only=True)
+    types: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -214,14 +218,14 @@ class Node:
 @dataclass(frozen=True)
 class Program:
     nodes: tuple[Node, ...]
-    # set by the passes that emit every expression with its clock: such
-    # a program is its own annotation
+    # set by the passes that emit every expression with its clock and
+    # value types: such a program is its own annotation
     annotated: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
     def annotation(self) -> Program:
-        """This program with every expression's clock set, built at the
-        first use; see `annotate_program`."""
+        """This program with every expression's clock and value types
+        set, built at the first use; see `annotate_program`."""
         return self if self.annotated else _annotate(self)
 
     @cached_property
@@ -328,32 +332,6 @@ def targets(eq: AnyEquation) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Stream arity (width)
-# ---------------------------------------------------------------------------
-
-
-def width(e: Expr, prog: Program) -> int:
-    """Number of streams an expression flattens to."""
-    if isinstance(e, (Const, Var, Unop, Binop)):
-        return 1
-    if isinstance(e, When):
-        return width_all(e.exprs, prog)
-    if isinstance(e, Merge):
-        return width_all(e.on_true, prog)
-    if isinstance(e, Ite):
-        return width_all(e.on_true, prog)
-    if isinstance(e, Fby):
-        return width_all(e.init, prog)
-    if isinstance(e, NodeCall):
-        return len(prog.node(e.node).outputs)
-    raise TypeError(type(e))
-
-
-def width_all(es: Iterable[Expr], prog: Program) -> int:
-    return sum(width(e, prog) for e in es)
-
-
-# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
@@ -402,7 +380,7 @@ def _validate_node(n: Node, known: dict[str, Node], dialect: str) -> list[Diagno
 
     defined: list[str] = []
     for eq in n.equations:
-        defined.extend(sorted(dv(eq)))
+        defined.extend(sorted(targets(eq)))
     counts = Counter(defined)
     must_define = {d.name for d in n.outputs} | {d.name for d in n.locals}
     inputs = {d.name for d in n.inputs}
@@ -532,8 +510,8 @@ class Checker:
     that do not fit (`TypeMismatch`); the first fault ends the walk of
     the equation.  Each visit returns the value types of the component
     streams of the subexpression, so its width is their number, and,
-    with `build`, the subexpression with every `clock` field set (else
-    None).
+    with `build`, the subexpression with every `clock` and `types` field
+    set (else None).
     """
 
     def __init__(self, n: Node, nodes: Mapping[str, Node], build: bool) -> None:
@@ -542,9 +520,6 @@ class Checker:
         self.build = build
         self.env = {d.name: (d.clock, (d.type,)) for d in n.decls}
         self.where = ""  # the targets of the equation, for messages
-
-    def declare(self, d: VarDecl) -> None:
-        self.env[d.name] = (d.clock, (d.type,))
 
     def var(self, x: str) -> tuple[Clock, Types]:
         """The declared clock and the value type of `x`."""
@@ -585,31 +560,31 @@ class Checker:
                 ts = (INT,)
             else:
                 raise self.mismatch(f"integer literal {e.value} is outside the 64-bit integers")
-            return ts, replace(e, clock=ck) if build else None
+            return ts, replace(e, clock=ck, types=ts) if build else None
         if isinstance(e, Var):
             got, ts = self.var(e.name)
             self.same(got, ck)
-            return ts, replace(e, clock=ck) if build else None
+            return ts, replace(e, clock=ck, types=ts) if build else None
         if isinstance(e, Unop):
             t, operand = self.one(e.operand, ck)
             ts = _APPLY.get((e.op, t))
             if ts is None:
                 raise self.misapplied(e.op, t)
-            return ts, replace(e, operand=operand, clock=ck) if build else None
+            return ts, replace(e, operand=operand, clock=ck, types=ts) if build else None
         if isinstance(e, Binop):
             tl, left = self.one(e.left, ck)
             tr, right = self.one(e.right, ck)
             ts = _APPLY.get((e.op, tl, tr))
             if ts is None:
                 raise self.misapplied(e.op, tl, tr)
-            return ts, replace(e, left=left, right=right, clock=ck) if build else None
+            return ts, replace(e, left=left, right=right, clock=ck, types=ts) if build else None
         if isinstance(e, When):
             under, tx = self.var(e.var)
             self.same(On(under, e.var, e.value), ck)
             if tx != (BOOL,):
                 raise self.mismatch(f"when condition {e.var} is not bool")
             ts, exprs = self.all(e.exprs, under)
-            return ts, replace(e, exprs=exprs, clock=ck) if build else None
+            return ts, replace(e, exprs=exprs, clock=ck, types=ts) if build else None
         if isinstance(e, Merge):
             got, tx = self.var(e.var)
             self.same(got, ck)
@@ -619,7 +594,10 @@ class Checker:
             fs, on_false = self.all(e.on_false, On(ck, e.var, False))
             if ts != fs:
                 raise self.disagree(ts, fs, "branch", "merge branch")
-            return ts, replace(e, on_true=on_true, on_false=on_false, clock=ck) if build else None
+            return ts, (
+                replace(e, on_true=on_true, on_false=on_false, clock=ck, types=ts)
+                if build else None
+            )
         if isinstance(e, Ite):
             tc, cond = self.one(e.cond, ck)
             if tc != BOOL:
@@ -629,7 +607,7 @@ class Checker:
             if ts != fs:
                 raise self.disagree(ts, fs, "branch", "if branch")
             return ts, (
-                replace(e, cond=cond, on_true=on_true, on_false=on_false, clock=ck)
+                replace(e, cond=cond, on_true=on_true, on_false=on_false, clock=ck, types=ts)
                 if build else None
             )
         if isinstance(e, Fby):
@@ -637,10 +615,10 @@ class Checker:
             rs, rest = self.all(e.rest, ck)
             if ts != rs:
                 raise self.disagree(ts, rs, "fby", "fby operand")
-            return ts, replace(e, init=init, rest=rest, clock=ck) if build else None
+            return ts, replace(e, init=init, rest=rest, clock=ck, types=ts) if build else None
         if isinstance(e, NodeCall):
             ts, args = self.call(e.node, e.args, ck)
-            return ts, replace(e, args=args, clock=ck) if build else None
+            return ts, replace(e, args=args, clock=ck, types=ts) if build else None
         raise TypeError(type(e))
 
     def one(self, e: Expr, ck: Clock) -> tuple[str, Optional[Expr]]:
@@ -753,7 +731,7 @@ def _annotate(prog: Program) -> Program:
 
 
 def annotate_program(prog: Program) -> Program:
-    """`prog` with the clock of every expression set, made once per
-    program object.  Raises `ClockError` where `validate` would report
+    """`prog` with the clock and the value types of every expression
+    set, made once per program object.  Raises `ClockError` where `validate` would report
     a fault of an equation; its `kind` names the diagnostic."""
     return prog.annotation

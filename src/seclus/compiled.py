@@ -4,9 +4,9 @@ inlined, into one Python function that runs the whole horizon.
 Produces exactly the same histories as `interp.run_node` for valid
 programs on 64-bit integer inputs, but the instant loop runs inside
 generated code instead of walking the AST.  Presence is resolved
-statically from clock annotations, so unlike the reference interpreter
-this path does not diagnose ill-clocked programs — the test suite pins
-its agreement with `run_node`.
+statically from clock annotations; an ill-clocked program is refused
+before that, at annotation, with a `ClockError`, as on the reference
+interpreter.  The test suite pins its agreement with `run_node`.
 
 The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 & Pouzet, LCTES 2008) with the loop over instants moved into the
@@ -88,7 +88,6 @@ from seclus.ast import (
     clock_env,
     dv,
     fv,
-    width,
 )
 from seclus.interp import (
     WRAP,
@@ -509,7 +508,7 @@ class _NodeCode:
         if isinstance(eq, Equation):
             pos = 0
             for e in eq.exprs:
-                w = width(e, self.gen.prog)
+                w = len(e.types)
                 names = eq.targets[pos : pos + w]
                 pos += w
                 if isinstance(e, NodeCall):

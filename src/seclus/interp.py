@@ -50,7 +50,6 @@ from seclus.ast import (
     clock_env,
     fv,
     targets,
-    width_all,
 )
 
 Value = Union[bool, int]
@@ -578,7 +577,7 @@ class _Prepared:
 
     def unop(self, e: Unop, delayed: bool) -> Callable[[Frame], CV]:
         operand = self.one(e.operand, delayed)
-        op = _UNARY.get(e.op) or (lambda v: apply_unop(e.op, v))
+        op = _UNARY[e.op]
 
         def unop(f: Frame) -> CV:
             v = operand(f)
@@ -589,7 +588,7 @@ class _Prepared:
     def binop(self, e: Binop, delayed: bool) -> Callable[[Frame], CV]:
         left = self.one(e.left, delayed)
         right = self.one(e.right, delayed)
-        op = _BINARY.get(e.op) or (lambda a, b: apply_binop(e.op, a, b))
+        op = _BINARY[e.op]
 
         def binop(f: Frame) -> CV:
             a = left(f)
@@ -652,7 +651,7 @@ class _Prepared:
         """A delay reads its registers and saves its first operand's
         values in phase 1, and commits in phase 2; inside a second
         operand (`delayed`) it reads and commits at once."""
-        w = width_all(e.init, self.program.prog)
+        w = len(e.types)
         if w == 1 and not delayed:
             return 1, self.delay(e)
         _, init = self.vector(e.init, delayed)
@@ -754,7 +753,7 @@ class _Prepared:
             a = args(f)
             return call(f, a, a[0] is not ABSENT if a else on(f, True))
 
-        w = len(self.program.prog.node(e.node).outputs)
+        w = len(e.types)
         if w == 1:
             return 1, lambda f: node_call(f)[0]
         return w, node_call

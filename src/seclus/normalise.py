@@ -3,8 +3,11 @@
 Pass 1 (`normalize_program`) de-nests: delays, node calls and — in
 expression position — merge/if expressions are pulled out into fresh
 clock-annotated equations, while sampling distributes over components.
-Merge/if that already sit at the top of an equation stay in place as
-control expressions, so a program in NLustre shape is a fixed point.
+Each fresh local takes the value type that the annotation recorded for
+the component it names (`Expr.types`), so nothing is type-checked
+again.  Merge/if that already sit at the top of an equation stay in
+place as control expressions, so a program in NLustre shape is a fixed
+point.
 
 Pass 2 (`fby_init`) rewrites every delay equation whose first operand is
 not a constant into an explicit initialisation flag plus a
@@ -20,7 +23,6 @@ from seclus.ast import (
     AnyEquation,
     Binop,
     CallEq,
-    Checker,
     Clock,
     Const,
     Equation,
@@ -40,7 +42,6 @@ from seclus.ast import (
     When,
     annotate_program,
     type_env,
-    width,
 )
 
 
@@ -63,12 +64,8 @@ class FreshNames:
 
 
 class _NodeNormaliser:
-    def __init__(self, n: Node, prog: Program):
-        self.prog = prog
-        # gives the value type of each fresh local's defining component;
-        # calls are pulled out of those, so it knows no node
-        self.check = Checker(n, {}, build=False)
-        self.fresh = FreshNames(self.check.env)
+    def __init__(self, n: Node):
+        self.fresh = FreshNames(d.name for d in n.decls)
         self.aux_eqs: List[NEquation] = []
         self.new_locals: List[VarDecl] = []
 
@@ -76,14 +73,8 @@ class _NodeNormaliser:
         assert e.clock is not None, "normalisation requires clock annotations"
         return e.clock
 
-    def _declare(self, e: Expr, ck: Clock) -> str:
-        """A fresh local on `ck` of the value type of `e`."""
-        (vt,), _ = self.check.expr(e, self._clock_of(e))
-        return self._local(vt, ck)
-
     def _local(self, vt: str, ck: Clock) -> str:
         d = VarDecl(self.fresh.next(), vt, ck)
-        self.check.declare(d)
         self.new_locals.append(d)
         return d.name
 
@@ -94,35 +85,38 @@ class _NodeNormaliser:
             return [e]
         if isinstance(e, Unop):
             (s,) = self.norm_expr(e.operand)
-            return [Unop(e.op, s, clock=e.clock)]
+            return [Unop(e.op, s, clock=e.clock, types=e.types)]
         if isinstance(e, Binop):
             (l,) = self.norm_expr(e.left)
             (r,) = self.norm_expr(e.right)
-            return [Binop(e.op, l, r, clock=e.clock)]
+            return [Binop(e.op, l, r, clock=e.clock, types=e.types)]
         if isinstance(e, When):
             parts = self.norm_all(e.exprs)
-            return [When((s,), e.var, e.value, clock=e.clock) for s in parts]
+            return [
+                When((s,), e.var, e.value, clock=e.clock, types=(t,))
+                for s, t in zip(parts, e.types)
+            ]
         if isinstance(e, Fby):
             inits = self.norm_all(e.init)
             rests = self.norm_all(e.rest)
             ck = self._clock_of(e)
             out = []
-            for i, r in zip(inits, rests):
-                x = self._declare(i, ck)
+            for i, r, t in zip(inits, rests, e.types):
+                x = self._local(t, ck)
                 self.aux_eqs.append(FbyEq(x, i, r, ck))
-                out.append(Var(x, clock=ck))
+                out.append(Var(x, clock=ck, types=(t,)))
             return out
         if isinstance(e, Merge):
             ck = self._clock_of(e)
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
             out = []
-            for a, b in zip(ts, fs):
-                x = self._declare(a, ck)
+            for a, b, t in zip(ts, fs, e.types):
+                x = self._local(t, ck)
                 self.aux_eqs.append(
-                    SimpleEq(x, Merge(e.var, (a,), (b,), clock=e.clock), ck)
+                    SimpleEq(x, Merge(e.var, (a,), (b,), clock=e.clock, types=(t,)), ck)
                 )
-                out.append(Var(x, clock=ck))
+                out.append(Var(x, clock=ck, types=(t,)))
             return out
         if isinstance(e, Ite):
             ck = self._clock_of(e)
@@ -130,22 +124,22 @@ class _NodeNormaliser:
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
             out = []
-            for a, b in zip(ts, fs):
-                x = self._declare(a, ck)
-                self.aux_eqs.append(SimpleEq(x, Ite(c, (a,), (b,), clock=e.clock), ck))
-                out.append(Var(x, clock=ck))
+            for a, b, t in zip(ts, fs, e.types):
+                x = self._local(t, ck)
+                self.aux_eqs.append(SimpleEq(x, Ite(c, (a,), (b,), clock=e.clock, types=(t,)), ck))
+                out.append(Var(x, clock=ck, types=(t,)))
             return out
         if isinstance(e, NodeCall):
+            ck = self._clock_of(e)
             xs = self._emit_call(e, None)
-            return [Var(x, clock=self._clock_of(e)) for x in xs]
+            return [Var(x, clock=ck, types=(t,)) for x, t in zip(xs, e.types)]
         raise TypeError(type(e))
 
     def _emit_call(self, e: NodeCall, targets: Tuple[str, ...] | None) -> Tuple[str, ...]:
         args = tuple(self.norm_all(e.args))
         ck = self._clock_of(e)
         if targets is None:
-            callee = self.prog.node(e.node)
-            targets = tuple(self._local(d.type, ck) for d in callee.outputs)
+            targets = tuple(self._local(t, ck) for t in e.types)
         self.aux_eqs.append(CallEq(targets, e.node, args, ck))
         return targets
 
@@ -161,12 +155,18 @@ class _NodeNormaliser:
         if isinstance(e, Merge):
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
-            return [Merge(e.var, (a,), (b,), clock=e.clock) for a, b in zip(ts, fs)]
+            return [
+                Merge(e.var, (a,), (b,), clock=e.clock, types=(t,))
+                for a, b, t in zip(ts, fs, e.types)
+            ]
         if isinstance(e, Ite):
             (c,) = self.norm_expr(e.cond)
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
-            return [Ite(c, (a,), (b,), clock=e.clock) for a, b in zip(ts, fs)]
+            return [
+                Ite(c, (a,), (b,), clock=e.clock, types=(t,))
+                for a, b, t in zip(ts, fs, e.types)
+            ]
         return self.norm_expr(e)
 
     def norm_ctrl_all(self, es: Iterable[Expr]) -> List[Expr]:
@@ -183,7 +183,7 @@ class _NodeNormaliser:
         out: List[NEquation] = []
         pos = 0
         for e in eq.exprs:
-            w = width(e, self.prog)
+            w = len(e.types)
             targets = eq.targets[pos : pos + w]
             pos += w
             self.aux_eqs = []
@@ -209,8 +209,8 @@ class _NodeNormaliser:
         return self.aux_eqs + main
 
 
-def normalize_node(n: Node, prog: Program) -> Node:
-    nn = _NodeNormaliser(n, prog)
+def normalize_node(n: Node) -> Node:
+    nn = _NodeNormaliser(n)
     eqs: List[NEquation] = []
     for eq in n.equations:
         eqs.extend(nn.equation(eq))
@@ -222,9 +222,9 @@ def normalize_node(n: Node, prog: Program) -> Node:
 def normalize_program(p: Program) -> Program:
     """De-nest every node; the result is in NLustre shape (delays may
     still have non-constant first operands until `fby_init`) and every
-    expression in it carries its clock."""
+    expression in it carries its clock and value types."""
     p = annotate_program(p)
-    return Program(tuple(normalize_node(n, p) for n in p.nodes), annotated=True)
+    return Program(tuple(normalize_node(n) for n in p.nodes), annotated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def normalize_program(p: Program) -> Program:
 _DEFAULT = {"bool": False, "int": 0}
 
 
-def fby_init_node(n: Node, prog: Program) -> Node:
+def fby_init_node(n: Node) -> Node:
     types = type_env(n)
     fresh = FreshNames(types)
     eqs: List[NEquation] = []
@@ -247,22 +247,26 @@ def fby_init_node(n: Node, prog: Program) -> Node:
         flag = fresh.next("xinit")
         prev = fresh.next("px")
         ck = eq.clock
+        b, v = ("bool",), (vt,)  # the value types of the flag and the register
         new_locals.append(VarDecl(flag, "bool", ck))
         new_locals.append(VarDecl(prev, vt, ck))
-        eqs.append(FbyEq(flag, Const(True, clock=ck), Const(False, clock=ck), ck))
-        eqs.append(FbyEq(prev, Const(_DEFAULT[vt], clock=ck), eq.rhs, ck))
         eqs.append(
-            SimpleEq(
-                eq.target,
-                Ite(Var(flag, clock=ck), (eq.init,), (Var(prev, clock=ck),), clock=ck),
-                ck,
-            )
+            FbyEq(flag, Const(True, clock=ck, types=b), Const(False, clock=ck, types=b), ck)
         )
+        eqs.append(FbyEq(prev, Const(_DEFAULT[vt], clock=ck, types=v), eq.rhs, ck))
+        select = Ite(
+            Var(flag, clock=ck, types=b),
+            (eq.init,),
+            (Var(prev, clock=ck, types=v),),
+            clock=ck,
+            types=v,
+        )
+        eqs.append(SimpleEq(eq.target, select, ck))
     return Node(n.name, n.inputs, n.outputs, n.locals + tuple(new_locals), tuple(eqs))
 
 
 def fby_init(p: Program) -> Program:
     """Rewrite non-constant-headed delays into flag + register + select.
-    The new expressions carry their clocks, so an annotated program
-    stays annotated."""
-    return Program(tuple(fby_init_node(n, p) for n in p.nodes), annotated=p.annotated)
+    The new expressions carry their clocks and value types, so an
+    annotated program stays annotated."""
+    return Program(tuple(fby_init_node(n) for n in p.nodes), annotated=p.annotated)

@@ -7,7 +7,9 @@ inferring the clocks of each subtree again at every operator.  It is
 quadratic in the nesting depth, so `seclus.ast` checks every
 subexpression once against the clock its context expects instead; the
 tests hold the two to literally equal annotated programs, clock fields
-included.
+included.  `width` and `width_all`, the former stream widths of
+`seclus.ast`, are kept here verbatim; `reference_validate` uses them
+too.
 """
 
 from __future__ import annotations
@@ -39,8 +41,28 @@ from seclus.ast import (
     Var,
     When,
     clock_env,
-    width,
 )
+
+
+def width(e: Expr, prog: Program) -> int:
+    """Number of streams an expression flattens to."""
+    if isinstance(e, (Const, Var, Unop, Binop)):
+        return 1
+    if isinstance(e, When):
+        return width_all(e.exprs, prog)
+    if isinstance(e, Merge):
+        return width_all(e.on_true, prog)
+    if isinstance(e, Ite):
+        return width_all(e.on_true, prog)
+    if isinstance(e, Fby):
+        return width_all(e.init, prog)
+    if isinstance(e, NodeCall):
+        return len(prog.node(e.node).outputs)
+    raise TypeError(type(e))
+
+
+def width_all(es: Iterable[Expr], prog: Program) -> int:
+    return sum(width(e, prog) for e in es)
 
 
 def infer_clocks(e: Expr, env: dict[str, Clock], prog: Program) -> list[Optional[Clock]]:

@@ -9,7 +9,9 @@ verdict on every program, and to the same diagnostics except for the
 differences named in `tests/test_validate.py`.  `topo_order` is the
 former dependency order of `typing.check_program`, which
 `reference_typing` still uses.  The code is the former code, except
-that `Program.call_graph` became the function `call_graph` here.
+that `Program.call_graph` became the function `call_graph` here, and
+`width_all` comes from `reference_clocks`, which keeps the former
+stream widths of `seclus.ast`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from seclus.ast import (
     dv,
     fv,
     subexprs,
-    width_all,
 )
 from seclus.ast import targets as _targets
+
+from reference_clocks import width_all
 
 ARITH_BINOPS = {"+", "-", "*", "div", "mod"}
 CMP_BINOPS = {"<", "<=", ">", ">="}

@@ -5,14 +5,15 @@ import pytest
 
 from seclus.ast import (
     BASE,
+    Checker,
     ClockError,
     On,
     Program,
     annotate_program,
     fv,
     dv,
+    subexprs,
     validate,
-    width,
 )
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
@@ -132,10 +133,10 @@ def test_fv_dv(re_trig):
 
 
 def test_width(re_trig):
-    node = re_trig.node("re_trig")
+    node = annotate_program(re_trig).node("re_trig")
     call = node.equations[2].exprs[0].on_true[0]
-    assert width(call, re_trig) == 1
-    assert width(node.equations[0].exprs[0], re_trig) == 1
+    assert len(call.types) == 1
+    assert len(node.equations[0].exprs[0].types) == 1
 
 
 # -- value types -----------------------------------------------------------------
@@ -235,3 +236,18 @@ def test_annotation_equals_reference_on_three_forms(case):
         # the derived forms come annotated: the pass, run on an unmarked
         # copy, builds the same clocks
         assert repr(annotate_program(Program(form.nodes))) == want
+
+
+@pytest.mark.parametrize("case", list(_corpus()))
+def test_recorded_types_equal_a_checking_walk(case):
+    # the derived forms come annotated from their passes, which record
+    # the types themselves
+    p = load(case) if isinstance(case, str) else generate_program(GenConfig(seed=case))
+    n = normalize_program(p)
+    for form in (annotate_program(p), n, fby_init(n)):
+        known = {node.name: node for node in form.nodes}
+        for node in form.nodes:
+            check = Checker(node, known, build=False)
+            for eq in node.equations:
+                for e in subexprs(eq):
+                    assert e.types == check.expr(e, e.clock)[0], (node.name, e)

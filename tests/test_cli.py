@@ -347,6 +347,8 @@ def test_mutated_sources_end_in_exit_code_0_or_1(capsys, tmp_path):
         ("let o = if x > 0 then (x, x) else x; tel", "ArityMismatch in f: branch widths 2 vs 1"),
         ("let o = (x, x) fby x; tel", "ArityMismatch in f: fby widths 2 vs 1"),
         ("let o = x, x; tel", "ArityMismatch in f: 1 targets but rhs width 2"),
+        # one equation that defines a variable twice
+        ("let o, o = x, x + 1; tel", "DuplicateDefinition in f: o"),
         # the arguments of a call share one clock, so a callee input on
         # a derived clock cannot be fed
         (

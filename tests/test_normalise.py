@@ -3,7 +3,18 @@ idempotence, hygiene, and interface preservation."""
 
 import pytest
 
-from seclus.ast import CallEq, Const, Fby, FbyEq, SimpleEq, fv, validate
+from seclus.ast import (
+    CallEq,
+    Checker,
+    Const,
+    Fby,
+    FbyEq,
+    Program,
+    SimpleEq,
+    annotate_program,
+    fv,
+    validate,
+)
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program, pretty
 from seclus.verify import GenConfig, generate_program
@@ -147,3 +158,18 @@ def test_pretty_roundtrip_of_normal_forms():
     for fixture in ("cnt_dn.lus", "re_trig.lus"):
         p = fby_init(normalize_program(load(fixture)))
         assert parse_program(pretty(p, dialect="nlustre")) == p
+
+
+def test_passes_check_no_expression_again(monkeypatch, re_trig):
+    # fresh locals take the types that the annotation recorded
+    calls = []
+    walk = Checker.expr
+    monkeypatch.setattr(
+        Checker, "expr", lambda self, e, ck: calls.append(e) or walk(self, e, ck)
+    )
+    for p in (re_trig, generate_program(GenConfig(seed=3))):
+        ann = annotate_program(Program(p.nodes))
+        assert calls  # the counter sees the annotating walk
+        calls.clear()
+        fby_init(normalize_program(ann))
+        assert calls == []

@@ -4,8 +4,8 @@
 call walk, the clock pass and `expr_types` over each equation.
 `seclus.ast.validate` walks each equation once (`Checker`) and stops at
 its first fault.  On every program below the two accept and reject the
-same programs, and their diagnostics are literally equal except for
-these kinds of difference:
+same programs, except in kind 5, and their diagnostics are literally
+equal except for these kinds of difference:
 
 1. First scope fault.  The former listed every free variable of an
    equation, and every call to an unknown, later or same node once per
@@ -22,15 +22,23 @@ these kinds of difference:
    targets are walked on the clock of the expression before them, so a
    clock or type fault in them is reported instead of the
    `ArityMismatch` ("N targets but rhs width M").
+5. A variable that one equation defines twice (`o, o = x, x + 1`).
+   The former counted the set of an equation's targets, so it accepted
+   such an equation, and both engines gave the last component.  Now
+   the definitions are counted over each equation's targets with their
+   repeats, so the node's diagnostics end at a `DuplicateDefinition`.
 
 Where the two differ, `_explained` rebuilds the new diagnostics from
 the former ones, equation by equation, and checks each difference
 against its kind: in kind 1 the reported fault is one that the former
 found in that equation, in kind 3 it is exactly the former's type
-diagnostic of that equation, and in kinds 2 and 4 it is a clock, width
-or type fault.  The hand table pins each kind to exact diagnostics.
+diagnostic of that equation, in kinds 2 and 4 it is a clock, width or
+type fault, and in kind 5 the former's diagnostics of the variables
+counted before the repeated one come first.  The hand table pins each
+kind to exact diagnostics.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -47,6 +55,7 @@ SCOPE = {"FreeVariable", "UnknownNode", "RecursiveCall"}
 CHECK = {"ClockConflict", "ArityMismatch", "TypeMismatch"}
 STRUCTURAL = {"InputRedefined", "UndeclaredTarget", "MissingDefinition"}
 EARLY = {"DuplicateDeclaration", "DuplicateDefinition"}
+TARGET = {"InputRedefined", "UndeclaredTarget"}
 
 
 def _clock_of_decl(d: Diagnostic) -> bool:
@@ -106,6 +115,23 @@ def _equation(n, eq, prog, known, check) -> Diagnostic | None:
     return got
 
 
+def _repeated_target(n, old) -> list[Diagnostic] | None:
+    """The diagnostics of a node in which one equation defines a
+    variable twice (kind 5), from the former's `old`; None for any
+    other node."""
+    if any(d.kind == "DuplicateDeclaration" for d in old) or all(
+        len(set(ts)) == len(ts) for ts in map(former._targets, n.equations)
+    ):
+        return None
+    defined = [x for eq in n.equations for x in sorted(former._targets(eq))]
+    counts = Counter(defined)
+    first = next(i for i, x in enumerate(defined) if counts[x] > 1)
+    before = defined[:first]
+    return [d for d in old if d.kind in TARGET and d.detail in before] + [
+        Diagnostic("DuplicateDefinition", n.name, defined[first])
+    ]
+
+
 def _explained(prog, dialect) -> list[Diagnostic]:
     """The diagnostics of `validate(prog, dialect)` as the former's,
     changed only by the kinds of difference above."""
@@ -116,7 +142,10 @@ def _explained(prog, dialect) -> list[Diagnostic]:
             out.append(Diagnostic("DuplicateNode", n.name, n.name))
             continue
         old = former._validate_node(n, prog, set(known) | {n.name}, dialect)
-        if any(d.kind in EARLY for d in old):
+        repeated = _repeated_target(n, old)
+        if repeated is not None:
+            out += repeated
+        elif any(d.kind in EARLY for d in old):
             out += old
         else:
             check = Checker(n, known, build=False)
@@ -142,7 +171,9 @@ def _compare(prog) -> int:
     differ = 0
     for dialect in ("lustre", "nlustre"):
         old, new = former.validate(prog, dialect), validate(prog, dialect)
-        assert bool(old) == bool(new), (dialect, old, new)
+        # kind 5 rejects a program that the former accepted
+        repeat = any(d.kind == "DuplicateDefinition" for d in new)
+        assert bool(old) == bool(new) or repeat, (dialect, old, new)
         if old != new:
             differ += 1
             assert new == _explained(prog, dialect), (dialect, old, new)
@@ -248,6 +279,14 @@ MULTI_FAULT = [
         f"{_F} let o = x, x + c; tel",
         ["ArityMismatch in f: 1 targets but rhs width 2"],
         ["TypeMismatch in f: o: + applied to int and bool"],
+    ),
+    # 5: one equation that defines a variable twice
+    (f"{_F} let o, o = x, x + 1; tel", [], ["DuplicateDefinition in f: o"]),
+    # 5: after the faults of the targets counted before it
+    (
+        f"{_F} var v: int; let x = 1; o, o = x, c; v = 1; tel",
+        ["InputRedefined in f: x"],
+        ["InputRedefined in f: x", "DuplicateDefinition in f: o"],
     ),
     # unchanged: one clock and one type fault in two equations
     (
