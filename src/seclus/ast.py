@@ -231,7 +231,12 @@ class Program:
     @cached_property
     def memo(self) -> dict:
         """What later layers derive from this program object once (its
-        signatures, its generated code), keyed by the layer."""
+        signatures, its generated code, the trial table of its last
+        non-interference sweep), keyed by the layer.  The levels of a
+        sweep share that table's draws and runs within one process; it
+        is keyed by engine, entry node, horizon and seed, and a sweep
+        with another key replaces it.  The memo is not pickled, so the
+        worker processes of `jobs > 1` share nothing across levels."""
         return {}
 
     def __getstate__(self) -> dict:

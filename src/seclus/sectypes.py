@@ -332,27 +332,42 @@ def powerset_lattice(n: int) -> SecurityLattice:
     return SecurityLattice(elems, pairs)
 
 
+# powerset:n has 2**n elements and its order 3**n pairs; n = 10 takes
+# seconds to build and each further atom about five times longer
+POWERSET_MAX = 10
+
+
 def parse_lattice(spec: str) -> SecurityLattice:
-    """Lattice mini-language: "2point", "powerset:n", or a file with
-    lines "elements: a b c" and "a <= b" covering pairs."""
+    """Lattice mini-language: "2point", "powerset:n" (0 <= n <=
+    `POWERSET_MAX`), or a file with lines "elements: a b c" and "a <= b"
+    covering pairs.  Raises `LatticeError` for any other spec."""
     if spec == "2point":
         return two_point()
     if spec.startswith("powerset:"):
-        return powerset_lattice(int(spec.split(":", 1)[1]))
-    with open(spec, encoding="utf-8") as fh:
-        elements: list[str] = []
-        pairs: list[tuple[str, str]] = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("elements:"):
-                elements = line.split(":", 1)[1].split()
-            elif "<=" in line:
-                a, b = (p.strip() for p in line.split("<=", 1))
-                pairs.append((a, b))
-            else:
-                raise LatticeError(f"bad lattice line: {line!r}")
+        n = spec.split(":", 1)[1]
+        if not (n.isascii() and n.isdigit() and len(n) <= 2 and int(n) <= POWERSET_MAX):
+            raise LatticeError(
+                f"bad lattice {spec!r}: n must be an integer from 0 to {POWERSET_MAX}"
+            )
+        return powerset_lattice(int(n))
+    elements: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LatticeError(f"cannot read lattice file {spec!r}: {exc}") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            elements = line.split(":", 1)[1].split()
+        elif "<=" in line:
+            a, b = (p.strip() for p in line.split("<=", 1))
+            pairs.append((a, b))
+        else:
+            raise LatticeError(f"bad lattice line: {line!r}")
     if not elements:
         raise LatticeError("lattice file has no elements: line")
     return SecurityLattice(elements, pairs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from seclus.ast import (
     Base,
@@ -40,6 +40,7 @@ from seclus.interp import (
     CausalityError,
     ClockMismatch,
     EvalError,
+    History,
     ReferenceProgram,
     StreamPrefix,
     run_node,  # unused here; bench/layers.py traces the reference engine by this name
@@ -234,7 +235,7 @@ def differential_semantics(
 
     Each trial draws its inputs from its own seed, so the report is
     identical whatever the execution order; `jobs > 1` splits the trial
-    range over worker processes."""
+    range over worker processes.  `trials` must be at least 1."""
     parts = _map_trials(_diff_trials, (G, N, seed, engine, nodes), trials, jobs)
     run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
     names = tuple(n.name for n in run_list)
@@ -258,6 +259,8 @@ def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
     """`fn(args + (lo, hi))` over consecutive chunks of the trial range,
     in trial order: one worker process per chunk when `jobs > 1` cuts
     more than one, else one chunk in this process."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     k = max(1, min(jobs, trials))
     size = (trials + k - 1) // k
     work = [args + (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
@@ -364,8 +367,14 @@ def check_noninterference(
 
     When every input is at or below t, the two runs get the same inputs
     and so the same history, and each trial runs once.  Per-trial
-    seeding keeps the report independent of execution order; `jobs > 1`
-    splits the trial range over worker processes."""
+    seeding keeps the report independent of execution order, and lets
+    the levels of a sweep share each trial's draws and runs within one
+    process: the program object keeps one table of them, keyed by
+    engine, entry node, horizon and seed (a call with another key
+    replaces it), so a level runs only the paired histories that no
+    earlier level ran.  `jobs > 1` splits the trial range over worker
+    processes, which get the program without its table and share
+    nothing across levels.  `trials` must be at least 1."""
     args = (G, f, lat, dict(input_levels), t, N, seed,
             dict(output_levels) if output_levels else None, clock_pairing, engine)
     parts = _map_trials(_ni_trials, args, trials, jobs)
@@ -381,11 +390,11 @@ def check_noninterference(
 
 
 def _ni_trials(args):
-    """One chunk of paired-run trials.  Each run records every variable,
-    so all the levels of a sweep share one generated function per entry
-    node; only the observed columns are compared.  When every input is
-    low, the second run's inputs and so its history equal the first's:
-    it is neither drawn nor run (each trial's generator is its own)."""
+    """One chunk of paired-run trials, read off the program object's
+    trial table (see `_NITable`): only the runs no earlier level of the
+    sweep made are made here.  The first violation is the first trial,
+    in order, whose paired run differs on an observed column, and the
+    first such column in sorted order; the chunk stops there."""
     (G, f, lat, input_levels, t, N, seed, output_levels,
      clock_pairing, engine, lo, hi) = args
     node = G.node(f)
@@ -393,33 +402,110 @@ def _ni_trials(args):
     levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
     if clock_pairing == "skip" and any(not isinstance(d.clock, Base) for d in node.inputs):
         return [], [], hi - lo
-    low = [lat.leq(levels[d.name], t) for d in node.inputs]
+    low = tuple(lat.leq(levels[d.name], t) for d in node.inputs)
     paired = not all(low)
     observed = sorted(x for x in levels if lat.leq(levels[x], t))
-    program = _engine(engine)(G)
+    table = _NITable.of(G, engine, f, N, seed)
     violations: List[NIViolation] = []
     errors: List[str] = []
     for trial in range(lo, hi):
-        rng = _trial_rng(seed, 0, trial)
-        ins1 = random_inputs(node, N, rng)
-        try:
-            H1 = program.run(f, ins1, N=N)
-            if not paired:
-                continue
-            ins2 = [a if keep else b for a, b, keep in zip(ins1, random_inputs(node, N, rng), low)]
-            H2 = program.run(f, ins2, N=N)
-        except (ClockMismatch, EvalError) as exc:
-            errors.append(f"trial {trial}: {exc!r}")
-            continue
-        for x in observed:
-            s1, s2 = H1[x], H2[x]
-            if s1 != s2:
-                i = next(i for i, (u, v) in enumerate(zip(s1, s2)) if u != v)
-                violations.append(NIViolation(t, trial, x, i, (s1[i], s2[i])))
+        outcome = table.first(trial)
+        if paired and not isinstance(outcome, str):
+            outcome = table.differences(trial, low)
+        if isinstance(outcome, str):
+            errors.append(f"trial {trial}: {outcome}")
+        elif paired:
+            x = next((x for x in observed if x in outcome), None)
+            if x is not None:
+                i, values = outcome[x]
+                violations.append(NIViolation(t, trial, x, i, values))
                 break
-        if violations:
-            break
     return violations, errors, 0
+
+
+# the columns where a paired run differs from the first run, each with
+# its first differing instant and the two values there
+Differences = Dict[str, Tuple[int, Tuple[object, object]]]
+
+
+class _NITrial:
+    """The draws and runs of one trial index, made as levels ask.  A
+    run that ended in an error is kept as the error's `repr`."""
+
+    __slots__ = ("inputs", "rng", "first", "second", "pairs")
+
+    def __init__(self, inputs: List[StreamPrefix], rng: random.Random, first):
+        self.inputs = inputs
+        self.rng: Optional[random.Random] = rng  # until the second draw
+        self.first: Union[History, str] = first
+        self.second: Optional[List[StreamPrefix]] = None
+        # the paired runs, by low-input mask
+        self.pairs: Dict[Tuple[bool, ...], Union[Differences, str]] = {}
+
+
+class _NITable:
+    """The trials of one non-interference sweep, shared by its levels.
+
+    A trial's inputs depend only on the seed and the trial index, and a
+    run only on its inputs, so every level of a sweep draws the same
+    first history and every level with the same low inputs builds the
+    same paired one.  The table keeps, per trial, the first draw, its
+    run, the second draw (made at the first paired level) and, per
+    low-input mask, the paired run's `Differences` or error.  One table
+    lives in `Program.memo["ni"]`, keyed by (engine, entry node,
+    horizon, seed); a call with another key replaces it."""
+
+    def __init__(self, G: Program, key: tuple):
+        engine, f, self.N, self.seed = self.key = key
+        self.node = G.node(f)
+        # `G` itself is not kept: its memo holds this table
+        self.program = _engine(engine)(G)
+        self.trials: Dict[int, _NITrial] = {}
+
+    @classmethod
+    def of(cls, G: Program, engine: str, f: str, N: int, seed: int) -> "_NITable":
+        key = (engine, f, N, seed)
+        table = G.memo.get("ni")
+        if table is None or table.key != key:
+            table = G.memo["ni"] = cls(G, key)
+        return table
+
+    def _run(self, inputs: List[StreamPrefix]) -> Union[History, str]:
+        try:
+            return self.program.run(self.node.name, inputs, N=self.N)
+        except (ClockMismatch, EvalError) as exc:
+            return repr(exc)
+
+    def first(self, trial: int) -> Union[History, str]:
+        """The first run's history of `trial`, or its error."""
+        tr = self.trials.get(trial)
+        if tr is None:
+            rng = _trial_rng(self.seed, 0, trial)
+            inputs = random_inputs(self.node, self.N, rng)
+            tr = self.trials[trial] = _NITrial(inputs, rng, self._run(inputs))
+        return tr.first
+
+    def differences(self, trial: int, low: Tuple[bool, ...]) -> Union[Differences, str]:
+        """The `Differences` of the paired run of `trial` whose inputs
+        keep the first draw where `low` holds, or its error.  The first
+        run must have succeeded."""
+        tr = self.trials[trial]
+        out = tr.pairs.get(low)
+        if out is None:
+            if tr.second is None:
+                tr.second, tr.rng = random_inputs(self.node, self.N, tr.rng), None
+            H2 = self._run([a if keep else b for a, b, keep in zip(tr.inputs, tr.second, low)])
+            if isinstance(H2, str):
+                out = H2
+            else:
+                out = {}
+                for x, s1 in tr.first.items():
+                    s2 = H2[x]
+                    if s1 != s2:
+                        i = next(i for i, (u, v) in enumerate(zip(s1, s2)) if u != v)
+                        out[x] = (i, (s1[i], s2[i]))
+            tr.pairs[low] = out
+        return out
 
 
 # ---------------------------------------------------------------------------

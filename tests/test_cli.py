@@ -242,6 +242,29 @@ def test_verify_argument_validation(capsys):
     assert code == 1 and "horizon" in err
 
 
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("verify", "bogus", "cannot read lattice file 'bogus'"),
+        ("check", "bogus", "cannot read lattice file 'bogus'"),
+        ("verify", "fixtures", "cannot read lattice file"),
+        ("verify", "powerset:abc", "n must be an integer from 0 to 10"),
+        ("verify", "powerset:-1", "n must be an integer from 0 to 10"),
+        ("check", "powerset:11", "n must be an integer from 0 to 10"),
+        ("verify", "powerset:" + "9" * 5000, "n must be an integer from 0 to 10"),
+    ],
+)
+def test_bad_lattice_spec_is_a_diagnostic(capsys, command, spec, message):
+    if spec == "fixtures":
+        spec = os.path.dirname(fixture_path("re_trig.lus"))
+    argv = [command, fixture_path("re_trig.lus"), "--lattice", spec]
+    if command == "verify":
+        argv += ["--what", "ni", "--trials", "5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_parse_error_diagnostics(capsys, tmp_path):
     bad = tmp_path / "bad.lus"
     bad.write_text("node f(x: int) returns (o: int) let o = ; tel")

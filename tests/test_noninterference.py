@@ -3,6 +3,7 @@ equal reports, the input draws pinned to `randrange`, the least
 observation levels equal to the former fixpoint, and the per-program
 caches neither pickled nor shared wrongly."""
 
+import functools
 import itertools
 import pickle
 import random
@@ -221,3 +222,93 @@ def test_level_sweep_types_and_generates_once(monkeypatch):
     assert len(P2.elements) == 4
     assert sorted(signed) == sorted(n.name for n in p.nodes)
     assert generated == [f]
+
+
+# -- one trial table per sweep ----------------------------------------------------------
+
+
+def _count_runs(monkeypatch, engine_class):
+    """Count the calls of `engine_class.run` into the returned list."""
+    calls = []
+    run = engine_class.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(args[0])
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine_class, "run", counting_run)
+    return calls
+
+
+def test_sweep_runs_each_history_once(monkeypatch):
+    calls = _count_runs(monkeypatch, compiled.CompiledProgram)
+    p, ins = _sweep(6)
+    node = p.nodes[-1]
+    masks = {tuple(P2.leq(ins[d.name], t) for d in node.inputs) for t in P2.elements}
+    paired = [m for m in masks if not all(m)]
+    # the inputs sit at three levels, so two levels pair on one mask
+    assert len(P2.elements) == 4 and len(paired) == 2
+    trials = 7
+    for t in P2.elements:
+        assert check_noninterference(p, node.name, P2, ins, t, trials=trials, N=10, seed=6).ok
+    assert len(calls) == trials * (1 + len(paired))
+
+
+def _reversed_sweeps_equal_fresh(fresh, f, lat, ins, engine, **kw):
+    """Levels swept top down on one object report as each level alone
+    on a new object from `fresh()`."""
+    p = fresh()
+    for t in reversed(lat.elements):
+        got = check_noninterference(p, f, lat, ins, t, engine=engine, **kw)
+        assert got == check_noninterference(fresh(), f, lat, ins, t, engine=engine, **kw), t
+
+
+@pytest.mark.parametrize("engine, trials", [("compiled", 20), ("reference", 2)])
+def test_reversed_sweep_equals_fresh_objects(engine, trials):
+    for seed in range(20):
+        p, ins = _sweep(seed)
+        fresh = functools.partial(generate_program, GenConfig(seed=seed))
+        _reversed_sweeps_equal_fresh(fresh, p.nodes[-1].name, P2, ins, engine,
+                                     trials=trials, N=25, seed=seed)
+    lat = two_point()
+    for (lus, _), (p, ins, outs) in zip(leaky_pairs(), _leaky()):
+        with open(lus, encoding="utf-8") as fh:
+            fresh = functools.partial(parse_program, fh.read())
+        _reversed_sweeps_equal_fresh(fresh, p.nodes[-1].name, lat, ins, engine,
+                                     trials=200, N=25, output_levels=outs)
+
+
+def test_engine_is_part_of_the_table_key(monkeypatch):
+    from seclus.interp import ReferenceProgram
+
+    calls = _count_runs(monkeypatch, ReferenceProgram)
+    p, ins = _sweep(4)
+    f = p.nodes[-1].name
+    kw = dict(trials=3, N=10, seed=4)
+    by_engine = {
+        engine: [check_noninterference(p, f, P2, ins, t, engine=engine, **kw) for t in P2.elements]
+        for engine in ("compiled", "reference")
+    }
+    assert calls and by_engine["compiled"] == by_engine["reference"]
+
+
+def test_another_horizon_or_seed_replaces_the_table(monkeypatch):
+    calls = _count_runs(monkeypatch, compiled.CompiledProgram)
+    p, ins = _sweep(6)
+    f = p.nodes[-1].name
+
+    def sweep(N, seed):
+        before = len(calls)
+        reports = [check_noninterference(p, f, P2, ins, t, trials=4, N=N, seed=seed)
+                   for t in P2.elements]
+        return reports, len(calls) - before
+
+    first, runs = sweep(10, 1)
+    assert p.memo["ni"].key == ("compiled", f, 10, 1)
+    for N, seed in ((12, 1), (10, 2)):
+        sweep(N, seed)
+        assert p.memo["ni"].key == ("compiled", f, N, seed)
+        assert [k for k in p.memo if k == "ni"] == ["ni"]
+    # the first table is gone: sweeping its key again runs everything again
+    assert sweep(10, 1) == (first, runs)
+    assert sweep(10, 1) == (first, 0)

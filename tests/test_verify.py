@@ -128,6 +128,16 @@ def test_pool_has_one_worker_per_chunk(monkeypatch):
     assert sizes == [3]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_campaigns_reject_fewer_than_one_trial(trials):
+    p = load("cnt_dn.lus")
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        differential_semantics(p, trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        check_noninterference(p, "cnt_dn", two_point(), {"res": "L", "n": "L"}, "L",
+                              trials=trials)
+
+
 def test_differential_catches_broken_initialisation():
     # sabotage the delay-initialised form by hand: flipping the very
     # first value of the initialisation flag changes instant 0
