@@ -282,6 +282,8 @@ def cmd_verify(args) -> int:
         output_levels = {
             d.name: named[d.name] for d in node.outputs if d.name in named
         } or None
+        if not args.policy and not args.json:
+            print(f"ni {node.name}: no --policy given, every input is at {lat.bottom}")
         reports = []
         for t in lat.elements:
             rep = check_noninterference(
@@ -301,10 +303,14 @@ def cmd_verify(args) -> int:
             ok = ok and rep.ok
             if not args.json:
                 mark = _green("pass") if rep.ok else _red("fail")
+                # with every input observed, both runs of a trial get the same inputs
+                unpaired = ""
+                if all(lat.leq(lev, t) for lev in input_levels.values()):
+                    unpaired = "; runs not paired: no input is above this level"
                 print(
                     f"ni {node.name} at {t}: {mark}"
                     f" ({rep.trials} trials, {rep.skipped} skipped,"
-                    f" {len(rep.errors)} errored)"
+                    f" {len(rep.errors)} errored{unpaired})"
                 )
                 for v in rep.violations:
                     print(

@@ -47,6 +47,7 @@ from seclus.ast import (
     clock_env,
 )
 from seclus.sectypes import (
+    BOT,
     Bot,
     Constraint,
     ConstraintSet,
@@ -55,7 +56,6 @@ from seclus.sectypes import (
     SecType,
     SecurityLattice,
     TVar,
-    join,
     satisfies,
     tvars,
 )
@@ -73,9 +73,11 @@ class NodeSignature:
     """Interface-level flow contract of a node.
 
     `constraints` mention only `input_vars`, `output_vars` and
-    `clock_var`.  `local_types` records, for every declared local, its
-    interface-level type: the least type its constraints allow (used to
-    assign observation levels to locals).
+    `clock_var`.  `local_types` records, for every declared local in
+    declaration order, its interface-level type: the least type its
+    constraints allow (used to assign observation levels to locals).
+    Inference keeps each local's type as the set of variables it joins
+    and builds the term when the local is first read.
     """
 
     name: str
@@ -289,8 +291,41 @@ def _close(bounds: Mapping[str, set], deltas: List[str]) -> Dict[str, Atoms]:
     return closed
 
 
-def _term(atoms) -> SecType:
-    return join(*map(TVar, atoms))
+def _term(atoms: Atoms) -> SecType:
+    """The canonical join of the variables named by `atoms`, as
+    `canonicalize` orders it: `TVar`s sort by name."""
+    if not atoms:
+        return BOT
+    if len(atoms) == 1:
+        (a,) = atoms
+        return TVar(a)
+    return Join(tuple(TVar(a) for a in sorted(atoms)))
+
+
+class _LocalTypes(Mapping[str, SecType]):
+    """The locals' types, by name in declaration order, each built from
+    its atom set when first read and kept."""
+
+    __slots__ = ("_atoms", "_terms")
+
+    def __init__(self, atoms: Dict[str, Atoms]) -> None:
+        self._atoms = atoms
+        self._terms: Dict[str, SecType] = {}
+
+    def __getitem__(self, x: str) -> SecType:
+        t = self._terms.get(x)
+        if t is None:
+            t = self._terms[x] = _term(self._atoms[x])
+        return t
+
+    def __iter__(self):
+        return iter(self._atoms)
+
+    def __len__(self) -> int:
+        return len(self._atoms)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
@@ -310,16 +345,18 @@ def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
 
     deltas = [f"d{i}" for i in range(1, typer.fresh + 1)]
     closed = _close(typer.bounds, deltas)
-    constraints = set()
+    # distinct (atoms, v) pairs first, so each constraint's term is built once
+    pairs = set()
     for v, lhss in typer.bounds.items():
         if v in closed:
             continue
         for lhs in lhss:
             atoms = _NONE.union(*(closed.get(a, (a,)) for a in lhs)).difference((v,))
             if atoms:
-                constraints.add(Constraint(_term(atoms), TVar(v)))
-    local_types = {x: _term(closed[v]) for x, v in local_vars.items()}
-    return NodeSignature(n.name, in_vars, out_vars, "g", frozenset(constraints), local_types)
+                pairs.add((atoms, v))
+    constraints = frozenset(Constraint(_term(atoms), TVar(v)) for atoms, v in pairs)
+    local_types = _LocalTypes({x: closed[v] for x, v in local_vars.items()})
+    return NodeSignature(n.name, in_vars, out_vars, "g", constraints, local_types)
 
 
 def check_program(prog: Program) -> SignatureEnv:

@@ -235,6 +235,27 @@ def test_verify_ni_rejected_policy_fails(capsys):
     assert code == 1 and "fail" in out and "violation" in out
 
 
+def test_verify_ni_says_when_runs_are_not_paired(capsys):
+    # without --policy every input is at the bottom, so no level pairs a run
+    code, out, _ = run(
+        capsys, "verify", fixture_path("re_trig.lus"), "--what", "ni",
+        "--lattice", "powerset:2", "--trials", "5", "--horizon", "10", "--seed", "0",
+    )
+    lines = [ln for ln in out.splitlines() if ln.startswith("ni re_trig at ")]
+    assert code == 0 and len(lines) == 4
+    assert all("runs not paired" in ln for ln in lines)
+    assert out.count("no --policy given") == 1
+    # with a policy, only the levels at or above every input say so
+    lus, pol = leaky_pairs()[0]
+    code, out, _ = run(
+        capsys, "verify", lus, "--what", "ni", "--policy", pol,
+        "--trials", "5", "--horizon", "10", "--seed", "0",
+    )
+    lines = [ln for ln in out.splitlines() if ln.startswith("ni ")]
+    assert code == 1 and "no --policy given" not in out
+    assert ["runs not paired" in ln for ln in lines] == [False, True]
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run(
         capsys, "verify", fixture_path("cnt_dn.lus"), "--horizon", "0"

@@ -2,12 +2,16 @@
 agreement with the term-algebra reference, typing errors, policy
 checking, and minimal instantiations."""
 
+import pickle
+import random
+
 import pytest
 
 import reference_typing
+from seclus import typing, verify
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
-from seclus.sectypes import render, two_point
+from seclus.sectypes import TVar, join, render, two_point
 from seclus.typing import (
     TypingError,
     check_policy,
@@ -73,6 +77,52 @@ def test_re_trig_local_types(re_trig_prog):
         "c": "a1 | b1 | g",
         "v": "a1 | a2 | b1 | g",
     }
+
+
+def test_local_types_are_built_when_read():
+    p = fby_init(normalize_program(load("re_trig.lus")))
+    node, sig = p.node("re_trig"), check_program(p)["re_trig"]
+    assert list(sig.local_types) == [d.name for d in node.locals]
+    assert len(sig.local_types) == len(node.locals) > 3
+    assert sig.local_types["c"] is sig.local_types["c"]
+    back = pickle.loads(pickle.dumps(sig))
+    assert render_signature(back) == render_signature(sig)
+    assert {x: render(t) for x, t in back.local_types.items()} == {
+        x: render(t) for x, t in sig.local_types.items()
+    }
+
+
+def test_preservation_builds_terms_only_for_constraints(monkeypatch):
+    # inference renders no local type unless something reads it
+    real_term, real_check = typing._term, verify.check_program
+    built, envs = [], []
+
+    def term(atoms):
+        built.append(atoms)
+        return real_term(atoms)
+
+    def recording(prog):
+        envs.append(real_check(prog))
+        return envs[-1]
+
+    monkeypatch.setattr(typing, "_term", term)
+    monkeypatch.setattr(verify, "check_program", recording)
+    progs = [load("cnt_dn.lus"), load("re_trig.lus")]
+    progs += [generate_program(GenConfig(seed=seed)) for seed in range(20)]
+    for p in progs:
+        verify.check_preservation(p)
+    assert len(envs) == 3 * len(progs)
+    assert sum(len(sig.local_types) for env in envs for sig in env.values()) > 0
+    assert len(built) == sum(len(sig.constraints) for env in envs for sig in env.values())
+
+
+def test_term_is_the_canonical_join():
+    names = ["g", "a1", "a2", "a10", "b1", "b2", "d1", "d9", "d10", "d11", "d100"]
+    rng = random.Random(13)
+    cases = [frozenset(), frozenset(["d9"]), frozenset(["d9", "d10", "a1", "g"])]
+    cases += [frozenset(rng.sample(names, rng.randint(0, len(names)))) for _ in range(300)]
+    for atoms in cases:
+        assert typing._term(atoms) == join(*map(TVar, atoms)), atoms
 
 
 def test_fresh_names_deterministic(cnt_dn_prog):

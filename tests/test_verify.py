@@ -10,7 +10,7 @@ from seclus.ast import Const, FbyEq, Node, Program, validate
 from seclus.interp import run_node, schedule
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
-from seclus.sectypes import Constraint, TVar, implies, two_point
+from seclus.sectypes import Constraint, TVar, implies, satisfies, two_point
 from seclus.typing import check_program
 from seclus import verify
 from seclus.verify import (
@@ -54,10 +54,23 @@ def test_implication_failure_carries_witness():
     r = implies(before, after)
     assert not r.holds and r.witness is not None
     lat = two_point()
-    from seclus.sectypes import satisfies
-
     assert satisfies(r.witness, before, lat)
     assert not satisfies(r.witness, after, lat)
+
+
+def test_preservation_fails_when_denesting_adds_a_flow(monkeypatch):
+    # a de-nested form whose output also reads y is not implied by o = x
+    src = "node f(x: int; y: int) returns (o: int) let o = {}; tel"
+    leaky = normalize_program(parse_program(src.format("x + y")))
+    monkeypatch.setattr(verify, "normalize_program", lambda prog: leaky)
+    (v,) = check_preservation(parse_program(src.format("x")))
+    assert not v.ok and not v.denesting_implied and not v.denesting_equal
+    assert v.witness["pass"] == "denesting"
+    before = check_program(parse_program(src.format("x")))["f"].constraints
+    after = check_program(leaky)["f"].constraints
+    lat = two_point()
+    assert satisfies(v.witness["assignment"], before, lat)
+    assert not satisfies(v.witness["assignment"], after, lat)
 
 
 # -- differential execution -------------------------------------------------------
