@@ -233,17 +233,10 @@ class Program:
         """What later layers derive from this program object once (its
         signatures, its generated code, the trial table of its last
         non-interference sweep), keyed by the layer.  The levels of a
-        sweep share that table's draws and runs within one process; it
-        is keyed by engine, entry node, horizon and seed, and a sweep
-        with another key replaces it.  The memo is not pickled, so the
-        worker processes of `jobs > 1` share nothing across levels."""
+        sweep share that table's draws and runs; it is keyed by engine,
+        entry node, horizon and seed, and a sweep with another key
+        replaces it."""
         return {}
-
-    def __getstate__(self) -> dict:
-        # the memo holds generated functions, which cannot be pickled
-        state = dict(self.__dict__)
-        state.pop("memo", None)
-        return state
 
     def node(self, name: str) -> Node:
         for n in self.nodes:

@@ -106,6 +106,14 @@ def _parse_level(lat: SecurityLattice, text: str):
     raise CliError(f"{text!r} is not an element of the lattice")
 
 
+def _format_level(level) -> str:
+    """A lattice element as a policy file writes it (the inverse of
+    `_parse_level`): a powerset level as `{0,1}`, any other as-is."""
+    if isinstance(level, frozenset):
+        return "{" + ",".join(map(str, sorted(level))) + "}"
+    return str(level)
+
+
 def _load_policy(path: str, lat: SecurityLattice) -> Dict[str, object]:
     """Line-oriented `name = LEVEL` (use `base` for the node clock)."""
     policy: Dict[str, object] = {}
@@ -233,8 +241,6 @@ def cmd_verify(args) -> int:
         raise CliError("--horizon must be at least 1")
     if args.trials < 1 or args.ni_trials < 1:
         raise CliError("--trials must be at least 1")
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1")
     prog = _load_program(args.file)
     seed = _resolve_seed(args)
     lat = parse_lattice(args.lattice)
@@ -256,9 +262,7 @@ def cmd_verify(args) -> int:
                     print(f"  witness: {v.witness}")
 
     if args.what in ("semantics", "all"):
-        rep = differential_semantics(
-            prog, trials=args.trials, N=args.horizon, seed=seed, jobs=args.jobs
-        )
+        rep = differential_semantics(prog, trials=args.trials, N=args.horizon, seed=seed)
         payload["semantics"] = rep
         ok = ok and rep.ok
         if not args.json:
@@ -283,7 +287,8 @@ def cmd_verify(args) -> int:
             d.name: named[d.name] for d in node.outputs if d.name in named
         } or None
         if not args.policy and not args.json:
-            print(f"ni {node.name}: no --policy given, every input is at {lat.bottom}")
+            bottom = _format_level(lat.bottom)
+            print(f"ni {node.name}: no --policy given, every input is at {bottom}")
         reports = []
         for t in lat.elements:
             rep = check_noninterference(
@@ -297,7 +302,6 @@ def cmd_verify(args) -> int:
                 seed=seed,
                 output_levels=output_levels,
                 clock_pairing=args.clock_pairing,
-                jobs=args.jobs,
             )
             reports.append(rep)
             ok = ok and rep.ok
@@ -308,7 +312,7 @@ def cmd_verify(args) -> int:
                 if all(lat.leq(lev, t) for lev in input_levels.values()):
                     unpaired = "; runs not paired: no input is above this level"
                 print(
-                    f"ni {node.name} at {t}: {mark}"
+                    f"ni {node.name} at {_format_level(t)}: {mark}"
                     f" ({rep.trials} trials, {rep.skipped} skipped,"
                     f" {len(rep.errors)} errored{unpaired})"
                 )
@@ -329,8 +333,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end in one diagnostic line and exit code 1, not
+    in the usage text and exit code 2."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="seclus",
         description="Security-type checker and interpreter for clocked dataflow programs",
     )
@@ -366,7 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ni-trials", type=int, default=1000, help="trials for ni under --what all")
     v.add_argument("--horizon", type=int, default=50)
     v.add_argument("--seed", type=int, help="echoed; auto-generated when absent")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--lattice", default="2point", help="2point | powerset:n | FILE")
     v.add_argument("--policy", help="levels for ni inputs/outputs")
     v.add_argument("--node", help="node for ni (default: last)")
@@ -377,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (
         CliError,

@@ -105,8 +105,8 @@ def int_div(a: int, b: int) -> int:
     return wrap((a - int_mod(a, b)) // b)
 
 
-# The scalar operators by name.  `apply_unop`/`apply_binop` and the
-# prepared evaluator look them up here.
+# The scalar operators by name.  The stream operators and the prepared
+# evaluator look them up here.
 _UNARY = {"not": operator.not_, "-": lambda v: wrap(-v)}
 _BINARY = {
     "+": lambda a, b: wrap(a + b),
@@ -126,20 +126,6 @@ _BINARY = {
 }
 
 
-def apply_unop(op: str, v: Value) -> Value:
-    fn = _UNARY.get(op)
-    if fn is None:
-        raise EvalError(f"unknown unary operator {op!r}")
-    return fn(v)
-
-
-def apply_binop(op: str, a: Value, b: Value) -> Value:
-    fn = _BINARY.get(op)
-    if fn is None:
-        raise EvalError(f"unknown binary operator {op!r}")
-    return fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Whole-stream operators
 # ---------------------------------------------------------------------------
@@ -150,15 +136,17 @@ def sem_const(bs: ClockStream, c: Value) -> StreamPrefix:
 
 
 def sem_lift1(op: str, xs: StreamPrefix) -> StreamPrefix:
-    return [ABSENT if x is ABSENT else apply_unop(op, x) for x in xs]
+    fn = _UNARY[op]
+    return [ABSENT if x is ABSENT else fn(x) for x in xs]
 
 
 def sem_lift2(op: str, xs: StreamPrefix, ys: StreamPrefix) -> StreamPrefix:
+    fn = _BINARY[op]
     out: StreamPrefix = []
     for x, y in zip(xs, ys):
         if (x is ABSENT) != (y is ABSENT):
             raise ClockMismatch("mixed presence in binary operator")
-        out.append(ABSENT if x is ABSENT else apply_binop(op, x, y))
+        out.append(ABSENT if x is ABSENT else fn(x, y))
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cached_property
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Union
 
@@ -247,6 +248,19 @@ def substitute(t, subst: Mapping[str, SecType]):
     return type(t)(substitute(x, subst) for x in t)
 
 
+def reachable(succ: Mapping, start, seen: set) -> set:
+    """`seen`, grown by everything reached from `start` by one or more
+    edges of the successor map `succ`; the walk stops at what `seen`
+    already holds."""
+    todo = [start]
+    while todo:
+        for b in succ.get(todo.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # Security lattices and ground evaluation
 # ---------------------------------------------------------------------------
@@ -270,14 +284,7 @@ class SecurityLattice:
             succ.setdefault(a, set()).add(b)
         up: dict = {}
         for a in {*count, *succ}:
-            seen = {a} if a in count else set()
-            todo = [a]
-            while todo:
-                for b in succ.get(todo.pop(), ()):
-                    if b not in seen:
-                        seen.add(b)
-                        todo.append(b)
-            up[a] = seen
+            up[a] = reachable(succ, a, {a} if a in count else set())
         self._leq = {(a, b) for a, above in up.items() for b in above}
         # the join of a and b is the common upper bound below all the
         # others: the one with the largest up-set.  Sizes count an element
@@ -310,7 +317,7 @@ class SecurityLattice:
             out = self.join(out, x)
         return out
 
-    @property
+    @cached_property
     def top(self):
         tops = [a for a in self.elements if all(self.leq(b, a) for b in self.elements)]
         return tops[0] if len(tops) == 1 else None
@@ -492,13 +499,7 @@ def _implies_definite(rho1, rho2, names, lat: SecurityLattice) -> ImpliesResult:
     for c in sorted(rho2, key=_con_key):
         target = tvars(c.rhs)
         for x in sorted(tvars(c.lhs)):
-            seen = {x}
-            todo = [x]
-            while todo:
-                for y in succ.get(todo.pop(), ()):
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
+            seen = reachable(succ, x, {x})
             if not seen & target:
                 return ImpliesResult(False, {v: top if v in seen else lat.bottom for v in names})
     return ImpliesResult(True)

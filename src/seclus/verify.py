@@ -52,6 +52,7 @@ from seclus.sectypes import (
     SecurityLattice,
     eval_ground,
     implies,
+    reachable,
     tvars,
 )
 from seclus.typing import NodeSignature, check_program
@@ -81,15 +82,9 @@ def minimal_instantiation(
             succ.setdefault(a, set()).add(c.rhs.name)
     outputs = dict.fromkeys(sig.output_vars, lat.bottom)
     for a, level in s.items():
-        seen = {a}
-        todo = [a]
-        while todo:
-            for b in succ.get(todo.pop(), ()):
-                if b not in seen:
-                    seen.add(b)
-                    todo.append(b)
-                    if b in outputs:
-                        outputs[b] = lat.join(outputs[b], level)
+        for b in reachable(succ, a, set()):
+            if b in outputs:
+                outputs[b] = lat.join(outputs[b], level)
     s.update(outputs)
     return s
 
@@ -221,7 +216,6 @@ def differential_semantics(
     seed: int = 0,
     engine: str = "compiled",
     nodes: str = "entry",
-    jobs: int = 1,
 ) -> DifferentialReport:
     """Bit-exact output comparison of original / de-nested / delay-
     initialised forms on random full-clock inputs.
@@ -233,60 +227,18 @@ def differential_semantics(
     `nodes` is "entry" (run the last node only; its callees are still
     exercised as sub-instances) or "all" (run every node as the top).
 
-    Each trial draws its inputs from its own seed, so the report is
-    identical whatever the execution order; `jobs > 1` splits the trial
-    range over worker processes.  `trials` must be at least 1."""
-    parts = _map_trials(_diff_trials, (G, N, seed, engine, nodes), trials, jobs)
-    run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
-    names = tuple(n.name for n in run_list)
-    divergences: List[Divergence] = []
-    seen = set()
-    for part in parts:  # chunks are in trial order: first hit per node wins
-        for d in part:
-            if d.node not in seen:
-                seen.add(d.node)
-                divergences.append(d)
-    order = {n: i for i, n in enumerate(names)}
-    divergences.sort(key=lambda d: (order[d.node], d.trial))
-    return DifferentialReport(names, trials, N, seed, tuple(divergences))
-
-
-def _trial_rng(seed: int, stream: int, trial: int) -> random.Random:
-    return random.Random((seed * 1_000_003 + stream) * 1_000_003 + trial)
-
-
-def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
-    """`fn(args + (lo, hi))` over consecutive chunks of the trial range,
-    in trial order: one worker process per chunk when `jobs > 1` cuts
-    more than one, else one chunk in this process."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
-    k = max(1, min(jobs, trials))
-    size = (trials + k - 1) // k
-    work = [args + (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    if len(work) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(len(work)) as pool:
-            return pool.map(fn, work)
-    return [fn(w) for w in work]
-
-
-def _engine(name: str):
-    """The evaluator class of an engine name: "compiled" or "reference"."""
-    return CompiledProgram if name == "compiled" else ReferenceProgram
-
-
-def _diff_trials(args) -> List[Divergence]:
-    G, N, seed, engine, nodes, lo, hi = args
+    Each trial draws its inputs from its own seed; the report holds the
+    first divergence of each node, in node order.  `trials` must be at
+    least 1."""
+    _check_trials(trials)
     denested = normalize_program(G)
     engine_class = _engine(engine)
     forms = [engine_class(form) for form in (G, denested, fby_init(denested))]
     run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
-    out: List[Divergence] = []
+    divergences: List[Divergence] = []
     for ni, node in enumerate(run_list):
         outs = [d.name for d in node.outputs]
-        for trial in range(lo, hi):
+        for trial in range(trials):
             inputs = random_inputs(node, N, _trial_rng(seed, ni, trial))
             results = []
             for form in forms:
@@ -296,9 +248,24 @@ def _diff_trials(args) -> List[Divergence]:
                     results.append({"!error": [repr(exc)]})
             d = _first_divergence(node.name, trial, results)
             if d is not None:
-                out.append(d)
+                divergences.append(d)
                 break
-    return out
+    names = tuple(n.name for n in run_list)
+    return DifferentialReport(names, trials, N, seed, tuple(divergences))
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+
+
+def _trial_rng(seed: int, stream: int, trial: int) -> random.Random:
+    return random.Random((seed * 1_000_003 + stream) * 1_000_003 + trial)
+
+
+def _engine(name: str):
+    """The evaluator class of an engine name: "compiled" or "reference"."""
+    return CompiledProgram if name == "compiled" else ReferenceProgram
 
 
 def _first_divergence(name, trial, results) -> Optional[Divergence]:
@@ -353,7 +320,6 @@ def check_noninterference(
     output_levels: Optional[Mapping[str, object]] = None,
     clock_pairing: str = "strict",
     engine: str = "compiled",
-    jobs: int = 1,
 ) -> NIReport:
     """Paired-run test: draw input histories equal at or below t (same
     presence everywhere), run both, and compare every variable at or
@@ -367,48 +333,27 @@ def check_noninterference(
 
     When every input is at or below t, the two runs get the same inputs
     and so the same history, and each trial runs once.  Per-trial
-    seeding keeps the report independent of execution order, and lets
-    the levels of a sweep share each trial's draws and runs within one
-    process: the program object keeps one table of them, keyed by
-    engine, entry node, horizon and seed (a call with another key
-    replaces it), so a level runs only the paired histories that no
-    earlier level ran.  `jobs > 1` splits the trial range over worker
-    processes, which get the program without its table and share
-    nothing across levels.  `trials` must be at least 1."""
-    args = (G, f, lat, dict(input_levels), t, N, seed,
-            dict(output_levels) if output_levels else None, clock_pairing, engine)
-    parts = _map_trials(_ni_trials, args, trials, jobs)
-    violations: List[NIViolation] = []
-    errors: List[str] = []
-    skipped = 0
-    for vs, es, sk in parts:
-        if not violations:
-            violations.extend(vs)
-        errors.extend(es)
-        skipped += sk
-    return NIReport(f, t, trials, tuple(violations[:1]), skipped, tuple(errors))
-
-
-def _ni_trials(args):
-    """One chunk of paired-run trials, read off the program object's
-    trial table (see `_NITable`): only the runs no earlier level of the
-    sweep made are made here.  The first violation is the first trial,
-    in order, whose paired run differs on an observed column, and the
-    first such column in sorted order; the chunk stops there."""
-    (G, f, lat, input_levels, t, N, seed, output_levels,
-     clock_pairing, engine, lo, hi) = args
+    seeding lets the levels of a sweep share each trial's draws and
+    runs: the program object keeps one table of them (see `_NITable`),
+    keyed by engine, entry node, horizon and seed (a call with another
+    key replaces it), so a level runs only the paired histories that no
+    earlier level ran.  The first violation is the first trial, in
+    order, whose paired run differs on an observed column, and the
+    first such column in sorted order; the campaign stops there.
+    `trials` must be at least 1."""
+    _check_trials(trials)
     node = G.node(f)
     sig = check_program(G)[f]
     levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
     if clock_pairing == "skip" and any(not isinstance(d.clock, Base) for d in node.inputs):
-        return [], [], hi - lo
+        return NIReport(f, t, trials, (), trials)
     low = tuple(lat.leq(levels[d.name], t) for d in node.inputs)
     paired = not all(low)
     observed = sorted(x for x in levels if lat.leq(levels[x], t))
     table = _NITable.of(G, engine, f, N, seed)
     violations: List[NIViolation] = []
     errors: List[str] = []
-    for trial in range(lo, hi):
+    for trial in range(trials):
         outcome = table.first(trial)
         if paired and not isinstance(outcome, str):
             outcome = table.differences(trial, low)
@@ -420,7 +365,7 @@ def _ni_trials(args):
                 i, values = outcome[x]
                 violations.append(NIViolation(t, trial, x, i, values))
                 break
-    return violations, errors, 0
+    return NIReport(f, t, trials, tuple(violations), 0, tuple(errors))
 
 
 # the columns where a paired run differs from the first run, each with

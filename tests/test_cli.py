@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from seclus.cli import main
+from seclus.cli import _parse_level, main
+from seclus.sectypes import powerset_lattice
 
 from conftest import (
     ASCII_PIECES,
@@ -245,6 +246,12 @@ def test_verify_ni_says_when_runs_are_not_paired(capsys):
     assert code == 0 and len(lines) == 4
     assert all("runs not paired" in ln for ln in lines)
     assert out.count("no --policy given") == 1
+    # every printed level is written as a policy file writes it
+    p2 = powerset_lattice(2)
+    printed = [ln[len("ni re_trig at "):].split(": ", 1)[0] for ln in lines]
+    assert [_parse_level(p2, s) for s in printed] == p2.elements
+    assert "every input is at {}\n" in out
+    assert _parse_level(p2, "{}") == p2.bottom
     # with a policy, only the levels at or above every input say so
     lus, pol = leaky_pairs()[0]
     code, out, _ = run(
@@ -261,6 +268,28 @@ def test_verify_argument_validation(capsys):
         capsys, "verify", fixture_path("cnt_dn.lus"), "--horizon", "0"
     )
     assert code == 1 and "horizon" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        (["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        (None, "the following arguments are required: file"),
+    ],
+)
+def test_argument_errors_are_one_diagnostic(capsys, args, message):
+    argv = ["verify"] + ([fixture_path("re_trig.lus")] + args if args else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--trials" in out and "--jobs" not in out
 
 
 @pytest.mark.parametrize(

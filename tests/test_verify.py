@@ -106,41 +106,6 @@ def test_differential_engines_agree():
     assert report_json(a) == report_json(b)
 
 
-def test_differential_jobs_deterministic():
-    p = generate_program(GenConfig(seed=3))
-    a = differential_semantics(p, trials=12, N=20, jobs=1)
-    b = differential_semantics(p, trials=12, N=20, jobs=3)
-    assert report_json(a) == report_json(b)
-
-
-def test_pool_has_one_worker_per_chunk(monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class FakePool:
-        """Records its size and maps in this process: starts nothing."""
-
-        def __init__(self, n):
-            sizes.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            return [fn(w) for w in work]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    assert verify._map_trials(tuple, ("x",), 3, 64) == [("x", 0, 1), ("x", 1, 2), ("x", 2, 3)]
-    assert sizes == [3]
-    # a single chunk runs in this process
-    assert verify._map_trials(tuple, ("x",), 1, 64) == [("x", 0, 1)]
-    assert sizes == [3]
-
-
 @pytest.mark.parametrize("trials", [0, -3])
 def test_campaigns_reject_fewer_than_one_trial(trials):
     p = load("cnt_dn.lus")
@@ -200,20 +165,15 @@ def test_ni_detects_explicit_leak_under_forced_policy():
     assert v.variable == "o" and v.values[0] != v.values[1]
 
 
-def test_ni_engines_and_jobs_agree():
+def test_ni_engines_agree():
     p = load("cnt_dn.lus")
     lat = two_point()
     kw = dict(trials=40, N=20)
     base = check_noninterference(p, "cnt_dn", lat, {"res": "L", "n": "L"}, "L", **kw)
-    for variant in (
-        check_noninterference(
-            p, "cnt_dn", lat, {"res": "L", "n": "L"}, "L", engine="reference", **kw
-        ),
-        check_noninterference(
-            p, "cnt_dn", lat, {"res": "L", "n": "L"}, "L", jobs=3, **kw
-        ),
-    ):
-        assert report_json(variant) == report_json(base)
+    variant = check_noninterference(
+        p, "cnt_dn", lat, {"res": "L", "n": "L"}, "L", engine="reference", **kw
+    )
+    assert report_json(variant) == report_json(base)
 
 
 def test_variable_levels_cover_all_locals():
