@@ -34,6 +34,7 @@ from seclus.sectypes import LatticeError, SecurityLattice, parse_lattice
 from seclus.typing import (
     TypingError,
     check_policy,
+    check_policy_names,
     check_program,
     policy_instantiation,
     render_signature,
@@ -280,6 +281,7 @@ def cmd_verify(args) -> int:
     if args.what in ("ni", "all"):
         node = _pick_node(prog, args.node)
         named = _load_policy(args.policy, lat) if args.policy else {}
+        check_policy_names(node, named)
         input_levels = {
             d.name: named.get(d.name, lat.bottom) for d in node.inputs
         }

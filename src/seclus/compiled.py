@@ -26,9 +26,11 @@ generated for one entry node and one set of recorded columns:
 
   before the loop  every delay register is a Python local, holding its
                    constant initial value or the `first` sentinel
+                   (`interp._FIRST`)
   per instant      the input columns are zipped with the base clock; an
                    input declared on a derived clock is checked against
-                   it, as in the reference; on a base-false instant every
+                   it by the reference's own presence rules (`interp._on`,
+                   `interp._check_input`); on a base-false instant every
                    recorded column gets None and nothing else happens,
                    otherwise the body runs with the base clock known to be
                    true (base-clocked statements carry no guard)
@@ -90,10 +92,12 @@ from seclus.ast import (
     fv,
 )
 from seclus.interp import (
+    _FIRST,
     WRAP,
-    ClockMismatch,
     History,
     StreamPrefix,
+    _check_input,
+    _on,
     base_clock,
     int_div,
     int_mod,
@@ -127,10 +131,6 @@ _LITERAL_FMT = {
 }
 
 
-# content of a delay register before the delay's first instant
-_FIRST = object()
-
-
 def _mangle(prefix: str, name: str) -> str:
     # the lexer's ASCII identifiers keep their spelling; any other is
     # spelt in hex, so no two names meet under Python's NFKC folding
@@ -151,19 +151,6 @@ def _positive_literal(e: Expr) -> bool:
 
 def _guard(code: str, flag: Optional[str]) -> str:
     return code if flag is None else f"{code} if {flag} else None"
-
-
-def _on(parent: bool, x, var: str, k: bool) -> bool:
-    """Whether `... on var` (`k`) ticks at the start of an instant, given
-    whether its parent clock does, with `x` the value of `var`: the rule
-    by which `interp.ReferenceProgram` checks a declared input clock."""
-    if not parent:
-        if x is not None:
-            raise ClockMismatch(f"{var} present while its clock is off")
-        return False
-    if x is None:
-        raise ClockMismatch(f"{var} absent while its clock ticks")
-    return x == k
 
 
 class _Deps(NamedTuple):
@@ -568,15 +555,11 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
     lines += ["    " + line for line in gen.registers]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
-    # an input on a derived clock is checked against it, as in the
-    # reference, before the instant runs
+    # an input on a derived clock is checked against it by the
+    # reference's rules, before the instant runs
     in_env = {d.name: env[d.name] for d in node.inputs}
     for d in derived:
-        mismatch = f"input {d.name} off its declared clock"
-        lines.append(
-            f"        if {_ticks(d.clock, in_env)} != ({env[d.name]} is not None): "
-            f"raise mismatch({mismatch!r})"
-        )
+        lines.append(f"        check({_ticks(d.clock, in_env)}, {env[d.name]}, {d.name!r})")
     lines.append("        if not b:")
     lines += [f"            {a}(None)" for a in appends]
     lines.append("            continue")
@@ -589,7 +572,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         "int_mod": int_mod,
         "FIRST": _FIRST,
         "on": _on,
-        "mismatch": ClockMismatch,
+        "check": _check_input,
     }
     exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
     layout = tuple((x, inputs.get(x)) for x in want)

@@ -1,9 +1,13 @@
 """Finite-prefix executable model of the clocked stream semantics.
 
 A stream prefix is a list of length N whose entries are either a value
-(bool or int) or None, which stands for absence.  The whole-stream
-operators (`sem_*`) transcribe the relational semantics rule by rule and
-are partial: mixed presence raises ClockMismatch.
+(bool or int) or None, which stands for absence.  Each presence rule of
+the semantics is one scalar function over one instant (`_lift2`,
+`_sample`, `_choose`, `_select`, `_paired`, `_on`, `_check_input`) and is
+partial: mixed presence raises ClockMismatch.  These rules are the one
+source that the whole-stream operators (`sem_*`, which map them over
+whole prefixes), the reference evaluator's closures and the compiled
+engine's generated code apply.
 
 `ReferenceProgram` is a deterministic instant-by-instant evaluator
 (equations scheduled by instantaneous dependency, delay state carried
@@ -127,6 +131,77 @@ _BINARY = {
 
 
 # ---------------------------------------------------------------------------
+# Presence rules, one instant at a time
+# ---------------------------------------------------------------------------
+# Each rule is written here once.  The whole-stream operators map it over
+# their streams, the prepared evaluator calls it at every instant and the
+# compiled engine calls `_on` and `_check_input` from its generated code.
+
+# content of a delay register before the delay's first present instant
+_FIRST = object()
+
+
+def _lift2(fn: Callable[[Value, Value], Value], a: CV, b: CV) -> CV:
+    if (a is ABSENT) != (b is ABSENT):
+        raise ClockMismatch("mixed presence in binary operator")
+    return ABSENT if a is ABSENT else fn(a, b)
+
+
+def _sample(x: CV, v: CV, k: bool) -> CV:
+    if (x is ABSENT) != (v is ABSENT):
+        raise ClockMismatch("mixed presence in sampling")
+    return v if x is not ABSENT and x == k else ABSENT
+
+
+def _choose(x: CV, t: CV, e: CV) -> CV:
+    if x is ABSENT:
+        if t is not ABSENT or e is not ABSENT:
+            raise ClockMismatch("merge branch present under absent scrutinee")
+        return ABSENT
+    if x:
+        if t is ABSENT or e is not ABSENT:
+            raise ClockMismatch("merge true-branch presence mismatch")
+        return t
+    if e is ABSENT or t is not ABSENT:
+        raise ClockMismatch("merge false-branch presence mismatch")
+    return e
+
+
+def _select(c: CV, t: CV, e: CV) -> CV:
+    if c is ABSENT and t is ABSENT and e is ABSENT:
+        return ABSENT
+    if c is ABSENT or t is ABSENT or e is ABSENT:
+        raise ClockMismatch("mixed presence in conditional")
+    return t if c else e
+
+
+def _paired(i: CV, v: CV) -> bool:
+    """Whether the two operands of a delay are present; they must be
+    present together."""
+    if (i is ABSENT) != (v is ABSENT):
+        raise ClockMismatch("mixed presence in delay")
+    return i is not ABSENT
+
+
+def _on(parent: bool, x: CV, var: str, k: bool) -> bool:
+    """Whether `... on var` (`k`) ticks, given whether its parent clock
+    does, with `x` the value of `var`."""
+    if not parent:
+        if x is not ABSENT:
+            raise ClockMismatch(f"{var} present while its clock is off")
+        return False
+    if x is ABSENT:
+        raise ClockMismatch(f"{var} absent while its clock ticks")
+    return x == k
+
+
+def _check_input(ticks: bool, x: CV, name: str) -> None:
+    """An input is present exactly when its declared clock ticks."""
+    if ticks != (x is not ABSENT):
+        raise ClockMismatch(f"input {name} off its declared clock")
+
+
+# ---------------------------------------------------------------------------
 # Whole-stream operators
 # ---------------------------------------------------------------------------
 
@@ -141,70 +216,32 @@ def sem_lift1(op: str, xs: StreamPrefix) -> StreamPrefix:
 
 
 def sem_lift2(op: str, xs: StreamPrefix, ys: StreamPrefix) -> StreamPrefix:
-    fn = _BINARY[op]
-    out: StreamPrefix = []
-    for x, y in zip(xs, ys):
-        if (x is ABSENT) != (y is ABSENT):
-            raise ClockMismatch("mixed presence in binary operator")
-        out.append(ABSENT if x is ABSENT else fn(x, y))
-    return out
+    return list(map(_lift2, repeat(_BINARY[op]), xs, ys))
 
 
 def sem_when(k: bool, xs: StreamPrefix, es: StreamPrefix) -> StreamPrefix:
-    out: StreamPrefix = []
-    for x, e in zip(xs, es):
-        if (x is ABSENT) != (e is ABSENT):
-            raise ClockMismatch("mixed presence in sampling")
-        out.append(e if x is not ABSENT and x == k else ABSENT)
-    return out
+    return list(map(_sample, xs, es, repeat(k)))
 
 
 def sem_merge(xs: StreamPrefix, ts: StreamPrefix, fs: StreamPrefix) -> StreamPrefix:
-    out: StreamPrefix = []
-    for x, t, f in zip(xs, ts, fs):
-        if x is ABSENT:
-            if t is not ABSENT or f is not ABSENT:
-                raise ClockMismatch("merge branch present under absent scrutinee")
-            out.append(ABSENT)
-        elif x:
-            if t is ABSENT or f is not ABSENT:
-                raise ClockMismatch("merge true-branch presence mismatch")
-            out.append(t)
-        else:
-            if f is ABSENT or t is not ABSENT:
-                raise ClockMismatch("merge false-branch presence mismatch")
-            out.append(f)
-    return out
+    return list(map(_choose, xs, ts, fs))
 
 
 def sem_ite(es: StreamPrefix, ts: StreamPrefix, fs: StreamPrefix) -> StreamPrefix:
-    out: StreamPrefix = []
-    for e, t, f in zip(es, ts, fs):
-        present = [v is not ABSENT for v in (e, t, f)]
-        if not any(present):
-            out.append(ABSENT)
-        elif all(present):
-            out.append(t if e else f)
-        else:
-            raise ClockMismatch("mixed presence in conditional")
-    return out
+    return list(map(_select, es, ts, fs))
 
 
 def sem_fby_L(xs: StreamPrefix, ys: StreamPrefix) -> StreamPrefix:
     """First present instant yields xs's value; afterwards the value of
     ys at the previous present instant (delay skips absences)."""
     out: StreamPrefix = []
-    first = True
-    pending: CV = ABSENT
+    pending: Any = _FIRST
     for x, y in zip(xs, ys):
-        if (x is ABSENT) != (y is ABSENT):
-            raise ClockMismatch("mixed presence in delay")
-        if x is ABSENT:
+        if _paired(x, y):
+            out.append(x if pending is _FIRST else pending)
+            pending = y
+        else:
             out.append(ABSENT)
-            continue
-        out.append(x if first else pending)
-        pending = y
-        first = False
     return out
 
 
@@ -226,15 +263,7 @@ def sem_clock(H: History, bs: ClockStream, ck: Clock) -> ClockStream:
         return list(bs)
     assert isinstance(ck, On)
     parent = sem_clock(H, bs, ck.clock)
-    xs = H[ck.var]
-    out: ClockStream = []
-    for p, x in zip(parent, xs):
-        if p and x is ABSENT:
-            raise ClockMismatch(f"{ck.var} absent while its clock ticks")
-        if not p and x is not ABSENT:
-            raise ClockMismatch(f"{ck.var} present while its clock is off")
-        out.append(bool(p and x == ck.value))
-    return out
+    return list(map(_on, parent, H[ck.var], repeat(ck.var), repeat(ck.value)))
 
 
 def base_of(vs: Sequence[StreamPrefix]) -> ClockStream:
@@ -368,9 +397,6 @@ def schedule(n: Node) -> List[AnyEquation]:
 # closures allocated (delay registers, saved delay heads, callee frames).
 Frame = List[Any]
 
-# content of a delay register before the delay's first present instant
-_FIRST = object()
-
 
 def _base(f: Frame, base: bool) -> bool:
     return base
@@ -385,37 +411,6 @@ def _one(vector: Callable[[Frame], List[CV]]) -> Callable[[Frame], CV]:
         return v
 
     return one
-
-
-# Scalar presence rules of the sampling, merge and conditional operators.
-
-
-def _sample(x: CV, v: CV, k: bool) -> CV:
-    if (x is ABSENT) != (v is ABSENT):
-        raise ClockMismatch("mixed presence in sampling")
-    return v if x is not ABSENT and x == k else ABSENT
-
-
-def _choose(x: CV, t: CV, e: CV) -> CV:
-    if x is ABSENT:
-        if t is not ABSENT or e is not ABSENT:
-            raise ClockMismatch("merge branch present under absent scrutinee")
-        return ABSENT
-    if x:
-        if t is ABSENT or e is not ABSENT:
-            raise ClockMismatch("merge true-branch presence mismatch")
-        return t
-    if e is ABSENT or t is not ABSENT:
-        raise ClockMismatch("merge false-branch presence mismatch")
-    return e
-
-
-def _select(c: CV, t: CV, e: CV) -> CV:
-    if c is ABSENT and t is ABSENT and e is ABSENT:
-        return ABSENT
-    if c is ABSENT or t is ABSENT or e is ABSENT:
-        raise ClockMismatch("mixed presence in conditional")
-    return t if c else e
 
 
 class _Prepared:
@@ -486,23 +481,15 @@ class _Prepared:
         var, i, k = ck.var, self.slots[ck.var], ck.value
 
         def on(f: Frame, base: bool) -> bool:
-            if not parent(f, base):
-                if f[i] is not ABSENT:
-                    raise ClockMismatch(f"{var} present while its clock is off")
-                return False
-            x = f[i]
-            if x is ABSENT:
-                raise ClockMismatch(f"{var} absent while its clock ticks")
-            return x == k
+            return _on(parent(f, base), f[i], var, k)
 
         return on
 
     def input_check(self, k: int, d) -> Callable[[Frame, bool], None]:
-        on = self.clock(d.clock)
+        on, name = self.clock(d.clock), d.name
 
         def check(f: Frame, base: bool) -> None:
-            if on(f, base) != (f[k] is not ABSENT):
-                raise ClockMismatch(f"input {d.name} off its declared clock")
+            _check_input(on(f, base), f[k], name)
 
         return check
 
@@ -579,15 +566,7 @@ class _Prepared:
         op = _BINARY[e.op]
 
         def binop(f: Frame) -> CV:
-            a = left(f)
-            b = right(f)
-            if a is ABSENT:
-                if b is not ABSENT:
-                    raise ClockMismatch("mixed presence in binary operator")
-                return ABSENT
-            if b is ABSENT:
-                raise ClockMismatch("mixed presence in binary operator")
-            return op(a, b)
+            return _lift2(op, left(f), right(f))
 
         return binop
 
@@ -654,9 +633,7 @@ class _Prepared:
 
         def commit(f: Frame, inits: List[CV]) -> None:
             for i, v, r in zip(inits, rest(f), regs):
-                if (i is ABSENT) != (v is ABSENT):
-                    raise ClockMismatch("mixed presence in delay")
-                if i is not ABSENT:
+                if _paired(i, v):
                     f[r] = v
 
         if delayed:
@@ -693,10 +670,7 @@ class _Prepared:
 
         def commit(f: Frame) -> None:
             v = rest(f)
-            i = f[h]
-            if (i is ABSENT) != (v is ABSENT):
-                raise ClockMismatch("mixed presence in delay")
-            if i is not ABSENT:
+            if _paired(f[h], v):
                 f[r] = v
 
         self.phase2.append(commit)
@@ -1054,7 +1028,11 @@ def read_streams(text: str) -> Tuple[List[str], History]:
     if not rows:
         raise EvalError("empty stream CSV")
     names = [c.strip() for c in rows[0]]
-    H: History = {n: [] for n in names}
+    H: History = {}
+    for n in names:
+        if n in H:
+            raise EvalError(f"stream CSV names column {n!r} twice")
+        H[n] = []
     for r in rows[1:]:
         if len(r) != len(names):
             raise EvalError("stream CSV row width mismatch")

@@ -347,7 +347,8 @@ POWERSET_MAX = 10
 def parse_lattice(spec: str) -> SecurityLattice:
     """Lattice mini-language: "2point", "powerset:n" (0 <= n <=
     `POWERSET_MAX`), or a file with lines "elements: a b c" and "a <= b"
-    covering pairs.  Raises `LatticeError` for any other spec."""
+    covering pairs of those elements.  Raises `LatticeError` for any
+    other spec."""
     if spec == "2point":
         return two_point()
     if spec.startswith("powerset:"):
@@ -377,6 +378,9 @@ def parse_lattice(spec: str) -> SecurityLattice:
             raise LatticeError(f"bad lattice line: {line!r}")
     if not elements:
         raise LatticeError("lattice file has no elements: line")
+    unknown = [x for pair in pairs for x in pair if x not in elements]
+    if unknown:
+        raise LatticeError(f"lattice order names {unknown[0]!r}, which is not an element")
     return SecurityLattice(elements, pairs)
 
 

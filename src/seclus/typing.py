@@ -21,7 +21,7 @@ the same program therefore produces literally identical signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from seclus.ast import (
     BASE,
@@ -414,15 +414,21 @@ def policy_instantiation(
 ) -> dict[str, object]:
     """Translate a policy keyed by source variable names (plus "base")
     into one keyed by the signature's type variables."""
-    out: dict[str, object] = {}
+    check_policy_names(node, named)
     names = {d.name: v for d, v in zip(node.inputs, sig.input_vars)}
     names.update({d.name: v for d, v in zip(node.outputs, sig.output_vars)})
     names[BASE_KEY] = sig.clock_var
-    for k, lev in named.items():
-        if k not in names:
+    return {names[k]: lev for k, lev in named.items()}
+
+
+def check_policy_names(node: Node, named: Iterable[str]) -> None:
+    """TypingError for the first policy name that is neither an input
+    or output of `node` nor "base"."""
+    interface = {d.name for d in (*node.inputs, *node.outputs)}
+    interface.add(BASE_KEY)
+    for k in named:
+        if k not in interface:
             raise TypingError(f"{k!r} is not an interface variable of {node.name}")
-        out[names[k]] = lev
-    return out
 
 
 # ---------------------------------------------------------------------------

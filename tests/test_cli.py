@@ -173,6 +173,16 @@ def test_interpret_missing_column_is_an_error(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+def test_interpret_repeated_column_is_an_error(capsys, tmp_path):
+    src = tmp_path / "f.lus"
+    src.write_text("node f(x: int) returns (o: int) let o = x; tel\n")
+    csv = tmp_path / "in.csv"
+    csv.write_text("x,x\n2,3\n4,5\n")
+    code, out, err = run(capsys, "interpret", str(src), "--inputs", str(csv))
+    assert code == 1 and out == ""
+    assert err == "error: stream CSV names column 'x' twice\n"
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -263,6 +273,18 @@ def test_verify_ni_says_when_runs_are_not_paired(capsys):
     assert ["runs not paired" in ln for ln in lines] == [False, True]
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_policy_naming_no_interface_variable_is_an_error(capsys, tmp_path, command):
+    pol = tmp_path / "p.pol"
+    pol.write_text("secret = H\n")
+    argv = [command, fixture_path("re_trig.lus"), "--policy", str(pol)]
+    if command == "verify":
+        argv += ["--what", "ni", "--trials", "5", "--seed", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "pass" not in out
+    assert err == "error: 'secret' is not an interface variable of re_trig\n"
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run(
         capsys, "verify", fixture_path("cnt_dn.lus"), "--horizon", "0"
@@ -302,11 +324,17 @@ def test_help_exits_zero(capsys):
         ("verify", "powerset:-1", "n must be an integer from 0 to 10"),
         ("check", "powerset:11", "n must be an integer from 0 to 10"),
         ("verify", "powerset:" + "9" * 5000, "n must be an integer from 0 to 10"),
+        ("verify", "typo.lat", "lattice order names 'M', which is not an element"),
     ],
 )
-def test_bad_lattice_spec_is_a_diagnostic(capsys, command, spec, message):
+def test_bad_lattice_spec_is_a_diagnostic(capsys, tmp_path, command, spec, message):
     if spec == "fixtures":
         spec = os.path.dirname(fixture_path("re_trig.lus"))
+    if spec == "typo.lat":
+        # a three-element chain whose middle element is missing from `elements:`
+        typo = tmp_path / spec
+        typo.write_text("elements: L H\nL <= M\nM <= H\n")
+        spec = str(typo)
     argv = [command, fixture_path("re_trig.lus"), "--lattice", spec]
     if command == "verify":
         argv += ["--what", "ni", "--trials", "5"]

@@ -96,6 +96,38 @@ def test_sem_clock():
         sem_clock({"x": [A]}, [True], On(BASE, "x", True))
 
 
+_X_ON = On(BASE, "x", True)
+
+
+@pytest.mark.parametrize(
+    "op, args, message",
+    [
+        (sem_lift2, ("+", [1, 1], [2, A]), "mixed presence in binary operator"),
+        (sem_lift2, ("+", [A], [2]), "mixed presence in binary operator"),
+        (sem_when, (True, [True, A], [1, 2]), "mixed presence in sampling"),
+        (sem_when, (True, [False], [A]), "mixed presence in sampling"),
+        (sem_merge, ([A], [1], [A]), "merge branch present under absent scrutinee"),
+        (sem_merge, ([A], [A], [2]), "merge branch present under absent scrutinee"),
+        (sem_merge, ([True], [A], [A]), "merge true-branch presence mismatch"),
+        (sem_merge, ([False, True], [A, 1], [2, 2]), "merge true-branch presence mismatch"),
+        (sem_merge, ([False], [A], [A]), "merge false-branch presence mismatch"),
+        (sem_merge, ([False], [1], [2]), "merge false-branch presence mismatch"),
+        (sem_ite, ([True], [A], [2]), "mixed presence in conditional"),
+        (sem_ite, ([True], [1], [A]), "mixed presence in conditional"),
+        (sem_ite, ([A, A], [A, 1], [A, 2]), "mixed presence in conditional"),
+        (sem_ite, ([False], [A], [A]), "mixed presence in conditional"),
+        (sem_fby_L, ([1, 2], [10, A]), "mixed presence in delay"),
+        (sem_fby_L, ([A], [10]), "mixed presence in delay"),
+        (sem_clock, ({"x": [True, A]}, [True, True], _X_ON), "x absent while its clock ticks"),
+        (sem_clock, ({"x": [False]}, [False], _X_ON), "x present while its clock is off"),
+    ],
+)
+def test_sem_mixed_presence_messages(op, args, message):
+    with pytest.raises(ClockMismatch) as exc:
+        op(*args)
+    assert str(exc.value) == message
+
+
 def test_base_of():
     assert base_of([[1, A, 2]]) == [True, False, True]
     assert base_of([[], []]) == []
