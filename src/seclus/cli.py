@@ -118,6 +118,7 @@ def _format_level(level) -> str:
 def _load_policy(path: str, lat: SecurityLattice) -> Dict[str, object]:
     """Line-oriented `name = LEVEL` (use `base` for the node clock)."""
     policy: Dict[str, object] = {}
+    lines: Dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -127,6 +128,11 @@ def _load_policy(path: str, lat: SecurityLattice) -> Dict[str, object]:
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected `name = LEVEL`")
                 name, level = (p.strip() for p in line.split("=", 1))
+                if name in lines:
+                    raise CliError(
+                        f"{path}:{lineno}: {name!r} already has a level, on line {lines[name]}"
+                    )
+                lines[name] = lineno
                 policy[name] = _parse_level(lat, level)
     except OSError as exc:
         raise CliError(str(exc)) from None

@@ -52,12 +52,27 @@ starts with a lower-case letter, so no program identifier can shadow
 one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
 
-`div` and `mod` by a positive integer literal (all the generator's
-divisions) are inline floor operations with the sign fixed up, through
-the scratch local `q`; any other divisor calls `interp.int_div` or
-`int_mod`, which test for zero.  The generated functions are kept on
-the program object (`Program.memo`), so every `CompiledProgram` of one
-program generates each (entry node, columns) pair once.
+`+`, `-`, `*` and unary `-` wrap to 64 bits by `interp.WRAP`, a range
+test through the scratch local `w` that leaves the three big-int
+masking operations to a result outside the range.  `div` and `mod` by a
+positive integer literal (all the generator's divisions) are inline
+floor operations with the sign fixed up, through the scratch local `q`;
+any other divisor calls `interp.int_div` or `int_mod`, which test for
+zero.  The generated functions are kept on the program object
+(`Program.memo`), so every `CompiledProgram` of one program generates
+each (entry node, columns) pair once.
+
+Constants are folded in the generated code only; the program, its
+signatures and the reference engine see it as written.  An operator
+over two literal codes is replaced by its value, computed by the
+reference's own `interp._BINARY`/`_UNARY`, except a `div`/`mod` by 0,
+which must still raise at run time.  An `if` whose condition is a
+literal is its branch, after any strict branch has been hoisted as
+usual; so is a `merge` whose variable's code is a literal.  Equal branch
+codes collapse when the condition cannot raise.  A variable that an
+equation on the instance's base clock sets to a literal is that literal
+in every later code of the instance; its assignment stays, as phase-2
+code emitted before it may name the variable.
 """
 
 from __future__ import annotations
@@ -92,10 +107,13 @@ from seclus.ast import (
     fv,
 )
 from seclus.interp import (
+    _BINARY,
     _FIRST,
+    _UNARY,
     WRAP,
     History,
     StreamPrefix,
+    Value,
     _check_input,
     _on,
     base_clock,
@@ -105,9 +123,9 @@ from seclus.interp import (
 )
 
 _BIN_FMT = {
-    "+": "(" + WRAP.format("{} + {}") + ")",
-    "-": "(" + WRAP.format("{} - {}") + ")",
-    "*": "(" + WRAP.format("{} * {}") + ")",
+    "+": WRAP.format("{} + {}"),
+    "-": WRAP.format("{} - {}"),
+    "*": WRAP.format("{} * {}"),
     "div": "div({}, {})",
     "mod": "mod({}, {})",
     "=": "({} == {})",
@@ -122,7 +140,7 @@ _BIN_FMT = {
     "or": "({} | {})",
     "xor": "({} ^ {})",
 }
-_NEG_FMT = "(" + WRAP.format("-{}") + ")"
+_NEG_FMT = WRAP.format("-{}")
 # `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
 # toward zero: it cannot raise, nor leave the 64-bit integers
 _LITERAL_FMT = {
@@ -141,8 +159,29 @@ def _const(v) -> str:
     return f"({v!r})" if not isinstance(v, bool) and v < 0 else repr(v)
 
 
+def _literal(code: str) -> Optional[Value]:
+    """The value of `code` when it is a literal as `_const` spells one,
+    else None."""
+    if code == "True" or code == "False":
+        return code == "True"
+    digits = code[2:-1] if code.startswith("(-") else code
+    return int(code.strip("()")) if digits.isdigit() else None
+
+
+def _choice(c: str, t: str, f: str, pure: bool) -> str:
+    """Code for `t if c else f`: the branch itself when the condition
+    `c` is a literal, or when both branches are the same code and `c`
+    cannot raise (`pure`)."""
+    v = _literal(c)
+    if v is not None:
+        return t if v else f
+    if t == f and pure:
+        return t
+    return f"({t} if {c} else {f})"
+
+
 def _atom(code: str) -> bool:
-    return code.isidentifier() or code.strip("(-)").isdigit()
+    return code.isidentifier() or _literal(code) is not None
 
 
 def _positive_literal(e: Expr) -> bool:
@@ -348,22 +387,21 @@ class _NodeCode:
             return [self.env[e.name]]
         if isinstance(e, Unop):
             (s,) = self.expr(e.operand, sink)
+            v = _literal(s)
+            if v is not None:
+                return [_const(_UNARY[e.op](v))]
             return [f"(not {s})" if e.op == "not" else _NEG_FMT.format(s)]
         if isinstance(e, Binop):
             (l,) = self.expr(e.left, sink)
-            if e.op in _LITERAL_FMT and _positive_literal(e.right):
-                return [_LITERAL_FMT[e.op].format(e.right.value, l)]
             (r,) = self.expr(e.right, sink)
-            if e.op in _LITERAL_FMT:
-                self.divs += 1
-            return [_BIN_FMT[e.op].format(l, r)]
+            return [self.binop(e.op, l, r)]
         if isinstance(e, When):
             return self.all(e.exprs, sink)  # operand present whenever active
         if isinstance(e, Merge):
             ts = self.all(e.on_true, sink)
             fs = self.all(e.on_false, sink)
             x = self.env[e.var]
-            return [f"({t} if {x} else {f})" for t, f in zip(ts, fs)]
+            return [_choice(x, t, f, True) for t, f in zip(ts, fs)]
         if isinstance(e, Ite):
             return self.ite(e, sink)
         if isinstance(e, Fby):
@@ -371,6 +409,18 @@ class _NodeCode:
         if isinstance(e, NodeCall):
             return self.call(e.node, e.args, e.clock, None, sink)
         raise TypeError(type(e))
+
+    def binop(self, op: str, l: str, r: str) -> str:
+        a, b = _literal(l), _literal(r)
+        # two literals fold through the reference's own operator, except
+        # a division by zero, which must still raise at run time
+        if a is not None and b is not None and not (op in _LITERAL_FMT and b == 0):
+            return _const(_BINARY[op](a, b))
+        if op in _LITERAL_FMT:
+            if type(b) is int and b > 0:
+                return _LITERAL_FMT[op].format(b, l)
+            self.divs += 1
+        return _BIN_FMT[op].format(l, r)
 
     def all(self, es: Sequence[Expr], sink: List[str]) -> List[str]:
         out: List[str] = []
@@ -381,7 +431,9 @@ class _NodeCode:
     def ite(self, e: Ite, sink: List[str]) -> List[str]:
         # the reference evaluates both branches: a branch that can raise
         # is computed on the conditional's clock before the selection
+        before = self.divs
         (c,) = self.expr(e.cond, sink)
+        pure = self.divs == before
         before = self.divs
         ts = self.all(e.on_true, sink)
         fs = self.all(e.on_false, sink)
@@ -389,7 +441,7 @@ class _NodeCode:
             flag = self.flag(e.clock, sink)
             ts = [self.hoist(_guard(t, flag), sink) for t in ts]
             fs = [self.hoist(_guard(f, flag), sink) for f in fs]
-        return [f"({t} if {c} else {f})" for t, f in zip(ts, fs)]
+        return [_choice(c, t, f, pure) for t, f in zip(ts, fs)]
 
     def read(
         self, init: Optional[Expr], code: str, strict: bool, flag: Optional[str], sink: List[str]
@@ -489,6 +541,14 @@ class _NodeCode:
 
     # -- equations --
 
+    def define(self, x: str, code: str, flag: Optional[str]) -> None:
+        """Assign `x` its value.  A literal on the instance's base clock
+        also replaces `x` in the code emitted after; the assignment stays,
+        as phase-2 code emitted earlier may name it."""
+        self.lines.append(f"{self.env[x]} = {_guard(code, flag)}")
+        if flag is None and _literal(code) is not None:
+            self.env[x] = code
+
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
         env = self.env
@@ -503,11 +563,11 @@ class _NodeCode:
                     continue
                 flag = self.flag(e.clock, L)
                 for x, code in zip(names, self.expr(e, L)):
-                    L.append(f"{env[x]} = {_guard(code, flag)}")
+                    self.define(x, code, flag)
         elif isinstance(eq, SimpleEq):
             flag = self.flag(eq.clock, L)
             (code,) = self.expr(eq.rhs, L)
-            L.append(f"{env[eq.target]} = {_guard(code, flag)}")
+            self.define(eq.target, code, flag)
         elif isinstance(eq, FbyEq):
             flag = self.flag(eq.clock, L)
             before = self.divs

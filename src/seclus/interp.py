@@ -87,9 +87,13 @@ INT_MIN = -_HALF
 INT_MAX = _HALF - 1
 
 #: Two's-complement wrapping to 64 bits, as Python source around one
-#: integer operand `{}`.  `wrap` is compiled from it and the compiled
-#: engine inlines it, so both engines wrap by the same text.
-WRAP = f"(({{}}) + {_HALF} & {_MASK}) - {_HALF}"
+#: integer operand `{}`.  A result already in range (almost every one)
+#: costs two comparisons; only one outside it takes the three big-int
+#: operations.  The operand is bound once to the scratch local `w`, which
+#: is read right after the test, so nested wraps cannot clobber it.
+#: `wrap` is compiled from this text and the compiled engine inlines it,
+#: so both engines wrap by the same expression.
+WRAP = f"(w if {INT_MIN} <= (w := {{}}) <= {INT_MAX} else (w + {_HALF} & {_MASK}) - {_HALF})"
 
 wrap = eval(compile("lambda x: " + WRAP.format("x"), "<wrap>", "eval"))
 

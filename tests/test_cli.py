@@ -285,6 +285,20 @@ def test_policy_naming_no_interface_variable_is_an_error(capsys, tmp_path, comma
     assert err == "error: 'secret' is not an interface variable of re_trig\n"
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_policy_naming_a_variable_twice_is_an_error(capsys, tmp_path, command):
+    # without the second `i` line the policy is a violation; with it, the
+    # last line would silently lower the secret input to public
+    pol = tmp_path / "p.pol"
+    pol.write_text("i = H\nn = L\no = L\nbase = L\ni = L\n")
+    argv = [command, fixture_path("re_trig.lus"), "--policy", str(pol)]
+    if command == "verify":
+        argv += ["--what", "ni", "--trials", "5", "--seed", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "Secure" not in out and "pass" not in out
+    assert err == f"error: {pol}:5: 'i' already has a level, on line 1\n"
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run(
         capsys, "verify", fixture_path("cnt_dn.lus"), "--horizon", "0"

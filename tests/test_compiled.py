@@ -441,3 +441,119 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
     assert _assigned(full.source) == {d.name for d in node.outputs + node.locals}
     assert full.source.count("\n") > narrow.source.count("\n")
+
+
+# -- constant folding and the range-test wrap ------------------------------------
+
+
+def _both_engines(form):
+    return CompiledProgram(form), ReferenceProgram(form)
+
+
+def test_results_just_outside_the_range_wrap_on_both_engines():
+    # `m` is a literal, so the compiled engine folds `k`, `l` and `n`
+    # through the reference's operators; `x` and `y` are inputs, wrapped
+    # at run time
+    src = """
+    node f(x: int; y: int) returns (a: int; b: int; c: int; d: int; k: int; l: int; n: int)
+      var m: int;
+    let
+      m = -9223372036854775808;
+      a = x + 1; b = y - 1; c = y * -1; d = -y;
+      k = m - 1; l = m * -1; n = -m;
+    tel
+    """
+    inputs = [[INT_MAX, INT_MAX], [INT_MIN, INT_MIN]]
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        H = fast.run("f", inputs)
+        assert H == ref.run("f", inputs, dialect=dialect), dialect
+        assert H["a"] == H["c"] == H["d"] == H["l"] == H["n"] == [INT_MIN] * 2
+        assert H["b"] == H["k"] == [INT_MAX] * 2
+        (run,) = fast.nodes.values()
+        assert f"V_l = ({INT_MIN})" in run.source and f"V_k = {INT_MAX}" in run.source
+
+
+def test_folding_keeps_division_by_a_literal_zero():
+    # both operands fold to literals, yet the division is left to raise
+    # at the first instant where `c` is true, on both engines
+    src = """
+    node f(c: bool; a: int) returns (o: int)
+      var x: int; y: int :: base on c;
+    let x = 0; y = (7 when c) div (x when c); o = merge c (y) (a when not c); tel
+    """
+    for form, dialect in all_forms(parse_program(src)):
+        for engine in _both_engines(form):
+            kw = {} if isinstance(engine, CompiledProgram) else {"dialect": dialect}
+            assert engine.run("f", [[False, False], [3, 4]], **kw)["o"] == [3, 4]
+            with pytest.raises(EvalError, match="division by zero"):
+                engine.run("f", [[False, False, True], [3, 4, 5]], **kw)
+        (run,) = CompiledProgram(form).nodes.values()
+        assert "div(7, 0)" in run.source
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        # a literal condition, and a strict branch it does not take
+        "if true then a else (a div z)",
+        # equal branches under a condition that raises
+        "if (a div z) > 0 then a else a",
+    ],
+)
+def test_folding_keeps_the_errors_of_a_conditional(rhs):
+    src = f"""
+    node f(a: int) returns (o: int)
+      var z: int;
+    let z = 0; o = {rhs}; tel
+    """
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        with pytest.raises(EvalError, match="division by zero"):
+            ref.run("f", [[1, 2]], dialect=dialect)
+        with pytest.raises(EvalError, match="division by zero"):
+            fast.run("f", [[1, 2]])
+        (run,) = fast.nodes.values()
+        assert "div(V_a, 0)" in run.source and " if True else " not in run.source
+
+
+@pytest.mark.parametrize("k, expected", [("true", [1, 2, 3]), ("false", [2, 3, 4])])
+def test_merge_on_a_literal_scrutinee_selects_its_branch(k, expected):
+    src = f"""
+    node f(a: int) returns (o: int)
+      var k: bool;
+    let k = {k}; o = merge k (a when k) ((a + 1) when not k); tel
+    """
+    inputs = [[1, 2, 3]]
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        assert fast.run("f", inputs)["o"] == expected
+        assert ref.run("f", inputs, dialect=dialect)["o"] == expected
+        (run,) = fast.nodes.values()
+        assert " if V_k else " not in run.source and " if True else " not in run.source
+
+
+LITERAL = r"(?:\(-\d+\)|\d+|True|False)"
+# an operator between two literals, as `_BIN_FMT` and `WRAP` place it;
+# the wrap's own `HALF & MASK` follows `w + `, so it is not matched
+BETWEEN_LITERALS = re.compile(
+    rf"(?:\(|:= ){LITERAL} (?:\+|-|\*|==|!=|<=?|>=?|&|\||\^) {LITERAL}\)"
+)
+
+
+def test_generated_code_selects_and_computes_nothing_on_literals():
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            cp.run(node.name, random_inputs(node, 2, random.Random(seed)))
+            (run,) = cp.nodes.values()
+            assert "if True else" not in run.source, seed
+            assert "if False else" not in run.source, seed
+            assert not BETWEEN_LITERALS.search(run.source), seed
+    fast = CompiledProgram(parse_program("node f(a: int) returns (o: int) let o = 2 - 4; tel"))
+    assert fast.run("f", [[0]])["o"] == [-2]
+    (run,) = fast.nodes.values()
+    assert "V_o = (-2)\n" in run.source
+    assert BETWEEN_LITERALS.search("(w := 2 - 4)") and BETWEEN_LITERALS.search("(True & False)")

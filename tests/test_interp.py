@@ -1,6 +1,8 @@
 """Semantic operators against hand-derived oracles, the evaluator, and
 the relational replay checker."""
 
+import random
+
 import pytest
 
 from seclus.ast import BASE, On
@@ -264,12 +266,23 @@ def test_clock_discipline():
 
 
 @pytest.mark.parametrize(
-    "x", [0, 1, -1, INT_MIN, INT_MAX, INT_MIN - 1, INT_MAX + 1, 2**128, -(2**128)]
+    "x",
+    [0, 1, -1, INT_MIN, INT_MAX, INT_MIN - 1, INT_MAX + 1, INT_MIN + 1, INT_MAX - 1]
+    + [2**64 + 1, 2**64 - 1, -(2**64) + 1, -(2**64) - 1]
+    + [2**127, -(2**127), 2**128, -(2**128)],
 )
 def test_wrap_is_the_inlined_expression(x):
     # the compiled engine inlines WRAP; `wrap` must be the same function
     assert wrap(x) == eval(WRAP.format(repr(x))) == (x + 2**63) % 2**64 - 2**63
     assert INT_MIN <= wrap(x) <= INT_MAX
+
+
+def test_wrap_equals_the_masking_oracle_on_random_130_bit_integers():
+    # the range test skips the masking only where it is the identity
+    rng = random.Random(130)
+    for _ in range(1000):
+        x = rng.getrandbits(130) - 2**129
+        assert wrap(x) == ((x + 2**63) & (2**64 - 1)) - 2**63, x
 
 
 def test_stream_values_are_64_bit_integers():
