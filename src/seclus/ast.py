@@ -14,7 +14,7 @@ value types set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -558,31 +558,31 @@ class Checker:
                 ts = (INT,)
             else:
                 raise self.mismatch(f"integer literal {e.value} is outside the 64-bit integers")
-            return ts, replace(e, clock=ck, types=ts) if build else None
+            return ts, Const(e.value, clock=ck, types=ts) if build else None
         if isinstance(e, Var):
             got, ts = self.var(e.name)
             self.same(got, ck)
-            return ts, replace(e, clock=ck, types=ts) if build else None
+            return ts, Var(e.name, clock=ck, types=ts) if build else None
         if isinstance(e, Unop):
             t, operand = self.one(e.operand, ck)
             ts = _APPLY.get((e.op, t))
             if ts is None:
                 raise self.misapplied(e.op, t)
-            return ts, replace(e, operand=operand, clock=ck, types=ts) if build else None
+            return ts, Unop(e.op, operand, clock=ck, types=ts) if build else None
         if isinstance(e, Binop):
             tl, left = self.one(e.left, ck)
             tr, right = self.one(e.right, ck)
             ts = _APPLY.get((e.op, tl, tr))
             if ts is None:
                 raise self.misapplied(e.op, tl, tr)
-            return ts, replace(e, left=left, right=right, clock=ck, types=ts) if build else None
+            return ts, Binop(e.op, left, right, clock=ck, types=ts) if build else None
         if isinstance(e, When):
             under, tx = self.var(e.var)
             self.same(On(under, e.var, e.value), ck)
             if tx != (BOOL,):
                 raise self.mismatch(f"when condition {e.var} is not bool")
             ts, exprs = self.all(e.exprs, under)
-            return ts, replace(e, exprs=exprs, clock=ck, types=ts) if build else None
+            return ts, When(exprs, e.var, e.value, clock=ck, types=ts) if build else None
         if isinstance(e, Merge):
             got, tx = self.var(e.var)
             self.same(got, ck)
@@ -592,10 +592,7 @@ class Checker:
             fs, on_false = self.all(e.on_false, On(ck, e.var, False))
             if ts != fs:
                 raise self.disagree(ts, fs, "branch", "merge branch")
-            return ts, (
-                replace(e, on_true=on_true, on_false=on_false, clock=ck, types=ts)
-                if build else None
-            )
+            return ts, Merge(e.var, on_true, on_false, clock=ck, types=ts) if build else None
         if isinstance(e, Ite):
             tc, cond = self.one(e.cond, ck)
             if tc != BOOL:
@@ -604,19 +601,16 @@ class Checker:
             fs, on_false = self.all(e.on_false, ck)
             if ts != fs:
                 raise self.disagree(ts, fs, "branch", "if branch")
-            return ts, (
-                replace(e, cond=cond, on_true=on_true, on_false=on_false, clock=ck, types=ts)
-                if build else None
-            )
+            return ts, Ite(cond, on_true, on_false, clock=ck, types=ts) if build else None
         if isinstance(e, Fby):
             ts, init = self.all(e.init, ck)
             rs, rest = self.all(e.rest, ck)
             if ts != rs:
                 raise self.disagree(ts, rs, "fby", "fby operand")
-            return ts, replace(e, init=init, rest=rest, clock=ck, types=ts) if build else None
+            return ts, Fby(init, rest, clock=ck, types=ts) if build else None
         if isinstance(e, NodeCall):
             ts, args = self.call(e.node, e.args, ck)
-            return ts, replace(e, args=args, clock=ck, types=ts) if build else None
+            return ts, NodeCall(e.node, args, clock=ck, types=ts) if build else None
         raise TypeError(type(e))
 
     def one(self, e: Expr, ck: Clock) -> tuple[str, Optional[Expr]]:
@@ -676,13 +670,13 @@ class Checker:
                 self.same(got, ck)
                 want += t
             self.declared(ts, want)
-            return replace(eq, args=args) if build else eq
+            return CallEq(eq.targets, eq.node, args, ck) if build else eq
         if isinstance(eq, SimpleEq):
             t, rhs = self.one(eq.rhs, ck)
             got, want = self.var(eq.target)
             self.same(got, ck)
             self.declared((t,), want)
-            return replace(eq, rhs=rhs) if build else eq
+            return SimpleEq(eq.target, rhs, ck) if build else eq
         t, init = self.one(eq.init, ck)
         t1, rhs = self.one(eq.rhs, ck)
         got, want = self.var(eq.target)
@@ -690,7 +684,7 @@ class Checker:
         if t != t1:
             raise self.mismatch("fby operand types differ")
         self.declared((t,), want)
-        return replace(eq, init=init, rhs=rhs) if build else eq
+        return FbyEq(eq.target, init, rhs, ck) if build else eq
 
     def lustre(self, eq: Equation) -> Equation:
         """Each expression of the tuple runs on the declared clock of the
@@ -712,7 +706,7 @@ class Checker:
         if len(got) != len(declared):
             raise _arity(f"{len(declared)} targets but rhs width {len(got)}")
         self.declared(got, tuple([t for _, (t,) in declared]))
-        return replace(eq, exprs=tuple(exprs)) if self.build else eq
+        return Equation(eq.targets, tuple(exprs)) if self.build else eq
 
 
 def _annotate(prog: Program) -> Program:
@@ -724,7 +718,7 @@ def _annotate(prog: Program) -> Program:
             eqs = tuple(check.equation(eq) for eq in n.equations)
         except ClockError as exc:
             raise ClockError(str(Diagnostic(exc.kind, n.name, str(exc))), exc.kind) from None
-        nodes.append(replace(n, equations=eqs))
+        nodes.append(Node(n.name, n.inputs, n.outputs, n.locals, eqs))
     return Program(tuple(nodes), annotated=True)
 
 

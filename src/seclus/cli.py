@@ -68,13 +68,19 @@ def _red(s: str) -> str:
     return f"\x1b[31m{s}\x1b[0m" if _use_color() else s
 
 
-def _load_program(path: str) -> Program:
-    """Parse and validate a program file: one error line per diagnostic."""
+def _read_text(path: str) -> str:
+    """The whole text of the UTF-8 file `path`.  A file that cannot be
+    opened or decoded is one error line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            prog = parse_program(fh.read(), filename=path)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path!r}: {exc}") from None
+
+
+def _load_program(path: str) -> Program:
+    """Parse and validate a program file: one error line per diagnostic."""
+    prog = parse_program(_read_text(path), filename=path)
     diags = validate(prog)
     if diags:
         raise CliError("\n".join(f"{path}: {d}" for d in diags))
@@ -119,23 +125,19 @@ def _load_policy(path: str, lat: SecurityLattice) -> Dict[str, object]:
     """Line-oriented `name = LEVEL` (use `base` for the node clock)."""
     policy: Dict[str, object] = {}
     lines: Dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected `name = LEVEL`")
-                name, level = (p.strip() for p in line.split("=", 1))
-                if name in lines:
-                    raise CliError(
-                        f"{path}:{lineno}: {name!r} already has a level, on line {lines[name]}"
-                    )
-                lines[name] = lineno
-                policy[name] = _parse_level(lat, level)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected `name = LEVEL`")
+        name, level = (p.strip() for p in line.split("=", 1))
+        if name in lines:
+            raise CliError(
+                f"{path}:{lineno}: {name!r} already has a level, on line {lines[name]}"
+            )
+        lines[name] = lineno
+        policy[name] = _parse_level(lat, level)
     return policy
 
 
@@ -210,13 +212,12 @@ def cmd_interpret(args) -> int:
     node = _pick_node(prog, args.node)
     if args.inputs:
         if args.inputs == "-":
-            text = sys.stdin.read()
-        else:
             try:
-                with open(args.inputs, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CliError(str(exc)) from None
+                text = sys.stdin.read()
+            except UnicodeDecodeError as exc:
+                raise CliError(f"cannot read standard input: {exc}") from None
+        else:
+            text = _read_text(args.inputs)
         names, streams = read_streams(text)
         want = [d.name for d in node.inputs]
         missing = [x for x in want if x not in names]

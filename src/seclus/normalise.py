@@ -63,6 +63,13 @@ class FreshNames:
                 return name
 
 
+def _kept(new: List[Expr], old: Tuple[Expr, ...]) -> bool:
+    """Whether de-nesting left the one operand `old` as it was, so the
+    expression around it can stay as it is (expressions are immutable,
+    so the forms may share it)."""
+    return len(new) == len(old) == 1 and new[0] is old[0]
+
+
 class _NodeNormaliser:
     def __init__(self, n: Node):
         self.fresh = FreshNames(d.name for d in n.decls)
@@ -81,17 +88,23 @@ class _NodeNormaliser:
     # -- expression position: results are atomic expressions -------------
 
     def norm_expr(self, e: Expr) -> List[Expr]:
+        """The components of `e` as atomic expressions; `e` itself when
+        nothing in it had to be pulled out."""
         if isinstance(e, (Const, Var)):
             return [e]
         if isinstance(e, Unop):
             (s,) = self.norm_expr(e.operand)
-            return [Unop(e.op, s, clock=e.clock, types=e.types)]
+            return [e if s is e.operand else Unop(e.op, s, clock=e.clock, types=e.types)]
         if isinstance(e, Binop):
             (l,) = self.norm_expr(e.left)
             (r,) = self.norm_expr(e.right)
+            if l is e.left and r is e.right:
+                return [e]
             return [Binop(e.op, l, r, clock=e.clock, types=e.types)]
         if isinstance(e, When):
             parts = self.norm_all(e.exprs)
+            if _kept(parts, e.exprs):
+                return [e]
             return [
                 When((s,), e.var, e.value, clock=e.clock, types=(t,))
                 for s, t in zip(parts, e.types)
@@ -106,27 +119,12 @@ class _NodeNormaliser:
                 self.aux_eqs.append(FbyEq(x, i, r, ck))
                 out.append(Var(x, clock=ck, types=(t,)))
             return out
-        if isinstance(e, Merge):
+        if isinstance(e, (Merge, Ite)):
             ck = self._clock_of(e)
-            ts = self.norm_ctrl_all(e.on_true)
-            fs = self.norm_ctrl_all(e.on_false)
             out = []
-            for a, b, t in zip(ts, fs, e.types):
+            for p, t in zip(self.norm_ctrl(e), e.types):
                 x = self._local(t, ck)
-                self.aux_eqs.append(
-                    SimpleEq(x, Merge(e.var, (a,), (b,), clock=e.clock, types=(t,)), ck)
-                )
-                out.append(Var(x, clock=ck, types=(t,)))
-            return out
-        if isinstance(e, Ite):
-            ck = self._clock_of(e)
-            (c,) = self.norm_expr(e.cond)
-            ts = self.norm_ctrl_all(e.on_true)
-            fs = self.norm_ctrl_all(e.on_false)
-            out = []
-            for a, b, t in zip(ts, fs, e.types):
-                x = self._local(t, ck)
-                self.aux_eqs.append(SimpleEq(x, Ite(c, (a,), (b,), clock=e.clock, types=(t,)), ck))
+                self.aux_eqs.append(SimpleEq(x, p, ck))
                 out.append(Var(x, clock=ck, types=(t,)))
             return out
         if isinstance(e, NodeCall):
@@ -152,9 +150,13 @@ class _NodeNormaliser:
     # -- control position: merge/if may remain, branches recurse ---------
 
     def norm_ctrl(self, e: Expr) -> List[Expr]:
+        """The components of `e` as control expressions; `e` itself when
+        it is one and nothing in it had to be pulled out."""
         if isinstance(e, Merge):
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
+            if _kept(ts, e.on_true) and _kept(fs, e.on_false):
+                return [e]
             return [
                 Merge(e.var, (a,), (b,), clock=e.clock, types=(t,))
                 for a, b, t in zip(ts, fs, e.types)
@@ -163,6 +165,8 @@ class _NodeNormaliser:
             (c,) = self.norm_expr(e.cond)
             ts = self.norm_ctrl_all(e.on_true)
             fs = self.norm_ctrl_all(e.on_false)
+            if c is e.cond and _kept(ts, e.on_true) and _kept(fs, e.on_false):
+                return [e]
             return [
                 Ite(c, (a,), (b,), clock=e.clock, types=(t,))
                 for a, b, t in zip(ts, fs, e.types)
@@ -200,11 +204,8 @@ class _NodeNormaliser:
             inits = self.norm_all(e.init)
             rests = self.norm_all(e.rest)
             main = [FbyEq(x, i, r, ck) for x, i, r in zip(targets, inits, rests)]
-        elif isinstance(e, (Merge, Ite)):
-            parts = self.norm_ctrl(e)
-            main = [SimpleEq(x, p, ck) for x, p in zip(targets, parts)]
         else:
-            parts = self.norm_expr(e)
+            parts = self.norm_ctrl(e) if isinstance(e, (Merge, Ite)) else self.norm_expr(e)
             main = [SimpleEq(x, p, ck) for x, p in zip(targets, parts)]
         return self.aux_eqs + main
 

@@ -60,14 +60,20 @@ KEYWORDS = {
 #: Python's own parser accepts (200 levels).
 MAX_EXPR_DEPTH = 64
 
-#: One alternative per lexical class, tried in order.  Blanks and comments
-#: have no group and yield no token.  A word (`\w` is a letter, a digit or
-#: `_`) is an identifier or a keyword when it starts with a letter or `_`;
-#: an ASCII digit starts an `int` instead, any other digit is an error.
-_TOKEN = re.compile(
-    r"(?P<nl>\n)|[ \t\r]+|--[^\n]*|(?P<int>[0-9]+)|(?P<ident>\w+)"
-    r"|(?P<sym>::|<=|>=|<>|[(),;:=<>+*-])|(?P<other>.)"
-)
+#: The one token pattern.  Blanks and comments match outside the group,
+#: so `findall` yields "" for them; every token is the group: an
+#: ASCII-digit `int`, a word (`\w` is a letter, a digit or `_`), a symbol,
+#: or any other character, which is an error.  A word is an identifier or
+#: a keyword when it starts with a letter or `_`; any other digit is an
+#: error.  The parser reads the tokens as plain strings from one
+#: `findall`, which loops in C, and takes each token's kind from its text:
+#: a located `Token` for every token, built in a Python loop, cost about
+#: half of the parse.  `tokenize` builds those, and the parser calls it
+#: only to locate an error.
+_TOKEN = re.compile(r"[ \t\r\n]+|--[^\n]*|([0-9]+|\w+|::|<=|>=|<>|[(),;:=<>+*-]|.)")
+
+_SYMBOLS = frozenset(("::", "<=", ">=", "<>", *"(),;:=<>+*-"))
+_NOT_IDENT = KEYWORDS | _SYMBOLS | {""}  # "" ends the parser's tokens
 
 #: Binary operators by precedence; higher binds tighter.  Each level
 #: associates to the left except the comparisons, which do not associate:
@@ -117,27 +123,39 @@ def _error(message: str, filename: str, t: Token) -> ParseError:
     return ParseError(message, SourceSpan(filename, t.line, t.col, t.line, t.col + len(t.text)))
 
 
+def _kind(word: str) -> str:
+    """The kind of a token, read from its text."""
+    if word in KEYWORDS:
+        return "kw"
+    if word in _SYMBOLS:
+        return "sym"
+    c = word[0]
+    if "0" <= c <= "9":
+        return "int"
+    if c.isalpha() or c == "_":
+        return "ident"
+    return "other"
+
+
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """The tokens of `text` with their kinds and places, ending in an
+    `eof` token.  Raises a located ParseError at the first character that
+    starts no token."""
     toks: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
+        word = m.group(1)
+        if word is None:  # a blank or a comment
+            last = text.rfind("\n", m.start(), m.end())
+            if last >= 0:
+                line += text.count("\n", m.start(), last + 1)
+                line_start = last + 1
             continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        word = m.group()
-        if kind == "ident":
-            if word in KEYWORDS:
-                kind = "kw"
-            elif not (word[0].isalpha() or word[0] == "_"):
-                kind, word = "other", word[0]
-        t = Token(kind, word, line, m.start() - line_start + 1)
+        kind, col = _kind(word), m.start() - line_start + 1
         if kind == "other":
-            raise _error(f"unexpected character {word!r}", filename, t)
-        toks.append(t)
+            t = Token(kind, word[0], line, col)
+            raise _error(f"unexpected character {t.text!r}", filename, t)
+        toks.append(Token(kind, word, line, col))
     toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
@@ -169,47 +187,56 @@ def _too_deep(es: tuple[Expr, ...]) -> bool:
 
 
 class Parser:
+    """Recursive descent over the tokens of `text` as plain strings, with
+    "" after the last; a parse error is located on the index of its
+    token."""
+
     def __init__(self, text: str, filename: str = "<input>"):
+        self.text = text
         self.filename = filename
-        self.toks = tokenize(text, filename)
+        self.toks = list(filter(None, _TOKEN.findall(text)))
+        if any(_kind(w) == "other" for w in set(self.toks).difference(_NOT_IDENT)):
+            tokenize(text, filename)  # raises, located on the first one
+        self.toks.append("")
         self.pos = 0
         self.level = 0  # expressions being parsed, one inside the other
 
     # -- token plumbing ------------------------------------------------
 
-    def error(self, message: str, t: Token) -> ParseError:
-        return _error(message, self.filename, t)
+    def error(self, message: str, k: int) -> ParseError:
+        """A ParseError on the `k`-th token: only here is the text
+        tokenized with places."""
+        return _error(message, self.filename, tokenize(self.text, self.filename)[k])
 
-    def peek(self) -> Token:
-        # only `eof` ends the list, and nothing consumes it
+    def peek(self) -> str:
+        # only "" ends the list, and nothing consumes it without raising
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
         # `text` is a keyword or a symbol, which no other kind of token spells
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        if self.toks[self.pos].text == text:
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         t = self.next()
-        if t.text != text:
-            raise self.error(f"expected {text!r}, found {t.text!r}", t)
-        return t
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t!r}", self.pos - 1)
 
     def nested(self, parse):
         """`parse()` one expression inside the current one (a ParseError
         ends the parse, so the level need not be restored on it)."""
         if self.level >= MAX_EXPR_DEPTH:
-            raise self.error("expression nesting too deep", self.peek())
+            raise self.error("expression nesting too deep", self.pos)
         self.level += 1
         e = parse()
         self.level -= 1
@@ -217,15 +244,16 @@ class Parser:
 
     def ident(self) -> str:
         t = self.next()
-        if t.kind != "ident":
-            raise self.error(f"expected identifier, found {t.text!r}", t)
-        return t.text
+        # no other token is left once `__init__` has passed the text
+        if t in _NOT_IDENT or "0" <= t[0] <= "9":
+            raise self.error(f"expected identifier, found {t!r}", self.pos - 1)
+        return t
 
     # -- program structure ----------------------------------------------
 
     def program(self) -> Program:
         nodes = []
-        while not self.peek().kind == "eof":
+        while self.peek():
             nodes.append(self.node())
         return Program(tuple(nodes))
 
@@ -259,12 +287,12 @@ class Parser:
                 names.append(self.ident())
             self.expect(":")
             t = self.next()
-            if t.text not in ("bool", "int"):
-                raise self.error(f"expected a type, found {t.text!r}", t)
+            if t not in ("bool", "int"):
+                raise self.error(f"expected a type, found {t!r}", self.pos - 1)
             ck: Clock = BASE
             if self.eat("::"):
                 ck = self.clock()
-            decls.extend(VarDecl(nm, t.text, ck) for nm in names)
+            decls.extend(VarDecl(nm, t, ck) for nm in names)
             if not (self.eat(";") or self.eat(",")):
                 break
         return tuple(decls)
@@ -296,7 +324,7 @@ class Parser:
         rhs = self.expr_list()
         # each level of an expression takes a token of its own
         if self.pos - start > MAX_EXPR_DEPTH and _too_deep(rhs):
-            raise self.error("expression nesting too deep", self.toks[start])
+            raise self.error("expression nesting too deep", start)
         self.expect(";")
         if ck is None:
             return Equation(tuple(targets), rhs)
@@ -309,11 +337,11 @@ class Parser:
             call = rhs[0]
             return CallEq(targets, call.node, call.args, ck)
         if len(targets) != 1 or len(rhs) != 1:
-            raise self.error("clock-annotated equations define a single stream", self.peek())
+            raise self.error("clock-annotated equations define a single stream", self.pos)
         e = rhs[0]
         if isinstance(e, Fby):
             if len(e.init) != 1 or len(e.rest) != 1:
-                raise self.error("tupled fby in a clocked equation", self.peek())
+                raise self.error("tupled fby in a clocked equation", self.pos)
             return FbyEq(targets[0], e.init[0], e.rest[0], ck)
         return SimpleEq(targets[0], e, ck)
 
@@ -335,12 +363,12 @@ class Parser:
             value = not self.eat("not")
             x = self.ident()
             if self.eat("="):
-                t = self.peek()
+                k = self.pos
                 if not self.eat("true"):
                     self.expect("false")
                     value = not value
                 elif not value:
-                    raise self.error("use `when x = false`, not `when not x = true`", t)
+                    raise self.error("use `when x = false`, not `when not x = true`", k)
             e = When(_splice(e), x, value)
         return e
 
@@ -359,63 +387,66 @@ class Parser:
         e = self.unary_expr()
         limit = _UNARY_PREC
         while True:
-            t = self.peek()
-            p = _PREC.get(t.text, 0)
+            k = self.pos
+            op = self.toks[k]
+            p = _PREC.get(op, 0)
             if not min_prec <= p < limit:
                 return e
             self.pos += 1
             right = self.binary(p + 1)
             if isinstance(e, _Tuple) or isinstance(right, _Tuple):
-                raise self.error(f"{t.text} applied to a tuple", t)
-            e = Binop(t.text, e, right)
+                raise self.error(f"{op} applied to a tuple", k)
+            e = Binop(op, e, right)
             limit = p if p == _CMP_PREC else p + 1
 
     def unary_expr(self) -> Expr:
-        t = self.peek()
-        if t.text not in ("not", "-"):
+        k = self.pos
+        op = self.toks[k]
+        if op not in ("not", "-"):
             return self.primary()
         self.pos += 1
         e = self.nested(self.unary_expr)
         if isinstance(e, _Tuple):
-            raise self.error(f"unary {t.text} applied to a tuple", t)
-        if t.text == "-" and isinstance(e, Const) and not isinstance(e.value, bool):
+            raise self.error(f"unary {op} applied to a tuple", k)
+        if op == "-" and isinstance(e, Const) and not isinstance(e.value, bool):
             return Const(-e.value)
-        return Unop(t.text, e)
+        return Unop(op, e)
 
     def primary(self) -> Expr:
+        k = self.pos
         t = self.next()
-        if t.kind == "ident":
+        if t not in _NOT_IDENT:  # an integer or an identifier
+            if "0" <= t[0] <= "9":
+                try:
+                    return Const(int(t))
+                except ValueError:  # more digits than Python converts
+                    raise self.error(f"integer literal of {len(t)} digits is too long", k) from None
             if not self.eat("("):
-                return Var(t.text)
+                return Var(t)
             args = () if self.at(")") else self.expr_list()
             self.expect(")")
-            return NodeCall(t.text, args)
-        if t.kind == "int":
-            try:
-                return Const(int(t.text))
-            except ValueError:  # more digits than Python converts
-                raise self.error(f"integer literal of {len(t.text)} digits is too long", t) from None
-        if t.text in ("true", "false"):
-            return Const(t.text == "true")
-        if t.text == "(":
+            return NodeCall(t, args)
+        if t in ("true", "false"):
+            return Const(t == "true")
+        if t == "(":
             es = self.expr_list()
             self.expect(")")
             return es[0] if len(es) == 1 else _Tuple(es)
-        if t.text == "if":
+        if t == "if":
             cond = self.expr()
             self.expect("then")
             on_true = _splice(self.expr())
             self.expect("else")
             on_false = _splice(self.expr())
             if isinstance(cond, _Tuple):
-                raise self.error("tuple condition in if", t)
+                raise self.error("tuple condition in if", k)
             return Ite(cond, on_true, on_false)
-        if t.text == "merge":
+        if t == "merge":
             x = self.ident()
             on_true = _splice(self.nested(self.primary))
             on_false = _splice(self.nested(self.primary))
             return Merge(x, on_true, on_false)
-        raise self.error(f"unexpected token {t.text!r}", t)
+        raise self.error(f"unexpected token {t!r}", k)
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:

@@ -1,7 +1,10 @@
 """Command-line front end: subcommands, exit codes, and JSON output."""
 
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -328,6 +331,16 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0 and "--trials" in out and "--jobs" not in out
 
 
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seclus", "verify", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and "--trials" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "command, spec, message",
     [
@@ -355,6 +368,30 @@ def test_bad_lattice_spec_is_a_diagnostic(capsys, tmp_path, command, spec, messa
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "BAD"],
+        ["check", "CNT_DN", "--policy", "BAD"],
+        ["verify", "CNT_DN", "--what", "ni", "--trials", "5", "--policy", "BAD"],
+        ["interpret", "CNT_DN", "--inputs", "BAD"],
+        ["interpret", "CNT_DN", "--inputs", "-"],
+    ],
+)
+def test_text_that_is_not_utf8_is_a_diagnostic(capsys, monkeypatch, tmp_path, argv):
+    """A program, a policy or an input CSV with a byte that is not UTF-8
+    (here `\xe9`, Latin-1 for an accented e) ends in one error line."""
+    data = b"a1 = L -- caf\xe9\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    paths = {"BAD": str(bad), "CNT_DN": fixture_path("cnt_dn.lus")}
+    code, _, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: cannot read ")
+    assert "can't decode byte 0xe9" in err
 
 
 def test_parse_error_diagnostics(capsys, tmp_path):

@@ -173,3 +173,23 @@ def test_passes_check_no_expression_again(monkeypatch, re_trig):
         calls.clear()
         fby_init(normalize_program(ann))
         assert calls == []
+
+
+def test_denesting_keeps_the_subtrees_it_does_not_change():
+    """An expression with nothing to pull out is the very object of the
+    annotated source; one around a pulled-out delay is new."""
+    src = parse_program(
+        "node f(a, b: int; c: bool) returns (o: int; p: int :: base on c; q: int)\n"
+        "let\n"
+        "  o = a + b;\n"
+        "  p = a when c;\n"
+        "  q = a + (0 fby b);\n"
+        "tel\n"
+    )
+    before = {eq.targets[0]: eq.exprs[0] for eq in annotate_program(src).node("f").equations}
+    after = {eq.target: eq for eq in normalize_program(src).node("f").equations}
+    assert after["o"].rhs is before["o"]
+    assert after["p"].rhs is before["p"]
+    q = after["q"].rhs
+    assert q is not before["q"] and q.left is before["q"].left
+    assert isinstance(after[q.right.name], FbyEq) and q.right.types == ("int",)

@@ -253,3 +253,16 @@ def test_parser_equals_reference():
             last = text.rsplit("\n", 1)[-1]
             assert old[:2] == new[:2] and "--" in last, text
             assert new[2] == len(last) + 1 and new[0].endswith("found ''"), text
+
+
+def test_valid_text_is_parsed_without_located_tokens(monkeypatch):
+    """The parser reads plain token strings; the located tokens of
+    `tokenize` are built only to report an error."""
+    expected = [parse_program(text) for text in fixture_texts() + printed_forms(range(100))]
+
+    def located(*args):
+        raise AssertionError("tokenize called on a valid text")
+
+    monkeypatch.setattr("seclus.parser.tokenize", located)
+    texts = fixture_texts() + printed_forms(range(100))
+    assert [parse_program(text) for text in texts] == expected
