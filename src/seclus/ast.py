@@ -222,20 +222,41 @@ class Program:
     # value types: such a program is its own annotation
     annotated: bool = field(default=False, compare=False, repr=False)
 
-    @cached_property
+    @property
     def annotation(self) -> Program:
         """This program with every expression's clock and value types
         set, built at the first use; see `annotate_program`."""
-        return self if self.annotated else _annotate(self)
+        # an annotated program is its own annotation and does not store
+        # itself: that would put it in a reference cycle, which only the
+        # cycle collector frees
+        if self.annotated:
+            return self
+        a = self.__dict__.get("_annotation")
+        if a is None:
+            a = self.__dict__["_annotation"] = _annotate(self)
+        return a
 
     @cached_property
     def memo(self) -> dict:
-        """What later layers derive from this program object once (its
-        signatures, its generated code, the trial table of its last
-        non-interference sweep), keyed by the layer.  The levels of a
-        sweep share that table's draws and runs; it is keyed by engine,
-        entry node, horizon and seed, and a sweep with another key
-        replaces it."""
+        """What later layers derive from this program object once, keyed
+        by the layer:
+
+        - "signatures": its security signatures (`typing.check_program`);
+        - "compiled": its generated code by entry node and columns
+          (`compiled.CompiledProgram`);
+        - "ni": the trial table of its last non-interference sweep
+          (`verify._NITable`), keyed by engine, entry node, horizon and
+          seed; a sweep with another key replaces it;
+        - "denested": its de-nested form (`normalise.normalize_program`),
+          kept on the annotation;
+        - "fby_init": its delay-initialised form (`normalise.fby_init`);
+        - "schedule": each node's equations in schedule order, by node
+          name (`interp.node_schedule`), shared by both engines;
+        - "reference": the reference engine's prepared nodes, by name
+          (`interp.ReferenceProgram`).
+
+        Nothing kept here refers back to the program, so a program and
+        all of it are freed by reference counting alone."""
         return {}
 
     def node(self, name: str) -> Node:
@@ -369,6 +390,10 @@ def validate(prog: Program, dialect: str = "lustre") -> list[Diagnostic]:
 
 def _validate_node(n: Node, known: dict[str, Node], dialect: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    # a node declares at least one output, as in Vélus (`n_outgt0`): a
+    # call to one without would de-nest to an equation with no target
+    if not n.outputs:
+        diags.append(Diagnostic("NoOutput", n.name, "declares no output"))
     declared = [d.name for d in n.decls]
     counts = Counter(declared)
     for name in declared:

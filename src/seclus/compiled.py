@@ -119,7 +119,7 @@ from seclus.interp import (
     base_clock,
     int_div,
     int_mod,
-    schedule,
+    node_schedule,
 )
 
 _BIN_FMT = {
@@ -223,7 +223,6 @@ class _Codegen:
         self.prog = prog
         self.counts: Dict[str, int] = {}
         self.registers: List[str] = []
-        self.schedules: Dict[str, List[AnyEquation]] = {}
         self.deps_of: Dict[str, _Deps] = {}
         self.cones: Dict[Tuple[str, FrozenSet[str]], _Cone] = {}
 
@@ -236,12 +235,6 @@ class _Codegen:
         reg = self.fresh("r")
         self.registers.append(f"{reg} = {initial}")
         return reg
-
-    def schedule(self, node: Node) -> List[AnyEquation]:
-        order = self.schedules.get(node.name)
-        if order is None:
-            order = self.schedules[node.name] = schedule(node)
-        return order
 
     def raises(self, name: str) -> bool:
         return bool(self.deps(self.prog.node(name)).raising)
@@ -299,7 +292,7 @@ class _Codegen:
         c = self.cones.get(key)
         if c is not None:
             return c
-        order = self.schedule(node)
+        order = node_schedule(self.prog, node)
         if all(d.name in wanted for d in node.outputs + node.locals):
             c = self.cones[key] = _Cone(order, None)
             return c
@@ -636,7 +629,8 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     }
     exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
     layout = tuple((x, inputs.get(x)) for x in want)
-    return _Run(source, namespace["run"], layout)
+    # taken out, so that `run` and its globals form no reference cycle
+    return _Run(source, namespace.pop("run"), layout)
 
 
 class CompiledProgram:

@@ -12,10 +12,10 @@ engine's generated code apply.
 `ReferenceProgram` is a deterministic instant-by-instant evaluator
 (equations scheduled by instantaneous dependency, delay state carried
 across instants).  It annotates a program once and turns each node into
-closures over a frame of slots once, at the node's first run, in the
-manner of Feeley & Lapalme, "Using closures for code generation"
-(Computer Languages, 1987); `run_node` runs one node of a program
-through it.  `check_history` is an independent route: it replays a
+closures over a frame of slots once per program object, at the node's
+first run, in the manner of Feeley & Lapalme, "Using closures for code
+generation" (Computer Languages, 1987); `run_node` runs one node of a
+program through it.  `check_history` is an independent route: it replays a
 produced history through the whole-stream operators and reports every
 equation whose defined streams disagree.
 """
@@ -392,6 +392,16 @@ def schedule(n: Node) -> List[AnyEquation]:
     return out
 
 
+def node_schedule(prog: Program, node: Node) -> List[AnyEquation]:
+    """`schedule(node)` for the node of `prog` so named, made once per
+    program object (`Program.memo["schedule"]`) for both engines."""
+    orders = prog.memo.setdefault("schedule", {})
+    order = orders.get(node.name)
+    if order is None:
+        order = orders[node.name] = schedule(node)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Prepared instant-by-instant evaluator
 # ---------------------------------------------------------------------------
@@ -445,7 +455,7 @@ class _Prepared:
         self.template: Frame = [ABSENT] * self.nvars
         self.callees: List[Tuple[int, Optional["_Prepared"]]] = []
         self.phase2: List[Callable[[Frame], None]] = []
-        order = schedule(node)
+        order = node_schedule(program.prog, node)
         # inputs on the base clock are present exactly when it ticks
         self.checks = [
             self.input_check(k, d) for k, d in enumerate(node.inputs)
@@ -687,9 +697,11 @@ class _Prepared:
         absent = [ABSENT] * len(self.program.prog.node(name).outputs)
         try:
             callee: Optional[_Prepared] = self.program.prepared(name)
-            error: Optional[Exception] = None
-        except CausalityError as exc:  # raised where the call runs
-            callee, error = None, exc
+            error = ""
+        except CausalityError as exc:
+            # raised anew where the call runs: the exception's traceback
+            # holds this frame, which would hold the exception
+            callee, error = None, str(exc)
         i = self.slot(None)
         self.callees.append((i, callee))
         nin = callee.nin if callee is not None else -1
@@ -699,7 +711,7 @@ class _Prepared:
                 if (a is not ABSENT) != active:
                     raise ClockMismatch(f"call to {name}: mixed argument presence")
             if callee is None:
-                raise error
+                raise CausalityError(error)
             if len(args) != nin:
                 raise EvalError(f"{name}: expected {nin} inputs")
             if not active:
@@ -830,11 +842,12 @@ class _Prepared:
 class ReferenceProgram:
     """The reference interpreter prepared for one program: annotated
     once; each node is scheduled and turned into closures once, at its
-    first run."""
+    first run, and kept on the annotation (`Program.memo`), so every
+    `ReferenceProgram` of one program object shares them."""
 
     def __init__(self, prog: Program):
         self.prog = annotate_program(prog)
-        self.nodes: Dict[str, _Prepared] = {}
+        self.nodes: Dict[str, _Prepared] = self.prog.memo.setdefault("reference", {})
 
     def prepared(self, name: str) -> _Prepared:
         p = self.nodes.get(name)

@@ -223,9 +223,15 @@ def normalize_node(n: Node) -> Node:
 def normalize_program(p: Program) -> Program:
     """De-nest every node; the result is in NLustre shape (delays may
     still have non-constant first operands until `fby_init`) and every
-    expression in it carries its clock and value types."""
+    expression in it carries its clock and value types.  Made once per
+    program object, and kept on its annotation."""
     p = annotate_program(p)
-    return Program(tuple(normalize_node(n) for n in p.nodes), annotated=True)
+    out = p.memo.get("denested")
+    if out is None:
+        out = p.memo["denested"] = Program(
+            tuple(normalize_node(n) for n in p.nodes), annotated=True
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,5 +275,10 @@ def fby_init_node(n: Node) -> Node:
 def fby_init(p: Program) -> Program:
     """Rewrite non-constant-headed delays into flag + register + select.
     The new expressions carry their clocks and value types, so an
-    annotated program stays annotated."""
-    return Program(tuple(fby_init_node(n) for n in p.nodes), annotated=p.annotated)
+    annotated program stays annotated.  Made once per program object."""
+    out = p.memo.get("fby_init")
+    if out is None:
+        out = p.memo["fby_init"] = Program(
+            tuple(fby_init_node(n) for n in p.nodes), annotated=p.annotated
+        )
+    return out

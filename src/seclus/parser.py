@@ -200,6 +200,10 @@ class Parser:
         self.toks.append("")
         self.pos = 0
         self.level = 0  # expressions being parsed, one inside the other
+        # per right-hand side: the deepest level reached, and the
+        # operators built without a level of their own (see `equation`)
+        self.deepest = 0
+        self.ops = 0
 
     # -- token plumbing ------------------------------------------------
 
@@ -238,6 +242,8 @@ class Parser:
         if self.level >= MAX_EXPR_DEPTH:
             raise self.error("expression nesting too deep", self.pos)
         self.level += 1
+        if self.level > self.deepest:
+            self.deepest = self.level
         e = parse()
         self.level -= 1
         return e
@@ -321,9 +327,14 @@ class Parser:
             ck = self.clock()
         self.expect("=")
         start = self.pos
+        self.deepest = self.ops = 0
         rhs = self.expr_list()
-        # each level of an expression takes a token of its own
-        if self.pos - start > MAX_EXPR_DEPTH and _too_deep(rhs):
+        # Below its root, each level of a tree is either one more
+        # `nested` level or the operand of a binary, `when` or `fby`
+        # operator, which `binary`, `when_expr` and `fby_expr` build
+        # without one (`a + a + ... + a`): a tree is no deeper than the
+        # deepest level plus the number of such operators.
+        if self.deepest + self.ops > MAX_EXPR_DEPTH and _too_deep(rhs):
             raise self.error("expression nesting too deep", start)
         self.expect(";")
         if ck is None:
@@ -370,12 +381,14 @@ class Parser:
                 elif not value:
                     raise self.error("use `when x = false`, not `when not x = true`", k)
             e = When(_splice(e), x, value)
+            self.ops += 1
         return e
 
     def fby_expr(self) -> Expr:
         e = self.binary()
         if self.eat("fby"):
             rest = self.nested(self.fby_expr)
+            self.ops += 1
             return Fby(_splice(e), _splice(rest))
         return e
 
@@ -397,6 +410,7 @@ class Parser:
             if isinstance(e, _Tuple) or isinstance(right, _Tuple):
                 raise self.error(f"{op} applied to a tuple", k)
             e = Binop(op, e, right)
+            self.ops += 1
             limit = p if p == _CMP_PREC else p + 1
 
     def unary_expr(self) -> Expr:

@@ -351,12 +351,13 @@ def check_noninterference(
     paired = not all(low)
     observed = sorted(x for x in levels if lat.leq(levels[x], t))
     table = _NITable.of(G, engine, f, N, seed)
+    program = _engine(engine)(G)
     violations: List[NIViolation] = []
     errors: List[str] = []
     for trial in range(trials):
-        outcome = table.first(trial)
+        outcome = table.first(program, trial)
         if paired and not isinstance(outcome, str):
-            outcome = table.differences(trial, low)
+            outcome = table.differences(program, trial, low)
         if isinstance(outcome, str):
             errors.append(f"trial {trial}: {outcome}")
         elif paired:
@@ -398,13 +399,13 @@ class _NITable:
     run, the second draw (made at the first paired level) and, per
     low-input mask, the paired run's `Differences` or error.  One table
     lives in `Program.memo["ni"]`, keyed by (engine, entry node,
-    horizon, seed); a call with another key replaces it."""
+    horizon, seed); a call with another key replaces it.  The table
+    keeps neither `G` nor an engine over it, which would hold `G` when
+    `G` is its own annotation: each call gets the engine that runs."""
 
     def __init__(self, G: Program, key: tuple):
-        engine, f, self.N, self.seed = self.key = key
+        _, f, self.N, self.seed = self.key = key
         self.node = G.node(f)
-        # `G` itself is not kept: its memo holds this table
-        self.program = _engine(engine)(G)
         self.trials: Dict[int, _NITrial] = {}
 
     @classmethod
@@ -415,22 +416,25 @@ class _NITable:
             table = G.memo["ni"] = cls(G, key)
         return table
 
-    def _run(self, inputs: List[StreamPrefix]) -> Union[History, str]:
+    def _run(self, program, inputs: List[StreamPrefix]) -> Union[History, str]:
         try:
-            return self.program.run(self.node.name, inputs, N=self.N)
+            return program.run(self.node.name, inputs, N=self.N)
         except (ClockMismatch, EvalError) as exc:
             return repr(exc)
 
-    def first(self, trial: int) -> Union[History, str]:
-        """The first run's history of `trial`, or its error."""
+    def first(self, program, trial: int) -> Union[History, str]:
+        """The first run's history of `trial` on the engine `program`,
+        or its error."""
         tr = self.trials.get(trial)
         if tr is None:
             rng = _trial_rng(self.seed, 0, trial)
             inputs = random_inputs(self.node, self.N, rng)
-            tr = self.trials[trial] = _NITrial(inputs, rng, self._run(inputs))
+            tr = self.trials[trial] = _NITrial(inputs, rng, self._run(program, inputs))
         return tr.first
 
-    def differences(self, trial: int, low: Tuple[bool, ...]) -> Union[Differences, str]:
+    def differences(
+        self, program, trial: int, low: Tuple[bool, ...]
+    ) -> Union[Differences, str]:
         """The `Differences` of the paired run of `trial` whose inputs
         keep the first draw where `low` holds, or its error.  The first
         run must have succeeded."""
@@ -439,7 +443,8 @@ class _NITable:
         if out is None:
             if tr.second is None:
                 tr.second, tr.rng = random_inputs(self.node, self.N, tr.rng), None
-            H2 = self._run([a if keep else b for a, b, keep in zip(tr.inputs, tr.second, low)])
+            mixed = [a if keep else b for a, b, keep in zip(tr.inputs, tr.second, low)]
+            H2 = self._run(program, mixed)
             if isinstance(H2, str):
                 out = H2
             else:

@@ -501,6 +501,14 @@ def test_mutated_sources_end_in_exit_code_0_or_1(capsys, tmp_path):
         ("let o = x, x; tel", "ArityMismatch in f: 1 targets but rhs width 2"),
         # one equation that defines a variable twice
         ("let o, o = x, x + 1; tel", "DuplicateDefinition in f: o"),
+        # a node without outputs, whose call would de-nest to an
+        # equation with no target
+        (
+            "let o = x; tel\n"
+            "node z(a: int) returns () let tel\n"
+            "node g(a: int; c: bool) returns (o: int :: base on c) let o = (z(a), a) when c; tel",
+            "NoOutput in z: declares no output",
+        ),
         # the arguments of a call share one clock, so a callee input on
         # a derived clock cannot be fed
         (

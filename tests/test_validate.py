@@ -4,8 +4,8 @@
 call walk, the clock pass and `expr_types` over each equation.
 `seclus.ast.validate` walks each equation once (`Checker`) and stops at
 its first fault.  On every program below the two accept and reject the
-same programs, except in kind 5, and their diagnostics are literally
-equal except for these kinds of difference:
+same programs, except in kinds 5 and 6, and their diagnostics are
+literally equal except for these kinds of difference:
 
 1. First scope fault.  The former listed every free variable of an
    equation, and every call to an unknown, later or same node once per
@@ -27,15 +27,19 @@ equal except for these kinds of difference:
    such an equation, and both engines gave the last component.  Now
    the definitions are counted over each equation's targets with their
    repeats, so the node's diagnostics end at a `DuplicateDefinition`.
+6. A node that declares no output (`returns ()`).  The former accepted
+   it; now the node's diagnostics begin with `NoOutput`, as Vélus
+   requires an output of every node.
 
 Where the two differ, `_explained` rebuilds the new diagnostics from
 the former ones, equation by equation, and checks each difference
 against its kind: in kind 1 the reported fault is one that the former
 found in that equation, in kind 3 it is exactly the former's type
 diagnostic of that equation, in kinds 2 and 4 it is a clock, width or
-type fault, and in kind 5 the former's diagnostics of the variables
-counted before the repeated one come first.  The hand table pins each
-kind to exact diagnostics.
+type fault, in kind 5 the former's diagnostics of the variables
+counted before the repeated one come first, and in kind 6 `NoOutput`
+comes before the rest.  The hand table pins each kind to exact
+diagnostics.
 """
 
 from collections import Counter
@@ -141,6 +145,8 @@ def _explained(prog, dialect) -> list[Diagnostic]:
         if n.name in known:
             out.append(Diagnostic("DuplicateNode", n.name, n.name))
             continue
+        if not n.outputs:
+            out.append(Diagnostic("NoOutput", n.name, "declares no output"))  # 6
         old = former._validate_node(n, prog, set(known) | {n.name}, dialect)
         repeated = _repeated_target(n, old)
         if repeated is not None:
@@ -171,9 +177,9 @@ def _compare(prog) -> int:
     differ = 0
     for dialect in ("lustre", "nlustre"):
         old, new = former.validate(prog, dialect), validate(prog, dialect)
-        # kind 5 rejects a program that the former accepted
-        repeat = any(d.kind == "DuplicateDefinition" for d in new)
-        assert bool(old) == bool(new) or repeat, (dialect, old, new)
+        # kinds 5 and 6 reject a program that the former accepted
+        stricter = any(d.kind in ("DuplicateDefinition", "NoOutput") for d in new)
+        assert bool(old) == bool(new) or stricter, (dialect, old, new)
         if old != new:
             differ += 1
             assert new == _explained(prog, dialect), (dialect, old, new)
@@ -287,6 +293,13 @@ MULTI_FAULT = [
         f"{_F} var v: int; let x = 1; o, o = x, c; v = 1; tel",
         ["InputRedefined in f: x"],
         ["InputRedefined in f: x", "DuplicateDefinition in f: o"],
+    ),
+    # 6: a node without outputs
+    (
+        "node z(a: int) returns () let tel\n"
+        f"{_F} let o = (z(x), x); tel",
+        [],
+        ["NoOutput in z: declares no output"],
     ),
     # unchanged: one clock and one type fault in two equations
     (
