@@ -1,0 +1,132 @@
+"""Size, compile time and run cost of the compiled engine's generated code.
+
+    python3 scripts/codegen_stats.py [--seeds N] [--horizon N]
+
+For each program form (source, de-nested, fby-init) and each set of
+recorded columns (the entry node's outputs, or every variable), over the
+two fixtures and the generated programs of seeds 0..N-1, prints:
+
+  lines     lines of generated source, summed over the programs
+  bytes     bytes of generated source, summed
+  compile   milliseconds to generate and compile, the median of 5 per
+            program, summed
+  ops/inst  Python instructions executed inside the generated function
+            per instant (an opcode counter through `sys.settrace`, as
+            `bench/layers.py` counts them), over the runs that raise no
+            EvalError
+  raised    runs that stopped with an EvalError
+
+The entry node is each program's last node; its inputs are drawn by
+`verify.random_inputs` from the program's seed.  Stdlib only; imports
+the program from `src/` next to this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import statistics
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from seclus import compiled  # noqa: E402
+from seclus.interp import EvalError, base_clock  # noqa: E402
+from seclus.normalise import fby_init, normalize_program  # noqa: E402
+from seclus.parser import parse_program  # noqa: E402
+from seclus.verify import GenConfig, generate_program, random_inputs  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = ("cnt_dn.lus", "re_trig.lus")
+FORMS = ("source", "denest", "init")
+REPEATS = 5
+
+
+def programs(seeds: int):
+    for name in FIXTURES:
+        with open(os.path.join(ROOT, "fixtures", name), encoding="utf-8") as fh:
+            yield name, parse_program(fh.read())
+    for seed in range(seeds):
+        yield seed, generate_program(GenConfig(seed=seed))
+
+
+def forms(p):
+    n = normalize_program(p)
+    return dict(zip(FORMS, (p.annotation, n, fby_init(n))))
+
+
+def count_ops(fn, *args) -> int:
+    """Instructions executed in frames of generated code during `fn(*args)`."""
+    ops = [0]
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            ops[0] += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith("<compiled "):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return ops[0]
+
+
+def measure(prog, node, want, inputs, N, row) -> None:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run = compiled._generate(prog, node, want)
+        times.append(time.perf_counter() - t0)
+    row["lines"] += run.source.count("\n")
+    row["bytes"] += len(run.source.encode())
+    row["compile"] += 1000 * statistics.median(times)
+    try:
+        ops = count_ops(run.fn, inputs, base_clock(node, inputs, N))
+    except EvalError:
+        row["raised"] += 1
+        return
+    row["ops"] += ops
+    row["instants"] += N
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, default=100)
+    ap.add_argument("--horizon", type=int, default=50)
+    args = ap.parse_args(argv)
+    keys = ("lines", "bytes", "compile", "ops", "instants", "raised")
+    table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
+    count = 0
+    for label, p in programs(args.seeds):
+        count += 1
+        seed = label if isinstance(label, int) else 0
+        for f, form in forms(p).items():
+            node = form.nodes[-1]
+            inputs = random_inputs(node, args.horizon, random.Random(seed))
+            outs = tuple(d.name for d in node.outputs)
+            every = tuple(d.name for d in node.decls)
+            for w, want in (("outputs", outs), ("all", every)):
+                measure(form, node, want, inputs, args.horizon, table[(f, w)])
+    print(f"{count} programs, horizon {args.horizon}")
+    print(f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9} {'raised':>6}")
+    for (f, w), row in table.items():
+        per = row["ops"] / row["instants"] if row["instants"] else 0.0
+        print(
+            f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
+            f" {per:9.1f} {row['raised']:6d}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

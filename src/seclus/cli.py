@@ -24,6 +24,7 @@ from seclus.interp import (
     CausalityError,
     ClockMismatch,
     EvalError,
+    node_schedule,
     read_streams,
     run_node,
     write_streams,
@@ -79,11 +80,19 @@ def _read_text(path: str) -> str:
 
 
 def _load_program(path: str) -> Program:
-    """Parse and validate a program file: one error line per diagnostic."""
+    """Parse and validate a program file: one error line per diagnostic.
+    A node with an instantaneous dependency cycle is one error line too,
+    whatever the command."""
     prog = parse_program(_read_text(path), filename=path)
     diags = validate(prog)
     if diags:
         raise CliError("\n".join(f"{path}: {d}" for d in diags))
+    annotated = prog.annotation
+    for node in annotated.nodes:
+        try:
+            node_schedule(annotated, node)
+        except CausalityError as exc:
+            raise CliError(f"{path}: Causality in {node.name}: {exc}") from None
     return prog
 
 

@@ -35,15 +35,23 @@ generated for one entry node and one set of recorded columns:
                    otherwise the body runs with the base clock known to be
                    true (base-clocked statements carry no guard)
   phase 1          clock flags and variable values in schedule order;
-                   delays read their register; a call inlines the
-                   callee's instant (both phases, its registers
-                   committed) under the call's clock flag, the outputs
-                   the caller reads None when the flag is off
-  phase 2          delayed operands evaluated under the completed
-                   environment, then every register committed
+                   delays read their register and queue their second
+                   operand; a call inlines the callee's whole instant
+                   (its phase 1, phase 2 and commits) under the call's
+                   clock flag, the outputs the caller reads None when the
+                   flag is off
+  phase 2          after the last phase-1 equation, when every
+                   variable's code is final: the queued second operands
+                   in order (a delay nested in one joins the end of the
+                   queue); one that reads a register, in its value or
+                   in its clock test, is stored through a temporary, as
+                   the register it reads may be committed before it
   record           only the requested columns, through bound
-                   `list.append`; requested inputs are copied from the
-                   input columns
+                   `list.append`, before the commits, so a column whose
+                   code is a register reads this instant's value
+  commits          every register stored
+  return           the history dict: the recorded lists, and a copy of
+                   each requested input column
 
 Program variables are mangled into their own namespace: `V_x` in the
 entry node and `V<k>_x` in the k-th inlined call site (non-ASCII
@@ -51,6 +59,19 @@ identifiers are spelt in hex).  Every name the generator makes up
 starts with a lower-case letter, so no program identifier can shadow
 one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
+
+A copy costs nothing per instant.  Each variable has one code: an
+equation on its instance's base clock whose code is an atom (a
+variable's code, an input, a register or a literal) gives the variable
+that atom and emits nothing, except a callee output, which its caller
+reads by name.  A delay with a literal first operand is its register,
+so the de-nested form's `x = c fby y` is read from the register itself.
+A delay whose two operands are the same literal is that literal, and
+the delays of one instance with the same two literals on the same clock
+flag share one register: the fby-init form's `xinit = true fby false`
+flags are one register per clock.  A clock whose variable's code is a
+literal is folded: always on, the parent's flag; never on, `False`, and
+nothing under it runs.
 
 `+`, `-`, `*` and unary `-` wrap to 64 bits by `interp.WRAP`, a range
 test through the scratch local `w` that leaves the three big-int
@@ -69,10 +90,7 @@ reference's own `interp._BINARY`/`_UNARY`, except a `div`/`mod` by 0,
 which must still raise at run time.  An `if` whose condition is a
 literal is its branch, after any strict branch has been hoisted as
 usual; so is a `merge` whose variable's code is a literal.  Equal branch
-codes collapse when the condition cannot raise.  A variable that an
-equation on the instance's base clock sets to a literal is that literal
-in every later code of the instance; its assignment stays, as phase-2
-code emitted before it may name the variable.
+codes collapse when the condition cannot raise.
 """
 
 from __future__ import annotations
@@ -189,7 +207,10 @@ def _positive_literal(e: Expr) -> bool:
 
 
 def _guard(code: str, flag: Optional[str]) -> str:
-    return code if flag is None else f"{code} if {flag} else None"
+    """`code` where the clock flag `flag` is on, else None."""
+    if flag is None:
+        return code
+    return "None" if flag == "False" else f"{code} if {flag} else None"
 
 
 class _Deps(NamedTuple):
@@ -222,7 +243,8 @@ class _Codegen:
     def __init__(self, prog: Program):
         self.prog = prog
         self.counts: Dict[str, int] = {}
-        self.registers: List[str] = []
+        # each delay register and its initial content
+        self.registers: Dict[str, str] = {}
         self.deps_of: Dict[str, _Deps] = {}
         self.cones: Dict[Tuple[str, FrozenSet[str]], _Cone] = {}
 
@@ -233,7 +255,7 @@ class _Codegen:
 
     def register(self, initial: str) -> str:
         reg = self.fresh("r")
-        self.registers.append(f"{reg} = {initial}")
+        self.registers[reg] = initial
         return reg
 
     def raises(self, name: str) -> bool:
@@ -314,30 +336,66 @@ class _Codegen:
         return c
 
 
+class _Delay(NamedTuple):
+    """A delay's second operand, queued in phase 1 and compiled in phase
+    2 into the commits of its registers."""
+
+    regs: List[str]
+    rest: Sequence[Expr]
+    clock: Optional[Clock]
+
+
 class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
     or a callee inlined at one call site.  `env` maps each of the node's
     variables to the code that names it; only the equations in the cone
-    of the `wanted` variables are emitted."""
+    of the `wanted` variables are emitted.  The variables in `named` (a
+    callee's outputs that its caller reads) are always assigned."""
 
-    def __init__(self, gen: _Codegen, node: Node, env: Dict[str, str], wanted: FrozenSet[str]):
+    def __init__(
+        self,
+        gen: _Codegen,
+        node: Node,
+        env: Dict[str, str],
+        wanted: FrozenSet[str],
+        named: FrozenSet[str] = frozenset(),
+    ):
         self.gen = gen
         self.node = node
         self.env = env
+        self.named = named
         self.cone = gen.cone(node, wanted)
         self.flags: Dict[Clock, str] = {}
         self.lines: List[str] = []  # phase 1
         self.phase2: List[str] = []
         self.commits: List[str] = []
+        self.queue: List[_Delay] = []
+        # the register of each constant delay, by its two literals and
+        # its clock flag
+        self.shared: Dict[Tuple[str, str, Optional[str]], str] = {}
         # register reads and `div`/`mod` calls emitted so far; a call to
         # `div` or `mod` (a divisor other than a positive literal) is the
         # only code that raises on a well-clocked program
         self.reads = 0
         self.divs = 0
 
-    def body(self) -> List[str]:
+    def compile(self) -> None:
+        """Phase 1 in schedule order, then phase 2 over the queued
+        delays, when every variable's code is final.  A delay nested in
+        a queued operand joins the end of the queue, so the loop meets
+        it too."""
         for eq in self.cone.equations:
             self.equation(eq)
+        for regs, rest, ck in self.queue:
+            before = self.reads
+            rests = self.all(rest, self.phase2)
+            flag = self.flag(ck, self.phase2)
+            reading = self.reads != before
+            for reg, code in zip(regs, rests):
+                self.commit(reg, code, flag, reading)
+
+    def body(self) -> List[str]:
+        self.compile()
         return self.lines + self.phase2 + self.commits
 
     def hoist(self, code: str, sink: List[str]) -> str:
@@ -345,30 +403,46 @@ class _NodeCode:
         sink.append(f"{name} = {code}")
         return name
 
+    def use(self, code: str) -> str:
+        """`code`, read here; a register read is counted."""
+        if code in self.gen.registers:
+            self.reads += 1
+        return code
+
     # -- clocks --
 
     def flag(self, ck: Optional[Clock], sink: List[str]) -> Optional[str]:
-        """Activity of `ck`, None for the instance's base clock (always
-        on where the instance's statements run).  In phase 1 a derived
-        clock gets a named flag at its first use, once the schedule has
-        assigned its variable.  In phase 2 a clock without a phase-1 flag
-        is tested inline, as every variable is assigned by then."""
+        """Activity of `ck`: None for the instance's base clock (always
+        on where the instance's statements run), `False` for a clock
+        that never ticks.  A test on a literal is folded.  In phase 1 a
+        derived clock gets a flag at its first use, once the schedule
+        has assigned its variable: the variable's code itself when the
+        test is that code on the base clock, else a named flag.  In
+        phase 2 a clock without a phase-1 flag is tested inline, as
+        every variable is assigned by then."""
         ck = ck if ck is not None else BASE
         if isinstance(ck, Base):
             return None
         name = self.flags.get(ck)
         if name is not None:
-            return name
+            return self.use(name)
         parent = self.flag(ck.clock, sink)
-        var = self.env[ck.var]
+        if parent == "False":
+            return parent
+        var = self.use(self.env[ck.var])
+        v = _literal(var)
+        if v is not None:
+            return parent if v == ck.value else "False"
         test = var if ck.value else f"not {var}"
         code = test if parent is None else f"{parent} and {test}"
         if sink is not self.lines:
-            return f"({code})"
-        name = self.gen.fresh("k")
-        sink.append(f"{name} = {code}")
-        self.flags[ck] = name
-        return name
+            return code if code == var else f"({code})"
+        if code != var:
+            name = self.gen.fresh("k")
+            sink.append(f"{name} = {code}")
+            code = name
+        self.flags[ck] = code
+        return code
 
     # -- expressions: one code string per component stream --
     # `sink` collects hoisted statements (phase-1 lines or phase-2 lines)
@@ -377,7 +451,7 @@ class _NodeCode:
         if isinstance(e, Const):
             return [_const(e.value)]
         if isinstance(e, Var):
-            return [self.env[e.name]]
+            return [self.use(self.env[e.name])]
         if isinstance(e, Unop):
             (s,) = self.expr(e.operand, sink)
             v = _literal(s)
@@ -393,12 +467,12 @@ class _NodeCode:
         if isinstance(e, Merge):
             ts = self.all(e.on_true, sink)
             fs = self.all(e.on_false, sink)
-            x = self.env[e.var]
+            x = self.use(self.env[e.var])
             return [_choice(x, t, f, True) for t, f in zip(ts, fs)]
         if isinstance(e, Ite):
             return self.ite(e, sink)
         if isinstance(e, Fby):
-            return self.fby(e, sink)
+            return self.delay(e.init, e.rest, e.clock, sink)
         if isinstance(e, NodeCall):
             return self.call(e.node, e.args, e.clock, None, sink)
         raise TypeError(type(e))
@@ -455,7 +529,11 @@ class _NodeCode:
     def commit(self, reg: str, rest: str, flag: Optional[str], reading: bool) -> None:
         """Store the delayed operand: straight into the register at the
         end of the instant, or through a phase-2 temporary when `rest`
-        reads a register that may be committed before it."""
+        reads a register that may be committed before it.  A register
+        that keeps its value, or whose clock never ticks, is left as it
+        is."""
+        if rest == reg or flag == "False":
+            return
         if reading:
             t = self.gen.fresh("t")
             self.phase2.append(f"{t} = {rest} if {flag} else {reg}" if flag else f"{t} = {rest}")
@@ -463,25 +541,46 @@ class _NodeCode:
         else:
             self.commits.append(f"if {flag}: {reg} = {rest}" if flag else f"{reg} = {rest}")
 
-    def fby(self, e: Fby, sink: List[str]) -> List[str]:
-        flag = self.flag(e.clock, sink)
+    def delay(
+        self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[str]
+    ) -> List[str]:
+        """The codes that read a delay's components; their second
+        operands are queued for phase 2.  A constant delay (a literal
+        first and second operand) is that literal when the two are
+        equal; otherwise the constant delays on one clock flag with the
+        same two literals share one register."""
+        flag = self.flag(ck, sink)
         before = self.divs
-        inits = self.all(e.init, sink)
+        codes = self.all(inits, sink)
         strict = self.divs != before
         # one expression per component, unless a call yields several
-        exprs = e.init if len(e.init) == len(inits) else (None,) * len(inits)
-        regs, reads = [], []
-        for init, code in zip(exprs, inits):
-            reg, read = self.read(init, code, strict, flag, sink)
-            regs.append(reg)
+        n = len(codes)
+        firsts = inits if len(inits) == n else (None,) * n
+        seconds = rests if len(rests) == n else (None,) * n
+        regs: List[str] = []
+        queued: List[Expr] = []
+        reads: List[str] = []
+        for init, code, rest in zip(firsts, codes, seconds):
+            if isinstance(init, Const) and isinstance(rest, Const):
+                later = _const(rest.value)
+                if later == code:
+                    reads.append(code)
+                    continue
+                key = (code, later, flag)
+                reg = self.shared.get(key)
+                if reg is None:
+                    reg = self.shared[key] = self.gen.register(code)
+                    regs.append(reg)
+                    queued.append(rest)
+                read = reg
+            else:
+                reg, read = self.read(init, code, strict, flag, sink)
+                regs.append(reg)
+                queued.append(rest)
+            self.reads += 1
             reads.append(read)
-        self.reads += len(reads)
-        before = self.reads
-        rests = self.all(e.rest, self.phase2)
-        reading = self.reads != before
-        flag2 = self.flag(e.clock, self.phase2)
-        for reg, rest in zip(regs, rests):
-            self.commit(reg, rest, flag2, reading)
+        if regs:
+            self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
         return reads
 
     def call_targets(self, names: Sequence[str]) -> List[Optional[str]]:
@@ -503,8 +602,17 @@ class _NodeCode:
         None for a dead one; without it every output is wanted."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
-        codes = self.all(args, sink)
         prefix = self.gen.fresh("V")
+        names = [d.name for d in callee.outputs]
+        if targets is None:
+            targets = [_mangle(prefix, x) for x in names]
+        outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
+        live = [t for t in targets if t]
+        if flag == "False":  # the callee never runs
+            if live:
+                sink.append(" = ".join(live) + " = None")
+            return outs
+        codes = self.all(args, sink)
         block: List[str] = []
         env: Dict[str, str] = {}
         for d, code in zip(callee.inputs, codes):
@@ -513,15 +621,11 @@ class _NodeCode:
             else:
                 env[d.name] = _mangle(prefix, d.name)
                 block.append(f"{env[d.name]} = {code}")
-        names = [d.name for d in callee.outputs]
-        if targets is None:
-            targets = [_mangle(prefix, x) for x in names]
-        outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
-        live = [t for t in targets if t]
         env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
         wanted = frozenset(x for x, t in zip(names, targets) if t)
-        block += _NodeCode(self.gen, callee, env, wanted).body()
+        # the caller reads each wanted output by name
+        block += _NodeCode(self.gen, callee, env, wanted, wanted).body()
         if flag is None:
             sink.extend(block)
         elif block:
@@ -535,16 +639,17 @@ class _NodeCode:
     # -- equations --
 
     def define(self, x: str, code: str, flag: Optional[str]) -> None:
-        """Assign `x` its value.  A literal on the instance's base clock
-        also replaces `x` in the code emitted after; the assignment stays,
-        as phase-2 code emitted earlier may name it."""
-        self.lines.append(f"{self.env[x]} = {_guard(code, flag)}")
-        if flag is None and _literal(code) is not None:
+        """Give `x` its value.  On the instance's base clock, an atom (a
+        variable's code, an input, a register or a literal) becomes the
+        code of `x` and nothing is emitted, unless the caller reads `x`
+        by name."""
+        if flag is None and x not in self.named and _atom(code):
             self.env[x] = code
+        else:
+            self.lines.append(f"{self.env[x]} = {_guard(code, flag)}")
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
-        env = self.env
         if isinstance(eq, Equation):
             pos = 0
             for e in eq.exprs:
@@ -563,13 +668,8 @@ class _NodeCode:
             self.define(eq.target, code, flag)
         elif isinstance(eq, FbyEq):
             flag = self.flag(eq.clock, L)
-            before = self.divs
-            (init,) = self.expr(eq.init, L)
-            reg, read = self.read(eq.init, init, self.divs != before, flag, L)
-            L.append(f"{env[eq.target]} = {_guard(read, flag)}")
-            before = self.reads
-            (rest,) = self.expr(eq.rhs, self.phase2)
-            self.commit(reg, rest, self.flag(eq.clock, self.phase2), self.reads != before)
+            (read,) = self.delay((eq.init,), (eq.rhs,), eq.clock, L)
+            self.define(eq.target, read, flag)
         elif isinstance(eq, CallEq):
             self.call(eq.node, eq.args, eq.clock, self.call_targets(eq.targets), L)
         else:
@@ -579,9 +679,6 @@ class _NodeCode:
 class _Run(NamedTuple):
     source: str
     fn: Callable
-    # per requested column: the index of the input it copies, or None
-    # for the next column the generated function records
-    layout: Tuple[Tuple[str, Optional[int]], ...]
 
 
 def _ticks(ck: Clock, env: Dict[str, str]) -> str:
@@ -595,30 +692,35 @@ def _ticks(ck: Clock, env: Dict[str, str]) -> str:
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     gen = _Codegen(prog)
     env = {d.name: _mangle("V", d.name) for d in node.decls}
-    # the roots of the entry's cone: the recorded columns, and the clock
-    # variables of the inputs declared on a derived clock
-    derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
-    wanted = frozenset(want).union(*(fv(d.clock) for d in derived))
-    body = _NodeCode(gen, node, env, wanted).body()
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
-    recorded = [x for x in want if x not in inputs]
-    appends = [f"a{j}" for j in range(len(recorded))]
     targets = [env[d.name] for d in node.inputs] + ["b"]
     lines = ["def run(cols, bs, div=int_div, mod=int_mod, first=FIRST):"]
-    lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
-    lines += ["    " + line for line in gen.registers]
-    lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     # an input on a derived clock is checked against it by the
     # reference's rules, before the instant runs
+    derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
     in_env = {d.name: env[d.name] for d in node.inputs}
-    for d in derived:
-        lines.append(f"        check({_ticks(d.clock, in_env)}, {env[d.name]}, {d.name!r})")
+    checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name]}, {d.name!r})" for d in derived]
+    # the roots of the entry's cone: the recorded columns, and the clock
+    # variables of the inputs declared on a derived clock
+    code = _NodeCode(gen, node, env, frozenset(want).union(*(fv(d.clock) for d in derived)))
+    code.compile()
+    recorded = [x for x in want if x not in inputs]
+    appends = [f"a{j}" for j in range(len(recorded))]
+    lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
+    lines += [f"    {reg} = {initial}" for reg, initial in gen.registers.items()]
+    lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
+    lines += ["        " + line for line in checks]
     lines.append("        if not b:")
     lines += [f"            {a}(None)" for a in appends]
     lines.append("            continue")
-    lines += ["        " + line for line in body]
+    lines += ["        " + line for line in code.lines + code.phase2]
+    # recorded before the commits, so a column whose code is a register
+    # reads this instant's value
     lines += [f"        {a}({env[x]})" for a, x in zip(appends, recorded)]
-    lines.append("    return (" + "".join(f"o{j}, " for j in range(len(recorded))) + ")")
+    lines += ["        " + line for line in code.commits]
+    columns = iter(f"o{j}" for j in range(len(recorded)))
+    history = (f"list(cols[{inputs[x]}])" if x in inputs else next(columns) for x in want)
+    lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")
     source = "\n".join(lines) + "\n"
     namespace = {
         "int_div": int_div,
@@ -628,9 +730,8 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         "check": _check_input,
     }
     exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
-    layout = tuple((x, inputs.get(x)) for x in want)
     # taken out, so that `run` and its globals form no reference cycle
-    return _Run(source, namespace.pop("run"), layout)
+    return _Run(source, namespace.pop("run"))
 
 
 class CompiledProgram:
@@ -663,8 +764,4 @@ class CompiledProgram:
             if unknown:
                 raise ValueError(f"{name} has no variable {unknown[0]!r}")
             gen = self.nodes[(name, cols)] = _generate(self.prog, node, cols)
-        recorded = iter(gen.fn(inputs, bs))
-        return {
-            x: list(inputs[k]) if k is not None else next(recorded)
-            for x, k in gen.layout
-        }
+        return gen.fn(inputs, bs)

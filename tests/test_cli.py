@@ -534,3 +534,20 @@ def test_invalid_program_is_rejected_at_load(capsys, tmp_path, body, diagnostic)
         code, out, err = run(capsys, argv[0], str(src), *argv[1:])
         assert code == 1 and out == "", argv
         assert err == f"error: {src}: {diagnostic}\n", argv
+
+
+def test_instantaneous_cycle_is_rejected_at_load(capsys, tmp_path):
+    # `validate` passes this program; its schedule does not exist
+    src = tmp_path / "cycle.lus"
+    src.write_text(
+        "node g(a: int) returns (o: int) var x: int; let x = o; o = x; tel\n"
+        "node f(a: int) returns (o: int) let o = g(a); tel\n"
+    )
+    diagnostic = "Causality in g: instantaneous dependency cycle among: x; o"
+    for argv in (
+        ["check"], ["normalize"], ["interpret"], ["verify", "--what", "preservation"],
+        ["verify", "--what", "semantics"],
+    ):
+        code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+        assert code == 1 and out == "", argv
+        assert err == f"error: {src}: {diagnostic}\n", argv

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from seclus.ast import clock_env, dv, fv
+from seclus.ast import (
+    CallEq, Equation, FbyEq, Ite, NodeCall, SimpleEq, Var, children, clock_env, dv, fv,
+)
 from seclus.compiled import CompiledProgram
 from seclus.interp import (
     INT_MAX,
@@ -414,9 +416,9 @@ def test_the_clock_of_a_recorded_column_is_in_its_cone():
         assert H == {"z": [None, 1, None, 2]}
 
 
-def _assigned(source):
-    """The entry node's variables that the generated code assigns."""
-    return set(re.findall(r"^ +V_(\w+) = ", source, re.M))
+def _named(source):
+    """The entry node's variables that the generated code names."""
+    return set(re.findall(r"\bV_(\w+)", source))
 
 
 def test_only_the_cone_of_the_recorded_columns_is_generated():
@@ -431,15 +433,15 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
             cone.add(x)
             eq = defining.get(x)
             todo += fv(eq) | set().union(*(fv(clocks[y]) for y in dv(eq))) if eq else ()
-    inputs = {d.name for d in node.inputs}
     cp = CompiledProgram(p)
     cp.run(node.name, random_inputs(node, 5, random.Random(7)), want=["out"])
     (narrow,) = cp.nodes.values()
-    assert _assigned(narrow.source) == cone - inputs
+    names = _named(narrow.source)
+    assert "out" in names and names <= cone
     assert {"x0", "x4"} <= {d.name for d in node.locals} - cone
     cp.run(node.name, random_inputs(node, 5, random.Random(7)))
     full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
-    assert _assigned(full.source) == {d.name for d in node.outputs + node.locals}
+    assert "x4" in _named(full.source) - cone
     assert full.source.count("\n") > narrow.source.count("\n")
 
 
@@ -448,6 +450,14 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
 
 def _both_engines(form):
     return CompiledProgram(form), ReferenceProgram(form)
+
+
+def _recorded(source, x):
+    """The code whose value the generated code records for column `x`."""
+    (j,) = re.findall(rf"'{x}': o(\d+)", source)
+    # the append of an instant where the base clock is off records None
+    (code,) = set(re.findall(rf"^ +a{j}\((.+)\)$", source, re.M)) - {"None"}
+    return code
 
 
 def test_results_just_outside_the_range_wrap_on_both_engines():
@@ -471,7 +481,8 @@ def test_results_just_outside_the_range_wrap_on_both_engines():
         assert H["a"] == H["c"] == H["d"] == H["l"] == H["n"] == [INT_MIN] * 2
         assert H["b"] == H["k"] == [INT_MAX] * 2
         (run,) = fast.nodes.values()
-        assert f"V_l = ({INT_MIN})" in run.source and f"V_k = {INT_MAX}" in run.source
+        assert _recorded(run.source, "l") == f"({INT_MIN})"
+        assert _recorded(run.source, "k") == str(INT_MAX)
 
 
 def test_folding_keeps_division_by_a_literal_zero():
@@ -555,5 +566,154 @@ def test_generated_code_selects_and_computes_nothing_on_literals():
     fast = CompiledProgram(parse_program("node f(a: int) returns (o: int) let o = 2 - 4; tel"))
     assert fast.run("f", [[0]])["o"] == [-2]
     (run,) = fast.nodes.values()
-    assert "V_o = (-2)\n" in run.source
+    assert _recorded(run.source, "o") == "(-2)"
     assert BETWEEN_LITERALS.search("(w := 2 - 4)") and BETWEEN_LITERALS.search("(True & False)")
+
+
+# -- copy-free step code -----------------------------------------------------------
+
+
+def _histories(src, inputs, want):
+    """The histories of `f` on each form and on both engines."""
+    out = []
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        out.append(fast.run("f", inputs, want=want))
+        out.append(ref.run("f", inputs, want=want, dialect=dialect))
+    return out
+
+
+def test_a_commit_under_a_clock_read_from_a_register_reads_it_first():
+    # `c` is a register; the inner delay commits on `base on c`, and must
+    # test `c` before `c` itself is committed
+    src = """
+    node f(a: int) returns (o: int)
+      var c: bool;
+    let
+      c = false fby (not c);
+      o = 0 fby (merge c (5 fby (a when c)) (a when not c));
+    tel
+    """
+    inputs = [[1, 2, 3, 4, 5, 6, 7]]
+    for H in _histories(src, inputs, ["o", "c"]):
+        assert H == {"o": [0, 1, 5, 3, 2, 5, 4], "c": [False, True] * 3 + [False]}
+
+
+def test_two_delays_that_read_each_other_swap():
+    src = "node f(a: int) returns (x: int; y: int) let x = 0 fby y; y = 1 fby x; tel"
+    for H in _histories(src, [[0] * 5], ["x", "y"]):
+        assert H == {"x": [0, 1, 0, 1, 0], "y": [1, 0, 1, 0, 1]}
+
+
+def test_a_recorded_register_is_recorded_before_its_commit():
+    src = "node f(a: int) returns (o: int) let o = 0 fby (o + 1); tel"
+    for H in _histories(src, [[7] * 4], ["o"]):
+        assert H == {"o": [0, 1, 2, 3]}
+
+
+def test_a_callee_whose_output_copies_its_input():
+    src = """
+    node id(x: int) returns (y: int) let y = x; tel
+    node f(c: bool; a: int) returns (o: int; p: int; q: int)
+    let
+      o = id(a);
+      p = id(0 fby a) + 1;
+      q = merge c (id(a when c)) (0 when not c);
+    tel
+    """
+    inputs = [[True, False, True, False], [3, 4, 5, 6]]
+    for H in _histories(src, inputs, ["o", "p", "q"]):
+        assert H == {"o": [3, 4, 5, 6], "p": [1, 4, 5, 6], "q": [3, 0, 5, 0]}
+
+
+@pytest.mark.parametrize("k, y, o", [("true", [2, 3, 4], [2, 3, 4]), ("false", [None] * 3, [1, 2, 3])])
+def test_a_clock_on_a_literal_is_folded(k, y, o):
+    src = f"""
+    node f(a: int) returns (o: int)
+      var k: bool; y: int :: base on k;
+    let k = {k}; y = (a when k) + 1; o = merge k (y) (a when not k); tel
+    """
+    for H in _histories(src, [[1, 2, 3]], ["y", "o"]):
+        assert H == {"y": y, "o": o}
+    for form, _ in all_forms(parse_program(src)):
+        fast = CompiledProgram(form)
+        fast.run("f", [[1]])
+        (run,) = fast.nodes.values()
+        # no flag is named, and none is tested
+        assert not re.search(r"^ +k\d+ = ", run.source, re.M), run.source
+        assert " if True" not in run.source and " if False" not in run.source
+
+
+ATOM = r"(?:[A-Za-z_]\w*|\(-\d+\)|\d+)"
+
+
+def _callee_targets(prog):
+    """The names to which a call assigns its callee's outputs: the
+    call's targets in its caller, and each callee's outputs."""
+    names, todo = set(), []
+    for node in prog.nodes:
+        for eq in node.equations:
+            if isinstance(eq, CallEq):
+                names.update(eq.targets)
+                names.update(d.name for d in prog.node(eq.node).outputs)
+                todo += eq.args
+            elif isinstance(eq, Equation):
+                pos = 0
+                for e in eq.exprs:
+                    if isinstance(e, NodeCall):
+                        names.update(eq.targets[pos : pos + len(e.types)])
+                    pos += len(e.types)
+                todo += eq.exprs
+            elif isinstance(eq, FbyEq):
+                todo += [eq.init, eq.rhs]
+            else:
+                todo.append(eq.rhs)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, NodeCall):
+            names.update(d.name for d in prog.node(e.node).outputs)
+        todo += children(e)
+    return names
+
+
+def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
+    copy = re.compile(rf"^ +(V\d*)_(\w+) = ({ATOM})$", re.M)
+    # `x = if xinit then init else px`, where `px` may be a literal
+    select = re.compile(rf"^ +V_(\w+) = \(.* if (r\d+) else (?:r\d+|{LITERAL})\)", re.M)
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            cp.run(node.name, random_inputs(node, 2, random.Random(seed)))
+            (run,) = cp.nodes.values()
+            # a copy is a callee's output, which its caller reads by name
+            allowed = _callee_targets(form.annotation)
+            for prefix, x, _ in copy.findall(run.source):
+                assert x in allowed, (seed, prefix, x)
+        # the fby-init form's entry selects on one register per clock of
+        # its `xinit = true fby false` flags
+        flags = {
+            eq.clock for eq in node.equations
+            if isinstance(eq, FbyEq) and eq.target.startswith("xinit")
+        }
+        selects = {
+            eq.target for eq in node.equations
+            if isinstance(eq, SimpleEq) and isinstance(eq.rhs, Ite)
+            and isinstance(eq.rhs.cond, Var) and eq.rhs.cond.name.startswith("xinit")
+        }
+        registers = {r for x, r in select.findall(run.source) if x in selects}
+        initial = dict(re.findall(r"^    (r\d+) = (\S+)$", run.source, re.M))
+        assert len(registers) == len(flags), seed
+        assert all(initial[r] == "True" for r in registers), seed
+    # two delays on the base clock and one on `base on c`: two flags
+    src = """
+    node f(c: bool; a: int) returns (o: int; p: int :: base on c; q: int)
+    let o = a fby (o + a); p = (a when c) fby (p + (1 when c)); q = a fby o; tel
+    """
+    (form, _), = all_forms(parse_program(src))[2:]
+    cp = CompiledProgram(form)
+    H = cp.run("f", [[True, False, True], [1, 2, 3]])
+    assert H["o"] == [1, 2, 4] and H["p"] == [1, None, 2] and H["q"] == [1, 1, 2]
+    (run,) = cp.nodes.values()
+    assert len(re.findall(r"^    r\d+ = True$", run.source, re.M)) == 2
