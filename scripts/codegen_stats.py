@@ -15,6 +15,8 @@ two fixtures and the generated programs of seeds 0..N-1, prints:
             `bench/layers.py` counts them), over the runs that raise no
             EvalError
   raised    runs that stopped with an EvalError
+  dead      statements of the generated loop that are transitively dead,
+            by a flow-insensitive liveness over the source (`dead_statements`)
 
 The entry node is each program's last node; its inputs are drawn by
 `verify.random_inputs` from the program's seed.  Stdlib only; imports
@@ -24,6 +26,7 @@ the program from `src/` next to this directory.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import random
 import statistics
@@ -55,6 +58,52 @@ def programs(seeds: int):
 def forms(p):
     n = normalize_program(p)
     return dict(zip(FORMS, (p.annotation, n, fby_init(n))))
+
+
+def _loads(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def dead_statements(source: str) -> int:
+    """The statements of the generated loop that nothing live reads.
+
+    A flow-insensitive liveness over the parsed source: a statement
+    without an assignment target (an append `a<j>(...)`, an input check,
+    `continue`) and an assignment that calls `div` or `mod` are live; an
+    assignment is live when a live statement reads one of its targets.
+    A statement under an `if` also reads the names of its test.  Names
+    bound by `:=` inside an expression are not targets."""
+    (run,) = ast.parse(source).body
+    (loop,) = [s for s in run.body if isinstance(s, ast.For)]
+    stmts = []  # (targets, reads, root)
+
+    def walk(body, tests):
+        for s in body:
+            if isinstance(s, ast.If):
+                reads = tests | _loads(s.test)
+                walk(s.body, reads)
+                walk(s.orelse, reads)
+            elif isinstance(s, ast.Assign):
+                targets = {n.id for t in s.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                calls = {
+                    n.func.id for n in ast.walk(s.value)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                }
+                stmts.append((targets, tests | _loads(s.value), bool(calls & {"div", "mod"})))
+            else:
+                stmts.append((set(), tests | _loads(s), True))
+
+    walk(loop.body, set())
+    live = [False] * len(stmts)
+    needed: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, (targets, reads, root) in enumerate(stmts):
+            if not live[i] and (root or not targets.isdisjoint(needed)):
+                live[i] = changed = True
+                needed |= reads
+    return live.count(False)
 
 
 def count_ops(fn, *args) -> int:
@@ -90,6 +139,7 @@ def measure(prog, node, want, inputs, N, row) -> None:
     row["lines"] += run.source.count("\n")
     row["bytes"] += len(run.source.encode())
     row["compile"] += 1000 * statistics.median(times)
+    row["dead"] += dead_statements(run.source)
     try:
         ops = count_ops(run.fn, inputs, base_clock(node, inputs, N))
     except EvalError:
@@ -104,7 +154,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=100)
     ap.add_argument("--horizon", type=int, default=50)
     args = ap.parse_args(argv)
-    keys = ("lines", "bytes", "compile", "ops", "instants", "raised")
+    keys = ("lines", "bytes", "compile", "ops", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
     count = 0
     for label, p in programs(args.seeds):
@@ -118,12 +168,12 @@ def main(argv=None) -> int:
             for w, want in (("outputs", outs), ("all", every)):
                 measure(form, node, want, inputs, args.horizon, table[(f, w)])
     print(f"{count} programs, horizon {args.horizon}")
-    print(f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9} {'raised':>6}")
+    print(f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9} {'raised':>6} {'dead':>5}")
     for (f, w), row in table.items():
         per = row["ops"] / row["instants"] if row["instants"] else 0.0
         print(
             f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
-            f" {per:9.1f} {row['raised']:6d}"
+            f" {per:9.1f} {row['raised']:6d} {row['dead']:5d}"
         )
     return 0
 

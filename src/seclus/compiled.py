@@ -11,20 +11,24 @@ interpreter.  The test suite pins its agreement with `run_node`.
 The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 & Pouzet, LCTES 2008) with the loop over instants moved into the
 generated code, as in Vélus's translation to Obc (Bourke et al., PLDI
-2017).  Each node instance (the entry node, or a callee inlined at one
-call site) emits only the equations in the cone of influence of its
-wanted variables: the entry's recorded columns, the targets of a call
-that its caller reads, every output of a call in expression position.
-The cone is the backward closure over the equations that define them,
-through every operand (the delayed operand of a `fby` included), every
-`when`/`merge` variable and the variables of the targets' clocks.  An
-equation that may raise (a `div`/`mod` whose divisor is not a positive
-literal, or a call to a node holding one) is always in the cone, so
-leaving out the rest removes no `EvalError`; neither a dead equation
-nor its delay registers are generated.  Layout of the `run` function
+2017).  Code is pruned twice, around constant folding: the cone of
+influence before it, liveness after it.  Each node instance (the entry
+node, or a callee inlined at one call site) compiles only the equations
+in the cone of influence of its wanted variables: the entry's recorded
+columns, the targets of a call that its caller reads, every output of a
+call in expression position.  The cone is the backward closure over the
+equations that define them, through every operand (the delayed operand
+of a `fby` included), every `when`/`merge` variable and the variables
+of the targets' clocks, so a callee that nothing wanted reads is never
+inlined.  An equation that may raise (a `div`/`mod` whose divisor is
+not a positive literal, or a call to a node holding one) is always in
+the cone, so leaving out the rest removes no `EvalError`.  Folding
+(below) then removes readers that the cone counted, so each statement
+records its targets and the names its code reads, and only the live
+statements are emitted (see *Liveness*).  Layout of the `run` function
 generated for one entry node and one set of recorded columns:
 
-  before the loop  every delay register is a Python local, holding its
+  before the loop  every live delay register is a Python local, holding its
                    constant initial value or the `first` sentinel
                    (`interp._FIRST`)
   per instant      the input columns are zipped with the base clock; an
@@ -49,7 +53,7 @@ generated for one entry node and one set of recorded columns:
   record           only the requested columns, through bound
                    `list.append`, before the commits, so a column whose
                    code is a register reads this instant's value
-  commits          every register stored
+  commits          every live register stored
   return           the history dict: the recorded lists, and a copy of
                    each requested input column
 
@@ -91,6 +95,18 @@ which must still raise at run time.  An `if` whose condition is a
 literal is its branch, after any strict branch has been hoisted as
 usual; so is a `merge` whose variable's code is a literal.  Equal branch
 codes collapse when the condition cannot raise.
+
+Liveness.  A statement that nothing live reads is not emitted.  While
+its code is built, each statement records its targets and the names the
+code reads (`_Stmt`); a branch that folding drops takes its names with
+it.  `_live` closes backward over these records from the recorded
+columns and from every statement that may raise (one that calls `div`
+or `mod`); a statement in a call block also reads the block's test.  The
+closure is flow-insensitive, so a register that phase 1 reads keeps the
+commit that stores it at the end of the instant, and a register nothing
+live reads loses its commit and its initialisation.  The survivors are
+printed in their order and text; a call block with no live statement
+goes, with its `else`.
 """
 
 from __future__ import annotations
@@ -186,18 +202,6 @@ def _literal(code: str) -> Optional[Value]:
     return int(code.strip("()")) if digits.isdigit() else None
 
 
-def _choice(c: str, t: str, f: str, pure: bool) -> str:
-    """Code for `t if c else f`: the branch itself when the condition
-    `c` is a literal, or when both branches are the same code and `c`
-    cannot raise (`pure`)."""
-    v = _literal(c)
-    if v is not None:
-        return t if v else f
-    if t == f and pure:
-        return t
-    return f"({t} if {c} else {f})"
-
-
 def _atom(code: str) -> bool:
     return code.isidentifier() or _literal(code) is not None
 
@@ -211,6 +215,78 @@ def _guard(code: str, flag: Optional[str]) -> str:
     if flag is None:
         return code
     return "None" if flag == "False" else f"{code} if {flag} else None"
+
+
+# the names whose call may raise: a statement that reads one is live
+_RAISING = frozenset(("div", "mod"))
+
+
+class _Stmt(NamedTuple):
+    """One generated statement: its line of code, the names it assigns
+    and the names its code reads (`div` or `mod` when it may raise).  A
+    call block is its `if` line, whose test reads `reads`, with the
+    callee's statements under it (`body`) and, when the caller reads the
+    callee's outputs, the statement of its `else` branch."""
+
+    text: str
+    targets: Tuple[str, ...]
+    reads: List[str]
+    body: Optional[List["_Stmt"]] = None
+    orelse: Optional["_Stmt"] = None
+
+
+def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
+    """The statements that a root name or a statement that may raise
+    reads, transitively, by `id`, and every name they read.  A statement
+    in a call block also reads the block's test.  The closure is
+    flow-insensitive, so a register read before the commit that stores
+    it keeps that commit: a fixpoint over the registers that carry
+    values across instants."""
+    defining: Dict[str, List[Tuple[_Stmt, List[str]]]] = {}
+    live: Set[int] = set()
+    needed = set(roots)
+    blocks = [(stmts, [])]
+    while blocks:
+        body, tests = blocks.pop()
+        for st in body:
+            if st.body is not None:
+                inner = tests + st.reads
+                blocks.append((st.body, inner))
+                if st.orelse is not None:
+                    blocks.append(([st.orelse], inner))
+            elif _RAISING.isdisjoint(st.reads):
+                for x in st.targets:
+                    defining.setdefault(x, []).append((st, tests))
+            else:
+                live.add(id(st))
+                needed.update(st.reads, tests)
+    todo = list(needed)
+    while todo:
+        # each name is taken once, so a statement is met once per target
+        for st, tests in defining.get(todo.pop(), ()):
+            live.add(id(st))
+            fresh = set(st.reads).union(tests)
+            fresh -= needed
+            needed |= fresh
+            todo += fresh
+    return live, needed
+
+
+def _emit(stmts: List[_Stmt], live: Set[int], indent: str, out: List[str]) -> None:
+    """The lines of the live statements, in order; a call block with no
+    live statement goes, with its `else`."""
+    for st in stmts:
+        if st.body is None:
+            if id(st) in live:
+                out.append(indent + st.text)
+            continue
+        inner: List[str] = []
+        _emit(st.body, live, indent + "    ", inner)
+        if inner:
+            out.append(indent + st.text)
+            out += inner
+            if st.orelse is not None and id(st.orelse) in live:
+                out += [indent + "else:", indent + "    " + st.orelse.text]
 
 
 class _Deps(NamedTuple):
@@ -350,7 +426,14 @@ class _NodeCode:
     or a callee inlined at one call site.  `env` maps each of the node's
     variables to the code that names it; only the equations in the cone
     of the `wanted` variables are emitted.  The variables in `named` (a
-    callee's outputs that its caller reads) are always assigned."""
+    callee's outputs that its caller reads) are always assigned.
+
+    Each statement carries the names its code reads.  They are noted in
+    `seen` while the code is built: each variable, register and flag
+    code that `use` and `flag` see, each hoisted or called name and each
+    `div`/`mod` call.  A statement takes what was noted since its code
+    was begun, and a part that no code keeps (a branch that folding
+    drops, an operand hoisted into a statement of its own) is cut out."""
 
     def __init__(
         self,
@@ -366,9 +449,9 @@ class _NodeCode:
         self.named = named
         self.cone = gen.cone(node, wanted)
         self.flags: Dict[Clock, str] = {}
-        self.lines: List[str] = []  # phase 1
-        self.phase2: List[str] = []
-        self.commits: List[str] = []
+        self.lines: List[_Stmt] = []  # phase 1
+        self.phase2: List[_Stmt] = []
+        self.commits: List[_Stmt] = []
         self.queue: List[_Delay] = []
         # the register of each constant delay, by its two literals and
         # its clock flag
@@ -378,6 +461,8 @@ class _NodeCode:
         # only code that raises on a well-clocked program
         self.reads = 0
         self.divs = 0
+        # the names read by the code of the statement being built
+        self.seen: List[str] = []
 
     def compile(self) -> None:
         """Phase 1 in schedule order, then phase 2 over the queued
@@ -387,31 +472,45 @@ class _NodeCode:
         for eq in self.cone.equations:
             self.equation(eq)
         for regs, rest, ck in self.queue:
+            self.seen.clear()
             before = self.reads
             rests = self.all(rest, self.phase2)
             flag = self.flag(ck, self.phase2)
             reading = self.reads != before
+            reads = self.seen[:]
             for reg, code in zip(regs, rests):
-                self.commit(reg, code, flag, reading)
+                self.commit(reg, code, flag, reading, reads)
 
-    def body(self) -> List[str]:
+    def body(self) -> List[_Stmt]:
         self.compile()
         return self.lines + self.phase2 + self.commits
 
-    def hoist(self, code: str, sink: List[str]) -> str:
+    def cut(self, start: int) -> List[str]:
+        """The names noted since `start`, taken out of `seen`."""
+        names = self.seen[start:]
+        del self.seen[start:]
+        return names
+
+    def hoist(self, code: str, flag: Optional[str], reads: List[str], sink: List[_Stmt]) -> str:
+        """A statement of its own for `code` where the clock flag `flag`
+        is on; `reads` are the names the code and the flag read."""
         name = self.gen.fresh("e")
-        sink.append(f"{name} = {code}")
+        reads = [] if flag == "False" else reads
+        sink.append(_Stmt(f"{name} = {_guard(code, flag)}", (name,), reads))
+        self.seen.append(name)
         return name
 
     def use(self, code: str) -> str:
-        """`code`, read here; a register read is counted."""
+        """`code`, read here: noted in `seen`, and counted when it is a
+        register."""
         if code in self.gen.registers:
             self.reads += 1
+        self.seen.append(code)
         return code
 
     # -- clocks --
 
-    def flag(self, ck: Optional[Clock], sink: List[str]) -> Optional[str]:
+    def flag(self, ck: Optional[Clock], sink: List[_Stmt]) -> Optional[str]:
         """Activity of `ck`: None for the instance's base clock (always
         on where the instance's statements run), `False` for a clock
         that never ticks.  A test on a literal is folded.  In phase 1 a
@@ -426,20 +525,25 @@ class _NodeCode:
         name = self.flags.get(ck)
         if name is not None:
             return self.use(name)
+        start = len(self.seen)
         parent = self.flag(ck.clock, sink)
         if parent == "False":
             return parent
         var = self.use(self.env[ck.var])
         v = _literal(var)
         if v is not None:
-            return parent if v == ck.value else "False"
+            if v == ck.value:
+                return parent
+            del self.seen[start:]
+            return "False"
         test = var if ck.value else f"not {var}"
         code = test if parent is None else f"{parent} and {test}"
         if sink is not self.lines:
             return code if code == var else f"({code})"
         if code != var:
             name = self.gen.fresh("k")
-            sink.append(f"{name} = {code}")
+            sink.append(_Stmt(f"{name} = {code}", (name,), self.cut(start)))
+            self.seen.append(name)
             code = name
         self.flags[ck] = code
         return code
@@ -447,7 +551,7 @@ class _NodeCode:
     # -- expressions: one code string per component stream --
     # `sink` collects hoisted statements (phase-1 lines or phase-2 lines)
 
-    def expr(self, e: Expr, sink: List[str]) -> List[str]:
+    def expr(self, e: Expr, sink: List[_Stmt]) -> List[str]:
         if isinstance(e, Const):
             return [_const(e.value)]
         if isinstance(e, Var):
@@ -465,10 +569,13 @@ class _NodeCode:
         if isinstance(e, When):
             return self.all(e.exprs, sink)  # operand present whenever active
         if isinstance(e, Merge):
-            ts = self.all(e.on_true, sink)
-            fs = self.all(e.on_false, sink)
+            c = len(self.seen)
             x = self.use(self.env[e.var])
-            return [_choice(x, t, f, True) for t, f in zip(ts, fs)]
+            t = len(self.seen)
+            ts = self.all(e.on_true, sink)
+            f = len(self.seen)
+            fs = self.all(e.on_false, sink)
+            return self.choose(x, ts, fs, True, c, t, f)
         if isinstance(e, Ite):
             return self.ite(e, sink)
         if isinstance(e, Fby):
@@ -487,72 +594,116 @@ class _NodeCode:
             if type(b) is int and b > 0:
                 return _LITERAL_FMT[op].format(b, l)
             self.divs += 1
+            self.seen.append(op)
         return _BIN_FMT[op].format(l, r)
 
-    def all(self, es: Sequence[Expr], sink: List[str]) -> List[str]:
+    def all(self, es: Sequence[Expr], sink: List[_Stmt]) -> List[str]:
         out: List[str] = []
         for e in es:
             out.extend(self.expr(e, sink))
         return out
 
-    def ite(self, e: Ite, sink: List[str]) -> List[str]:
+    def choose(
+        self, c: str, ts: List[str], fs: List[str], pure: bool, c_at: int, t_at: int, f_at: int
+    ) -> List[str]:
+        """The codes of `t if c else f` for each pair of branch codes: the
+        branch itself when the condition `c` is a literal, or when both
+        branches are the same code and `c` cannot raise (`pure`).  The
+        names read by `c`, the `ts` and the `fs` were noted in `seen`
+        from `c_at`, `t_at` and `f_at` on; those of the parts that no
+        code keeps are cut out."""
+        v = _literal(c)
+        if v is None and not (pure and ts == fs):
+            return [t if t == f and pure else f"({t} if {c} else {f})" for t, f in zip(ts, fs)]
+        if v is None or v:
+            del self.seen[f_at:]
+            del self.seen[c_at:t_at]
+            return ts
+        del self.seen[c_at:f_at]
+        return fs
+
+    def ite(self, e: Ite, sink: List[_Stmt]) -> List[str]:
         # the reference evaluates both branches: a branch that can raise
         # is computed on the conditional's clock before the selection
         before = self.divs
-        (c,) = self.expr(e.cond, sink)
+        c = len(self.seen)
+        (cond,) = self.expr(e.cond, sink)
         pure = self.divs == before
         before = self.divs
+        t = len(self.seen)
         ts = self.all(e.on_true, sink)
+        f = len(self.seen)
         fs = self.all(e.on_false, sink)
         if self.divs != before:
+            clock = len(self.seen)
             flag = self.flag(e.clock, sink)
-            ts = [self.hoist(_guard(t, flag), sink) for t in ts]
-            fs = [self.hoist(_guard(f, flag), sink) for f in fs]
-        return [_choice(c, t, f, pure) for t, f in zip(ts, fs)]
+            clock_reads = self.cut(clock)
+            false_reads = self.cut(f) + clock_reads
+            true_reads = self.cut(t) + clock_reads
+            ts = [self.hoist(code, flag, true_reads, sink) for code in ts]
+            f = len(self.seen)
+            fs = [self.hoist(code, flag, false_reads, sink) for code in fs]
+        return self.choose(cond, ts, fs, pure, c, t, f)
 
     def read(
-        self, init: Optional[Expr], code: str, strict: bool, flag: Optional[str], sink: List[str]
+        self,
+        init: Optional[Expr],
+        code: str,
+        strict_reads: Optional[List[str]],
+        flag: Optional[str],
+        sink: List[_Stmt],
     ) -> Tuple[str, str]:
         """A new register for a delay whose first operand `init` compiles
         to `code`, and the code that reads the delay's current value.  A
         constant is the register's initial content.  The reference
         evaluates the first operand at every instant of the delay, so a
-        `strict` one (it can raise) is computed even after the first."""
+        strict one (it can raise) is computed even after the first, by a
+        statement that reads `strict_reads`; None when it cannot raise."""
         if isinstance(init, Const):
             reg = self.gen.register(code)
             return reg, reg
         reg = self.gen.register("first")
-        if strict:
-            code = self.hoist(_guard(code, flag), sink)
+        if strict_reads is not None:
+            code = self.hoist(code, flag, strict_reads, sink)
         return reg, f"({code} if {reg} is first else {reg})"
 
-    def commit(self, reg: str, rest: str, flag: Optional[str], reading: bool) -> None:
+    def commit(
+        self, reg: str, rest: str, flag: Optional[str], reading: bool, reads: List[str]
+    ) -> None:
         """Store the delayed operand: straight into the register at the
         end of the instant, or through a phase-2 temporary when `rest`
         reads a register that may be committed before it.  A register
         that keeps its value, or whose clock never ticks, is left as it
-        is."""
+        is.  `reads` are the names that `rest` and `flag` read."""
         if rest == reg or flag == "False":
             return
-        if reading:
-            t = self.gen.fresh("t")
-            self.phase2.append(f"{t} = {rest} if {flag} else {reg}" if flag else f"{t} = {rest}")
-            self.commits.append(f"{reg} = {t}")
+        if not reading:
+            text = f"if {flag}: {reg} = {rest}" if flag else f"{reg} = {rest}"
+            self.commits.append(_Stmt(text, (reg,), reads))
+            return
+        t = self.gen.fresh("t")
+        if flag:
+            self.phase2.append(_Stmt(f"{t} = {rest} if {flag} else {reg}", (t,), reads + [reg]))
         else:
-            self.commits.append(f"if {flag}: {reg} = {rest}" if flag else f"{reg} = {rest}")
+            self.phase2.append(_Stmt(f"{t} = {rest}", (t,), reads))
+        self.commits.append(_Stmt(f"{reg} = {t}", (reg,), [t]))
 
     def delay(
-        self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[str]
+        self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[_Stmt]
     ) -> List[str]:
         """The codes that read a delay's components; their second
         operands are queued for phase 2.  A constant delay (a literal
         first and second operand) is that literal when the two are
         equal; otherwise the constant delays on one clock flag with the
         same two literals share one register."""
+        start = len(self.seen)
         flag = self.flag(ck, sink)
+        # the commits test the clock again in phase 2
+        clock_reads = self.cut(start)
         before = self.divs
         codes = self.all(inits, sink)
-        strict = self.divs != before
+        # a first operand that can raise gets a statement of its own
+        strict_reads = self.cut(start) + clock_reads if self.divs != before else None
         # one expression per component, unless a call yields several
         n = len(codes)
         firsts = inits if len(inits) == n else (None,) * n
@@ -574,10 +725,11 @@ class _NodeCode:
                     queued.append(rest)
                 read = reg
             else:
-                reg, read = self.read(init, code, strict, flag, sink)
+                reg, read = self.read(init, code, strict_reads, flag, sink)
                 regs.append(reg)
                 queued.append(rest)
             self.reads += 1
+            self.seen.append(reg)
             reads.append(read)
         if regs:
             self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
@@ -595,32 +747,40 @@ class _NodeCode:
         args: Sequence[Expr],
         ck: Optional[Clock],
         targets: Optional[List[Optional[str]]],
-        sink: List[str],
+        sink: List[_Stmt],
     ) -> List[str]:
         """Inline one instant of `name` at this call site; returns the
         codes of its outputs.  `targets` gives the code of each output,
         None for a dead one; without it every output is wanted."""
         callee = self.gen.prog.node(name)
+        start = len(self.seen)
         flag = self.flag(ck, sink)
+        test = self.cut(start)
         prefix = self.gen.fresh("V")
         names = [d.name for d in callee.outputs]
         if targets is None:
             targets = [_mangle(prefix, x) for x in names]
         outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
         live = [t for t in targets if t]
+        absent = _Stmt(" = ".join(live) + " = None", tuple(live), []) if live else None
         if flag == "False":  # the callee never runs
-            if live:
-                sink.append(" = ".join(live) + " = None")
+            if absent:
+                sink.append(absent)
+            self.seen += outs
             return outs
-        codes = self.all(args, sink)
-        block: List[str] = []
+        block: List[_Stmt] = []
         env: Dict[str, str] = {}
-        for d, code in zip(callee.inputs, codes):
-            if _atom(code):
-                env[d.name] = code
-            else:
-                env[d.name] = _mangle(prefix, d.name)
-                block.append(f"{env[d.name]} = {code}")
+        inputs = iter(callee.inputs)
+        for arg in args:
+            start = len(self.seen)
+            codes = self.expr(arg, sink)
+            reads = self.cut(start)
+            for code, d in zip(codes, inputs):
+                if _atom(code):
+                    env[d.name] = code
+                else:
+                    env[d.name] = _mangle(prefix, d.name)
+                    block.append(_Stmt(f"{env[d.name]} = {code}", (env[d.name],), reads))
         env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
         wanted = frozenset(x for x, t in zip(names, targets) if t)
@@ -629,27 +789,27 @@ class _NodeCode:
         if flag is None:
             sink.extend(block)
         elif block:
-            sink.append(f"if {flag}:")
-            sink.extend("    " + line for line in block)
-            if live:
-                sink.append("else:")
-                sink.append("    " + " = ".join(live) + " = None")
+            sink.append(_Stmt(f"if {flag}:", (), test, block, absent))
+        self.seen += outs
         return outs
 
     # -- equations --
 
-    def define(self, x: str, code: str, flag: Optional[str]) -> None:
+    def define(self, x: str, code: str, flag: Optional[str], start: int) -> None:
         """Give `x` its value.  On the instance's base clock, an atom (a
         variable's code, an input, a register or a literal) becomes the
         code of `x` and nothing is emitted, unless the caller reads `x`
-        by name."""
+        by name.  `code` and `flag` were built from `start` in `seen`."""
         if flag is None and x not in self.named and _atom(code):
             self.env[x] = code
         else:
-            self.lines.append(f"{self.env[x]} = {_guard(code, flag)}")
+            target = self.env[x]
+            reads = [] if flag == "False" else self.seen[start:]
+            self.lines.append(_Stmt(f"{target} = {_guard(code, flag)}", (target,), reads))
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
+        self.seen.clear()
         if isinstance(eq, Equation):
             pos = 0
             for e in eq.exprs:
@@ -659,17 +819,18 @@ class _NodeCode:
                 if isinstance(e, NodeCall):
                     self.call(e.node, e.args, e.clock, self.call_targets(names), L)
                     continue
+                start = len(self.seen)
                 flag = self.flag(e.clock, L)
                 for x, code in zip(names, self.expr(e, L)):
-                    self.define(x, code, flag)
+                    self.define(x, code, flag, start)
         elif isinstance(eq, SimpleEq):
             flag = self.flag(eq.clock, L)
             (code,) = self.expr(eq.rhs, L)
-            self.define(eq.target, code, flag)
+            self.define(eq.target, code, flag, 0)
         elif isinstance(eq, FbyEq):
             flag = self.flag(eq.clock, L)
             (read,) = self.delay((eq.init,), (eq.rhs,), eq.clock, L)
-            self.define(eq.target, read, flag)
+            self.define(eq.target, read, flag, 0)
         elif isinstance(eq, CallEq):
             self.call(eq.node, eq.args, eq.clock, self.call_targets(eq.targets), L)
         else:
@@ -705,19 +866,23 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     code = _NodeCode(gen, node, env, frozenset(want).union(*(fv(d.clock) for d in derived)))
     code.compile()
     recorded = [x for x in want if x not in inputs]
+    # only what the recorded columns and the statements that may raise
+    # read, transitively, is emitted
+    body = code.lines + code.phase2
+    live, needed = _live(body + code.commits, [env[x] for x in recorded])
     appends = [f"a{j}" for j in range(len(recorded))]
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
-    lines += [f"    {reg} = {initial}" for reg, initial in gen.registers.items()]
+    lines += [f"    {reg} = {initial}" for reg, initial in gen.registers.items() if reg in needed]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
     lines += [f"            {a}(None)" for a in appends]
     lines.append("            continue")
-    lines += ["        " + line for line in code.lines + code.phase2]
+    _emit(body, live, "        ", lines)
     # recorded before the commits, so a column whose code is a register
     # reads this instant's value
     lines += [f"        {a}({env[x]})" for a, x in zip(appends, recorded)]
-    lines += ["        " + line for line in code.commits]
+    _emit(code.commits, live, "        ", lines)
     columns = iter(f"o{j}" for j in range(len(recorded)))
     history = (f"list(cols[{inputs[x]}])" if x in inputs else next(columns) for x in want)
     lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")

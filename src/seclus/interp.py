@@ -393,12 +393,14 @@ def schedule(n: Node) -> List[AnyEquation]:
 
 
 def node_schedule(prog: Program, node: Node) -> List[AnyEquation]:
-    """`schedule(node)` for the node of `prog` so named, made once per
-    program object (`Program.memo["schedule"]`) for both engines."""
+    """The schedule of `prog`'s own node of `node`'s name, made once per
+    program object (`Program.memo["schedule"]`) for both engines, so a
+    node of another form of the program (the unannotated parse of an
+    annotation, say) stores nothing of its own."""
     orders = prog.memo.setdefault("schedule", {})
     order = orders.get(node.name)
     if order is None:
-        order = orders[node.name] = schedule(node)
+        order = orders[node.name] = schedule(prog.node(node.name))
     return order
 
 

@@ -413,11 +413,15 @@ def policy_instantiation(
     node: Node, sig: NodeSignature, named: Mapping[str, object]
 ) -> dict[str, object]:
     """Translate a policy keyed by source variable names (plus "base")
-    into one keyed by the signature's type variables."""
+    into one keyed by the signature's type variables.  A TypingError
+    names the first interface variable, or "base", without a level."""
     check_policy_names(node, named)
     names = {d.name: v for d, v in zip(node.inputs, sig.input_vars)}
     names.update({d.name: v for d, v in zip(node.outputs, sig.output_vars)})
     names[BASE_KEY] = sig.clock_var
+    for k in names:
+        if k not in named:
+            raise TypingError(f"policy missing a level for {k!r}")
     return {names[k]: lev for k, lev in named.items()}
 
 

@@ -302,6 +302,19 @@ def test_policy_naming_a_variable_twice_is_an_error(capsys, tmp_path, command):
     assert err == f"error: {pol}:5: 'i' already has a level, on line 1\n"
 
 
+@pytest.mark.parametrize(
+    "policy, missing",
+    [("h = H\nl = L\no = L\n", "base"), ("h = H\no = L\nbase = L\n", "l")],
+)
+def test_policy_missing_a_level_names_the_source_variable(capsys, tmp_path, policy, missing):
+    lus, pol = tmp_path / "f.lus", tmp_path / "p.pol"
+    lus.write_text("node f(h: int; l: int) returns (o: int) let o = l; tel\n")
+    pol.write_text(policy)
+    code, out, err = run(capsys, "check", str(lus), "--policy", str(pol))
+    assert code == 1 and "Secure" not in out
+    assert err == f"error: policy missing a level for {missing!r}\n"
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run(
         capsys, "verify", fixture_path("cnt_dn.lus"), "--horizon", "0"

@@ -1,6 +1,8 @@
 """Fast code-generating evaluator: agreement with the reference
 interpreter on fixtures and random programs, and matching strictness."""
 
+import importlib.util
+import os
 import random
 import re
 
@@ -387,6 +389,19 @@ DEAD_BUT_RAISING = [
       var c: bool; u: int :: base on c; v: int :: base on c;
     let c = x >= 0; (u, v) = g(x when c); o = x + 1; tel
     """,
+    # a local and a call whose only reader folding removes: the merge on
+    # a literal drops the branch that reads them
+    """
+    node f(x: int) returns (o: int)
+      var d: int; k: bool;
+    let k = true; d = 1 div x; o = merge k ((x + 1) when k) (d when not k); tel
+    """,
+    """
+    node g(x: int) returns (p: int) let p = 1 mod x; tel
+    node f(x: int) returns (o: int)
+      var d: int; k: bool;
+    let k = false; d = g(x); o = merge k (d when k) ((x + 1) when not k); tel
+    """,
 ]
 
 
@@ -717,3 +732,49 @@ def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
     assert H["o"] == [1, 2, 4] and H["p"] == [1, None, 2] and H["q"] == [1, 1, 2]
     (run,) = cp.nodes.values()
     assert len(re.findall(r"^    r\d+ = True$", run.source, re.M)) == 2
+
+
+# -- liveness after folding -------------------------------------------------------
+
+
+def _codegen_stats():
+    """`scripts/codegen_stats.py` as a module, for its `dead_statements`."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "codegen_stats.py")
+    spec = importlib.util.spec_from_file_location("codegen_stats", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_loops_hold_no_dead_statement():
+    # the script's liveness over the generated source, independent of
+    # the generator's own record of what each statement reads
+    dead_statements = _codegen_stats().dead_statements
+    programs = [load("cnt_dn.lus"), load("re_trig.lus")]
+    programs += [generate_program(GenConfig(seed=seed)) for seed in range(30)]
+    for k, p in enumerate(programs):
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            inputs = random_inputs(node, 2, random.Random(k))
+            cp = CompiledProgram(form)
+            for want in ([d.name for d in node.outputs], None):
+                cp.run(node.name, inputs, want=want)
+            for run in cp.nodes.values():
+                assert dead_statements(run.source) == 0, (k, run.source)
+
+
+def test_a_value_whose_reader_folding_removed_is_not_computed():
+    # seed 42's fby-init form: `v1` is read only by a selection that
+    # folding removes, so nothing computes it
+    p = generate_program(GenConfig(seed=42))
+    form = fby_init(normalize_program(p))
+    node = form.nodes[-1]
+    inputs = random_inputs(node, 10, random.Random(42))
+    want = [d.name for d in node.outputs]
+    fast, ref = _both_engines(form)
+    H = ref.run(node.name, inputs, want=want, dialect="nlustre")
+    assert fast.run(node.name, inputs, want=want) == H
+    (run,) = fast.nodes.values()
+    assert "v1" in {d.name for d in node.locals}
+    assert not re.search(r"^ +V_v1 = ", run.source, re.M), run.source

@@ -106,6 +106,21 @@ def test_each_form_and_node_is_prepared_and_scheduled_once(monkeypatch):
     assert set(prepared.values()) == set(scheduled.values()) == {1}
 
 
+def test_a_node_of_another_form_gets_the_schedule_of_the_programs_own():
+    # the unannotated parse's node names the annotation's: its schedule
+    # must not be kept for the annotation, whose engines read the
+    # clocks and types of the equations they are given
+    p = load("re_trig.lus")
+    a = p.annotation
+    parsed = p.node("re_trig")
+    assert parsed is not a.node("re_trig")
+    order = interp.node_schedule(a, parsed)
+    ins = [[True, False, True, True], [2, 3, 1, 4]]
+    fast = CompiledProgram(p).run("re_trig", ins)
+    assert fast == run_node(p, "re_trig", ins) == ReferenceProgram(a).run("re_trig", ins)
+    assert {id(eq) for eq in order} == {id(eq) for eq in a.node("re_trig").equations}
+
+
 def test_verify_all_de_nests_each_node_once(monkeypatch, capsys):
     calls = Counter()
     real = normalise.normalize_node
