@@ -1,6 +1,6 @@
 """Size, compile time and run cost of the compiled engine's generated code.
 
-    python3 scripts/codegen_stats.py [--seeds N] [--horizon N]
+    python3 scripts/codegen_stats.py [--seeds N] [--horizon N] [--digest]
 
 For each program form (source, de-nested, fby-init) and each set of
 recorded columns (the entry node's outputs, or every variable), over the
@@ -19,14 +19,18 @@ two fixtures and the generated programs of seeds 0..N-1, prints:
             by a flow-insensitive liveness over the source (`dead_statements`)
 
 The entry node is each program's last node; its inputs are drawn by
-`verify.random_inputs` from the program's seed.  Stdlib only; imports
-the program from `src/` next to this directory.
+`verify.random_inputs` from the program's seed.  With `--digest`, prints
+instead one SHA-256 over every generated source of the same corpus, in
+that order, so two trees that generate the same code print the same
+line.  Stdlib only; imports the program from `src/` next to this
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import os
 import random
 import statistics
@@ -58,6 +62,21 @@ def programs(seeds: int):
 def forms(p):
     n = normalize_program(p)
     return dict(zip(FORMS, (p.annotation, n, fby_init(n))))
+
+
+def wants(node):
+    """The recorded columns of each row: the outputs, and every variable."""
+    return {"outputs": tuple(d.name for d in node.outputs), "all": tuple(d.name for d in node.decls)}
+
+
+def digest(seeds: int) -> str:
+    h = hashlib.sha256()
+    for _, p in programs(seeds):
+        for form in forms(p).values():
+            node = form.nodes[-1]
+            for want in wants(node).values():
+                h.update(compiled._generate(form, node, want).source.encode() + b"\0")
+    return h.hexdigest()
 
 
 def _loads(tree) -> set:
@@ -153,7 +172,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=100)
     ap.add_argument("--horizon", type=int, default=50)
+    ap.add_argument("--digest", action="store_true", help="print one SHA-256 over the generated sources")
     args = ap.parse_args(argv)
+    if args.digest:
+        print(digest(args.seeds))
+        return 0
     keys = ("lines", "bytes", "compile", "ops", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
     count = 0
@@ -163,9 +186,7 @@ def main(argv=None) -> int:
         for f, form in forms(p).items():
             node = form.nodes[-1]
             inputs = random_inputs(node, args.horizon, random.Random(seed))
-            outs = tuple(d.name for d in node.outputs)
-            every = tuple(d.name for d in node.decls)
-            for w, want in (("outputs", outs), ("all", every)):
+            for w, want in wants(node).items():
                 measure(form, node, want, inputs, args.horizon, table[(f, w)])
     print(f"{count} programs, horizon {args.horizon}")
     print(f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9} {'raised':>6} {'dead':>5}")

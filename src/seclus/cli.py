@@ -35,6 +35,7 @@ from seclus.sectypes import LatticeError, SecurityLattice, parse_lattice
 from seclus.typing import (
     TypingError,
     check_policy,
+    check_policy_levels,
     check_policy_names,
     check_program,
     policy_instantiation,
@@ -263,6 +264,13 @@ def cmd_verify(args) -> int:
     lat = parse_lattice(args.lattice)
     payload: dict = {"seed": seed, "file": args.file}
     ok = True
+    if args.what in ("ni", "all"):
+        # the policy is checked before any campaign runs
+        node = _pick_node(prog, args.node)
+        named = _load_policy(args.policy, lat) if args.policy else {}
+        check_policy_names(node, named)
+        if args.policy:
+            check_policy_levels((d.name for d in node.inputs), named)
     if not args.json:
         print(f"seed: {seed}")
 
@@ -295,9 +303,6 @@ def cmd_verify(args) -> int:
                 )
 
     if args.what in ("ni", "all"):
-        node = _pick_node(prog, args.node)
-        named = _load_policy(args.policy, lat) if args.policy else {}
-        check_policy_names(node, named)
         input_levels = {
             d.name: named.get(d.name, lat.bottom) for d in node.inputs
         }

@@ -23,9 +23,8 @@ of the targets' clocks, so a callee that nothing wanted reads is never
 inlined.  An equation that may raise (a `div`/`mod` whose divisor is
 not a positive literal, or a call to a node holding one) is always in
 the cone, so leaving out the rest removes no `EvalError`.  Folding
-(below) then removes readers that the cone counted, so each statement
-records its targets and the names its code reads, and only the live
-statements are emitted (see *Liveness*).  Layout of the `run` function
+(below) then removes readers that the cone counted, so only the live
+statements are printed (see *Liveness*).  Layout of the `run` function
 generated for one entry node and one set of recorded columns:
 
   before the loop  every live delay register is a Python local, holding its
@@ -64,6 +63,18 @@ starts with a lower-case letter, so no program identifier can shadow
 one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
 
+The step code is built as a small intermediate representation and
+printed once, at the end, as Vélus builds Obc and prints C last.  A code
+(an expression of the step code) is a literal (`Lit`, which holds its
+value), a name (`Name`, which knows whether it is a delay register) or
+a template over operand codes (`Op`): an operator, a choice, a clock
+guard, a delay's first-instant read or a clock flag's test.  Each code
+knows, from when it is built, the names it reads, whether one of them
+is a register and whether it calls `div` or `mod`.  A statement
+(`_Stmt`) assigns a code to its targets; a call block holds the
+callee's statements under the call's flag.  `_emit` prints the live
+statements only, through `_show`.
+
 A copy costs nothing per instant.  Each variable has one code: an
 equation on its instance's base clock whose code is an atom (a
 variable's code, an input, a register or a literal) gives the variable
@@ -77,31 +88,35 @@ flags are one register per clock.  A clock whose variable's code is a
 literal is folded: always on, the parent's flag; never on, `False`, and
 nothing under it runs.
 
-`+`, `-`, `*` and unary `-` wrap to 64 bits by `interp.WRAP`, a range
-test through the scratch local `w` that leaves the three big-int
-masking operations to a result outside the range.  `div` and `mod` by a
-positive integer literal (all the generator's divisions) are inline
-floor operations with the sign fixed up, through the scratch local `q`;
-any other divisor calls `interp.int_div` or `int_mod`, which test for
-zero.  The generated functions are kept on the program object
-(`Program.memo`), so every `CompiledProgram` of one program generates
-each (entry node, columns) pair once.
+An operator's text is the template of `interp.UNARY_TEMPLATES` or
+`BINARY_TEMPLATES`, the table that `interp._UNARY`/`_BINARY` are
+compiled from: `+`, `-`, `*` and unary `-` wrap to 64 bits by
+`interp.WRAP`, a range test through the scratch local `w`, and any
+`div` or `mod` calls `interp.int_div` or `int_mod`, which test for zero.
+Only a `div` or `mod` by a positive integer literal (all the generator's
+divisions) has a text of its own (`_LITERAL_FMT`): an inline floor
+operation with the sign fixed up, through the scratch local `q`.  The
+generated functions are kept on the program object (`Program.memo`), so
+every `CompiledProgram` of one program generates each (entry node,
+columns) pair once.
 
 Constants are folded in the generated code only; the program, its
 signatures and the reference engine see it as written.  An operator
-over two literal codes is replaced by its value, computed by the
-reference's own `interp._BINARY`/`_UNARY`, except a `div`/`mod` by 0,
-which must still raise at run time.  An `if` whose condition is a
-literal is its branch, after any strict branch has been hoisted as
-usual; so is a `merge` whose variable's code is a literal.  Equal branch
-codes collapse when the condition cannot raise.
+whose operand codes are literals (`Lit`) is replaced by its value,
+computed by the reference's own `interp._BINARY`/`_UNARY`, except a
+`div`/`mod` by 0, which must still raise at run time.  An `if` whose
+condition is a literal is its branch, after any strict branch has been
+hoisted as usual; so is a `merge` whose variable's code is a literal.
+Equal branch codes collapse when the condition cannot raise.  A branch
+that folding drops is not in the tree, so what it reads, or whether it
+raises, decides nothing.
 
-Liveness.  A statement that nothing live reads is not emitted.  While
-its code is built, each statement records its targets and the names the
-code reads (`_Stmt`); a branch that folding drops takes its names with
-it.  `_live` closes backward over these records from the recorded
-columns and from every statement that may raise (one that calls `div`
-or `mod`); a statement in a call block also reads the block's test.  The
+Liveness.  A statement that nothing live reads is not printed.  A
+statement reads the names that its code (and the flag of a commit on a
+derived clock) reads.  `_live` closes backward over the statements from
+the recorded columns and from every statement whose code may raise (it
+calls `div` or `mod`); a statement in a call block also reads the
+block's test.  The
 closure is flow-insensitive, so a register that phase 1 reads keeps the
 commit that stores it at the end of the instant, and a register nothing
 live reads loses its commit and its initialisation.  The survivors are
@@ -111,7 +126,7 @@ goes, with its `else`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from seclus.ast import (
     BASE,
@@ -144,7 +159,8 @@ from seclus.interp import (
     _BINARY,
     _FIRST,
     _UNARY,
-    WRAP,
+    BINARY_TEMPLATES,
+    UNARY_TEMPLATES,
     History,
     StreamPrefix,
     Value,
@@ -156,25 +172,85 @@ from seclus.interp import (
     node_schedule,
 )
 
-_BIN_FMT = {
-    "+": WRAP.format("{} + {}"),
-    "-": WRAP.format("{} - {}"),
-    "*": WRAP.format("{} * {}"),
-    "div": "div({}, {})",
-    "mod": "mod({}, {})",
-    "=": "({} == {})",
-    "<>": "({} != {})",
-    "<": "({} < {})",
-    "<=": "({} <= {})",
-    ">": "({} > {})",
-    ">=": "({} >= {})",
-    # bitwise forms keep both operands strict, matching the reference
-    # interpreter (an error in either operand is an error)
-    "and": "({} & {})",
-    "or": "({} | {})",
-    "xor": "({} ^ {})",
-}
-_NEG_FMT = WRAP.format("-{}")
+# -- the step code's expressions --
+
+
+class Lit(NamedTuple):
+    """A literal code: its value and its spelling (see `_lit`)."""
+
+    value: Optional[Value]
+    text: str
+    reads = ()
+    raises = False
+    stateful = False
+
+
+class Name(NamedTuple):
+    """A name code: a program variable, an input, a delay register
+    (`stateful`) or a value the generator named."""
+
+    text: str
+    reads: Tuple[str, ...]
+    stateful: bool = False
+    raises = False
+
+
+class Op(NamedTuple):
+    """A template `fmt` over the operand codes `args` ({0}, {1}, ...), with
+    the names they read, whether one reads a register (`stateful`) and
+    whether the code calls `div` or `mod` (`raises`)."""
+
+    fmt: str
+    args: Tuple["Code", ...]
+    reads: Tuple[str, ...]
+    raises: bool
+    stateful: bool
+
+
+Code = Union[Lit, Name, Op]
+
+
+def _lit(v: Optional[Value]) -> Lit:
+    return Lit(v, f"({v!r})" if type(v) is int and v < 0 else repr(v))
+
+
+def _name(text: str, register: bool = False) -> Name:
+    return Name(text, (text,), register)
+
+
+def _op(fmt: str, *args: Code, raises: bool = False) -> Op:
+    reads: Tuple[str, ...] = ()
+    stateful = False
+    for a in args:
+        reads += a.reads
+        raises = raises or a.raises
+        stateful = stateful or a.stateful
+    return Op(fmt, args, reads, raises, stateful)
+
+
+def _show(code: Code) -> str:
+    """The Python text of `code`."""
+    if type(code) is Op:
+        return code.fmt.format(*map(_show, code.args))
+    return code.text
+
+
+_NONE = _lit(None)
+# the flag of a clock that never ticks
+_NEVER = _lit(False)
+# a delay register's content before the delay's first instant
+_UNSET = _name("first")
+# the templates of the compiled engine's own codes: a choice `t if c
+# else f` ({0} if {1} else {2}); the same unparenthesised, for a value
+# guarded by its clock flag at the top of a statement; a delay's read
+# ({0} at the first instant, else its register {1}); and the tests of a
+# clock flag
+_CHOICE = "({0} if {1} else {2})"
+_GUARD = "{0} if {1} else {2}"
+_FIRST_READ = "({0} if {1} is first else {1})"
+_NOT = "not {0}"
+_AND = "{0} and {1}"
+_GROUP = "({0})"
 # `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
 # toward zero: it cannot raise, nor leave the 64-bit integers
 _LITERAL_FMT = {
@@ -183,56 +259,47 @@ _LITERAL_FMT = {
 }
 
 
-def _mangle(prefix: str, name: str) -> str:
+def _mangle(prefix: str, name: str) -> Name:
     # the lexer's ASCII identifiers keep their spelling; any other is
     # spelt in hex, so no two names meet under Python's NFKC folding
-    return f"{prefix}_{name}" if name.isascii() else f"{prefix}x{name.encode().hex()}"
-
-
-def _const(v) -> str:
-    return f"({v!r})" if not isinstance(v, bool) and v < 0 else repr(v)
-
-
-def _literal(code: str) -> Optional[Value]:
-    """The value of `code` when it is a literal as `_const` spells one,
-    else None."""
-    if code == "True" or code == "False":
-        return code == "True"
-    digits = code[2:-1] if code.startswith("(-") else code
-    return int(code.strip("()")) if digits.isdigit() else None
-
-
-def _atom(code: str) -> bool:
-    return code.isidentifier() or _literal(code) is not None
+    return _name(f"{prefix}_{name}" if name.isascii() else f"{prefix}x{name.encode().hex()}")
 
 
 def _positive_literal(e: Expr) -> bool:
     return isinstance(e, Const) and not isinstance(e.value, bool) and e.value > 0
 
 
-def _guard(code: str, flag: Optional[str]) -> str:
+def _guard(code: Code, flag: Optional[Code]) -> Code:
     """`code` where the clock flag `flag` is on, else None."""
     if flag is None:
         return code
-    return "None" if flag == "False" else f"{code} if {flag} else None"
+    return _NONE if flag is _NEVER else _op(_GUARD, code, flag, _NONE)
 
 
-# the names whose call may raise: a statement that reads one is live
-_RAISING = frozenset(("div", "mod"))
+# -- statements --
 
 
 class _Stmt(NamedTuple):
-    """One generated statement: its line of code, the names it assigns
-    and the names its code reads (`div` or `mod` when it may raise).  A
-    call block is its `if` line, whose test reads `reads`, with the
-    callee's statements under it (`body`) and, when the caller reads the
-    callee's outputs, the statement of its `else` branch."""
+    """One statement: `targets = code`, under the flag `test` when it is
+    set (a register commit on a derived clock).  A call block is its
+    `if test:` line with the callee's statements under it (`body`) and,
+    when the caller reads the callee's outputs, the statement of its
+    `else` branch."""
 
-    text: str
     targets: Tuple[str, ...]
-    reads: List[str]
+    code: Optional[Code]
+    test: Optional[Code] = None
     body: Optional[List["_Stmt"]] = None
     orelse: Optional["_Stmt"] = None
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        reads = () if self.code is None else self.code.reads
+        return reads if self.test is None else reads + self.test.reads
+
+
+def _assign(target: Name, code: Code) -> _Stmt:
+    return _Stmt((target.text,), code)
 
 
 def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
@@ -242,10 +309,10 @@ def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
     flow-insensitive, so a register read before the commit that stores
     it keeps that commit: a fixpoint over the registers that carry
     values across instants."""
-    defining: Dict[str, List[Tuple[_Stmt, List[str]]]] = {}
+    defining: Dict[str, List[Tuple[_Stmt, Tuple[str, ...]]]] = {}
     live: Set[int] = set()
     needed = set(roots)
-    blocks = [(stmts, [])]
+    blocks: List[Tuple[List[_Stmt], Tuple[str, ...]]] = [(stmts, ())]
     while blocks:
         body, tests = blocks.pop()
         for st in body:
@@ -254,12 +321,12 @@ def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
                 blocks.append((st.body, inner))
                 if st.orelse is not None:
                     blocks.append(([st.orelse], inner))
-            elif _RAISING.isdisjoint(st.reads):
-                for x in st.targets:
-                    defining.setdefault(x, []).append((st, tests))
-            else:
+            elif st.code.raises:
                 live.add(id(st))
                 needed.update(st.reads, tests)
+            else:
+                for x in st.targets:
+                    defining.setdefault(x, []).append((st, tests))
     todo = list(needed)
     while todo:
         # each name is taken once, so a statement is met once per target
@@ -272,21 +339,26 @@ def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
     return live, needed
 
 
+def _line(st: _Stmt) -> str:
+    text = " = ".join(st.targets) + " = " + _show(st.code)
+    return text if st.test is None else f"if {_show(st.test)}: {text}"
+
+
 def _emit(stmts: List[_Stmt], live: Set[int], indent: str, out: List[str]) -> None:
     """The lines of the live statements, in order; a call block with no
     live statement goes, with its `else`."""
     for st in stmts:
         if st.body is None:
             if id(st) in live:
-                out.append(indent + st.text)
+                out.append(indent + _line(st))
             continue
         inner: List[str] = []
         _emit(st.body, live, indent + "    ", inner)
         if inner:
-            out.append(indent + st.text)
+            out.append(f"{indent}if {_show(st.test)}:")
             out += inner
             if st.orelse is not None and id(st.orelse) in live:
-                out += [indent + "else:", indent + "    " + st.orelse.text]
+                out += [indent + "else:", indent + "    " + _line(st.orelse)]
 
 
 class _Deps(NamedTuple):
@@ -320,8 +392,10 @@ class _Codegen:
         self.prog = prog
         self.counts: Dict[str, int] = {}
         # each delay register and its initial content
-        self.registers: Dict[str, str] = {}
-        self.deps_of: Dict[str, _Deps] = {}
+        self.registers: Dict[str, Code] = {}
+        # built once per program object: nothing in it refers back to
+        # the program
+        self.deps_of: Dict[str, _Deps] = prog.memo.setdefault("deps", {})
         self.cones: Dict[Tuple[str, FrozenSet[str]], _Cone] = {}
 
     def fresh(self, kind: str) -> str:
@@ -329,10 +403,13 @@ class _Codegen:
         self.counts[kind] = n + 1
         return f"{kind}{n}"
 
-    def register(self, initial: str) -> str:
+    def name(self, kind: str) -> Name:
+        return _name(self.fresh(kind))
+
+    def register(self, initial: Code) -> Name:
         reg = self.fresh("r")
         self.registers[reg] = initial
-        return reg
+        return _name(reg, register=True)
 
     def raises(self, name: str) -> bool:
         return bool(self.deps(self.prog.node(name)).raising)
@@ -416,7 +493,7 @@ class _Delay(NamedTuple):
     """A delay's second operand, queued in phase 1 and compiled in phase
     2 into the commits of its registers."""
 
-    regs: List[str]
+    regs: List[Name]
     rest: Sequence[Expr]
     clock: Optional[Clock]
 
@@ -424,22 +501,16 @@ class _Delay(NamedTuple):
 class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
     or a callee inlined at one call site.  `env` maps each of the node's
-    variables to the code that names it; only the equations in the cone
-    of the `wanted` variables are emitted.  The variables in `named` (a
-    callee's outputs that its caller reads) are always assigned.
-
-    Each statement carries the names its code reads.  They are noted in
-    `seen` while the code is built: each variable, register and flag
-    code that `use` and `flag` see, each hoisted or called name and each
-    `div`/`mod` call.  A statement takes what was noted since its code
-    was begun, and a part that no code keeps (a branch that folding
-    drops, an operand hoisted into a statement of its own) is cut out."""
+    variables to the code that names it, a `Name` or a `Lit`; only the
+    equations in the cone of the `wanted` variables are emitted.  The
+    variables in `named` (a callee's outputs that its caller reads) are
+    always assigned."""
 
     def __init__(
         self,
         gen: _Codegen,
         node: Node,
-        env: Dict[str, str],
+        env: Dict[str, Code],
         wanted: FrozenSet[str],
         named: FrozenSet[str] = frozenset(),
     ):
@@ -448,21 +519,14 @@ class _NodeCode:
         self.env = env
         self.named = named
         self.cone = gen.cone(node, wanted)
-        self.flags: Dict[Clock, str] = {}
+        self.flags: Dict[Clock, Code] = {}
         self.lines: List[_Stmt] = []  # phase 1
         self.phase2: List[_Stmt] = []
         self.commits: List[_Stmt] = []
         self.queue: List[_Delay] = []
         # the register of each constant delay, by its two literals and
         # its clock flag
-        self.shared: Dict[Tuple[str, str, Optional[str]], str] = {}
-        # register reads and `div`/`mod` calls emitted so far; a call to
-        # `div` or `mod` (a divisor other than a positive literal) is the
-        # only code that raises on a well-clocked program
-        self.reads = 0
-        self.divs = 0
-        # the names read by the code of the statement being built
-        self.seen: List[str] = []
+        self.shared: Dict[Tuple[Lit, Lit, Optional[Code]], Name] = {}
 
     def compile(self) -> None:
         """Phase 1 in schedule order, then phase 2 over the queued
@@ -472,47 +536,29 @@ class _NodeCode:
         for eq in self.cone.equations:
             self.equation(eq)
         for regs, rest, ck in self.queue:
-            self.seen.clear()
-            before = self.reads
             rests = self.all(rest, self.phase2)
             flag = self.flag(ck, self.phase2)
-            reading = self.reads != before
-            reads = self.seen[:]
+            # a register may be committed before a commit that reads it
+            reading = any(code.stateful for code in rests) or flag is not None and flag.stateful
             for reg, code in zip(regs, rests):
-                self.commit(reg, code, flag, reading, reads)
+                self.commit(reg, code, flag, reading)
 
     def body(self) -> List[_Stmt]:
         self.compile()
         return self.lines + self.phase2 + self.commits
 
-    def cut(self, start: int) -> List[str]:
-        """The names noted since `start`, taken out of `seen`."""
-        names = self.seen[start:]
-        del self.seen[start:]
-        return names
-
-    def hoist(self, code: str, flag: Optional[str], reads: List[str], sink: List[_Stmt]) -> str:
+    def hoist(self, code: Code, flag: Optional[Code], sink: List[_Stmt]) -> Name:
         """A statement of its own for `code` where the clock flag `flag`
-        is on; `reads` are the names the code and the flag read."""
-        name = self.gen.fresh("e")
-        reads = [] if flag == "False" else reads
-        sink.append(_Stmt(f"{name} = {_guard(code, flag)}", (name,), reads))
-        self.seen.append(name)
+        is on."""
+        name = self.gen.name("e")
+        sink.append(_assign(name, _guard(code, flag)))
         return name
-
-    def use(self, code: str) -> str:
-        """`code`, read here: noted in `seen`, and counted when it is a
-        register."""
-        if code in self.gen.registers:
-            self.reads += 1
-        self.seen.append(code)
-        return code
 
     # -- clocks --
 
-    def flag(self, ck: Optional[Clock], sink: List[_Stmt]) -> Optional[str]:
+    def flag(self, ck: Optional[Clock], sink: List[_Stmt]) -> Optional[Code]:
         """Activity of `ck`: None for the instance's base clock (always
-        on where the instance's statements run), `False` for a clock
+        on where the instance's statements run), `_NEVER` for a clock
         that never ticks.  A test on a literal is folded.  In phase 1 a
         derived clock gets a flag at its first use, once the schedule
         has assigned its variable: the variable's code itself when the
@@ -522,46 +568,39 @@ class _NodeCode:
         ck = ck if ck is not None else BASE
         if isinstance(ck, Base):
             return None
-        name = self.flags.get(ck)
-        if name is not None:
-            return self.use(name)
-        start = len(self.seen)
+        code = self.flags.get(ck)
+        if code is not None:
+            return code
         parent = self.flag(ck.clock, sink)
-        if parent == "False":
+        if parent is _NEVER:
             return parent
-        var = self.use(self.env[ck.var])
-        v = _literal(var)
-        if v is not None:
-            if v == ck.value:
-                return parent
-            del self.seen[start:]
-            return "False"
-        test = var if ck.value else f"not {var}"
-        code = test if parent is None else f"{parent} and {test}"
+        var = self.env[ck.var]
+        if type(var) is Lit:
+            return parent if var.value == ck.value else _NEVER
+        test = var if ck.value else _op(_NOT, var)
+        code = test if parent is None else _op(_AND, parent, test)
         if sink is not self.lines:
-            return code if code == var else f"({code})"
-        if code != var:
-            name = self.gen.fresh("k")
-            sink.append(_Stmt(f"{name} = {code}", (name,), self.cut(start)))
-            self.seen.append(name)
+            return code if code is var else _op(_GROUP, code)
+        if code is not var:
+            name = self.gen.name("k")
+            sink.append(_assign(name, code))
             code = name
         self.flags[ck] = code
         return code
 
-    # -- expressions: one code string per component stream --
+    # -- expressions: one code per component stream --
     # `sink` collects hoisted statements (phase-1 lines or phase-2 lines)
 
-    def expr(self, e: Expr, sink: List[_Stmt]) -> List[str]:
+    def expr(self, e: Expr, sink: List[_Stmt]) -> List[Code]:
         if isinstance(e, Const):
-            return [_const(e.value)]
+            return [_lit(e.value)]
         if isinstance(e, Var):
-            return [self.use(self.env[e.name])]
+            return [self.env[e.name]]
         if isinstance(e, Unop):
             (s,) = self.expr(e.operand, sink)
-            v = _literal(s)
-            if v is not None:
-                return [_const(_UNARY[e.op](v))]
-            return [f"(not {s})" if e.op == "not" else _NEG_FMT.format(s)]
+            if type(s) is Lit:
+                return [_lit(_UNARY[e.op](s.value))]
+            return [_op(UNARY_TEMPLATES[e.op], s)]
         if isinstance(e, Binop):
             (l,) = self.expr(e.left, sink)
             (r,) = self.expr(e.right, sink)
@@ -569,13 +608,9 @@ class _NodeCode:
         if isinstance(e, When):
             return self.all(e.exprs, sink)  # operand present whenever active
         if isinstance(e, Merge):
-            c = len(self.seen)
-            x = self.use(self.env[e.var])
-            t = len(self.seen)
+            x = self.env[e.var]
             ts = self.all(e.on_true, sink)
-            f = len(self.seen)
-            fs = self.all(e.on_false, sink)
-            return self.choose(x, ts, fs, True, c, t, f)
+            return self.choose(x, ts, self.all(e.on_false, sink), True)
         if isinstance(e, Ite):
             return self.ite(e, sink)
         if isinstance(e, Fby):
@@ -584,158 +619,108 @@ class _NodeCode:
             return self.call(e.node, e.args, e.clock, None, sink)
         raise TypeError(type(e))
 
-    def binop(self, op: str, l: str, r: str) -> str:
-        a, b = _literal(l), _literal(r)
-        # two literals fold through the reference's own operator, except
-        # a division by zero, which must still raise at run time
-        if a is not None and b is not None and not (op in _LITERAL_FMT and b == 0):
-            return _const(_BINARY[op](a, b))
-        if op in _LITERAL_FMT:
-            if type(b) is int and b > 0:
-                return _LITERAL_FMT[op].format(b, l)
-            self.divs += 1
-            self.seen.append(op)
-        return _BIN_FMT[op].format(l, r)
+    def binop(self, op: str, l: Code, r: Code) -> Code:
+        division = op in _LITERAL_FMT
+        if type(r) is Lit:
+            # two literals fold through the reference's own operator,
+            # except a division by zero, which must still raise at run time
+            if type(l) is Lit and not (division and r.value == 0):
+                return _lit(_BINARY[op](l.value, r.value))
+            if division and r.value > 0:
+                return _op(_LITERAL_FMT[op], r, l)
+        return _op(BINARY_TEMPLATES[op], l, r, raises=division)
 
-    def all(self, es: Sequence[Expr], sink: List[_Stmt]) -> List[str]:
-        out: List[str] = []
+    def all(self, es: Sequence[Expr], sink: List[_Stmt]) -> List[Code]:
+        out: List[Code] = []
         for e in es:
-            out.extend(self.expr(e, sink))
+            out += self.expr(e, sink)
         return out
 
-    def choose(
-        self, c: str, ts: List[str], fs: List[str], pure: bool, c_at: int, t_at: int, f_at: int
-    ) -> List[str]:
+    def choose(self, c: Code, ts: List[Code], fs: List[Code], pure: bool) -> List[Code]:
         """The codes of `t if c else f` for each pair of branch codes: the
         branch itself when the condition `c` is a literal, or when both
-        branches are the same code and `c` cannot raise (`pure`).  The
-        names read by `c`, the `ts` and the `fs` were noted in `seen`
-        from `c_at`, `t_at` and `f_at` on; those of the parts that no
-        code keeps are cut out."""
-        v = _literal(c)
-        if v is None and not (pure and ts == fs):
-            return [t if t == f and pure else f"({t} if {c} else {f})" for t, f in zip(ts, fs)]
-        if v is None or v:
-            del self.seen[f_at:]
-            del self.seen[c_at:t_at]
+        branches are the same code and `c` cannot raise (`pure`)."""
+        if type(c) is Lit:
+            return ts if c.value else fs
+        if pure and ts == fs:
             return ts
-        del self.seen[c_at:f_at]
-        return fs
+        return [t if pure and t == f else _op(_CHOICE, t, c, f) for t, f in zip(ts, fs)]
 
-    def ite(self, e: Ite, sink: List[_Stmt]) -> List[str]:
+    def ite(self, e: Ite, sink: List[_Stmt]) -> List[Code]:
         # the reference evaluates both branches: a branch that can raise
         # is computed on the conditional's clock before the selection
-        before = self.divs
-        c = len(self.seen)
         (cond,) = self.expr(e.cond, sink)
-        pure = self.divs == before
-        before = self.divs
-        t = len(self.seen)
         ts = self.all(e.on_true, sink)
-        f = len(self.seen)
         fs = self.all(e.on_false, sink)
-        if self.divs != before:
-            clock = len(self.seen)
+        if any(code.raises for code in ts + fs):
             flag = self.flag(e.clock, sink)
-            clock_reads = self.cut(clock)
-            false_reads = self.cut(f) + clock_reads
-            true_reads = self.cut(t) + clock_reads
-            ts = [self.hoist(code, flag, true_reads, sink) for code in ts]
-            f = len(self.seen)
-            fs = [self.hoist(code, flag, false_reads, sink) for code in fs]
-        return self.choose(cond, ts, fs, pure, c, t, f)
+            ts = [self.hoist(code, flag, sink) for code in ts]
+            fs = [self.hoist(code, flag, sink) for code in fs]
+        return self.choose(cond, ts, fs, not cond.raises)
 
-    def read(
-        self,
-        init: Optional[Expr],
-        code: str,
-        strict_reads: Optional[List[str]],
-        flag: Optional[str],
-        sink: List[_Stmt],
-    ) -> Tuple[str, str]:
-        """A new register for a delay whose first operand `init` compiles
-        to `code`, and the code that reads the delay's current value.  A
-        constant is the register's initial content.  The reference
-        evaluates the first operand at every instant of the delay, so a
-        strict one (it can raise) is computed even after the first, by a
-        statement that reads `strict_reads`; None when it cannot raise."""
-        if isinstance(init, Const):
-            reg = self.gen.register(code)
-            return reg, reg
-        reg = self.gen.register("first")
-        if strict_reads is not None:
-            code = self.hoist(code, flag, strict_reads, sink)
-        return reg, f"({code} if {reg} is first else {reg})"
-
-    def commit(
-        self, reg: str, rest: str, flag: Optional[str], reading: bool, reads: List[str]
-    ) -> None:
+    def commit(self, reg: Name, rest: Code, flag: Optional[Code], reading: bool) -> None:
         """Store the delayed operand: straight into the register at the
         end of the instant, or through a phase-2 temporary when `rest`
-        reads a register that may be committed before it.  A register
-        that keeps its value, or whose clock never ticks, is left as it
-        is.  `reads` are the names that `rest` and `flag` read."""
-        if rest == reg or flag == "False":
+        or `flag` read a register that may be committed before it
+        (`reading`).  A register that keeps its value, or whose clock
+        never ticks, is left as it is."""
+        if rest == reg or flag is _NEVER:
             return
         if not reading:
-            text = f"if {flag}: {reg} = {rest}" if flag else f"{reg} = {rest}"
-            self.commits.append(_Stmt(text, (reg,), reads))
+            self.commits.append(_Stmt((reg.text,), rest, flag))
             return
-        t = self.gen.fresh("t")
-        if flag:
-            self.phase2.append(_Stmt(f"{t} = {rest} if {flag} else {reg}", (t,), reads + [reg]))
-        else:
-            self.phase2.append(_Stmt(f"{t} = {rest}", (t,), reads))
-        self.commits.append(_Stmt(f"{reg} = {t}", (reg,), [t]))
+        t = self.gen.name("t")
+        self.phase2.append(_assign(t, rest if flag is None else _op(_GUARD, rest, flag, reg)))
+        self.commits.append(_assign(reg, t))
 
     def delay(
         self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[_Stmt]
-    ) -> List[str]:
+    ) -> List[Code]:
         """The codes that read a delay's components; their second
-        operands are queued for phase 2.  A constant delay (a literal
-        first and second operand) is that literal when the two are
-        equal; otherwise the constant delays on one clock flag with the
-        same two literals share one register."""
-        start = len(self.seen)
+        operands are queued for phase 2.  A component whose first
+        operand is a literal reads its register, which holds that
+        literal at first; any other reads its first operand while its
+        register is `first`.  The reference evaluates the first operand
+        at every instant of the delay, so a strict one (it can raise) is
+        computed even after the first, by a statement of its own.  A
+        constant delay (a literal first and second operand) is that
+        literal when the two are equal; otherwise the constant delays on
+        one clock flag with the same two literals share one register."""
         flag = self.flag(ck, sink)
-        # the commits test the clock again in phase 2
-        clock_reads = self.cut(start)
-        before = self.divs
         codes = self.all(inits, sink)
-        # a first operand that can raise gets a statement of its own
-        strict_reads = self.cut(start) + clock_reads if self.divs != before else None
+        strict = any(code.raises for code in codes)
         # one expression per component, unless a call yields several
         n = len(codes)
         firsts = inits if len(inits) == n else (None,) * n
         seconds = rests if len(rests) == n else (None,) * n
-        regs: List[str] = []
+        regs: List[Name] = []
         queued: List[Expr] = []
-        reads: List[str] = []
+        reads: List[Code] = []
         for init, code, rest in zip(firsts, codes, seconds):
-            if isinstance(init, Const) and isinstance(rest, Const):
-                later = _const(rest.value)
+            constant = isinstance(init, Const)
+            if constant and isinstance(rest, Const):
+                later = _lit(rest.value)
                 if later == code:
                     reads.append(code)
                     continue
                 key = (code, later, flag)
-                reg = self.shared.get(key)
-                if reg is None:
-                    reg = self.shared[key] = self.gen.register(code)
-                    regs.append(reg)
+                read = self.shared.get(key)
+                if read is None:
+                    read = self.shared[key] = self.gen.register(code)
+                    regs.append(read)
                     queued.append(rest)
-                read = reg
             else:
-                reg, read = self.read(init, code, strict_reads, flag, sink)
+                read = reg = self.gen.register(code if constant else _UNSET)
+                if not constant:
+                    read = _op(_FIRST_READ, self.hoist(code, flag, sink) if strict else code, reg)
                 regs.append(reg)
                 queued.append(rest)
-            self.reads += 1
-            self.seen.append(reg)
             reads.append(read)
         if regs:
             self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
         return reads
 
-    def call_targets(self, names: Sequence[str]) -> List[Optional[str]]:
+    def call_targets(self, names: Sequence[str]) -> List[Optional[Code]]:
         """The codes of the call targets `names`, None for one that no
         emitted equation reads."""
         needed = self.cone.needed
@@ -746,41 +731,35 @@ class _NodeCode:
         name: str,
         args: Sequence[Expr],
         ck: Optional[Clock],
-        targets: Optional[List[Optional[str]]],
+        targets: Optional[List[Optional[Code]]],
         sink: List[_Stmt],
-    ) -> List[str]:
+    ) -> List[Code]:
         """Inline one instant of `name` at this call site; returns the
         codes of its outputs.  `targets` gives the code of each output,
         None for a dead one; without it every output is wanted."""
         callee = self.gen.prog.node(name)
-        start = len(self.seen)
         flag = self.flag(ck, sink)
-        test = self.cut(start)
         prefix = self.gen.fresh("V")
         names = [d.name for d in callee.outputs]
         if targets is None:
             targets = [_mangle(prefix, x) for x in names]
         outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
-        live = [t for t in targets if t]
-        absent = _Stmt(" = ".join(live) + " = None", tuple(live), []) if live else None
-        if flag == "False":  # the callee never runs
+        live = tuple(t.text for t in targets if t)
+        absent = _Stmt(live, _NONE) if live else None
+        if flag is _NEVER:  # the callee never runs
             if absent:
                 sink.append(absent)
-            self.seen += outs
             return outs
         block: List[_Stmt] = []
-        env: Dict[str, str] = {}
+        env: Dict[str, Code] = {}
         inputs = iter(callee.inputs)
         for arg in args:
-            start = len(self.seen)
-            codes = self.expr(arg, sink)
-            reads = self.cut(start)
-            for code, d in zip(codes, inputs):
-                if _atom(code):
-                    env[d.name] = code
-                else:
+            for code, d in zip(self.expr(arg, sink), inputs):
+                if type(code) is Op:
                     env[d.name] = _mangle(prefix, d.name)
-                    block.append(_Stmt(f"{env[d.name]} = {code}", (env[d.name],), reads))
+                    block.append(_assign(env[d.name], code))
+                else:
+                    env[d.name] = code
         env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
         wanted = frozenset(x for x, t in zip(names, targets) if t)
@@ -789,27 +768,23 @@ class _NodeCode:
         if flag is None:
             sink.extend(block)
         elif block:
-            sink.append(_Stmt(f"if {flag}:", (), test, block, absent))
-        self.seen += outs
+            sink.append(_Stmt((), None, flag, block, absent))
         return outs
 
     # -- equations --
 
-    def define(self, x: str, code: str, flag: Optional[str], start: int) -> None:
+    def define(self, x: str, code: Code, flag: Optional[Code]) -> None:
         """Give `x` its value.  On the instance's base clock, an atom (a
         variable's code, an input, a register or a literal) becomes the
         code of `x` and nothing is emitted, unless the caller reads `x`
-        by name.  `code` and `flag` were built from `start` in `seen`."""
-        if flag is None and x not in self.named and _atom(code):
+        by name."""
+        if flag is None and x not in self.named and type(code) is not Op:
             self.env[x] = code
         else:
-            target = self.env[x]
-            reads = [] if flag == "False" else self.seen[start:]
-            self.lines.append(_Stmt(f"{target} = {_guard(code, flag)}", (target,), reads))
+            self.lines.append(_assign(self.env[x], _guard(code, flag)))
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
-        self.seen.clear()
         if isinstance(eq, Equation):
             pos = 0
             for e in eq.exprs:
@@ -819,18 +794,17 @@ class _NodeCode:
                 if isinstance(e, NodeCall):
                     self.call(e.node, e.args, e.clock, self.call_targets(names), L)
                     continue
-                start = len(self.seen)
                 flag = self.flag(e.clock, L)
                 for x, code in zip(names, self.expr(e, L)):
-                    self.define(x, code, flag, start)
+                    self.define(x, code, flag)
         elif isinstance(eq, SimpleEq):
             flag = self.flag(eq.clock, L)
             (code,) = self.expr(eq.rhs, L)
-            self.define(eq.target, code, flag, 0)
+            self.define(eq.target, code, flag)
         elif isinstance(eq, FbyEq):
             flag = self.flag(eq.clock, L)
             (read,) = self.delay((eq.init,), (eq.rhs,), eq.clock, L)
-            self.define(eq.target, read, flag, 0)
+            self.define(eq.target, read, flag)
         elif isinstance(eq, CallEq):
             self.call(eq.node, eq.args, eq.clock, self.call_targets(eq.targets), L)
         else:
@@ -842,25 +816,26 @@ class _Run(NamedTuple):
     fn: Callable
 
 
-def _ticks(ck: Clock, env: Dict[str, str]) -> str:
+def _ticks(ck: Clock, env: Dict[str, Code]) -> str:
     """Code for whether `ck` ticks at the start of an instant, where only
     the inputs (named in `env`) are present; `b` is the base clock."""
     if isinstance(ck, Base):
         return "b"
-    return f"on({_ticks(ck.clock, env)}, {env.get(ck.var, 'None')}, {ck.var!r}, {ck.value!r})"
+    x = env[ck.var].text if ck.var in env else "None"
+    return f"on({_ticks(ck.clock, env)}, {x}, {ck.var!r}, {ck.value!r})"
 
 
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     gen = _Codegen(prog)
-    env = {d.name: _mangle("V", d.name) for d in node.decls}
+    env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
-    targets = [env[d.name] for d in node.inputs] + ["b"]
+    targets = [env[d.name].text for d in node.inputs] + ["b"]
     lines = ["def run(cols, bs, div=int_div, mod=int_mod, first=FIRST):"]
     # an input on a derived clock is checked against it by the
     # reference's rules, before the instant runs
     derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
     in_env = {d.name: env[d.name] for d in node.inputs}
-    checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name]}, {d.name!r})" for d in derived]
+    checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name].text}, {d.name!r})" for d in derived]
     # the roots of the entry's cone: the recorded columns, and the clock
     # variables of the inputs declared on a derived clock
     code = _NodeCode(gen, node, env, frozenset(want).union(*(fv(d.clock) for d in derived)))
@@ -869,10 +844,10 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     # only what the recorded columns and the statements that may raise
     # read, transitively, is emitted
     body = code.lines + code.phase2
-    live, needed = _live(body + code.commits, [env[x] for x in recorded])
+    live, needed = _live(body + code.commits, [n for x in recorded for n in env[x].reads])
     appends = [f"a{j}" for j in range(len(recorded))]
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
-    lines += [f"    {reg} = {initial}" for reg, initial in gen.registers.items() if reg in needed]
+    lines += [f"    {reg} = {_show(c)}" for reg, c in gen.registers.items() if reg in needed]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
@@ -881,7 +856,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     _emit(body, live, "        ", lines)
     # recorded before the commits, so a column whose code is a register
     # reads this instant's value
-    lines += [f"        {a}({env[x]})" for a, x in zip(appends, recorded)]
+    lines += [f"        {a}({_show(env[x])})" for a, x in zip(appends, recorded)]
     _emit(code.commits, live, "        ", lines)
     columns = iter(f"o{j}" for j in range(len(recorded)))
     history = (f"list(cols[{inputs[x]}])" if x in inputs else next(columns) for x in want)

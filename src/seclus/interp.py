@@ -23,7 +23,6 @@ equation whose defined streams disagree.
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -95,8 +94,6 @@ INT_MAX = _HALF - 1
 #: so both engines wrap by the same expression.
 WRAP = f"(w if {INT_MIN} <= (w := {{}}) <= {INT_MAX} else (w + {_HALF} & {_MASK}) - {_HALF})"
 
-wrap = eval(compile("lambda x: " + WRAP.format("x"), "<wrap>", "eval"))
-
 
 def int_mod(a: int, b: int) -> int:
     """Remainder of the division rounded toward zero (it takes the sign
@@ -113,25 +110,45 @@ def int_div(a: int, b: int) -> int:
     return wrap((a - int_mod(a, b)) // b)
 
 
+def _function(template: str, arity: int) -> Callable:
+    """The function of `arity` operands `a`, `b` whose body is `template`
+    over `{0}`, `{1}`; `div` and `mod` are `int_div` and `int_mod`."""
+    params = "ab"[:arity]
+    source = f"lambda {', '.join(params)}: {template.format(*params)}"
+    return eval(compile(source, "<operator>", "eval"), {"div": int_div, "mod": int_mod})
+
+
+wrap = _function(WRAP.format("{0}"), 1)
+
+
+#: Each scalar operator by name, written once, as Python source over its
+#: operands `{0}` and `{1}`.  `+`, `-`, `*` and negation wrap by `WRAP`;
+#: `div` and `mod` call `int_div` and `int_mod`; `and`, `or` and `xor`,
+#: which typing restricts to bools, are the bitwise forms, which
+#: evaluate both operands.  `_UNARY` and `_BINARY` are compiled from this
+#: text and the compiled engine prints it.
+UNARY_TEMPLATES = {"not": "(not {0})", "-": WRAP.format("-{0}")}
+BINARY_TEMPLATES = {
+    "+": WRAP.format("{0} + {1}"),
+    "-": WRAP.format("{0} - {1}"),
+    "*": WRAP.format("{0} * {1}"),
+    "div": "div({0}, {1})",
+    "mod": "mod({0}, {1})",
+    "=": "({0} == {1})",
+    "<>": "({0} != {1})",
+    "<": "({0} < {1})",
+    "<=": "({0} <= {1})",
+    ">": "({0} > {1})",
+    ">=": "({0} >= {1})",
+    "and": "({0} & {1})",
+    "or": "({0} | {1})",
+    "xor": "({0} ^ {1})",
+}
+
 # The scalar operators by name.  The stream operators and the prepared
 # evaluator look them up here.
-_UNARY = {"not": operator.not_, "-": lambda v: wrap(-v)}
-_BINARY = {
-    "+": lambda a, b: wrap(a + b),
-    "-": lambda a, b: wrap(a - b),
-    "*": lambda a, b: wrap(a * b),
-    "div": int_div,
-    "mod": int_mod,
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "and": lambda a, b: bool(a) and bool(b),
-    "or": lambda a, b: bool(a) or bool(b),
-    "xor": lambda a, b: bool(a) != bool(b),
-}
+_UNARY = {op: _function(t, 1) for op, t in UNARY_TEMPLATES.items()}
+_BINARY = {op: _function(t, 2) for op, t in BINARY_TEMPLATES.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,15 @@ def _close(bounds: Mapping[str, set], deltas: List[str]) -> Dict[str, Atoms]:
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     stack: List[str] = []
+    # each variable's position on the stack, so an SCC is cut off the
+    # stack without searching it
+    at: Dict[str, int] = {}
     closed: Dict[str, Atoms] = {}
     for root in edges:
         if root in index:
             continue
         index[root] = low[root] = len(index)
+        at[root] = len(stack)
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
@@ -268,6 +272,7 @@ def _close(bounds: Mapping[str, set], deltas: List[str]) -> Dict[str, Atoms]:
             for w in it:
                 if w not in index:
                     index[w] = low[w] = len(index)
+                    at[w] = len(stack)
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
@@ -279,9 +284,8 @@ def _close(bounds: Mapping[str, set], deltas: List[str]) -> Dict[str, Atoms]:
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
                 if low[v] == index[v]:
-                    k = stack.index(v)
-                    scc = stack[k:]
-                    del stack[k:]
+                    scc = stack[at[v] :]
+                    del stack[at[v] :]
                     value = _NONE.union(
                         *(outer[m] for m in scc),
                         *(closed[w] for m in scc for w in succ[m] if w in closed),
@@ -394,9 +398,9 @@ def check_policy(
     the given lattice levels?  `policy` maps type-variable names (or the
     node's own variable names via `policy_instantiation`) to elements."""
     s: GroundInstantiation = {}
-    for v in (*sig.input_vars, *sig.output_vars, sig.clock_var):
-        if v not in policy:
-            raise TypingError(f"policy missing a level for {v!r}")
+    names = (*sig.input_vars, *sig.output_vars, sig.clock_var)
+    check_policy_levels(names, policy)
+    for v in names:
         lev = policy[v]
         if lev not in lat.elements:
             raise TypingError(f"{lev!r} is not an element of the lattice")
@@ -419,10 +423,16 @@ def policy_instantiation(
     names = {d.name: v for d, v in zip(node.inputs, sig.input_vars)}
     names.update({d.name: v for d, v in zip(node.outputs, sig.output_vars)})
     names[BASE_KEY] = sig.clock_var
+    check_policy_levels(names, named)
+    return {names[k]: lev for k, lev in named.items()}
+
+
+def check_policy_levels(names: Iterable[str], named: Mapping[str, object]) -> None:
+    """TypingError for the first of `names` that the policy `named`
+    gives no level."""
     for k in names:
         if k not in named:
             raise TypingError(f"policy missing a level for {k!r}")
-    return {names[k]: lev for k, lev in named.items()}
 
 
 def check_policy_names(node: Node, named: Iterable[str]) -> None:

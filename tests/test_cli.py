@@ -304,15 +304,27 @@ def test_policy_naming_a_variable_twice_is_an_error(capsys, tmp_path, command):
 
 @pytest.mark.parametrize(
     "policy, missing",
-    [("h = H\nl = L\no = L\n", "base"), ("h = H\no = L\nbase = L\n", "l")],
+    [
+        ("h = H\nl = L\no = L\n", "base"),
+        ("h = H\no = L\nbase = L\n", "l"),
+        # `verify` too: an input left out is not at the bottom level
+        ("l = L\no = L\nbase = L\n", "h"),
+    ],
 )
 def test_policy_missing_a_level_names_the_source_variable(capsys, tmp_path, policy, missing):
     lus, pol = tmp_path / "f.lus", tmp_path / "p.pol"
-    lus.write_text("node f(h: int; l: int) returns (o: int) let o = l; tel\n")
+    lus.write_text("node f(h: int; l: int) returns (o: int) let o = h; tel\n")
     pol.write_text(policy)
-    code, out, err = run(capsys, "check", str(lus), "--policy", str(pol))
-    assert code == 1 and "Secure" not in out
-    assert err == f"error: policy missing a level for {missing!r}\n"
+    commands = [["check", str(lus), "--policy", str(pol)]]
+    if missing != "base":
+        commands.append(
+            ["verify", str(lus), "--what", "ni", "--policy", str(pol), "--lattice", "2point",
+             "--trials", "50", "--horizon", "5", "--seed", "1"]
+        )
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "Secure" not in out and "pass" not in out, argv
+        assert err == f"error: policy missing a level for {missing!r}\n"
 
 
 def test_verify_argument_validation(capsys):

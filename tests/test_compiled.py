@@ -560,7 +560,7 @@ def test_merge_on_a_literal_scrutinee_selects_its_branch(k, expected):
 
 
 LITERAL = r"(?:\(-\d+\)|\d+|True|False)"
-# an operator between two literals, as `_BIN_FMT` and `WRAP` place it;
+# an operator between two literals, as `interp.BINARY_TEMPLATES` place it;
 # the wrap's own `HALF & MASK` follows `w + `, so it is not matched
 BETWEEN_LITERALS = re.compile(
     rf"(?:\(|:= ){LITERAL} (?:\+|-|\*|==|!=|<=?|>=?|&|\||\^) {LITERAL}\)"

@@ -10,11 +10,17 @@ from seclus.interp import (
     ABSENT,
     INT_MAX,
     INT_MIN,
+    BINARY_TEMPLATES,
+    UNARY_TEMPLATES,
     WRAP,
+    _BINARY,
+    _UNARY,
     ClockMismatch,
     CausalityError,
     EvalError,
     base_of,
+    int_div,
+    int_mod,
     parse_value,
     read_streams,
     check_history,
@@ -275,6 +281,76 @@ def test_wrap_is_the_inlined_expression(x):
     # the compiled engine inlines WRAP; `wrap` must be the same function
     assert wrap(x) == eval(WRAP.format(repr(x))) == (x + 2**63) % 2**64 - 2**63
     assert INT_MIN <= wrap(x) <= INT_MAX
+
+
+INTS = [INT_MIN, INT_MIN + 1, -3, -2, -1, 0, 1, 2, 3, INT_MAX - 1, INT_MAX]
+
+
+def _wrapped(x):
+    return (x + 2**63) % 2**64 - 2**63
+
+
+def _quotient(a, b):
+    # rounded toward zero
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# each operator written out: the exact result, wrapped to 64 bits
+ORACLE = {
+    "+": lambda a, b: _wrapped(a + b),
+    "-": lambda a, b: _wrapped(a - b),
+    "*": lambda a, b: _wrapped(a * b),
+    "div": lambda a, b: _wrapped(_quotient(a, b)),
+    "mod": lambda a, b: _wrapped(a - b * _quotient(a, b)),
+    "=": lambda a, b: a == b,
+    "<>": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "xor": lambda a, b: a != b,
+}
+UNARY_ORACLE = {"-": lambda a: _wrapped(-a), "not": lambda a: not a}
+TEXT = {"div": int_div, "mod": int_mod}
+
+
+def _operands(op):
+    return [False, True] if op in ("and", "or", "xor", "not") else INTS
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_TEMPLATES))
+def test_binary_operators_equal_their_text_and_written_out_semantics(op):
+    # `_BINARY` is compiled from the template that the compiled engine
+    # prints; both must be the operator's written-out semantics
+    assert set(BINARY_TEMPLATES) == set(ORACLE) == set(_BINARY)
+    values = _operands(op) + ([False, True] if op in ("=", "<>") else [])
+    for a in values:
+        for b in values:
+            if type(a) is not type(b):
+                continue
+            text = BINARY_TEMPLATES[op].format(f"({a!r})", f"({b!r})")
+            if op in ("div", "mod") and b == 0:
+                with pytest.raises(EvalError):
+                    _BINARY[op](a, b)
+                with pytest.raises(EvalError):
+                    eval(text, dict(TEXT))
+                continue
+            want = ORACLE[op](a, b)
+            got = _BINARY[op](a, b), eval(text, dict(TEXT))
+            assert got == (want, want) and {type(v) for v in got} == {type(want)}, (a, b)
+            assert type(want) is bool or INT_MIN <= want <= INT_MAX
+
+
+@pytest.mark.parametrize("op", sorted(UNARY_TEMPLATES))
+def test_unary_operators_equal_their_text_and_written_out_semantics(op):
+    assert set(UNARY_TEMPLATES) == set(UNARY_ORACLE) == set(_UNARY)
+    for a in _operands(op):
+        want = UNARY_ORACLE[op](a)
+        got = _UNARY[op](a), eval(UNARY_TEMPLATES[op].format(f"({a!r})"), dict(TEXT))
+        assert got == (want, want) and {type(v) for v in got} == {type(want)}, a
 
 
 def test_wrap_equals_the_masking_oracle_on_random_130_bit_integers():
