@@ -14,15 +14,20 @@ two fixtures and the generated programs of seeds 0..N-1, prints:
             per instant (an opcode counter through `sys.settrace`, as
             `bench/layers.py` counts them), over the runs that raise no
             EvalError
+  wraps/inst  64-bit range tests (`interp.WRAP`) executed per instant,
+            over the same runs: the stores to the scratch local `w`
   raised    runs that stopped with an EvalError
   dead      statements of the generated loop that are transitively dead,
             by a flow-insensitive liveness over the source (`dead_statements`)
 
 The entry node is each program's last node; its inputs are drawn by
-`verify.random_inputs` from the program's seed.  With `--digest`, prints
-instead one SHA-256 over every generated source of the same corpus, in
-that order, so two trees that generate the same code print the same
-line.  Stdlib only; imports the program from `src/` next to this
+`verify.random_inputs` from the program's seed.  A last line counts the
+step functions that each trial of `verify.differential_semantics` runs
+over the generated programs: the distinct texts among the three forms'
+code with the outputs recorded, of three per program.  With `--digest`,
+prints instead one SHA-256 over every generated source of the same
+corpus, in that order, so two trees that generate the same code print
+the same line.  Stdlib only; imports the program from `src/` next to this
 directory.
 """
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dis
 import hashlib
 import os
 import random
@@ -125,13 +131,18 @@ def dead_statements(source: str) -> int:
     return live.count(False)
 
 
-def count_ops(fn, *args) -> int:
-    """Instructions executed in frames of generated code during `fn(*args)`."""
-    ops = [0]
+def count_ops(fn, *args) -> tuple:
+    """Instructions executed in frames of generated code during
+    `fn(*args)`, and how many of them are the range tests' stores to `w`."""
+    ops = [0, 0]
+    stores = {
+        i.offset for i in dis.get_instructions(fn) if i.opname == "STORE_FAST" and i.argval == "w"
+    }
 
     def local(frame, event, arg):
         if event == "opcode":
             ops[0] += 1
+            ops[1] += frame.f_lasti in stores
         return local
 
     def on_call(frame, event, arg):
@@ -146,10 +157,10 @@ def count_ops(fn, *args) -> int:
         fn(*args)
     finally:
         sys.settrace(None)
-    return ops[0]
+    return tuple(ops)
 
 
-def measure(prog, node, want, inputs, N, row) -> None:
+def measure(prog, node, want, inputs, N, row) -> str:
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -160,12 +171,14 @@ def measure(prog, node, want, inputs, N, row) -> None:
     row["compile"] += 1000 * statistics.median(times)
     row["dead"] += dead_statements(run.source)
     try:
-        ops = count_ops(run.fn, inputs, base_clock(node, inputs, N))
+        ops, wraps = count_ops(run.fn, inputs, base_clock(node, inputs, N))
     except EvalError:
         row["raised"] += 1
-        return
+        return run.source
     row["ops"] += ops
+    row["wraps"] += wraps
     row["instants"] += N
+    return run.source
 
 
 def main(argv=None) -> int:
@@ -177,25 +190,34 @@ def main(argv=None) -> int:
     if args.digest:
         print(digest(args.seeds))
         return 0
-    keys = ("lines", "bytes", "compile", "ops", "instants", "raised", "dead")
+    keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
-    count = 0
+    count = distinct = 0
     for label, p in programs(args.seeds):
         count += 1
         seed = label if isinstance(label, int) else 0
+        steps = set()
         for f, form in forms(p).items():
             node = form.nodes[-1]
             inputs = random_inputs(node, args.horizon, random.Random(seed))
             for w, want in wants(node).items():
-                measure(form, node, want, inputs, args.horizon, table[(f, w)])
+                source = measure(form, node, want, inputs, args.horizon, table[(f, w)])
+                if w == "outputs":
+                    steps.add(source)
+        if isinstance(label, int):
+            distinct += len(steps)
     print(f"{count} programs, horizon {args.horizon}")
-    print(f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9} {'raised':>6} {'dead':>5}")
+    print(
+        f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9}"
+        f" {'wraps/inst':>10} {'raised':>6} {'dead':>5}"
+    )
     for (f, w), row in table.items():
-        per = row["ops"] / row["instants"] if row["instants"] else 0.0
+        n = row["instants"] or 1
         print(
             f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
-            f" {per:9.1f} {row['raised']:6d} {row['dead']:5d}"
+            f" {row['ops'] / n:9.1f} {row['wraps'] / n:10.1f} {row['raised']:6d} {row['dead']:5d}"
         )
+    print(f"distinct step functions per differential trial: {distinct} of {3 * args.seeds}")
     return 0
 
 

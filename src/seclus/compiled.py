@@ -51,7 +51,8 @@ generated for one entry node and one set of recorded columns:
                    the register it reads may be committed before it
   record           only the requested columns, through bound
                    `list.append`, before the commits, so a column whose
-                   code is a register reads this instant's value
+                   code is a register reads this instant's value; a
+                   record is a statement of its own, with no target
   commits          every live register stored
   return           the history dict: the recorded lists, and a copy of
                    each requested input column
@@ -70,10 +71,11 @@ value), a name (`Name`, which knows whether it is a delay register) or
 a template over operand codes (`Op`): an operator, a choice, a clock
 guard, a delay's first-instant read or a clock flag's test.  Each code
 knows, from when it is built, the names it reads, whether one of them
-is a register and whether it calls `div` or `mod`.  A statement
-(`_Stmt`) assigns a code to its targets; a call block holds the
-callee's statements under the call's flag.  `_emit` prints the live
-statements only, through `_show`.
+is a register, whether it calls `div` or `mod` and how deep it nests.
+A statement (`_Stmt`) assigns a code to its targets, or records it; a
+call block holds the callee's statements under the call's flag.  Two
+passes run over the statements before they are printed, liveness and
+re-nesting (below), and `_emit` prints what they keep, through `_show`.
 
 A copy costs nothing per instant.  Each variable has one code: an
 equation on its instance's base clock whose code is an atom (a
@@ -93,6 +95,14 @@ An operator's text is the template of `interp.UNARY_TEMPLATES` or
 compiled from: `+`, `-`, `*` and unary `-` wrap to 64 bits by
 `interp.WRAP`, a range test through the scratch local `w`, and any
 `div` or `mod` calls `interp.int_div` or `int_mod`, which test for zero.
+Wrapping is reduction mod 2**64, which commutes with `+`, `-`, `*` and
+negation, so `_show` prints a tree of them from their ring templates
+(`interp.RING_UNARY`, `RING_BINARY`) with one range test, at its root:
+exact for operands of any size.  To keep the intermediate integers
+small, a static bound on the tree's unwrapped value (63 bits for a
+64-bit operand, the bits of a literal, one more per `+` or `-`, the sum
+for `*`) stays within `_RING_BITS`, 128; past it, the widest inner tree
+keeps its own test (`_ring`).
 Only a `div` or `mod` by a positive integer literal (all the generator's
 divisions) has a text of its own (`_LITERAL_FMT`): an inline floor
 operation with the sign fixed up, through the scratch local `q`.  The
@@ -104,7 +114,8 @@ Constants are folded in the generated code only; the program, its
 signatures and the reference engine see it as written.  An operator
 whose operand codes are literals (`Lit`) is replaced by its value,
 computed by the reference's own `interp._BINARY`/`_UNARY`, except a
-`div`/`mod` by 0, which must still raise at run time.  An `if` whose
+`div`/`mod` by 0, which must still raise at run time (`_make`, which
+re-nesting applies again around a substituted literal).  An `if` whose
 condition is a literal is its branch, after any strict branch has been
 hoisted as usual; so is a `merge` whose variable's code is a literal.
 Equal branch codes collapse when the condition cannot raise.  A branch
@@ -114,18 +125,35 @@ raises, decides nothing.
 Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code (and the flag of a commit on a
 derived clock) reads.  `_live` closes backward over the statements from
-the recorded columns and from every statement whose code may raise (it
-calls `div` or `mod`); a statement in a call block also reads the
-block's test.  The
-closure is flow-insensitive, so a register that phase 1 reads keeps the
-commit that stores it at the end of the instant, and a register nothing
-live reads loses its commit and its initialisation.  The survivors are
-printed in their order and text; a call block with no live statement
-goes, with its `else`.
+the records and from every statement whose code may raise (it calls
+`div` or `mod`); a statement in a call block also reads the block's
+test.  The closure is flow-insensitive, so a register that phase 1
+reads keeps the commit that stores it at the end of the instant, and a
+register nothing live reads loses its commit and its initialisation.
+A call block with no live statement goes, with its `else`.
+
+Re-nesting.  De-nesting names every subexpression, and the cone names
+every variable; `_Renest` nests each value read once back into its
+reader, so a name costs no store and no load per instant.  A live
+statement that cannot raise and assigns one name (not a register),
+which exactly one live statement reads, once, later in the same
+statement list, is substituted into that reader (a record, an
+assignment, a commit, or the test of a call block), and goes.  It stays
+where a name it reads is stored in between: an inlined callee's commits
+sit in its caller's body, so a register read before them must not be
+read after them.  It also stays where its reader would nest deeper than
+`_MAX_DEPTH` codes, so the generated function always compiles, and
+where it is a literal read by a test.  A substituted literal is folded
+again with the codes around it; when that drops a read, the value read
+there stays where it is, liveness is taken again and `_prune` removes
+what it no longer reaches.  The pass is one walk over the statements,
+in order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import count
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from seclus.ast import (
@@ -160,7 +188,10 @@ from seclus.interp import (
     _FIRST,
     _UNARY,
     BINARY_TEMPLATES,
+    RING_BINARY,
+    RING_UNARY,
     UNARY_TEMPLATES,
+    WRAP,
     History,
     StreamPrefix,
     Value,
@@ -183,6 +214,7 @@ class Lit(NamedTuple):
     reads = ()
     raises = False
     stateful = False
+    depth = 0
 
 
 class Name(NamedTuple):
@@ -193,18 +225,21 @@ class Name(NamedTuple):
     reads: Tuple[str, ...]
     stateful: bool = False
     raises = False
+    depth = 0
 
 
 class Op(NamedTuple):
     """A template `fmt` over the operand codes `args` ({0}, {1}, ...), with
-    the names they read, whether one reads a register (`stateful`) and
-    whether the code calls `div` or `mod` (`raises`)."""
+    the names they read, whether one reads a register (`stateful`),
+    whether the code calls `div` or `mod` (`raises`) and how many codes
+    deep it nests (`depth`)."""
 
     fmt: str
     args: Tuple["Code", ...]
     reads: Tuple[str, ...]
     raises: bool
     stateful: bool
+    depth: int
 
 
 Code = Union[Lit, Name, Op]
@@ -218,21 +253,63 @@ def _name(text: str, register: bool = False) -> Name:
     return Name(text, (text,), register)
 
 
-def _op(fmt: str, *args: Code, raises: bool = False) -> Op:
+def _op(fmt: str, *args: Code) -> Op:
     reads: Tuple[str, ...] = ()
+    raises = fmt in _CALLS
     stateful = False
+    depth = 0
     for a in args:
         reads += a.reads
         raises = raises or a.raises
         stateful = stateful or a.stateful
-    return Op(fmt, args, reads, raises, stateful)
+        if a.depth > depth:
+            depth = a.depth
+    return Op(fmt, args, reads, raises, stateful, depth + 1)
+
+
+def _make(fmt: str, *args: Code) -> Code:
+    """`fmt` over `args`, folded when literal operands decide it: an
+    operator over literals (computed by the reference's own `interp`
+    functions, except a division by 0, which must still raise at run
+    time), or a choice whose condition is a literal."""
+    fold = _FOLDS.get(fmt)
+    code = fold(args) if fold is not None else None
+    return _op(fmt, *args) if code is None else code
 
 
 def _show(code: Code) -> str:
-    """The Python text of `code`."""
-    if type(code) is Op:
-        return code.fmt.format(*map(_show, code.args))
-    return code.text
+    """The Python text of `code`.  A tree of ring operators is wrapped
+    once, at its root (see `_ring`)."""
+    if type(code) is not Op:
+        return code.text
+    if code.fmt in _RING:
+        return WRAP.format(_ring(code)[0])
+    return code.fmt.format(*map(_show, code.args))
+
+
+def _ring(code: Op) -> Tuple[str, int]:
+    """The text of the ring operator `code` before wrapping, and a bound
+    `bits` on its value, |v| <= 2**bits, where a 64-bit value has 63
+    bits.  An operand that is itself a ring operator is left unwrapped
+    too, unless that takes the bound past `_RING_BITS`: then the widest
+    such operand is wrapped, until the bound fits."""
+    texts: List[str] = []
+    bits: List[int] = []
+    open_: List[bool] = []
+    for a in code.args:
+        ring = type(a) is Op and a.fmt in _RING
+        if ring:
+            text, b = _ring(a)
+        else:
+            text, b = _show(a), abs(a.value).bit_length() if type(a) is Lit else 63
+        texts.append(text)
+        bits.append(b)
+        open_.append(ring)
+    times = code.fmt == _TIMES
+    while (bound := sum(bits) if times else max(bits) + len(bits) - 1) > _RING_BITS:
+        k = max((i for i, o in enumerate(open_) if o), key=bits.__getitem__)
+        texts[k], bits[k], open_[k] = WRAP.format(texts[k]), 63, False
+    return _RING[code.fmt].format(*(f"({t})" if o else t for t, o in zip(texts, open_))), bound
 
 
 _NONE = _lit(None)
@@ -251,11 +328,46 @@ _FIRST_READ = "({0} if {1} is first else {1})"
 _NOT = "not {0}"
 _AND = "{0} and {1}"
 _GROUP = "({0})"
+# the templates without parentheses of their own, grouped when they
+# become an operand
+_BARE = frozenset((_GUARD, _NOT, _AND))
 # `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
 # toward zero: it cannot raise, nor leave the 64-bit integers
 _LITERAL_FMT = {
     "div": "(q // {0} if (q := {1}) >= 0 else -(-q // {0}))",
     "mod": "(q % {0} if (q := {1}) >= 0 else -(-q % {0}))",
+}
+# the templates that call `div` or `mod`, which raise on a zero divisor
+_CALLS = frozenset((BINARY_TEMPLATES["div"], BINARY_TEMPLATES["mod"]))
+# each ring operator's wrapped template, and its text before wrapping
+_RING = {UNARY_TEMPLATES[op]: t for op, t in RING_UNARY.items()}
+_RING.update((BINARY_TEMPLATES[op], t) for op, t in RING_BINARY.items())
+_TIMES = BINARY_TEMPLATES["*"]
+# the bound, in bits, on the unwrapped value of a tree of ring operators
+_RING_BITS = 128
+
+
+def _operator(f: Callable, division: bool = False) -> Callable:
+    def fold(args: Tuple[Code, ...]) -> Optional[Code]:
+        for a in args:
+            if type(a) is not Lit or a.value is None:
+                return None
+        vs = [a.value for a in args]
+        return None if division and vs[1] == 0 else _lit(f(*vs))
+
+    return fold
+
+
+def _choice(args: Tuple[Code, ...]) -> Optional[Code]:
+    t, c, f = args
+    return None if type(c) is not Lit else t if c.value else f
+
+
+_FOLDS: Dict[str, Callable[[Tuple[Code, ...]], Optional[Code]]] = {
+    **{t: _operator(_UNARY[op]) for op, t in UNARY_TEMPLATES.items()},
+    **{t: _operator(_BINARY[op], op in _LITERAL_FMT) for op, t in BINARY_TEMPLATES.items()},
+    **{t: _operator(lambda d, x, f=_BINARY[op]: f(x, d)) for op, t in _LITERAL_FMT.items()},
+    _CHOICE: _choice,
 }
 
 
@@ -279,39 +391,50 @@ def _guard(code: Code, flag: Optional[Code]) -> Code:
 # -- statements --
 
 
-class _Stmt(NamedTuple):
+class _Stmt:
     """One statement: `targets = code`, under the flag `test` when it is
-    set (a register commit on a derived clock).  A call block is its
-    `if test:` line with the callee's statements under it (`body`) and,
-    when the caller reads the callee's outputs, the statement of its
-    `else` branch."""
+    set (a register commit on a derived clock), or, with no target, a
+    record of `code` through the bound append `record`.  A call block is
+    its `if test:` line with the callee's statements under it (`body`)
+    and, when the caller reads the callee's outputs, the statement of
+    its `else` branch.  `reads` are the names that its code and its
+    test read."""
 
-    targets: Tuple[str, ...]
-    code: Optional[Code]
-    test: Optional[Code] = None
-    body: Optional[List["_Stmt"]] = None
-    orelse: Optional["_Stmt"] = None
+    __slots__ = ("targets", "code", "test", "body", "orelse", "record", "reads")
 
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        reads = () if self.code is None else self.code.reads
-        return reads if self.test is None else reads + self.test.reads
+    def __init__(
+        self,
+        targets: Tuple[str, ...],
+        code: Optional[Code],
+        test: Optional[Code] = None,
+        body: Optional[List["_Stmt"]] = None,
+        orelse: Optional["_Stmt"] = None,
+        record: str = "",
+    ):
+        self.targets = targets
+        self.code = code
+        self.test = test
+        self.body = body
+        self.orelse = orelse
+        self.record = record
+        reads = () if code is None else code.reads
+        self.reads: Tuple[str, ...] = reads if test is None else reads + test.reads
 
 
 def _assign(target: Name, code: Code) -> _Stmt:
     return _Stmt((target.text,), code)
 
 
-def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
-    """The statements that a root name or a statement that may raise
-    reads, transitively, by `id`, and every name they read.  A statement
-    in a call block also reads the block's test.  The closure is
-    flow-insensitive, so a register read before the commit that stores
-    it keeps that commit: a fixpoint over the registers that carry
-    values across instants."""
+def _live(stmts: List[_Stmt]) -> Tuple[Set[int], Set[str]]:
+    """The statements that a root (a record, or a statement that may
+    raise) reads, transitively, by `id`, and every name they read.  A
+    statement in a call block also reads the block's test.  The closure
+    is flow-insensitive, so a register read before the commit that
+    stores it keeps that commit: a fixpoint over the registers that
+    carry values across instants."""
     defining: Dict[str, List[Tuple[_Stmt, Tuple[str, ...]]]] = {}
     live: Set[int] = set()
-    needed = set(roots)
+    needed: Set[str] = set()
     blocks: List[Tuple[List[_Stmt], Tuple[str, ...]]] = [(stmts, ())]
     while blocks:
         body, tests = blocks.pop()
@@ -321,7 +444,7 @@ def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
                 blocks.append((st.body, inner))
                 if st.orelse is not None:
                     blocks.append(([st.orelse], inner))
-            elif st.code.raises:
+            elif st.code.raises or not st.targets:
                 live.add(id(st))
                 needed.update(st.reads, tests)
             else:
@@ -339,26 +462,143 @@ def _live(stmts: List[_Stmt], roots: List[str]) -> Tuple[Set[int], Set[str]]:
     return live, needed
 
 
+# the deepest code that re-nesting builds: each level of code adds at
+# most two parentheses, far below the parser's limit of 200
+_MAX_DEPTH = 24
+
+
+def _subst(code: Code, name: str, by: Code) -> Code:
+    """`code` with its one read of `name` replaced by `by`; the codes
+    around a literal `by` are folded again."""
+    if type(code) is not Op:
+        return by
+    args = tuple(_subst(a, name, by) if name in a.reads else a for a in code.args)
+    return _make(code.fmt, *args) if type(by) is Lit else _op(code.fmt, *args)
+
+
+class _Renest:
+    """Each single-use value nested back into its reader.  A live
+    statement that cannot raise and assigns one name (not a register),
+    which one live statement reads, once, later in the same list, is
+    substituted into that reader and goes.  It stays when a name it
+    reads is stored between the two (a register, committed by an inlined
+    callee's body), when its reader would nest deeper than `_MAX_DEPTH`,
+    or when it is a literal read by a test.  `dropped` tells whether
+    folding a substituted literal removed a read, so that some
+    statement may be dead: the value that read is left in place."""
+
+    def __init__(self, stmts: List[_Stmt], live: Set[int], registers: Dict[str, Code]):
+        self.live = live
+        self.registers = registers
+        # every read of a live statement, counted once at the end
+        reads: List[str] = []
+        blocks = [stmts]
+        while blocks:
+            for st in blocks.pop():
+                if st.body is not None:
+                    blocks.append(st.body)
+                    if st.orelse is not None:
+                        blocks.append([st.orelse])
+                    reads += st.test.reads
+                elif id(st) in live:
+                    reads += st.reads
+        self.uses = Counter(reads)
+        # where each name was last stored, by position in the walk
+        self.stored: Dict[str, int] = {}
+        self.here = count()
+        self.dropped = False
+
+    def walk(self, body: List[_Stmt]) -> List[_Stmt]:
+        """The live statements of `body`, re-nested."""
+        out: List[Optional[_Stmt]] = []
+        # each single-use value not yet read: its index in `out` and its
+        # position
+        pending: Dict[str, Tuple[int, int]] = {}
+        live, uses, registers, stored = self.live, self.uses, self.registers, self.stored
+        for st in body:
+            at = next(self.here)
+            if st.body is None and id(st) not in live:
+                continue
+            code, test = st.code, st.test
+            reads = st.reads
+            for x in reads if pending and not pending.keys().isdisjoint(reads) else ():
+                if x not in pending:
+                    continue
+                j, since = pending.pop(x)
+                by = out[j].code
+                # only a register is stored after it is read
+                if by.stateful and any(stored.get(y, -1) > since for y in by.reads):
+                    continue
+                if type(by) is Op and by.fmt in _BARE:
+                    by = _op(_GROUP, by)
+                if code is not None and x in code.reads:
+                    new = _subst(code, x, by)
+                    if new.depth > _MAX_DEPTH:
+                        continue
+                    if len(new.reads) < len(code.reads) - 1 + len(by.reads):
+                        self.dropped = True
+                    code = new
+                elif test is not None and x in test.reads and type(by) is not Lit:
+                    new = _subst(test, x, by)
+                    if new.depth > _MAX_DEPTH:
+                        continue
+                    test = new
+                else:
+                    # a literal read by a test, or a read that folding
+                    # dropped: the statement stays, dead in the latter case
+                    continue
+                out[j] = None
+            if st.body is not None:
+                inner = self.walk(st.body)
+                orelse = self.walk([st.orelse]) if st.orelse is not None else []
+                if inner:
+                    out.append(_Stmt((), None, test, inner, orelse[0] if orelse else None))
+                continue
+            if code is not st.code or test is not st.test:
+                st = _Stmt(st.targets, code, test, record=st.record)
+            out.append(st)
+            for x in st.targets:
+                stored[x] = at
+            if len(st.targets) == 1 and test is None and not code.raises:
+                (x,) = st.targets
+                if uses[x] == 1 and x not in registers:
+                    pending[x] = (len(out) - 1, at)
+        return [st for st in out if st is not None]
+
+
 def _line(st: _Stmt) -> str:
+    if st.record:
+        return f"{st.record}({_show(st.code)})"
     text = " = ".join(st.targets) + " = " + _show(st.code)
     return text if st.test is None else f"if {_show(st.test)}: {text}"
 
 
-def _emit(stmts: List[_Stmt], live: Set[int], indent: str, out: List[str]) -> None:
-    """The lines of the live statements, in order; a call block with no
-    live statement goes, with its `else`."""
+def _prune(stmts: List[_Stmt], live: Set[int]) -> List[_Stmt]:
+    """The statements of `stmts` in `live`; a call block with none goes,
+    with its `else`."""
+    out: List[_Stmt] = []
     for st in stmts:
         if st.body is None:
             if id(st) in live:
-                out.append(indent + _line(st))
+                out.append(st)
             continue
-        inner: List[str] = []
-        _emit(st.body, live, indent + "    ", inner)
-        if inner:
-            out.append(f"{indent}if {_show(st.test)}:")
-            out += inner
-            if st.orelse is not None and id(st.orelse) in live:
-                out += [indent + "else:", indent + "    " + _line(st.orelse)]
+        body = _prune(st.body, live)
+        if body:
+            orelse = st.orelse if st.orelse is not None and id(st.orelse) in live else None
+            out.append(_Stmt((), None, st.test, body, orelse))
+    return out
+
+
+def _emit(stmts: List[_Stmt], indent: str, out: List[str]) -> None:
+    """The lines of `stmts`, in order."""
+    for st in stmts:
+        if st.body is None:
+            out.append(indent + _line(st))
+            continue
+        out.append(f"{indent}if {_show(st.test)}:")
+        _emit(st.body, indent + "    ", out)
+        if st.orelse is not None:
+            out += [indent + "else:", indent + "    " + _line(st.orelse)]
 
 
 class _Deps(NamedTuple):
@@ -598,9 +838,7 @@ class _NodeCode:
             return [self.env[e.name]]
         if isinstance(e, Unop):
             (s,) = self.expr(e.operand, sink)
-            if type(s) is Lit:
-                return [_lit(_UNARY[e.op](s.value))]
-            return [_op(UNARY_TEMPLATES[e.op], s)]
+            return [_make(UNARY_TEMPLATES[e.op], s)]
         if isinstance(e, Binop):
             (l,) = self.expr(e.left, sink)
             (r,) = self.expr(e.right, sink)
@@ -620,15 +858,9 @@ class _NodeCode:
         raise TypeError(type(e))
 
     def binop(self, op: str, l: Code, r: Code) -> Code:
-        division = op in _LITERAL_FMT
-        if type(r) is Lit:
-            # two literals fold through the reference's own operator,
-            # except a division by zero, which must still raise at run time
-            if type(l) is Lit and not (division and r.value == 0):
-                return _lit(_BINARY[op](l.value, r.value))
-            if division and r.value > 0:
-                return _op(_LITERAL_FMT[op], r, l)
-        return _op(BINARY_TEMPLATES[op], l, r, raises=division)
+        if op in _LITERAL_FMT and type(r) is Lit and r.value > 0:
+            return _make(_LITERAL_FMT[op], r, l)
+        return _make(BINARY_TEMPLATES[op], l, r)
 
     def all(self, es: Sequence[Expr], sink: List[_Stmt]) -> List[Code]:
         out: List[Code] = []
@@ -640,11 +872,9 @@ class _NodeCode:
         """The codes of `t if c else f` for each pair of branch codes: the
         branch itself when the condition `c` is a literal, or when both
         branches are the same code and `c` cannot raise (`pure`)."""
-        if type(c) is Lit:
-            return ts if c.value else fs
         if pure and ts == fs:
             return ts
-        return [t if pure and t == f else _op(_CHOICE, t, c, f) for t, f in zip(ts, fs)]
+        return [t if pure and t == f else _make(_CHOICE, t, c, f) for t, f in zip(ts, fs)]
 
     def ite(self, e: Ite, sink: List[_Stmt]) -> List[Code]:
         # the reference evaluates both branches: a branch that can raise
@@ -812,6 +1042,7 @@ class _NodeCode:
 
 
 class _Run(NamedTuple):
+    node: Node
     source: str
     fn: Callable
 
@@ -826,6 +1057,9 @@ def _ticks(ck: Clock, env: Dict[str, Code]) -> str:
 
 
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
+    if not any(n is node for n in prog.nodes):
+        # the cone and the schedule are `prog`'s own, by identity
+        raise ValueError(f"node {node.name!r} is not one of this program object's nodes")
     gen = _Codegen(prog)
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
@@ -841,23 +1075,26 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     code = _NodeCode(gen, node, env, frozenset(want).union(*(fv(d.clock) for d in derived)))
     code.compile()
     recorded = [x for x in want if x not in inputs]
-    # only what the recorded columns and the statements that may raise
-    # read, transitively, is emitted
-    body = code.lines + code.phase2
-    live, needed = _live(body + code.commits, [n for x in recorded for n in env[x].reads])
-    appends = [f"a{j}" for j in range(len(recorded))]
+    # recorded before the commits, so a column whose code is a register
+    # reads this instant's value
+    records = [_Stmt((), env[x], record=f"a{j}") for j, x in enumerate(recorded)]
+    stmts = code.lines + code.phase2 + records + code.commits
+    # only what the records and the statements that may raise read,
+    # transitively, is emitted, with its single-use values re-nested
+    live, needed = _live(stmts)
+    renest = _Renest(stmts, live, gen.registers)
+    stmts = renest.walk(stmts)
+    if renest.dropped:
+        live, needed = _live(stmts)
+        stmts = _prune(stmts, live)
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
     lines += [f"    {reg} = {_show(c)}" for reg, c in gen.registers.items() if reg in needed]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
-    lines += [f"            {a}(None)" for a in appends]
+    lines += [f"            a{j}(None)" for j in range(len(recorded))]
     lines.append("            continue")
-    _emit(body, live, "        ", lines)
-    # recorded before the commits, so a column whose code is a register
-    # reads this instant's value
-    lines += [f"        {a}({_show(env[x])})" for a, x in zip(appends, recorded)]
-    _emit(code.commits, live, "        ", lines)
+    _emit(stmts, "        ", lines)
     columns = iter(f"o{j}" for j in range(len(recorded)))
     history = (f"list(cols[{inputs[x]}])" if x in inputs else next(columns) for x in want)
     lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")
@@ -871,7 +1108,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     }
     exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
     # taken out, so that `run` and its globals form no reference cycle
-    return _Run(source, namespace.pop("run"))
+    return _Run(node, source, namespace.pop("run"))
 
 
 class CompiledProgram:
@@ -894,14 +1131,31 @@ class CompiledProgram:
         """Execute `name` over the given input prefixes.  Returns the
         history of the variables in `want` (every input, output and
         local when None), in that order."""
-        node = self.prog.node(name)
-        bs = base_clock(node, inputs, N)
-        cols = tuple(d.name for d in node.decls) if want is None else tuple(dict.fromkeys(want))
-        gen = self.nodes.get((name, cols))
+        # a `want` without repeats is its own columns, so a run that gives
+        # one finds its code without resolving the node
+        gen = None if want is None else self.nodes.get((name, tuple(want)))
         if gen is None:
-            declared = {d.name for d in node.decls}
-            unknown = [x for x in cols if x not in declared]
-            if unknown:
-                raise ValueError(f"{name} has no variable {unknown[0]!r}")
-            gen = self.nodes[(name, cols)] = _generate(self.prog, node, cols)
-        return gen.fn(inputs, bs)
+            key = self._key(name, want)
+            gen = self.nodes.get(key)
+            if gen is None:
+                gen = self.nodes[key] = self._build(*key)
+        return gen.fn(inputs, base_clock(gen.node, inputs, N))
+
+    def _key(self, name: str, want: Optional[Sequence[str]]) -> Tuple[str, Tuple[str, ...]]:
+        if want is None:
+            return name, tuple(d.name for d in self.prog.node(name).decls)
+        return name, tuple(dict.fromkeys(want))
+
+    def _build(self, name: str, cols: Tuple[str, ...]) -> _Run:
+        node = self.prog.node(name)
+        declared = {d.name for d in node.decls}
+        unknown = [x for x in cols if x not in declared]
+        if unknown:
+            raise ValueError(f"{name} has no variable {unknown[0]!r}")
+        return _generate(self.prog, node, cols)
+
+    def source(self, name: str, want: Optional[Sequence[str]] = None) -> Optional[str]:
+        """The step code that runs of `name` recording `want` execute,
+        once a run has generated it; None before."""
+        gen = self.nodes.get(self._key(name, want))
+        return None if gen is None else gen.source

@@ -90,8 +90,9 @@ INT_MAX = _HALF - 1
 #: costs two comparisons; only one outside it takes the three big-int
 #: operations.  The operand is bound once to the scratch local `w`, which
 #: is read right after the test, so nested wraps cannot clobber it.
-#: `wrap` is compiled from this text and the compiled engine inlines it,
-#: so both engines wrap by the same expression.
+#: `wrap` is compiled from this text and the compiled engine inlines it.
+#: Wrapping is reduction mod 2**64 into the signed range, exact on
+#: integers of any size.
 WRAP = f"(w if {INT_MIN} <= (w := {{}}) <= {INT_MAX} else (w + {_HALF} & {_MASK}) - {_HALF})"
 
 
@@ -121,17 +122,21 @@ def _function(template: str, arity: int) -> Callable:
 wrap = _function(WRAP.format("{0}"), 1)
 
 
+#: The ring operators `+`, `-`, `*` and negation on unbounded integers,
+#: before wrapping.  As reduction mod 2**64 commutes with each of them,
+#: the compiled engine may print a tree of them with one `WRAP` around it.
+RING_UNARY = {"-": "-{0}"}
+RING_BINARY = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}"}
+
 #: Each scalar operator by name, written once, as Python source over its
-#: operands `{0}` and `{1}`.  `+`, `-`, `*` and negation wrap by `WRAP`;
-#: `div` and `mod` call `int_div` and `int_mod`; `and`, `or` and `xor`,
-#: which typing restricts to bools, are the bitwise forms, which
-#: evaluate both operands.  `_UNARY` and `_BINARY` are compiled from this
-#: text and the compiled engine prints it.
-UNARY_TEMPLATES = {"not": "(not {0})", "-": WRAP.format("-{0}")}
+#: operands `{0}` and `{1}`.  `+`, `-`, `*` and negation are their ring
+#: text wrapped by `WRAP`; `div` and `mod` call `int_div` and `int_mod`;
+#: `and`, `or` and `xor`, which typing restricts to bools, are the
+#: bitwise forms, which evaluate both operands.  `_UNARY` and `_BINARY`
+#: are compiled from this text and the compiled engine prints it.
+UNARY_TEMPLATES = {"not": "(not {0})", "-": WRAP.format(RING_UNARY["-"])}
 BINARY_TEMPLATES = {
-    "+": WRAP.format("{0} + {1}"),
-    "-": WRAP.format("{0} - {1}"),
-    "*": WRAP.format("{0} * {1}"),
+    **{op: WRAP.format(t) for op, t in RING_BINARY.items()},
     "div": "div({0}, {1})",
     "mod": "mod({0}, {1})",
     "=": "({0} == {1})",
@@ -306,15 +311,17 @@ def base_clock(
     if len(inputs) != len(node.inputs):
         raise EvalError(f"{node.name}: expected {len(node.inputs)} input streams")
     if inputs:
-        lengths = {len(s) for s in inputs}
-        if len(lengths) != 1:
-            raise EvalError("input streams must share one length")
-        N = lengths.pop()
+        N = len(inputs[0])
+        for s in inputs:
+            if len(s) != N:
+                raise EvalError("input streams must share one length")
     elif N is None:
         raise EvalError("a horizon is required for a node without inputs")
-    base_inputs = [s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)]
-    if any(ABSENT in s for s in base_inputs):
-        return base_of(base_inputs)
+    # one scan per base-clocked input, and no list built, when every
+    # value is present (every campaign run)
+    for s, d in zip(inputs, node.inputs):
+        if isinstance(d.clock, Base) and ABSENT in s:
+            return base_of([s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)])
     return [True] * N
 
 

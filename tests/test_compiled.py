@@ -9,9 +9,9 @@ import re
 import pytest
 
 from seclus.ast import (
-    CallEq, Equation, FbyEq, Ite, NodeCall, SimpleEq, Var, children, clock_env, dv, fv,
+    CallEq, Equation, FbyEq, NodeCall, children, clock_env, dv, fv,
 )
-from seclus.compiled import CompiledProgram
+from seclus.compiled import CompiledProgram, _generate
 from seclus.interp import (
     INT_MAX,
     INT_MIN,
@@ -261,6 +261,167 @@ def test_engines_agree_on_boundary_values():
             assert fast == ref, (seed, dialect)
 
 
+def test_engines_agree_at_boundary_values_with_only_the_outputs_recorded():
+    # with only the outputs recorded, most temporaries are re-nested into
+    # their readers, and most range tests are left to the root of a tree
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        for form, dialect in all_forms(p):
+            node = form.nodes[-1]
+            outs = [d.name for d in node.outputs]
+            inputs = boundary_inputs(node, 20, random.Random(seed))
+            ref = _outcome(lambda: ReferenceProgram(form).run(
+                node.name, inputs, want=outs, dialect=dialect))
+            fast = _outcome(lambda: CompiledProgram(form).run(node.name, inputs, want=outs))
+            assert fast == ref, (seed, dialect)
+
+
+EDGES = (INT_MIN, INT_MIN + 1, -1, 0, 1, INT_MAX - 1, INT_MAX)
+
+
+def test_a_ring_operator_tree_is_tested_at_its_root_within_128_bits():
+    src = """
+    node f(a: int; b: int; c: int) returns (o: int; p: int; q: int; r: int)
+      var x: int; y: int;
+    let
+      x = a * b - c;
+      y = -(x + a) * (b - -c);
+      o = (y * y + x) * (a - b * c);
+      p = -(-(-a)) - (b + c) * (a * a);
+      q = (a * b) * (c * a) * (b * c);
+      r = x + 1 - (y - 1);
+    tel
+    """
+    p = parse_program(src)
+    outs = ["o", "p", "q", "r"]
+    inputs = [[x for x in EDGES for _ in EDGES for _ in EDGES],
+              [y for _ in EDGES for y in EDGES for _ in EDGES],
+              [z for _ in EDGES for _ in EDGES for z in EDGES]]
+    exact = lambda v: (v + 2**63) % 2**64 - 2**63
+    for form, dialect in all_forms(p):
+        fast, ref = _both_engines(form)
+        H = fast.run("f", inputs, want=outs)
+        assert H == ref.run("f", inputs, want=outs, dialect=dialect), dialect
+        for k, (a, b, c) in enumerate(zip(*inputs)):
+            x = exact(a * b - c)
+            y = exact(-(x + a) * (b + c))
+            assert H["o"][k] == exact((y * y + x) * (a - b * c))
+            assert H["p"][k] == exact(-a - (b + c) * a * a)
+            assert H["r"][k] == exact(x - y + 2)
+        (run,) = fast.nodes.values()
+        # a tree is tested once, at its root, while its unwrapped value
+        # stays within 128 bits (63 per 64-bit operand, one more per `+`
+        # or `-`): `(y * y + x)` and `(a - b * c)` have 127 bits each, so
+        # their product (254) tests both; `(b + c) * (a * a)` would have
+        # 190, so `a * a` is tested (127); in `q` every product of two
+        # products is over the bound.  `x` and `y`, read twice, keep their
+        # names and one test each.
+        tests = {col: _recorded(run.source, col).count("(w := ") for col in outs}
+        assert tests == {"o": 3, "p": 2, "q": 5, "r": 1}, run.source
+        assert run.source.count("(w := ") == 2 + sum(tests.values())
+
+
+def test_single_use_values_are_nested_into_their_reader():
+    src = """
+    node f(a: int) returns (o: int)
+      var x: int; y: int;
+    let x = a * 3; y = x + a; o = y - 1; tel
+    """
+    for form, _ in all_forms(parse_program(src)):
+        fast = CompiledProgram(form)
+        assert fast.run("f", [[1, INT_MAX]], want=["o"]) == {"o": [3, INT_MAX * 3 + INT_MAX - 1 - 2**65]}
+        (run,) = fast.nodes.values()
+        assert not _named(run.source) - {"a"}, run.source
+        assert _recorded(run.source, "o").count("(w := ") == 1
+
+
+def test_a_value_read_after_a_callees_commit_is_not_moved_past_it():
+    # `d`'s output is its register, named for its caller, and `d`'s
+    # commit sits in `f`'s body between that name and its one reader
+    src = """
+    node d(x: int) returns (y: int) let y = 0 fby x; tel
+    node f(a: int) returns (o: int) let o = d(a) + 1; tel
+    """
+    for H in _histories(src, [[5, 7, 9, 11]], ["o"]):
+        assert H == {"o": [1, 6, 8, 10]}
+
+
+def test_a_value_whose_read_folding_drops_stays_out_of_the_code():
+    # `k`'s output is a literal, named for its caller and read once, by a
+    # condition: nesting it folds the choice, which drops the one read of
+    # `t`, so `t` is dead; the assignment to `o`, and the commit under
+    # `e`, keep their own tests
+    src = """
+    node k(x: int) returns (y: bool) let y = true; tel
+    node f(a: int; e: bool) returns (o: int; p: int)
+      var c: bool; t: int; v: int :: base on e;
+    let
+      c = k(a); t = a * 2;
+      o = if c then a + 1 else t;
+      v = 0 fby ((if c then a + 1 else t) when e);
+      p = merge e (v) (0 when not e);
+    tel
+    """
+    inputs = [[0, 1, 2, 3, 4], [True, False, True, True, False]]
+    expected = {"o": [1, 2, 3, 4, 5], "p": [0, 0, 1, 3, 0]}
+    for want in (["o"], ["p"], ["o", "p"]):
+        for H in _histories(src, inputs, want):
+            assert H == {x: expected[x] for x in want}, want
+    for want in (["o"], ["p"]):
+        fast = CompiledProgram(parse_program(src))
+        fast.run("f", inputs, want=want)
+        assert not _named(fast.source("f", want)) & {"c", "t"}, want
+
+
+def _parens(source):
+    """The deepest nesting of parentheses in `source`."""
+    depth = deepest = 0
+    for ch in source:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_long_chains_and_products_compile_with_bounded_nesting():
+    # 300 single-use locals, which re-nest a bounded number at a time,
+    # and a product, which keeps every range test, as three 64-bit
+    # factors pass 128 bits
+    n = 300
+    chain = (
+        "node f(a: int) returns (o: int) var "
+        + "; ".join(f"x{i}: int" for i in range(n + 1))
+        + "; let x0 = a; "
+        + " ".join(f"x{i} = x{i - 1} * 3 + a;" for i in range(1, n + 1))
+        + f" o = x{n}; tel"
+    )
+    m = 60
+    product = (
+        "node f(" + "; ".join(f"i{k}: int" for k in range(m)) + ") returns (o: int) let o = "
+        + " * ".join(f"i{k}" for k in range(m)) + "; tel"
+    )
+    for src in (chain, product):
+        for form, dialect in all_forms(parse_program(src)):
+            node = form.node("f")
+            for trial in range(3):
+                rng = random.Random(trial)
+                inputs = [[rng.choice(EDGES) for _ in range(20)] for _ in node.inputs]
+                ref = run_node(form, "f", inputs, dialect=dialect)["o"]
+                fast = CompiledProgram(form)
+                assert fast.run("f", inputs, want=["o"]) == {"o": ref}, dialect
+            (run,) = fast.nodes.values()
+            assert _parens(run.source) < 150, dialect
+
+
+def test_a_node_of_another_program_object_is_refused():
+    p = load("re_trig.lus")
+    with pytest.raises(ValueError, match="re_trig"):
+        _generate(p.annotation, p.node("re_trig"), ("o",))
+    assert p.annotation.node("re_trig") is not p.node("re_trig")
+    run = _generate(p.annotation, p.annotation.node("re_trig"), ("o",))
+    inputs = [[True, False, True], [2, 2, 2]]
+    assert run.fn(inputs, [True] * 3) == {"o": run_node(p, "re_trig", inputs)["o"]}
+
+
 def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
     # `acc` under the sampled clock advances only when `c` is true; the
     # two base-clocked calls each keep their own register
@@ -452,11 +613,21 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     cp.run(node.name, random_inputs(node, 5, random.Random(7)), want=["out"])
     (narrow,) = cp.nodes.values()
     names = _named(narrow.source)
-    assert "out" in names and names <= cone
+    # `out` is computed (into its record, as its only reader), and only
+    # its cone is named
+    assert _recorded(narrow.source, "out") and names <= cone
     assert {"x0", "x4"} <= {d.name for d in node.locals} - cone
     cp.run(node.name, random_inputs(node, 5, random.Random(7)))
     full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
-    assert "x4" in _named(full.source) - cone
+    # the full code computes `x4`, outside that cone, from a delay of its
+    # own; the narrow code computes no such value, named or nested into a
+    # reader, and keeps only the registers of the cone's delays: `x3`'s
+    # `false fby x1` and `out`'s two
+    x4 = _recorded(full.source, "x4")
+    assert " is first " in x4 and x4 not in narrow.source
+    registers = r"^    (r\d+) = "
+    assert len(re.findall(registers, narrow.source, re.M)) == 3
+    assert len(re.findall(registers, full.source, re.M)) == 5
     assert full.source.count("\n") > narrow.source.count("\n")
 
 
@@ -693,8 +864,6 @@ def _callee_targets(prog):
 
 def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
     copy = re.compile(rf"^ +(V\d*)_(\w+) = ({ATOM})$", re.M)
-    # `x = if xinit then init else px`, where `px` may be a literal
-    select = re.compile(rf"^ +V_(\w+) = \(.* if (r\d+) else (?:r\d+|{LITERAL})\)", re.M)
     for seed in range(100):
         p = generate_program(GenConfig(seed=seed))
         for form, _ in all_forms(p):
@@ -707,19 +876,18 @@ def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
             for prefix, x, _ in copy.findall(run.source):
                 assert x in allowed, (seed, prefix, x)
         # the fby-init form's entry selects on one register per clock of
-        # its `xinit = true fby false` flags
-        flags = {
-            eq.clock for eq in node.equations
+        # its `xinit = true fby false` flags: each recorded flag is read
+        # from its register, which a selection `x = if xinit then init
+        # else px` tests
+        xinits = [
+            eq for eq in node.equations
             if isinstance(eq, FbyEq) and eq.target.startswith("xinit")
-        }
-        selects = {
-            eq.target for eq in node.equations
-            if isinstance(eq, SimpleEq) and isinstance(eq.rhs, Ite)
-            and isinstance(eq.rhs.cond, Var) and eq.rhs.cond.name.startswith("xinit")
-        }
-        registers = {r for x, r in select.findall(run.source) if x in selects}
+        ]
+        registers = {_recorded(run.source, eq.target) for eq in xinits}
+        tested = set(re.findall(r" if (r\d+) else ", run.source))
         initial = dict(re.findall(r"^    (r\d+) = (\S+)$", run.source, re.M))
-        assert len(registers) == len(flags), seed
+        assert len(registers) == len({eq.clock for eq in xinits}), seed
+        assert registers <= tested, seed
         assert all(initial[r] == "True" for r in registers), seed
     # two delays on the base clock and one on `base on c`: two flags
     src = """

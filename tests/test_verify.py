@@ -7,6 +7,7 @@ import random
 import pytest
 
 from seclus.ast import Const, FbyEq, Node, Program, validate
+from seclus.compiled import CompiledProgram
 from seclus.interp import run_node, schedule
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
@@ -104,6 +105,75 @@ def test_differential_engines_agree():
     a = differential_semantics(p, trials=10, N=30, engine="compiled")
     b = differential_semantics(p, trials=10, N=30, engine="reference")
     assert report_json(a) == report_json(b)
+
+
+def _spied_runs(monkeypatch):
+    """Every compiled run, as the program object it runs, in order."""
+    runs = []
+    run = CompiledProgram.run
+
+    def spy(self, *args, **kwargs):
+        runs.append(self.prog)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProgram, "run", spy)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "src, distinct",
+    [
+        # no delay and no call: the three forms generate the same code
+        ("node f(a: int; b: int) returns (o: int) var x: int; let x = a * 3; o = x + b; tel", 1),
+        # a delay with a variable head: the fby-init form selects on a flag
+        ("node f(a: int) returns (o: int) let o = a fby (o + a); tel", 2),
+        # and a call in expression position, which de-nesting names
+        (
+            "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
+            " node f(a: int) returns (o: int) let o = d(a + 1) * 2; tel",
+            3,
+        ),
+    ],
+)
+def test_forms_with_the_same_step_code_run_once_per_trial(monkeypatch, src, distinct):
+    p = parse_program(src)
+    runs = _spied_runs(monkeypatch)
+    rep = differential_semantics(p, trials=6, N=20, seed=3)
+    # the first trial runs every form; each later one, each distinct code
+    assert len(runs) == 3 + 5 * distinct
+    assert len(set(map(id, runs[3:]))) == distinct
+    forms = [CompiledProgram(form) for form in runs[:3]]
+    assert len({cp.source("f", ["o"]) for cp in forms}) == distinct
+    # the same report as with a run of every form at every trial
+    monkeypatch.setattr(CompiledProgram, "source", lambda self, name, want=None: None)
+    assert report_json(differential_semantics(p, trials=6, N=20, seed=3)) == report_json(rep)
+    assert len(runs) == 3 + 5 * distinct + 18
+
+
+def test_shared_runs_still_catch_a_broken_initialisation(monkeypatch):
+    # the fault of `test_differential_catches_broken_initialisation`,
+    # injected into the fby-init form alone, whose code is then its own
+    def broken(prog):
+        good = fby_init(prog)
+        (node,) = good.nodes
+        eqs = tuple(
+            dataclasses.replace(eq, init=Const(False))
+            if isinstance(eq, FbyEq) and eq.target == "xinit1"
+            else eq
+            for eq in node.equations
+        )
+        return Program((dataclasses.replace(node, equations=eqs),))
+
+    p = load("cnt_dn.lus")
+    assert differential_semantics(p, trials=20, N=30).ok
+    runs = _spied_runs(monkeypatch)
+    monkeypatch.setattr(verify, "fby_init", broken)
+    rep = differential_semantics(p, trials=20, N=30)
+    assert not rep.ok
+    (d,) = rep.divergences
+    assert d.values[0] == d.values[1] != d.values[2]
+    # the fby-init form ran at every trial up to the divergence
+    assert sum(prog is runs[2] for prog in runs) == d.trial + 1
 
 
 @pytest.mark.parametrize("trials", [0, -3])
