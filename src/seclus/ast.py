@@ -244,8 +244,6 @@ class Program:
         - "signatures": its security signatures (`typing.check_program`);
         - "compiled": its generated code by entry node and columns
           (`compiled.CompiledProgram`);
-        - "deps": each node's dependency map for the compiled engine's
-          cone of influence, by node name (`compiled._Codegen.deps`);
         - "ni": the trial table of its last non-interference sweep
           (`verify._NITable`), keyed by engine, entry node, horizon and
           seed; a sweep with another key replaces it;

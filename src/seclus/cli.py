@@ -257,8 +257,9 @@ def cmd_interpret(args) -> int:
 def cmd_verify(args) -> int:
     if args.horizon < 1:
         raise CliError("--horizon must be at least 1")
-    if args.trials < 1 or args.ni_trials < 1:
-        raise CliError("--trials must be at least 1")
+    for flag, trials in (("--trials", args.trials), ("--ni-trials", args.ni_trials)):
+        if trials < 1:
+            raise CliError(f"{flag} must be at least 1")
     prog = _load_program(args.file)
     seed = _resolve_seed(args)
     lat = parse_lattice(args.lattice)

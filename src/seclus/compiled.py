@@ -11,21 +11,12 @@ interpreter.  The test suite pins its agreement with `run_node`.
 The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 & Pouzet, LCTES 2008) with the loop over instants moved into the
 generated code, as in Vélus's translation to Obc (Bourke et al., PLDI
-2017).  Code is pruned twice, around constant folding: the cone of
-influence before it, liveness after it.  Each node instance (the entry
-node, or a callee inlined at one call site) compiles only the equations
-in the cone of influence of its wanted variables: the entry's recorded
-columns, the targets of a call that its caller reads, every output of a
-call in expression position.  The cone is the backward closure over the
-equations that define them, through every operand (the delayed operand
-of a `fby` included), every `when`/`merge` variable and the variables
-of the targets' clocks, so a callee that nothing wanted reads is never
-inlined.  An equation that may raise (a `div`/`mod` whose divisor is
-not a positive literal, or a call to a node holding one) is always in
-the cone, so leaving out the rest removes no `EvalError`.  Folding
-(below) then removes readers that the cone counted, so only the live
-statements are printed (see *Liveness*).  Layout of the `run` function
-generated for one entry node and one set of recorded columns:
+2017).  Each node instance (the entry node, or a callee inlined at one
+call site) compiles its whole schedule, and its caller reads every
+output by name.  Liveness is the one pruning (see *Liveness*): it runs
+after constant folding, so a read that folding drops keeps nothing
+alive, and only the live statements are printed.  Layout of the `run`
+function generated for one entry node and one set of recorded columns:
 
   before the loop  every live delay register is a Python local, holding its
                    constant initial value or the `first` sentinel
@@ -41,8 +32,7 @@ generated for one entry node and one set of recorded columns:
                    delays read their register and queue their second
                    operand; a call inlines the callee's whole instant
                    (its phase 1, phase 2 and commits) under the call's
-                   clock flag, the outputs the caller reads None when the
-                   flag is off
+                   clock flag, its outputs None when the flag is off
   phase 2          after the last phase-1 equation, when every
                    variable's code is final: the queued second operands
                    in order (a delay nested in one joins the end of the
@@ -126,28 +116,30 @@ Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code (and the flag of a commit on a
 derived clock) reads.  `_live` closes backward over the statements from
 the records and from every statement whose code may raise (it calls
-`div` or `mod`); a statement in a call block also reads the block's
-test.  The closure is flow-insensitive, so a register that phase 1
-reads keeps the commit that stores it at the end of the instant, and a
-register nothing live reads loses its commit and its initialisation.
-A call block with no live statement goes, with its `else`.
+`div` or `mod`), so leaving out the rest removes no `EvalError`; a
+statement in a call block also reads the block's test.  The closure is
+flow-insensitive, so a register that phase 1 reads keeps the commit
+that stores it at the end of the instant, and a register nothing live
+reads loses its commit and its initialisation.  A call block with no
+live statement goes, with its `else`: a call whose outputs nothing live
+reads and that cannot raise leaves no code.
 
-Re-nesting.  De-nesting names every subexpression, and the cone names
-every variable; `_Renest` nests each value read once back into its
-reader, so a name costs no store and no load per instant.  A live
-statement that cannot raise and assigns one name (not a register),
-which exactly one live statement reads, once, later in the same
-statement list, is substituted into that reader (a record, an
-assignment, a commit, or the test of a call block), and goes.  It stays
-where a name it reads is stored in between: an inlined callee's commits
-sit in its caller's body, so a register read before them must not be
-read after them.  It also stays where its reader would nest deeper than
-`_MAX_DEPTH` codes, so the generated function always compiles, and
-where it is a literal read by a test.  A substituted literal is folded
-again with the codes around it; when that drops a read, the value read
-there stays where it is, liveness is taken again and `_prune` removes
-what it no longer reaches.  The pass is one walk over the statements,
-in order.
+Re-nesting.  De-nesting names every subexpression, and a callee's
+outputs are named for its caller; `_Renest` nests each value read once
+back into its reader, so a name costs no store and no load per
+instant.  A live statement that cannot raise and assigns one name (not
+a register), which exactly one live statement reads, once, later in
+the same statement list, is substituted into that reader (a record, an
+assignment, a commit, or the test of a call block), and goes.  It
+stays where a name it reads is stored in between: an inlined callee's
+commits sit in its caller's body, so a register read before them must
+not be read after them.  It also stays where its reader would nest
+deeper than `_MAX_DEPTH` codes, so the generated function always
+compiles, and where it is a literal read by a test.  A substituted
+literal is folded again with the codes around it; when that drops a
+read, the value read there stays where it is, liveness is taken again
+and `_prune` removes what it no longer reaches.  The pass is one walk
+over the statements, in order.
 """
 
 from __future__ import annotations
@@ -178,10 +170,6 @@ from seclus.ast import (
     Var,
     When,
     annotate_program,
-    children,
-    clock_env,
-    dv,
-    fv,
 )
 from seclus.interp import (
     _BINARY,
@@ -375,10 +363,6 @@ def _mangle(prefix: str, name: str) -> Name:
     # the lexer's ASCII identifiers keep their spelling; any other is
     # spelt in hex, so no two names meet under Python's NFKC folding
     return _name(f"{prefix}_{name}" if name.isascii() else f"{prefix}x{name.encode().hex()}")
-
-
-def _positive_literal(e: Expr) -> bool:
-    return isinstance(e, Const) and not isinstance(e.value, bool) and e.value > 0
 
 
 def _guard(code: Code, flag: Optional[Code]) -> Code:
@@ -601,42 +585,15 @@ def _emit(stmts: List[_Stmt], indent: str, out: List[str]) -> None:
             out += [indent + "else:", indent + "    " + _line(st.orelse)]
 
 
-class _Deps(NamedTuple):
-    """One node's dependency map, by position in `node.equations`."""
-
-    # every variable the equation reads: each operand, the delayed
-    # operand of a `fby` included, each `when`/`merge` variable and the
-    # variables of its targets' clocks
-    reads: List[Set[str]]
-    defining: Dict[str, int]
-    # the equations that may raise: a `div`/`mod` whose divisor is not a
-    # positive literal, or a call to a node that contains one
-    raising: List[int]
-
-
-class _Cone(NamedTuple):
-    """The equations to emit for one node instance, in schedule order,
-    and the variables they and the instance's caller read (None when
-    the cone is the whole node)."""
-
-    equations: List[AnyEquation]
-    needed: Optional[Set[str]]
-
-
 class _Codegen:
     """Counters and register initialisations shared by every instance
-    inlined into one generated function, and the per-node analyses that
-    every instance of a node shares."""
+    inlined into one generated function."""
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.counts: Dict[str, int] = {}
         # each delay register and its initial content
         self.registers: Dict[str, Code] = {}
-        # built once per program object: nothing in it refers back to
-        # the program
-        self.deps_of: Dict[str, _Deps] = prog.memo.setdefault("deps", {})
-        self.cones: Dict[Tuple[str, FrozenSet[str]], _Cone] = {}
 
     def fresh(self, kind: str) -> str:
         n = self.counts.get(kind, 0)
@@ -651,83 +608,6 @@ class _Codegen:
         self.registers[reg] = initial
         return _name(reg, register=True)
 
-    def raises(self, name: str) -> bool:
-        return bool(self.deps(self.prog.node(name)).raising)
-
-    def deps(self, node: Node) -> _Deps:
-        d = self.deps_of.get(node.name)
-        if d is not None:
-            return d
-        clocks = clock_env(node)
-        d = _Deps([], {}, [])
-        for i, eq in enumerate(node.equations):
-            raising = False
-            if isinstance(eq, Equation):
-                reads = set().union(*(fv(clocks[x]) for x in eq.targets))
-                todo = list(eq.exprs)
-            else:
-                reads = fv(eq.clock)
-                if isinstance(eq, SimpleEq):
-                    todo = [eq.rhs]
-                elif isinstance(eq, FbyEq):
-                    todo = [eq.init, eq.rhs]
-                else:
-                    todo = list(eq.args)
-                    raising = self.raises(eq.node)
-            # one walk over the equation; dispatch on the exact type, as
-            # the walk meets every subexpression of every equation
-            while todo:
-                e = todo.pop()
-                t = type(e)
-                if t is Var:
-                    reads.add(e.name)
-                    continue
-                if t is Const:
-                    continue
-                if t is Binop:
-                    if e.op in _LITERAL_FMT and not _positive_literal(e.right):
-                        raising = True
-                elif t is When or t is Merge:
-                    reads.add(e.var)
-                elif t is NodeCall and not raising:
-                    raising = self.raises(e.node)
-                todo.extend(children(e))
-            d.reads.append(reads)
-            d.defining.update((x, i) for x in dv(eq))
-            if raising:
-                d.raising.append(i)
-        self.deps_of[node.name] = d
-        return d
-
-    def cone(self, node: Node, wanted: FrozenSet[str]) -> _Cone:
-        """The cone of influence of `wanted` in `node`: the backward
-        closure, over the dependency map, of the equations that define a
-        wanted variable or may raise."""
-        key = (node.name, wanted)
-        c = self.cones.get(key)
-        if c is not None:
-            return c
-        order = node_schedule(self.prog, node)
-        if all(d.name in wanted for d in node.outputs + node.locals):
-            c = self.cones[key] = _Cone(order, None)
-            return c
-        d = self.deps(node)
-        needed = set(wanted)
-        live = set(d.raising)
-        live.update(d.defining[x] for x in wanted if x in d.defining)
-        todo = list(live)
-        while todo:
-            for x in d.reads[todo.pop()]:
-                if x not in needed:
-                    needed.add(x)
-                    i = d.defining.get(x)
-                    if i is not None and i not in live:
-                        live.add(i)
-                        todo.append(i)
-        keep = {id(node.equations[i]) for i in live}
-        c = self.cones[key] = _Cone([eq for eq in order if id(eq) in keep], needed)
-        return c
-
 
 class _Delay(NamedTuple):
     """A delay's second operand, queued in phase 1 and compiled in phase
@@ -741,24 +621,18 @@ class _Delay(NamedTuple):
 class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
     or a callee inlined at one call site.  `env` maps each of the node's
-    variables to the code that names it, a `Name` or a `Lit`; only the
-    equations in the cone of the `wanted` variables are emitted.  The
-    variables in `named` (a callee's outputs that its caller reads) are
-    always assigned."""
+    variables to the code that names it, a `Name` or a `Lit`.  Every
+    equation is compiled; liveness later drops what nothing reads.  The
+    variables in `named` (a callee's outputs, which its caller reads by
+    name) are always assigned."""
 
     def __init__(
-        self,
-        gen: _Codegen,
-        node: Node,
-        env: Dict[str, Code],
-        wanted: FrozenSet[str],
-        named: FrozenSet[str] = frozenset(),
+        self, gen: _Codegen, node: Node, env: Dict[str, Code], named: FrozenSet[str] = frozenset()
     ):
         self.gen = gen
         self.node = node
         self.env = env
         self.named = named
-        self.cone = gen.cone(node, wanted)
         self.flags: Dict[Clock, Code] = {}
         self.lines: List[_Stmt] = []  # phase 1
         self.phase2: List[_Stmt] = []
@@ -773,7 +647,7 @@ class _NodeCode:
         delays, when every variable's code is final.  A delay nested in
         a queued operand joins the end of the queue, so the loop meets
         it too."""
-        for eq in self.cone.equations:
+        for eq in node_schedule(self.gen.prog, self.node):
             self.equation(eq)
         for regs, rest, ck in self.queue:
             rests = self.all(rest, self.phase2)
@@ -950,35 +824,25 @@ class _NodeCode:
             self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
         return reads
 
-    def call_targets(self, names: Sequence[str]) -> List[Optional[Code]]:
-        """The codes of the call targets `names`, None for one that no
-        emitted equation reads."""
-        needed = self.cone.needed
-        return [self.env[x] if needed is None or x in needed else None for x in names]
-
     def call(
         self,
         name: str,
         args: Sequence[Expr],
         ck: Optional[Clock],
-        targets: Optional[List[Optional[Code]]],
+        targets: Optional[List[Code]],
         sink: List[_Stmt],
     ) -> List[Code]:
         """Inline one instant of `name` at this call site; returns the
-        codes of its outputs.  `targets` gives the code of each output,
-        None for a dead one; without it every output is wanted."""
+        codes of its outputs: the caller's `targets`, or names of their
+        own for a call in expression position."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
         prefix = self.gen.fresh("V")
         names = [d.name for d in callee.outputs]
-        if targets is None:
-            targets = [_mangle(prefix, x) for x in names]
-        outs = [t or _mangle(prefix, x) for t, x in zip(targets, names)]
-        live = tuple(t.text for t in targets if t)
-        absent = _Stmt(live, _NONE) if live else None
+        outs = targets or [_mangle(prefix, x) for x in names]
+        absent = _Stmt(tuple(t.text for t in outs), _NONE)
         if flag is _NEVER:  # the callee never runs
-            if absent:
-                sink.append(absent)
+            sink.append(absent)
             return outs
         block: List[_Stmt] = []
         env: Dict[str, Code] = {}
@@ -992,9 +856,8 @@ class _NodeCode:
                     env[d.name] = code
         env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        wanted = frozenset(x for x, t in zip(names, targets) if t)
-        # the caller reads each wanted output by name
-        block += _NodeCode(self.gen, callee, env, wanted, wanted).body()
+        # the caller reads each output by name
+        block += _NodeCode(self.gen, callee, env, frozenset(names)).body()
         if flag is None:
             sink.extend(block)
         elif block:
@@ -1022,7 +885,7 @@ class _NodeCode:
                 names = eq.targets[pos : pos + w]
                 pos += w
                 if isinstance(e, NodeCall):
-                    self.call(e.node, e.args, e.clock, self.call_targets(names), L)
+                    self.call(e.node, e.args, e.clock, [self.env[x] for x in names], L)
                     continue
                 flag = self.flag(e.clock, L)
                 for x, code in zip(names, self.expr(e, L)):
@@ -1036,7 +899,7 @@ class _NodeCode:
             (read,) = self.delay((eq.init,), (eq.rhs,), eq.clock, L)
             self.define(eq.target, read, flag)
         elif isinstance(eq, CallEq):
-            self.call(eq.node, eq.args, eq.clock, self.call_targets(eq.targets), L)
+            self.call(eq.node, eq.args, eq.clock, [self.env[x] for x in eq.targets], L)
         else:
             raise TypeError(type(eq))
 
@@ -1058,7 +921,7 @@ def _ticks(ck: Clock, env: Dict[str, Code]) -> str:
 
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     if not any(n is node for n in prog.nodes):
-        # the cone and the schedule are `prog`'s own, by identity
+        # the schedule is `prog`'s own, by identity
         raise ValueError(f"node {node.name!r} is not one of this program object's nodes")
     gen = _Codegen(prog)
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
@@ -1070,9 +933,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
     in_env = {d.name: env[d.name] for d in node.inputs}
     checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name].text}, {d.name!r})" for d in derived]
-    # the roots of the entry's cone: the recorded columns, and the clock
-    # variables of the inputs declared on a derived clock
-    code = _NodeCode(gen, node, env, frozenset(want).union(*(fv(d.clock) for d in derived)))
+    code = _NodeCode(gen, node, env)
     code.compile()
     recorded = [x for x in want if x not in inputs]
     # recorded before the commits, so a column whose code is a register

@@ -334,6 +334,12 @@ def test_verify_argument_validation(capsys):
     assert code == 1 and "horizon" in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--ni-trials"])
+def test_verify_zero_trials_names_the_flag(capsys, flag):
+    code, out, err = run(capsys, "verify", fixture_path("cnt_dn.lus"), "--what", "ni", flag, "0")
+    assert (code, out, err) == (1, "", f"error: {flag} must be at least 1\n")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -578,6 +578,50 @@ def test_dead_equations_that_may_raise_are_kept(src):
         assert "div(" in run.source or "mod(" in run.source
 
 
+DEAD_AND_PURE = [
+    # the programs above without the raise: calls to a callee holding a
+    # delay, whose results nothing reads, on the base clock, in
+    # expression position and under a sampled clock
+    """
+    node g(x: int) returns (p: int) let p = 0 fby (x + 1); tel
+    node f(x: int) returns (o: int)
+      var d: int;
+    let d = g(x); o = x + 1; tel
+    """,
+    """
+    node g(x: int) returns (p: int) let p = 0 fby (x + 1); tel
+    node f(x: int) returns (o: int)
+      var d: int;
+    let d = g(x) * 2; o = x + 1; tel
+    """,
+    """
+    node g(x: int) returns (p: int; q: int) let p = 0 fby (x + 1); q = p * 2; tel
+    node f(x: int) returns (o: int)
+      var c: bool; u: int :: base on c; v: int :: base on c;
+    let c = x >= 0; (u, v) = g(x when c); o = x + 1; tel
+    """,
+]
+
+
+@pytest.mark.parametrize("src", DEAD_AND_PURE)
+def test_a_call_that_nothing_reads_and_cannot_raise_leaves_no_code(src):
+    inputs = [[2, -1, 0, 5, -3]]
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = CompiledProgram(form), ReferenceProgram(form)
+        for want in (["o"], None):
+            H = fast.run("f", inputs, want=want)
+            assert H == ref.run("f", inputs, want=want, dialect=dialect)
+        assert H["o"] == [3, 0, 1, 6, -2]
+        narrow, full = fast.source("f", ["o"]), fast.source("f")
+        # no call block, no name of the inlined instance and no register
+        tests = r"^ +if (.*):$"
+        assert re.findall(tests, narrow, re.M) == ["not b"]
+        assert not re.search(r"\bV\d+_", narrow)
+        assert not re.search(r"^    r\d+ = ", narrow, re.M)
+        # recording every column keeps the callee's delay
+        assert re.search(r"^    r\d+ = ", full, re.M)
+
+
 def test_the_clock_of_a_recorded_column_is_in_its_cone():
     # `z` reads `c` through its declared clock alone
     src = """

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from seclus import cli, compiled, interp, normalise
+from seclus import cli, interp, normalise
 from seclus.compiled import CompiledProgram
 from seclus.interp import CausalityError, ReferenceProgram, check_history, run_node
 from seclus.normalise import fby_init, normalize_program
@@ -104,30 +104,6 @@ def test_each_form_and_node_is_prepared_and_scheduled_once(monkeypatch):
     ids = [id(n) for form in kept for n in form.nodes]
     assert set(prepared) == set(scheduled) == set(ids)
     assert set(prepared.values()) == set(scheduled.values()) == {1}
-
-
-def test_each_nodes_dependency_map_is_built_once_per_program_object(monkeypatch):
-    # a run with other columns generates again, but walks no equation again
-    walked = Counter()
-    real = compiled.children
-
-    def counting(e):
-        walked[type(e).__name__] += 1
-        return real(e)
-
-    monkeypatch.setattr(compiled, "children", counting)
-    p = generate_program(GenConfig(seed=3))
-    node = p.nodes[-1]
-    assert len(p.nodes) > 1 and node.locals
-    inputs = random_inputs(node, 5, random.Random(3))
-    first = CompiledProgram(p).run(node.name, inputs, want=[node.outputs[0].name])
-    assert walked
-    walked.clear()
-    cp = CompiledProgram(p)
-    other = cp.run(node.name, inputs, want=[node.locals[0].name, node.outputs[0].name])
-    assert not walked and len(cp.nodes) == 2
-    assert set(p.annotation.memo["deps"]) <= {n.name for n in p.nodes}
-    assert other[node.outputs[0].name] == first[node.outputs[0].name]
 
 
 def test_a_node_of_another_form_gets_the_schedule_of_the_programs_own():
