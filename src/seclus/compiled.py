@@ -870,11 +870,13 @@ class _NodeCode:
         """Give `x` its value.  On the instance's base clock, an atom (a
         variable's code, an input, a register or a literal) becomes the
         code of `x` and nothing is emitted, unless the caller reads `x`
-        by name."""
-        if flag is None and x not in self.named and type(code) is not Op:
-            self.env[x] = code
-        else:
+        by name; a literal is then assigned to the name and is still the
+        code of the node's own reads of `x`."""
+        if flag is not None or type(code) is Op or x in self.named:
             self.lines.append(_assign(self.env[x], _guard(code, flag)))
+            if flag is not None or type(code) is not Lit:
+                return
+        self.env[x] = code
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines

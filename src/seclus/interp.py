@@ -14,10 +14,14 @@ engine's generated code apply.
 across instants).  It annotates a program once and turns each node into
 closures over a frame of slots once per program object, at the node's
 first run, in the manner of Feeley & Lapalme, "Using closures for code
-generation" (Computer Languages, 1987); `run_node` runs one node of a
-program through it.  `check_history` is an independent route: it replays a
-produced history through the whole-stream operators and reports every
-equation whose defined streams disagree.
+generation" (Computer Languages, 1987): one closure per component stream
+of each expression, which moves no state, and a statement for each
+equation and for whatever has state.  As in Vélus's normal form (Bourke
+et al., PLDI 2017) a call is a statement of its own, which steps the
+callee once per instant and writes its outputs to slots.  `run_node` runs
+one node of a program through it.  `check_history` is an independent
+route: it replays a produced history through the whole-stream operators
+and reports every equation whose defined streams disagree.
 """
 
 from __future__ import annotations
@@ -201,11 +205,14 @@ def _select(c: CV, t: CV, e: CV) -> CV:
     return t if c else e
 
 
-def _paired(i: CV, v: CV) -> bool:
+_MIXED_DELAY = "mixed presence in delay"
+
+
+def _paired(i: CV, v: CV, mismatch: str = _MIXED_DELAY) -> bool:
     """Whether the two operands of a delay are present; they must be
-    present together."""
+    present together, else ClockMismatch says `mismatch`."""
     if (i is ABSENT) != (v is ABSENT):
-        raise ClockMismatch("mixed presence in delay")
+        raise ClockMismatch(mismatch)
     return i is not ABSENT
 
 
@@ -434,44 +441,138 @@ def node_schedule(prog: Program, node: Node) -> List[AnyEquation]:
 
 # A frame is one instance of one node, as a list: the node's variables in
 # declaration order (inputs, outputs, locals), then the slots the node's
-# closures allocated (delay registers, saved delay heads, callee frames).
+# statements allocated (delay registers and heads, call outputs and
+# callee frames, tuple conditions).
 Frame = List[Any]
+# one component stream: its value at the current instant, read off the frame
+Read = Callable[[Frame], CV]
+# one statement of an instant
+Stmt = Callable[[Frame], None]
 
 
 def _base(f: Frame, base: bool) -> bool:
     return base
 
 
-def _one(vector: Callable[[Frame], List[CV]]) -> Callable[[Frame], CV]:
-    """A scalar closure for an operand position that must hold one
-    stream; an operand of another width raises ValueError when run."""
+# -- the closures of one component stream, one per operator --
 
-    def one(f: Frame) -> CV:
-        (v,) = vector(f)
-        return v
 
-    return one
+def _unop(op: Callable, operand: Read) -> Read:
+    def unop(f: Frame) -> CV:
+        v = operand(f)
+        return ABSENT if v is ABSENT else op(v)
+
+    return unop
+
+
+def _binop(op: Callable, left: Read, right: Read) -> Read:
+    def binop(f: Frame) -> CV:
+        return _lift2(op, left(f), right(f))
+
+    return binop
+
+
+def _when(x: int, k: bool, operand: Read) -> Read:
+    def when(f: Frame) -> CV:
+        return _sample(f[x], operand(f), k)
+
+    return when
+
+
+def _merge(x: int, on_true: Read, on_false: Read) -> Read:
+    def merge(f: Frame) -> CV:
+        t = on_true(f)
+        return _choose(f[x], t, on_false(f))
+
+    return merge
+
+
+def _ite(cond: Read, on_true: Read, on_false: Read) -> Read:
+    def ite(f: Frame) -> CV:
+        c = cond(f)
+        t = on_true(f)
+        return _select(c, t, on_false(f))
+
+    return ite
+
+
+def _delay(init: Read, rest: Read, r: int, h: int, mismatch: str) -> Tuple[Read, Stmt]:
+    """One component of a delay with register `r`: the closure that reads
+    it, saving its first operand's value in slot `h`, and the statement
+    that commits its second operand, which must be present with it."""
+
+    def fby(f: Frame) -> CV:
+        i = f[h] = init(f)
+        if i is ABSENT:
+            return ABSENT
+        v = f[r]
+        return i if v is _FIRST else v
+
+    def commit(f: Frame) -> None:
+        v = rest(f)
+        if _paired(f[h], v, mismatch):
+            f[r] = v
+
+    return fby, commit
+
+
+# -- statements --
+
+
+def _assign(t: int, rhs: Read) -> Stmt:
+    def assign(f: Frame) -> None:
+        f[t] = rhs(f)
+
+    return assign
+
+
+def _checked(t: int, rhs: Read, on: Callable[[Frame, bool], bool], mismatch: str) -> Stmt:
+    """Assign `t` a value present exactly where the equation's clock `on`
+    ticks."""
+    if on is _base:
+
+        def simple_base(f: Frame) -> None:
+            v = rhs(f)
+            if v is ABSENT:
+                raise ClockMismatch(mismatch)
+            f[t] = v
+
+        return simple_base
+
+    def simple(f: Frame) -> None:
+        active = on(f, True)
+        v = rhs(f)
+        if (v is ABSENT) == active:
+            raise ClockMismatch(mismatch)
+        f[t] = v
+
+    return simple
 
 
 class _Prepared:
-    """One node turned into closures over a frame, built once per
+    """One node turned into statements over a frame, built once per
     program.  Each closure was chosen for its expression's kind when it
     was built, so an instant dispatches on nothing.
 
-    An instant runs the node's body: phase 1 evaluates the equations in
-    schedule order, every delay reading its register and saving its first
-    operand's value; phase 2 visits the delays alone, in the order in
-    which phase 1 reached them (a delay nested in another's first operand
-    first), and evaluates each delay's second operand, which sees the
-    whole instant, to commit its register.  A delay inside a second
-    operand is evaluated, read and committed right there.  The node's
-    base clock is true whenever its body runs: the caller skips the
-    instants at which it is false, where every stream of the node is
-    absent and no register moves."""
+    An expression becomes one closure per component stream, which moves
+    no state.  Whatever has state is a statement of its own, run before
+    the statement that reads it: a call steps its callee once per
+    instant and writes the callee's outputs to slots, which its
+    component closures read.  An instant runs phase 1, the equations in
+    schedule order, and then phase 2.  A delay's component reads its
+    register in phase 1, saving its first operand's value for its
+    commit, a phase-2 statement that stores the second operand, which
+    sees the whole instant.  So phase 2 commits the delays in the order in which phase
+    1 reached them, a delay nested in another's first operand first.  A
+    delay nested in a second operand is read into a slot and committed
+    by phase-2 statements of its own.  The node's base clock is true
+    whenever its body runs: the caller skips the instants at which it is
+    false, where every stream of the node is absent and no register
+    moves."""
 
     def __init__(self, program: "ReferenceProgram", node: Node):
-        # kept while the closures are built only, so that no cycle holds
-        # the program once they are
+        # kept while the statements are built only, so that no cycle
+        # holds the program once they are
         self.program = program
         self.slots = {d.name: i for i, d in enumerate(node.decls)}
         self.nin = len(node.inputs)
@@ -480,20 +581,29 @@ class _Prepared:
         self.idle = [ABSENT] * (self.nvars - self.nin)  # outputs and locals
         self.template: Frame = [ABSENT] * self.nvars
         self.callees: List[Tuple[int, Optional["_Prepared"]]] = []
-        self.phase2: List[Callable[[Frame], None]] = []
+        self.phase1: List[Stmt] = []
+        self.phase2: List[Stmt] = []
         order = node_schedule(program.prog, node)
         # inputs on the base clock are present exactly when it ticks
         self.checks = [
             self.input_check(k, d) for k, d in enumerate(node.inputs)
             if not isinstance(d.clock, Base)
         ]
-        phase1 = [self.equation(eq) for eq in order]
-        self.body = phase1 + self.phase2
+        for eq in order:
+            self.equation(eq)
+        self.body = self.phase1 + self.phase2
         del self.program
 
     def slot(self, initial: Any) -> int:
         self.template.append(initial)
         return len(self.template) - 1
+
+    def hoist(self, rhs: Read, sink: List[Stmt]) -> Read:
+        """A statement of `sink` that computes `rhs` into a slot, and the
+        closure that reads the slot."""
+        t = self.slot(ABSENT)
+        sink.append(_assign(t, rhs))
+        return itemgetter(t)
 
     def new_frame(self) -> Frame:
         f = list(self.template)
@@ -533,194 +643,87 @@ class _Prepared:
 
         return check
 
-    # -- expressions --
-    # `expr` returns the width of `e` and its closure: a scalar when the
-    # width is 1, a list otherwise.  `delayed` is true inside a delay's
-    # second operand, which runs in phase 2.
+    # -- expressions: one closure per component stream --
+    # `sink` collects the statements that the closures read: the phase-1
+    # list, or the phase-2 list inside a delay's second operand
 
-    def expr(self, e: Expr, delayed: bool) -> Tuple[int, Callable[[Frame], Any]]:
+    def expr(self, e: Expr, sink: List[Stmt]) -> List[Read]:
         if isinstance(e, Const):
             v, on = e.value, self.clock(e.clock)
             if on is _base:
-                return 1, lambda f: v
-            return 1, lambda f: v if on(f, True) else ABSENT
+                return [lambda f: v]
+            return [lambda f: v if on(f, True) else ABSENT]
         if isinstance(e, Var):
-            return 1, itemgetter(self.slots[e.name])
+            return [itemgetter(self.slots[e.name])]
         if isinstance(e, Unop):
-            return 1, self.unop(e, delayed)
+            (operand,) = self.expr(e.operand, sink)
+            return [_unop(_UNARY[e.op], operand)]
         if isinstance(e, Binop):
-            return 1, self.binop(e, delayed)
+            (left,) = self.expr(e.left, sink)
+            (right,) = self.expr(e.right, sink)
+            return [_binop(_BINARY[e.op], left, right)]
         if isinstance(e, When):
-            return self.when(e, delayed)
+            x, k = self.slots[e.var], e.value
+            return [_when(x, k, v) for v in self.all(e.exprs, sink)]
         if isinstance(e, Merge):
-            return self.merge(e, delayed)
+            x = self.slots[e.var]
+            ts = self.all(e.on_true, sink)
+            return [_merge(x, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
         if isinstance(e, Ite):
-            return self.ite(e, delayed)
+            (cond,) = self.expr(e.cond, sink)
+            if len(e.types) > 1:  # a tuple tests its condition once
+                cond = self.hoist(cond, sink)
+            ts = self.all(e.on_true, sink)
+            return [_ite(cond, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
         if isinstance(e, Fby):
-            return self.fby(e, delayed)
+            return self.delay(e.init, e.rest, sink)
         if isinstance(e, NodeCall):
-            return self.node_call(e, delayed)
+            return self.call(e.node, e.args, e.clock, sink)
         raise TypeError(type(e))
 
-    def one(self, e: Expr, delayed: bool) -> Callable[[Frame], CV]:
-        w, fn = self.expr(e, delayed)
-        return fn if w == 1 else _one(fn)
+    def all(self, es: Sequence[Expr], sink: List[Stmt]) -> List[Read]:
+        return [c for e in es for c in self.expr(e, sink)]
 
-    def many(self, es: Sequence[Expr], delayed: bool) -> Tuple[int, Callable[[Frame], Any]]:
-        """Width and closure of an operand list: the scalar closure of a
-        lone one-stream operand, else a closure for the flattened list."""
-        parts = [self.expr(e, delayed) for e in es]
-        if len(parts) == 1:
-            return parts[0]
+    def delay(
+        self,
+        inits: Sequence[Expr],
+        rests: Sequence[Expr],
+        sink: List[Stmt],
+        mismatch: str = _MIXED_DELAY,
+    ) -> List[Read]:
+        """The closures that read a delay's components; their commits,
+        and the statements of their second operands, join phase 2.
+        Nested in a second operand (`sink` is phase 2), a component is
+        read into a slot just before its commit."""
+        firsts = self.all(inits, sink)
+        reads = []
+        for init, rest in zip(firsts, self.all(rests, self.phase2)):
+            fby, commit = _delay(init, rest, self.slot(_FIRST), self.slot(ABSENT), mismatch)
+            if sink is self.phase2:
+                fby = self.hoist(fby, sink)
+            self.phase2.append(commit)
+            reads.append(fby)
+        return reads
 
-        def vector(f: Frame) -> List[CV]:
-            out: List[CV] = []
-            for w, fn in parts:
-                if w == 1:
-                    out.append(fn(f))
-                else:
-                    out.extend(fn(f))
-            return out
-
-        return sum(w for w, _ in parts), vector
-
-    def vector(self, es: Sequence[Expr], delayed: bool) -> Tuple[int, Callable[[Frame], List[CV]]]:
-        w, fn = self.many(es, delayed)
-        if w == 1 and len(es) == 1:
-            return 1, lambda f: [fn(f)]
-        return w, fn
-
-    def unop(self, e: Unop, delayed: bool) -> Callable[[Frame], CV]:
-        operand = self.one(e.operand, delayed)
-        op = _UNARY[e.op]
-
-        def unop(f: Frame) -> CV:
-            v = operand(f)
-            return ABSENT if v is ABSENT else op(v)
-
-        return unop
-
-    def binop(self, e: Binop, delayed: bool) -> Callable[[Frame], CV]:
-        left = self.one(e.left, delayed)
-        right = self.one(e.right, delayed)
-        op = _BINARY[e.op]
-
-        def binop(f: Frame) -> CV:
-            return _lift2(op, left(f), right(f))
-
-        return binop
-
-    def when(self, e: When, delayed: bool):
-        x, k = self.slots[e.var], e.value
-        w, operand = self.many(e.exprs, delayed)
-        if w == 1:
-            return 1, lambda f: _sample(f[x], operand(f), k)
-        return w, lambda f: [_sample(f[x], v, k) for v in operand(f)]
-
-    def merge(self, e: Merge, delayed: bool):
-        x = self.slots[e.var]
-        w, on_true = self.many(e.on_true, delayed)
-        _, on_false = (self.many if w == 1 else self.vector)(e.on_false, delayed)
-        if w == 1:
-
-            def merge(f: Frame) -> CV:
-                t = on_true(f)
-                return _choose(f[x], t, on_false(f))
-
-            return 1, merge
-
-        def merge_n(f: Frame) -> List[CV]:
-            xv, ts = f[x], on_true(f)
-            return [_choose(xv, t, v) for t, v in zip(ts, on_false(f))]
-
-        return w, merge_n
-
-    def ite(self, e: Ite, delayed: bool):
-        cond = self.one(e.cond, delayed)
-        w, on_true = self.many(e.on_true, delayed)
-        _, on_false = (self.many if w == 1 else self.vector)(e.on_false, delayed)
-        if w == 1:
-
-            def ite(f: Frame) -> CV:
-                c = cond(f)
-                t = on_true(f)
-                return _select(c, t, on_false(f))
-
-            return 1, ite
-
-        def ite_n(f: Frame) -> List[CV]:
-            c, ts = cond(f), on_true(f)
-            return [_select(c, t, v) for t, v in zip(ts, on_false(f))]
-
-        return w, ite_n
-
-    def fby(self, e: Fby, delayed: bool):
-        """A delay reads its registers and saves its first operand's
-        values in phase 1, and commits in phase 2; inside a second
-        operand (`delayed`) it reads and commits at once."""
-        w = len(e.types)
-        if w == 1 and not delayed:
-            return 1, self.delay(e)
-        _, init = self.vector(e.init, delayed)
-        _, rest = self.vector(e.rest, True)
-        regs = [self.slot(_FIRST) for _ in range(w)]
-
-        def read(f: Frame, inits: List[CV]) -> List[CV]:
-            return [
-                ABSENT if i is ABSENT else (i if f[r] is _FIRST else f[r])
-                for i, r in zip(inits, regs)
-            ]
-
-        def commit(f: Frame, inits: List[CV]) -> None:
-            for i, v, r in zip(inits, rest(f), regs):
-                if _paired(i, v):
-                    f[r] = v
-
-        if delayed:
-
-            def fby(f: Frame) -> List[CV]:
-                inits = init(f)
-                out = read(f, inits)
-                commit(f, inits)
-                return out
-
-        else:
-            h = self.slot(ABSENT)
-
-            def fby(f: Frame) -> List[CV]:
-                inits = f[h] = init(f)
-                return read(f, inits)
-
-            self.phase2.append(lambda f: commit(f, f[h]))
-        return (1, lambda f: fby(f)[0]) if w == 1 else (w, fby)
-
-    def delay(self, e: Fby) -> Callable[[Frame], CV]:
-        """`fby` for the common case, one stream in phase 1."""
-        _, init = self.many(e.init, False)
-        w, rest = self.many(e.rest, True)
-        rest = rest if w == 1 else _one(rest)
-        r, h = self.slot(_FIRST), self.slot(ABSENT)
-
-        def fby(f: Frame) -> CV:
-            i = f[h] = init(f)
-            if i is ABSENT:
-                return ABSENT
-            v = f[r]
-            return i if v is _FIRST else v
-
-        def commit(f: Frame) -> None:
-            v = rest(f)
-            if _paired(f[h], v):
-                f[r] = v
-
-        self.phase2.append(commit)
-        return fby
-
-    def call_site(self, name: str) -> Callable[[Frame, List[CV], bool], List[CV]]:
-        """Closure stepping the callee `name` at one call site: checks
-        its arguments' presence against the call's activity and returns
-        its outputs, all absent when the call is inactive."""
-        absent = [ABSENT] * len(self.program.prog.node(name).outputs)
+    def call(
+        self,
+        name: str,
+        args: Sequence[Expr],
+        ck: Optional[Clock],
+        sink: List[Stmt],
+        outs: Optional[List[int]] = None,
+    ) -> List[Read]:
+        """A statement of `sink` that steps the callee `name` once per
+        instant where the call's clock `ck` ticks, checking its
+        arguments' presence against it, and writes the callee's outputs
+        to the slots `outs` (fresh ones for a call in expression
+        position), all absent where it does not; returns the closures
+        that read them."""
+        decls = self.program.prog.node(name).outputs
+        argv = self.all(args, sink)
+        on = self.clock(ck)
+        if outs is None:
+            outs = [self.slot(ABSENT) for _ in decls]
         try:
             callee: Optional[_Prepared] = self.program.prepared(name)
             error = ""
@@ -730,139 +733,57 @@ class _Prepared:
             callee, error = None, str(exc)
         i = self.slot(None)
         self.callees.append((i, callee))
-        nin = callee.nin if callee is not None else -1
+        results = [] if callee is None else list(zip(callee.outputs, outs, decls))
 
-        def call(f: Frame, args: List[CV], active: bool) -> List[CV]:
-            for a in args:
-                if (a is not ABSENT) != active:
+        def call(f: Frame) -> None:
+            active = on(f, True)
+            a = [arg(f) for arg in argv]
+            for v in a:
+                if (v is ABSENT) == active:
                     raise ClockMismatch(f"call to {name}: mixed argument presence")
             if callee is None:
                 raise CausalityError(error)
-            if len(args) != nin:
-                raise EvalError(f"{name}: expected {nin} inputs")
             if not active:
-                return absent
+                for t in outs:
+                    f[t] = ABSENT
+                return
             sub = f[i]
-            callee.step(sub, args)
-            return [sub[o] for o in callee.outputs]
+            callee.step(sub, a)
+            for o, t, d in results:
+                v = f[t] = sub[o]
+                if v is ABSENT:
+                    raise ClockMismatch(f"call to {name}: output {d.name} off the call's clock")
 
-        return call
+        sink.append(call)
+        return [itemgetter(t) for t in outs]
 
-    def node_call(self, e: NodeCall, delayed: bool):
-        _, args = self.vector(e.args, delayed)
-        call = self.call_site(e.node)
-        on = self.clock(e.clock)
+    # -- equations: phase-1 statements --
 
-        def node_call(f: Frame) -> List[CV]:
-            a = args(f)
-            return call(f, a, a[0] is not ABSENT if a else on(f, True))
-
-        w = len(e.types)
-        if w == 1:
-            return 1, lambda f: node_call(f)[0]
-        return w, node_call
-
-    # -- equations: one phase-1 closure each --
-
-    def equation(self, eq: AnyEquation) -> Callable[[Frame], None]:
+    def equation(self, eq: AnyEquation) -> None:
+        L = self.phase1
         if isinstance(eq, Equation):
-            return self.lustre_equation(eq)
+            # clock annotation has checked that the widths match
+            ts = iter([self.slots[x] for x in eq.targets])
+            for e in eq.exprs:
+                if isinstance(e, NodeCall):  # the call writes the targets
+                    self.call(e.node, e.args, e.clock, L, [next(ts) for _ in e.types])
+                else:
+                    rhs = self.expr(e, L)
+                    L += [_assign(next(ts), c) for c in rhs]
+            return
         ts = [self.slots[x] for x in targets(eq)]
         on = self.clock(eq.clock)
         if isinstance(eq, SimpleEq):
-            return self.simple_equation(eq, ts[0], on)
-        if isinstance(eq, FbyEq):
-            return self.fby_equation(eq, ts[0], on)
-        if isinstance(eq, CallEq):
-            return self.call_equation(eq, ts, on)
-        raise TypeError(type(eq))
-
-    def lustre_equation(self, eq: Equation) -> Callable[[Frame], None]:
-        # clock annotation has checked that the widths match
-        ts = [self.slots[x] for x in eq.targets]
-        w, rhs = self.many(eq.exprs, False)
-        if w == 1:
-            (t,) = ts
-
-            def assign(f: Frame) -> None:
-                f[t] = rhs(f)
-
-            return assign
-
-        def assign_n(f: Frame) -> None:
-            for t, v in zip(ts, rhs(f)):
-                f[t] = v
-
-        return assign_n
-
-    def simple_equation(self, eq: SimpleEq, t: int, on) -> Callable[[Frame], None]:
-        rhs = self.one(eq.rhs, False)
-        message = f"{eq.target}: value off the equation clock"
-        if on is _base:
-
-            def simple_base(f: Frame) -> None:
-                v = rhs(f)
-                if v is ABSENT:
-                    raise ClockMismatch(message)
-                f[t] = v
-
-            return simple_base
-
-        def simple(f: Frame) -> None:
-            active = on(f, True)
-            v = rhs(f)
-            if (v is ABSENT) == active:
-                raise ClockMismatch(message)
-            f[t] = v
-
-        return simple
-
-    def fby_equation(self, eq: FbyEq, t: int, on) -> Callable[[Frame], None]:
-        init = self.one(eq.init, False)
-        rest = self.one(eq.rhs, True)
-        r = self.slot(_FIRST)
-        x = eq.target
-
-        def fby(f: Frame) -> None:
-            active = on(f, True)
-            i = init(f)
-            if (i is ABSENT) == active:
-                raise ClockMismatch(f"{x}: operand off the equation clock")
-            if active:
-                v = f[r]
-                f[t] = i if v is _FIRST else v
-            else:
-                f[t] = ABSENT
-
-        def commit(f: Frame) -> None:
-            v = rest(f)
-            active = f[t] is not ABSENT
-            if (v is ABSENT) == active:
-                raise ClockMismatch(f"{x}: delayed operand off the clock")
-            if active:
-                f[r] = v
-
-        self.phase2.append(commit)
-        return fby
-
-    def call_equation(self, eq: CallEq, ts: List[int], on) -> Callable[[Frame], None]:
-        # the arguments of a call equation hold no delays to advance
-        queued = len(self.phase2)
-        _, args = self.vector(eq.args, False)
-        del self.phase2[queued:]
-        call = self.call_site(eq.node)
-
-        def call_eq(f: Frame) -> None:
-            active = on(f, True)
-            vals = call(f, args(f), active)
-            if len(vals) != len(ts):
-                raise EvalError("call equation width mismatch")
-            for x, t, v in zip(eq.targets, ts, vals):
-                if (v is ABSENT) == active:
-                    raise ClockMismatch(f"{x}: callee output off the equation clock")
-                f[t] = v
-
-        return call_eq
+            (rhs,) = self.expr(eq.rhs, L)
+            L.append(_checked(ts[0], rhs, on, f"{eq.target}: value off the equation clock"))
+        elif isinstance(eq, FbyEq):
+            mismatch = f"{eq.target}: delayed operand off the clock"
+            (rhs,) = self.delay((eq.init,), (eq.rhs,), L, mismatch)
+            L.append(_checked(ts[0], rhs, on, f"{eq.target}: operand off the equation clock"))
+        elif isinstance(eq, CallEq):
+            self.call(eq.node, eq.args, eq.clock, L, ts)
+        else:
+            raise TypeError(type(eq))
 
 
 class ReferenceProgram:

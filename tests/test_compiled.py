@@ -990,3 +990,35 @@ def test_a_value_whose_reader_folding_removed_is_not_computed():
     (run,) = fast.nodes.values()
     assert "v1" in {d.name for d in node.locals}
     assert not re.search(r"^ +V_v1 = ", run.source, re.M), run.source
+
+
+CALLEE_LITERAL_OUTPUT = [
+    # `k` is a literal output of `g` that `g` reads itself; the caller
+    # records `q` alone, through a call equation and through a call
+    # under a tuple `if`
+    "(p, q) = g(x);",
+    "(p, q) = if x > 0 then g(x) else (x, x);",
+]
+
+
+@pytest.mark.parametrize("eq", CALLEE_LITERAL_OUTPUT)
+def test_a_callees_literal_output_is_folded_into_its_own_reads(eq):
+    import ast
+
+    src = f"""
+    node g(x: int) returns (k: int; o: int) let k = 3; o = x * k + k; tel
+    node f(x: int) returns (p: int; q: int) let {eq} tel
+    """
+    inputs = [[2, -1, 0, 5, INT_MAX]]
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = CompiledProgram(form), ReferenceProgram(form)
+        for want in (["q"], None):
+            H = fast.run("f", inputs, want=want)
+            assert H == ref.run("f", inputs, want=want, dialect=dialect), dialect
+        tree = ast.parse(fast.source("f", ["q"]))
+        literal = {
+            t.id for a in ast.walk(tree) if isinstance(a, ast.Assign)
+            and isinstance(a.value, ast.Constant) and a.value.value == 3 for t in a.targets
+        }
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert not literal & loads, (dialect, fast.source("f", ["q"]))

@@ -607,3 +607,53 @@ def test_tuple_operators_and_an_input_on_a_derived_clock():
             run_node(p, "f", ins)
         with pytest.raises(ClockMismatch, match="input y off its declared clock"):
             CompiledProgram(p).run("f", ins, want=["w"])
+
+
+STATE_UNDER_TUPLES = """
+node acc(x: int) returns (s: int; n: int)
+let
+  s = x + (0 fby s);
+  n = (0 fby n) + 1;
+tel
+
+node flip(x: int) returns (b: bool)
+let
+  b = (x > 0) xor (false fby b);
+tel
+
+node f(c: bool; x: int)
+  returns (i1: int; i2: int; m1: int; m2: int; f1: int; f2: int; j1: int; j2: int; d1: int; d2: int)
+let
+  (i1, i2) = if c then acc(x) else (x, 0);
+  (m1, m2) = merge c (acc(x) when c) (acc(2 * x) when not c);
+  (f1, f2) = (0, 0) fby acc(x + f1);
+  (j1, j2) = if flip(x) then (x, 1) else (2, x);
+  (d1, d2) = (0, 0) fby (if flip(x - 1) then (x, 1) else (x + 10, x));
+tel
+"""
+
+
+def test_a_stateful_call_under_a_tuple_operator_steps_once_per_instant():
+    # each call, and each tuple condition, runs once per instant however
+    # many component streams read it: a second step would move the
+    # callee's registers again (`acc`'s count `n`, `flip`'s toggle)
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(STATE_UNDER_TUPLES)
+    ins = [[True, False, True, True, False], [1, 2, 3, -1, 4]]
+    for form, dialect in _forms(p):
+        H = run_node(form, "f", ins, dialect=dialect)
+        assert CompiledProgram(form).run("f", ins) == H, dialect
+        assert check_history(form, "f", H, [True] * 5) == [], dialect
+        # under a tuple `if`: acc's sums 1, 3, 6, 5, 9 where c holds
+        assert H["i1"] == [1, 2, 6, 5, 4] and H["i2"] == [1, 0, 3, 4, 0], dialect
+        # under `merge`: both branches' calls run at every instant
+        assert H["m1"] == [1, 6, 6, 5, 18] and H["m2"] == [1, 2, 3, 4, 5], dialect
+        # in a tuple delay's second operand: acc(x + f1) of the instant before
+        assert H["f1"] == [0, 1, 4, 11, 21] and H["f2"] == [0, 1, 2, 3, 4], dialect
+        # a tuple condition that calls a stateful node: flip(x) is
+        # true, false, true, true, false
+        assert H["j1"] == [1, 2, 3, -1, 2] and H["j2"] == [1, 2, 1, 1, 4], dialect
+        # the same in a delayed operand: flip(x - 1) is false, true,
+        # false, false, true
+        assert H["d1"] == [0, 11, 2, 13, 9] and H["d2"] == [0, 1, 1, 3, -1], dialect
