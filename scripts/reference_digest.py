@@ -1,9 +1,12 @@
-"""One SHA-256 over the reference engine's histories on a fixed corpus.
+"""One SHA-256 over an engine's histories on a fixed corpus.
 
-    python3 scripts/reference_digest.py [--seeds N] [--horizon N]
+    python3 scripts/reference_digest.py [--seeds N] [--horizon N] [--engine E]
 
-Runs `interp.run_node` with every column recorded and hashes each
-history, or the `repr` of the error the run raised, in this order:
+Runs the reference engine (`interp.run_node`, the default) with every
+column recorded, or with `--engine compiled` the compiled engine
+(`compiled.CompiledProgram`) once with the outputs recorded and once
+with every column recorded, and hashes each history, or the `repr` of
+the error the run raised, in this order:
 
   1. the generated programs of seeds 0..N-1 (`verify.generate_program`),
      their entry node (the last one), on the three forms (source,
@@ -15,8 +18,8 @@ history, or the `repr` of the error the run raised, in this order:
      divisor of a `div` or `mod` replaced by its dividend, so that a zero
      dividend divides by zero, run as in part 1.
 
-Two trees whose reference engines give the same histories and raise the
-same errors print the same line.  Standard error gives the number of runs
+Two trees whose engines give the same histories and raise the same
+errors print the same line.  Standard error gives the number of runs
 and of errors.  Stdlib only; imports the program from `src/` next to this
 directory.
 """
@@ -35,6 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from seclus.ast import Binop, Clock, Const, VarDecl  # noqa: E402
+from seclus.compiled import CompiledProgram  # noqa: E402
 from seclus.interp import INT_MAX, INT_MIN, run_node  # noqa: E402
 from seclus.normalise import fby_init, normalize_program  # noqa: E402
 from seclus.parser import parse_program, pretty  # noqa: E402
@@ -66,7 +70,23 @@ def raising(x):
     return y
 
 
-def outcomes(p, nodes, seed: int, N: int):
+def reference_runs(q, node, dialect):
+    """The reference engine's run of `node` of `q`, every column recorded."""
+    yield "", lambda ins, N: run_node(q, node.name, ins, N=N, dialect=dialect)
+
+
+def compiled_runs(q, node, dialect):
+    """The compiled engine's runs of `node` of `q`: the outputs recorded,
+    then every column."""
+    fast = CompiledProgram(q)
+    for label, want in (" outputs", [d.name for d in node.outputs]), (" all", None):
+        yield label, lambda ins, N, want=want: fast.run(node.name, ins, N=N, want=want)
+
+
+ENGINES = {"reference": reference_runs, "compiled": compiled_runs}
+
+
+def outcomes(p, nodes, seed: int, N: int, engine=reference_runs):
     """The label and outcome of each run of `nodes` of `p`."""
     n = normalize_program(p)
     forms = (("source", p, "lustre"), ("denest", n, "nlustre"), ("init", fby_init(n), "nlustre"))
@@ -75,17 +95,19 @@ def outcomes(p, nodes, seed: int, N: int):
         inputs = {"random": random_inputs(node, N, rng), "boundary": boundary_inputs(node, N, rng)}
         for kind, ins in inputs.items():
             for form, q, dialect in forms:
-                try:
-                    out = repr(run_node(q, node.name, ins, N=N, dialect=dialect))
-                except Exception as exc:  # an outcome like any other
-                    out = "error " + repr(exc)
-                yield f"{node.name} {kind} {form}", out
+                for label, run in engine(q, node, dialect):
+                    try:
+                        out = repr(run(ins, N))
+                    except Exception as exc:  # an outcome like any other
+                        out = "error " + repr(exc)
+                    yield f"{node.name} {kind} {form}{label}", out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, default=500)
     ap.add_argument("--horizon", type=int, default=20)
+    ap.add_argument("--engine", choices=sorted(ENGINES), default="reference")
     args = ap.parse_args(argv)
     corpus = []
     generated = [generate_program(GenConfig(seed=s)) for s in range(args.seeds)]
@@ -103,7 +125,7 @@ def main(argv=None) -> int:
     h = hashlib.sha256()
     runs = errors = 0
     for name, p, nodes, seed in corpus:
-        for label, out in outcomes(p, nodes, seed, args.horizon):
+        for label, out in outcomes(p, nodes, seed, args.horizon, ENGINES[args.engine]):
             h.update(f"{name} {label}\n{out}\n".encode())
             runs += 1
             errors += out.startswith("error ")

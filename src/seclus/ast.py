@@ -341,10 +341,6 @@ def _fv_all(es: Iterable[Expr]) -> set[str]:
     return out
 
 
-def dv(eq: AnyEquation) -> set[str]:
-    return set(targets(eq))
-
-
 def targets(eq: AnyEquation) -> tuple[str, ...]:
     """The variables an equation defines, in source order."""
     return eq.targets if isinstance(eq, (Equation, CallEq)) else (eq.target,)

@@ -24,6 +24,7 @@ from seclus.interp import (
     CausalityError,
     ClockMismatch,
     EvalError,
+    format_value,
     node_schedule,
     read_streams,
     run_node,
@@ -208,8 +209,11 @@ def cmd_normalize(args) -> int:
         out = fby_init(out)
     text = pretty(out, dialect="nlustre")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -236,6 +240,12 @@ def cmd_interpret(args) -> int:
                 f"input CSV is missing columns for {', '.join(missing)}"
             )
         inputs = [streams[x] for x in want]
+        for d, column in zip(node.inputs, inputs):
+            for row, v in enumerate(column, 1):
+                # a bool is not an int here; `.` (absent) fits either
+                if v is not None and (type(v) is bool) != (d.type == "bool"):
+                    value = format_value(v)
+                    raise CliError(f"input {d.name!r}, row {row}: {value} is not of type {d.type}")
         N = len(inputs[0]) if inputs else 0
     else:
         if node.inputs:

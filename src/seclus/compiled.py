@@ -13,10 +13,12 @@ The scheme is clock-directed code generation (Biernacki, Colaço, Hamon
 generated code, as in Vélus's translation to Obc (Bourke et al., PLDI
 2017).  Each node instance (the entry node, or a callee inlined at one
 call site) compiles its whole schedule, and its caller reads every
-output by name.  Liveness is the one pruning (see *Liveness*): it runs
-after constant folding, so a read that folding drops keeps nothing
-alive, and only the live statements are printed.  Layout of the `run`
-function generated for one entry node and one set of recorded columns:
+output by name, or as a literal where folding knows its value.
+Constants are folded once, while the codes are built, and liveness is
+the one pruning (see *Liveness*): it runs once, after folding, so a read
+that folding drops keeps nothing alive, and only the live statements are
+printed.  Layout of the `run` function generated for one entry node and
+one set of recorded columns:
 
   before the loop  every live delay register is a Python local, holding its
                    constant initial value or the `first` sentinel
@@ -58,10 +60,12 @@ The step code is built as a small intermediate representation and
 printed once, at the end, as Vélus builds Obc and prints C last.  A code
 (an expression of the step code) is a literal (`Lit`, which holds its
 value), a name (`Name`, which knows whether it is a delay register) or
-a template over operand codes (`Op`): an operator, a choice, a clock
-guard, a delay's first-instant read or a clock flag's test.  Each code
-knows, from when it is built, the names it reads, whether one of them
-is a register, whether it calls `div` or `mod` and how deep it nests.
+a template over operand codes (`Op`): an operator, a choice (which
+also guards a value by its clock flag), a delay's first-instant read or
+a clock flag's test.  Every template parenthesises itself, so a code
+nests as an operand as it is.  Each code knows, from when it is built,
+the names it reads, whether one of them is a register, whether it calls
+`div` or `mod` and how deep it nests.
 A statement (`_Stmt`) assigns a code to its targets, or records it; a
 call block holds the callee's statements under the call's flag.  Two
 passes run over the statements before they are printed, liveness and
@@ -70,15 +74,18 @@ re-nesting (below), and `_emit` prints what they keep, through `_show`.
 A copy costs nothing per instant.  Each variable has one code: an
 equation on its instance's base clock whose code is an atom (a
 variable's code, an input, a register or a literal) gives the variable
-that atom and emits nothing, except a callee output, which its caller
-reads by name.  A delay with a literal first operand is its register,
+that atom and emits nothing, except a callee output, which is also
+assigned to its name for a caller that calls it on a clock of its own.
+A call on its caller's base clock gives the caller each literal output
+as its code.  A delay with a literal first operand is its register,
 so the de-nested form's `x = c fby y` is read from the register itself.
 A delay whose two operands are the same literal is that literal, and
 the delays of one instance with the same two literals on the same clock
 flag share one register: the fby-init form's `xinit = true fby false`
 flags are one register per clock.  A clock whose variable's code is a
 literal is folded: always on, the parent's flag; never on, `False`, and
-nothing under it runs.
+nothing under it runs: a variable, a branch hoisted from an `if` and a
+call's outputs on that clock are None.
 
 An operator's text is the template of `interp.UNARY_TEMPLATES` or
 `BINARY_TEMPLATES`, the table that `interp._UNARY`/`_BINARY` are
@@ -104,13 +111,13 @@ Constants are folded in the generated code only; the program, its
 signatures and the reference engine see it as written.  An operator
 whose operand codes are literals (`Lit`) is replaced by its value,
 computed by the reference's own `interp._BINARY`/`_UNARY`, except a
-`div`/`mod` by 0, which must still raise at run time (`_make`, which
-re-nesting applies again around a substituted literal).  An `if` whose
-condition is a literal is its branch, after any strict branch has been
-hoisted as usual; so is a `merge` whose variable's code is a literal.
-Equal branch codes collapse when the condition cannot raise.  A branch
-that folding drops is not in the tree, so what it reads, or whether it
-raises, decides nothing.
+`div`/`mod` by 0, which must still raise at run time (`_make`).  An
+`if` whose condition is a literal is its branch, after any branch that
+can raise has been hoisted as usual; so is a `merge` whose variable's
+code is a literal.  Equal branch codes collapse when the condition
+cannot raise.  A branch that folding drops is not in the tree, so what
+it reads, or whether it raises, decides nothing.  Every literal reaches
+its readers as the codes are built, so nothing is folded later.
 
 Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code (and the flag of a commit on a
@@ -135,11 +142,9 @@ stays where a name it reads is stored in between: an inlined callee's
 commits sit in its caller's body, so a register read before them must
 not be read after them.  It also stays where its reader would nest
 deeper than `_MAX_DEPTH` codes, so the generated function always
-compiles, and where it is a literal read by a test.  A substituted
-literal is folded again with the codes around it; when that drops a
-read, the value read there stays where it is, liveness is taken again
-and `_prune` removes what it no longer reaches.  The pass is one walk
-over the statements, in order.
+compiles.  Re-nesting only moves codes: as folding is done, it drops no
+read, and what liveness kept stays live.  The pass is one walk over the
+statements, in order.
 """
 
 from __future__ import annotations
@@ -305,20 +310,15 @@ _NONE = _lit(None)
 _NEVER = _lit(False)
 # a delay register's content before the delay's first instant
 _UNSET = _name("first")
-# the templates of the compiled engine's own codes: a choice `t if c
-# else f` ({0} if {1} else {2}); the same unparenthesised, for a value
-# guarded by its clock flag at the top of a statement; a delay's read
+# the templates of the compiled engine's own codes, each parenthesised
+# so that it nests as an operand: a choice `t if c else f` ({0} if {1}
+# else {2}), which also guards a value by its clock flag; a delay's read
 # ({0} at the first instant, else its register {1}); and the tests of a
 # clock flag
 _CHOICE = "({0} if {1} else {2})"
-_GUARD = "{0} if {1} else {2}"
 _FIRST_READ = "({0} if {1} is first else {1})"
-_NOT = "not {0}"
-_AND = "{0} and {1}"
-_GROUP = "({0})"
-# the templates without parentheses of their own, grouped when they
-# become an operand
-_BARE = frozenset((_GUARD, _NOT, _AND))
+_NOT = "(not {0})"
+_AND = "({0} and {1})"
 # `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
 # toward zero: it cannot raise, nor leave the 64-bit integers
 _LITERAL_FMT = {
@@ -367,9 +367,7 @@ def _mangle(prefix: str, name: str) -> Name:
 
 def _guard(code: Code, flag: Optional[Code]) -> Code:
     """`code` where the clock flag `flag` is on, else None."""
-    if flag is None:
-        return code
-    return _NONE if flag is _NEVER else _op(_GUARD, code, flag, _NONE)
+    return code if flag is None else _op(_CHOICE, code, flag, _NONE)
 
 
 # -- statements --
@@ -452,12 +450,10 @@ _MAX_DEPTH = 24
 
 
 def _subst(code: Code, name: str, by: Code) -> Code:
-    """`code` with its one read of `name` replaced by `by`; the codes
-    around a literal `by` are folded again."""
+    """`code` with its one read of `name` replaced by `by`."""
     if type(code) is not Op:
         return by
-    args = tuple(_subst(a, name, by) if name in a.reads else a for a in code.args)
-    return _make(code.fmt, *args) if type(by) is Lit else _op(code.fmt, *args)
+    return _op(code.fmt, *(_subst(a, name, by) if name in a.reads else a for a in code.args))
 
 
 class _Renest:
@@ -466,10 +462,8 @@ class _Renest:
     which one live statement reads, once, later in the same list, is
     substituted into that reader and goes.  It stays when a name it
     reads is stored between the two (a register, committed by an inlined
-    callee's body), when its reader would nest deeper than `_MAX_DEPTH`,
-    or when it is a literal read by a test.  `dropped` tells whether
-    folding a substituted literal removed a read, so that some
-    statement may be dead: the value that read is left in place."""
+    callee's body) or when its reader would nest deeper than
+    `_MAX_DEPTH`."""
 
     def __init__(self, stmts: List[_Stmt], live: Set[int], registers: Dict[str, Code]):
         self.live = live
@@ -490,7 +484,6 @@ class _Renest:
         # where each name was last stored, by position in the walk
         self.stored: Dict[str, int] = {}
         self.here = count()
-        self.dropped = False
 
     def walk(self, body: List[_Stmt]) -> List[_Stmt]:
         """The live statements of `body`, re-nested."""
@@ -513,24 +506,14 @@ class _Renest:
                 # only a register is stored after it is read
                 if by.stateful and any(stored.get(y, -1) > since for y in by.reads):
                     continue
-                if type(by) is Op and by.fmt in _BARE:
-                    by = _op(_GROUP, by)
-                if code is not None and x in code.reads:
-                    new = _subst(code, x, by)
-                    if new.depth > _MAX_DEPTH:
-                        continue
-                    if len(new.reads) < len(code.reads) - 1 + len(by.reads):
-                        self.dropped = True
-                    code = new
-                elif test is not None and x in test.reads and type(by) is not Lit:
-                    new = _subst(test, x, by)
-                    if new.depth > _MAX_DEPTH:
-                        continue
-                    test = new
-                else:
-                    # a literal read by a test, or a read that folding
-                    # dropped: the statement stays, dead in the latter case
+                in_code = code is not None and x in code.reads
+                new = _subst(code if in_code else test, x, by)
+                if new.depth > _MAX_DEPTH:
                     continue
+                if in_code:
+                    code = new
+                else:
+                    test = new
                 out[j] = None
             if st.body is not None:
                 inner = self.walk(st.body)
@@ -555,22 +538,6 @@ def _line(st: _Stmt) -> str:
         return f"{st.record}({_show(st.code)})"
     text = " = ".join(st.targets) + " = " + _show(st.code)
     return text if st.test is None else f"if {_show(st.test)}: {text}"
-
-
-def _prune(stmts: List[_Stmt], live: Set[int]) -> List[_Stmt]:
-    """The statements of `stmts` in `live`; a call block with none goes,
-    with its `else`."""
-    out: List[_Stmt] = []
-    for st in stmts:
-        if st.body is None:
-            if id(st) in live:
-                out.append(st)
-            continue
-        body = _prune(st.body, live)
-        if body:
-            orelse = st.orelse if st.orelse is not None and id(st.orelse) in live else None
-            out.append(_Stmt((), None, st.test, body, orelse))
-    return out
 
 
 def _emit(stmts: List[_Stmt], indent: str, out: List[str]) -> None:
@@ -661,9 +628,15 @@ class _NodeCode:
         self.compile()
         return self.lines + self.phase2 + self.commits
 
-    def hoist(self, code: Code, flag: Optional[Code], sink: List[_Stmt]) -> Name:
-        """A statement of its own for `code` where the clock flag `flag`
-        is on."""
+    def hoist(self, code: Code, flag: Optional[Code], sink: List[_Stmt]) -> Code:
+        """The value of `code` where the clock flag `flag` is on: None on
+        a clock that never ticks, `code` itself when it cannot raise, else
+        a name for a statement of its own, which computes it even where
+        no reader reads it."""
+        if flag is _NEVER:
+            return _NONE
+        if not code.raises:
+            return code
         name = self.gen.name("e")
         sink.append(_assign(name, _guard(code, flag)))
         return name
@@ -694,7 +667,7 @@ class _NodeCode:
         test = var if ck.value else _op(_NOT, var)
         code = test if parent is None else _op(_AND, parent, test)
         if sink is not self.lines:
-            return code if code is var else _op(_GROUP, code)
+            return code
         if code is not var:
             name = self.gen.name("k")
             sink.append(_assign(name, code))
@@ -774,7 +747,7 @@ class _NodeCode:
             self.commits.append(_Stmt((reg.text,), rest, flag))
             return
         t = self.gen.name("t")
-        self.phase2.append(_assign(t, rest if flag is None else _op(_GUARD, rest, flag, reg)))
+        self.phase2.append(_assign(t, rest if flag is None else _op(_CHOICE, rest, flag, reg)))
         self.commits.append(_assign(reg, t))
 
     def delay(
@@ -834,7 +807,9 @@ class _NodeCode:
     ) -> List[Code]:
         """Inline one instant of `name` at this call site; returns the
         codes of its outputs: the caller's `targets`, or names of their
-        own for a call in expression position."""
+        own for a call in expression position.  On the caller's base
+        clock a literal output is its literal; on a clock that never
+        ticks every output is None."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
         prefix = self.gen.fresh("V")
@@ -843,7 +818,7 @@ class _NodeCode:
         absent = _Stmt(tuple(t.text for t in outs), _NONE)
         if flag is _NEVER:  # the callee never runs
             sink.append(absent)
-            return outs
+            return [_NONE] * len(outs)
         block: List[_Stmt] = []
         env: Dict[str, Code] = {}
         inputs = iter(callee.inputs)
@@ -856,11 +831,13 @@ class _NodeCode:
                     env[d.name] = code
         env.update(zip(names, outs))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        # the caller reads each output by name
+        # every output is assigned to its name, which a caller on a clock
+        # of its own reads
         block += _NodeCode(self.gen, callee, env, frozenset(names)).body()
         if flag is None:
             sink.extend(block)
-        elif block:
+            return [env[x] for x in names]
+        if block:
             sink.append(_Stmt((), None, flag, block, absent))
         return outs
 
@@ -871,7 +848,10 @@ class _NodeCode:
         variable's code, an input, a register or a literal) becomes the
         code of `x` and nothing is emitted, unless the caller reads `x`
         by name; a literal is then assigned to the name and is still the
-        code of the node's own reads of `x`."""
+        code of the node's own reads of `x`.  On a clock that never ticks,
+        `x` is None."""
+        if flag is _NEVER:
+            code, flag = _NONE, None
         if flag is not None or type(code) is Op or x in self.named:
             self.lines.append(_assign(self.env[x], _guard(code, flag)))
             if flag is not None or type(code) is not Lit:
@@ -887,7 +867,8 @@ class _NodeCode:
                 names = eq.targets[pos : pos + w]
                 pos += w
                 if isinstance(e, NodeCall):
-                    self.call(e.node, e.args, e.clock, [self.env[x] for x in names], L)
+                    outs = self.call(e.node, e.args, e.clock, [self.env[x] for x in names], L)
+                    self.env.update(zip(names, outs))
                     continue
                 flag = self.flag(e.clock, L)
                 for x, code in zip(names, self.expr(e, L)):
@@ -901,7 +882,8 @@ class _NodeCode:
             (read,) = self.delay((eq.init,), (eq.rhs,), eq.clock, L)
             self.define(eq.target, read, flag)
         elif isinstance(eq, CallEq):
-            self.call(eq.node, eq.args, eq.clock, [self.env[x] for x in eq.targets], L)
+            outs = self.call(eq.node, eq.args, eq.clock, [self.env[x] for x in eq.targets], L)
+            self.env.update(zip(eq.targets, outs))
         else:
             raise TypeError(type(eq))
 
@@ -945,11 +927,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     # only what the records and the statements that may raise read,
     # transitively, is emitted, with its single-use values re-nested
     live, needed = _live(stmts)
-    renest = _Renest(stmts, live, gen.registers)
-    stmts = renest.walk(stmts)
-    if renest.dropped:
-        live, needed = _live(stmts)
-        stmts = _prune(stmts, live)
+    stmts = _Renest(stmts, live, gen.registers).walk(stmts)
     lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
     lines += [f"    {reg} = {_show(c)}" for reg, c in gen.registers.items() if reg in needed]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")

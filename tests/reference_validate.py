@@ -46,7 +46,6 @@ from seclus.ast import (
     Var,
     When,
     children,
-    dv,
     fv,
     subexprs,
 )
@@ -105,7 +104,7 @@ def _validate_node(
 
     defined: list[str] = []
     for eq in n.equations:
-        defined.extend(sorted(dv(eq)))
+        defined.extend(sorted(set(_targets(eq))))
     counts = Counter(defined)
     must_define = {d.name for d in n.outputs} | {d.name for d in n.locals}
     inputs = {d.name for d in n.inputs}
@@ -121,7 +120,7 @@ def _validate_node(
 
     scope = inputs | must_define
     for eq in n.equations:
-        for x in sorted((fv(eq) | dv(eq)) - scope):
+        for x in sorted((fv(eq) | set(_targets(eq))) - scope):
             diags.append(Diagnostic("FreeVariable", n.name, x))
     for d in n.decls:
         for x in sorted(fv(d.clock) - scope):

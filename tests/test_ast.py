@@ -11,8 +11,8 @@ from seclus.ast import (
     Program,
     annotate_program,
     fv,
-    dv,
     subexprs,
+    targets,
     validate,
 )
 from seclus.normalise import fby_init, normalize_program
@@ -128,7 +128,7 @@ def test_cyclic_program_is_a_typing_error():
 def test_fv_dv(re_trig):
     node = re_trig.node("re_trig")
     eq = node.equations[2]  # v = merge c (...) (...)
-    assert dv(eq) == {"v"}
+    assert set(targets(eq)) == {"v"}
     assert {"c", "edge", "n"} <= fv(eq)
 
 

@@ -100,6 +100,14 @@ def test_normalize_fby_init_writes_file(capsys, tmp_path):
     assert len(parsed.node("cnt_dn").equations) == 4
 
 
+@pytest.mark.parametrize("where", ["dir", "missing"])
+def test_normalize_to_an_unwritable_path_is_one_error_line(capsys, tmp_path, where):
+    dest = tmp_path if where == "dir" else tmp_path / "missing" / "out.lus"
+    code, out, err = run(capsys, "normalize", fixture_path("cnt_dn.lus"), "-o", str(dest))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {str(dest)!r}: ") and err.count("\n") == 1
+
+
 # -- interpret ---------------------------------------------------------------------
 
 
@@ -165,6 +173,21 @@ def test_interpret_rejects_values_outside_64_bits(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "64-bit" in err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # an int in a bool column, then a bool in an int column
+        ("5,true\nfalse,3\n", "error: input 'res', row 1: 5 is not of type bool\n"),
+        ("false,3\nfalse,true\n", "error: input 'n', row 2: true is not of type int\n"),
+    ],
+)
+def test_interpret_rejects_a_value_of_the_wrong_type(capsys, tmp_path, rows, message):
+    csv = tmp_path / "in.csv"
+    csv.write_text("res,n\n" + rows)
+    code, out, err = run(capsys, "interpret", fixture_path("cnt_dn.lus"), "--inputs", str(csv))
+    assert (code, out, err) == (1, "", message)
 
 
 def test_interpret_missing_column_is_an_error(capsys, tmp_path):

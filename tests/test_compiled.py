@@ -9,7 +9,7 @@ import re
 import pytest
 
 from seclus.ast import (
-    CallEq, Equation, FbyEq, NodeCall, children, clock_env, dv, fv,
+    CallEq, Equation, FbyEq, NodeCall, children, clock_env, fv, targets,
 )
 from seclus.compiled import CompiledProgram, _generate
 from seclus.interp import (
@@ -644,7 +644,7 @@ def _named(source):
 def test_only_the_cone_of_the_recorded_columns_is_generated():
     p = generate_program(GenConfig(seed=7))
     node = p.nodes[-1]
-    defining = {x: eq for eq in node.equations for x in dv(eq)}
+    defining = {x: eq for eq in node.equations for x in targets(eq)}
     clocks = clock_env(node)
     cone, todo = set(), ["out"]
     while todo:
@@ -652,7 +652,7 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
         if x not in cone:
             cone.add(x)
             eq = defining.get(x)
-            todo += fv(eq) | set().union(*(fv(clocks[y]) for y in dv(eq))) if eq else ()
+            todo += fv(eq) | set().union(*(fv(clocks[y]) for y in targets(eq))) if eq else ()
     cp = CompiledProgram(p)
     cp.run(node.name, random_inputs(node, 5, random.Random(7)), want=["out"])
     (narrow,) = cp.nodes.values()
@@ -1022,3 +1022,27 @@ def test_a_callees_literal_output_is_folded_into_its_own_reads(eq):
         }
         loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         assert not literal & loads, (dialect, fast.source("f", ["q"]))
+
+
+def test_a_callees_literal_output_folds_the_clock_it_samples():
+    # `k`'s output is the literal false: the call on `f`'s base clock
+    # gives `c` that literal, so `g`'s clock never ticks, its call and
+    # its output are None, and the merge is its other branch
+    src = """
+    node k(a: int) returns (o: bool) let o = false; tel
+    node g(x: int) returns (o: int) let o = 0 fby x + o; tel
+    node f(a: int) returns (y: int)
+      var c: bool;
+    let c = k(a); y = merge c (g(a when c)) (0 when not c); tel
+    """
+    for want in (["y"], None):
+        Hs = _histories(src, [[1, 2, 3]], want)
+        # each form's compiled history, then its reference history
+        assert Hs[0::2] == Hs[1::2] and all(H["y"] == [0, 0, 0] for H in Hs), want
+    for form, _ in all_forms(parse_program(src)):
+        fast = CompiledProgram(form)
+        fast.run("f", [[1]], want=["y"])
+        source = fast.source("f", ["y"])
+        loop = source.split("    for ", 1)[1]
+        assert re.findall(r"\bif .*:$", loop, re.M) == ["if not b:"], source
+        assert not re.search(r"\bV\d+_", source), source
