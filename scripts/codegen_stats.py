@@ -93,8 +93,8 @@ def dead_statements(source: str) -> int:
     """The statements of the generated loop that nothing live reads.
 
     A flow-insensitive liveness over the parsed source: a statement
-    without an assignment target (an append `a<j>(...)`, an input check,
-    `continue`) and an assignment that calls `div` or `mod` are live; an
+    without an assignment target (the record of the instant's row
+    `row(...)`, an input check, `continue`) and an assignment that calls `div` or `mod` are live; an
     assignment is live when a live statement reads one of its targets.
     A statement under an `if` also reads the names of its test.  Names
     bound by `:=` inside an expression are not targets."""

@@ -439,7 +439,9 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: expression nesting too deep", file=sys.stderr)
+        # a deep expression, or a deep chain of calls, which each engine
+        # prepares or inlines callee by callee
+        print("error: expression or call nesting too deep", file=sys.stderr)
         return 1
 
 

@@ -26,8 +26,8 @@ one set of recorded columns:
   per instant      the input columns are zipped with the base clock; an
                    input declared on a derived clock is checked against
                    it by the reference's own presence rules (`interp._on`,
-                   `interp._check_input`); on a base-false instant every
-                   recorded column gets None and nothing else happens,
+                   `interp._check_input`); on a base-false instant a
+                   row of None is recorded and nothing else happens,
                    otherwise the body runs with the base clock known to be
                    true (base-clocked statements carry no guard)
   phase 1          clock flags and variable values in schedule order;
@@ -41,13 +41,18 @@ one set of recorded columns:
                    queue); one that reads a register, in its value or
                    in its clock test, is stored through a temporary, as
                    the register it reads may be committed before it
-  record           only the requested columns, through bound
-                   `list.append`, before the commits, so a column whose
-                   code is a register reads this instant's value; a
-                   record is a statement of its own, with no target
+  record           one row per instant, before the commits, so a column
+                   whose code is a register reads this instant's value:
+                   the distinct codes of the requested columns as one
+                   tuple (a column recorded twice is one element), or
+                   one code unboxed, appended to one list through its
+                   bound `append`; the record is a statement of its own,
+                   with no target
   commits          every live register stored
-  return           the history dict: the recorded lists, and a copy of
-                   each requested input column
+  return           the history dict: each recorded column from the
+                   transpose of the rows (`zip(*rows)`), or the rows
+                   themselves for one code, and a copy of each requested
+                   input column
 
 Program variables are mangled into their own namespace: `V_x` in the
 entry node and `V<k>_x` in the k-th inlined call site (non-ASCII
@@ -122,7 +127,7 @@ its readers as the codes are built, so nothing is folded later.
 Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code (and the flag of a commit on a
 derived clock) reads.  `_live` closes backward over the statements from
-the records and from every statement whose code may raise (it calls
+the record and from every statement whose code may raise (it calls
 `div` or `mod`), so leaving out the rest removes no `EvalError`; a
 statement in a call block also reads the block's test.  The closure is
 flow-insensitive, so a register that phase 1 reads keeps the commit
@@ -375,8 +380,8 @@ def _guard(code: Code, flag: Optional[Code]) -> Code:
 
 class _Stmt:
     """One statement: `targets = code`, under the flag `test` when it is
-    set (a register commit on a derived clock), or, with no target, a
-    record of `code` through the bound append `record`.  A call block is
+    set (a register commit on a derived clock), or, with no target, the
+    record of the instant's row `code` (`record`).  A call block is
     its `if test:` line with the callee's statements under it (`body`)
     and, when the caller reads the callee's outputs, the statement of
     its `else` branch.  `reads` are the names that its code and its
@@ -391,7 +396,7 @@ class _Stmt:
         test: Optional[Code] = None,
         body: Optional[List["_Stmt"]] = None,
         orelse: Optional["_Stmt"] = None,
-        record: str = "",
+        record: bool = False,
     ):
         self.targets = targets
         self.code = code
@@ -535,9 +540,14 @@ class _Renest:
 
 def _line(st: _Stmt) -> str:
     if st.record:
-        return f"{st.record}({_show(st.code)})"
+        return f"row({_show(st.code)})"
     text = " = ".join(st.targets) + " = " + _show(st.code)
     return text if st.test is None else f"if {_show(st.test)}: {text}"
+
+
+def _tuple(width: int) -> str:
+    """The template of a tuple of `width` codes, two or more."""
+    return "(" + ", ".join(f"{{{j}}}" for j in range(width)) + ")"
 
 
 def _emit(stmts: List[_Stmt], indent: str, out: List[str]) -> None:
@@ -919,25 +929,43 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name].text}, {d.name!r})" for d in derived]
     code = _NodeCode(gen, node, env)
     code.compile()
-    recorded = [x for x in want if x not in inputs]
-    # recorded before the commits, so a column whose code is a register
-    # reads this instant's value
-    records = [_Stmt((), env[x], record=f"a{j}") for j, x in enumerate(recorded)]
-    stmts = code.lines + code.phase2 + records + code.commits
-    # only what the records and the statements that may raise read,
+    # one row per instant: the distinct codes of the recorded columns,
+    # each column the element of its code; a row of one code is unboxed
+    row = list(dict.fromkeys(env[x] for x in want if x not in inputs))
+    width = len(row)
+    stmts = code.lines + code.phase2
+    if row:
+        # recorded before the commits, so a column whose code is a
+        # register reads this instant's value
+        stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row), record=True))
+    stmts += code.commits
+    # only what the record and the statements that may raise read,
     # transitively, is emitted, with its single-use values re-nested
     live, needed = _live(stmts)
     stmts = _Renest(stmts, live, gen.registers).walk(stmts)
-    lines += [f"    o{j} = []; a{j} = o{j}.append" for j in range(len(recorded))]
+    if row:
+        lines.append("    rows = []; row = rows.append")
     lines += [f"    {reg} = {_show(c)}" for reg, c in gen.registers.items() if reg in needed]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
-    lines += [f"            a{j}(None)" for j in range(len(recorded))]
+    if row:
+        lines.append(f"            row({(None,) * width if width > 1 else None!r})")
     lines.append("            continue")
     _emit(stmts, "        ", lines)
-    columns = iter(f"o{j}" for j in range(len(recorded)))
-    history = (f"list(cols[{inputs[x]}])" if x in inputs else next(columns) for x in want)
+    if width > 1:
+        # the history is the transpose of the rows
+        lines.append(f"    columns = list(zip(*rows)) or [()] * {width}")
+    history = []
+    for x in want:
+        if x in inputs:
+            history.append(f"list(cols[{inputs[x]}])")
+        elif width > 1:
+            history.append(f"list(columns[{row.index(env[x])}])")
+        else:
+            # the first such column is the rows themselves; another with
+            # the same code gets a list of its own
+            history.append("list(rows)" if "rows" in history else "rows")
     lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")
     source = "\n".join(lines) + "\n"
     namespace = {

@@ -14,12 +14,14 @@ engine's generated code apply.
 across instants).  It annotates a program once and turns each node into
 closures over a frame of slots once per program object, at the node's
 first run, in the manner of Feeley & Lapalme, "Using closures for code
-generation" (Computer Languages, 1987): one closure per component stream
-of each expression, which moves no state, and a statement for each
-equation and for whatever has state.  As in Vélus's normal form (Bourke
-et al., PLDI 2017) a call is a statement of its own, which steps the
-callee once per instant and writes its outputs to slots.  `run_node` runs
-one node of a program through it.  `check_history` is an independent
+generation" (Computer Languages, 1987): a component stream that a slot
+holds (a variable, a constant on the base clock, a hoisted value, a
+call's output) is read from that slot, an operator's result is a
+closure, which moves no state, and each equation and whatever has state
+is a statement.  As in Vélus's normal form (Bourke et al., PLDI 2017) a
+call is a statement of its own, which steps the callee once per instant
+and writes its outputs to slots.  `run_node` runs one node of a program
+through it.  `check_history` is an independent
 route: it replays a produced history through the whole-stream operators
 and reports every equation whose defined streams disagree.
 """
@@ -441,11 +443,15 @@ def node_schedule(prog: Program, node: Node) -> List[AnyEquation]:
 
 # A frame is one instance of one node, as a list: the node's variables in
 # declaration order (inputs, outputs, locals), then the slots the node's
-# statements allocated (delay registers and heads, call outputs and
-# callee frames, tuple conditions).
+# statements allocated (base-clocked constants, delay registers and
+# heads, hoisted values, call outputs and callee frames).
 Frame = List[Any]
-# one component stream: its value at the current instant, read off the frame
+# one component stream that an operator computes: its value at the
+# current instant, computed off the frame
 Read = Callable[[Frame], CV]
+# one component stream as its reader takes it: the frame slot that holds
+# it, or the closure that computes it
+Operand = Union[int, Read]
 # one statement of an instant
 Stmt = Callable[[Frame], None]
 
@@ -454,32 +460,57 @@ def _base(f: Frame, base: bool) -> bool:
     return base
 
 
-# -- the closures of one component stream, one per operator --
+def _closure(x: Operand) -> Read:
+    """`x` as a closure: a slot is read by `itemgetter`."""
+    return itemgetter(x) if type(x) is int else x
 
 
-def _unop(op: Callable, operand: Read) -> Read:
+# -- the closures of one component stream, one per operator; those run
+# -- most often read operands that are all slots in place --
+
+
+def _unop(op: Callable, x: Operand) -> Read:
+    x = _closure(x)
+
     def unop(f: Frame) -> CV:
-        v = operand(f)
+        v = x(f)
         return ABSENT if v is ABSENT else op(v)
 
     return unop
 
 
-def _binop(op: Callable, left: Read, right: Read) -> Read:
+def _binop(op: Callable, left: Operand, right: Operand) -> Read:
+    if type(left) is int and type(right) is int:
+
+        def binop_slots(f: Frame) -> CV:
+            return _lift2(op, f[left], f[right])
+
+        return binop_slots
+    left, right = _closure(left), _closure(right)
+
     def binop(f: Frame) -> CV:
         return _lift2(op, left(f), right(f))
 
     return binop
 
 
-def _when(x: int, k: bool, operand: Read) -> Read:
+def _when(x: int, k: bool, operand: Operand) -> Read:
+    if type(operand) is int:
+
+        def when_slot(f: Frame) -> CV:
+            return _sample(f[x], f[operand], k)
+
+        return when_slot
+
     def when(f: Frame) -> CV:
         return _sample(f[x], operand(f), k)
 
     return when
 
 
-def _merge(x: int, on_true: Read, on_false: Read) -> Read:
+def _merge(x: int, on_true: Operand, on_false: Operand) -> Read:
+    on_true, on_false = _closure(on_true), _closure(on_false)
+
     def merge(f: Frame) -> CV:
         t = on_true(f)
         return _choose(f[x], t, on_false(f))
@@ -487,7 +518,15 @@ def _merge(x: int, on_true: Read, on_false: Read) -> Read:
     return merge
 
 
-def _ite(cond: Read, on_true: Read, on_false: Read) -> Read:
+def _ite(cond: Operand, on_true: Operand, on_false: Operand) -> Read:
+    if type(cond) is int and type(on_true) is int and type(on_false) is int:
+
+        def ite_slots(f: Frame) -> CV:
+            return _select(f[cond], f[on_true], f[on_false])
+
+        return ite_slots
+    cond, on_true, on_false = _closure(cond), _closure(on_true), _closure(on_false)
+
     def ite(f: Frame) -> CV:
         c = cond(f)
         t = on_true(f)
@@ -496,17 +535,31 @@ def _ite(cond: Read, on_true: Read, on_false: Read) -> Read:
     return ite
 
 
-def _delay(init: Read, rest: Read, r: int, h: int, mismatch: str) -> Tuple[Read, Stmt]:
+def _delay(init: Operand, rest: Operand, r: int, h: int, mismatch: str) -> Tuple[Read, Stmt]:
     """One component of a delay with register `r`: the closure that reads
     it, saving its first operand's value in slot `h`, and the statement
-    that commits its second operand, which must be present with it."""
+    that commits its second operand, which must be present with it.  A
+    first operand that is a slot is its own `h`: it holds its value for
+    the rest of the instant."""
+    if type(init) is int:
 
-    def fby(f: Frame) -> CV:
-        i = f[h] = init(f)
-        if i is ABSENT:
-            return ABSENT
-        v = f[r]
-        return i if v is _FIRST else v
+        def fby(f: Frame) -> CV:
+            i = f[init]
+            if i is ABSENT:
+                return ABSENT
+            v = f[r]
+            return i if v is _FIRST else v
+
+    else:
+
+        def fby(f: Frame) -> CV:
+            i = f[h] = init(f)
+            if i is ABSENT:
+                return ABSENT
+            v = f[r]
+            return i if v is _FIRST else v
+
+    rest = _closure(rest)
 
     def commit(f: Frame) -> None:
         v = rest(f)
@@ -519,16 +572,19 @@ def _delay(init: Read, rest: Read, r: int, h: int, mismatch: str) -> Tuple[Read,
 # -- statements --
 
 
-def _assign(t: int, rhs: Read) -> Stmt:
+def _assign(t: int, rhs: Operand) -> Stmt:
+    rhs = _closure(rhs)
+
     def assign(f: Frame) -> None:
         f[t] = rhs(f)
 
     return assign
 
 
-def _checked(t: int, rhs: Read, on: Callable[[Frame, bool], bool], mismatch: str) -> Stmt:
+def _checked(t: int, rhs: Operand, on: Callable[[Frame, bool], bool], mismatch: str) -> Stmt:
     """Assign `t` a value present exactly where the equation's clock `on`
     ticks."""
+    rhs = _closure(rhs)
     if on is _base:
 
         def simple_base(f: Frame) -> None:
@@ -554,21 +610,27 @@ class _Prepared:
     program.  Each closure was chosen for its expression's kind when it
     was built, so an instant dispatches on nothing.
 
-    An expression becomes one closure per component stream, which moves
-    no state.  Whatever has state is a statement of its own, run before
-    the statement that reads it: a call steps its callee once per
-    instant and writes the callee's outputs to slots, which its
-    component closures read.  An instant runs phase 1, the equations in
-    schedule order, and then phase 2.  A delay's component reads its
-    register in phase 1, saving its first operand's value for its
-    commit, a phase-2 statement that stores the second operand, which
-    sees the whole instant.  So phase 2 commits the delays in the order in which phase
-    1 reached them, a delay nested in another's first operand first.  A
-    delay nested in a second operand is read into a slot and committed
-    by phase-2 statements of its own.  The node's base clock is true
-    whenever its body runs: the caller skips the instants at which it is
-    false, where every stream of the node is absent and no register
-    moves."""
+    A component stream that a slot of the frame holds is an operand given
+    as that slot: a variable, a constant on the base clock (a slot of the
+    frame template that no statement writes), a hoisted value and a
+    call's output.  Any other, an operator's result, is a closure, which
+    moves no state.  A binary operator, a `when`, an `if` and a delay's
+    read take operands that are all slots in place (`f[i]`); elsewhere a
+    slot is read by `itemgetter`.  Whatever has state is a
+    statement of its own, run before the statement that reads it: a call
+    steps its callee once per instant and writes the callee's outputs to
+    slots, which their readers read.  An instant runs phase 1, the
+    equations in schedule order, and then phase 2.  A delay's component
+    reads its register in phase 1, saving its first operand's value for
+    its commit (a first operand that is a slot keeps it there), a
+    phase-2 statement that stores the second operand, which sees the
+    whole instant.  So phase 2 commits the delays in the order in which
+    phase 1 reached them, a delay nested in another's first operand
+    first.  A delay nested in a second operand is read into a slot and
+    committed by phase-2 statements of its own.  The node's base clock is
+    true whenever its body runs: the caller skips the instants at which
+    it is false, where every stream of the node is absent and no
+    register moves."""
 
     def __init__(self, program: "ReferenceProgram", node: Node):
         # kept while the statements are built only, so that no cycle
@@ -581,6 +643,8 @@ class _Prepared:
         self.idle = [ABSENT] * (self.nvars - self.nin)  # outputs and locals
         self.template: Frame = [ABSENT] * self.nvars
         self.callees: List[Tuple[int, Optional["_Prepared"]]] = []
+        # the slot of each base-clocked constant, by type and value
+        self.constants: Dict[Tuple[type, Value], int] = {}
         self.phase1: List[Stmt] = []
         self.phase2: List[Stmt] = []
         order = node_schedule(program.prog, node)
@@ -598,12 +662,12 @@ class _Prepared:
         self.template.append(initial)
         return len(self.template) - 1
 
-    def hoist(self, rhs: Read, sink: List[Stmt]) -> Read:
+    def hoist(self, rhs: Read, sink: List[Stmt]) -> int:
         """A statement of `sink` that computes `rhs` into a slot, and the
-        closure that reads the slot."""
+        slot."""
         t = self.slot(ABSENT)
         sink.append(_assign(t, rhs))
-        return itemgetter(t)
+        return t
 
     def new_frame(self) -> Frame:
         f = list(self.template)
@@ -643,18 +707,21 @@ class _Prepared:
 
         return check
 
-    # -- expressions: one closure per component stream --
+    # -- expressions: one slot or closure per component stream --
     # `sink` collects the statements that the closures read: the phase-1
     # list, or the phase-2 list inside a delay's second operand
 
-    def expr(self, e: Expr, sink: List[Stmt]) -> List[Read]:
+    def expr(self, e: Expr, sink: List[Stmt]) -> List[Operand]:
         if isinstance(e, Const):
             v, on = e.value, self.clock(e.clock)
             if on is _base:
-                return [lambda f: v]
+                key = (type(v), v)
+                if key not in self.constants:
+                    self.constants[key] = self.slot(v)
+                return [self.constants[key]]
             return [lambda f: v if on(f, True) else ABSENT]
         if isinstance(e, Var):
-            return [itemgetter(self.slots[e.name])]
+            return [self.slots[e.name]]
         if isinstance(e, Unop):
             (operand,) = self.expr(e.operand, sink)
             return [_unop(_UNARY[e.op], operand)]
@@ -671,7 +738,7 @@ class _Prepared:
             return [_merge(x, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
         if isinstance(e, Ite):
             (cond,) = self.expr(e.cond, sink)
-            if len(e.types) > 1:  # a tuple tests its condition once
+            if len(e.types) > 1 and type(cond) is not int:  # a tuple tests its condition once
                 cond = self.hoist(cond, sink)
             ts = self.all(e.on_true, sink)
             return [_ite(cond, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
@@ -681,7 +748,7 @@ class _Prepared:
             return self.call(e.node, e.args, e.clock, sink)
         raise TypeError(type(e))
 
-    def all(self, es: Sequence[Expr], sink: List[Stmt]) -> List[Read]:
+    def all(self, es: Sequence[Expr], sink: List[Stmt]) -> List[Operand]:
         return [c for e in es for c in self.expr(e, sink)]
 
     def delay(
@@ -690,19 +757,18 @@ class _Prepared:
         rests: Sequence[Expr],
         sink: List[Stmt],
         mismatch: str = _MIXED_DELAY,
-    ) -> List[Read]:
+    ) -> List[Operand]:
         """The closures that read a delay's components; their commits,
         and the statements of their second operands, join phase 2.
         Nested in a second operand (`sink` is phase 2), a component is
         read into a slot just before its commit."""
         firsts = self.all(inits, sink)
-        reads = []
+        reads: List[Operand] = []
         for init, rest in zip(firsts, self.all(rests, self.phase2)):
-            fby, commit = _delay(init, rest, self.slot(_FIRST), self.slot(ABSENT), mismatch)
-            if sink is self.phase2:
-                fby = self.hoist(fby, sink)
+            h = init if type(init) is int else self.slot(ABSENT)
+            fby, commit = _delay(init, rest, self.slot(_FIRST), h, mismatch)
+            reads.append(self.hoist(fby, sink) if sink is self.phase2 else fby)
             self.phase2.append(commit)
-            reads.append(fby)
         return reads
 
     def call(
@@ -712,15 +778,14 @@ class _Prepared:
         ck: Optional[Clock],
         sink: List[Stmt],
         outs: Optional[List[int]] = None,
-    ) -> List[Read]:
+    ) -> List[Operand]:
         """A statement of `sink` that steps the callee `name` once per
         instant where the call's clock `ck` ticks, checking its
         arguments' presence against it, and writes the callee's outputs
         to the slots `outs` (fresh ones for a call in expression
-        position), all absent where it does not; returns the closures
-        that read them."""
+        position), all absent where it does not; returns those slots."""
         decls = self.program.prog.node(name).outputs
-        argv = self.all(args, sink)
+        argv = [_closure(x) for x in self.all(args, sink)]
         on = self.clock(ck)
         if outs is None:
             outs = [self.slot(ABSENT) for _ in decls]
@@ -755,7 +820,7 @@ class _Prepared:
                     raise ClockMismatch(f"call to {name}: output {d.name} off the call's clock")
 
         sink.append(call)
-        return [itemgetter(t) for t in outs]
+        return outs
 
     # -- equations: phase-1 statements --
 

@@ -475,6 +475,34 @@ def test_deeply_nested_expression_is_a_diagnostic(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, options",
+    [("interpret", ["--inputs", "IN"]), ("verify", ["--what", "semantics", "--trials", "2", "--seed", "1"])],
+)
+def test_deep_call_chain_is_a_diagnostic(capsys, tmp_path, command, options):
+    # no expression nests: each node calls the one before it.  The chain
+    # is valid; it fails because the engines prepare and inline callees
+    # recursively, and this test should expect a run once they do not.
+    chain = tmp_path / "chain.lus"
+    nodes = ["node n0(a: int) returns (o: int) let o = a; tel"]
+    nodes += [f"node n{k}(a: int) returns (o: int) let o = n{k - 1}(a); tel" for k in range(1, 300)]
+    chain.write_text("\n".join(nodes) + "\n")
+    inputs = tmp_path / "in.csv"
+    inputs.write_text("a\n1\n2\n")
+    code, _, err = run(capsys, command, str(chain), *[str(inputs) if a == "IN" else a for a in options])
+    assert code == 1
+    assert err == "error: expression or call nesting too deep\n"
+
+
+def test_recursion_is_a_diagnostic(capsys, monkeypatch):
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("seclus.cli.cmd_interpret", deep)
+    code, out, err = run(capsys, "interpret", fixture_path("cnt_dn.lus"))
+    assert (code, out, err) == (1, "", "error: expression or call nesting too deep\n")
+
+
+@pytest.mark.parametrize(
     "rhs, col, message",
     [
         # `str.isdigit` digits that are not ASCII start no token

@@ -1,6 +1,7 @@
 """Fast code-generating evaluator: agreement with the reference
 interpreter on fixtures and random programs, and matching strictness."""
 
+import ast
 import importlib.util
 import os
 import random
@@ -683,11 +684,71 @@ def _both_engines(form):
 
 
 def _recorded(source, x):
-    """The code whose value the generated code records for column `x`."""
-    (j,) = re.findall(rf"'{x}': o(\d+)", source)
-    # the append of an instant where the base clock is off records None
-    (code,) = set(re.findall(rf"^ +a{j}\((.+)\)$", source, re.M)) - {"None"}
-    return code
+    """The code whose value the generated code records for column `x`:
+    the element of the instant's row that the returned history reads for
+    it, exactly as written (with any parentheses of its own)."""
+    tree = ast.parse(source)
+    (ret,) = [n for n in ast.walk(tree) if isinstance(n, ast.Return)]
+    column = ret.value.values[[k.value for k in ret.value.keys].index(x)]
+    # the row of an instant where the base clock is off comes first
+    record = max(
+        (n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "row"),
+        key=lambda n: n.lineno,
+    )
+    (arg,) = record.args
+    text = ast.get_source_segment(source, record)
+    if isinstance(column, ast.Call) and isinstance(column.args[0], ast.Subscript):
+        # `list(columns[j])`: element j of a tuple
+        j = column.args[0].slice.value
+        # the elements of `row((...))` are separated by the first comma
+        # after each element's own text
+        start = record.col_offset
+        cuts = [arg.col_offset - start]
+        cuts += [text.index(",", e.end_col_offset - start) for e in arg.elts[:-1]]
+        cuts.append(arg.end_col_offset - 1 - start)
+        return text[cuts[j] + 1 : cuts[j + 1]].strip()
+    # `rows` or `list(rows)`: a row of one code, unboxed
+    return text[len("row(") : -1]
+
+
+def _records(source):
+    """The lines of the generated code that record a row."""
+    return [line.strip() for line in source.splitlines() if line.strip().startswith("row(")]
+
+
+def test_the_recorded_columns_are_one_row_per_instant():
+    # every column of generated programs of many widths: one record of
+    # the row, and one of Nones where the base clock is off
+    for seed in range(10):
+        for form, _ in all_forms(generate_program(GenConfig(seed=seed))):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            cp.run(node.name, random_inputs(node, 2, random.Random(seed)))
+            (run,) = cp.nodes.values()
+            assert len(_records(run.source)) == 2, (seed, run.source)
+    # `p` copies `o`: one element of the row, read by both columns
+    src = "node f(a: int) returns (o: int; p: int; q: int) let o = a * 2; p = o; q = a + 1; tel"
+    inputs = [[1, None, INT_MAX]]
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        for want in (None, ["o", "p"]):
+            H = fast.run("f", inputs, want=want)
+            assert H == ref.run("f", inputs, want=want, dialect=dialect), (dialect, want)
+            assert H["o"] == H["p"] == [2, None, -2] and H["o"] is not H["p"]
+        full, copies = fast.nodes.values()
+        assert _recorded(full.source, "o") == _recorded(full.source, "p") != _recorded(full.source, "q")
+        (row,) = ast.parse(_records(full.source)[1]).body[0].value.args
+        assert len(row.elts) == 2, full.source
+        assert _records(copies.source) == ["row(None)", f"row({_recorded(copies.source, 'p')})"]
+        assert fast.run("f", [[]]) == {"a": [], "o": [], "p": [], "q": []}
+    # with one column recorded, the row is its code, unboxed, and the
+    # history is the list of rows itself
+    fast = CompiledProgram(parse_program("node f(a: int) returns (o: int) let o = a - 1; tel"))
+    assert fast.run("f", [[3, 4]], want=["o"]) == {"o": [2, 3]}
+    (run,) = fast.nodes.values()
+    assert _records(run.source) == ["row(None)", f"row({_recorded(run.source, 'o')})"]
+    (code,) = ast.parse(_records(run.source)[1]).body[0].value.args
+    assert not isinstance(code, ast.Tuple) and "return {'o': rows}" in run.source
 
 
 def test_results_just_outside_the_range_wrap_on_both_engines():
@@ -1003,8 +1064,6 @@ CALLEE_LITERAL_OUTPUT = [
 
 @pytest.mark.parametrize("eq", CALLEE_LITERAL_OUTPUT)
 def test_a_callees_literal_output_is_folded_into_its_own_reads(eq):
-    import ast
-
     src = f"""
     node g(x: int) returns (k: int; o: int) let k = 3; o = x * k + k; tel
     node f(x: int) returns (p: int; q: int) let {eq} tel

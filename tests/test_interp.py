@@ -657,3 +657,99 @@ def test_a_stateful_call_under_a_tuple_operator_steps_once_per_instant():
         # the same in a delayed operand: flip(x - 1) is false, true,
         # false, false, true
         assert H["d1"] == [0, 11, 2, 13, 9] and H["d2"] == [0, 1, 1, 3, -1], dialect
+
+
+# -- operands read in place from their frame slots -----------------------------
+
+
+SLOT_OPERANDS = """
+node g(a: int; b: int) returns (s: int; e: int)
+let
+  s = a + b;
+  e = a - (0 fby b);
+tel
+
+node h(a: int) returns (o: int)
+let
+  o = a * 2;
+tel
+
+node f(c: bool; x: int; y: int)
+  returns (k3: bool; k1: int; k2: bool; k4: int :: base on c; k6: int :: base on not c;
+           k7: int; m1: int; m2: int; k8: int :: base on c; k9: int :: base on c;
+           i1: int; i2: int; j1: int; j2: int; w1: int :: base on c; w2: int :: base on c;
+           d1: int; d2: int; d3: int; d4: int; s1: int; e1: int; s2: int; e2: int;
+           q1: int; q2: int; n1: int; n2: int; p1: int; p2: int; p3: int :: base on c;
+           t1: int; t2: int)
+let
+  k3 = not true or c;
+  k1 = 1 + 2 * x;
+  k2 = x - 1 > y;
+  k4 = 1 when c;
+  k6 = y when not c;
+  k7 = merge c k4 k6;
+  (m1, m2) = merge c (k4, x when c) ((y, 5) when not c);
+  k8 = 7;
+  k9 = (x when c) + 1;
+  (i1, i2) = if c then (x, x + 1) else (1, y);
+  (j1, j2) = if x > y then (y, 2) else (x, x * y);
+  (w1, w2) = (x, x + y) when c;
+  d1 = 0 fby x;
+  d2 = x fby (d2 + y);
+  d3 = (x + 1) fby y;
+  d4 = 0 fby (x + (1 fby d4));
+  (s1, e1) = g(x, 1);
+  (s2, e2) = g(x + 1, y);
+  q1 = h(x) + h(3);
+  q2 = h(x * y);
+  n1 = -x;
+  n2 = -(x + y);
+  p1 = x;
+  p2 = 1;
+  p3 = k4;
+  (t1, t2) = (0, 1) fby g(y, x);
+tel
+"""
+
+
+def test_every_slot_path_of_the_reference_engine():
+    # a variable, a base-clocked constant, a hoisted tuple condition and
+    # a call's output are read in place; operators' results are closures.
+    # The operands of each operator, delay and call below are all slots,
+    # all closures, or a mix of both
+    from seclus.compiled import CompiledProgram
+
+    p = parse_program(SLOT_OPERANDS)
+    ins = [[True, False, True, False], [1, 2, 3, 4], [2, 5, 1, 0]]
+    written = {
+        # base-clocked constants as operands of `+`, `*`, `not`, `or`, `when`
+        "k3": [True, False, True, False], "k1": [3, 5, 7, 9], "k2": [False, False, True, True],
+        "k4": [1, A, 1, A], "k6": [A, 5, A, 0],
+        # `merge` of two slots, and a tuple `merge` of slots and closures
+        "k7": [1, 5, 1, 0], "m1": [1, 5, 1, 0], "m2": [1, 5, 3, 5],
+        # constants on a derived clock
+        "k8": [7, A, 7, A], "k9": [2, A, 4, A],
+        # tuple `if` on a slot and on a hoisted condition, tuple `when`
+        "i1": [1, 1, 3, 1], "i2": [2, 5, 4, 0], "j1": [1, 2, 1, 0], "j2": [2, 10, 2, 2],
+        "w1": [1, A, 3, A], "w2": [3, A, 4, A],
+        # delays with a constant, a variable and an expression as head,
+        # and one nested in a second operand
+        "d1": [0, 1, 2, 3], "d2": [1, 3, 8, 9], "d3": [2, 2, 5, 1], "d4": [0, 2, 2, 5],
+        # calls whose arguments are all slots (two or one) or mixed
+        "s1": [2, 3, 4, 5], "e1": [1, 1, 2, 3], "s2": [4, 8, 5, 5], "e2": [2, 1, -1, 4],
+        "q1": [8, 10, 12, 14], "q2": [4, 20, 6, 0],
+        # `-` of a slot and of a closure
+        "n1": [-1, -2, -3, -4], "n2": [-3, -7, -4, -4],
+        # copies of a variable and of a constant (the int 1, which the
+        # bool `true` read first must not stand for), on the base clock
+        # and on a derived one
+        "p1": [1, 2, 3, 4], "p2": [1, 1, 1, 1], "p3": [1, A, 1, A],
+        # a delay of both outputs of a call in expression position
+        "t1": [0, 3, 7, 4], "t2": [1, 2, 4, -1],
+    }
+    for form, dialect in _forms(p):
+        H = run_node(form, "f", ins, dialect=dialect)
+        # compared by `repr`, which tells True from 1
+        assert {x: repr(H[x]) for x in written} == {x: repr(s) for x, s in written.items()}, dialect
+        assert check_history(form, "f", H, [True] * 4) == [], dialect
+        assert CompiledProgram(form).run("f", ins) == H, dialect
