@@ -23,8 +23,10 @@ two fixtures and the generated programs of seeds 0..N-1, prints:
 The entry node is each program's last node; its inputs are drawn by
 `verify.random_inputs` from the program's seed.  A last line counts the
 step functions that each trial of `verify.differential_semantics` runs
-over the generated programs: the distinct texts among the three forms'
-code with the outputs recorded, of three per program.  With `--digest`,
+over the generated programs (the distinct texts among the three forms'
+code with the outputs recorded, of three per program) and the calls of
+Python's `compile` that one campaign of one trial makes over the same
+programs, parsed anew.  With `--digest`,
 prints instead one SHA-256 over every generated source of the same
 corpus, in that order, so two trees that generate the same code print
 the same line.  Stdlib only; imports the program from `src/` next to this
@@ -49,7 +51,12 @@ from seclus import compiled  # noqa: E402
 from seclus.interp import EvalError, base_clock  # noqa: E402
 from seclus.normalise import fby_init, normalize_program  # noqa: E402
 from seclus.parser import parse_program  # noqa: E402
-from seclus.verify import GenConfig, generate_program, random_inputs  # noqa: E402
+from seclus.verify import (  # noqa: E402
+    GenConfig,
+    differential_semantics,
+    generate_program,
+    random_inputs,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = ("cnt_dn.lus", "re_trig.lus")
@@ -160,11 +167,31 @@ def count_ops(fn, *args) -> tuple:
     return tuple(ops)
 
 
+def campaign_compiles(seeds: int, horizon: int) -> int:
+    """The calls of Python's `compile` in the compiled engine during one
+    differential campaign of one trial per generated program."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return compile(*args, **kwargs)
+
+    compiled.compile = spy  # found before the builtin
+    try:
+        for seed in range(seeds):
+            p = generate_program(GenConfig(seed=seed))
+            differential_semantics(p, trials=1, N=horizon, seed=seed)
+    finally:
+        del compiled.compile
+    return len(calls)
+
+
 def measure(prog, node, want, inputs, N, row) -> str:
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         run = compiled._generate(prog, node, want)
+        run.fn  # compiled at its first use
         times.append(time.perf_counter() - t0)
     row["lines"] += run.source.count("\n")
     row["bytes"] += len(run.source.encode())
@@ -217,7 +244,10 @@ def main(argv=None) -> int:
             f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
             f" {row['ops'] / n:9.1f} {row['wraps'] / n:10.1f} {row['raised']:6d} {row['dead']:5d}"
         )
-    print(f"distinct step functions per differential trial: {distinct} of {3 * args.seeds}")
+    print(
+        f"distinct step functions per differential trial: {distinct} of {3 * args.seeds};"
+        f" compile calls of one campaign: {campaign_compiles(args.seeds, args.horizon)}"
+    )
     return 0
 
 

@@ -21,8 +21,7 @@ printed.  Layout of the `run` function generated for one entry node and
 one set of recorded columns:
 
   before the loop  every live delay register is a Python local, holding its
-                   constant initial value or the `first` sentinel
-                   (`interp._FIRST`)
+                   constant initial value, in order of first use
   per instant      the input columns are zipped with the base clock; an
                    input declared on a derived clock is checked against
                    it by the reference's own presence rules (`interp._on`,
@@ -48,7 +47,8 @@ one set of recorded columns:
                    one code unboxed, appended to one list through its
                    bound `append`; the record is a statement of its own,
                    with no target
-  commits          every live register stored
+  commits          every live register stored, in an order fixed by what
+                   the commits read (see *Re-nesting*)
   return           the history dict: each recorded column from the
                    transpose of the rows (`zip(*rows)`), or the rows
                    themselves for one code, and a copy of each requested
@@ -61,13 +61,22 @@ starts with a lower-case letter, so no program identifier can shadow
 one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
 
+The text is canonical up to the names the generator makes up: as it is
+printed, the registers, the other made-up names (`t`, `e` and `k` and a
+number) and the call sites (`V<k>`) are numbered anew, per kind, in
+order of first use (`_Names`), and the registers' initial values are
+printed in that order.  So the program forms whose step code differs
+only in such names, or in the order in which their delays were
+compiled, print one text; the differential campaign compiles and runs
+it once (`verify.differential_semantics`).
+
 The step code is built as a small intermediate representation and
 printed once, at the end, as Vélus builds Obc and prints C last.  A code
 (an expression of the step code) is a literal (`Lit`, which holds its
 value), a name (`Name`, which knows whether it is a delay register) or
 a template over operand codes (`Op`): an operator, a choice (which
-also guards a value by its clock flag), a delay's first-instant read or
-a clock flag's test.  Every template parenthesises itself, so a code
+also guards a value by its clock flag and reads a delay) or a clock
+flag's test.  Every template parenthesises itself, so a code
 nests as an operand as it is.  Each code knows, from when it is built,
 the names it reads, whether one of them is a register, whether it calls
 `div` or `mod` and how deep it nests.
@@ -82,12 +91,18 @@ variable's code, an input, a register or a literal) gives the variable
 that atom and emits nothing, except a callee output, which is also
 assigned to its name for a caller that calls it on a clock of its own.
 A call on its caller's base clock gives the caller each literal output
-as its code.  A delay with a literal first operand is its register,
-so the de-nested form's `x = c fby y` is read from the register itself.
-A delay whose two operands are the same literal is that literal, and
-the delays of one instance with the same two literals on the same clock
-flag share one register: the fby-init form's `xinit = true fby false`
-flags are one register per clock.  A clock whose variable's code is a
+as its code.  Every register starts at a constant.  A delay with a
+literal first operand is its register, so the de-nested form's
+`x = c fby y` is read from the register itself.  Any other delay is
+lowered as `normalise.fby_init` writes it (the initialisation lemma of
+NLustre, Bourke et al., PLDI 2017): a register that starts at its
+type's default, read through a choice on the clock's first-instant flag
+`true fby false`, which selects the first operand; so the three program
+forms lower a delay alike.  A delay whose two operands are the same
+literal is that literal, and the delays of one instance with the same
+two literals on the same clock flag share one register: the clock's
+first-instant flag, and the fby-init form's `xinit` flags, are one
+register per clock.  A clock whose variable's code is a
 literal is folded: always on, the parent's flag; never on, `False`, and
 nothing under it runs: a variable, a branch hoisted from an `if` and a
 call's outputs on that clock are None.
@@ -108,9 +123,10 @@ keeps its own test (`_ring`).
 Only a `div` or `mod` by a positive integer literal (all the generator's
 divisions) has a text of its own (`_LITERAL_FMT`): an inline floor
 operation with the sign fixed up, through the scratch local `q`.  The
-generated functions are kept on the program object (`Program.memo`), so
-every `CompiledProgram` of one program generates each (entry node,
-columns) pair once.
+step code is kept on the program object (`Program.memo`), so every
+`CompiledProgram` of one program generates each (entry node, columns)
+pair once, and Python compiles it at its first run
+(`CompiledProgram.source` prints it without compiling it).
 
 Constants are folded in the generated code only; the program, its
 signatures and the reference engine see it as written.  An operator
@@ -150,12 +166,21 @@ deeper than `_MAX_DEPTH` codes, so the generated function always
 compiles.  Re-nesting only moves codes: as folding is done, it drops no
 read, and what liveness kept stays live.  The pass is one walk over the
 statements, in order.
+
+Before the walk, each run of commits is put in one order, fixed by what
+the commits read and not by the queue (`_commit_order`).  A commit
+reads no register itself (one that would goes through its phase-2
+temporary), so any order gives the same instant.  A commit comes before
+the commits of the registers that it reads through single-use values,
+which can then be nested into it; otherwise, and to break a cycle,
+commits come in the order of their registers' first reads in the text.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from seclus.ast import (
@@ -183,7 +208,6 @@ from seclus.ast import (
 )
 from seclus.interp import (
     _BINARY,
-    _FIRST,
     _UNARY,
     BINARY_TEMPLATES,
     RING_BINARY,
@@ -200,6 +224,7 @@ from seclus.interp import (
     int_mod,
     node_schedule,
 )
+from seclus.normalise import _DEFAULT
 
 # -- the step code's expressions --
 
@@ -275,17 +300,17 @@ def _make(fmt: str, *args: Code) -> Code:
     return _op(fmt, *args) if code is None else code
 
 
-def _show(code: Code) -> str:
-    """The Python text of `code`.  A tree of ring operators is wrapped
-    once, at its root (see `_ring`)."""
+def _show(code: Code, names: "_Names") -> str:
+    """The Python text of `code`, its names spelt by `names`.  A tree of
+    ring operators is wrapped once, at its root (see `_ring`)."""
     if type(code) is not Op:
-        return code.text
+        return names[code.text] if type(code) is Name else code.text
     if code.fmt in _RING:
-        return WRAP.format(_ring(code)[0])
-    return code.fmt.format(*map(_show, code.args))
+        return WRAP.format(_ring(code, names)[0])
+    return code.fmt.format(*map(_show, code.args, repeat(names)))
 
 
-def _ring(code: Op) -> Tuple[str, int]:
+def _ring(code: Op, names: "_Names") -> Tuple[str, int]:
     """The text of the ring operator `code` before wrapping, and a bound
     `bits` on its value, |v| <= 2**bits, where a 64-bit value has 63
     bits.  An operand that is itself a ring operator is left unwrapped
@@ -297,9 +322,9 @@ def _ring(code: Op) -> Tuple[str, int]:
     for a in code.args:
         ring = type(a) is Op and a.fmt in _RING
         if ring:
-            text, b = _ring(a)
+            text, b = _ring(a, names)
         else:
-            text, b = _show(a), abs(a.value).bit_length() if type(a) is Lit else 63
+            text, b = _show(a, names), abs(a.value).bit_length() if type(a) is Lit else 63
         texts.append(text)
         bits.append(b)
         open_.append(ring)
@@ -310,18 +335,55 @@ def _ring(code: Op) -> Tuple[str, int]:
     return _RING[code.fmt].format(*(f"({t})" if o else t for t, o in zip(texts, open_))), bound
 
 
+class _Names(dict):
+    """The spelling of each name of the step code, given at its first use
+    in the printed text.  An entry node's variable (`V_x`) keeps its
+    own.  A name the generator made up (a kind, `r`, `t`, `e` or `k`,
+    and a number) and the prefix of an inlined call site (`V` and a
+    number) are numbered anew, per kind, in order of first use, so two
+    step codes equal up to these names print one text."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: Counter = Counter()
+        # each register, by its name and its new name, in order
+        self.registers: List[Tuple[str, str]] = []
+
+    def __missing__(self, text: str) -> str:
+        made = _MADE.match(text)
+        if made is None:
+            new = text
+        elif made.end() < len(text):
+            # a callee's variable, under its call site's prefix
+            new = self[made.group()] + text[made.end() :]
+        else:
+            kind = made.group(1)
+            new = f"{kind}{self.counts[kind]}"
+            self.counts[kind] += 1
+            if kind == "r":
+                self.registers.append((text, new))
+        self[text] = new
+        return new
+
+
+# a name the generator made up, or the prefix of a call site's names; a
+# program variable is spelt `V_x` or `Vx` and hex digits
+_MADE = re.compile(r"([a-zV])\d+")
 _NONE = _lit(None)
 # the flag of a clock that never ticks
 _NEVER = _lit(False)
-# a delay register's content before the delay's first instant
-_UNSET = _name("first")
+# the two operands of a clock's first-instant flag, `true fby false`
+_TRUE = _lit(True)
+_FALSE = Const(False)
+# by value type, the initial value of a delay's register when its first
+# operand is not a literal: never read, the type's default, as in
+# `normalise.fby_init`
+_DEFAULTS = {t: _lit(v) for t, v in _DEFAULT.items()}
 # the templates of the compiled engine's own codes, each parenthesised
 # so that it nests as an operand: a choice `t if c else f` ({0} if {1}
-# else {2}), which also guards a value by its clock flag; a delay's read
-# ({0} at the first instant, else its register {1}); and the tests of a
-# clock flag
+# else {2}), which also guards a value by its clock flag and reads a
+# delay; and the tests of a clock flag
 _CHOICE = "({0} if {1} else {2})"
-_FIRST_READ = "({0} if {1} is first else {1})"
 _NOT = "(not {0})"
 _AND = "({0} and {1})"
 # `div`/`mod` by a positive literal {0} of the dividend {1}, rounded
@@ -412,14 +474,18 @@ def _assign(target: Name, code: Code) -> _Stmt:
     return _Stmt((target.text,), code)
 
 
-def _live(stmts: List[_Stmt]) -> Tuple[Set[int], Set[str]]:
+_Defining = Dict[str, List[Tuple[_Stmt, Tuple[str, ...]]]]
+
+
+def _live(stmts: List[_Stmt]) -> Tuple[Set[int], _Defining]:
     """The statements that a root (a record, or a statement that may
-    raise) reads, transitively, by `id`, and every name they read.  A
-    statement in a call block also reads the block's test.  The closure
-    is flow-insensitive, so a register read before the commit that
-    stores it keeps that commit: a fixpoint over the registers that
-    carry values across instants."""
-    defining: Dict[str, List[Tuple[_Stmt, Tuple[str, ...]]]] = {}
+    raise) reads, transitively, by `id`, and the statements that assign
+    each name, with the tests of their call blocks.  A statement in a
+    call block also reads the block's test.  The closure is
+    flow-insensitive, so a register read before the commit that stores
+    it keeps that commit: a fixpoint over the registers that carry
+    values across instants."""
+    defining: _Defining = {}
     live: Set[int] = set()
     needed: Set[str] = set()
     blocks: List[Tuple[List[_Stmt], Tuple[str, ...]]] = [(stmts, ())]
@@ -446,7 +512,33 @@ def _live(stmts: List[_Stmt]) -> Tuple[Set[int], Set[str]]:
             fresh -= needed
             needed |= fresh
             todo += fresh
-    return live, needed
+    return live, defining
+
+
+def _commit_order(run: List[_Stmt], firsts: List[int], regs: List[Set[str]]) -> List[_Stmt]:
+    """The commits of `run` in one order: a commit comes before the
+    commits of the registers it reads through single-use values (`regs`,
+    one set per commit), which re-nesting can then move into it;
+    otherwise, and to break a cycle, commits come in the order of their
+    registers' first reads (`firsts`, one position per commit)."""
+    left = sorted(range(len(run)), key=firsts.__getitem__)
+    if not any(regs):
+        return [run[k] for k in left]
+    index = {st.targets[0]: k for k, st in enumerate(run)}
+    # the commits after each one, and how many each waits for
+    after = [[index[y] for y in rs if y in index] for rs in regs]
+    waiting = [0] * len(run)
+    for js in after:
+        for j in js:
+            waiting[j] += 1
+    out: List[_Stmt] = []
+    while left:
+        k = next((k for k in left if not waiting[k]), left[0])
+        left.remove(k)
+        out.append(run[k])
+        for j in after[k]:
+            waiting[j] -= 1
+    return out
 
 
 # the deepest code that re-nesting builds: each level of code adds at
@@ -468,27 +560,93 @@ class _Renest:
     substituted into that reader and goes.  It stays when a name it
     reads is stored between the two (a register, committed by an inlined
     callee's body) or when its reader would nest deeper than
-    `_MAX_DEPTH`."""
+    `_MAX_DEPTH`.
 
-    def __init__(self, stmts: List[_Stmt], live: Set[int], registers: Dict[str, Code]):
+    Before the walk, each run of commits is put in one order, fixed by
+    what the commits read, not by the queue (`_commit_order`).  A commit
+    reads no register itself (one that would goes through its phase-2
+    temporary), so any order gives the same instant."""
+
+    def __init__(
+        self, stmts: List[_Stmt], live: Set[int], defining: _Defining, registers: Dict[str, Code]
+    ):
         self.live = live
         self.registers = registers
-        # every read of a live statement, counted once at the end
-        reads: List[str] = []
-        blocks = [stmts]
-        while blocks:
-            for st in blocks.pop():
-                if st.body is not None:
-                    blocks.append(st.body)
-                    if st.orelse is not None:
-                        blocks.append([st.orelse])
-                    reads += st.test.reads
-                elif id(st) in live:
-                    reads += st.reads
-        self.uses = Counter(reads)
+        # every read of a live statement, in the order of the text, and
+        # each statement list with the positions of its live commits,
+        # when it has two or more
+        self.reads: List[str] = []
+        self.commits: List[Tuple[List[_Stmt], List[int]]] = []
+        self.scan(stmts)
+        self.uses = Counter(self.reads)
+        for body, at in reversed(self.commits):
+            # from the end, so that a run put in order moves no position
+            # before it
+            self.order_commits(body, at, defining)
         # where each name was last stored, by position in the walk
         self.stored: Dict[str, int] = {}
         self.here = count()
+
+    def scan(self, body: List[_Stmt]) -> None:
+        """List what the live statements of `body` read, in the order of
+        the text, and where its commits are."""
+        reads, live, registers = self.reads, self.live, self.registers
+        commits: List[int] = []
+        for k, st in enumerate(body):
+            if st.body is not None:
+                reads += st.test.reads
+                self.scan(st.body)
+            elif id(st) in live:
+                reads += st.reads
+                if st.targets and st.targets[0] in registers:
+                    commits.append(k)
+        if len(commits) > 1:
+            self.commits.append((body, commits))
+
+    def order_commits(self, body: List[_Stmt], at: List[int], defining: _Defining) -> None:
+        """Put each run of the commits of `body` at the positions `at`,
+        with no live statement between them, in the order of
+        `_commit_order`; the dead statements among them go."""
+        live, reads, uses = self.live, self.reads, self.uses
+        i = len(at) - 1
+        while i >= 0:
+            j = i
+            while j > 0 and (
+                at[j] == at[j - 1] + 1
+                or all(
+                    body[k].body is None and id(body[k]) not in live
+                    for k in range(at[j - 1] + 1, at[j])
+                )
+            ):
+                j -= 1
+            if j < i:
+                run = [body[k] for k in at[j : i + 1]]
+                # a register that nothing reads, whose commit is kept as
+                # it may raise, comes after the others
+                stored = [st.targets[0] for st in run]
+                firsts = [reads.index(x) if x in uses else len(reads) for x in stored]
+                regs = [self.through(st, defining) for st in run]
+                body[at[j] : at[i] + 1] = _commit_order(run, firsts, regs)
+            i = j - 1
+
+    def through(self, commit: _Stmt, defining: _Defining) -> Set[str]:
+        """The registers other than its own that `commit` reads through
+        values that re-nesting may move into it: each value read once, by
+        a statement of its own that cannot raise."""
+        registers, uses = self.registers, self.uses
+        out: Set[str] = set()
+        todo = list(commit.reads)
+        while todo:
+            x = todo.pop()
+            if x in registers:
+                out.add(x)
+            elif uses[x] == 1 and len(defining.get(x, ())) == 1:
+                ((st, _),) = defining[x]
+                if st.test is None and len(st.targets) == 1 and not st.code.raises:
+                    # each value is read once, so it is met once
+                    todo += st.reads
+        out.discard(commit.targets[0])
+        return out
 
     def walk(self, body: List[_Stmt]) -> List[_Stmt]:
         """The live statements of `body`, re-nested."""
@@ -538,11 +696,11 @@ class _Renest:
         return [st for st in out if st is not None]
 
 
-def _line(st: _Stmt) -> str:
+def _line(st: _Stmt, names: _Names) -> str:
     if st.record:
-        return f"row({_show(st.code)})"
-    text = " = ".join(st.targets) + " = " + _show(st.code)
-    return text if st.test is None else f"if {_show(st.test)}: {text}"
+        return f"row({_show(st.code, names)})"
+    text = " = ".join(map(names.__getitem__, st.targets)) + " = " + _show(st.code, names)
+    return text if st.test is None else f"if {_show(st.test, names)}: {text}"
 
 
 def _tuple(width: int) -> str:
@@ -550,16 +708,16 @@ def _tuple(width: int) -> str:
     return "(" + ", ".join(f"{{{j}}}" for j in range(width)) + ")"
 
 
-def _emit(stmts: List[_Stmt], indent: str, out: List[str]) -> None:
+def _emit(stmts: List[_Stmt], indent: str, out: List[str], names: _Names) -> None:
     """The lines of `stmts`, in order."""
     for st in stmts:
         if st.body is None:
-            out.append(indent + _line(st))
+            out.append(indent + _line(st, names))
             continue
-        out.append(f"{indent}if {_show(st.test)}:")
-        _emit(st.body, indent + "    ", out)
+        out.append(f"{indent}if {_show(st.test, names)}:")
+        _emit(st.body, indent + "    ", out, names)
         if st.orelse is not None:
-            out += [indent + "else:", indent + "    " + _line(st.orelse)]
+            out += [indent + "else:", indent + "    " + _line(st.orelse, names)]
 
 
 class _Codegen:
@@ -629,10 +787,8 @@ class _NodeCode:
         for regs, rest, ck in self.queue:
             rests = self.all(rest, self.phase2)
             flag = self.flag(ck, self.phase2)
-            # a register may be committed before a commit that reads it
-            reading = any(code.stateful for code in rests) or flag is not None and flag.stateful
             for reg, code in zip(regs, rests):
-                self.commit(reg, code, flag, reading)
+                self.commit(reg, code, flag)
 
     def body(self) -> List[_Stmt]:
         self.compile()
@@ -745,20 +901,34 @@ class _NodeCode:
             fs = [self.hoist(code, flag, sink) for code in fs]
         return self.choose(cond, ts, fs, not cond.raises)
 
-    def commit(self, reg: Name, rest: Code, flag: Optional[Code], reading: bool) -> None:
+    def commit(self, reg: Name, rest: Code, flag: Optional[Code]) -> None:
         """Store the delayed operand: straight into the register at the
         end of the instant, or through a phase-2 temporary when `rest`
-        or `flag` read a register that may be committed before it
-        (`reading`).  A register that keeps its value, or whose clock
-        never ticks, is left as it is."""
+        or `flag` read a register, which may be committed before it.  A
+        register that keeps its value, or whose clock never ticks, is
+        left as it is."""
         if rest == reg or flag is _NEVER:
             return
-        if not reading:
+        if not (rest.stateful or flag is not None and flag.stateful):
             self.commits.append(_Stmt((reg.text,), rest, flag))
             return
         t = self.gen.name("t")
         self.phase2.append(_assign(t, rest if flag is None else _op(_CHOICE, rest, flag, reg)))
         self.commits.append(_assign(reg, t))
+
+    def constant(self, first: Lit, later: Const, ck: Optional[Clock], flag: Optional[Code]) -> Code:
+        """The code of the delay `first fby later` of two literals on the
+        clock `ck`: the literal itself when the two are equal, else the
+        register that every such delay on the clock flag `flag` shares."""
+        then = _lit(later.value)
+        if then == first:
+            return first
+        key = (first, then, flag)
+        reg = self.shared.get(key)
+        if reg is None:
+            reg = self.shared[key] = self.gen.register(first)
+            self.queue.append(_Delay([reg], [later], ck))
+        return reg
 
     def delay(
         self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[_Stmt]
@@ -766,13 +936,14 @@ class _NodeCode:
         """The codes that read a delay's components; their second
         operands are queued for phase 2.  A component whose first
         operand is a literal reads its register, which holds that
-        literal at first; any other reads its first operand while its
-        register is `first`.  The reference evaluates the first operand
-        at every instant of the delay, so a strict one (it can raise) is
-        computed even after the first, by a statement of its own.  A
-        constant delay (a literal first and second operand) is that
-        literal when the two are equal; otherwise the constant delays on
-        one clock flag with the same two literals share one register."""
+        literal at first.  Any other is lowered as `normalise.fby_init`
+        lowers it: a register that holds its type's default at first,
+        read through a choice on the clock's shared `true fby false`
+        flag, which selects the first operand at the first instant.  The
+        reference evaluates the first operand at every instant of the
+        delay, so a strict one (it can raise) is computed even after the
+        first, by a statement of its own.  A constant delay (a literal
+        first and second operand) is `constant`'s code."""
         flag = self.flag(ck, sink)
         codes = self.all(inits, sink)
         strict = any(code.raises for code in codes)
@@ -783,26 +954,23 @@ class _NodeCode:
         regs: List[Name] = []
         queued: List[Expr] = []
         reads: List[Code] = []
-        for init, code, rest in zip(firsts, codes, seconds):
-            constant = isinstance(init, Const)
-            if constant and isinstance(rest, Const):
-                later = _lit(rest.value)
-                if later == code:
-                    reads.append(code)
-                    continue
-                key = (code, later, flag)
-                read = self.shared.get(key)
-                if read is None:
-                    read = self.shared[key] = self.gen.register(code)
-                    regs.append(read)
-                    queued.append(rest)
+        for k, (init, code, rest) in enumerate(zip(firsts, codes, seconds)):
+            if not isinstance(init, Const):
+                at_first = self.constant(_TRUE, _FALSE, ck, flag)
+                # the value type of the component, whose default it holds
+                vt = init.types[0] if init is not None else [t for e in inits for t in e.types][k]
+                reg = self.gen.register(_DEFAULTS[vt])
+                code = self.hoist(code, flag, sink) if strict else code
+                # `at_first` is a register, so the choice does not fold
+                reads.append(_op(_CHOICE, code, at_first, reg))
+            elif isinstance(rest, Const):
+                reads.append(self.constant(code, rest, ck, flag))
+                continue
             else:
-                read = reg = self.gen.register(code if constant else _UNSET)
-                if not constant:
-                    read = _op(_FIRST_READ, self.hoist(code, flag, sink) if strict else code, reg)
-                regs.append(reg)
-                queued.append(rest)
-            reads.append(read)
+                reg = self.gen.register(code)
+                reads.append(reg)
+            regs.append(reg)
+            queued.append(rest)
         if regs:
             self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
         return reads
@@ -898,10 +1066,26 @@ class _NodeCode:
             raise TypeError(type(eq))
 
 
-class _Run(NamedTuple):
-    node: Node
-    source: str
-    fn: Callable
+class _Run:
+    """The step code of one entry node and set of recorded columns: its
+    text, and the function `run` that Python compiles from it at its
+    first use (`fn`)."""
+
+    __slots__ = ("node", "source", "_fn")
+
+    def __init__(self, node: Node, source: str):
+        self.node = node
+        self.source = source
+        self._fn: Optional[Callable] = None
+
+    @property
+    def fn(self) -> Callable:
+        if self._fn is None:
+            namespace = {"int_div": int_div, "int_mod": int_mod, "on": _on, "check": _check_input}
+            exec(compile(self.source, f"<compiled {self.node.name}>", "exec"), namespace)
+            # taken out, so that `run` and its globals form no reference cycle
+            self._fn = namespace.pop("run")
+        return self._fn
 
 
 def _ticks(ck: Clock, env: Dict[str, Code]) -> str:
@@ -921,7 +1105,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
     targets = [env[d.name].text for d in node.inputs] + ["b"]
-    lines = ["def run(cols, bs, div=int_div, mod=int_mod, first=FIRST):"]
+    lines = ["def run(cols, bs, div=int_div, mod=int_mod):"]
     # an input on a derived clock is checked against it by the
     # reference's rules, before the instant runs
     derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
@@ -940,19 +1124,26 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row), record=True))
     stmts += code.commits
     # only what the record and the statements that may raise read,
-    # transitively, is emitted, with its single-use values re-nested
-    live, needed = _live(stmts)
-    stmts = _Renest(stmts, live, gen.registers).walk(stmts)
+    # transitively, is emitted, with its commits in a fixed order and
+    # its single-use values re-nested
+    live, defining = _live(stmts)
+    renest = _Renest(stmts, live, defining, gen.registers)
+    stmts = renest.walk(stmts)
+    names = _Names()
+    loop: List[str] = []
+    _emit(stmts, "        ", loop, names)
     if row:
         lines.append("    rows = []; row = rows.append")
-    lines += [f"    {reg} = {_show(c)}" for reg, c in gen.registers.items() if reg in needed]
+    # the registers that the loop reads, in order of first use
+    inits = [(new, gen.registers[x]) for x, new in names.registers if x in renest.uses]
+    lines += [f"    {new} = {initial.text}" for new, initial in inits]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
     if row:
         lines.append(f"            row({(None,) * width if width > 1 else None!r})")
     lines.append("            continue")
-    _emit(stmts, "        ", lines)
+    lines += loop
     if width > 1:
         # the history is the transpose of the rows
         lines.append(f"    columns = list(zip(*rows)) or [()] * {width}")
@@ -967,25 +1158,15 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
             # the same code gets a list of its own
             history.append("list(rows)" if "rows" in history else "rows")
     lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")
-    source = "\n".join(lines) + "\n"
-    namespace = {
-        "int_div": int_div,
-        "int_mod": int_mod,
-        "FIRST": _FIRST,
-        "on": _on,
-        "check": _check_input,
-    }
-    exec(compile(source, f"<compiled {node.name}>", "exec"), namespace)
-    # taken out, so that `run` and its globals form no reference cycle
-    return _Run(node, source, namespace.pop("run"))
+    return _Run(node, "\n".join(lines) + "\n")
 
 
 class CompiledProgram:
     def __init__(self, prog: Program):
         self.prog = annotate_program(prog)
-        # generated code by (entry node, requested columns), made at the
-        # first run that asks for it and shared by every CompiledProgram
-        # of the same program object
+        # step code by (entry node, requested columns), made at the first
+        # run or `source` that asks for it and shared by every
+        # CompiledProgram of the same program object
         self.nodes: Dict[Tuple[str, Tuple[str, ...]], _Run] = self.prog.memo.setdefault(
             "compiled", {}
         )
@@ -1004,16 +1185,18 @@ class CompiledProgram:
         # one finds its code without resolving the node
         gen = None if want is None else self.nodes.get((name, tuple(want)))
         if gen is None:
-            key = self._key(name, want)
-            gen = self.nodes.get(key)
-            if gen is None:
-                gen = self.nodes[key] = self._build(*key)
+            gen = self._code(name, want)
         return gen.fn(inputs, base_clock(gen.node, inputs, N))
 
-    def _key(self, name: str, want: Optional[Sequence[str]]) -> Tuple[str, Tuple[str, ...]]:
+    def _code(self, name: str, want: Optional[Sequence[str]]) -> _Run:
         if want is None:
-            return name, tuple(d.name for d in self.prog.node(name).decls)
-        return name, tuple(dict.fromkeys(want))
+            key = name, tuple(d.name for d in self.prog.node(name).decls)
+        else:
+            key = name, tuple(dict.fromkeys(want))
+        gen = self.nodes.get(key)
+        if gen is None:
+            gen = self.nodes[key] = self._build(*key)
+        return gen
 
     def _build(self, name: str, cols: Tuple[str, ...]) -> _Run:
         node = self.prog.node(name)
@@ -1023,8 +1206,10 @@ class CompiledProgram:
             raise ValueError(f"{name} has no variable {unknown[0]!r}")
         return _generate(self.prog, node, cols)
 
-    def source(self, name: str, want: Optional[Sequence[str]] = None) -> Optional[str]:
-        """The step code that runs of `name` recording `want` execute,
-        once a run has generated it; None before."""
-        gen = self.nodes.get(self._key(name, want))
-        return None if gen is None else gen.source
+    def source(self, name: str, want: Optional[Sequence[str]] = None) -> str:
+        """The step code that runs of `name` recording `want` execute.
+        It is generated at the first run or call that asks for it, and
+        kept; Python compiles it at its first run.  Step code is printed
+        in a canonical form, so code equal up to the names the generator
+        makes up is one text."""
+        return self._code(name, want).source

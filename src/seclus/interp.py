@@ -965,7 +965,7 @@ def _sem_expr(
         ys = _sem_all(rp, H, bs, e.rest)
         return [sem_fby_L(x, y) for x, y in zip(xs, ys)]
     if isinstance(e, NodeCall):
-        return _callee_streams(rp, e.node, _sem_all(rp, H, bs, e.args))
+        return _callee_streams(rp, H, bs, e.node, _sem_all(rp, H, bs, e.args), e.clock)
     raise TypeError(type(e))
 
 
@@ -977,12 +977,29 @@ def _sem_all(rp, H, bs, es) -> List[StreamPrefix]:
 
 
 def _callee_streams(
-    rp: ReferenceProgram, name: str, args: List[StreamPrefix]
+    rp: ReferenceProgram,
+    H: History,
+    bs: ClockStream,
+    name: str,
+    args: List[StreamPrefix],
+    ck: Clock,
 ) -> List[StreamPrefix]:
-    """Output streams of the callee `name` run on the argument streams."""
+    """Output streams of the callee `name` run on the argument streams.
+    A callee without inputs runs at the instants of the call's clock
+    `ck`, and its outputs are absent at the others."""
     outs = [d.name for d in rp.prog.node(name).outputs]
-    sub = rp.run(name, args, want=outs)
-    return [sub[x] for x in outs]
+    if args:
+        sub = rp.run(name, args, want=outs)
+        return [sub[x] for x in outs]
+    ticks = sem_clock(H, bs, ck)
+    sub = rp.run(name, [], N=sum(ticks), want=outs)
+    return [_spread(sub[x], ticks) for x in outs]
+
+
+def _spread(xs: StreamPrefix, ticks: ClockStream) -> StreamPrefix:
+    """`xs` at the instants where `ticks` is true, absent elsewhere."""
+    it = iter(xs)
+    return [next(it) if b else ABSENT for b in ticks]
 
 
 def check_history(
@@ -1007,7 +1024,7 @@ def check_history(
             else:
                 expected = [sem_fby_L(xs, ys)]
         elif isinstance(eq, CallEq):
-            expected = _callee_streams(rp, eq.node, _sem_all(rp, H, bs, eq.args))
+            expected = _callee_streams(rp, H, bs, eq.node, _sem_all(rp, H, bs, eq.args), eq.clock)
         else:
             raise TypeError(type(eq))
         for x, s in zip(targets(eq), expected):

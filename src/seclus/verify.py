@@ -231,11 +231,11 @@ def differential_semantics(
     first divergence of each node, in node order.  `trials` must be at
     least 1.
 
-    On the compiled engine, forms whose generated step code for a node
-    is the same text run once per trial from the second on: the same
-    text is the same deterministic function, so it gives the same
-    history or error.  The first trial runs every form, which generates
-    its code."""
+    On the compiled engine, forms whose step code for a node is the same
+    text run once per trial: the same text is the same deterministic
+    function, so it gives the same history or error.  The forms' texts
+    are generated and compared before the first trial, so each distinct
+    text is compiled once and run once per trial."""
     _check_trials(trials)
     denested = normalize_program(G)
     engine_class = _engine(engine)
@@ -244,8 +244,12 @@ def differential_semantics(
     divergences: List[Divergence] = []
     for ni, node in enumerate(run_list):
         outs = [d.name for d in node.outputs]
-        # the form whose run stands for each form's
+        # the form whose run stands for each form's: the first with the
+        # same step code
         runs = list(range(len(forms)))
+        if engine == "compiled":
+            texts = [form.source(node.name, outs) for form in forms]
+            runs = [texts.index(t) for t in texts]
         for trial in range(trials):
             inputs = random_inputs(node, N, _trial_rng(seed, ni, trial))
             results: List[Dict[str, list]] = []
@@ -257,9 +261,6 @@ def differential_semantics(
                     results.append(form.run(node.name, inputs, N=N, want=outs))
                 except (ClockMismatch, EvalError) as exc:
                     results.append({"!error": [repr(exc)]})
-            if trial == 0 and engine == "compiled":
-                texts = [form.source(node.name, outs) for form in forms]
-                runs = [texts.index(t) if t is not None else k for k, t in enumerate(texts)]
             d = _first_divergence(node.name, trial, results)
             if d is not None:
                 divergences.append(d)

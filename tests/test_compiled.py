@@ -3,9 +3,11 @@ interpreter on fixtures and random programs, and matching strictness."""
 
 import ast
 import importlib.util
+import io
 import os
 import random
 import re
+import tokenize
 
 import pytest
 
@@ -446,6 +448,108 @@ def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
     assert H["p"] == [5, 12, 13, 15] and H["q"] == [15, 36, 39, 45]
 
 
+# -- delays and canonical step code --------------------------------------------------
+
+
+def _corpus():
+    yield load("cnt_dn.lus")
+    yield load("re_trig.lus")
+    for seed in range(100):
+        yield generate_program(GenConfig(seed=seed))
+
+
+def test_every_register_starts_at_a_constant():
+    # a delay with a non-literal first operand is a register that starts
+    # at its type's default, read through the clock's first-instant flag,
+    # as the fby-init form writes it: no code tests a `first` sentinel
+    for k, p in enumerate(_corpus()):
+        for form, dialect in all_forms(p):
+            node = form.nodes[-1]
+            inputs = boundary_inputs(node, 20, random.Random(k))
+            for want in ([d.name for d in node.outputs], None):
+                cp = CompiledProgram(form)
+                fast = _outcome(lambda: cp.run(node.name, inputs, want=want))
+                ref = _outcome(lambda: ReferenceProgram(form).run(
+                    node.name, inputs, want=want, dialect=dialect))
+                assert fast == ref, (k, dialect, want)
+                tree = ast.parse(cp.source(node.name, want))
+                (run,) = tree.body
+                assert [a.arg for a in run.args.args] == ["cols", "bs", "div", "mod"]
+                assert not any(isinstance(n, (ast.Is, ast.IsNot)) for n in ast.walk(tree))
+                assert "first" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                for st in run.body:
+                    if isinstance(st, ast.Assign) and re.fullmatch(r"r\d+", st.targets[0].id):
+                        ast.literal_eval(st.value)
+    # the count-down timer's three forms print one step function
+    p = load("cnt_dn.lus")
+    assert len({CompiledProgram(form).source("cnt_dn", ["cpt"]) for form, _ in all_forms(p)}) == 1
+
+
+def _first_uses(names):
+    """Each kind's numbers, in the order of their first use."""
+    seen = {}
+    for x in names:
+        made = re.fullmatch(r"([rtek])(\d+)|(V)(\d+)(?:_|x).*", x)
+        if made is not None:
+            kind, n = made.group(1) or made.group(3), int(made.group(2) or made.group(4))
+            if n not in seen.setdefault(kind, []):
+                seen[kind].append(n)
+    return seen
+
+
+def test_generated_names_are_numbered_in_order_of_first_use():
+    # the registers, temporaries, hoisted values, clock flags and call
+    # sites, both in the whole text and in the loop alone: the registers'
+    # initial values are printed in the loop's order
+    for k, p in enumerate(_corpus()):
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            for want in ([d.name for d in node.outputs], None):
+                source = cp.source(node.name, want)
+                tokens = [
+                    t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                    if t.type == tokenize.NAME
+                ]
+                loop = tokens[tokens.index("for"):]
+                for seen in (_first_uses(tokens), _first_uses(loop)):
+                    for kind, ns in seen.items():
+                        assert ns == list(range(len(ns))), (k, kind, source)
+
+
+@pytest.mark.parametrize(
+    "src, temporaries",
+    [
+        # `o`'s commit reads `x`'s register through a value, so it is
+        # stored first, and the value nests into it
+        (
+            "node f(a: int) returns (o: int) var x: int;"
+            " let x = 0 fby (x + a); o = 0 fby (x * 2); tel",
+            0,
+        ),
+        # two commits that read each other's register: one keeps its
+        # phase-2 temporary
+        (
+            "node f(a: int) returns (o: int) var x: int; y: int;"
+            " let x = 0 fby (y + a); y = 0 fby (x + 1); o = x; tel",
+            1,
+        ),
+        # a commit whose register nothing reads, kept as it may raise
+        (
+            "node f(a: int) returns (o: int) var x: int; y: int;"
+            " let x = 0 fby (a mod a); y = 0 fby (y + a); o = y; tel",
+            0,
+        ),
+    ],
+)
+def test_a_register_is_stored_after_the_commits_that_read_it(src, temporaries):
+    p = parse_program(src)
+    cp = CompiledProgram(p)
+    inputs = [[1, 2, 3, INT_MAX]]
+    assert cp.run("f", inputs, want=["o"]) == {"o": run_node(p, "f", inputs)["o"]}
+    assert len(set(re.findall(r"\bt\d+\b", cp.source("f", ["o"])))) == temporaries
+
+
 # -- literal divisors ---------------------------------------------------------------
 
 LITERAL_DIVISORS = (1, 2, 3, 5, 7, -1, -2, -3, INT_MAX, INT_MIN)
@@ -665,14 +769,15 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     cp.run(node.name, random_inputs(node, 5, random.Random(7)))
     full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
     # the full code computes `x4`, outside that cone, from a delay of its
-    # own; the narrow code computes no such value, named or nested into a
-    # reader, and keeps only the registers of the cone's delays: `x3`'s
-    # `false fby x1` and `out`'s two
+    # own, read through the base clock's first-instant flag; the narrow
+    # code computes no such value, named or nested into a reader, and
+    # keeps only the registers of the cone's delays: `x3`'s `false fby
+    # x1`, `out`'s two and the flag they share
     x4 = _recorded(full.source, "x4")
-    assert " is first " in x4 and x4 not in narrow.source
+    assert re.search(r"\(V_i1 if r\d+ else r\d+\)", x4) and x4 not in narrow.source
     registers = r"^    (r\d+) = "
-    assert len(re.findall(registers, narrow.source, re.M)) == 3
-    assert len(re.findall(registers, full.source, re.M)) == 5
+    assert len(re.findall(registers, narrow.source, re.M)) == 4
+    assert len(re.findall(registers, full.source, re.M)) == 6
     assert full.source.count("\n") > narrow.source.count("\n")
 
 

@@ -252,6 +252,34 @@ def test_replay_rejects_corrupted_history(cnt_dn):
     assert check_history(cnt_dn, "cnt_dn", bad, [True] * 3) != []
 
 
+@pytest.mark.parametrize(
+    "src, inputs",
+    [
+        # a callee without inputs, called on its caller's base clock
+        (
+            "node z() returns (o: int) let o = 4; tel"
+            " node f(x: int) returns (q: int) let q = z() + x; tel",
+            [[1, 2, 3]],
+        ),
+        # and with a delay, called on a sampled clock: it steps only
+        # where its call's clock ticks
+        (
+            "node z() returns (o: int) let o = 0 fby (o + 1); tel"
+            " node f(x: int; c: bool) returns (q: int) var y: int :: base on c;"
+            " let y = z(); q = merge c (y) (x when not c); tel",
+            [[1, 2, 3, 4, 5], [True, False, True, True, False]],
+        ),
+    ],
+)
+def test_replay_of_a_callee_without_inputs(src, inputs):
+    p = parse_program(src)
+    H = run_node(p, "f", inputs)
+    assert check_history(p, "f", H, [True] * len(inputs[0])) == []
+    bad = dict(H)
+    bad["q"] = [H["q"][0] + 1] + H["q"][1:]
+    assert check_history(p, "f", bad, [True] * len(inputs[0])) != []
+
+
 def test_clock_discipline():
     # variables on a derived clock are absent exactly where it is false
     src = """

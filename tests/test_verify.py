@@ -13,7 +13,7 @@ from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.sectypes import Constraint, TVar, implies, satisfies, two_point
 from seclus.typing import check_program
-from seclus import verify
+from seclus import compiled, verify
 from seclus.verify import (
     GenConfig,
     check_noninterference,
@@ -125,12 +125,23 @@ def _spied_runs(monkeypatch):
     [
         # no delay and no call: the three forms generate the same code
         ("node f(a: int; b: int) returns (o: int) var x: int; let x = a * 3; o = x + b; tel", 1),
-        # a delay with a variable head: the fby-init form selects on a flag
-        ("node f(a: int) returns (o: int) let o = a fby (o + a); tel", 2),
-        # and a call in expression position, which de-nesting names
+        # a delay with a variable head, which every form lowers to a
+        # register selected by a first-instant flag
+        ("node f(a: int) returns (o: int) let o = a fby (o + a); tel", 1),
+        # and a call in expression position, whose output the de-nested
+        # forms name `v1`
         (
             "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
             " node f(a: int) returns (o: int) let o = d(a + 1) * 2; tel",
+            2,
+        ),
+        # and a delay on a sampled clock, whose flag the fby-init form
+        # reads through a variable of that clock
+        (
+            "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
+            " node f(a: int; c: bool) returns (o: int) var y: int :: base on c;"
+            " let y = (a when c) fby (y + (1 when c));"
+            " o = merge c (y) (0 when not c) + d(a + 1); tel",
             3,
         ),
     ],
@@ -139,15 +150,41 @@ def test_forms_with_the_same_step_code_run_once_per_trial(monkeypatch, src, dist
     p = parse_program(src)
     runs = _spied_runs(monkeypatch)
     rep = differential_semantics(p, trials=6, N=20, seed=3)
-    # the first trial runs every form; each later one, each distinct code
-    assert len(runs) == 3 + 5 * distinct
-    assert len(set(map(id, runs[3:]))) == distinct
-    forms = [CompiledProgram(form) for form in runs[:3]]
+    # the forms' texts are compared before the first trial, so every
+    # trial runs each distinct code once
+    assert len(runs) == 6 * distinct
+    assert len(set(map(id, runs))) == distinct
+    denested = normalize_program(p)
+    forms = [CompiledProgram(form) for form in (p, denested, fby_init(denested))]
+    assert {id(cp.prog) for cp in forms} >= set(map(id, runs))
     assert len({cp.source("f", ["o"]) for cp in forms}) == distinct
     # the same report as with a run of every form at every trial
-    monkeypatch.setattr(CompiledProgram, "source", lambda self, name, want=None: None)
+    monkeypatch.setattr(CompiledProgram, "source", lambda self, name, want=None: object())
     assert report_json(differential_semantics(p, trials=6, N=20, seed=3)) == report_json(rep)
-    assert len(runs) == 3 + 5 * distinct + 18
+    assert len(runs) == 6 * distinct + 18
+
+
+def test_each_distinct_step_code_is_compiled_once(monkeypatch):
+    # every text that Python's `compile` is given, through the compiled
+    # engine's own global, as `_spied_runs` spies on the runs
+    texts = []
+
+    def spy(source, *args, **kwargs):
+        texts.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(compiled, "compile", spy, raising=False)
+    programs = [load("cnt_dn.lus"), load("re_trig.lus")]
+    programs += [generate_program(GenConfig(seed=seed)) for seed in range(20)]
+    for p in programs:
+        texts.clear()
+        differential_semantics(p, trials=3, N=10)
+        node = p.nodes[-1]
+        outs = [d.name for d in node.outputs]
+        denested = normalize_program(p)
+        forms = (p, denested, fby_init(denested))
+        distinct = {CompiledProgram(form).source(node.name, outs) for form in forms}
+        assert sorted(texts) == sorted(distinct)
 
 
 def test_shared_runs_still_catch_a_broken_initialisation(monkeypatch):
@@ -172,8 +209,10 @@ def test_shared_runs_still_catch_a_broken_initialisation(monkeypatch):
     assert not rep.ok
     (d,) = rep.divergences
     assert d.values[0] == d.values[1] != d.values[2]
-    # the fby-init form ran at every trial up to the divergence
-    assert sum(prog is runs[2] for prog in runs) == d.trial + 1
+    # the source and de-nested forms share their code, and the broken
+    # form has its own: two runs at every trial up to the divergence
+    assert len(runs) == 2 * (d.trial + 1)
+    assert len(set(map(id, runs))) == 2
 
 
 @pytest.mark.parametrize("trials", [0, -3])
