@@ -29,7 +29,9 @@ Python's `compile` that one campaign of one trial makes over the same
 programs, parsed anew.  With `--digest`,
 prints instead one SHA-256 over every generated source of the same
 corpus, in that order, so two trees that generate the same code print
-the same line.  Stdlib only; imports the program from `src/` next to this
+the same line, and after it one line per source, `label form want
+sha256`, so a `diff` of two trees' output names the sources that differ.
+Stdlib only; imports the program from `src/` next to this
 directory.
 """
 
@@ -82,14 +84,18 @@ def wants(node):
     return {"outputs": tuple(d.name for d in node.outputs), "all": tuple(d.name for d in node.decls)}
 
 
-def digest(seeds: int) -> str:
+def digest(seeds: int) -> list:
+    """The SHA-256 over every generated source, then one line per source."""
     h = hashlib.sha256()
-    for _, p in programs(seeds):
-        for form in forms(p).values():
+    lines = []
+    for label, p in programs(seeds):
+        for f, form in forms(p).items():
             node = form.nodes[-1]
-            for want in wants(node).values():
-                h.update(compiled._generate(form, node, want).source.encode() + b"\0")
-    return h.hexdigest()
+            for w, want in wants(node).items():
+                source = compiled._generate(form, node, want).source.encode()
+                h.update(source + b"\0")
+                lines.append(f"{label} {f} {w} {hashlib.sha256(source).hexdigest()}")
+    return [h.hexdigest()] + lines
 
 
 def _loads(tree) -> set:
@@ -212,10 +218,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=100)
     ap.add_argument("--horizon", type=int, default=50)
-    ap.add_argument("--digest", action="store_true", help="print one SHA-256 over the generated sources")
+    ap.add_argument("--digest", action="store_true", help="print one SHA-256 over the generated sources, then one per source")
     args = ap.parse_args(argv)
     if args.digest:
-        print(digest(args.seeds))
+        print("\n".join(digest(args.seeds)))
         return 0
     keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}

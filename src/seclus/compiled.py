@@ -28,12 +28,13 @@ one set of recorded columns:
                    `interp._check_input`); on a base-false instant a
                    row of None is recorded and nothing else happens,
                    otherwise the body runs with the base clock known to be
-                   true (base-clocked statements carry no guard)
+                   true: each statement runs under its clock's flag, and
+                   one on the entry's base clock has no test
   phase 1          clock flags and variable values in schedule order;
                    delays read their register and queue their second
                    operand; a call inlines the callee's whole instant
-                   (its phase 1, phase 2 and commits) under the call's
-                   clock flag, its outputs None when the flag is off
+                   (its phase 1, phase 2 and commits), whose base clock's
+                   flag is the call's
   phase 2          after the last phase-1 equation, when every
                    variable's code is final: the queued second operands
                    in order (a delay nested in one joins the end of the
@@ -45,8 +46,10 @@ one set of recorded columns:
                    the distinct codes of the requested columns as one
                    tuple (a column recorded twice is one element), or
                    one code unboxed, appended to one list through its
-                   bound `append`; the record is a statement of its own,
-                   with no target
+                   bound `append`; a column on a derived clock is
+                   guarded by its flag, so that it is None where the
+                   clock is off (no statement stores None); the record
+                   is the one statement with no target
   commits          every live register stored, in an order fixed by what
                    the commits read (see *Re-nesting*)
   return           the history dict: each recorded column from the
@@ -75,25 +78,30 @@ printed once, at the end, as Vélus builds Obc and prints C last.  A code
 (an expression of the step code) is a literal (`Lit`, which holds its
 value), a name (`Name`, which knows whether it is a delay register) or
 a template over operand codes (`Op`): an operator, a choice (which
-also guards a value by its clock flag and reads a delay) or a clock
-flag's test.  Every template parenthesises itself, so a code
+also reads a delay and guards a recorded column by its clock flag) or
+a clock flag's test.  Every template parenthesises itself, so a code
 nests as an operand as it is.  Each code knows, from when it is built,
 the names it reads, whether one of them is a register, whether it calls
 `div` or `mod` and how deep it nests.
-A statement (`_Stmt`) assigns a code to its targets, or records it; a
-call block holds the callee's statements under the call's flag.  Two
-passes run over the statements before they are printed, liveness and
-re-nesting (below), and `_emit` prints what they keep, through `_show`.
+A statement (`_Stmt`) assigns a code to its targets under an optional
+test, its clock's flag, as in Obc; the record is the one statement
+without a target.  The statements of every inlined instance form one
+flat list, so a statement `x = code` under the test `t` is
+`x := ite(t, code, x)`.  Two passes run over the list before it is
+printed, liveness and re-nesting (below), and `_emit` prints what they
+keep, through `_show`, each run of statements under one test under one
+`if`.
 
 A copy costs nothing per instant.  Each variable has one code: an
-equation on its instance's base clock whose code is an atom (a
-variable's code, an input, a register or a literal) gives the variable
-that atom and emits nothing, except a callee output, which is also
-assigned to its name for a caller that calls it on a clock of its own.
-A call on its caller's base clock gives the caller each literal output
-as its code.  Every register starts at a constant.  A delay with a
-literal first operand is its register, so the de-nested form's
-`x = c fby y` is read from the register itself.  Any other delay is
+equation whose code is an atom (a variable's code, an input, a register
+or a literal) gives the variable that atom and emits nothing, on any
+clock, as a variable is read only where its clock is on, except by the
+record, which guards it.  A callee output that is not a literal is
+assigned to its name, since its caller reads it after the callee's
+commits; a call gives its caller each literal output as its code.
+Every register starts at a constant.  A delay with a literal first
+operand is its register, so the de-nested form's `x = c fby y` is read
+from the register itself.  Any other delay is
 lowered as `normalise.fby_init` writes it (the initialisation lemma of
 NLustre, Bourke et al., PLDI 2017): a register that starts at its
 type's default, read through a choice on the clock's first-instant flag
@@ -141,27 +149,25 @@ it reads, or whether it raises, decides nothing.  Every literal reaches
 its readers as the codes are built, so nothing is folded later.
 
 Liveness.  A statement that nothing live reads is not printed.  A
-statement reads the names that its code (and the flag of a commit on a
-derived clock) reads.  `_live` closes backward over the statements from
-the record and from every statement whose code may raise (it calls
-`div` or `mod`), so leaving out the rest removes no `EvalError`; a
-statement in a call block also reads the block's test.  The closure is
-flow-insensitive, so a register that phase 1 reads keeps the commit
-that stores it at the end of the instant, and a register nothing live
-reads loses its commit and its initialisation.  A call block with no
-live statement goes, with its `else`: a call whose outputs nothing live
-reads and that cannot raise leaves no code.
+statement reads the names that its code and its test read.  `_live`
+closes backward over the statements from the record and from every
+statement whose code may raise (it calls `div` or `mod`), so leaving out
+the rest removes no `EvalError`.  The closure is flow-insensitive, so a
+register that phase 1 reads keeps the commit that stores it at the end
+of the instant, and a register nothing live reads loses its commit and
+its initialisation.  A call whose outputs nothing live reads and that
+cannot raise leaves no code.
 
 Re-nesting.  De-nesting names every subexpression, and a callee's
 outputs are named for its caller; `_Renest` nests each value read once
 back into its reader, so a name costs no store and no load per
 instant.  A live statement that cannot raise and assigns one name (not
 a register), which exactly one live statement reads, once, later in
-the same statement list, is substituted into that reader (a record, an
-assignment, a commit, or the test of a call block), and goes.  It
-stays where a name it reads is stored in between: an inlined callee's
-commits sit in its caller's body, so a register read before them must
-not be read after them.  It also stays where its reader would nest
+the list, is substituted into that reader's code or test, and goes.  A
+value under a test goes only into a reader under the same test, which
+runs where it ran.  It stays where a name it reads is stored in
+between: an inlined callee's commits sit in its caller's body, so a
+register read before them must not be read after them.  It also stays where its reader would nest
 deeper than `_MAX_DEPTH` codes, so the generated function always
 compiles.  Re-nesting only moves codes: as folding is done, it drops no
 read, and what liveness kept stays live.  The pass is one walk over the
@@ -180,7 +186,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import count, repeat
+from itertools import repeat
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from seclus.ast import (
@@ -381,8 +387,8 @@ _FALSE = Const(False)
 _DEFAULTS = {t: _lit(v) for t, v in _DEFAULT.items()}
 # the templates of the compiled engine's own codes, each parenthesised
 # so that it nests as an operand: a choice `t if c else f` ({0} if {1}
-# else {2}), which also guards a value by its clock flag and reads a
-# delay; and the tests of a clock flag
+# else {2}), which also reads a delay and guards a recorded column by
+# its clock flag; and the tests of a clock flag
 _CHOICE = "({0} if {1} else {2})"
 _NOT = "(not {0})"
 _AND = "({0} and {1})"
@@ -433,82 +439,58 @@ def _mangle(prefix: str, name: str) -> Name:
 
 
 def _guard(code: Code, flag: Optional[Code]) -> Code:
-    """`code` where the clock flag `flag` is on, else None."""
-    return code if flag is None else _op(_CHOICE, code, flag, _NONE)
+    """`code` where the clock flag `flag` is on, else None: a recorded
+    column's element."""
+    return code if flag is None else _make(_CHOICE, code, flag, _NONE)
 
 
 # -- statements --
 
 
 class _Stmt:
-    """One statement: `targets = code`, under the flag `test` when it is
-    set (a register commit on a derived clock), or, with no target, the
-    record of the instant's row `code` (`record`).  A call block is
-    its `if test:` line with the callee's statements under it (`body`)
-    and, when the caller reads the callee's outputs, the statement of
-    its `else` branch.  `reads` are the names that its code and its
-    test read."""
+    """One statement: `targets = code`, run only where the clock flag
+    `test` is on when it is set.  The record of the instant's row `code`
+    is the one statement without a target.  `reads` are the names that
+    its code and its test read."""
 
-    __slots__ = ("targets", "code", "test", "body", "orelse", "record", "reads")
+    __slots__ = ("targets", "code", "test", "reads")
 
-    def __init__(
-        self,
-        targets: Tuple[str, ...],
-        code: Optional[Code],
-        test: Optional[Code] = None,
-        body: Optional[List["_Stmt"]] = None,
-        orelse: Optional["_Stmt"] = None,
-        record: bool = False,
-    ):
+    def __init__(self, targets: Tuple[str, ...], code: Code, test: Optional[Code] = None):
         self.targets = targets
         self.code = code
         self.test = test
-        self.body = body
-        self.orelse = orelse
-        self.record = record
-        reads = () if code is None else code.reads
-        self.reads: Tuple[str, ...] = reads if test is None else reads + test.reads
+        self.reads: Tuple[str, ...] = code.reads if test is None else code.reads + test.reads
 
 
-def _assign(target: Name, code: Code) -> _Stmt:
-    return _Stmt((target.text,), code)
+def _assign(target: Name, code: Code, test: Optional[Code] = None) -> _Stmt:
+    return _Stmt((target.text,), code, test)
 
 
-_Defining = Dict[str, List[Tuple[_Stmt, Tuple[str, ...]]]]
+_Defining = Dict[str, List[_Stmt]]
 
 
 def _live(stmts: List[_Stmt]) -> Tuple[Set[int], _Defining]:
-    """The statements that a root (a record, or a statement that may
+    """The statements that a root (the record, or a statement that may
     raise) reads, transitively, by `id`, and the statements that assign
-    each name, with the tests of their call blocks.  A statement in a
-    call block also reads the block's test.  The closure is
-    flow-insensitive, so a register read before the commit that stores
-    it keeps that commit: a fixpoint over the registers that carry
-    values across instants."""
+    each name.  The closure is flow-insensitive, so a register read
+    before the commit that stores it keeps that commit: a fixpoint over
+    the registers that carry values across instants."""
     defining: _Defining = {}
     live: Set[int] = set()
     needed: Set[str] = set()
-    blocks: List[Tuple[List[_Stmt], Tuple[str, ...]]] = [(stmts, ())]
-    while blocks:
-        body, tests = blocks.pop()
-        for st in body:
-            if st.body is not None:
-                inner = tests + st.reads
-                blocks.append((st.body, inner))
-                if st.orelse is not None:
-                    blocks.append(([st.orelse], inner))
-            elif st.code.raises or not st.targets:
-                live.add(id(st))
-                needed.update(st.reads, tests)
-            else:
-                for x in st.targets:
-                    defining.setdefault(x, []).append((st, tests))
+    for st in stmts:
+        if st.code.raises or not st.targets:
+            live.add(id(st))
+            needed.update(st.reads)
+        else:
+            for x in st.targets:
+                defining.setdefault(x, []).append(st)
     todo = list(needed)
     while todo:
         # each name is taken once, so a statement is met once per target
-        for st, tests in defining.get(todo.pop(), ()):
+        for st in defining.get(todo.pop(), ()):
             live.add(id(st))
-            fresh = set(st.reads).union(tests)
+            fresh = set(st.reads)
             fresh -= needed
             needed |= fresh
             todo += fresh
@@ -556,83 +538,47 @@ def _subst(code: Code, name: str, by: Code) -> Code:
 class _Renest:
     """Each single-use value nested back into its reader.  A live
     statement that cannot raise and assigns one name (not a register),
-    which one live statement reads, once, later in the same list, is
-    substituted into that reader and goes.  It stays when a name it
-    reads is stored between the two (a register, committed by an inlined
-    callee's body) or when its reader would nest deeper than
-    `_MAX_DEPTH`.
+    which one live statement reads, once, later in the list, is
+    substituted into that reader and goes; a value under a test, only
+    into a reader under the same test.  It stays when a name it reads
+    is stored between the two (a register, committed by an inlined
+    callee) or when its reader would nest deeper than `_MAX_DEPTH`.
 
     Before the walk, each run of commits is put in one order, fixed by
     what the commits read, not by the queue (`_commit_order`).  A commit
     reads no register itself (one that would goes through its phase-2
     temporary), so any order gives the same instant."""
 
-    def __init__(
-        self, stmts: List[_Stmt], live: Set[int], defining: _Defining, registers: Dict[str, Code]
-    ):
-        self.live = live
+    def __init__(self, stmts: List[_Stmt], defining: _Defining, registers: Dict[str, Code]):
         self.registers = registers
-        # every read of a live statement, in the order of the text, and
-        # each statement list with the positions of its live commits,
-        # when it has two or more
-        self.reads: List[str] = []
-        self.commits: List[Tuple[List[_Stmt], List[int]]] = []
-        self.scan(stmts)
+        # every read of a live statement, in the order of the text
+        self.reads = [x for st in stmts for x in st.reads]
         self.uses = Counter(self.reads)
-        for body, at in reversed(self.commits):
-            # from the end, so that a run put in order moves no position
-            # before it
-            self.order_commits(body, at, defining)
-        # where each name was last stored, by position in the walk
-        self.stored: Dict[str, int] = {}
-        self.here = count()
+        self.order_commits(stmts, defining)
 
-    def scan(self, body: List[_Stmt]) -> None:
-        """List what the live statements of `body` read, in the order of
-        the text, and where its commits are."""
-        reads, live, registers = self.reads, self.live, self.registers
-        commits: List[int] = []
-        for k, st in enumerate(body):
-            if st.body is not None:
-                reads += st.test.reads
-                self.scan(st.body)
-            elif id(st) in live:
-                reads += st.reads
-                if st.targets and st.targets[0] in registers:
-                    commits.append(k)
-        if len(commits) > 1:
-            self.commits.append((body, commits))
-
-    def order_commits(self, body: List[_Stmt], at: List[int], defining: _Defining) -> None:
-        """Put each run of the commits of `body` at the positions `at`,
-        with no live statement between them, in the order of
-        `_commit_order`; the dead statements among them go."""
-        live, reads, uses = self.live, self.reads, self.uses
-        i = len(at) - 1
-        while i >= 0:
+    def order_commits(self, stmts: List[_Stmt], defining: _Defining) -> None:
+        """Put each run of adjacent commits of the live statements
+        `stmts` in the order of `_commit_order`."""
+        reads, uses, registers = self.reads, self.uses, self.registers
+        i = 0
+        while i < len(stmts):
             j = i
-            while j > 0 and (
-                at[j] == at[j - 1] + 1
-                or all(
-                    body[k].body is None and id(body[k]) not in live
-                    for k in range(at[j - 1] + 1, at[j])
-                )
-            ):
-                j -= 1
-            if j < i:
-                run = [body[k] for k in at[j : i + 1]]
+            while j < len(stmts) and stmts[j].targets and stmts[j].targets[0] in registers:
+                j += 1
+            if j - i > 1:
+                run = stmts[i:j]
                 # a register that nothing reads, whose commit is kept as
                 # it may raise, comes after the others
                 stored = [st.targets[0] for st in run]
                 firsts = [reads.index(x) if x in uses else len(reads) for x in stored]
                 regs = [self.through(st, defining) for st in run]
-                body[at[j] : at[i] + 1] = _commit_order(run, firsts, regs)
-            i = j - 1
+                stmts[i:j] = _commit_order(run, firsts, regs)
+            i = max(j, i + 1)
 
     def through(self, commit: _Stmt, defining: _Defining) -> Set[str]:
         """The registers other than its own that `commit` reads through
         values that re-nesting may move into it: each value read once, by
-        a statement of its own that cannot raise."""
+        a statement of its own that cannot raise and has no test."""
         registers, uses = self.registers, self.uses
         out: Set[str] = set()
         todo = list(commit.reads)
@@ -641,35 +587,37 @@ class _Renest:
             if x in registers:
                 out.add(x)
             elif uses[x] == 1 and len(defining.get(x, ())) == 1:
-                ((st, _),) = defining[x]
+                (st,) = defining[x]
                 if st.test is None and len(st.targets) == 1 and not st.code.raises:
                     # each value is read once, so it is met once
                     todo += st.reads
         out.discard(commit.targets[0])
         return out
 
-    def walk(self, body: List[_Stmt]) -> List[_Stmt]:
-        """The live statements of `body`, re-nested."""
+    def walk(self, stmts: List[_Stmt]) -> List[_Stmt]:
+        """The live statements `stmts`, re-nested."""
         out: List[Optional[_Stmt]] = []
         # each single-use value not yet read: its index in `out` and its
         # position
         pending: Dict[str, Tuple[int, int]] = {}
-        live, uses, registers, stored = self.live, self.uses, self.registers, self.stored
-        for st in body:
-            at = next(self.here)
-            if st.body is None and id(st) not in live:
-                continue
+        # where each name was last stored, by position
+        stored: Dict[str, int] = {}
+        uses, registers = self.uses, self.registers
+        for at, st in enumerate(stmts):
             code, test = st.code, st.test
             reads = st.reads
             for x in reads if pending and not pending.keys().isdisjoint(reads) else ():
                 if x not in pending:
                     continue
                 j, since = pending.pop(x)
-                by = out[j].code
+                value = out[j]
+                by = value.code
+                if value.test is not None and value.test != test:
+                    continue
                 # only a register is stored after it is read
                 if by.stateful and any(stored.get(y, -1) > since for y in by.reads):
                     continue
-                in_code = code is not None and x in code.reads
+                in_code = x in code.reads
                 new = _subst(code if in_code else test, x, by)
                 if new.depth > _MAX_DEPTH:
                     continue
@@ -678,29 +626,16 @@ class _Renest:
                 else:
                     test = new
                 out[j] = None
-            if st.body is not None:
-                inner = self.walk(st.body)
-                orelse = self.walk([st.orelse]) if st.orelse is not None else []
-                if inner:
-                    out.append(_Stmt((), None, test, inner, orelse[0] if orelse else None))
-                continue
             if code is not st.code or test is not st.test:
-                st = _Stmt(st.targets, code, test, record=st.record)
+                st = _Stmt(st.targets, code, test)
             out.append(st)
             for x in st.targets:
                 stored[x] = at
-            if len(st.targets) == 1 and test is None and not code.raises:
+            if len(st.targets) == 1 and not code.raises:
                 (x,) = st.targets
                 if uses[x] == 1 and x not in registers:
                     pending[x] = (len(out) - 1, at)
         return [st for st in out if st is not None]
-
-
-def _line(st: _Stmt, names: _Names) -> str:
-    if st.record:
-        return f"row({_show(st.code, names)})"
-    text = " = ".join(map(names.__getitem__, st.targets)) + " = " + _show(st.code, names)
-    return text if st.test is None else f"if {_show(st.test, names)}: {text}"
 
 
 def _tuple(width: int) -> str:
@@ -708,16 +643,22 @@ def _tuple(width: int) -> str:
     return "(" + ", ".join(f"{{{j}}}" for j in range(width)) + ")"
 
 
-def _emit(stmts: List[_Stmt], indent: str, out: List[str], names: _Names) -> None:
-    """The lines of `stmts`, in order."""
+def _emit(stmts: List[_Stmt], names: _Names) -> List[str]:
+    """The lines of the loop body: `stmts` in order, each run of them
+    under one test under one `if`, and the record as `row(...)`."""
+    out: List[str] = []
+    test: Optional[Code] = None
     for st in stmts:
-        if st.body is None:
-            out.append(indent + _line(st, names))
-            continue
-        out.append(f"{indent}if {_show(st.test, names)}:")
-        _emit(st.body, indent + "    ", out, names)
-        if st.orelse is not None:
-            out += [indent + "else:", indent + "    " + _line(st.orelse, names)]
+        if st.test != test:
+            test = st.test
+            if test is not None:
+                out.append(f"        if {_show(test, names)}:")
+        if st.targets:
+            text = " = ".join(map(names.__getitem__, st.targets)) + " = " + _show(st.code, names)
+        else:
+            text = f"row({_show(st.code, names)})"
+        out.append(("        " if test is None else "            ") + text)
+    return out
 
 
 class _Codegen:
@@ -755,19 +696,29 @@ class _Delay(NamedTuple):
 
 class _NodeCode:
     """Statements of one instant of one node instance: the entry node,
-    or a callee inlined at one call site.  `env` maps each of the node's
-    variables to the code that names it, a `Name` or a `Lit`.  Every
-    equation is compiled; liveness later drops what nothing reads.  The
-    variables in `named` (a callee's outputs, which its caller reads by
-    name) are always assigned."""
+    or a callee inlined at one call site.  Each statement runs under the
+    flag of its clock; `base` is the flag of the instance's base clock:
+    its call's flag for a callee, None for the entry node, whose
+    statements run only where the base clock is on.  `env` maps each of
+    the node's variables to the code that names it, a `Name` or a `Lit`.
+    Every equation is compiled; liveness later drops what nothing reads.
+    A variable in `named` (a callee's output) that is not a literal is
+    assigned to its name, which its caller reads after the callee's
+    commits."""
 
     def __init__(
-        self, gen: _Codegen, node: Node, env: Dict[str, Code], named: FrozenSet[str] = frozenset()
+        self,
+        gen: _Codegen,
+        node: Node,
+        env: Dict[str, Code],
+        named: FrozenSet[str] = frozenset(),
+        base: Optional[Code] = None,
     ):
         self.gen = gen
         self.node = node
         self.env = env
         self.named = named
+        self.base = base
         self.flags: Dict[Clock, Code] = {}
         self.lines: List[_Stmt] = []  # phase 1
         self.phase2: List[_Stmt] = []
@@ -797,30 +748,31 @@ class _NodeCode:
     def hoist(self, code: Code, flag: Optional[Code], sink: List[_Stmt]) -> Code:
         """The value of `code` where the clock flag `flag` is on: None on
         a clock that never ticks, `code` itself when it cannot raise, else
-        a name for a statement of its own, which computes it even where
-        no reader reads it."""
+        a name for a statement of its own under `flag`, which computes it
+        even where no reader reads it."""
         if flag is _NEVER:
             return _NONE
         if not code.raises:
             return code
         name = self.gen.name("e")
-        sink.append(_assign(name, _guard(code, flag)))
+        sink.append(_assign(name, code, flag))
         return name
 
     # -- clocks --
 
     def flag(self, ck: Optional[Clock], sink: List[_Stmt]) -> Optional[Code]:
-        """Activity of `ck`: None for the instance's base clock (always
-        on where the instance's statements run), `_NEVER` for a clock
-        that never ticks.  A test on a literal is folded.  In phase 1 a
-        derived clock gets a flag at its first use, once the schedule
-        has assigned its variable: the variable's code itself when the
-        test is that code on the base clock, else a named flag.  In
-        phase 2 a clock without a phase-1 flag is tested inline, as
-        every variable is assigned by then."""
+        """Activity of `ck`: `base` for the instance's base clock (None
+        for the entry node's, on wherever a statement runs), `_NEVER`
+        for a clock that never ticks.  A test on a literal is folded.  In
+        phase 1 a derived clock gets a flag at its first use, once the
+        schedule has assigned its variable: the variable's code itself
+        when the test is that code on the entry's base clock, else a
+        named flag, which tests its parent's flag first.  In phase 2 a
+        clock without a phase-1 flag is tested inline, as every variable
+        is assigned by then."""
         ck = ck if ck is not None else BASE
         if isinstance(ck, Base):
-            return None
+            return self.base
         code = self.flags.get(ck)
         if code is not None:
             return code
@@ -983,58 +935,51 @@ class _NodeCode:
         targets: Optional[List[Code]],
         sink: List[_Stmt],
     ) -> List[Code]:
-        """Inline one instant of `name` at this call site; returns the
-        codes of its outputs: the caller's `targets`, or names of their
-        own for a call in expression position.  On the caller's base
-        clock a literal output is its literal; on a clock that never
-        ticks every output is None."""
+        """Inline one instant of `name` at this call site: the callee is
+        an instance whose base flag is the call's, so its argument
+        stores (after every argument is built) and its statements join
+        `sink` under that flag.  Returns the codes of its outputs: a
+        literal output is its literal, any other its name (the caller's
+        `targets`, or names of their own for a call in expression
+        position).  On a clock that never ticks nothing runs and every
+        output is None."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
-        prefix = self.gen.fresh("V")
         names = [d.name for d in callee.outputs]
-        outs = targets or [_mangle(prefix, x) for x in names]
-        absent = _Stmt(tuple(t.text for t in outs), _NONE)
-        if flag is _NEVER:  # the callee never runs
-            sink.append(absent)
-            return [_NONE] * len(outs)
-        block: List[_Stmt] = []
+        if flag is _NEVER:
+            return [_NONE] * len(names)
+        prefix = self.gen.fresh("V")
         env: Dict[str, Code] = {}
+        stores: List[_Stmt] = []
         inputs = iter(callee.inputs)
         for arg in args:
             for code, d in zip(self.expr(arg, sink), inputs):
                 if type(code) is Op:
                     env[d.name] = _mangle(prefix, d.name)
-                    block.append(_assign(env[d.name], code))
+                    stores.append(_assign(env[d.name], code, flag))
                 else:
                     env[d.name] = code
-        env.update(zip(names, outs))
+        sink += stores
+        env.update(zip(names, targets or [_mangle(prefix, x) for x in names]))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        # every output is assigned to its name, which a caller on a clock
-        # of its own reads
-        block += _NodeCode(self.gen, callee, env, frozenset(names)).body()
-        if flag is None:
-            sink.extend(block)
-            return [env[x] for x in names]
-        if block:
-            sink.append(_Stmt((), None, flag, block, absent))
-        return outs
+        sink += _NodeCode(self.gen, callee, env, frozenset(names), flag).body()
+        return [env[x] for x in names]
 
     # -- equations --
 
     def define(self, x: str, code: Code, flag: Optional[Code]) -> None:
-        """Give `x` its value.  On the instance's base clock, an atom (a
-        variable's code, an input, a register or a literal) becomes the
-        code of `x` and nothing is emitted, unless the caller reads `x`
-        by name; a literal is then assigned to the name and is still the
-        code of the node's own reads of `x`.  On a clock that never ticks,
+        """Give `x` its value where its clock flag `flag` is on.  An atom
+        (a variable's code, an input, a register or a literal) becomes
+        the code of `x` and nothing is emitted, unless the caller reads
+        `x` by name and it is not a literal; any other code is assigned
+        to the name of `x` under `flag`.  On a clock that never ticks,
         `x` is None."""
         if flag is _NEVER:
-            code, flag = _NONE, None
-        if flag is not None or type(code) is Op or x in self.named:
-            self.lines.append(_assign(self.env[x], _guard(code, flag)))
-            if flag is not None or type(code) is not Lit:
-                return
-        self.env[x] = code
+            code = _NONE
+        if type(code) is Op or x in self.named and type(code) is not Lit:
+            self.lines.append(_assign(self.env[x], code, flag))
+        else:
+            self.env[x] = code
 
     def equation(self, eq: AnyEquation) -> None:
         L = self.lines
@@ -1114,24 +1059,26 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     code = _NodeCode(gen, node, env)
     code.compile()
     # one row per instant: the distinct codes of the recorded columns,
-    # each column the element of its code; a row of one code is unboxed
-    row = list(dict.fromkeys(env[x] for x in want if x not in inputs))
+    # each column's code guarded by its clock flag, so that it is None
+    # where its clock is off; a row of one code is unboxed
+    clocks = {d.name: d.clock for d in node.decls}
+    columns = {x: _guard(env[x], code.flag(clocks[x], code.lines)) for x in want if x not in inputs}
+    row = list(dict.fromkeys(columns.values()))
     width = len(row)
     stmts = code.lines + code.phase2
     if row:
         # recorded before the commits, so a column whose code is a
         # register reads this instant's value
-        stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row), record=True))
+        stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row)))
     stmts += code.commits
     # only what the record and the statements that may raise read,
     # transitively, is emitted, with its commits in a fixed order and
     # its single-use values re-nested
     live, defining = _live(stmts)
-    renest = _Renest(stmts, live, defining, gen.registers)
-    stmts = renest.walk(stmts)
+    stmts = [st for st in stmts if id(st) in live]
+    renest = _Renest(stmts, defining, gen.registers)
     names = _Names()
-    loop: List[str] = []
-    _emit(stmts, "        ", loop, names)
+    loop = _emit(renest.walk(stmts), names)
     if row:
         lines.append("    rows = []; row = rows.append")
     # the registers that the loop reads, in order of first use
@@ -1152,7 +1099,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         if x in inputs:
             history.append(f"list(cols[{inputs[x]}])")
         elif width > 1:
-            history.append(f"list(columns[{row.index(env[x])}])")
+            history.append(f"list(columns[{row.index(columns[x])}])")
         else:
             # the first such column is the rows themselves; another with
             # the same code gets a list of its own

@@ -165,6 +165,21 @@ def test_interpret_trace_includes_locals(capsys, tmp_path):
     assert set(header) >= {"i", "n", "o", "edge", "c", "v"}
 
 
+def test_interpret_nlustre_refuses_a_lustre_form_equation(capsys, tmp_path):
+    # `cpt = if res then n else (n fby (cpt - 1))` nests its delay
+    csv = tmp_path / "in.csv"
+    csv.write_text("res,n\ntrue,4\nfalse,4\n")
+    args = ("interpret", fixture_path("cnt_dn.lus"), "--inputs", str(csv))
+    code, out, err = run(capsys, *args, "--dialect", "nlustre")
+    assert (code, out, err) == (1, "", "error: node cnt_dn is not in NLustre form\n")
+    # its de-nested form is accepted
+    code, out, _ = run(capsys, "normalize", fixture_path("cnt_dn.lus"))
+    denested = tmp_path / "cnt_dn.nls"
+    denested.write_text(out)
+    code, out, err = run(capsys, "interpret", str(denested), "--inputs", str(csv), "--dialect", "nlustre")
+    assert (code, err) == (0, "") and out.splitlines() == ["cpt", "4", "3"]
+
+
 def test_interpret_rejects_values_outside_64_bits(capsys, tmp_path):
     csv = tmp_path / "in.csv"
     csv.write_text("res,n\ntrue,9223372036854775808\n")

@@ -1160,18 +1160,22 @@ def test_a_value_whose_reader_folding_removed_is_not_computed():
 
 CALLEE_LITERAL_OUTPUT = [
     # `k` is a literal output of `g` that `g` reads itself; the caller
-    # records `q` alone, through a call equation and through a call
-    # under a tuple `if`
-    "(p, q) = g(x);",
-    "(p, q) = if x > 0 then g(x) else (x, x);",
+    # records `q` alone, through a call equation, through a call under a
+    # tuple `if` and through a call on the sampled clock `base on c`,
+    # where `q` reads `k` as `a`
+    "let (p, q) = g(x);",
+    "let (p, q) = if x > 0 then g(x) else (x, x);",
+    "var c: bool; a: int :: base on c; b: int :: base on c;"
+    " let c = x > 0; (a, b) = g(x when c);"
+    " p = merge c (a) (0 when not c); q = merge c (b + a) (x when not c);",
 ]
 
 
-@pytest.mark.parametrize("eq", CALLEE_LITERAL_OUTPUT)
-def test_a_callees_literal_output_is_folded_into_its_own_reads(eq):
+@pytest.mark.parametrize("body", CALLEE_LITERAL_OUTPUT)
+def test_a_callees_literal_output_is_folded_into_its_own_reads(body):
     src = f"""
     node g(x: int) returns (k: int; o: int) let k = 3; o = x * k + k; tel
-    node f(x: int) returns (p: int; q: int) let {eq} tel
+    node f(x: int) returns (p: int; q: int) {body} tel
     """
     inputs = [[2, -1, 0, 5, INT_MAX]]
     for form, dialect in all_forms(parse_program(src)):
@@ -1179,6 +1183,10 @@ def test_a_callees_literal_output_is_folded_into_its_own_reads(eq):
         for want in (["q"], None):
             H = fast.run("f", inputs, want=want)
             assert H == ref.run("f", inputs, want=want, dialect=dialect), dialect
+        # a column on `base on c` is None wherever `c` is off
+        for x in ("a", "b"):
+            if x in H:
+                assert [v is None for v in H[x]] == [v <= 0 for v in inputs[0]], (dialect, x)
         tree = ast.parse(fast.source("f", ["q"]))
         literal = {
             t.id for a in ast.walk(tree) if isinstance(a, ast.Assign)
@@ -1210,3 +1218,25 @@ def test_a_callees_literal_output_folds_the_clock_it_samples():
         loop = source.split("    for ", 1)[1]
         assert re.findall(r"\bif .*:$", loop, re.M) == ["if not b:"], source
         assert not re.search(r"\bV\d+_", source), source
+
+
+def test_step_code_is_flat_statements_under_their_clocks_flags():
+    # each statement of the loop is one assignment, or the record, under
+    # at most one test, its clock's flag: no `else`, and no `if` inside
+    # another `if`, apart from the loop's own `if not b:`
+    programs = [load("cnt_dn.lus"), load("re_trig.lus")]
+    programs += [generate_program(GenConfig(seed=seed)) for seed in range(30)]
+    for k, p in enumerate(programs):
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            for want in ([d.name for d in node.outputs], None):
+                source = cp.source(node.name, want)
+                (run,) = ast.parse(source).body
+                (loop,) = [st for st in run.body if isinstance(st, ast.For)]
+                for st in loop.body:
+                    if isinstance(st, ast.If) and ast.unparse(st.test) != "not b":
+                        assert not st.orelse, (k, source)
+                        assert not any(
+                            isinstance(n, ast.If) for t in st.body for n in ast.walk(t)
+                        ), (k, source)

@@ -24,7 +24,6 @@ from seclus.interp import (
     parse_value,
     read_streams,
     check_history,
-    respects_clock,
     run_node,
     schedule,
     sem_clock,
@@ -141,12 +140,6 @@ def test_base_of():
     assert base_of([[], []]) == []
     with pytest.raises(ClockMismatch):
         base_of([[1, A], [1, 2]])
-
-
-def test_respects_clock():
-    assert respects_clock({"x": [1, A]}, [True, False])
-    assert not respects_clock({"x": [A, 1]}, [True, False])
-    assert respects_clock({}, [True, False])
 
 
 def test_fby_agreement():

@@ -135,14 +135,16 @@ def _spied_runs(monkeypatch):
             " node f(a: int) returns (o: int) let o = d(a + 1) * 2; tel",
             2,
         ),
-        # and a delay on a sampled clock, whose flag the fby-init form
-        # reads through a variable of that clock
+        # and a delay on a sampled clock, whose flag and register the
+        # fby-init form names by variables of that clock: an atom on a
+        # derived clock is its variable's code, so the de-nested and
+        # fby-init forms still share one code
         (
             "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
             " node f(a: int; c: bool) returns (o: int) var y: int :: base on c;"
             " let y = (a when c) fby (y + (1 when c));"
             " o = merge c (y) (0 when not c) + d(a + 1); tel",
-            3,
+            2,
         ),
     ],
 )
