@@ -221,7 +221,11 @@ def main(argv=None) -> int:
     ap.add_argument("--digest", action="store_true", help="print one SHA-256 over the generated sources, then one per source")
     args = ap.parse_args(argv)
     if args.digest:
-        print("\n".join(digest(args.seeds)))
+        try:
+            print("\n".join(digest(args.seeds)), flush=True)
+        except BrokenPipeError:
+            # the reader stopped early, as `| head -1` does: no more output
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}

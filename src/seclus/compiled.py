@@ -32,15 +32,13 @@ one set of recorded columns:
                    one on the entry's base clock has no test
   phase 1          clock flags and variable values in schedule order;
                    delays read their register and queue their second
-                   operand; a call inlines the callee's whole instant
-                   (its phase 1, phase 2 and commits), whose base clock's
-                   flag is the call's
+                   operand; a call inlines the callee's phase 1 and
+                   phase 2, whose base clock's flag is the call's, and
+                   its commits join the instant's
   phase 2          after the last phase-1 equation, when every
                    variable's code is final: the queued second operands
                    in order (a delay nested in one joins the end of the
-                   queue); one that reads a register, in its value or
-                   in its clock test, is stored through a temporary, as
-                   the register it reads may be committed before it
+                   queue), each its register's commit
   record           one row per instant, before the commits, so a column
                    whose code is a register reads this instant's value:
                    the distinct codes of the requested columns as one
@@ -50,8 +48,13 @@ one set of recorded columns:
                    guarded by its flag, so that it is None where the
                    clock is off (no statement stores None); the record
                    is the one statement with no target
-  commits          every live register stored, in an order fixed by what
-                   the commits read (see *Re-nesting*)
+  commits          every live register of every instance stored, in
+                   the order of its first use in the text: the commits
+                   whose code or clock test reads a register as one
+                   parallel assignment, `rA, rB = (codeA, codeB)`, with
+                   a commit under a test as the choice `(code if test
+                   else rA)`; then the others, each run under one test
+                   under one `if`
   return           the history dict: each recorded column from the
                    transpose of the rows (`zip(*rows)`), or the rows
                    themselves for one code, and a copy of each requested
@@ -65,7 +68,7 @@ one.  Inlining copies a callee's body once per call site, so the code
 grows with the number of paths through the call graph.
 
 The text is canonical up to the names the generator makes up: as it is
-printed, the registers, the other made-up names (`t`, `e` and `k` and a
+printed, the registers, the other made-up names (`e` and `k` and a
 number) and the call sites (`V<k>`) are numbered anew, per kind, in
 order of first use (`_Names`), and the registers' initial values are
 printed in that order.  So the program forms whose step code differs
@@ -87,18 +90,20 @@ A statement (`_Stmt`) assigns a code to its targets under an optional
 test, its clock's flag, as in Obc; the record is the one statement
 without a target.  The statements of every inlined instance form one
 flat list, so a statement `x = code` under the test `t` is
-`x := ite(t, code, x)`.  Two passes run over the list before it is
-printed, liveness and re-nesting (below), and `_emit` prints what they
-keep, through `_show`, each run of statements under one test under one
-`if`.
+`x := ite(t, code, x)`, and the commits of every instance end it.  Two
+passes run over the list before it is printed, liveness and re-nesting
+(below), and `_emit` prints what they keep, through `_show`, each run
+of statements under one test under one `if`; `_commits` puts the
+commits in their order first, so each register's next-state term is
+one element of the instant's last statement, or one store after it.
 
 A copy costs nothing per instant.  Each variable has one code: an
 equation whose code is an atom (a variable's code, an input, a register
 or a literal) gives the variable that atom and emits nothing, on any
 clock, as a variable is read only where its clock is on, except by the
-record, which guards it.  A callee output that is not a literal is
-assigned to its name, since its caller reads it after the callee's
-commits; a call gives its caller each literal output as its code.
+record, which guards it.  A callee's output is such a variable too:
+its caller reads its code, and a register output is read as the
+register itself, as nothing is stored before the end of the instant.
 Every register starts at a constant.  A delay with a literal first
 operand is its register, so the de-nested form's `x = c fby y` is read
 from the register itself.  Any other delay is
@@ -158,28 +163,25 @@ of the instant, and a register nothing live reads loses its commit and
 its initialisation.  A call whose outputs nothing live reads and that
 cannot raise leaves no code.
 
-Re-nesting.  De-nesting names every subexpression, and a callee's
-outputs are named for its caller; `_Renest` nests each value read once
-back into its reader, so a name costs no store and no load per
-instant.  A live statement that cannot raise and assigns one name (not
-a register), which exactly one live statement reads, once, later in
-the list, is substituted into that reader's code or test, and goes.  A
-value under a test goes only into a reader under the same test, which
-runs where it ran.  It stays where a name it reads is stored in
-between: an inlined callee's commits sit in its caller's body, so a
-register read before them must not be read after them.  It also stays where its reader would nest
-deeper than `_MAX_DEPTH` codes, so the generated function always
-compiles.  Re-nesting only moves codes: as folding is done, it drops no
-read, and what liveness kept stays live.  The pass is one walk over the
-statements, in order.
+Re-nesting.  De-nesting names every subexpression; `_renest` nests
+each value read once back into its reader, so a name costs no store and
+no load per instant.  A live statement that cannot raise and assigns
+one name (not a register), which exactly one live statement reads,
+once, later in the list, is substituted into that reader's code or
+test, and goes.  A value under a test goes only into a reader under the
+same test, which runs where it ran.  No register is stored before the
+commits, and the commits that read a register are one parallel
+assignment, so a value that reads a register reads the same wherever it
+moves.  It stays where its reader would nest deeper than `_MAX_DEPTH`
+codes, so the generated function always compiles.  Re-nesting only
+moves codes: as folding is done, it drops no read, and what liveness
+kept stays live.  The pass is one walk over the statements, in order.
 
-Before the walk, each run of commits is put in one order, fixed by what
-the commits read and not by the queue (`_commit_order`).  A commit
-reads no register itself (one that would goes through its phase-2
-temporary), so any order gives the same instant.  A commit comes before
-the commits of the registers that it reads through single-use values,
-which can then be nested into it; otherwise, and to break a cycle,
-commits come in the order of their registers' first reads in the text.
+The commits are ordered once the rest of the loop is printed, by their
+registers' first use in its text (`_Names`), not by the order in which
+the delays were compiled; the registers that only the commits read, or
+nothing, come after the others, in the order of compilation.  A register whose second operand's code is its
+initial literal never changes, and has no commit.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import repeat
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from seclus.ast import (
     BASE,
@@ -344,7 +346,7 @@ def _ring(code: Op, names: "_Names") -> Tuple[str, int]:
 class _Names(dict):
     """The spelling of each name of the step code, given at its first use
     in the printed text.  An entry node's variable (`V_x`) keeps its
-    own.  A name the generator made up (a kind, `r`, `t`, `e` or `k`,
+    own.  A name the generator made up (a kind, `r`, `e` or `k`,
     and a number) and the prefix of an inlined call site (`V` and a
     number) are numbered anew, per kind, in order of first use, so two
     step codes equal up to these names print one text."""
@@ -450,8 +452,10 @@ def _guard(code: Code, flag: Optional[Code]) -> Code:
 class _Stmt:
     """One statement: `targets = code`, run only where the clock flag
     `test` is on when it is set.  The record of the instant's row `code`
-    is the one statement without a target.  `reads` are the names that
-    its code and its test read."""
+    is the one statement without a target, and the parallel assignment
+    of the commits that read a register (`_commits`) the one with
+    several, whose code is a tuple.  `reads` are the names that its code
+    and its test read."""
 
     __slots__ = ("targets", "code", "test", "reads")
 
@@ -466,16 +470,13 @@ def _assign(target: Name, code: Code, test: Optional[Code] = None) -> _Stmt:
     return _Stmt((target.text,), code, test)
 
 
-_Defining = Dict[str, List[_Stmt]]
-
-
-def _live(stmts: List[_Stmt]) -> Tuple[Set[int], _Defining]:
+def _live(stmts: List[_Stmt]) -> Set[int]:
     """The statements that a root (the record, or a statement that may
-    raise) reads, transitively, by `id`, and the statements that assign
-    each name.  The closure is flow-insensitive, so a register read
-    before the commit that stores it keeps that commit: a fixpoint over
-    the registers that carry values across instants."""
-    defining: _Defining = {}
+    raise) reads, transitively, by `id`.  The closure is
+    flow-insensitive, so a register read before the commit that stores
+    it keeps that commit: a fixpoint over the registers that carry values
+    across instants."""
+    defining: Dict[str, List[_Stmt]] = {}
     live: Set[int] = set()
     needed: Set[str] = set()
     for st in stmts:
@@ -494,33 +495,7 @@ def _live(stmts: List[_Stmt]) -> Tuple[Set[int], _Defining]:
             fresh -= needed
             needed |= fresh
             todo += fresh
-    return live, defining
-
-
-def _commit_order(run: List[_Stmt], firsts: List[int], regs: List[Set[str]]) -> List[_Stmt]:
-    """The commits of `run` in one order: a commit comes before the
-    commits of the registers it reads through single-use values (`regs`,
-    one set per commit), which re-nesting can then move into it;
-    otherwise, and to break a cycle, commits come in the order of their
-    registers' first reads (`firsts`, one position per commit)."""
-    left = sorted(range(len(run)), key=firsts.__getitem__)
-    if not any(regs):
-        return [run[k] for k in left]
-    index = {st.targets[0]: k for k, st in enumerate(run)}
-    # the commits after each one, and how many each waits for
-    after = [[index[y] for y in rs if y in index] for rs in regs]
-    waiting = [0] * len(run)
-    for js in after:
-        for j in js:
-            waiting[j] += 1
-    out: List[_Stmt] = []
-    while left:
-        k = next((k for k in left if not waiting[k]), left[0])
-        left.remove(k)
-        out.append(run[k])
-        for j in after[k]:
-            waiting[j] -= 1
-    return out
+    return live
 
 
 # the deepest code that re-nesting builds: each level of code adds at
@@ -535,107 +510,46 @@ def _subst(code: Code, name: str, by: Code) -> Code:
     return _op(code.fmt, *(_subst(a, name, by) if name in a.reads else a for a in code.args))
 
 
-class _Renest:
-    """Each single-use value nested back into its reader.  A live
-    statement that cannot raise and assigns one name (not a register),
-    which one live statement reads, once, later in the list, is
-    substituted into that reader and goes; a value under a test, only
-    into a reader under the same test.  It stays when a name it reads
-    is stored between the two (a register, committed by an inlined
-    callee) or when its reader would nest deeper than `_MAX_DEPTH`.
-
-    Before the walk, each run of commits is put in one order, fixed by
-    what the commits read, not by the queue (`_commit_order`).  A commit
-    reads no register itself (one that would goes through its phase-2
-    temporary), so any order gives the same instant."""
-
-    def __init__(self, stmts: List[_Stmt], defining: _Defining, registers: Dict[str, Code]):
-        self.registers = registers
-        # every read of a live statement, in the order of the text
-        self.reads = [x for st in stmts for x in st.reads]
-        self.uses = Counter(self.reads)
-        self.order_commits(stmts, defining)
-
-    def order_commits(self, stmts: List[_Stmt], defining: _Defining) -> None:
-        """Put each run of adjacent commits of the live statements
-        `stmts` in the order of `_commit_order`."""
-        reads, uses, registers = self.reads, self.uses, self.registers
-        i = 0
-        while i < len(stmts):
-            j = i
-            while j < len(stmts) and stmts[j].targets and stmts[j].targets[0] in registers:
-                j += 1
-            if j - i > 1:
-                run = stmts[i:j]
-                # a register that nothing reads, whose commit is kept as
-                # it may raise, comes after the others
-                stored = [st.targets[0] for st in run]
-                firsts = [reads.index(x) if x in uses else len(reads) for x in stored]
-                regs = [self.through(st, defining) for st in run]
-                stmts[i:j] = _commit_order(run, firsts, regs)
-            i = max(j, i + 1)
-
-    def through(self, commit: _Stmt, defining: _Defining) -> Set[str]:
-        """The registers other than its own that `commit` reads through
-        values that re-nesting may move into it: each value read once, by
-        a statement of its own that cannot raise and has no test."""
-        registers, uses = self.registers, self.uses
-        out: Set[str] = set()
-        todo = list(commit.reads)
-        while todo:
-            x = todo.pop()
-            if x in registers:
-                out.add(x)
-            elif uses[x] == 1 and len(defining.get(x, ())) == 1:
-                (st,) = defining[x]
-                if st.test is None and len(st.targets) == 1 and not st.code.raises:
-                    # each value is read once, so it is met once
-                    todo += st.reads
-        out.discard(commit.targets[0])
-        return out
-
-    def walk(self, stmts: List[_Stmt]) -> List[_Stmt]:
-        """The live statements `stmts`, re-nested."""
-        out: List[Optional[_Stmt]] = []
-        # each single-use value not yet read: its index in `out` and its
-        # position
-        pending: Dict[str, Tuple[int, int]] = {}
-        # where each name was last stored, by position
-        stored: Dict[str, int] = {}
-        uses, registers = self.uses, self.registers
-        for at, st in enumerate(stmts):
-            code, test = st.code, st.test
-            reads = st.reads
-            for x in reads if pending and not pending.keys().isdisjoint(reads) else ():
-                if x not in pending:
-                    continue
-                j, since = pending.pop(x)
-                value = out[j]
-                by = value.code
-                if value.test is not None and value.test != test:
-                    continue
-                # only a register is stored after it is read
-                if by.stateful and any(stored.get(y, -1) > since for y in by.reads):
-                    continue
-                in_code = x in code.reads
-                new = _subst(code if in_code else test, x, by)
-                if new.depth > _MAX_DEPTH:
-                    continue
-                if in_code:
-                    code = new
-                else:
-                    test = new
-                out[j] = None
-            if code is not st.code or test is not st.test:
-                st = _Stmt(st.targets, code, test)
-            out.append(st)
-            for x in st.targets:
-                stored[x] = at
-            if len(st.targets) == 1 and not code.raises:
-                (x,) = st.targets
-                if uses[x] == 1 and x not in registers:
-                    pending[x] = (len(out) - 1, at)
-        return [st for st in out if st is not None]
+def _renest(stmts: List[_Stmt], registers: Dict[str, Code]) -> List[_Stmt]:
+    """The live statements `stmts`, each single-use value nested back
+    into its reader, in one walk.  A statement that cannot raise and
+    assigns one name (not a register), which one statement reads, once,
+    later in the list, is substituted into that reader and goes; a value
+    under a test, only into a reader under the same test.  It stays when
+    its reader would nest deeper than `_MAX_DEPTH`.  No register is
+    stored before the commits, so a value reads the same wherever it
+    moves."""
+    uses = Counter(x for st in stmts for x in st.reads)
+    out: List[Optional[_Stmt]] = []
+    # each single-use value not yet read, by its index in `out`
+    pending: Dict[str, int] = {}
+    for st in stmts:
+        code, test = st.code, st.test
+        reads = st.reads
+        for x in reads if pending and not pending.keys().isdisjoint(reads) else ():
+            if x not in pending:
+                continue
+            j = pending.pop(x)
+            value = out[j]
+            if value.test is not None and value.test != test:
+                continue
+            in_code = x in code.reads
+            new = _subst(code if in_code else test, x, value.code)
+            if new.depth > _MAX_DEPTH:
+                continue
+            if in_code:
+                code = new
+            else:
+                test = new
+            out[j] = None
+        if code is not st.code or test is not st.test:
+            st = _Stmt(st.targets, code, test)
+        out.append(st)
+        if len(st.targets) == 1 and not code.raises:
+            (x,) = st.targets
+            if uses[x] == 1 and x not in registers:
+                pending[x] = len(out) - 1
+    return [st for st in out if st is not None]
 
 
 def _tuple(width: int) -> str:
@@ -654,11 +568,38 @@ def _emit(stmts: List[_Stmt], names: _Names) -> List[str]:
             if test is not None:
                 out.append(f"        if {_show(test, names)}:")
         if st.targets:
-            text = " = ".join(map(names.__getitem__, st.targets)) + " = " + _show(st.code, names)
+            text = ", ".join(map(names.__getitem__, st.targets)) + " = " + _show(st.code, names)
         else:
             text = f"row({_show(st.code, names)})"
         out.append(("        " if test is None else "            ") + text)
     return out
+
+
+def _commits(commits: List[_Stmt], names: _Names) -> List[_Stmt]:
+    """The commits that end the instant, in the order of their
+    registers' first use in the text printed so far (`names`).  The
+    commits whose code or test reads a register are one parallel
+    assignment, whose right side Python evaluates before it stores
+    anything; each under a test is a choice between its code and its
+    register.  The others follow, each run under one test together."""
+    first = {x: k for k, (x, _) in enumerate(names.registers)}
+    commits = sorted(commits, key=lambda st: first.get(st.targets[0], len(first)))
+    reading: List[_Stmt] = []
+    runs: Dict[Optional[Code], List[_Stmt]] = {}
+    for st in commits:
+        if st.code.stateful or st.test is not None and st.test.stateful:
+            reading.append(st)
+        else:
+            runs.setdefault(st.test, []).append(st)
+    out = [st for run in runs.values() for st in run]
+    if len(reading) < 2:
+        return reading + out
+    codes = [
+        st.code if st.test is None else _op(_CHOICE, st.code, st.test, _name(st.targets[0], True))
+        for st in reading
+    ]
+    targets = tuple(st.targets[0] for st in reading)
+    return [_Stmt(targets, _op(_tuple(len(codes)), *codes))] + out
 
 
 class _Codegen:
@@ -670,6 +611,8 @@ class _Codegen:
         self.counts: Dict[str, int] = {}
         # each delay register and its initial content
         self.registers: Dict[str, Code] = {}
+        # every instance's commits, stored at the end of the instant
+        self.commits: List[_Stmt] = []
 
     def fresh(self, kind: str) -> str:
         n = self.counts.get(kind, 0)
@@ -702,27 +645,23 @@ class _NodeCode:
     statements run only where the base clock is on.  `env` maps each of
     the node's variables to the code that names it, a `Name` or a `Lit`.
     Every equation is compiled; liveness later drops what nothing reads.
-    A variable in `named` (a callee's output) that is not a literal is
-    assigned to its name, which its caller reads after the callee's
-    commits."""
+    The instance's statements are its phase 1 and phase 2 (`body`); its
+    commits join the instant's, `gen.commits`, which end the instant."""
 
     def __init__(
         self,
         gen: _Codegen,
         node: Node,
         env: Dict[str, Code],
-        named: FrozenSet[str] = frozenset(),
         base: Optional[Code] = None,
     ):
         self.gen = gen
         self.node = node
         self.env = env
-        self.named = named
         self.base = base
         self.flags: Dict[Clock, Code] = {}
         self.lines: List[_Stmt] = []  # phase 1
         self.phase2: List[_Stmt] = []
-        self.commits: List[_Stmt] = []
         self.queue: List[_Delay] = []
         # the register of each constant delay, by its two literals and
         # its clock flag
@@ -743,7 +682,7 @@ class _NodeCode:
 
     def body(self) -> List[_Stmt]:
         self.compile()
-        return self.lines + self.phase2 + self.commits
+        return self.lines + self.phase2
 
     def hoist(self, code: Code, flag: Optional[Code], sink: List[_Stmt]) -> Code:
         """The value of `code` where the clock flag `flag` is on: None on
@@ -809,7 +748,13 @@ class _NodeCode:
             (r,) = self.expr(e.right, sink)
             return [self.binop(e.op, l, r)]
         if isinstance(e, When):
-            return self.all(e.exprs, sink)  # operand present whenever active
+            # the reference evaluates the operand on its own clock: one
+            # that can raise is computed there, before the sampling
+            codes = self.all(e.exprs, sink)
+            if any(code.raises for code in codes):
+                flag = self.flag(e.clock.clock, sink)
+                codes = [self.hoist(code, flag, sink) for code in codes]
+            return codes
         if isinstance(e, Merge):
             x = self.env[e.var]
             ts = self.all(e.on_true, sink)
@@ -854,19 +799,13 @@ class _NodeCode:
         return self.choose(cond, ts, fs, not cond.raises)
 
     def commit(self, reg: Name, rest: Code, flag: Optional[Code]) -> None:
-        """Store the delayed operand: straight into the register at the
-        end of the instant, or through a phase-2 temporary when `rest`
-        or `flag` read a register, which may be committed before it.  A
-        register that keeps its value, or whose clock never ticks, is
-        left as it is."""
-        if rest == reg or flag is _NEVER:
+        """Store the delayed operand `rest` into the register `reg` at the
+        end of the instant, where the clock flag `flag` is on.  A
+        register that keeps its value (`rest` is the register, or its
+        initial literal), or whose clock never ticks, is left as it is."""
+        if rest == reg or rest == self.gen.registers[reg.text] or flag is _NEVER:
             return
-        if not (rest.stateful or flag is not None and flag.stateful):
-            self.commits.append(_Stmt((reg.text,), rest, flag))
-            return
-        t = self.gen.name("t")
-        self.phase2.append(_assign(t, rest if flag is None else _op(_CHOICE, rest, flag, reg)))
-        self.commits.append(_assign(reg, t))
+        self.gen.commits.append(_assign(reg, rest, flag))
 
     def constant(self, first: Lit, later: Const, ck: Optional[Clock], flag: Optional[Code]) -> Code:
         """The code of the delay `first fby later` of two literals on the
@@ -937,12 +876,13 @@ class _NodeCode:
     ) -> List[Code]:
         """Inline one instant of `name` at this call site: the callee is
         an instance whose base flag is the call's, so its argument
-        stores (after every argument is built) and its statements join
-        `sink` under that flag.  Returns the codes of its outputs: a
-        literal output is its literal, any other its name (the caller's
-        `targets`, or names of their own for a call in expression
-        position).  On a clock that never ticks nothing runs and every
-        output is None."""
+        stores (after every argument is built) and its phase 1 and
+        phase 2 join `sink` under that flag, and its commits the
+        instant's.  Returns the codes of its outputs: an output whose
+        code is an atom (a literal, a register, an input or a variable's
+        code) is that atom, any other its name (the caller's `targets`,
+        or names of their own for a call in expression position).  On a
+        clock that never ticks nothing runs and every output is None."""
         callee = self.gen.prog.node(name)
         flag = self.flag(ck, sink)
         names = [d.name for d in callee.outputs]
@@ -962,7 +902,7 @@ class _NodeCode:
         sink += stores
         env.update(zip(names, targets or [_mangle(prefix, x) for x in names]))
         env.update((d.name, _mangle(prefix, d.name)) for d in callee.locals)
-        sink += _NodeCode(self.gen, callee, env, frozenset(names), flag).body()
+        sink += _NodeCode(self.gen, callee, env, flag).body()
         return [env[x] for x in names]
 
     # -- equations --
@@ -970,13 +910,12 @@ class _NodeCode:
     def define(self, x: str, code: Code, flag: Optional[Code]) -> None:
         """Give `x` its value where its clock flag `flag` is on.  An atom
         (a variable's code, an input, a register or a literal) becomes
-        the code of `x` and nothing is emitted, unless the caller reads
-        `x` by name and it is not a literal; any other code is assigned
-        to the name of `x` under `flag`.  On a clock that never ticks,
+        the code of `x` and nothing is emitted; any other code is
+        assigned to the name of `x` under `flag`.  On a clock that never ticks,
         `x` is None."""
         if flag is _NEVER:
             code = _NONE
-        if type(code) is Op or x in self.named and type(code) is not Lit:
+        if type(code) is Op:
             self.lines.append(_assign(self.env[x], code, flag))
         else:
             self.env[x] = code
@@ -1070,19 +1009,24 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         # recorded before the commits, so a column whose code is a
         # register reads this instant's value
         stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row)))
-    stmts += code.commits
+    stmts += gen.commits
     # only what the record and the statements that may raise read,
-    # transitively, is emitted, with its commits in a fixed order and
-    # its single-use values re-nested
-    live, defining = _live(stmts)
-    stmts = [st for st in stmts if id(st) in live]
-    renest = _Renest(stmts, defining, gen.registers)
+    # transitively, is emitted, with its single-use values re-nested
+    live = _live(stmts)
+    stmts = _renest([st for st in stmts if id(st) in live], gen.registers)
+    body: List[_Stmt] = []
+    commits: List[_Stmt] = []
+    for st in stmts:
+        (commits if st.targets and st.targets[0] in gen.registers else body).append(st)
     names = _Names()
-    loop = _emit(renest.walk(stmts), names)
+    loop = _emit(body, names)
+    commits = _commits(commits, names)
+    loop += _emit(commits, names)
     if row:
         lines.append("    rows = []; row = rows.append")
     # the registers that the loop reads, in order of first use
-    inits = [(new, gen.registers[x]) for x, new in names.registers if x in renest.uses]
+    read = {x for st in body + commits for x in st.reads}
+    inits = [(new, gen.registers[x]) for x, new in names.registers if x in read]
     lines += [f"    {new} = {initial.text}" for new, initial in inits]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]

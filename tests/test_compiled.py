@@ -11,9 +11,7 @@ import tokenize
 
 import pytest
 
-from seclus.ast import (
-    CallEq, Equation, FbyEq, NodeCall, children, clock_env, fv, targets,
-)
+from seclus.ast import FbyEq, clock_env, fv, targets
 from seclus.compiled import CompiledProgram, _generate
 from seclus.interp import (
     INT_MAX,
@@ -24,7 +22,7 @@ from seclus.interp import (
     run_node,
 )
 from seclus.normalise import fby_init, normalize_program
-from seclus.parser import parse_program
+from seclus.parser import parse_program, pretty
 from seclus.verify import GenConfig, generate_program, random_inputs
 
 from conftest import load
@@ -87,7 +85,8 @@ def test_strict_like_reference():
 
 
 def test_merge_stays_lazy():
-    # only the selected branch of a merge is evaluated per instant
+    # an operand sampled by `when` is evaluated on its own clock, as in
+    # the reference interpreter: `1 div x` raises where `c` is false
     src = """
     node f(c: bool; x: int) returns (o: int)
       var y: int :: base on c;
@@ -96,9 +95,16 @@ def test_merge_stays_lazy():
       o = merge c (y) (0 when not c);
     tel
     """
-    p = parse_program(src)
-    H = CompiledProgram(p).run("f", [[False, True], [0, 5]], N=2)
-    assert H["o"] == [0, 0]
+    for form, dialect in all_forms(parse_program(src)):
+        with pytest.raises(EvalError, match="division by zero"):
+            run_node(form, "f", [[False, True], [0, 5]], dialect=dialect)
+        with pytest.raises(EvalError, match="division by zero"):
+            CompiledProgram(form).run("f", [[False, True], [0, 5]], N=2)
+    # a division on the sampled clock runs only where `c` is true, and a
+    # merge evaluates only its selected branch
+    src = src.replace("(1 div x) when c", "1 div (x when c)")
+    for H in _histories(src, [[False, True], [0, 5]], None):
+        assert H["o"] == [0, 0] and H["y"] == [None, 0]
 
 
 def test_wrapping_arithmetic_matches_reference():
@@ -279,6 +285,61 @@ def test_engines_agree_at_boundary_values_with_only_the_outputs_recorded():
             assert fast == ref, (seed, dialect)
 
 
+def _script(name):
+    """`scripts/<name>.py` as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_engines_agree_on_the_raising_corpus():
+    # each generated program with its divisors replaced by their
+    # dividends, as in `scripts/reference_digest.py`: the compiled
+    # engine raises exactly where the reference does, also on an operand
+    # sampled by `when`, which the reference evaluates on its own clock
+    digest = _script("reference_digest")
+    for seed in range(100):
+        q = parse_program(pretty(digest.raising(generate_program(GenConfig(seed=seed)))))
+        ref = list(digest.outcomes(q, q.nodes[-1:], seed, 20))
+        runs = digest.outcomes(q, q.nodes[-1:], seed, 20, digest.compiled_runs)
+        fast = [(label[: -len(" all")], out) for label, out in runs if label.endswith(" all")]
+        assert len(fast) == 6 and fast == ref, seed
+
+
+def _on_a_sampled_clock(p):
+    """`p` and a node `top` that calls `p`'s entry node on the clock
+    `base on c` and merges its one output with a default."""
+    entry = p.nodes[-1]
+    (out,) = entry.outputs
+    decls = "; ".join(f"{d.name}: {d.type}" for d in entry.inputs)
+    args = ", ".join(f"{d.name} when c" for d in entry.inputs)
+    default = "0" if out.type == "int" else "false"
+    top = (
+        f"node top(c: bool; {decls}) returns (o: {out.type})"
+        f" let o = merge c ({entry.name}({args})) ({default} when not c); tel"
+    )
+    return parse_program(pretty(p) + "\n" + top + "\n")
+
+
+def test_engines_agree_on_generated_programs_on_a_sampled_clock():
+    # every statement of an inlined entry node runs under the flag of
+    # `c`, as do its commits
+    flagged = 0
+    for seed in range(30):
+        for form, dialect in all_forms(_on_a_sampled_clock(generate_program(GenConfig(seed=seed)))):
+            inputs = random_inputs(form.node("top"), 20, random.Random(seed))
+            fast, ref = _both_engines(form)
+            for want in (["o"], None):
+                H = _outcome(lambda: fast.run("top", inputs, want=want))
+                assert H == _outcome(lambda: ref.run("top", inputs, want=want, dialect=dialect)), seed
+                assert H[0] is not None, seed
+                flagged += len(re.findall(r"^ +if (?!not b:)", fast.source("top", want), re.M))
+    assert flagged > 100
+
+
 EDGES = (INT_MIN, INT_MIN + 1, -1, 0, 1, INT_MAX - 1, INT_MAX)
 
 
@@ -339,8 +400,8 @@ def test_single_use_values_are_nested_into_their_reader():
 
 
 def test_a_value_read_after_a_callees_commit_is_not_moved_past_it():
-    # `d`'s output is its register, named for its caller, and `d`'s
-    # commit sits in `f`'s body between that name and its one reader
+    # `d`'s output is its register, which `f` reads as the register
+    # itself, before `d`'s commit ends the instant
     src = """
     node d(x: int) returns (y: int) let y = 0 fby x; tel
     node f(a: int) returns (o: int) let o = d(a) + 1; tel
@@ -517,37 +578,67 @@ def test_generated_names_are_numbered_in_order_of_first_use():
                         assert ns == list(range(len(ns))), (k, kind, source)
 
 
-@pytest.mark.parametrize(
-    "src, temporaries",
-    [
-        # `o`'s commit reads `x`'s register through a value, so it is
-        # stored first, and the value nests into it
-        (
-            "node f(a: int) returns (o: int) var x: int;"
-            " let x = 0 fby (x + a); o = 0 fby (x * 2); tel",
-            0,
-        ),
-        # two commits that read each other's register: one keeps its
-        # phase-2 temporary
-        (
-            "node f(a: int) returns (o: int) var x: int; y: int;"
-            " let x = 0 fby (y + a); y = 0 fby (x + 1); o = x; tel",
-            1,
-        ),
-        # a commit whose register nothing reads, kept as it may raise
-        (
-            "node f(a: int) returns (o: int) var x: int; y: int;"
-            " let x = 0 fby (a mod a); y = 0 fby (y + a); o = y; tel",
-            0,
-        ),
-    ],
-)
-def test_a_register_is_stored_after_the_commits_that_read_it(src, temporaries):
-    p = parse_program(src)
-    cp = CompiledProgram(p)
+REGISTERS_READ_BY_COMMITS = [
+    # `o`'s commit reads `x`'s register
+    "node f(a: int) returns (o: int) var x: int;"
+    " let x = 0 fby (x + a); o = 0 fby (x * 2); tel",
+    # two commits that read each other's register
+    "node f(a: int) returns (o: int) var x: int; y: int;"
+    " let x = 0 fby (y + a); y = 0 fby (x + 1); o = x; tel",
+    # a commit whose register nothing reads, kept as it may raise
+    "node f(a: int) returns (o: int) var x: int; y: int;"
+    " let x = 0 fby (a mod a); y = 0 fby (y + a); o = y; tel",
+]
+
+
+def _loop(source):
+    """The statements of the generated loop after `if not b:`, those
+    under a test taken out of their `if`, in order."""
+    (run,) = ast.parse(source).body
+    (loop,) = [st for st in run.body if isinstance(st, ast.For)]
+    out = []
+    for st in loop.body:
+        if isinstance(st, ast.If):
+            if ast.unparse(st.test) != "not b":
+                out += st.body
+        elif not isinstance(st, ast.Expr) or "check(" not in ast.unparse(st):
+            out.append(st)
+    return out
+
+
+def _stores(st):
+    """The names that the statement `st` of the loop stores."""
+    if not isinstance(st, ast.Assign):
+        return []
+    (target,) = st.targets
+    return [t.id for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+
+
+def test_every_register_is_stored_at_the_end_of_the_instant():
     inputs = [[1, 2, 3, INT_MAX]]
-    assert cp.run("f", inputs, want=["o"]) == {"o": run_node(p, "f", inputs)["o"]}
-    assert len(set(re.findall(r"\bt\d+\b", cp.source("f", ["o"])))) == temporaries
+    for src in REGISTERS_READ_BY_COMMITS:
+        p = parse_program(src)
+        assert CompiledProgram(p).run("f", inputs, want=["o"]) == {"o": run_node(p, "f", inputs)["o"]}
+    # the two commits that read each other's register are one parallel
+    # assignment
+    source = CompiledProgram(parse_program(REGISTERS_READ_BY_COMMITS[1])).source("f", ["o"])
+    assert len(re.findall(r"^ +r0, r1 = \(.+, .+\)$", source, re.M)) == 1, source
+    # the commits end every generated loop, after the record, and only
+    # the first of them stores several registers; no value is stored
+    # through a temporary
+    for k, p in enumerate(_corpus()):
+        for form, _ in all_forms(p):
+            node = form.nodes[-1]
+            cp = CompiledProgram(form)
+            for want in ([d.name for d in node.outputs], None):
+                source = cp.source(node.name, want)
+                assert not re.search(r"\bt\d+\b", source), (k, source)
+                loop = _loop(source)
+                commits = [st for st in loop if any(re.fullmatch(r"r\d+", x) for x in _stores(st))]
+                first = loop.index(commits[0]) if commits else len(loop)
+                assert loop[first:] == commits, (k, source)
+                assert all(len(_stores(st)) == 1 for st in commits[1:]), (k, source)
+                assert "row(" in ast.unparse(loop[first - 1]), (k, source)
 
 
 # -- literal divisors ---------------------------------------------------------------
@@ -1043,35 +1134,6 @@ def test_a_clock_on_a_literal_is_folded(k, y, o):
 ATOM = r"(?:[A-Za-z_]\w*|\(-\d+\)|\d+)"
 
 
-def _callee_targets(prog):
-    """The names to which a call assigns its callee's outputs: the
-    call's targets in its caller, and each callee's outputs."""
-    names, todo = set(), []
-    for node in prog.nodes:
-        for eq in node.equations:
-            if isinstance(eq, CallEq):
-                names.update(eq.targets)
-                names.update(d.name for d in prog.node(eq.node).outputs)
-                todo += eq.args
-            elif isinstance(eq, Equation):
-                pos = 0
-                for e in eq.exprs:
-                    if isinstance(e, NodeCall):
-                        names.update(eq.targets[pos : pos + len(e.types)])
-                    pos += len(e.types)
-                todo += eq.exprs
-            elif isinstance(eq, FbyEq):
-                todo += [eq.init, eq.rhs]
-            else:
-                todo.append(eq.rhs)
-    while todo:
-        e = todo.pop()
-        if isinstance(e, NodeCall):
-            names.update(d.name for d in prog.node(e.node).outputs)
-        todo += children(e)
-    return names
-
-
 def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
     copy = re.compile(rf"^ +(V\d*)_(\w+) = ({ATOM})$", re.M)
     for seed in range(100):
@@ -1081,10 +1143,8 @@ def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
             cp = CompiledProgram(form)
             cp.run(node.name, random_inputs(node, 2, random.Random(seed)))
             (run,) = cp.nodes.values()
-            # a copy is a callee's output, which its caller reads by name
-            allowed = _callee_targets(form.annotation)
-            for prefix, x, _ in copy.findall(run.source):
-                assert x in allowed, (seed, prefix, x)
+            # a callee's output too is read as its code
+            assert not copy.findall(run.source), (seed, run.source)
         # the fby-init form's entry selects on one register per clock of
         # its `xinit = true fby false` flags: each recorded flag is read
         # from its register, which a selection `x = if xinit then init
@@ -1115,20 +1175,10 @@ def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
 # -- liveness after folding -------------------------------------------------------
 
 
-def _codegen_stats():
-    """`scripts/codegen_stats.py` as a module, for its `dead_statements`."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", "codegen_stats.py")
-    spec = importlib.util.spec_from_file_location("codegen_stats", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_generated_loops_hold_no_dead_statement():
     # the script's liveness over the generated source, independent of
     # the generator's own record of what each statement reads
-    dead_statements = _codegen_stats().dead_statements
+    dead_statements = _script("codegen_stats").dead_statements
     programs = [load("cnt_dn.lus"), load("re_trig.lus")]
     programs += [generate_program(GenConfig(seed=seed)) for seed in range(30)]
     for k, p in enumerate(programs):

@@ -428,7 +428,7 @@ def test_equation_on_a_later_clock_runs_on_both_engines():
 # -- the reference evaluates sampled operands eagerly --------------------------------
 
 
-LAZY_IN_COMPILED = """
+SAMPLED_DIVISION = """
 node f(c: bool; x: int) returns (o: int)
   var y: int :: base on c;
 let
@@ -439,19 +439,19 @@ tel
 
 
 def test_reference_evaluates_a_sampled_operand_at_every_instant():
-    # the compiled engine computes `1 div x` only where c is true
-    # (tests/test_compiled.py::test_merge_stays_lazy); the reference and
-    # the replay compute it wherever x is present
+    # both engines and the replay compute `1 div x` wherever x is
+    # present, also where c is false and the sample is dropped
     from seclus.compiled import CompiledProgram
 
-    p = parse_program(LAZY_IN_COMPILED)
+    p = parse_program(SAMPLED_DIVISION)
     ins = [[False, True], [0, 5]]
     with pytest.raises(EvalError, match="division by zero"):
         run_node(p, "f", ins)
-    clean = CompiledProgram(p).run("f", ins)
-    assert clean["o"] == [0, 0]
     with pytest.raises(EvalError, match="division by zero"):
-        check_history(p, "f", clean, [True, True])
+        CompiledProgram(p).run("f", ins)
+    H = {"c": [False, True], "x": [0, 5], "o": [0, 0], "y": [A, 0]}
+    with pytest.raises(EvalError, match="division by zero"):
+        check_history(p, "f", H, [True, True])
     ins = [[False, True], [2, 5]]
     H = run_node(p, "f", ins)
     assert H["o"] == [0, 0] and H == CompiledProgram(p).run("f", ins)
