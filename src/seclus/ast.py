@@ -1,9 +1,12 @@
 """Abstract syntax for Lustre and NLustre programs.
 
-Expressions, clocks, equations, nodes and programs are immutable
-dataclasses.  Lustre equations (`Equation`) allow tuples and arbitrary
-nesting; NLustre equations come in three restricted shapes (`SimpleEq`,
-`FbyEq`, `CallEq`).  Free/defined variables are computed here, and so
+Expressions, clocks, equations, nodes and programs are dataclasses,
+immutable by convention: no pass writes a field of a tree it is given
+(`tests/test_immutable.py` checks every pass), and `==` and `hash`
+ignore the annotations `clock`, `types` and `annotated`.  Lustre
+equations (`Equation`) allow tuples and arbitrary nesting; NLustre
+equations come in three restricted shapes (`SimpleEq`, `FbyEq`,
+`CallEq`).  Free/defined variables are computed here, and so
 is validation: `validate` checks each node's declarations and
 definitions, then runs `Checker` once over each equation.  That one
 walk checks scope, calls, clocks, widths and value types, and, for
@@ -48,13 +51,13 @@ class Clock:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Base(Clock):
     def __repr__(self) -> str:
         return "base"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class On(Clock):
     clock: Clock
     var: str
@@ -72,7 +75,7 @@ BASE = Base()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Expr:
     """Base class.  `clock` is the clock of the expression and `types`
     the value types of its component streams, one per stream, so its
@@ -83,57 +86,57 @@ class Expr:
     types: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Const(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Unop(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Binop(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class When(Expr):
     exprs: tuple[Expr, ...]
     var: str
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Merge(Expr):
     var: str
     on_true: tuple[Expr, ...]
     on_false: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Ite(Expr):
     cond: Expr
     on_true: tuple[Expr, ...]
     on_false: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Fby(Expr):
     init: tuple[Expr, ...]
     rest: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NodeCall(Expr):
     node: str
     args: tuple[Expr, ...]
@@ -144,7 +147,7 @@ class NodeCall(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Equation:
     """Lustre equation  x1,...,xn = e1,...,ek."""
 
@@ -152,7 +155,7 @@ class Equation:
     exprs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SimpleEq:
     """NLustre  x =_ck ce  with ce a control expression."""
 
@@ -161,7 +164,7 @@ class SimpleEq:
     clock: Clock
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FbyEq:
     """NLustre  x =_ck e0 fby e.  `init` is a Const in strict NLustre;
     the de-nesting pass may leave a non-constant head for fby_init to fix."""
@@ -172,7 +175,7 @@ class FbyEq:
     clock: Clock
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CallEq:
     """NLustre  (x1,...,xk) =_ck f(e1,...,em)."""
 
@@ -191,14 +194,14 @@ AnyEquation = Union[Equation, SimpleEq, FbyEq, CallEq]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class VarDecl:
     name: str
     type: str  # "bool" | "int"
     clock: Clock = BASE
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Node:
     name: str
     inputs: tuple[VarDecl, ...]
@@ -215,12 +218,13 @@ class Node:
         return all(not isinstance(eq, Equation) for eq in self.equations)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Program:
     nodes: tuple[Node, ...]
     # set by the passes that emit every expression with its clock and
     # value types: such a program is its own annotation
     annotated: bool = field(default=False, compare=False, repr=False)
+    _annotation = None  # not a field: set by `annotation`
 
     @property
     def annotation(self) -> Program:
@@ -231,10 +235,9 @@ class Program:
         # cycle collector frees
         if self.annotated:
             return self
-        a = self.__dict__.get("_annotation")
-        if a is None:
-            a = self.__dict__["_annotation"] = _annotate(self)
-        return a
+        if self._annotation is None:
+            self._annotation = _annotate(self)
+        return self._annotation
 
     @cached_property
     def memo(self) -> dict:

@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("file")
     i.add_argument("node", nargs="?", help="node to run (default: last)")
     i.add_argument("--inputs", help="CSV file of input streams ('-' for stdin)")
-    i.add_argument("--steps", type=int, help="truncate/extend the horizon")
+    i.add_argument("--steps", type=int, help="run at most N input rows; N instants if no inputs")
     i.add_argument("--trace", action="store_true", help="include inputs and locals")
     i.add_argument("--dialect", choices=["lustre", "nlustre"], default="lustre")
     i.set_defaults(func=cmd_interpret)

@@ -165,8 +165,7 @@ class _Tuple(Expr):
     list positions (fby/when/merge/ite operands, call args, rhs)."""
 
     def __init__(self, exprs: tuple[Expr, ...]):
-        object.__setattr__(self, "exprs", exprs)
-        object.__setattr__(self, "clock", None)
+        self.exprs = exprs
 
 
 def _splice(e: Expr) -> tuple[Expr, ...]:

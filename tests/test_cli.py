@@ -140,6 +140,21 @@ def test_interpret_steps_zero(capsys, tmp_path):
     assert code == 0 and out.strip() == "cpt"
 
 
+def test_interpret_steps_truncates_inputs_and_sets_the_horizon_without_them(capsys, tmp_path):
+    # with inputs, --steps only truncates: 5 steps over 2 rows run 2
+    csv = tmp_path / "in.csv"
+    csv.write_text("res,n\ntrue,4\nfalse,4\n")
+    code, out, _ = run(
+        capsys, "interpret", fixture_path("cnt_dn.lus"), "--inputs", str(csv), "--steps", "5"
+    )
+    assert (code, out.split()) == (0, ["cpt", "4", "3"])
+    # without inputs, --steps is the horizon
+    lus = tmp_path / "z.lus"
+    lus.write_text("node z() returns (o: int) let o = 4; tel")
+    code, out, _ = run(capsys, "interpret", str(lus), "--steps", "3")
+    assert (code, out.split()) == (0, ["o", "4", "4", "4"])
+
+
 def test_interpret_negative_steps_is_an_error(capsys, tmp_path):
     csv = tmp_path / "in.csv"
     csv.write_text("res,n\ntrue,4\nfalse,4\n")
