@@ -40,6 +40,7 @@ from seclus.typing import (
     check_policy_names,
     check_program,
     policy_instantiation,
+    render_constraint,
     render_signature,
 )
 from seclus.verify import (
@@ -189,14 +190,15 @@ def cmd_check(args) -> int:
                 print(f"{node.name}: {_green('Secure')}")
         else:
             failed = True
+            constraint = render_constraint(res.violation)
             report["policy"] = {
                 "node": node.name,
                 "verdict": "Violation",
-                "constraint": str(res.violation),
+                "constraint": constraint,
                 "witness": {k: v for k, v in sorted(res.witness.items())},
             }
             if not args.json:
-                print(f"{node.name}: {_red('Violation')} of {res.violation}")
+                print(f"{node.name}: {_red('Violation')} of {constraint}")
     if args.json:
         _emit_json(report)
     return 1 if failed else 0

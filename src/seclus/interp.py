@@ -636,7 +636,7 @@ class _Prepared:
         self.outputs = [self.slots[d.name] for d in node.outputs]
         self.idle = [ABSENT] * (self.nvars - self.nin)  # outputs and locals
         self.template: Frame = [ABSENT] * self.nvars
-        self.callees: List[Tuple[int, Optional["_Prepared"]]] = []
+        self.callees: List[Tuple[int, "_Prepared"]] = []
         # the slot of each base-clocked constant, by type and value
         self.constants: Dict[Tuple[type, Value], int] = {}
         self.phase1: List[Stmt] = []
@@ -666,8 +666,7 @@ class _Prepared:
     def new_frame(self) -> Frame:
         f = list(self.template)
         for i, callee in self.callees:
-            if callee is not None:
-                f[i] = callee.new_frame()
+            f[i] = callee.new_frame()
         return f
 
     def step(self, f: Frame, inputs: Sequence[CV]) -> None:
@@ -783,16 +782,10 @@ class _Prepared:
         on = self.clock(ck)
         if outs is None:
             outs = [self.slot(ABSENT) for _ in decls]
-        try:
-            callee: Optional[_Prepared] = self.program.prepared(name)
-            error = ""
-        except CausalityError as exc:
-            # raised anew where the call runs: the exception's traceback
-            # holds this frame, which would hold the exception
-            callee, error = None, str(exc)
+        callee = self.program.prepared(name)
         i = self.slot(None)
         self.callees.append((i, callee))
-        results = [] if callee is None else list(zip(callee.outputs, outs, decls))
+        results = list(zip(callee.outputs, outs, decls))
 
         def call(f: Frame) -> None:
             active = on(f, True)
@@ -800,8 +793,6 @@ class _Prepared:
             for v in a:
                 if (v is ABSENT) == active:
                     raise ClockMismatch(f"call to {name}: mixed argument presence")
-            if callee is None:
-                raise CausalityError(error)
             if not active:
                 for t in outs:
                     f[t] = ABSENT

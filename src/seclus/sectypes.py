@@ -15,7 +15,7 @@ fail evaluates to Undefined.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cached_property
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Union
@@ -248,6 +248,17 @@ def substitute(t, subst: Mapping[str, SecType]):
     return type(t)(substitute(x, subst) for x in t)
 
 
+def successors(cs: Iterable[Constraint]) -> dict[str, set[str]]:
+    """The graph of a definite constraint set: an edge from each
+    variable of a constraint's left side to the variable it bounds."""
+    succ: dict[str, set[str]] = defaultdict(set)
+    for c in cs:
+        b = c.rhs.name
+        for a in tvars(c.lhs):
+            succ[a].add(b)
+    return succ
+
+
 def reachable(succ: Mapping, start, seen: set) -> set:
     """`seen`, grown by everything reached from `start` by one or more
     edges of the successor map `succ`; the walk stops at what `seen`
@@ -457,7 +468,6 @@ class ImpliesResult:
 def implies(
     rho1: Iterable[Constraint],
     rho2: Iterable[Constraint],
-    variables: Optional[Iterable[str]] = None,
     lat: Optional[SecurityLattice] = None,
 ) -> ImpliesResult:
     """Does every instantiation satisfying rho1 also satisfy rho2?
@@ -468,13 +478,13 @@ def implies(
     constraints of rho1 reach a variable of T.  Otherwise every
     instantiation over `lat` (default: the two-point lattice) is
     enumerated, which raises ValueError beyond ENUM_VAR_LIMIT variables.
-    A witness assigns every variable of either set (and of `variables`).
+    A witness assigns every variable of either set.
     """
     rho1 = list(flatten_constraints(rho1))
     rho2 = list(flatten_constraints(rho2))
     lat = lat or _TWO
     occurring = set().union(set(), *(tvars(c) for c in rho1 + rho2))
-    names = sorted(occurring if variables is None else occurring | set(variables))
+    names = sorted(occurring)
     if all(isinstance(c.rhs, TVar) for c in rho1):
         return _implies_definite(rho1, rho2, names, lat)
     if len(names) > ENUM_VAR_LIMIT or len(lat.elements) ** len(names) > 2**ENUM_VAR_LIMIT:
@@ -496,10 +506,7 @@ def _implies_definite(rho1, rho2, names, lat: SecurityLattice) -> ImpliesResult:
     top = lat.top
     if top == lat.bottom:
         return ImpliesResult(True)
-    succ: dict[str, set[str]] = {}
-    for c in rho1:
-        for a in tvars(c.lhs):
-            succ.setdefault(a, set()).add(c.rhs.name)
+    succ = successors(rho1)
     for c in sorted(rho2, key=_con_key):
         target = tvars(c.rhs)
         for x in sorted(tvars(c.lhs)):

@@ -48,7 +48,6 @@ from seclus.ast import (
 )
 from seclus.sectypes import (
     BOT,
-    Bot,
     Constraint,
     ConstraintSet,
     GroundInstantiation,
@@ -56,7 +55,6 @@ from seclus.sectypes import (
     SecType,
     SecurityLattice,
     TVar,
-    satisfies,
     tvars,
 )
 
@@ -68,6 +66,11 @@ class TypingError(Exception):
     pass
 
 
+# A type during inference: the set of type-variable names it joins.
+Atoms = FrozenSet[str]
+_NONE: Atoms = frozenset()
+
+
 @dataclass(frozen=True)
 class NodeSignature:
     """Interface-level flow contract of a node.
@@ -75,9 +78,8 @@ class NodeSignature:
     `constraints` mention only `input_vars`, `output_vars` and
     `clock_var`.  `local_types` records, for every declared local in
     declaration order, its interface-level type: the least type its
-    constraints allow (used to assign observation levels to locals).
-    Inference keeps each local's type as the set of variables it joins
-    and builds the term when the local is first read.
+    constraints allow (used to assign observation levels to locals),
+    as the set of interface variables it joins.
     """
 
     name: str
@@ -85,14 +87,10 @@ class NodeSignature:
     output_vars: Tuple[str, ...]
     clock_var: str
     constraints: ConstraintSet
-    local_types: Mapping[str, SecType] = field(default_factory=dict, compare=False)
+    local_types: Mapping[str, Atoms] = field(default_factory=dict, compare=False)
 
 
 SignatureEnv = Dict[str, NodeSignature]
-
-# A type during inference: the set of type-variable names it joins.
-Atoms = FrozenSet[str]
-_NONE: Atoms = frozenset()
 
 
 class _NodeTyper:
@@ -306,32 +304,6 @@ def _term(atoms: Atoms) -> SecType:
     return Join(tuple(TVar(a) for a in sorted(atoms)))
 
 
-class _LocalTypes(Mapping[str, SecType]):
-    """The locals' types, by name in declaration order, each built from
-    its atom set when first read and kept."""
-
-    __slots__ = ("_atoms", "_terms")
-
-    def __init__(self, atoms: Dict[str, Atoms]) -> None:
-        self._atoms = atoms
-        self._terms: Dict[str, SecType] = {}
-
-    def __getitem__(self, x: str) -> SecType:
-        t = self._terms.get(x)
-        if t is None:
-            t = self._terms[x] = _term(self._atoms[x])
-        return t
-
-    def __iter__(self):
-        return iter(self._atoms)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
     """Type every equation of `n` with fresh variables, then eliminate
     the locals and call-result variables."""
@@ -359,7 +331,7 @@ def node_signature(prog: Program, sigs: SignatureEnv, n: Node) -> NodeSignature:
             if atoms:
                 pairs.add((atoms, v))
     constraints = frozenset(Constraint(_term(atoms), TVar(v)) for atoms, v in pairs)
-    local_types = _LocalTypes({x: closed[v] for x, v in local_vars.items()})
+    local_types = {x: closed[v] for x, v in local_vars.items()}
     return NodeSignature(n.name, in_vars, out_vars, "g", constraints, local_types)
 
 
@@ -396,7 +368,9 @@ def check_policy(
 ) -> PolicyResult:
     """Is the signature satisfied when interface variables are pinned to
     the given lattice levels?  `policy` maps type-variable names (or the
-    node's own variable names via `policy_instantiation`) to elements."""
+    node's own variable names via `policy_instantiation`) to elements.
+    The violation reported is the first violated constraint in the order
+    `render_signature` prints them."""
     s: GroundInstantiation = {}
     names = (*sig.input_vars, *sig.output_vars, sig.clock_var)
     check_policy_levels(names, policy)
@@ -405,12 +379,10 @@ def check_policy(
         if lev not in lat.elements:
             raise TypingError(f"{lev!r} is not an element of the lattice")
         s[v] = lev
-    if satisfies(s, sig.constraints, lat):
-        return PolicyResult(True)
-    for c in sorted(sig.constraints, key=str):
-        if not satisfies(s, frozenset([c]), lat):
-            return PolicyResult(False, c, dict(s))
-    raise AssertionError("unreachable")
+    for c in _printed(sig.constraints):
+        if not lat.leq(lat.join_all(s[a] for a in tvars(c.lhs)), s[c.rhs.name]):
+            return PolicyResult(False, c, s)
+    return PolicyResult(True)
 
 
 def policy_instantiation(
@@ -459,21 +431,23 @@ def _var_key(name: str) -> tuple:
 
 
 def _dump_type(t: SecType) -> str:
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, Join):
-        names = sorted((e.name for e in t.elems if isinstance(e, TVar)), key=_var_key)
-        rest = [_dump_type(e) for e in t.elems if not isinstance(e, TVar)]
-        return "|".join(names + rest)
-    return str(t)
+    return "|".join(sorted(tvars(t), key=_var_key))
+
+
+def render_constraint(c: Constraint) -> str:
+    """A definite constraint as a signature line prints it: `g|a1|a2 <= b1`."""
+    return f"{_dump_type(c.lhs)} <= {c.rhs.name}"
+
+
+def _printed(cs: ConstraintSet) -> List[Constraint]:
+    """`cs` in signature-line order: by the variable each one bounds,
+    then by its left side as printed."""
+    return sorted(cs, key=lambda c: (_var_key(c.rhs.name), _dump_type(c.lhs)))
 
 
 def render_signature(sig: NodeSignature) -> str:
     """One-line dump: `f(a1,a2) =>g (b1) { g|a1|a2 <= b1 }`."""
-    cons = sorted(sig.constraints, key=lambda c: (_dump_type(c.rhs), _dump_type(c.lhs)))
-    body = ", ".join(f"{_dump_type(c.lhs)} <= {_dump_type(c.rhs)}" for c in cons)
+    body = ", ".join(map(render_constraint, _printed(sig.constraints)))
     return (
         f"{sig.name}({','.join(sig.input_vars)}) =>{sig.clock_var}"
         f" ({','.join(sig.output_vars)}) {{ {body} }}"

@@ -50,10 +50,9 @@ from seclus.normalise import fby_init, normalize_program
 from seclus.sectypes import (
     GroundInstantiation,
     SecurityLattice,
-    eval_ground,
     implies,
     reachable,
-    tvars,
+    successors,
 )
 from seclus.typing import NodeSignature, check_program
 
@@ -76,10 +75,7 @@ def minimal_instantiation(
     s: Dict[str, object] = {sig.clock_var: clock_level}
     for a in sig.input_vars:
         s[a] = input_levels[a]
-    succ: Dict[str, set] = {}
-    for c in sig.constraints:
-        for a in tvars(c.lhs):
-            succ.setdefault(a, set()).add(c.rhs.name)
+    succ = successors(sig.constraints)
     outputs = dict.fromkeys(sig.output_vars, lat.bottom)
     for a, level in s.items():
         for b in reachable(succ, a, set()):
@@ -99,7 +95,8 @@ def variable_levels(
 ) -> Dict[str, object]:
     """Ground observation level for every variable of the node: inputs
     as given, outputs from the minimal instantiation (unless overridden
-    by an explicit policy), locals by evaluating their eliminated types."""
+    by an explicit policy), locals as the join of the levels of the
+    interface variables their eliminated types join."""
     by_var = {
         a: input_levels_by_name[d.name] for d, a in zip(node.inputs, sig.input_vars)
     }
@@ -109,8 +106,8 @@ def variable_levels(
         levels[d.name] = s[a]
     for d, b in zip(node.outputs, sig.output_vars):
         levels[d.name] = s[b]
-    for x, t in sig.local_types.items():
-        levels[x] = eval_ground(s, t, lat)
+    for x, atoms in sig.local_types.items():
+        levels[x] = lat.join_all(s[a] for a in atoms)
     if output_levels_by_name:
         levels.update(output_levels_by_name)
     return levels
@@ -237,10 +234,15 @@ def differential_semantics(
     are generated and compared before the first trial, so each distinct
     text is compiled once and run once per trial."""
     _check_trials(trials)
-    denested = normalize_program(G)
     engine_class = _engine(engine)
+    if nodes == "entry":
+        run_list = [G.nodes[-1]]
+    elif nodes == "all":
+        run_list = list(G.nodes)
+    else:
+        raise _unknown("nodes", nodes, ("entry", "all"))
+    denested = normalize_program(G)
     forms = [engine_class(form) for form in (G, denested, fby_init(denested))]
-    run_list = list(G.nodes) if nodes == "all" else [G.nodes[-1]]
     divergences: List[Divergence] = []
     for ni, node in enumerate(run_list):
         outs = [d.name for d in node.outputs]
@@ -274,13 +276,26 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, not {trials}")
 
 
+def _unknown(param: str, value: str, accepted) -> ValueError:
+    """The error for a string parameter given none of the values it
+    accepts."""
+    names = " or ".join(map(repr, accepted))
+    return ValueError(f"{param} must be {names}, not {value!r}")
+
+
 def _trial_rng(seed: int, stream: int, trial: int) -> random.Random:
     return random.Random((seed * 1_000_003 + stream) * 1_000_003 + trial)
 
 
+_ENGINES = {"compiled": CompiledProgram, "reference": ReferenceProgram}
+
+
 def _engine(name: str):
     """The evaluator class of an engine name: "compiled" or "reference"."""
-    return CompiledProgram if name == "compiled" else ReferenceProgram
+    try:
+        return _ENGINES[name]
+    except KeyError:
+        raise _unknown("engine", name, tuple(_ENGINES)) from None
 
 
 def _first_divergence(name, trial, results) -> Optional[Divergence]:
@@ -360,13 +375,16 @@ def check_noninterference(
     node = G.node(f)
     sig = check_program(G)[f]
     levels = variable_levels(node, sig, input_levels, lat.bottom, lat, output_levels)
-    if clock_pairing == "skip" and any(not isinstance(d.clock, Base) for d in node.inputs):
-        return NIReport(f, t, trials, (), trials)
+    if clock_pairing != "strict":
+        if clock_pairing != "skip":
+            raise _unknown("clock_pairing", clock_pairing, ("strict", "skip"))
+        if any(not isinstance(d.clock, Base) for d in node.inputs):
+            return NIReport(f, t, trials, (), trials)
     low = tuple(lat.leq(levels[d.name], t) for d in node.inputs)
     paired = not all(low)
     observed = sorted(x for x in levels if lat.leq(levels[x], t))
-    table = _NITable.of(G, engine, f, N, seed)
     program = _engine(engine)(G)
+    table = _NITable.of(G, engine, f, N, seed)
     violations: List[NIViolation] = []
     errors: List[str] = []
     for trial in range(trials):

@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from seclus import verify
 from seclus.cli import _parse_level, main
+from seclus.normalise import normalize_program
+from seclus.parser import parse_program
 from seclus.sectypes import powerset_lattice
 
 from conftest import (
@@ -62,6 +65,20 @@ def test_all_leaky_policies_rejected(capsys):
     for lus, pol in leaky_pairs():
         code, out, _ = run(capsys, "check", lus, "--policy", pol)
         assert code == 1 and "Violation" in out, lus
+
+
+def test_violation_is_printed_as_the_signature_prints_it(capsys):
+    pairs = leaky_pairs()
+    assert len(pairs) == 12
+    for lus, pol in pairs:
+        code, out, _ = run(capsys, "check", lus, "--policy", pol)
+        *_, signature, verdict = out.splitlines()
+        name, constraint = verdict.split(": Violation of ")
+        assert code == 1 and signature.startswith(name + "(")
+        assert constraint in signature[signature.index("{ ") + 2 : -2].split(", ")
+        code, out, _ = run(capsys, "check", lus, "--policy", pol, "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["policy"]["constraint"] == constraint, lus
 
 
 def test_check_json(capsys):
@@ -300,6 +317,27 @@ def test_verify_ni_rejected_policy_fails(capsys):
         "0",
     )
     assert code == 1 and "fail" in out and "violation" in out
+
+
+def test_verify_prints_the_witness_and_the_divergence(capsys, monkeypatch, tmp_path):
+    # a de-nesting that adds a flow from y, and so changes the outputs
+    src = "node f(x: int; y: int) returns (o: int) let o = {}; tel"
+    path = tmp_path / "f.lus"
+    path.write_text(src.format("x"))
+    leaky = normalize_program(parse_program(src.format("x + y")))
+    monkeypatch.setattr(verify, "normalize_program", lambda prog: leaky)
+    code, out, _ = run(
+        capsys, "verify", str(path), "--what", "all", "--trials", "2", "--ni-trials", "2",
+        "--horizon", "5", "--seed", "1",
+    )
+    assert code == 1
+    assert out.splitlines()[1:5] == [
+        "preservation f: fail",
+        "  witness: {'pass': 'denesting', 'assignment':"
+        " {'a1': 'L', 'a2': 'H', 'b1': 'L', 'g': 'L'}}",
+        "semantics f: fail (2 trials, horizon 5)",
+        "  divergence: node f trial 0 o@0 (-7, -5, -5)",
+    ]
 
 
 def test_verify_ni_says_when_runs_are_not_paired(capsys):

@@ -34,12 +34,19 @@ from conftest import fixture_path, load
 
 P2 = powerset_lattice(2)
 
-# a callee with an instantaneous cycle: its caller keeps the error to
-# raise at each run
+# a callee with an instantaneous cycle: each engine refuses its caller
+# before the first instant
 NOT_CAUSAL = """
 node g(a: int) returns (o: int) var x: int; let x = o; o = x; tel
 node f(a: int) returns (o: int) let o = g(a); tel
 """
+
+
+@pytest.mark.parametrize("engine", [ReferenceProgram, CompiledProgram])
+@pytest.mark.parametrize("inputs", [[[]], [[1, 2]]])
+def test_a_non_causal_callee_is_refused_before_any_instant(engine, inputs):
+    with pytest.raises(CausalityError, match="cycle among: x; o"):
+        engine(parse_program(NOT_CAUSAL)).run("f", inputs)
 
 
 def _forms(p):

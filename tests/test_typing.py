@@ -2,6 +2,7 @@
 agreement with the term-algebra reference, typing errors, policy
 checking, and minimal instantiations."""
 
+import itertools
 import pickle
 import random
 import time
@@ -12,12 +13,13 @@ import reference_typing
 from seclus import typing, verify
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
-from seclus.sectypes import TVar, join, render, two_point
+from seclus.sectypes import TVar, join, render, satisfies, two_point
 from seclus.typing import (
     TypingError,
     check_policy,
     check_program,
     policy_instantiation,
+    render_constraint,
     render_signature,
 )
 from seclus.verify import GenConfig, generate_program, minimal_instantiation
@@ -72,29 +74,28 @@ def test_signatures_stable_across_forms(fixture):
 
 def test_re_trig_local_types(re_trig_prog):
     sig = check_program(re_trig_prog)["re_trig"]
-    locs = {k: render(v) for k, v in sig.local_types.items()}
-    assert locs == {
-        "edge": "a1 | g",
-        "c": "a1 | b1 | g",
-        "v": "a1 | a2 | b1 | g",
+    assert sig.local_types == {
+        "edge": frozenset({"a1", "g"}),
+        "c": frozenset({"a1", "b1", "g"}),
+        "v": frozenset({"a1", "a2", "b1", "g"}),
     }
 
 
-def test_local_types_are_built_when_read():
+def test_local_types_are_atom_sets_in_declaration_order():
     p = fby_init(normalize_program(load("re_trig.lus")))
     node, sig = p.node("re_trig"), check_program(p)["re_trig"]
     assert list(sig.local_types) == [d.name for d in node.locals]
     assert len(sig.local_types) == len(node.locals) > 3
-    assert sig.local_types["c"] is sig.local_types["c"]
+    interface = {*sig.input_vars, *sig.output_vars, sig.clock_var}
+    for atoms in sig.local_types.values():
+        assert type(atoms) is frozenset and atoms <= interface
     back = pickle.loads(pickle.dumps(sig))
     assert render_signature(back) == render_signature(sig)
-    assert {x: render(t) for x, t in back.local_types.items()} == {
-        x: render(t) for x, t in sig.local_types.items()
-    }
+    assert back.local_types == sig.local_types
 
 
 def test_preservation_builds_terms_only_for_constraints(monkeypatch):
-    # inference renders no local type unless something reads it
+    # inference builds a term for each constraint and none for a local
     real_term, real_check = typing._term, verify.check_program
     built, envs = [], []
 
@@ -181,6 +182,60 @@ def test_policy_errors(cnt_dn_prog, cnt_sig):
         policy_instantiation(node, cnt_sig, {"nope": "L"})
 
 
+def _printed_constraints(sig):
+    """The signature's constraints in the order its line prints them."""
+    line = render_signature(sig)
+    body = line[line.index("{") + 1 : -1].strip()
+    by_text = {render_constraint(c): c for c in sig.constraints}
+    return [by_text[text] for text in body.split(", ")] if body else []
+
+
+# four outputs that read inputs and one another
+MULTI = """
+node m(x: int; y: int) returns (p: int; q: int; r: int; s: int)
+let p = x; q = y + p; r = 0 fby q; s = 1; tel
+"""
+
+
+def test_check_policy_agrees_with_satisfies():
+    # every 2point policy of each entry node: the verdict is the term
+    # algebra's, and a violation is the first one the signature prints
+    lat = two_point()
+    sigs = [check_program(parse_program(MULTI))["m"]]
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        sigs.append(check_program(p)[p.nodes[-1].name])
+    violations = 0
+    for sig in sigs:
+        order = _printed_constraints(sig)
+        assert sorted(order, key=str) == sorted(sig.constraints, key=str)
+        names = (*sig.input_vars, *sig.output_vars, sig.clock_var)
+        for levels in itertools.product(lat.elements, repeat=len(names)):
+            s = dict(zip(names, levels))
+            res = check_policy(sig, s, lat)
+            assert res.secure == satisfies(s, sig.constraints, lat)
+            violated = [c for c in order if not satisfies(s, [c], lat)]
+            assert res.violation == (violated[0] if violated else None)
+            assert res.witness == (s if violated else None)
+            violations += len(violated) > 1
+    assert violations > 0  # some policies violate more than one constraint
+
+
+def test_constraints_print_in_the_order_of_their_variables():
+    outs = range(1, 12)
+    src = (
+        f"node f(x: int; y: int) returns ({'; '.join(f'o{i}: int' for i in outs)})"
+        f" let {' '.join(f'o{i} = {chr(120 + i % 2)};' for i in outs)} tel"
+    )
+    sig = check_program(parse_program(src))["f"]
+    assert [c.rhs.name for c in _printed_constraints(sig)] == [f"b{i}" for i in outs]
+    assert render_signature(sig).startswith(
+        "f(a1,a2) =>g (b1,b2,b3,b4,b5,b6,b7,b8,b9,b10,b11)"
+        " { g|a2 <= b1, g|a1 <= b2, g|a2 <= b3,"
+    )
+    assert render_signature(sig).endswith("g|a1 <= b10, g|a2 <= b11 }")
+
+
 # -- minimal instantiation -----------------------------------------------------
 
 
@@ -248,12 +303,12 @@ def _three_forms(p):
     return (p, n, fby_init(n))
 
 
-def _rendered(sigs):
+def _rendered(sigs, local_term):
     return {
         name: (
             render_signature(sig),
             sig.constraints,
-            {x: render(t) for x, t in sig.local_types.items()},
+            {x: render(local_term(t)) for x, t in sig.local_types.items()},
         )
         for name, sig in sigs.items()
     }
@@ -269,8 +324,11 @@ def _corpus():
 @pytest.mark.parametrize("case", list(_corpus()))
 def test_signatures_equal_reference_on_three_forms(case):
     p = load(case) if isinstance(case, str) else generate_program(GenConfig(seed=case))
+    # the reference keeps each local's type as its term
     for form in _three_forms(p):
-        assert _rendered(check_program(form)) == _rendered(reference_typing.check_program(form))
+        assert _rendered(check_program(form), typing._term) == _rendered(
+            reference_typing.check_program(form), lambda t: t
+        )
 
 
 # -- typing errors -------------------------------------------------------------
@@ -310,7 +368,7 @@ def test_typing_errors(src, message, check):
 def test_undefined_unused_local_is_bottom():
     p = parse_program("node f(x: int) returns (o: int) var v: int; let o = x; tel")
     sig = check_program(p)["f"]
-    assert render(sig.local_types["v"]) == "bot"
+    assert sig.local_types["v"] == frozenset()
     assert render_signature(sig) == "f(a1) =>g (b1) { g|a1 <= b1 }"
 
 

@@ -2,18 +2,28 @@
 non-interference probing, and the random program generator itself."""
 
 import dataclasses
+import itertools
 import random
+import re
 
 import pytest
 
 from seclus.ast import Const, FbyEq, Node, Program, validate
 from seclus.compiled import CompiledProgram
-from seclus.interp import run_node, schedule
+from seclus.interp import EvalError, run_node, schedule
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
-from seclus.sectypes import Constraint, TVar, implies, satisfies, two_point
+from seclus.sectypes import (
+    Constraint,
+    TVar,
+    eval_ground,
+    implies,
+    powerset_lattice,
+    satisfies,
+    two_point,
+)
 from seclus.typing import check_program
-from seclus import compiled, verify
+from seclus import compiled, typing, verify
 from seclus.verify import (
     GenConfig,
     check_noninterference,
@@ -26,6 +36,7 @@ from seclus.verify import (
 )
 
 from conftest import leaky_pairs, load
+from reference_ni import reference_minimal_instantiation
 
 
 # -- preservation ---------------------------------------------------------------
@@ -227,6 +238,51 @@ def test_campaigns_reject_fewer_than_one_trial(trials):
                               trials=trials)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: differential_semantics(p, trials=1, engine="fast"),
+         "engine must be 'compiled' or 'reference', not 'fast'"),
+        (lambda p: differential_semantics(p, trials=1, nodes="every"),
+         "nodes must be 'entry' or 'all', not 'every'"),
+        (lambda p: check_noninterference(p, "cnt_dn", two_point(), {"res": "L", "n": "L"},
+                                         "L", trials=1, clock_pairing="lax"),
+         "clock_pairing must be 'strict' or 'skip', not 'lax'"),
+    ],
+    ids=["engine", "nodes", "clock_pairing"],
+)
+def test_campaigns_reject_an_unknown_choice(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(load("cnt_dn.lus"))
+
+
+# `o = x div 1` and a form of it that divides by zero at every instant
+DIVIDES = "node f(x: int) returns (o: int) let o = x div {}; tel"
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+def test_a_form_that_raises_alone_diverges_on_its_error(monkeypatch, engine):
+    p = parse_program(DIVIDES.format("(x - x + 1)"))
+    assert differential_semantics(p, trials=3, N=5, engine=engine).ok
+    raising = parse_program(DIVIDES.format("(x - x)"))
+    monkeypatch.setattr(verify, "fby_init", lambda prog: raising)
+    rep = differential_semantics(p, trials=3, N=5, engine=engine)
+    (d,) = rep.divergences
+    assert (d.node, d.trial, d.variable, d.instant) == ("f", 0, "!error", -1)
+    source, denested, init = d.values
+    assert source == denested != init
+    assert init == str({"!error": [repr(EvalError("division by zero"))]})
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+def test_forms_that_raise_alike_pass(engine):
+    # every form raises the same error at every trial: no history differs
+    p = parse_program(DIVIDES.format("(x - x)"))
+    with pytest.raises(EvalError):
+        run_node(p, "f", [[1]])
+    assert differential_semantics(p, trials=3, N=5, engine=engine).ok
+
+
 def test_differential_catches_broken_initialisation():
     # sabotage the delay-initialised form by hand: flipping the very
     # first value of the initialisation flag changes instant 0
@@ -296,6 +352,28 @@ def test_variable_levels_cover_all_locals():
     assert set(levels) == {"i", "n", "o", "edge", "c", "v"}
     assert levels["edge"] == "L"  # depends on i and the clock only
     assert levels["v"] == "H"  # reads n
+
+
+def test_variable_levels_equal_the_terms_evaluated():
+    # each local's level against its type as a term of the paper's
+    # algebra, evaluated in the least model of the signature
+    lat = powerset_lattice(2)
+    locals_seen = 0
+    for seed in range(100):
+        p = generate_program(GenConfig(seed=seed))
+        node = p.nodes[-1]
+        sig = check_program(p)[node.name]
+        locals_seen += len(sig.local_types)
+        for levels in itertools.product(lat.elements, repeat=len(node.inputs) + 1):
+            *ins, clock = levels
+            got = variable_levels(node, sig, dict(zip((d.name for d in node.inputs), ins)),
+                                  clock, lat)
+            s = reference_minimal_instantiation(sig, dict(zip(sig.input_vars, ins)), clock, lat)
+            for d, v in zip((*node.inputs, *node.outputs), (*sig.input_vars, *sig.output_vars)):
+                assert got[d.name] == s[v]
+            for x, atoms in sig.local_types.items():
+                assert got[x] == eval_ground(s, typing._term(atoms), lat), (seed, x)
+    assert locals_seen > 100
 
 
 def test_minimal_instantiation_is_least():
