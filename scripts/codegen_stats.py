@@ -24,9 +24,10 @@ The entry node is each program's last node; its inputs are drawn by
 `verify.random_inputs` from the program's seed.  A last line counts the
 step functions that each trial of `verify.differential_semantics` runs
 over the generated programs (the distinct texts among the three forms'
-code with the outputs recorded, of three per program) and the calls of
+code with the outputs recorded, of three per program), the calls of
 Python's `compile` that one campaign of one trial makes over the same
-programs, parsed anew.  With `--digest`,
+programs, parsed anew, and for each pair of forms the programs whose
+two texts are identical.  With `--digest`,
 prints instead one SHA-256 over every generated source of the same
 corpus, in that order, so two trees that generate the same code print
 the same line, and after it one line per source, `label form want
@@ -63,6 +64,8 @@ from seclus.verify import (  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = ("cnt_dn.lus", "re_trig.lus")
 FORMS = ("source", "denest", "init")
+# the pairs of forms whose identical texts the last line counts
+PAIRS = (("source", "denest"), ("source", "init"), ("denest", "init"))
 REPEATS = 5
 
 
@@ -230,19 +233,22 @@ def main(argv=None) -> int:
     keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
     count = distinct = 0
+    same = dict.fromkeys(PAIRS, 0)
     for label, p in programs(args.seeds):
         count += 1
         seed = label if isinstance(label, int) else 0
-        steps = set()
+        steps = {}
         for f, form in forms(p).items():
             node = form.nodes[-1]
             inputs = random_inputs(node, args.horizon, random.Random(seed))
             for w, want in wants(node).items():
                 source = measure(form, node, want, inputs, args.horizon, table[(f, w)])
                 if w == "outputs":
-                    steps.add(source)
+                    steps[f] = source
         if isinstance(label, int):
-            distinct += len(steps)
+            distinct += len(set(steps.values()))
+            for a, b in PAIRS:
+                same[(a, b)] += steps[a] == steps[b]
     print(f"{count} programs, horizon {args.horizon}")
     print(
         f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9}"
@@ -254,9 +260,11 @@ def main(argv=None) -> int:
             f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
             f" {row['ops'] / n:9.1f} {row['wraps'] / n:10.1f} {row['raised']:6d} {row['dead']:5d}"
         )
+    pairs = ", ".join(f"{a} = {b} {n}" for (a, b), n in same.items())
     print(
         f"distinct step functions per differential trial: {distinct} of {3 * args.seeds};"
-        f" compile calls of one campaign: {campaign_compiles(args.seeds, args.horizon)}"
+        f" compile calls of one campaign: {campaign_compiles(args.seeds, args.horizon)};"
+        f" identical texts of {args.seeds}: {pairs}"
     )
     return 0
 

@@ -305,9 +305,10 @@ def cmd_verify(args) -> int:
         ok = ok and rep.ok
         if not args.json:
             mark = _green("pass") if rep.ok else _red("fail")
+            errored = f", {rep.errored} errored" if rep.errored else ""
             print(
                 f"semantics {','.join(rep.nodes)}: {mark}"
-                f" ({rep.trials} trials, horizon {rep.horizon})"
+                f" ({rep.trials} trials, horizon {rep.horizon}{errored})"
             )
             for d in rep.divergences:
                 print(

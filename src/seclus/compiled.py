@@ -20,8 +20,9 @@ that folding drops keeps nothing alive, and only the live statements are
 printed.  Layout of the `run` function generated for one entry node and
 one set of recorded columns:
 
-  before the loop  every live delay register is a Python local, holding its
-                   constant initial value, in order of first use
+  before the loop  every live delay register that a commit stores is a
+                   Python local, holding its constant initial value, in
+                   order of first use
   per instant      the input columns are zipped with the base clock; an
                    input declared on a derived clock is checked against
                    it by the reference's own presence rules (`interp._on`,
@@ -49,7 +50,7 @@ one set of recorded columns:
                    clock is off (no statement stores None); the record
                    is the one statement with no target
   commits          every live register of every instance stored, in
-                   the order of its first use in the text: the commits
+                   the order below (*Commit order*): the commits
                    whose code or clock test reads a register as one
                    parallel assignment, `rA, rB = (codeA, codeB)`, with
                    a commit under a test as the choice `(code if test
@@ -60,21 +61,24 @@ one set of recorded columns:
                    themselves for one code, and a copy of each requested
                    input column
 
-Program variables are mangled into their own namespace: `V_x` in the
-entry node and `V<k>_x` in the k-th inlined call site (non-ASCII
-identifiers are spelt in hex).  Every name the generator makes up
-starts with a lower-case letter, so no program identifier can shadow
-one.  Inlining copies a callee's body once per call site, so the code
-grows with the number of paths through the call graph.
+Program variables are mangled into their own namespace while the code
+is built: `V_x` in the entry node and `V<k>_x` in the k-th inlined call
+site (non-ASCII identifiers are spelt in hex).  Inlining copies a
+callee's body once per call site, so the code grows with the number of
+paths through the call graph.
 
-The text is canonical up to the names the generator makes up: as it is
-printed, the registers, the other made-up names (`e` and `k` and a
-number) and the call sites (`V<k>`) are numbered anew, per kind, in
-order of first use (`_Names`), and the registers' initial values are
-printed in that order.  So the program forms whose step code differs
-only in such names, or in the order in which their delays were
-compiled, print one text; the differential campaign compiles and runs
-it once (`verify.differential_semantics`).
+The text is canonical up to names: as it is printed (`_Names`), only
+the entry node's inputs and recorded columns keep their `V_x`, which
+are the same in every program form.  Every other name is numbered
+anew, per kind, in order of first use: the registers (`r` and a
+number), the other names the generator makes up (`e` and `k`) and
+every other program variable, of the entry node or of a callee (`v`).
+Each of these starts with a lower-case letter and `V_x` with `V`, so
+no program identifier can shadow one.  The registers' initial values
+are printed in the order of first use.  So the program forms whose
+step code differs only in such names, or in the order in which their
+delays were compiled, print one text; the differential campaign
+compiles and runs it once (`verify.differential_semantics`).
 
 The step code is built as a small intermediate representation and
 printed once, at the end, as Vélus builds Obc and prints C last.  A code
@@ -151,7 +155,13 @@ can raise has been hoisted as usual; so is a `merge` whose variable's
 code is a literal.  Equal branch codes collapse when the condition
 cannot raise.  A branch that folding drops is not in the tree, so what
 it reads, or whether it raises, decides nothing.  Every literal reaches
-its readers as the codes are built, so nothing is folded later.
+its readers as the codes are built, but one: a register that no commit
+stores (its second operand's code is its initial literal or itself, or
+its clock never ticks) is known to be constant only when phase 2 has
+compiled its commit.  Before liveness, one walk over the statements
+replaces each read of it by its initial literal and folds the codes
+again (`_constants`); a value that folds to an atom is then that atom,
+as when the codes are built, so the literal reaches every reader.
 
 Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code and its test read.  `_live`
@@ -177,19 +187,35 @@ codes, so the generated function always compiles.  Re-nesting only
 moves codes: as folding is done, it drops no read, and what liveness
 kept stays live.  The pass is one walk over the statements, in order.
 
-The commits are ordered once the rest of the loop is printed, by their
-registers' first use in its text (`_Names`), not by the order in which
-the delays were compiled; the registers that only the commits read, or
-nothing, come after the others, in the order of compilation.  A register whose second operand's code is its
-initial literal never changes, and has no commit.
+Commit order.  The commits are ordered once the rest of the loop is
+printed, not by the order in which the delays were compiled.  First
+come those of the registers that the loop reads, in the order of their
+first use in its text (`_Names`).  The registers that only the commits
+read follow breadth-first: each commit in that order brings in, after
+the last, the commits of the registers that its code and test read, in
+the order they read them.  A register that nothing reads keeps its
+commit only when it may raise; such commits come last, each followed
+by the walk from it, in the order of compilation.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
-from itertools import repeat
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, not_
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    KeysView,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from seclus.ast import (
     BASE,
@@ -345,38 +371,36 @@ def _ring(code: Op, names: "_Names") -> Tuple[str, int]:
 
 class _Names(dict):
     """The spelling of each name of the step code, given at its first use
-    in the printed text.  An entry node's variable (`V_x`) keeps its
-    own.  A name the generator made up (a kind, `r`, `e` or `k`,
-    and a number) and the prefix of an inlined call site (`V` and a
-    number) are numbered anew, per kind, in order of first use, so two
-    step codes equal up to these names print one text."""
+    in the printed text.  An entry input or a recorded column (`keep`)
+    keeps its own, `V_x`.  Every other name is numbered anew, per kind,
+    in order of first use: a name the generator made up keeps its kind,
+    `r`, `e` or `k`, and any other program variable, of the entry node or
+    of an inlined callee, is of the kind `v`.  So two step codes equal up
+    to these names print one text."""
 
-    def __init__(self) -> None:
+    def __init__(self, keep: Set[str]) -> None:
         super().__init__()
-        self.counts: Counter = Counter()
+        self.keep = keep
+        self.counts: Dict[str, int] = {}
         # each register, by its name and its new name, in order
         self.registers: List[Tuple[str, str]] = []
 
     def __missing__(self, text: str) -> str:
-        made = _MADE.match(text)
-        if made is None:
+        if text in self.keep:
             new = text
-        elif made.end() < len(text):
-            # a callee's variable, under its call site's prefix
-            new = self[made.group()] + text[made.end() :]
         else:
-            kind = made.group(1)
-            new = f"{kind}{self.counts[kind]}"
-            self.counts[kind] += 1
+            # a made-up name starts with its kind, a program variable
+            # with `V`
+            kind = text[0] if text[0] != "V" else "v"
+            n = self.counts.get(kind, 0)
+            self.counts[kind] = n + 1
+            new = f"{kind}{n}"
             if kind == "r":
                 self.registers.append((text, new))
         self[text] = new
         return new
 
 
-# a name the generator made up, or the prefix of a call site's names; a
-# program variable is spelt `V_x` or `Vx` and hex digits
-_MADE = re.compile(r"([a-zV])\d+")
 _NONE = _lit(None)
 # the flag of a clock that never ticks
 _NEVER = _lit(False)
@@ -576,17 +600,35 @@ def _emit(stmts: List[_Stmt], names: _Names) -> List[str]:
 
 
 def _commits(commits: List[_Stmt], names: _Names) -> List[_Stmt]:
-    """The commits that end the instant, in the order of their
-    registers' first use in the text printed so far (`names`).  The
-    commits whose code or test reads a register are one parallel
-    assignment, whose right side Python evaluates before it stores
-    anything; each under a test is a choice between its code and its
-    register.  The others follow, each run under one test together."""
+    """The commits that end the instant: first those of the registers
+    that the text printed so far (`names`) reads, in the order of their
+    first use; then the others, breadth-first from the registers that
+    the commits before them read, in the order they read them (those
+    that nothing reads, in the order of compilation).  The commits whose
+    code or test reads a register are one parallel assignment, whose
+    right side Python evaluates before it stores anything; each under a
+    test is a choice between its code and its register.  The others
+    follow, each run under one test together."""
+    # liveness keeps the commit of every register that the text reads,
+    # so these are the first `n`; the others keep the order of
+    # compilation until the walk reaches them
     first = {x: k for k, (x, _) in enumerate(names.registers)}
-    commits = sorted(commits, key=lambda st: first.get(st.targets[0], len(first)))
+    n = len(first)
+    order = sorted(commits, key=lambda st: first.get(st.targets[0], n))
+    if len(order) > n:
+        rest = {st.targets[0]: st for st in order[n:]}
+        del order[n:]
+        k = 0
+        while rest:
+            for j in _readers(order, rest.keys(), k):
+                order += map(rest.pop, filter(rest.__contains__, order[j].reads))
+            k = len(order)
+            if rest:
+                # a register that nothing walked so far reads
+                order.append(rest.pop(next(iter(rest))))
     reading: List[_Stmt] = []
     runs: Dict[Optional[Code], List[_Stmt]] = {}
-    for st in commits:
+    for st in order:
         if st.code.stateful or st.test is not None and st.test.stateful:
             reading.append(st)
         else:
@@ -602,6 +644,48 @@ def _commits(commits: List[_Stmt], names: _Names) -> List[_Stmt]:
     return [_Stmt(targets, _op(_tuple(len(codes)), *codes))] + out
 
 
+def _substitute(code: Code, known: Dict[str, Code]) -> Code:
+    """`code` with each read of a name in `known` replaced by that name's
+    code, folded where the new codes decide it."""
+    if type(code) is Name:
+        return known.get(code.text, code)
+    if type(code) is Lit or known.keys().isdisjoint(code.reads):
+        return code
+    return _make(code.fmt, *map(_substitute, code.args, repeat(known)))
+
+
+def _constants(stmts: List[_Stmt], known: Dict[str, Code], registers: Dict[str, Code]) -> List[_Stmt]:
+    """`stmts` with each register that no commit stores read as its
+    initial literal (`known`, which this extends), in one walk: a value
+    that this folds to an atom (not a register's commit) is gone, and the
+    statements after it read that atom, as when the codes are built."""
+    out: List[Optional[_Stmt]] = list(stmts)
+    gone = False
+    for k in _readers(stmts, known.keys()):
+        st = stmts[k]
+        code = _substitute(st.code, known)
+        if type(code) is not Op and st.targets and st.targets[0] not in registers:
+            (x,) = st.targets
+            known[x] = code
+            out[k] = None
+            gone = True
+        else:
+            out[k] = _Stmt(st.targets, code, None if st.test is None else _substitute(st.test, known))
+    return [st for st in out if st is not None] if gone else out
+
+
+_READS = attrgetter("reads")
+
+
+def _readers(stmts: List[_Stmt], names: KeysView, start: int = 0) -> Iterator[int]:
+    """The indices, from `start` on, of the statements in `stmts` that
+    read one of `names`, the live view of a dict's keys.  Each statement
+    is tested when the scan reaches it, so a statement appended to
+    `stmts`, or a name added to the dict, before then counts."""
+    reads = map(_READS, islice(stmts, start, None))
+    return compress(count(start), map(not_, map(names.isdisjoint, reads)))
+
+
 class _Codegen:
     """Counters and register initialisations shared by every instance
     inlined into one generated function."""
@@ -611,6 +695,8 @@ class _Codegen:
         self.counts: Dict[str, int] = {}
         # each delay register and its initial content
         self.registers: Dict[str, Code] = {}
+        # each register that no commit stores, and its initial content
+        self.constants: Dict[str, Code] = {}
         # every instance's commits, stored at the end of the instant
         self.commits: List[_Stmt] = []
 
@@ -804,6 +890,7 @@ class _NodeCode:
         register that keeps its value (`rest` is the register, or its
         initial literal), or whose clock never ticks, is left as it is."""
         if rest == reg or rest == self.gen.registers[reg.text] or flag is _NEVER:
+            self.gen.constants[reg.text] = self.gen.registers[reg.text]
             return
         self.gen.commits.append(_assign(reg, rest, flag))
 
@@ -952,14 +1039,16 @@ class _NodeCode:
 
 class _Run:
     """The step code of one entry node and set of recorded columns: its
-    text, and the function `run` that Python compiles from it at its
-    first use (`fn`)."""
+    text, the spelling in it of each name of the step code (`names`,
+    by the generator's own name) and the function `run` that Python
+    compiles from the text at its first use (`fn`)."""
 
-    __slots__ = ("node", "source", "_fn")
+    __slots__ = ("node", "source", "names", "_fn")
 
-    def __init__(self, node: Node, source: str):
+    def __init__(self, node: Node, source: str, names: Dict[str, str]):
         self.node = node
         self.source = source
+        self.names = names
         self._fn: Optional[Callable] = None
 
     @property
@@ -988,13 +1077,17 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     gen = _Codegen(prog)
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
-    targets = [env[d.name].text for d in node.inputs] + ["b"]
+    spelt = [env[d.name].text for d in node.inputs]
+    targets = spelt + ["b"]
     lines = ["def run(cols, bs, div=int_div, mod=int_mod):"]
     # an input on a derived clock is checked against it by the
     # reference's rules, before the instant runs
     derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
     in_env = {d.name: env[d.name] for d in node.inputs}
     checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name].text}, {d.name!r})" for d in derived]
+    # the names that keep their spelling: the inputs and the recorded
+    # columns, taken before compiling gives a variable another code
+    keep = {*spelt, *map(attrgetter("text"), map(env.__getitem__, want))}
     code = _NodeCode(gen, node, env)
     code.compile()
     # one row per instant: the distinct codes of the recorded columns,
@@ -1010,6 +1103,11 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         # register reads this instant's value
         stmts.append(_Stmt((), row[0] if width == 1 else _op(_tuple(width), *row)))
     stmts += gen.commits
+    if gen.constants:
+        # a register that no commit stores is its initial literal, folded
+        # into its readers before liveness, so that what a fold drops is
+        # not kept
+        stmts = _constants(stmts, gen.constants, gen.registers)
     # only what the record and the statements that may raise read,
     # transitively, is emitted, with its single-use values re-nested
     live = _live(stmts)
@@ -1018,16 +1116,17 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     commits: List[_Stmt] = []
     for st in stmts:
         (commits if st.targets and st.targets[0] in gen.registers else body).append(st)
-    names = _Names()
+    names = _Names(keep)
     loop = _emit(body, names)
+    # the body stores no register, so it reads every one it names
+    read = {x for x, _ in names.registers}
     commits = _commits(commits, names)
     loop += _emit(commits, names)
     if row:
         lines.append("    rows = []; row = rows.append")
     # the registers that the loop reads, in order of first use
-    read = {x for st in body + commits for x in st.reads}
-    inits = [(new, gen.registers[x]) for x, new in names.registers if x in read]
-    lines += [f"    {new} = {initial.text}" for new, initial in inits]
+    read.update(x for st in commits for x in st.reads)
+    lines += [f"    {new} = {gen.registers[x].text}" for x, new in names.registers if x in read]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
     lines += ["        " + line for line in checks]
     lines.append("        if not b:")
@@ -1049,7 +1148,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
             # the same code gets a list of its own
             history.append("list(rows)" if "rows" in history else "rows")
     lines.append("    return {" + ", ".join(f"{x!r}: {h}" for x, h in zip(want, history)) + "}")
-    return _Run(node, "\n".join(lines) + "\n")
+    return _Run(node, "\n".join(lines) + "\n", names)
 
 
 class CompiledProgram:
@@ -1101,6 +1200,6 @@ class CompiledProgram:
         """The step code that runs of `name` recording `want` execute.
         It is generated at the first run or call that asks for it, and
         kept; Python compiles it at its first run.  Step code is printed
-        in a canonical form, so code equal up to the names the generator
-        makes up is one text."""
+        in a canonical form, so code equal up to the names of everything
+        but the inputs and the recorded columns is one text."""
         return self._code(name, want).source

@@ -200,6 +200,8 @@ class DifferentialReport:
     horizon: int
     seed: int
     divergences: Tuple[Divergence, ...]
+    # the trials in which every form raised the same error
+    errored: int
 
     @property
     def ok(self) -> bool:
@@ -225,8 +227,9 @@ def differential_semantics(
     exercised as sub-instances) or "all" (run every node as the top).
 
     Each trial draws its inputs from its own seed; the report holds the
-    first divergence of each node, in node order.  `trials` must be at
-    least 1.
+    first divergence of each node, in node order, and counts the trials
+    in which every form raised the same error (`errored`), which agree
+    without comparing any stream.  `trials` must be at least 1.
 
     On the compiled engine, forms whose step code for a node is the same
     text run once per trial: the same text is the same deterministic
@@ -244,6 +247,7 @@ def differential_semantics(
     denested = normalize_program(G)
     forms = [engine_class(form) for form in (G, denested, fby_init(denested))]
     divergences: List[Divergence] = []
+    errored = 0
     for ni, node in enumerate(run_list):
         outs = [d.name for d in node.outputs]
         # the form whose run stands for each form's: the first with the
@@ -263,12 +267,16 @@ def differential_semantics(
                     results.append(form.run(node.name, inputs, N=N, want=outs))
                 except (ClockMismatch, EvalError) as exc:
                     results.append({"!error": [repr(exc)]})
+                    # the first form always runs: every form raised the
+                    # same error unless the trial diverges
+                    errored += k == 0
             d = _first_divergence(node.name, trial, results)
             if d is not None:
                 divergences.append(d)
+                errored -= "!error" in results[0]
                 break
     names = tuple(n.name for n in run_list)
-    return DifferentialReport(names, trials, N, seed, tuple(divergences))
+    return DifferentialReport(names, trials, N, seed, tuple(divergences), errored)
 
 
 def _check_trials(trials: int) -> None:

@@ -299,6 +299,30 @@ def test_verify_json_stable(capsys):
     json.loads(a[1])
 
 
+DERIVED_INPUT = (
+    "node f(c: bool; x: int :: base on c) returns (o: int)"
+    " let o = merge c (x + 1) (0 when not c); tel"
+)
+
+
+def test_verify_counts_the_trials_that_raise_on_every_form(capsys, tmp_path):
+    # every input is drawn present at every instant, so every run of a
+    # node with an input on a derived clock raises; the line says so
+    path = tmp_path / "f.lus"
+    path.write_text(DERIVED_INPUT)
+    code, out, _ = run(capsys, "verify", str(path), "--what", "semantics", "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "semantics f: pass (100 trials, horizon 50, 100 errored)"
+    code, out, _ = run(capsys, "verify", str(path), "--what", "semantics", "--seed", "0", "--json")
+    assert json.loads(out)["semantics"]["errored"] == 100
+    # a report with no such trial prints no count
+    code, out, _ = run(
+        capsys, "verify", fixture_path("cnt_dn.lus"), "--what", "semantics", "--trials", "3",
+        "--horizon", "5", "--seed", "0",
+    )
+    assert out.splitlines()[1] == "semantics cnt_dn: pass (3 trials, horizon 5)"
+
+
 def test_verify_ni_rejected_policy_fails(capsys):
     lus, pol = leaky_pairs()[0]
     code, out, _ = run(

@@ -11,6 +11,7 @@ import tokenize
 
 import pytest
 
+from seclus import compiled
 from seclus.ast import FbyEq, clock_env, fv, targets
 from seclus.compiled import CompiledProgram, _generate
 from seclus.interp import (
@@ -395,7 +396,7 @@ def test_single_use_values_are_nested_into_their_reader():
         fast = CompiledProgram(form)
         assert fast.run("f", [[1, INT_MAX]], want=["o"]) == {"o": [3, INT_MAX * 3 + INT_MAX - 1 - 2**65]}
         (run,) = fast.nodes.values()
-        assert not _named(run.source) - {"a"}, run.source
+        assert not _named(run) - {"a"}, run.source
         assert _recorded(run.source, "o").count("(w := ") == 1
 
 
@@ -434,7 +435,7 @@ def test_a_value_whose_read_folding_drops_stays_out_of_the_code():
     for want in (["o"], ["p"]):
         fast = CompiledProgram(parse_program(src))
         fast.run("f", inputs, want=want)
-        assert not _named(fast.source("f", want)) & {"c", "t"}, want
+        assert not _named(fast.nodes[("f", tuple(want))]) & {"c", "t"}, want
 
 
 def _parens(source):
@@ -546,22 +547,124 @@ def test_every_register_starts_at_a_constant():
     assert len({CompiledProgram(form).source("cnt_dn", ["cpt"]) for form, _ in all_forms(p)}) == 1
 
 
+# -- one text per program ------------------------------------------------------------
+
+# generated programs whose three forms, with the outputs recorded, print
+# one text only as the text is canonical: a register that no commit
+# stores is its literal (5, 53); the forms name a variable apart (79);
+# the commits that only commits read come in compile order (14, 18, 49)
+ONE_TEXT = [("never stored", 5), ("never stored", 53), ("names", 79)]
+ONE_TEXT += [("commit order", seed) for seed in (14, 18, 49)]
+
+
+def _outputs_runs(p):
+    """The step code of each form of `p`: its entry node, the outputs
+    recorded."""
+    node = p.nodes[-1]
+    outs = tuple(d.name for d in node.outputs)
+    runs = []
+    for form, _ in all_forms(p):
+        cp = CompiledProgram(form)
+        cp.source(node.name, outs)
+        runs.append(cp.nodes[(node.name, outs)])
+    return runs
+
+
+@pytest.mark.parametrize("why, seed", ONE_TEXT)
+def test_the_forms_of_a_program_print_one_text(monkeypatch, why, seed):
+    folded = []
+    constants = compiled._constants
+
+    def spy(stmts, known, registers):
+        folded.append(set(known))
+        return constants(stmts, known, registers)
+
+    monkeypatch.setattr(compiled, "_constants", spy)
+    p = generate_program(GenConfig(seed=seed))
+    runs = _outputs_runs(p)
+    assert len({run.source for run in runs}) == 1, seed
+    if why == "never stored":
+        # a register that some form reads is folded to its literal
+        assert folded, seed
+    else:
+        # the forms' own names differ, their texts do not
+        assert len({frozenset(run.names.items()) for run in runs}) > 1, seed
+    node = p.nodes[-1]
+    inputs = random_inputs(node, 20, random.Random(seed))
+    outs = [d.name for d in node.outputs]
+    for form, dialect in all_forms(p):
+        H = ReferenceProgram(form).run(node.name, inputs, want=outs, dialect=dialect)
+        assert CompiledProgram(form).run(node.name, inputs, want=outs) == H, (seed, dialect)
+
+
+def test_distinct_step_functions_over_the_corpus():
+    # the texts that the differential campaign compiles and runs over
+    # the fixtures and seeds 0-99: 145 before the variables other than
+    # the inputs and the recorded columns were numbered, never-stored
+    # registers were literals and the commits that only commits read
+    # were walked from the ones before them
+    assert sum(len({run.source for run in _outputs_runs(p)}) for p in _corpus()) == 108
+
+
+# spelt as the names the generator makes up, and as a hex-spelt one
+MADE_UP_LOCALS = """
+node g(r0: int) returns (v1: int)
+  var e2: int;
+let e2 = 0 fby r0; v1 = e2 + r0; tel
+
+node f(k0: bool; r0: int) returns (v1: int; e2: int)
+  var xé: int; v0: int :: base on k0; k1: bool;
+let
+  xé = r0 + (1 fby xé);
+  v0 = g((xé div 2) when k0);
+  k1 = not k0;
+  v1 = merge k0 (v0) ((r0 mod 3) when not k0);
+  e2 = if k1 then xé else (0 fby v1);
+tel
+"""
+
+
+def test_program_names_spelt_like_made_up_names_stay_apart():
+    p = parse_program(MADE_UP_LOCALS)
+    inputs = [[True, False, True, True, False], [3, -4, INT_MAX, 0, 7]]
+    for form, dialect in all_forms(p):
+        fast, ref = CompiledProgram(form), ReferenceProgram(form)
+        for want in (["v1"], ["e2"], None):
+            H = fast.run("f", inputs, want=want)
+            assert H == ref.run("f", inputs, want=want, dialect=dialect), (dialect, want)
+    # recording `v1` alone, the local `xé` is spelt as a made-up name;
+    # recording every column, every variable of `f` keeps its own
+    fast = CompiledProgram(p)
+    fast.source("f", ["v1"])
+    run = fast.nodes[("f", ("v1",))]
+    assert re.fullmatch(r"v\d+", run.names["Vx" + "xé".encode().hex()]), run.source
+    fast.source("f")
+    full = fast.nodes[("f", tuple(d.name for d in p.node("f").decls))]
+    kept = {x: v for x, v in full.names.items() if x.startswith("V") and not x[1].isdigit()}
+    assert all(x == v for x, v in kept.items()), full.source
+    assert {"V_k0", "V_r0", "Vx" + "xé".encode().hex()} <= set(kept), full.source
+
+
 def _first_uses(names):
-    """Each kind's numbers, in the order of their first use."""
+    """Each kind's numbers, in the order of their first use: the names
+    the generator makes up, and the program variables spelt like them."""
     seen = {}
     for x in names:
-        made = re.fullmatch(r"([rtek])(\d+)|(V)(\d+)(?:_|x).*", x)
+        made = re.fullmatch(r"([rtekv])(\d+)", x)
         if made is not None:
-            kind, n = made.group(1) or made.group(3), int(made.group(2) or made.group(4))
+            kind, n = made.group(1), int(made.group(2))
             if n not in seen.setdefault(kind, []):
                 seen[kind].append(n)
     return seen
 
 
 def test_generated_names_are_numbered_in_order_of_first_use():
-    # the registers, temporaries, hoisted values, clock flags and call
-    # sites, both in the whole text and in the loop alone: the registers'
-    # initial values are printed in the loop's order
+    # the registers, hoisted values, clock flags and program variables
+    # other than the inputs and the recorded columns, both in the whole
+    # text and in the loop alone: the registers' initial values are
+    # printed in the loop's order.  Only the entry node's inputs and
+    # recorded columns keep their names (`V_x`, or `Vx` and hex digits);
+    # no inlined call site's name (`V<k>_x`) is printed
     for k, p in enumerate(_corpus()):
         for form, _ in all_forms(p):
             node = form.nodes[-1]
@@ -573,6 +676,11 @@ def test_generated_names_are_numbered_in_order_of_first_use():
                     if t.type == tokenize.NAME
                 ]
                 loop = tokens[tokens.index("for"):]
+                kept = {t for t in tokens if t.startswith("V")}
+                assert all(re.fullmatch(r"V_\w+|Vx[0-9a-f]+", t) for t in kept), (k, source)
+                recorded = want if want is not None else [d.name for d in node.decls]
+                inputs = [d.name for d in node.inputs]
+                assert {_spelt(x) for x in kept} <= set(recorded + inputs), (k, source)
                 for seen in (_first_uses(tokens), _first_uses(loop)):
                     for kind, ns in seen.items():
                         assert ns == list(range(len(ns))), (k, kind, source)
@@ -812,7 +920,7 @@ def test_a_call_that_nothing_reads_and_cannot_raise_leaves_no_code(src):
         # no call block, no name of the inlined instance and no register
         tests = r"^ +if (.*):$"
         assert re.findall(tests, narrow, re.M) == ["not b"]
-        assert not re.search(r"\bV\d+_", narrow)
+        assert not _inlined(fast.nodes[("f", ("o",))])
         assert not re.search(r"^    r\d+ = ", narrow, re.M)
         # recording every column keeps the callee's delay
         assert re.search(r"^    r\d+ = ", full, re.M)
@@ -832,9 +940,22 @@ def test_the_clock_of_a_recorded_column_is_in_its_cone():
         assert H == {"z": [None, 1, None, 2]}
 
 
-def _named(source):
-    """The entry node's variables that the generated code names."""
-    return set(re.findall(r"\bV_(\w+)", source))
+def _named(run):
+    """The entry node's variables that the generated code `run` names,
+    however it spells them, by the generator's own name of each."""
+    return {_spelt(x) for x in run.names if x.startswith("V") and not x[1].isdigit()}
+
+
+def _spelt(name):
+    """The program variable that the entry node's `V_x`, or `Vx` and hex
+    digits, stands for."""
+    return name[2:] if name[1] == "_" else bytes.fromhex(name[2:]).decode()
+
+
+def _inlined(run):
+    """The variables of inlined call sites (`V<k>_x`) that the generated
+    code `run` names, by the generator's own name of each."""
+    return {x for x in run.names if re.match(r"V\d", x)}
 
 
 def test_only_the_cone_of_the_recorded_columns_is_generated():
@@ -852,7 +973,7 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     cp = CompiledProgram(p)
     cp.run(node.name, random_inputs(node, 5, random.Random(7)), want=["out"])
     (narrow,) = cp.nodes.values()
-    names = _named(narrow.source)
+    names = _named(narrow)
     # `out` is computed (into its record, as its only reader), and only
     # its cone is named
     assert _recorded(narrow.source, "out") and names <= cone
@@ -861,14 +982,17 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     full = cp.nodes[(node.name, tuple(d.name for d in node.decls))]
     # the full code computes `x4`, outside that cone, from a delay of its
     # own, read through the base clock's first-instant flag; the narrow
-    # code computes no such value, named or nested into a reader, and
-    # keeps only the registers of the cone's delays: `x3`'s `false fby
-    # x1`, `out`'s two and the flag they share
+    # code reads no such register, so it computes no such value, named
+    # or nested into a reader, and keeps only the registers of the
+    # cone's delays: `out`'s two and the flag they share (`x3`'s `false
+    # fby x1`, with `x1` false, is never stored, so it is `False`)
     x4 = _recorded(full.source, "x4")
-    assert re.search(r"\(V_i1 if r\d+ else r\d+\)", x4) and x4 not in narrow.source
+    own = re.search(r"\(V_i1 if r\d+ else (r\d+)\)", x4)
+    generated = {new: x for x, new in full.names.items()}
+    assert own and generated[own.group(1)] not in narrow.names, x4
     registers = r"^    (r\d+) = "
-    assert len(re.findall(registers, narrow.source, re.M)) == 4
-    assert len(re.findall(registers, full.source, re.M)) == 6
+    assert len(re.findall(registers, narrow.source, re.M)) == 3
+    assert len(re.findall(registers, full.source, re.M)) == 5
     assert full.source.count("\n") > narrow.source.count("\n")
 
 
@@ -1135,7 +1259,7 @@ ATOM = r"(?:[A-Za-z_]\w*|\(-\d+\)|\d+)"
 
 
 def test_generated_code_emits_no_copy_and_one_init_flag_per_clock():
-    copy = re.compile(rf"^ +(V\d*)_(\w+) = ({ATOM})$", re.M)
+    copy = re.compile(rf"^ +(V\w+|v\d+) = ({ATOM})$", re.M)
     for seed in range(100):
         p = generate_program(GenConfig(seed=seed))
         for form, _ in all_forms(p):
@@ -1205,7 +1329,7 @@ def test_a_value_whose_reader_folding_removed_is_not_computed():
     assert fast.run(node.name, inputs, want=want) == H
     (run,) = fast.nodes.values()
     assert "v1" in {d.name for d in node.locals}
-    assert not re.search(r"^ +V_v1 = ", run.source, re.M), run.source
+    assert "V_v1" not in run.names, run.source
 
 
 CALLEE_LITERAL_OUTPUT = [
@@ -1267,7 +1391,7 @@ def test_a_callees_literal_output_folds_the_clock_it_samples():
         source = fast.source("f", ["y"])
         loop = source.split("    for ", 1)[1]
         assert re.findall(r"\bif .*:$", loop, re.M) == ["if not b:"], source
-        assert not re.search(r"\bV\d+_", source), source
+        assert not _inlined(fast.nodes[("f", ("y",))]), source
 
 
 def test_step_code_is_flat_statements_under_their_clocks_flags():

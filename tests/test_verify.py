@@ -91,7 +91,7 @@ def test_preservation_fails_when_denesting_adds_a_flow(monkeypatch):
 @pytest.mark.parametrize("fixture", ["cnt_dn.lus", "re_trig.lus"])
 def test_differential_on_fixtures(fixture):
     rep = differential_semantics(load(fixture), trials=25, N=50, nodes="all")
-    assert rep.ok and rep.divergences == ()
+    assert rep.ok and rep.divergences == () and rep.errored == 0
 
 
 def test_each_harness_denests_once(monkeypatch):
@@ -140,21 +140,30 @@ def _spied_runs(monkeypatch):
         # register selected by a first-instant flag
         ("node f(a: int) returns (o: int) let o = a fby (o + a); tel", 1),
         # and a call in expression position, whose output the de-nested
-        # forms name `v1`
+        # forms name `v1`: a variable that is neither an input nor a
+        # recorded column is spelt by its first use, in every form
         (
             "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
             " node f(a: int) returns (o: int) let o = d(a + 1) * 2; tel",
-            2,
+            1,
         ),
         # and a delay on a sampled clock, whose flag and register the
         # fby-init form names by variables of that clock: an atom on a
-        # derived clock is its variable's code, so the de-nested and
-        # fby-init forms still share one code
+        # derived clock is its variable's code, so the forms still share
+        # one code
         (
             "node d(x: int) returns (y: int) let y = x fby (y + x); tel"
             " node f(a: int; c: bool) returns (o: int) var y: int :: base on c;"
             " let y = (a when c) fby (y + (1 when c));"
             " o = merge c (y) (0 when not c) + d(a + 1); tel",
+            1,
+        ),
+        # a delay whose first operand folds to a literal: the fby-init
+        # form's `px = false fby true` shares the register of `y`, which
+        # the other forms' default register does not
+        (
+            "node f(a: int) returns (o: bool) var x: bool; y: bool;"
+            " let x = (not true) fby true; y = false fby true; o = x and y; tel",
             2,
         ),
     ],
@@ -269,6 +278,8 @@ def test_a_form_that_raises_alone_diverges_on_its_error(monkeypatch, engine):
     rep = differential_semantics(p, trials=3, N=5, engine=engine)
     (d,) = rep.divergences
     assert (d.node, d.trial, d.variable, d.instant) == ("f", 0, "!error", -1)
+    # the trial that diverges is no errored trial
+    assert rep.errored == 0
     source, denested, init = d.values
     assert source == denested != init
     assert init == str({"!error": [repr(EvalError("division by zero"))]})
@@ -280,7 +291,13 @@ def test_forms_that_raise_alike_pass(engine):
     p = parse_program(DIVIDES.format("(x - x)"))
     with pytest.raises(EvalError):
         run_node(p, "f", [[1]])
-    assert differential_semantics(p, trials=3, N=5, engine=engine).ok
+    rep = differential_semantics(p, trials=3, N=5, engine=engine)
+    # and the report counts those trials
+    assert rep.ok and rep.errored == 3
+    # over every node that runs, the trials of each node that raises
+    two = parse_program("node g(x: int) returns (o: int) let o = x + 1; tel " + DIVIDES.format("(g(x) - g(x))"))
+    rep = differential_semantics(two, trials=3, N=5, engine=engine, nodes="all")
+    assert rep.ok and rep.nodes == ("g", "f") and rep.errored == 3
 
 
 def test_differential_catches_broken_initialisation():
