@@ -16,6 +16,8 @@ two fixtures and the generated programs of seeds 0..N-1, prints:
             EvalError
   wraps/inst  64-bit range tests (`interp.WRAP`) executed per instant,
             over the same runs: the stores to the scratch local `w`
+  regs      delay registers that the generated code initialises before
+            its loop, summed
   raised    runs that stopped with an EvalError
   dead      statements of the generated loop that are transitively dead,
             by a flow-insensitive liveness over the source (`dead_statements`)
@@ -44,6 +46,7 @@ import dis
 import hashlib
 import os
 import random
+import re
 import statistics
 import sys
 import time
@@ -67,6 +70,8 @@ FORMS = ("source", "denest", "init")
 # the pairs of forms whose identical texts the last line counts
 PAIRS = (("source", "denest"), ("source", "init"), ("denest", "init"))
 REPEATS = 5
+# a register's initialisation, before the loop
+REGISTERS = re.compile(r"^    r\d+ = ", re.M)
 
 
 def programs(seeds: int):
@@ -206,6 +211,7 @@ def measure(prog, node, want, inputs, N, row) -> str:
     row["bytes"] += len(run.source.encode())
     row["compile"] += 1000 * statistics.median(times)
     row["dead"] += dead_statements(run.source)
+    row["regs"] += len(REGISTERS.findall(run.source))
     try:
         ops, wraps = count_ops(run.fn, inputs, base_clock(node, inputs, N))
     except EvalError:
@@ -230,7 +236,7 @@ def main(argv=None) -> int:
             # the reader stopped early, as `| head -1` does: no more output
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead")
+    keys = ("lines", "bytes", "compile", "ops", "wraps", "instants", "raised", "dead", "regs")
     table = {(f, w): dict.fromkeys(keys, 0) for f in FORMS for w in ("outputs", "all")}
     count = distinct = 0
     same = dict.fromkeys(PAIRS, 0)
@@ -252,13 +258,13 @@ def main(argv=None) -> int:
     print(f"{count} programs, horizon {args.horizon}")
     print(
         f"{'form':8} {'want':8} {'lines':>7} {'bytes':>8} {'compile':>9} {'ops/inst':>9}"
-        f" {'wraps/inst':>10} {'raised':>6} {'dead':>5}"
+        f" {'wraps/inst':>10} {'raised':>6} {'dead':>5} {'regs':>5}"
     )
     for (f, w), row in table.items():
         n = row["instants"] or 1
         print(
             f"{f:8} {w:8} {row['lines']:7d} {row['bytes']:8d} {row['compile']:7.1f}ms"
-            f" {row['ops'] / n:9.1f} {row['wraps'] / n:10.1f} {row['raised']:6d} {row['dead']:5d}"
+            f" {row['ops'] / n:9.1f} {row['wraps'] / n:10.1f} {row['raised']:6d} {row['dead']:5d} {row['regs']:5d}"
         )
     pairs = ", ".join(f"{a} = {b} {n}" for (a, b), n in same.items())
     print(

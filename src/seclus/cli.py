@@ -73,10 +73,11 @@ def _red(s: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The whole text of the UTF-8 file `path`.  A file that cannot be
-    opened or decoded is one error line."""
+    """The whole text of the UTF-8 file `path`, without a leading
+    byte-order mark.  A file that cannot be opened or decoded is one
+    error line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from None
@@ -229,7 +230,7 @@ def cmd_interpret(args) -> int:
     if args.inputs:
         if args.inputs == "-":
             try:
-                text = sys.stdin.read()
+                text = sys.stdin.read().removeprefix("\ufeff")
             except UnicodeDecodeError as exc:
                 raise CliError(f"cannot read standard input: {exc}") from None
         else:

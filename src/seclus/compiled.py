@@ -113,16 +113,20 @@ operand is its register, so the de-nested form's `x = c fby y` is read
 from the register itself.  Any other delay is
 lowered as `normalise.fby_init` writes it (the initialisation lemma of
 NLustre, Bourke et al., PLDI 2017): a register that starts at its
-type's default, read through a choice on the clock's first-instant flag
-`true fby false`, which selects the first operand; so the three program
-forms lower a delay alike.  A delay whose two operands are the same
-literal is that literal, and the delays of one instance with the same
-two literals on the same clock flag share one register: the clock's
-first-instant flag, and the fby-init form's `xinit` flags, are one
-register per clock.  A clock whose variable's code is a
-literal is folded: always on, the parent's flag; never on, `False`, and
-nothing under it runs: a variable, a branch hoisted from an `if` and a
-call's outputs on that clock are None.
+type's default, read through a choice on a first-instant flag (a
+`True`-then-`False` register), which selects the first operand; so the
+three program forms lower a delay alike.  One rule, at each register's
+commit, where its next code is known (`_NodeCode.commit`), decides which
+registers are one: a register that keeps its value (or whose clock
+never ticks) is its initial literal, and one whose initial literal,
+next code and clock flag are an earlier register's, of any instance, is
+that register (register equivalence, van Eijk, IEEE TCAD 2000).  So a
+delay of two equal literals is that literal, and the first-instant
+flags of one clock flag, `xinit` flags included, are one register.  A
+clock whose variable's code is a literal is folded: always on, the
+parent's flag; never on, `False`, and nothing under it runs: a
+variable, a branch hoisted from an `if` and a call's outputs on that
+clock are None.
 
 An operator's text is the template of `interp.UNARY_TEMPLATES` or
 `BINARY_TEMPLATES`, the table that `interp._UNARY`/`_BINARY` are
@@ -156,12 +160,13 @@ code is a literal.  Equal branch codes collapse when the condition
 cannot raise.  A branch that folding drops is not in the tree, so what
 it reads, or whether it raises, decides nothing.  Every literal reaches
 its readers as the codes are built, but one: a register that no commit
-stores (its second operand's code is its initial literal or itself, or
-its clock never ticks) is known to be constant only when phase 2 has
-compiled its commit.  Before liveness, one walk over the statements
-replaces each read of it by its initial literal and folds the codes
-again (`_constants`); a value that folds to an atom is then that atom,
-as when the codes are built, so the literal reaches every reader.
+stores is known to be a literal, or another register, only when its
+commit is compiled.  Before liveness, one walk over the statements
+replaces each read of it by that code and folds the codes again
+(`_constants`); a value that folds to an atom is then that atom, as when
+the codes are built, so the literal reaches every reader.  The recorded
+columns are read through it too before the row keeps their distinct
+codes.
 
 Liveness.  A statement that nothing live reads is not printed.  A
 statement reads the names that its code and its test read.  `_live`
@@ -406,7 +411,7 @@ _NONE = _lit(None)
 _NEVER = _lit(False)
 # the two operands of a clock's first-instant flag, `true fby false`
 _TRUE = _lit(True)
-_FALSE = Const(False)
+_FALSE = _lit(False)
 # by value type, the initial value of a delay's register when its first
 # operand is not a literal: never read, the type's default, as in
 # `normalise.fby_init`
@@ -447,7 +452,9 @@ def _operator(f: Callable, division: bool = False) -> Callable:
 
 def _choice(args: Tuple[Code, ...]) -> Optional[Code]:
     t, c, f = args
-    return None if type(c) is not Lit else t if c.value else f
+    if type(c) is Lit:
+        return t if c.value else f
+    return t if t == f and not c.raises else None
 
 
 _FOLDS: Dict[str, Callable[[Tuple[Code, ...]], Optional[Code]]] = {
@@ -655,9 +662,10 @@ def _substitute(code: Code, known: Dict[str, Code]) -> Code:
 
 
 def _constants(stmts: List[_Stmt], known: Dict[str, Code], registers: Dict[str, Code]) -> List[_Stmt]:
-    """`stmts` with each register that no commit stores read as its
-    initial literal (`known`, which this extends), in one walk: a value
-    that this folds to an atom (not a register's commit) is gone, and the
+    """`stmts` with each register that no commit stores read as the code
+    that `known` (which this extends) gives it, its initial literal or an
+    equal register that a commit stores, in one walk: a value that this
+    folds to an atom (not a register's commit) is gone, and the
     statements after it read that atom, as when the codes are built."""
     out: List[Optional[_Stmt]] = list(stmts)
     gone = False
@@ -687,16 +695,20 @@ def _readers(stmts: List[_Stmt], names: KeysView, start: int = 0) -> Iterator[in
 
 
 class _Codegen:
-    """Counters and register initialisations shared by every instance
-    inlined into one generated function."""
+    """Counters, register initialisations and the registers that are one,
+    shared by every instance inlined into one generated function."""
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.counts: Dict[str, int] = {}
         # each delay register and its initial content
         self.registers: Dict[str, Code] = {}
-        # each register that no commit stores, and its initial content
+        # each register that no commit stores, and the code it is read
+        # as: its initial literal, or an earlier register equal to it
         self.constants: Dict[str, Code] = {}
+        # each stored register, by its initial literal, its commit's code
+        # and its clock flag
+        self.shared: Dict[Tuple[Code, Code, Optional[Code]], Name] = {}
         # every instance's commits, stored at the end of the instant
         self.commits: List[_Stmt] = []
 
@@ -749,9 +761,6 @@ class _NodeCode:
         self.lines: List[_Stmt] = []  # phase 1
         self.phase2: List[_Stmt] = []
         self.queue: List[_Delay] = []
-        # the register of each constant delay, by its two literals and
-        # its clock flag
-        self.shared: Dict[Tuple[Lit, Lit, Optional[Code]], Name] = {}
 
     def compile(self) -> None:
         """Phase 1 in schedule order, then phase 2 over the queued
@@ -844,7 +853,7 @@ class _NodeCode:
         if isinstance(e, Merge):
             x = self.env[e.var]
             ts = self.all(e.on_true, sink)
-            return self.choose(x, ts, self.all(e.on_false, sink), True)
+            return self.choose(x, ts, self.all(e.on_false, sink))
         if isinstance(e, Ite):
             return self.ite(e, sink)
         if isinstance(e, Fby):
@@ -864,13 +873,10 @@ class _NodeCode:
             out += self.expr(e, sink)
         return out
 
-    def choose(self, c: Code, ts: List[Code], fs: List[Code], pure: bool) -> List[Code]:
-        """The codes of `t if c else f` for each pair of branch codes: the
-        branch itself when the condition `c` is a literal, or when both
-        branches are the same code and `c` cannot raise (`pure`)."""
-        if pure and ts == fs:
-            return ts
-        return [t if pure and t == f else _make(_CHOICE, t, c, f) for t, f in zip(ts, fs)]
+    def choose(self, c: Code, ts: List[Code], fs: List[Code]) -> List[Code]:
+        """The codes of `t if c else f` for each pair of branch codes,
+        folded by `_choice`."""
+        return [_make(_CHOICE, t, c, f) for t, f in zip(ts, fs)]
 
     def ite(self, e: Ite, sink: List[_Stmt]) -> List[Code]:
         # the reference evaluates both branches: a branch that can raise
@@ -882,31 +888,24 @@ class _NodeCode:
             flag = self.flag(e.clock, sink)
             ts = [self.hoist(code, flag, sink) for code in ts]
             fs = [self.hoist(code, flag, sink) for code in fs]
-        return self.choose(cond, ts, fs, not cond.raises)
+        return self.choose(cond, ts, fs)
 
     def commit(self, reg: Name, rest: Code, flag: Optional[Code]) -> None:
         """Store the delayed operand `rest` into the register `reg` at the
         end of the instant, where the clock flag `flag` is on.  A
         register that keeps its value (`rest` is the register, or its
-        initial literal), or whose clock never ticks, is left as it is."""
-        if rest == reg or rest == self.gen.registers[reg.text] or flag is _NEVER:
-            self.gen.constants[reg.text] = self.gen.registers[reg.text]
-            return
-        self.gen.commits.append(_assign(reg, rest, flag))
-
-    def constant(self, first: Lit, later: Const, ck: Optional[Clock], flag: Optional[Code]) -> Code:
-        """The code of the delay `first fby later` of two literals on the
-        clock `ck`: the literal itself when the two are equal, else the
-        register that every such delay on the clock flag `flag` shares."""
-        then = _lit(later.value)
-        if then == first:
-            return first
-        key = (first, then, flag)
-        reg = self.shared.get(key)
-        if reg is None:
-            reg = self.shared[key] = self.gen.register(first)
-            self.queue.append(_Delay([reg], [later], ck))
-        return reg
+        initial literal), or whose clock never ticks, is that literal; a
+        register whose initial literal, `rest` and `flag` are an earlier
+        register's, of any instance, is that register: the two hold one
+        value at every instant.  Neither is stored."""
+        gen = self.gen
+        initial = gen.registers[reg.text]
+        if rest == reg or rest == initial or flag is _NEVER:
+            gen.constants[reg.text] = initial
+        elif (same := gen.shared.setdefault((initial, rest, flag), reg)) != reg:
+            gen.constants[reg.text] = same
+        else:
+            gen.commits.append(_assign(reg, rest, flag))
 
     def delay(
         self, inits: Sequence[Expr], rests: Sequence[Expr], ck: Optional[Clock], sink: List[_Stmt]
@@ -916,41 +915,33 @@ class _NodeCode:
         operand is a literal reads its register, which holds that
         literal at first.  Any other is lowered as `normalise.fby_init`
         lowers it: a register that holds its type's default at first,
-        read through a choice on the clock's shared `true fby false`
-        flag, which selects the first operand at the first instant.  The
-        reference evaluates the first operand at every instant of the
-        delay, so a strict one (it can raise) is computed even after the
-        first, by a statement of its own.  A constant delay (a literal
-        first and second operand) is `constant`'s code."""
+        read through a choice on a `true fby false` register, committed
+        at once, which selects the first operand at the first instant.
+        The reference evaluates the first operand at every instant of
+        the delay, so a strict one (it can raise) is computed even after
+        the first, by a statement of its own."""
         flag = self.flag(ck, sink)
         codes = self.all(inits, sink)
         strict = any(code.raises for code in codes)
         # one expression per component, unless a call yields several
-        n = len(codes)
-        firsts = inits if len(inits) == n else (None,) * n
-        seconds = rests if len(rests) == n else (None,) * n
+        firsts = inits if len(inits) == len(codes) else (None,) * len(codes)
         regs: List[Name] = []
-        queued: List[Expr] = []
         reads: List[Code] = []
-        for k, (init, code, rest) in enumerate(zip(firsts, codes, seconds)):
-            if not isinstance(init, Const):
-                at_first = self.constant(_TRUE, _FALSE, ck, flag)
+        for k, (init, code) in enumerate(zip(firsts, codes)):
+            if isinstance(init, Const):
+                reg = self.gen.register(code)
+                reads.append(reg)
+            else:
+                at_first = self.gen.register(_TRUE)
+                self.commit(at_first, _FALSE, flag)
                 # the value type of the component, whose default it holds
                 vt = init.types[0] if init is not None else [t for e in inits for t in e.types][k]
                 reg = self.gen.register(_DEFAULTS[vt])
                 code = self.hoist(code, flag, sink) if strict else code
                 # `at_first` is a register, so the choice does not fold
                 reads.append(_op(_CHOICE, code, at_first, reg))
-            elif isinstance(rest, Const):
-                reads.append(self.constant(code, rest, ck, flag))
-                continue
-            else:
-                reg = self.gen.register(code)
-                reads.append(reg)
             regs.append(reg)
-            queued.append(rest)
-        if regs:
-            self.queue.append(_Delay(regs, queued if len(rests) == n else rests, ck))
+        self.queue.append(_Delay(regs, rests, ck))
         return reads
 
     def call(
@@ -1092,9 +1083,11 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     code.compile()
     # one row per instant: the distinct codes of the recorded columns,
     # each column's code guarded by its clock flag, so that it is None
-    # where its clock is off; a row of one code is unboxed
+    # where its clock is off, and read through the registers that no
+    # commit stores; a row of one code is unboxed
     clocks = {d.name: d.clock for d in node.decls}
     columns = {x: _guard(env[x], code.flag(clocks[x], code.lines)) for x in want if x not in inputs}
+    columns = {x: _substitute(c, gen.constants) for x, c in columns.items()}
     row = list(dict.fromkeys(columns.values()))
     width = len(row)
     stmts = code.lines + code.phase2

@@ -15,7 +15,7 @@ fail evaluates to Undefined.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cached_property
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Union
@@ -287,31 +287,38 @@ class SecurityLattice:
 
     def __init__(self, elements: Sequence, leq_pairs: Iterable[tuple]):
         self.elements = list(elements)
-        count = Counter(self.elements)
+        # each element's position in the list
+        index: dict = {}
+        for k, a in enumerate(self.elements):
+            if index.setdefault(a, k) != k:
+                raise LatticeError(f"{a!r} is listed twice")
         # up[a]: everything at or above a, in the reflexive-transitive
         # closure of the given pairs
         succ: dict = {}
         for a, b in leq_pairs:
             succ.setdefault(a, set()).add(b)
         up: dict = {}
-        for a in {*count, *succ}:
-            up[a] = reachable(succ, a, {a} if a in count else set())
+        for a in {*index, *succ}:
+            up[a] = reachable(succ, a, {a} if a in index else set())
         self._leq = {(a, b) for a, above in up.items() for b in above}
+        up = {a: up[a] & index.keys() for a in self.elements}
+        for a in self.elements:
+            # the first listed element both above and below `a`
+            both = [index[b] for b in up[a] if b != a and a in up[b]]
+            if both:
+                b = self.elements[min(both)]
+                raise LatticeError(f"order is not antisymmetric: {a!r} <= {b!r} <= {a!r}")
         # the join of a and b is the common upper bound below all the
-        # others: the one with the largest up-set.  Sizes count an element
-        # listed twice twice, so that it is never a unique join
-        up = {a: up[a] & count.keys() for a in count}
-        size = {a: sum(count[b] for b in up[a]) for a in count}
+        # others: the one with the largest up-set
         self._join: dict[tuple, object] = {}
         for a in self.elements:
             for b in self.elements:
                 ubs = up[a] & up[b]
-                n = sum(count[c] for c in ubs)
-                lubs = [c for c in ubs if size[c] == n]
-                if sum(count[c] for c in lubs) != 1:
+                lubs = [c for c in ubs if len(up[c]) == len(ubs)]
+                if len(lubs) != 1:
                     raise LatticeError(f"no unique join of {a!r} and {b!r}")
                 self._join[(a, b)] = lubs[0]
-        bots = [a for a in self.elements if size[a] == len(self.elements)]
+        bots = [a for a in self.elements if len(up[a]) == len(self.elements)]
         if len(bots) != 1:
             raise LatticeError("no unique bottom element")
         self.bottom = bots[0]
@@ -372,7 +379,7 @@ def parse_lattice(spec: str) -> SecurityLattice:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     try:
-        with open(spec, encoding="utf-8") as fh:
+        with open(spec, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise LatticeError(f"cannot read lattice file {spec!r}: {exc}") from None

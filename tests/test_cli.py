@@ -498,16 +498,23 @@ def test_python_dash_m_runs_the_cli():
         ("check", "powerset:11", "n must be an integer from 0 to 10"),
         ("verify", "powerset:" + "9" * 5000, "n must be an integer from 0 to 10"),
         ("verify", "typo.lat", "lattice order names 'M', which is not an element"),
+        ("check", "cycle.lat", "order is not antisymmetric: 'L' <= 'H' <= 'L'"),
+        ("verify", "twice.lat", "'L' is listed twice"),
     ],
 )
 def test_bad_lattice_spec_is_a_diagnostic(capsys, tmp_path, command, spec, message):
     if spec == "fixtures":
         spec = os.path.dirname(fixture_path("re_trig.lus"))
-    if spec == "typo.lat":
+    files = {
         # a three-element chain whose middle element is missing from `elements:`
-        typo = tmp_path / spec
-        typo.write_text("elements: L H\nL <= M\nM <= H\n")
-        spec = str(typo)
+        "typo.lat": "elements: L H\nL <= M\nM <= H\n",
+        # an order with a cycle, and an element listed twice
+        "cycle.lat": "elements: L H\nL <= H\nH <= L\n",
+        "twice.lat": "elements: L H L\nL <= H\n",
+    }
+    if spec in files:
+        (tmp_path / spec).write_text(files[spec])
+        spec = str(tmp_path / spec)
     argv = [command, fixture_path("re_trig.lus"), "--lattice", spec]
     if command == "verify":
         argv += ["--what", "ni", "--trials", "5"]
@@ -538,6 +545,43 @@ def test_text_that_is_not_utf8_is_a_diagnostic(capsys, monkeypatch, tmp_path, ar
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: cannot read ")
     assert "can't decode byte 0xe9" in err
+
+
+BOM_FILES = {
+    "lus": None,
+    "policy": "res = L\nn = L\ncpt = L\nbase = L\n",
+    "lattice": "elements: L H\nL <= H\n",
+    "inputs": "res,n\ntrue,3\nfalse,5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("lus", ["check", "FILE"]),
+        ("policy", ["check", "CNT_DN", "--policy", "FILE"]),
+        ("lattice", ["verify", "CNT_DN", "--what", "ni", "--trials", "5", "--seed", "0", "--lattice", "FILE"]),
+        ("inputs", ["interpret", "CNT_DN", "--inputs", "FILE"]),
+        ("inputs", ["interpret", "CNT_DN", "--inputs", "-"]),
+    ],
+)
+def test_a_leading_byte_order_mark_is_read_as_nothing(capsys, monkeypatch, tmp_path, kind, argv):
+    """A program, a policy, a lattice or an input CSV that starts with a
+    UTF-8 byte-order mark reads as the same text without it."""
+    text = BOM_FILES[kind]
+    if text is None:
+        with open(fixture_path("cnt_dn.lus"), encoding="utf-8") as fh:
+            text = fh.read()
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        data = mark + text.encode()
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        paths = {"FILE": str(path), "CNT_DN": fixture_path("cnt_dn.lus")}
+        outputs.append(run(capsys, *[paths.get(a, a) for a in argv]))
+    assert outputs[0][0] == 0 and outputs[0][2] == "", outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_parse_error_diagnostics(capsys, tmp_path):

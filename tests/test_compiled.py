@@ -552,9 +552,14 @@ def test_every_register_starts_at_a_constant():
 # generated programs whose three forms, with the outputs recorded, print
 # one text only as the text is canonical: a register that no commit
 # stores is its literal (5, 53); the forms name a variable apart (79);
-# the commits that only commits read come in compile order (14, 18, 49)
+# the commits that only commits read come in compile order (14, 18, 49);
+# the fby-init form reads `false fby true` from a register of its own,
+# the others a default register that stores `true` through the
+# first-instant flag, and a register equal to an earlier one is that
+# register (8)
 ONE_TEXT = [("never stored", 5), ("never stored", 53), ("names", 79)]
 ONE_TEXT += [("commit order", seed) for seed in (14, 18, 49)]
+ONE_TEXT += [("equal registers", 8)]
 
 
 def _outputs_runs(p):
@@ -583,8 +588,9 @@ def test_the_forms_of_a_program_print_one_text(monkeypatch, why, seed):
     p = generate_program(GenConfig(seed=seed))
     runs = _outputs_runs(p)
     assert len({run.source for run in runs}) == 1, seed
-    if why == "never stored":
-        # a register that some form reads is folded to its literal
+    if why in ("never stored", "equal registers"):
+        # a register that some form reads is folded to its literal, or
+        # read as the register equal to it
         assert folded, seed
     else:
         # the forms' own names differ, their texts do not
@@ -602,8 +608,63 @@ def test_distinct_step_functions_over_the_corpus():
     # the fixtures and seeds 0-99: 145 before the variables other than
     # the inputs and the recorded columns were numbered, never-stored
     # registers were literals and the commits that only commits read
-    # were walked from the ones before them
-    assert sum(len({run.source for run in _outputs_runs(p)}) for p in _corpus()) == 108
+    # were walked from the ones before them; 108 before a register equal
+    # to an earlier one was that register
+    assert sum(len({run.source for run in _outputs_runs(p)}) for p in _corpus()) == 106
+
+
+# -- one register per value ----------------------------------------------------------
+
+REGISTERS = re.compile(r"^    r\d+ = ", re.M)
+
+# each program, the registers its step code initialises with `o`
+# recorded, and why
+EQUAL_REGISTERS = [
+    ("node f(a: int) returns (o: int) var x: int; y: int;"
+     " let x = 0 fby a; y = 0 fby a; o = x + y; tel", 1, "two `0 fby a` on one clock"),
+    ("node g(a: int) returns (o: int) let o = 0 fby a; tel"
+     " node f(a: int) returns (o: int) let o = g(a) * g(a); tel", 1,
+     "two inlined calls of one callee with the same arguments"),
+    ("node g(a: int) returns (o: int) let o = a fby (o + 1); tel"
+     " node f(a: int; b: int) returns (o: int) let o = g(a) - g(b); tel", 3,
+     "two callees' first-instant flags; their registers read their own `o`"),
+    ("node f(c: bool; a: int) returns (o: int) var x: int; y: int :: base on c;"
+     " let x = 0 fby a; y = 0 fby (a when c); o = x + merge c (y) (0 when not c); tel", 2,
+     "another clock flag"),
+    ("node f(a: int) returns (o: int) var x: int; y: int;"
+     " let x = 0 fby a; y = 1 fby a; o = x + y; tel", 2, "another initial literal"),
+    ("node f(a: int) returns (o: int) var x: int; y: int;"
+     " let x = 0 fby a; y = 0 fby (a + 1); o = x + y; tel", 2, "another next code"),
+]
+
+
+def test_a_register_equal_to_an_earlier_one_is_that_register():
+    # equal initial literals, next codes and clock flags, in one instance
+    # or in two, make one register; any difference keeps two
+    for src, count, why in EQUAL_REGISTERS:
+        p = parse_program(src)
+        for form, dialect in all_forms(p):
+            cp = CompiledProgram(form)
+            assert len(REGISTERS.findall(cp.source("f", ["o"]))) == count, (why, dialect)
+            node = form.node("f")
+            for trial in range(5):
+                inputs = boundary_inputs(node, 20, random.Random(trial))
+                for want in (["o"], None):
+                    ref = ReferenceProgram(form).run("f", inputs, want=want, dialect=dialect)
+                    assert cp.run("f", inputs, want=want) == ref, (why, dialect, want)
+
+
+def test_a_choice_between_branches_found_equal_at_a_commit_is_folded():
+    # `x` keeps its initial 1, which is known only once `y`'s code is:
+    # read as 1, it makes both branches of `o` one literal
+    src = (
+        "node f(a: int) returns (o: int) var x: int; y: int;"
+        " let x = 1 fby y; y = 1; o = if a > 0 then 1 else x; tel"
+    )
+    for H in _histories(src, [[INT_MIN, 0, INT_MAX]], ["o"]):
+        assert H == {"o": [1, 1, 1]}
+    for form, _ in all_forms(parse_program(src)):
+        assert _records(CompiledProgram(form).source("f", ["o"])) == ["row(None)", "row(1)"]
 
 
 # spelt as the names the generator makes up, and as a hex-spelt one
@@ -985,14 +1046,17 @@ def test_only_the_cone_of_the_recorded_columns_is_generated():
     # code reads no such register, so it computes no such value, named
     # or nested into a reader, and keeps only the registers of the
     # cone's delays: `out`'s two and the flag they share (`x3`'s `false
-    # fby x1`, with `x1` false, is never stored, so it is `False`)
+    # fby x1`, with `x1` false, is never stored, so it is `False`).  The
+    # full code adds `x4`'s own register: its inner `i0 fby x6` starts
+    # at 0 and stores `x6` on the base clock, as `out`'s `... fby x6`
+    # does, so the two are one register
     x4 = _recorded(full.source, "x4")
     own = re.search(r"\(V_i1 if r\d+ else (r\d+)\)", x4)
     generated = {new: x for x, new in full.names.items()}
     assert own and generated[own.group(1)] not in narrow.names, x4
     registers = r"^    (r\d+) = "
     assert len(re.findall(registers, narrow.source, re.M)) == 3
-    assert len(re.findall(registers, full.source, re.M)) == 5
+    assert len(re.findall(registers, full.source, re.M)) == 4
     assert full.source.count("\n") > narrow.source.count("\n")
 
 

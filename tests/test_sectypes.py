@@ -291,11 +291,9 @@ def test_parse_lattice_specs(tmp_path):
     assert lat.join("a", "b") == "top"
 
 
-def _former_tables(elements, leq_pairs):
-    """The former construction: one quadratic closure pass over all
-    pairs until nothing changes, and each join found among every upper
-    bound.  Returns (leq pairs, join table, bottom) or the error text."""
-    elements = list(elements)
+def _former_order(elements, leq_pairs):
+    """The reflexive-transitive closure of `leq_pairs` over `elements`,
+    by one quadratic pass over all pairs until nothing changes."""
     order = {(a, a) for a in elements} | set(leq_pairs)
     changed = True
     while changed:
@@ -305,6 +303,15 @@ def _former_tables(elements, leq_pairs):
                 if b == c and (a, d) not in order:
                     order.add((a, d))
                     changed = True
+    return order
+
+
+def _former_tables(elements, leq_pairs):
+    """The former construction: one quadratic closure pass over all
+    pairs until nothing changes, and each join found among every upper
+    bound.  Returns (leq pairs, join table, bottom) or the error text."""
+    elements = list(elements)
+    order = _former_order(elements, leq_pairs)
     joins = {}
     for a in elements:
         for b in elements:
@@ -358,7 +365,44 @@ def test_lattice_tables_equal_former_construction(tmp_path):
     ],
 )
 def test_lattice_errors_equal_former_construction(elements, pairs):
-    assert _tables(elements, pairs) == _former_tables(elements, pairs)
+    # the former construction refused an element listed twice and a
+    # cycle as a join it could not find; each is now named for its cause
+    former = _former_tables(elements, pairs)
+    cause = _named_cause(elements, pairs)
+    assert cause is None or isinstance(former, str)
+    assert _tables(elements, pairs) == (cause or former)
+
+
+def _named_cause(elements, pairs):
+    """The diagnostic of the first element listed twice or, failing that,
+    of the first listed element on a cycle of the order with another,
+    the first listed such one; None when there is neither."""
+    for k, a in enumerate(elements):
+        if a in elements[:k]:
+            return f"{a!r} is listed twice"
+    order = _former_order(elements, pairs)
+    for a in elements:
+        for b in elements:
+            if a != b and (a, b) in order and (b, a) in order:
+                return f"order is not antisymmetric: {a!r} <= {b!r} <= {a!r}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("elements: L H\nL <= H\nH <= L\n", "order is not antisymmetric: 'L' <= 'H' <= 'L'"),
+        ("elements: L H L\nL <= H\n", "'L' is listed twice"),
+        # a three-element cycle names its first listed elements
+        ("elements: a b c\nc <= a\nb <= c\na <= b\n", "not antisymmetric: 'a' <= 'b' <= 'a'"),
+    ],
+)
+def test_a_cycle_or_a_repeated_element_is_named(tmp_path, spec, message):
+    f = tmp_path / "bad.lat"
+    f.write_text(spec)
+    with pytest.raises(LatticeError) as exc:
+        parse_lattice(str(f))
+    assert message in str(exc.value)
 
 
 def test_powerset_8_builds_fast():

@@ -158,13 +158,14 @@ def _spied_runs(monkeypatch):
             " o = merge c (y) (0 when not c) + d(a + 1); tel",
             1,
         ),
-        # a delay whose first operand folds to a literal: the fby-init
-        # form's `px = false fby true` shares the register of `y`, which
-        # the other forms' default register does not
+        # a delay whose first operand folds to a literal: the other
+        # forms' default register for `x` starts at `False` and stores
+        # `True`, as the fby-init form's `px = false fby true` and `y`
+        # do, so each form reads one register for the three
         (
             "node f(a: int) returns (o: bool) var x: bool; y: bool;"
             " let x = (not true) fby true; y = false fby true; o = x and y; tel",
-            2,
+            1,
         ),
     ],
 )
