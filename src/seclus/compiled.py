@@ -25,8 +25,9 @@ one set of recorded columns:
                    order of first use
   per instant      the input columns are zipped with the base clock; an
                    input declared on a derived clock is checked against
-                   it by the reference's own presence rules (`interp._on`,
-                   `interp._check_input`); on a base-false instant a
+                   it by the reference's own presence rules (`on` and
+                   `check_input`, compiled from their `interp`
+                   templates); on a base-false instant a
                    row of None is recorded and nothing else happens,
                    otherwise the body runs with the base clock known to be
                    true: each statement runs under its clock's flag, and
@@ -154,6 +155,10 @@ signatures and the reference engine see it as written.  An operator
 whose operand codes are literals (`Lit`) is replaced by its value,
 computed by the reference's own `interp._BINARY`/`_UNARY`, except a
 `div`/`mod` by 0, which must still raise at run time (`_make`).  An
+`and`, `or` or `xor` with one literal operand is folded by its identity
+(`x and true`, `x or false` and `x xor false` are `x`) or, when the
+other operand cannot raise, by its zero (`x and false` is `false`, `x or
+true` is `true`).  An
 `if` whose condition is a literal is its branch, after any branch that
 can raise has been hoisted as usual; so is a `merge` whose variable's
 code is a literal.  Equal branch codes collapse when the condition
@@ -188,9 +193,12 @@ same test, which runs where it ran.  No register is stored before the
 commits, and the commits that read a register are one parallel
 assignment, so a value that reads a register reads the same wherever it
 moves.  It stays where its reader would nest deeper than `_MAX_DEPTH`
-codes, so the generated function always compiles.  Re-nesting only
-moves codes: as folding is done, it drops no read, and what liveness
-kept stays live.  The pass is one walk over the statements, in order.
+codes, so the generated function always compiles.  Each reader is
+rebuilt through `_make`, so a choice whose branches become equal by
+re-nesting folds as it would have when the codes were built; a value
+whose one read such a fold drops goes too (it cannot raise).  What
+liveness kept otherwise stays live.  The pass is one walk over the
+statements, in order.
 
 Commit order.  The commits are ordered once the rest of the loop is
 printed, not by the order in which the delays were compiled.  First
@@ -256,8 +264,7 @@ from seclus.interp import (
     History,
     StreamPrefix,
     Value,
-    _check_input,
-    _on,
+    _built,
     base_clock,
     int_div,
     int_mod,
@@ -450,6 +457,28 @@ def _operator(f: Callable, division: bool = False) -> Callable:
     return fold
 
 
+def _boolean(f: Callable, unit: bool, zero: Optional[bool]) -> Callable:
+    """The fold of `and`, `or` or `xor` (`f`): on literals, and on one
+    literal operand, in either order: `x` with `unit` is `x`, and with
+    `zero` (`xor` has none) is `zero` when `x` cannot raise.  A None
+    literal, on a clock that never ticks, folds nothing."""
+    literals = _operator(f)
+
+    def fold(args: Tuple[Code, ...]) -> Optional[Code]:
+        code = literals(args)
+        if code is not None:
+            return code
+        for x, y in (args, args[::-1]):
+            if type(y) is Lit and y.value is not None:
+                if y.value is unit:
+                    return x
+                if y.value is zero and not x.raises:
+                    return y
+        return None
+
+    return fold
+
+
 def _choice(args: Tuple[Code, ...]) -> Optional[Code]:
     t, c, f = args
     if type(c) is Lit:
@@ -461,6 +490,10 @@ _FOLDS: Dict[str, Callable[[Tuple[Code, ...]], Optional[Code]]] = {
     **{t: _operator(_UNARY[op]) for op, t in UNARY_TEMPLATES.items()},
     **{t: _operator(_BINARY[op], op in _LITERAL_FMT) for op, t in BINARY_TEMPLATES.items()},
     **{t: _operator(lambda d, x, f=_BINARY[op]: f(x, d)) for op, t in _LITERAL_FMT.items()},
+    **{
+        BINARY_TEMPLATES[op]: _boolean(_BINARY[op], unit, zero)
+        for op, unit, zero in (("and", True, False), ("or", False, True), ("xor", False, None))
+    },
     _CHOICE: _choice,
 }
 
@@ -535,10 +568,11 @@ _MAX_DEPTH = 24
 
 
 def _subst(code: Code, name: str, by: Code) -> Code:
-    """`code` with its one read of `name` replaced by `by`."""
+    """`code` with its one read of `name` replaced by `by`, folded where
+    `by` decides it."""
     if type(code) is not Op:
         return by
-    return _op(code.fmt, *(_subst(a, name, by) if name in a.reads else a for a in code.args))
+    return _make(code.fmt, *(_subst(a, name, by) if name in a.reads else a for a in code.args))
 
 
 def _renest(stmts: List[_Stmt], registers: Dict[str, Code]) -> List[_Stmt]:
@@ -561,6 +595,11 @@ def _renest(stmts: List[_Stmt], registers: Dict[str, Code]) -> List[_Stmt]:
             if x not in pending:
                 continue
             j = pending.pop(x)
+            if x not in code.reads and (test is None or x not in test.reads):
+                # a value substituted before folded its read away; this
+                # one cannot raise, so it goes
+                out[j] = None
+                continue
             value = out[j]
             if value.test is not None and value.test != test:
                 continue
@@ -1045,7 +1084,12 @@ class _Run:
     @property
     def fn(self) -> Callable:
         if self._fn is None:
-            namespace = {"int_div": int_div, "int_mod": int_mod, "on": _on, "check": _check_input}
+            namespace = {
+                "int_div": int_div,
+                "int_mod": int_mod,
+                "on": _built("scalar", "on"),
+                "check": _built("scalar", "check_input"),
+            }
             exec(compile(self.source, f"<compiled {self.node.name}>", "exec"), namespace)
             # taken out, so that `run` and its globals form no reference cycle
             self._fn = namespace.pop("run")

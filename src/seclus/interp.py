@@ -2,12 +2,15 @@
 
 A stream prefix is a list of length N whose entries are either a value
 (bool or int) or None, which stands for absence.  Each presence rule of
-the semantics is one scalar function over one instant (`_lift2`,
-`_sample`, `_choose`, `_select`, `_paired`, `_on`, `_check_input`) and is
-partial: mixed presence raises ClockMismatch.  These rules are the one
-source that the whole-stream operators (`sem_*`, which map them over
-whole prefixes), the reference evaluator's closures and the compiled
-engine's generated code apply.
+the semantics over one instant (`lift1`, `lift2`, `sample`, `choose`,
+`select`, `paired`, `on`, `check_input` in `_RULES`) is written once, as
+a Python source template over named operands, and is partial: mixed
+presence raises ClockMismatch.  These templates are the one source of
+the rules.  They are compiled, at first use, into the reference
+evaluator's closures and the loops of the whole-stream operators
+(`sem_*`), each with its operator's own template inline, and into the
+scalar rules `on` and `check_input` that the compiled engine's generated
+code calls.
 
 `ReferenceProgram` is a deterministic instant-by-instant evaluator
 (equations scheduled by instantaneous dependency, delay state carried
@@ -18,9 +21,11 @@ generation" (Computer Languages, 1987): a component stream that a slot
 holds (a variable, a constant on the base clock, a hoisted value, a
 call's output) is read from that slot, an operator's result is a
 closure, which moves no state, and each equation and whatever has state
-is a statement.  As in Vélus's normal form (Bourke et al., PLDI 2017) a
-call is a statement of its own, which steps the callee once per instant
-and writes its outputs to slots.  `run_node` runs one node of a program
+is a statement.  Each closure and statement applies its rule inline, so
+an operator costs one call per instant.  As in Vélus's normal form
+(Bourke et al., PLDI 2017) a call is a statement of its own, which steps
+the callee once per instant and writes its outputs to slots; a callee
+is prepared before its callers.  `run_node` runs one node of a program
 through it.  `check_history` is an independent
 route: it replays a produced history through the whole-stream operators
 and reports every equation whose defined streams disagree.
@@ -31,8 +36,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from seclus.ast import (
     AnyEquation,
@@ -58,6 +62,7 @@ from seclus.ast import (
     annotate_program,
     clock_env,
     fv,
+    subexprs,
     targets,
 )
 
@@ -163,77 +168,332 @@ _BINARY = {op: _function(t, 2) for op, t in BINARY_TEMPLATES.items()}
 
 
 # ---------------------------------------------------------------------------
-# Presence rules, one instant at a time
+# Presence rules, written once as source
 # ---------------------------------------------------------------------------
-# Each rule is written here once.  The whole-stream operators map it over
-# their streams, the prepared evaluator calls it at every instant and the
-# compiled engine calls `_on` and `_check_input` from its generated code.
+# Each rule of the semantics over one instant is written here once, as
+# Python source over its named operands, the way `WRAP` and the operator
+# templates are: statements that raise ClockMismatch where the operands'
+# presence does not fit the rule, then the expression of its value, in
+# which the template of an operator over the operands stands for `{op}`.
+# No rule is a function of its own: `_built` compiles each construct that
+# applies one, at its first use and once per (construct, operator,
+# operand kinds), with the rule and the operator inline.  Those are the
+# reference engine's closures (see `_Prepared`), the loops of the
+# whole-stream operators (`sem_*`) and the scalar rules `on` and
+# `check_input` that the compiled engine's step code calls,
+# so an operator costs one Python call per instant.
+
+
+class _Rule(NamedTuple):
+    operands: Tuple[str, ...]
+    # the scalars that the rule reads besides its operands
+    params: Tuple[str, ...]
+    check: str
+    result: Optional[str]
+    # the operator templates, over `{0}`, `{1}`, of which `{op}` is one
+    ops: Optional[Dict[str, str]] = None
+
+
+_RULES = {
+    "lift1": _Rule(("a",), (), "", "None if a is None else {op}", UNARY_TEMPLATES),
+    "lift2": _Rule(
+        ("a", "b"),
+        (),
+        """\
+if (a is None) != (b is None):
+    raise ClockMismatch("mixed presence in binary operator")
+""",
+        "None if a is None else {op}",
+        BINARY_TEMPLATES,
+    ),
+    # an absent `x` samples nothing, as `None == k` is false
+    "sample": _Rule(
+        ("x", "v"),
+        ("k",),
+        """\
+if (x is None) != (v is None):
+    raise ClockMismatch("mixed presence in sampling")
+""",
+        "v if x == k else None",
+    ),
+    # under an absent `x` both branches are absent, so `e` is its value
+    "choose": _Rule(
+        ("x", "t", "e"),
+        (),
+        """\
+if x is None:
+    if t is not None or e is not None:
+        raise ClockMismatch("merge branch present under absent scrutinee")
+elif x:
+    if t is None or e is not None:
+        raise ClockMismatch("merge true-branch presence mismatch")
+elif e is None or t is not None:
+    raise ClockMismatch("merge false-branch presence mismatch")
+""",
+        "t if x else e",
+    ),
+    # three absent operands give an absent `e`
+    "select": _Rule(
+        ("c", "t", "e"),
+        (),
+        """\
+if c is None or t is None or e is None:
+    if c is not None or t is not None or e is not None:
+        raise ClockMismatch("mixed presence in conditional")
+""",
+        "t if c else e",
+    ),
+    # whether the two operands of a delay are present; they must be
+    # present together, else ClockMismatch says `mismatch`
+    "paired": _Rule(
+        ("i", "v"),
+        ("mismatch",),
+        """\
+if (i is None) != (v is None):
+    raise ClockMismatch(mismatch)
+""",
+        "i is not None",
+    ),
+    # whether `... on var` (`k`) ticks, given whether its parent clock
+    # does, with `x` the value of `var`, absent when the parent is off
+    "on": _Rule(
+        ("parent", "x"),
+        ("var", "k"),
+        """\
+if parent:
+    if x is None:
+        raise ClockMismatch(f"{var} absent while its clock ticks")
+elif x is not None:
+    raise ClockMismatch(f"{var} present while its clock is off")
+""",
+        "x == k",
+    ),
+    # an input is present exactly when its declared clock ticks
+    "check_input": _Rule(
+        ("ticks", "x"),
+        ("name",),
+        """\
+if ticks != (x is not None):
+    raise ClockMismatch(f"input {name} off its declared clock")
+""",
+        None,
+    ),
+}
 
 # content of a delay register before the delay's first present instant
 _FIRST = object()
 
-
-def _lift2(fn: Callable[[Value, Value], Value], a: CV, b: CV) -> CV:
-    if (a is ABSENT) != (b is ABSENT):
-        raise ClockMismatch("mixed presence in binary operator")
-    return ABSENT if a is ABSENT else fn(a, b)
-
-
-def _sample(x: CV, v: CV, k: bool) -> CV:
-    if (x is ABSENT) != (v is ABSENT):
-        raise ClockMismatch("mixed presence in sampling")
-    return v if x is not ABSENT and x == k else ABSENT
-
-
-def _choose(x: CV, t: CV, e: CV) -> CV:
-    if x is ABSENT:
-        if t is not ABSENT or e is not ABSENT:
-            raise ClockMismatch("merge branch present under absent scrutinee")
-        return ABSENT
-    if x:
-        if t is ABSENT or e is not ABSENT:
-            raise ClockMismatch("merge true-branch presence mismatch")
-        return t
-    if e is ABSENT or t is not ABSENT:
-        raise ClockMismatch("merge false-branch presence mismatch")
-    return e
-
-
-def _select(c: CV, t: CV, e: CV) -> CV:
-    if c is ABSENT and t is ABSENT and e is ABSENT:
-        return ABSENT
-    if c is ABSENT or t is ABSENT or e is ABSENT:
-        raise ClockMismatch("mixed presence in conditional")
-    return t if c else e
-
-
 _MIXED_DELAY = "mixed presence in delay"
 
 
-def _paired(i: CV, v: CV, mismatch: str = _MIXED_DELAY) -> bool:
-    """Whether the two operands of a delay are present; they must be
-    present together, else ClockMismatch says `mismatch`."""
-    if (i is ABSENT) != (v is ABSENT):
-        raise ClockMismatch(mismatch)
-    return i is not ABSENT
+def _rule(name: str, op: Optional[str], pad: int) -> Tuple[str, Optional[str]]:
+    """The check of the rule `name`, indented by `pad` spaces, and its
+    value, with the operator `op` inline."""
+    r = _RULES[name]
+    check = "".join(" " * pad + line for line in r.check.splitlines(True))
+    if r.ops is None:
+        return check, r.result
+    return check, r.result.format(op=r.ops[op].format(*r.operands))
 
 
-def _on(parent: bool, x: CV, var: str, k: bool) -> bool:
-    """Whether `... on var` (`k`) ticks, given whether its parent clock
-    does, with `x` the value of `var`."""
-    if not parent:
-        if x is not ABSENT:
-            raise ClockMismatch(f"{var} present while its clock is off")
-        return False
-    if x is ABSENT:
-        raise ClockMismatch(f"{var} absent while its clock ticks")
-    return x == k
+def _read(x: str, slot: bool) -> str:
+    """The source that reads the operand `x` off the frame `f`: in place
+    when the factory's argument of its name in capitals is a slot, else
+    by calling it."""
+    return f"f[{x.upper()}]" if slot else f"{x.upper()}(f)"
 
 
-def _check_input(ticks: bool, x: CV, name: str) -> None:
-    """An input is present exactly when its declared clock ticks."""
-    if ticks != (x is not ABSENT):
-        raise ClockMismatch(f"input {name} off its declared clock")
+def _reader_source(name: str, op: Optional[str], slots: Tuple[bool, ...]) -> Tuple[str, str]:
+    """A factory of the closure that applies the rule `name`: each operand
+    read in turn, its value checked and returned."""
+    r = _RULES[name]
+    check, result = _rule(name, op, 8)
+    reads = "".join(f"        {x} = {_read(x, s)}\n" for x, s in zip(r.operands, slots))
+    params = ", ".join([x.upper() for x in r.operands] + list(r.params))
+    return "make", (
+        f"def make({params}):\n    def {name}(f):\n{reads}{check}"
+        f"        return {result}\n    return {name}\n"
+    )
+
+
+def _loop_source(name: str, op: Optional[str]) -> Tuple[str, str]:
+    """The rule `name` mapped over whole streams `s0`, `s1`, ..."""
+    r = _RULES[name]
+    check, result = _rule(name, op, 8)
+    streams = [f"s{j}" for j in range(len(r.operands))]
+    head = ", ".join(streams + list(r.params))
+    each = f"{', '.join(r.operands)} in " + (f"zip({', '.join(streams)})" if len(streams) > 1 else streams[0])
+    if not check:
+        return name, f"def {name}({head}):\n    return [{result} for {each}]\n"
+    return name, (
+        f"def {name}({head}):\n    out = []\n    append = out.append\n"
+        f"    for {each}:\n{check}        append({result})\n    return out\n"
+    )
+
+
+def _scalar_source(name: str) -> Tuple[str, str]:
+    r = _RULES[name]
+    check, result = _rule(name, None, 4)
+    tail = "" if result is None else f"    return {result}\n"
+    return name, f"def {name}({', '.join(r.operands + r.params)}):\n{check}{tail}"
+
+
+def _fby_source(slot: bool) -> Tuple[str, str]:
+    """A factory of the closure that reads a delay with register `R`,
+    saving its first operand's value in slot `H` (a first operand that
+    is a slot is its own `H`)."""
+    return "make", f"""\
+def make(I, R, H):
+    def fby(f):
+        i = {"f[I]" if slot else "f[H] = I(f)"}
+        if i is None:
+            return None
+        v = f[R]
+        return i if v is FIRST else v
+    return fby
+"""
+
+
+def _commit_source(slot: bool) -> Tuple[str, str]:
+    """A factory of the statement that commits a delay's second operand
+    `V` to its register `R`, present with the first operand saved in
+    `H`."""
+    check, paired = _rule("paired", None, 8)
+    return "make", f"""\
+def make(V, H, R, mismatch):
+    def commit(f):
+        v = {_read("v", slot)}
+        i = f[H]
+{check}        if {paired}:
+            f[R] = v
+    return commit
+"""
+
+
+def _fby_loop_source() -> Tuple[str, str]:
+    check, paired = _rule("paired", None, 8)
+    return "fby_L", f"""\
+def fby_L(s0, s1, mismatch):
+    out = []
+    append = out.append
+    pending = FIRST
+    for i, v in zip(s0, s1):
+{check}        if {paired}:
+            append(i if pending is FIRST else pending)
+            pending = v
+        else:
+            append(None)
+    return out
+"""
+
+
+def _assign_source(slot: bool) -> Tuple[str, str]:
+    return "make", f"""\
+def make(V, T):
+    def assign(f):
+        f[T] = {_read("v", slot)}
+    return assign
+"""
+
+
+def _checked_source(slot: bool, base: bool) -> Tuple[str, str]:
+    """A factory of the statement that assigns `T` a value present
+    exactly where the equation's clock `ON` ticks."""
+    active = "" if base else "        active = ON(f, True)\n"
+    test = "v is None" if base else "(v is None) == active"
+    return "make", f"""\
+def make(V, T, ON, mismatch):
+    def checked(f):
+{active}        v = {_read("v", slot)}
+        if {test}:
+            raise ClockMismatch(mismatch)
+        f[T] = v
+    return checked
+"""
+
+
+def _clock_source(base: bool) -> Tuple[str, str]:
+    """A factory of the closure that tells whether `... on var` ticks,
+    given whether the base clock does, `var` in slot `X`."""
+    check, result = _rule("on", None, 8)
+    return "make", f"""\
+def make(PARENT, X, var, k):
+    def on(f, base):
+        parent = {"base" if base else "PARENT(f, base)"}
+        x = f[X]
+{check}        return {result}
+    return on
+"""
+
+
+def _input_source() -> Tuple[str, str]:
+    check, _ = _rule("check_input", None, 8)
+    return "make", f"""\
+def make(TICKS, X, name):
+    def check(f, base):
+        ticks = TICKS(f, base)
+        x = f[X]
+{check}    return check
+"""
+
+
+def _call_source(slots: Tuple[bool, ...], base: bool) -> Tuple[str, str]:
+    """A factory of the statement that steps a callee (`step`, its frame
+    in slot `I`) where the call's clock `ON` ticks, checking the
+    presence of the arguments `A0`, `A1`, ... against it, and writes its
+    outputs to the slots `outs`, all absent where it does not."""
+    args = [f"A{j}" for j in range(len(slots))]
+    reads = ", ".join(f"f[{a}]" if s else f"{a}(f)" for a, s in zip(args, slots))
+    return "make", f"""\
+def make({", ".join(["ON", "I", "step", "outs", "results", "name"] + args)}):
+    def call(f):
+        active = {"True" if base else "ON(f, True)"}
+        a = [{reads}]
+        for v in a:
+            if (v is None) == active:
+                raise ClockMismatch(f"call to {{name}}: mixed argument presence")
+        if not active:
+            for t in outs:
+                f[t] = None
+            return
+        sub = f[I]
+        step(sub, a)
+        for o, t, d in results:
+            v = f[t] = sub[o]
+            if v is None:
+                raise ClockMismatch(f"call to {{name}}: output {{d.name}} off the call's clock")
+    return call
+"""
+
+
+_SOURCES: Dict[str, Callable[..., Tuple[str, str]]] = {
+    "reader": _reader_source,
+    "loop": _loop_source,
+    "scalar": _scalar_source,
+    "fby": _fby_source,
+    "commit": _commit_source,
+    "fby_L": _fby_loop_source,
+    "assign": _assign_source,
+    "checked": _checked_source,
+    "clock": _clock_source,
+    "input": _input_source,
+    "call": _call_source,
+}
+_GLOBALS = {"ClockMismatch": ClockMismatch, "div": int_div, "mod": int_mod, "FIRST": _FIRST}
+# each function compiled from the templates, by its key
+_BUILT: Dict[Tuple, Callable] = {}
+
+
+def _built(*key: Any) -> Callable:
+    """The function that `key` names, (construct, arguments of its
+    source), compiled at its first use."""
+    fn = _BUILT.get(key)
+    if fn is None:
+        name, source = _SOURCES[key[0]](*key[1:])
+        namespace = dict(_GLOBALS)
+        exec(compile(source, f"<{key[0]}>", "exec"), namespace)
+        fn = _BUILT[key] = namespace[name]
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -246,38 +506,29 @@ def sem_const(bs: ClockStream, c: Value) -> StreamPrefix:
 
 
 def sem_lift1(op: str, xs: StreamPrefix) -> StreamPrefix:
-    fn = _UNARY[op]
-    return [ABSENT if x is ABSENT else fn(x) for x in xs]
+    return _built("loop", "lift1", op)(xs)
 
 
 def sem_lift2(op: str, xs: StreamPrefix, ys: StreamPrefix) -> StreamPrefix:
-    return list(map(_lift2, repeat(_BINARY[op]), xs, ys))
+    return _built("loop", "lift2", op)(xs, ys)
 
 
 def sem_when(k: bool, xs: StreamPrefix, es: StreamPrefix) -> StreamPrefix:
-    return list(map(_sample, xs, es, repeat(k)))
+    return _built("loop", "sample", None)(xs, es, k)
 
 
 def sem_merge(xs: StreamPrefix, ts: StreamPrefix, fs: StreamPrefix) -> StreamPrefix:
-    return list(map(_choose, xs, ts, fs))
+    return _built("loop", "choose", None)(xs, ts, fs)
 
 
 def sem_ite(es: StreamPrefix, ts: StreamPrefix, fs: StreamPrefix) -> StreamPrefix:
-    return list(map(_select, es, ts, fs))
+    return _built("loop", "select", None)(es, ts, fs)
 
 
 def sem_fby_L(xs: StreamPrefix, ys: StreamPrefix) -> StreamPrefix:
     """First present instant yields xs's value; afterwards the value of
     ys at the previous present instant (delay skips absences)."""
-    out: StreamPrefix = []
-    pending: Any = _FIRST
-    for x, y in zip(xs, ys):
-        if _paired(x, y):
-            out.append(x if pending is _FIRST else pending)
-            pending = y
-        else:
-            out.append(ABSENT)
-    return out
+    return _built("fby_L")(xs, ys, _MIXED_DELAY)
 
 
 def sem_fby_NL(c: Value, vs: StreamPrefix) -> StreamPrefix:
@@ -298,7 +549,7 @@ def sem_clock(H: History, bs: ClockStream, ck: Clock) -> ClockStream:
         return list(bs)
     assert isinstance(ck, On)
     parent = sem_clock(H, bs, ck.clock)
-    return list(map(_on, parent, H[ck.var], repeat(ck.var), repeat(ck.value)))
+    return _built("loop", "on", None)(parent, H[ck.var], ck.var, ck.value)
 
 
 def base_of(vs: Sequence[StreamPrefix]) -> ClockStream:
@@ -450,83 +701,15 @@ Operand = Union[int, Read]
 Stmt = Callable[[Frame], None]
 
 
-def _base(f: Frame, base: bool) -> bool:
-    return base
+# whether a clock ticks, given whether the base clock does; None for
+# the base clock itself
+Tick = Optional[Callable[[Frame, bool], bool]]
 
 
-def _closure(x: Operand) -> Read:
-    """`x` as a closure: a slot is read by `itemgetter`."""
-    return itemgetter(x) if type(x) is int else x
-
-
-# -- the closures of one component stream, one per operator; those run
-# -- most often read operands that are all slots in place --
-
-
-def _unop(op: Callable, x: Operand) -> Read:
-    x = _closure(x)
-
-    def unop(f: Frame) -> CV:
-        v = x(f)
-        return ABSENT if v is ABSENT else op(v)
-
-    return unop
-
-
-def _binop(op: Callable, left: Operand, right: Operand) -> Read:
-    if type(left) is int and type(right) is int:
-
-        def binop_slots(f: Frame) -> CV:
-            return _lift2(op, f[left], f[right])
-
-        return binop_slots
-    left, right = _closure(left), _closure(right)
-
-    def binop(f: Frame) -> CV:
-        return _lift2(op, left(f), right(f))
-
-    return binop
-
-
-def _when(x: int, k: bool, operand: Operand) -> Read:
-    if type(operand) is int:
-
-        def when_slot(f: Frame) -> CV:
-            return _sample(f[x], f[operand], k)
-
-        return when_slot
-
-    def when(f: Frame) -> CV:
-        return _sample(f[x], operand(f), k)
-
-    return when
-
-
-def _merge(x: int, on_true: Operand, on_false: Operand) -> Read:
-    on_true, on_false = _closure(on_true), _closure(on_false)
-
-    def merge(f: Frame) -> CV:
-        t = on_true(f)
-        return _choose(f[x], t, on_false(f))
-
-    return merge
-
-
-def _ite(cond: Operand, on_true: Operand, on_false: Operand) -> Read:
-    if type(cond) is int and type(on_true) is int and type(on_false) is int:
-
-        def ite_slots(f: Frame) -> CV:
-            return _select(f[cond], f[on_true], f[on_false])
-
-        return ite_slots
-    cond, on_true, on_false = _closure(cond), _closure(on_true), _closure(on_false)
-
-    def ite(f: Frame) -> CV:
-        c = cond(f)
-        t = on_true(f)
-        return _select(c, t, on_false(f))
-
-    return ite
+def _reader(rule: str, op: Optional[str], operands: Sequence[Operand], *params: Any) -> Read:
+    """The closure of one component stream that applies `rule` (and the
+    operator `op`) to `operands`."""
+    return _built("reader", rule, op, tuple([type(x) is int for x in operands]))(*operands, *params)
 
 
 def _delay(init: Operand, rest: Operand, r: int, h: int, mismatch: str) -> Tuple[Read, Stmt]:
@@ -535,68 +718,18 @@ def _delay(init: Operand, rest: Operand, r: int, h: int, mismatch: str) -> Tuple
     that commits its second operand, which must be present with it.  A
     first operand that is a slot is its own `h`: it holds its value for
     the rest of the instant."""
-    if type(init) is int:
-
-        def fby(f: Frame) -> CV:
-            i = f[init]
-            if i is ABSENT:
-                return ABSENT
-            v = f[r]
-            return i if v is _FIRST else v
-
-    else:
-
-        def fby(f: Frame) -> CV:
-            i = f[h] = init(f)
-            if i is ABSENT:
-                return ABSENT
-            v = f[r]
-            return i if v is _FIRST else v
-
-    rest = _closure(rest)
-
-    def commit(f: Frame) -> None:
-        v = rest(f)
-        if _paired(f[h], v, mismatch):
-            f[r] = v
-
-    return fby, commit
-
-
-# -- statements --
+    fby = _built("fby", type(init) is int)(init, r, h)
+    return fby, _built("commit", type(rest) is int)(rest, h, r, mismatch)
 
 
 def _assign(t: int, rhs: Operand) -> Stmt:
-    rhs = _closure(rhs)
-
-    def assign(f: Frame) -> None:
-        f[t] = rhs(f)
-
-    return assign
+    return _built("assign", type(rhs) is int)(rhs, t)
 
 
-def _checked(t: int, rhs: Operand, on: Callable[[Frame, bool], bool], mismatch: str) -> Stmt:
+def _checked(t: int, rhs: Operand, on: Tick, mismatch: str) -> Stmt:
     """Assign `t` a value present exactly where the equation's clock `on`
     ticks."""
-    rhs = _closure(rhs)
-    if on is _base:
-
-        def simple_base(f: Frame) -> None:
-            v = rhs(f)
-            if v is ABSENT:
-                raise ClockMismatch(mismatch)
-            f[t] = v
-
-        return simple_base
-
-    def simple(f: Frame) -> None:
-        active = on(f, True)
-        v = rhs(f)
-        if (v is ABSENT) == active:
-            raise ClockMismatch(mismatch)
-        f[t] = v
-
-    return simple
+    return _built("checked", type(rhs) is int, on is None)(rhs, t, on, mismatch)
 
 
 class _Prepared:
@@ -608,9 +741,9 @@ class _Prepared:
     as that slot: a variable, a constant on the base clock (a slot of the
     frame template that no statement writes), a hoisted value and a
     call's output.  Any other, an operator's result, is a closure, which
-    moves no state.  A binary operator, a `when`, an `if` and a delay's
-    read take operands that are all slots in place (`f[i]`); elsewhere a
-    slot is read by `itemgetter`.  Whatever has state is a
+    moves no state.  Each closure and statement is compiled from its
+    template for the kinds of its operands (`_built`), so it reads a slot
+    in place (`f[i]`) and calls a closure.  Whatever has state is a
     statement of its own, run before the statement that reads it: a call
     steps its callee once per instant and writes the callee's outputs to
     slots, which their readers read.  An instant runs phase 1, the
@@ -680,25 +813,16 @@ class _Prepared:
 
     # -- clocks --
 
-    def clock(self, ck: Optional[Clock]) -> Callable[[Frame, bool], bool]:
-        """Whether `ck` ticks, given whether the base clock does."""
+    def clock(self, ck: Optional[Clock]) -> Tick:
+        """Whether `ck` ticks, given whether the base clock does; None
+        for the base clock."""
         if ck is None or isinstance(ck, Base):
-            return _base
+            return None
         parent = self.clock(ck.clock)
-        var, i, k = ck.var, self.slots[ck.var], ck.value
-
-        def on(f: Frame, base: bool) -> bool:
-            return _on(parent(f, base), f[i], var, k)
-
-        return on
+        return _built("clock", parent is None)(parent, self.slots[ck.var], ck.var, ck.value)
 
     def input_check(self, k: int, d) -> Callable[[Frame, bool], None]:
-        on, name = self.clock(d.clock), d.name
-
-        def check(f: Frame, base: bool) -> None:
-            _check_input(on(f, base), f[k], name)
-
-        return check
+        return _built("input")(self.clock(d.clock), k, d.name)
 
     # -- expressions: one slot or closure per component stream --
     # `sink` collects the statements that the closures read: the phase-1
@@ -707,7 +831,7 @@ class _Prepared:
     def expr(self, e: Expr, sink: List[Stmt]) -> List[Operand]:
         if isinstance(e, Const):
             v, on = e.value, self.clock(e.clock)
-            if on is _base:
+            if on is None:
                 key = (type(v), v)
                 if key not in self.constants:
                     self.constants[key] = self.slot(v)
@@ -717,24 +841,24 @@ class _Prepared:
             return [self.slots[e.name]]
         if isinstance(e, Unop):
             (operand,) = self.expr(e.operand, sink)
-            return [_unop(_UNARY[e.op], operand)]
+            return [_reader("lift1", e.op, (operand,))]
         if isinstance(e, Binop):
             (left,) = self.expr(e.left, sink)
             (right,) = self.expr(e.right, sink)
-            return [_binop(_BINARY[e.op], left, right)]
+            return [_reader("lift2", e.op, (left, right))]
         if isinstance(e, When):
             x, k = self.slots[e.var], e.value
-            return [_when(x, k, v) for v in self.all(e.exprs, sink)]
+            return [_reader("sample", None, (x, v), k) for v in self.all(e.exprs, sink)]
         if isinstance(e, Merge):
             x = self.slots[e.var]
             ts = self.all(e.on_true, sink)
-            return [_merge(x, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
+            return [_reader("choose", None, (x, t, v)) for t, v in zip(ts, self.all(e.on_false, sink))]
         if isinstance(e, Ite):
             (cond,) = self.expr(e.cond, sink)
             if len(e.types) > 1 and type(cond) is not int:  # a tuple tests its condition once
                 cond = self.hoist(cond, sink)
             ts = self.all(e.on_true, sink)
-            return [_ite(cond, t, v) for t, v in zip(ts, self.all(e.on_false, sink))]
+            return [_reader("select", None, (cond, t, v)) for t, v in zip(ts, self.all(e.on_false, sink))]
         if isinstance(e, Fby):
             return self.delay(e.init, e.rest, sink)
         if isinstance(e, NodeCall):
@@ -778,33 +902,17 @@ class _Prepared:
         to the slots `outs` (fresh ones for a call in expression
         position), all absent where it does not; returns those slots."""
         decls = self.program.prog.node(name).outputs
-        argv = [_closure(x) for x in self.all(args, sink)]
+        argv = self.all(args, sink)
         on = self.clock(ck)
         if outs is None:
             outs = [self.slot(ABSENT) for _ in decls]
-        callee = self.program.prepared(name)
+        # prepared before its callers (see `ReferenceProgram.prepared`)
+        callee = self.program.nodes[name]
         i = self.slot(None)
         self.callees.append((i, callee))
         results = list(zip(callee.outputs, outs, decls))
-
-        def call(f: Frame) -> None:
-            active = on(f, True)
-            a = [arg(f) for arg in argv]
-            for v in a:
-                if (v is ABSENT) == active:
-                    raise ClockMismatch(f"call to {name}: mixed argument presence")
-            if not active:
-                for t in outs:
-                    f[t] = ABSENT
-                return
-            sub = f[i]
-            callee.step(sub, a)
-            for o, t, d in results:
-                v = f[t] = sub[o]
-                if v is ABSENT:
-                    raise ClockMismatch(f"call to {name}: output {d.name} off the call's clock")
-
-        sink.append(call)
+        make = _built("call", tuple([type(x) is int for x in argv]), on is None)
+        sink.append(make(on, i, callee.step, outs, results, name, *argv))
         return outs
 
     # -- equations: phase-1 statements --
@@ -838,19 +946,55 @@ class _Prepared:
 
 class ReferenceProgram:
     """The reference interpreter prepared for one program: annotated
-    once; each node is scheduled and turned into closures once, at its
-    first run, and kept on the annotation (`Program.memo`), so every
-    `ReferenceProgram` of one program object shares them."""
+    once; each node is scheduled and turned into closures once, at the
+    first run of it or of a node that calls it, and kept on the
+    annotation (`Program.memo`), so every `ReferenceProgram` of one
+    program object shares them."""
 
     def __init__(self, prog: Program):
         self.prog = annotate_program(prog)
         self.nodes: Dict[str, _Prepared] = self.prog.memo.setdefault("reference", {})
 
     def prepared(self, name: str) -> _Prepared:
+        """The node `name` prepared, with every node of its call cone, by
+        a walk in depth from `name`.  A node is scheduled when the walk
+        first reaches it, in the order in which its caller's statements
+        are built, so of several non-causal nodes the one raised is the
+        first reached, the entry before its callees, as when each callee
+        was prepared from inside its caller; and it is prepared after its
+        callees, so no preparation recurses into another."""
         p = self.nodes.get(name)
-        if p is None:
-            p = self.nodes[name] = _Prepared(self, self.prog.node(name))
-        return p
+        if p is not None:
+            return p
+        # the nodes reached and not yet prepared: those of the walk's path
+        path = {name}
+        stack = [self.reach(name)]
+        while stack:
+            node, calls = stack[-1]
+            g = next((g for g in calls if g not in self.nodes), None)
+            if g is None:
+                stack.pop()
+                path.remove(node.name)
+                self.nodes[node.name] = _Prepared(self, node)
+            elif g in path:  # an unvalidated program may call in a cycle
+                raise RecursionError(f"call cycle through {g}")
+            else:
+                path.add(g)
+                stack.append(self.reach(g))
+        return self.nodes[name]
+
+    def reach(self, name: str) -> Tuple[Node, Iterator[str]]:
+        """The node `name`, scheduled, and the nodes it calls, in the
+        order in which its statements are built: left to right, a call
+        after its arguments (`subexprs` walks right to left, callers
+        first)."""
+        node = self.prog.node(name)
+        calls: List[str] = []
+        for eq in node_schedule(self.prog, node):
+            calls += [e.node for e in reversed(list(subexprs(eq))) if isinstance(e, NodeCall)]
+            if isinstance(eq, CallEq):
+                calls.append(eq.node)
+        return node, iter(calls)
 
     def run(
         self,

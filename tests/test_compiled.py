@@ -17,6 +17,7 @@ from seclus.compiled import CompiledProgram, _generate
 from seclus.interp import (
     INT_MAX,
     INT_MIN,
+    CausalityError,
     EvalError,
     ReferenceProgram,
     check_history,
@@ -487,6 +488,61 @@ def test_a_node_of_another_program_object_is_refused():
     assert run.fn(inputs, [True] * 3) == {"o": run_node(p, "re_trig", inputs)["o"]}
 
 
+# unvalidated programs, which `annotate_program` accepts: a callee
+# declared after its caller, and a second node of a callee's name
+CALL_ORDERS = {
+    "callee after its caller": (
+        "node f(a: int) returns (o: int) let o = g(a) + 1; tel\n"
+        "node g(a: int) returns (o: int) let o = a * 2; tel",
+        [3, 5],
+    ),
+    "two nodes of one name": (
+        "node g(a: int) returns (o: int) let o = a * 2; tel\n"
+        "node g(b: int) returns (p: int) let p = b * 3; tel\n"
+        "node f(a: int) returns (o: int) let o = g(a); tel",
+        [2, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("why", CALL_ORDERS)
+def test_both_engines_run_the_callee_that_a_call_names(why):
+    src, o = CALL_ORDERS[why]
+    for engine in (CompiledProgram, ReferenceProgram):
+        assert engine(parse_program(src)).run("f", [[1, 2]])["o"] == o, engine
+
+
+_NON_CAUSAL = (
+    "node g(a: int) returns (o: int) var x: int; let x = x + a; o = x; tel\n"
+    "node h(a: int) returns (o: int) var z: int; let z = z - a; o = z; tel\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, cycle",
+    [
+        ("var y: int; let y = y + g(a); o = y; tel", "y; o"),  # the entry first
+        ("let o = h(a) + g(a); tel", "z; o"),  # its callees in the order of the call
+        ("let o = g(h(a)); tel", "z; o"),  # an argument before its call
+    ],
+)
+def test_both_engines_raise_the_first_cycle_they_reach(body, cycle):
+    src = _NON_CAUSAL + "node f(a: int) returns (o: int) " + body
+    for engine in (CompiledProgram, ReferenceProgram):
+        with pytest.raises(CausalityError, match=f"among: {cycle}$"):
+            engine(parse_program(src)).run("f", [[1, 2]])
+
+
+def test_a_call_cycle_is_a_recursion_error_on_both_engines():
+    src = (
+        "node f(a: int) returns (o: int) let o = g(a); tel\n"
+        "node g(a: int) returns (o: int) let o = f(a); tel"
+    )
+    for engine in (CompiledProgram, ReferenceProgram):
+        with pytest.raises(RecursionError):
+            engine(parse_program(src)).run("f", [[1, 2]])
+
+
 def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
     # `acc` under the sampled clock advances only when `c` is true; the
     # two base-clocked calls each keep their own register
@@ -560,6 +616,9 @@ def test_every_register_starts_at_a_constant():
 ONE_TEXT = [("never stored", 5), ("never stored", 53), ("names", 79)]
 ONE_TEXT += [("commit order", seed) for seed in (14, 18, 49)]
 ONE_TEXT += [("equal registers", 8)]
+# a choice whose branches become equal as the de-nested form's values
+# are nested back folds, as it does in the source form (230)
+ONE_TEXT += [("re-nesting folds", 230)]
 
 
 def _outputs_runs(p):
@@ -665,6 +724,20 @@ def test_a_choice_between_branches_found_equal_at_a_commit_is_folded():
         assert H == {"o": [1, 1, 1]}
     for form, _ in all_forms(parse_program(src)):
         assert _records(CompiledProgram(form).source("f", ["o"])) == ["row(None)", "row(1)"]
+
+
+def test_a_value_whose_read_a_re_nesting_fold_drops_goes():
+    # `x` nested into `o` makes both branches `a + 1`, so the choice
+    # folds and drops its read of `y`: `y` is not computed, nor made
+    # the test of `o`'s statement
+    src = (
+        "node f(a: int; c: bool) returns (o: int) var x: int; y: bool;"
+        " let x = a + 1; y = not c; o = if y then x else (a + 1); tel"
+    )
+    for H in _histories(src, [[1, INT_MAX, -3], [True, False, False]], ["o"]):
+        assert H == {"o": [2, INT_MIN, -2]}
+    for form, _ in all_forms(parse_program(src)):
+        assert "(not V_c)" not in CompiledProgram(form).source("f", ["o"])
 
 
 # spelt as the names the generator makes up, and as a hex-spelt one
@@ -1201,6 +1274,51 @@ def test_folding_keeps_the_errors_of_a_conditional(rhs):
             fast.run("f", [[1, 2]])
         (run,) = fast.nodes.values()
         assert "div(V_a, 0)" in run.source and " if True else " not in run.source
+
+
+# `and`, `or` and `xor` with one literal operand, in either order, and
+# the code each folds to: the other operand `x`, or the literal
+BOOLEAN_IDENTITIES = [
+    ("X and true", "X"), ("true and X", "X"), ("X or false", "X"), ("false or X", "X"),
+    ("X xor false", "X"), ("false xor X", "X"),
+    ("X and false", "False"), ("false and X", "False"), ("X or true", "True"), ("true or X", "True"),
+]
+
+
+@pytest.mark.parametrize("rhs, folded", BOOLEAN_IDENTITIES)
+@pytest.mark.parametrize("x, code", [("(a > 0)", "(V_a > 0)"), ("((a div b) > 0)", "(div(V_a, V_b) > 0)")])
+def test_a_boolean_operator_with_one_literal_operand_is_folded(rhs, folded, x, code):
+    # by its identity; by its zero only when the other operand cannot
+    # raise, so a division by zero still raises on both engines
+    src = f"node f(a: int; b: int) returns (o: bool) let o = {rhs.replace('X', x)}; tel"
+    raises = "div" in x and folded != "X"
+    for form, dialect in all_forms(parse_program(src)):
+        fast, ref = _both_engines(form)
+        text = fast.source("f", ["o"])
+        operators = [op for op in (" & ", " | ", " ^ ") if op in text]
+        if folded == "X":
+            assert code in text and not operators, rhs
+        elif raises:
+            assert code in text and operators, rhs
+        else:
+            assert _records(text)[-1] == f"row({folded})" and code not in text, rhs
+        for inputs in ([[3, -4, INT_MIN], [1, 2, -1]], [[3, -4], [1, 0]]):
+            try:
+                want = ref.run("f", inputs, dialect=dialect)
+            except EvalError:
+                with pytest.raises(EvalError, match="division by zero"):
+                    fast.run("f", inputs)
+                assert "div" in x
+            else:
+                assert fast.run("f", inputs) == want, (rhs, dialect)
+
+
+def test_a_none_literal_is_no_unit_or_zero_of_a_boolean_operator():
+    # None is `xor`'s want of a zero, and no value of a ticking clock
+    x = compiled._name("V_x")
+    for op in ("and", "or", "xor"):
+        fold = compiled._FOLDS[compiled.BINARY_TEMPLATES[op]]
+        assert fold((x, compiled._NONE)) is None and fold((compiled._NONE, x)) is None, op
 
 
 @pytest.mark.parametrize("k, expected", [("true", [1, 2, 3]), ("false", [2, 3, 4])])

@@ -1,6 +1,7 @@
 """Semantic operators against hand-derived oracles, the evaluator, and
 the relational replay checker."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,11 @@ from seclus.interp import (
     UNARY_TEMPLATES,
     WRAP,
     _BINARY,
+    _FIRST,
     _UNARY,
+    _built,
+    _delay,
+    _reader,
     ClockMismatch,
     CausalityError,
     EvalError,
@@ -133,6 +138,103 @@ def test_sem_mixed_presence_messages(op, args, message):
     with pytest.raises(ClockMismatch) as exc:
         op(*args)
     assert str(exc.value) == message
+
+
+# -- the reference engine's closures against the whole-stream operators --------
+
+# each operator's closure, built from its operands, the whole-stream
+# operator it must agree with, and the values each operand takes at one
+# instant (None is absence)
+CLOSURES = {
+    "neg": (lambda o: _reader("lift1", "-", o), lambda a: sem_lift1("-", [a]), [(5, INT_MIN, A)]),
+    "not": (lambda o: _reader("lift1", "not", o), lambda a: sem_lift1("not", [a]), [(True, A)]),
+    "plus": (
+        lambda o: _reader("lift2", "+", o), lambda a, b: sem_lift2("+", [a], [b]), [(INT_MAX, A), (1, A)],
+    ),
+    "div": (lambda o: _reader("lift2", "div", o), lambda a, b: sem_lift2("div", [a], [b]), [(7, A), (0, -2, A)]),
+    "xor": (
+        lambda o: _reader("lift2", "xor", o), lambda a, b: sem_lift2("xor", [a], [b]),
+        [(True, A), (True, False, A)],
+    ),
+    "when": (
+        lambda o: _reader("sample", None, o, True), lambda x, v: sem_when(True, [x], [v]),
+        [(True, False, A), (3, A)],
+    ),
+    "when not": (
+        lambda o: _reader("sample", None, o, False), lambda x, v: sem_when(False, [x], [v]),
+        [(True, False, A), (3, A)],
+    ),
+    "merge": (
+        lambda o: _reader("choose", None, o), lambda x, t, e: sem_merge([x], [t], [e]),
+        [(True, False, A), (1, A), (2, A)],
+    ),
+    "if": (
+        lambda o: _reader("select", None, o), lambda c, t, e: sem_ite([c], [t], [e]),
+        [(True, False, A), (1, A), (2, A)],
+    ),
+}
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message of the error it
+    raises, by `repr`, which tells True from 1."""
+    try:
+        return repr(fn(*args))
+    except (ClockMismatch, EvalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _frame(values, slots):
+    """A frame holding `values`, and each as an operand of the reference
+    engine: its slot, or a closure that reads it."""
+    return list(values), [j if slot else (lambda f, j=j: f[j]) for j, slot in enumerate(slots)]
+
+
+@pytest.mark.parametrize("construct", CLOSURES)
+def test_the_closure_of_an_operator_agrees_with_its_whole_stream_operator(construct):
+    # every operand kind and every value, absences included: the same
+    # value, or the same error
+    build, sem, domains = CLOSURES[construct]
+    for slots in itertools.product((True, False), repeat=len(domains)):
+        for values in itertools.product(*domains):
+            f, operands = _frame(values, slots)
+            read = build(operands)
+            want = _outcome(lambda: sem(*values)[0])
+            assert _outcome(read, f) == want, (slots, values)
+
+
+def test_the_closures_of_a_delay_agree_with_sem_fby_L():
+    # the read and the commit of one delay over one and two instants, its
+    # first operand read in place (its own saved head) or called
+    for slots in itertools.product((True, False), repeat=2):
+        for xs in itertools.product((1, A), (2, A)):
+            for ys in itertools.product((10, A), (20, A)):
+                for n in (1, 2):
+                    f, (init, rest) = _frame((None, None, _FIRST, None), slots)
+                    fby, commit = _delay(init, rest, 2, 0 if slots[0] else 3, "mixed presence in delay")
+
+                    def run():
+                        out = []
+                        for x, y in zip(xs[:n], ys[:n]):
+                            f[0], f[1] = x, y
+                            out.append(fby(f))
+                            commit(f)
+                        return out
+
+                    assert _outcome(run) == _outcome(sem_fby_L, xs[:n], ys[:n]), (slots, xs, ys, n)
+
+
+def test_the_closure_of_a_clock_agrees_with_sem_clock():
+    # `base on x` and `base on y on x`, at instants where the base clock
+    # ticks and where it does not
+    for k in (True, False):
+        for base, x, y in itertools.product((True, False), (True, False, A), (True, False, A)):
+            f = [x, y]
+            on_y = _built("clock", True)(None, 1, "y", True)
+            for ck, parent in ((On(BASE, "x", k), None), (On(On(BASE, "y", True), "x", k), on_y)):
+                on = _built("clock", parent is None)(parent, 0, "x", k)
+                want = _outcome(lambda: sem_clock({"x": [x], "y": [y]}, [base], ck)[0])
+                assert _outcome(on, f, base) == want, (ck, base, x, y)
 
 
 def test_base_of():
