@@ -255,6 +255,9 @@ class Program:
         - "fby_init": its delay-initialised form (`normalise.fby_init`);
         - "schedule": each node's equations in schedule order, by node
           name (`interp.node_schedule`), shared by both engines;
+        - "cone": each entry's call cone, by entry name: the nodes it
+          calls, callees first, with their instance counts
+          (`interp.call_cone`), shared by both engines;
         - "reference": the reference engine's prepared nodes, by name
           (`interp.ReferenceProgram`).
 

@@ -24,6 +24,7 @@ from seclus.interp import (
     CausalityError,
     ClockMismatch,
     EvalError,
+    InstanceLimitError,
     format_value,
     node_schedule,
     read_streams,
@@ -438,13 +439,16 @@ def main(argv=None) -> int:
         ClockMismatch,
         CausalityError,
         EvalError,
+        InstanceLimitError,
     ) as exc:
         for line in str(exc).splitlines():
             print(f"error: {line}", file=sys.stderr)
         return 1
     except RecursionError:
-        # a deep expression, or a deep chain of calls, which each engine
-        # prepares or inlines callee by callee
+        # a deep expression, or a deep chain of calls: both engines read
+        # the call cone without recursion, but the compiled engine inlines
+        # each callee into its caller, and the reference engine's step
+        # calls nest, one Python call per level
         print("error: expression or call nesting too deep", file=sys.stderr)
         return 1
 

@@ -266,6 +266,7 @@ from seclus.interp import (
     Value,
     _built,
     base_clock,
+    call_cone,
     int_div,
     int_mod,
     node_schedule,
@@ -1109,6 +1110,10 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     if not any(n is node for n in prog.nodes):
         # the schedule is `prog`'s own, by identity
         raise ValueError(f"node {node.name!r} is not one of this program object's nodes")
+    # every node of the call cone scheduled, in the order the reference
+    # engine prepares them, and the entry checked against the instance
+    # limit, before any code is built
+    call_cone(prog, node.name)
     gen = _Codegen(prog)
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}

@@ -25,8 +25,9 @@ is a statement.  Each closure and statement applies its rule inline, so
 an operator costs one call per instant.  As in Vélus's normal form
 (Bourke et al., PLDI 2017) a call is a statement of its own, which steps
 the callee once per instant and writes its outputs to slots; a callee
-is prepared before its callers.  `run_node` runs one node of a program
-through it.  `check_history` is an independent
+is prepared before its callers, in the order of the entry's call cone
+(`call_cone`), which the compiled engine reads too.  `run_node` runs
+one node of a program through it.  `check_history` is an independent
 route: it replays a produced history through the whole-stream operators
 and reports every equation whose defined streams disagree.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from seclus.ast import (
     AnyEquation,
@@ -85,6 +86,12 @@ class CausalityError(Exception):
 
 class EvalError(Exception):
     pass
+
+
+class InstanceLimitError(Exception):
+    """An entry whose call cone holds more node instances than
+    `INSTANCE_LIMIT`; it is not a run's error, so no campaign counts it
+    as an errored trial."""
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +689,63 @@ def node_schedule(prog: Program, node: Node) -> List[AnyEquation]:
     return order
 
 
+# the most node instances that one entry may stand for: itself and, at
+# each call site, the callee's own count (seeded programs have at most
+# 13; the chain `nk(a) = n{k-1}(a) + n{k-1}(a + 1)` has 2^(k+1) - 1)
+INSTANCE_LIMIT = 10_000
+
+
+def call_cone(prog: Program, name: str) -> Dict[str, int]:
+    """The node `name` and every node it calls transitively, callees
+    first, each with its instance count.  Made once per program object
+    and entry (`Program.memo["cone"]`) and read by both engines before
+    they prepare or generate anything, so every schedule, and so every
+    `CausalityError`, comes from one walk in one order.  An entry above
+    `INSTANCE_LIMIT` is an `InstanceLimitError`."""
+    cones = prog.memo.setdefault("cone", {})
+    cone = cones.get(name)
+    if cone is None:
+        cone = _cone(prog, name)
+        if cone[name] > INSTANCE_LIMIT:
+            raise InstanceLimitError(
+                f"{name} calls {cone[name]} node instances, above the limit of {INSTANCE_LIMIT}"
+            )
+        cones[name] = cone
+    return cone
+
+
+def _cone(prog: Program, name: str) -> Dict[str, int]:
+    """A walk in depth from `name`, without recursion.  A node is
+    scheduled when the walk first reaches it, and the walk goes on in
+    the order in which its statements are built: left to right, a call
+    after its arguments (`subexprs` walks right to left, callers first).
+    So of several non-causal nodes the one raised is the first reached,
+    the entry before its callees.  A node joins the cone after its
+    callees, with 1 plus the count of the callee at each call site."""
+    cone: Dict[str, int] = {}
+    # the walk's path: each node reached and not yet in the cone, with
+    # the callee of each of its call sites
+    path: Dict[str, List[str]] = {}
+    stack = [iter([name])]
+    while True:
+        g = next((g for g in stack[-1] if g not in cone), None)
+        if g is None:
+            if not path:
+                return cone
+            stack.pop()
+            node, calls = path.popitem()
+            cone[node] = 1 + sum([cone[h] for h in calls])
+        elif g in path:  # an unvalidated program may call in a cycle
+            raise RecursionError(f"call cycle through {g}")
+        else:
+            path[g] = calls = []
+            for eq in node_schedule(prog, prog.node(g)):
+                calls += reversed([e.node for e in subexprs(eq) if isinstance(e, NodeCall)])
+                if isinstance(eq, CallEq):
+                    calls.append(eq.node)
+            stack.append(iter(calls))
+
+
 # ---------------------------------------------------------------------------
 # Prepared instant-by-instant evaluator
 # ---------------------------------------------------------------------------
@@ -956,45 +1020,16 @@ class ReferenceProgram:
         self.nodes: Dict[str, _Prepared] = self.prog.memo.setdefault("reference", {})
 
     def prepared(self, name: str) -> _Prepared:
-        """The node `name` prepared, with every node of its call cone, by
-        a walk in depth from `name`.  A node is scheduled when the walk
-        first reaches it, in the order in which its caller's statements
-        are built, so of several non-causal nodes the one raised is the
-        first reached, the entry before its callees, as when each callee
-        was prepared from inside its caller; and it is prepared after its
-        callees, so no preparation recurses into another."""
+        """The node `name` prepared, with every node of its call cone,
+        callees first (`call_cone`), so no preparation recurses into
+        another."""
         p = self.nodes.get(name)
         if p is not None:
             return p
-        # the nodes reached and not yet prepared: those of the walk's path
-        path = {name}
-        stack = [self.reach(name)]
-        while stack:
-            node, calls = stack[-1]
-            g = next((g for g in calls if g not in self.nodes), None)
-            if g is None:
-                stack.pop()
-                path.remove(node.name)
-                self.nodes[node.name] = _Prepared(self, node)
-            elif g in path:  # an unvalidated program may call in a cycle
-                raise RecursionError(f"call cycle through {g}")
-            else:
-                path.add(g)
-                stack.append(self.reach(g))
+        for g in call_cone(self.prog, name):
+            if g not in self.nodes:
+                self.nodes[g] = _Prepared(self, self.prog.node(g))
         return self.nodes[name]
-
-    def reach(self, name: str) -> Tuple[Node, Iterator[str]]:
-        """The node `name`, scheduled, and the nodes it calls, in the
-        order in which its statements are built: left to right, a call
-        after its arguments (`subexprs` walks right to left, callers
-        first)."""
-        node = self.prog.node(name)
-        calls: List[str] = []
-        for eq in node_schedule(self.prog, node):
-            calls += [e.node for e in reversed(list(subexprs(eq))) if isinstance(e, NodeCall)]
-            if isinstance(eq, CallEq):
-                calls.append(eq.node)
-        return node, iter(calls)
 
     def run(
         self,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -632,6 +633,35 @@ def test_deep_call_chain_is_a_diagnostic(capsys, tmp_path, command, options):
         return
     assert code == 1
     assert err == "error: expression or call nesting too deep\n"
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("interpret", ["--inputs", "IN"]), ("verify", ["--what", "semantics", "--trials", "2", "--seed", "1"])],
+)
+def test_an_entry_above_the_instance_limit_is_a_diagnostic(capsys, tmp_path, command, options):
+    # each node calls the one before it twice, so `nk` stands for
+    # 2^(k+1) - 1 node instances: 511 at k = 8, 32767 at k = 14
+    inputs = tmp_path / "in.csv"
+    inputs.write_text("a\n1\n2\n")
+    for k in (8, 14):
+        tree = tmp_path / f"tree{k}.lus"
+        nodes = ["node n0(a: int) returns (o: int) let o = a; tel"]
+        nodes += [
+            f"node n{i}(a: int) returns (o: int) let o = n{i - 1}(a) + n{i - 1}(a + 1); tel"
+            for i in range(1, k + 1)
+        ]
+        tree.write_text("\n".join(nodes) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(tree), *[str(inputs) if a == "IN" else a for a in options])
+        took = time.perf_counter() - start
+        if k == 8:
+            assert (code, err) == (0, "")
+            ran = "semantics n8: pass (2 trials, horizon 50)\n" if command == "verify" else "o\n1280\n1536\n"
+            assert out.endswith(ran)
+            continue
+        assert (code, err) == (1, "error: n14 calls 32767 node instances, above the limit of 10000\n")
+        assert took < 1, took
 
 
 def test_recursion_is_a_diagnostic(capsys, monkeypatch):

@@ -524,6 +524,8 @@ _NON_CAUSAL = (
         ("var y: int; let y = y + g(a); o = y; tel", "y; o"),  # the entry first
         ("let o = h(a) + g(a); tel", "z; o"),  # its callees in the order of the call
         ("let o = g(h(a)); tel", "z; o"),  # an argument before its call
+        # a delay's second operand before a later equation
+        ("var p: int; let o = 0 fby h(a); p = g(a); tel", "z; o"),
     ],
 )
 def test_both_engines_raise_the_first_cycle_they_reach(body, cycle):
@@ -539,7 +541,7 @@ def test_a_call_cycle_is_a_recursion_error_on_both_engines():
         "node g(a: int) returns (o: int) let o = f(a); tel"
     )
     for engine in (CompiledProgram, ReferenceProgram):
-        with pytest.raises(RecursionError):
+        with pytest.raises(RecursionError, match="^call cycle through f$"):
             engine(parse_program(src)).run("f", [[1, 2]])
 
 

@@ -1,10 +1,10 @@
 """What later layers derive from a program object is built once, kept in
 its `Program.memo`, and freed with it by reference counting alone.
 
-The de-nested and fby-init forms, each node's schedule and the
-reference engine's prepared nodes are made at most once per program
-object and shared by every engine, campaign and command that asks for
-them.  Nothing kept in a memo refers back to its program, so dropping
+The de-nested and fby-init forms, each node's schedule, each entry's
+call cone and the reference engine's prepared nodes are made at most
+once per program object and shared by every engine, campaign and
+command that asks for them.  Nothing kept in a memo refers back to its program, so dropping
 the objects leaves nothing for the cycle collector.
 """
 
@@ -83,8 +83,8 @@ def test_annotated_program_is_its_own_annotation_without_storing_it():
 
 
 def test_each_form_and_node_is_prepared_and_scheduled_once(monkeypatch):
-    prepared, scheduled = Counter(), Counter()
-    init, sched = interp._Prepared.__init__, interp.schedule
+    prepared, scheduled, coned = Counter(), Counter(), Counter()
+    init, sched, cone = interp._Prepared.__init__, interp.schedule, interp._cone
 
     def counting_init(self, program, node):
         prepared[id(node)] += 1
@@ -94,8 +94,13 @@ def test_each_form_and_node_is_prepared_and_scheduled_once(monkeypatch):
         scheduled[id(node)] += 1
         return sched(node)
 
+    def counting_cone(prog, name):
+        coned[id(prog), name] += 1
+        return cone(prog, name)
+
     monkeypatch.setattr(interp._Prepared, "__init__", counting_init)
     monkeypatch.setattr(interp, "schedule", counting_schedule)
+    monkeypatch.setattr(interp, "_cone", counting_cone)
     kept = []  # so that no node's id is reused
     for seed in range(20):
         p = generate_program(GenConfig(seed=seed))
@@ -111,6 +116,9 @@ def test_each_form_and_node_is_prepared_and_scheduled_once(monkeypatch):
     ids = [id(n) for form in kept for n in form.nodes]
     assert set(prepared) == set(scheduled) == set(ids)
     assert set(prepared.values()) == set(scheduled.values()) == {1}
+    # both engines run every node of every form as an entry
+    assert set(coned) == {(id(form), n.name) for form in kept for n in form.nodes}
+    assert set(coned.values()) == {1}
 
 
 def test_a_node_of_another_form_gets_the_schedule_of_the_programs_own():

@@ -10,7 +10,7 @@ import pytest
 
 from seclus.ast import Const, FbyEq, Node, Program, validate
 from seclus.compiled import CompiledProgram
-from seclus.interp import EvalError, run_node, schedule
+from seclus.interp import EvalError, InstanceLimitError, run_node, schedule
 from seclus.normalise import fby_init, normalize_program
 from seclus.parser import parse_program
 from seclus.sectypes import (
@@ -299,6 +299,23 @@ def test_forms_that_raise_alike_pass(engine):
     two = parse_program("node g(x: int) returns (o: int) let o = x + 1; tel " + DIVIDES.format("(g(x) - g(x))"))
     rep = differential_semantics(two, trials=3, N=5, engine=engine, nodes="all")
     assert rep.ok and rep.nodes == ("g", "f") and rep.errored == 3
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+def test_an_entry_above_the_instance_limit_is_no_errored_trial(engine):
+    # `n14` stands for 2^15 - 1 node instances: each campaign refuses it
+    # as a whole, before its first trial
+    nodes = ["node n0(a: int) returns (o: int) let o = a; tel"]
+    nodes += [
+        f"node n{i}(a: int) returns (o: int) let o = n{i - 1}(a) + n{i - 1}(a + 1); tel"
+        for i in range(1, 15)
+    ]
+    p = parse_program("\n".join(nodes))
+    refused = "^n14 calls 32767 node instances, above the limit of 10000$"
+    with pytest.raises(InstanceLimitError, match=refused):
+        differential_semantics(p, trials=3, N=5, engine=engine)
+    with pytest.raises(InstanceLimitError, match=refused):
+        check_noninterference(p, "n14", two_point(), {"a": "L"}, "L", trials=3, N=5, engine=engine)
 
 
 def test_differential_catches_broken_initialisation():
