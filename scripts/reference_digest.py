@@ -16,7 +16,13 @@ the error the run raised, in this order:
      *.lus`, in name order), on the same three forms and two inputs;
   3. the raising corpus: the programs of part 1 with each literal
      divisor of a `div` or `mod` replaced by its dividend, so that a zero
-     dividend divides by zero, run as in part 1.
+     dividend divides by zero, run as in part 1;
+  4. the inputs on a derived clock: each program of part 1 with its
+     entry wrapped as `node top(c: bool; x1: T1 :: base on c; ...)
+     returns (o: T) let o = merge c (n(x1, ...)) (default when not c);
+     tel`, on the three forms, each on inputs present exactly where `c`
+     is true and on a copy with one value of one input moved off its
+     clock (absent where `c` is true, or present where it is false).
 
 Two trees whose engines give the same histories and raise the same
 errors print the same line.  Standard error gives the number of runs
@@ -55,6 +61,40 @@ def boundary_inputs(node, N: int, rng: random.Random):
     ]
 
 
+def base_inputs(node, N: int, rng: random.Random):
+    """Inputs of parts 1 to 3, all present: drawn by
+    `verify.random_inputs`, and on 64-bit boundary values."""
+    return {"random": random_inputs(node, N, rng), "boundary": boundary_inputs(node, N, rng)}
+
+
+def clocked_inputs(node, N: int, rng: random.Random):
+    """Inputs of part 4's `top`, `c` first: each other input present
+    exactly where `c` is true, and a copy with one value of one of them
+    moved off that clock."""
+    c, *drawn = random_inputs(node, N, rng)
+    xs = [[v if on else None for v, on in zip(x, c)] for x in drawn]
+    off = [list(x) for x in xs]
+    k, n = rng.randrange(len(xs)), rng.randrange(N)
+    off[k][n] = None if c[n] else drawn[k][n]
+    return {"clocked": [c] + xs, "off-clock": [c] + off}
+
+
+def on_a_derived_clock(p):
+    """`p` with a node `top` whose inputs, but `c`, are on `base on c`,
+    and which calls `p`'s entry node on them and merges its one output
+    with a default."""
+    entry = p.nodes[-1]
+    (out,) = entry.outputs
+    xs = [f"x{k}" for k in range(1, len(entry.inputs) + 1)]
+    decls = "".join(f"; {x}: {d.type} :: base on c" for x, d in zip(xs, entry.inputs))
+    default = "0" if out.type == "int" else "false"
+    top = (
+        f"node top(c: bool{decls}) returns (o: {out.type})"
+        f" let o = merge c ({entry.name}({', '.join(xs)})) ({default} when not c); tel"
+    )
+    return parse_program(pretty(p) + "\n" + top + "\n")
+
+
 def raising(x):
     """`x` with every `e div c` and `e mod c` by a literal `c` made
     `e div e` and `e mod e`."""
@@ -86,14 +126,13 @@ def compiled_runs(q, node, dialect):
 ENGINES = {"reference": reference_runs, "compiled": compiled_runs}
 
 
-def outcomes(p, nodes, seed: int, N: int, engine=reference_runs):
-    """The label and outcome of each run of `nodes` of `p`."""
+def outcomes(p, nodes, seed: int, N: int, engine=reference_runs, draw=base_inputs):
+    """The label and outcome of each run of `nodes` of `p`, on each set
+    of inputs that `draw` gives."""
     n = normalize_program(p)
     forms = (("source", p, "lustre"), ("denest", n, "nlustre"), ("init", fby_init(n), "nlustre"))
     for node in nodes:
-        rng = random.Random(seed)
-        inputs = {"random": random_inputs(node, N, rng), "boundary": boundary_inputs(node, N, rng)}
-        for kind, ins in inputs.items():
+        for kind, ins in draw(node, N, random.Random(seed)).items():
             for form, q, dialect in forms:
                 for label, run in engine(q, node, dialect):
                     try:
@@ -112,20 +151,23 @@ def main(argv=None) -> int:
     corpus = []
     generated = [generate_program(GenConfig(seed=s)) for s in range(args.seeds)]
     for s, p in enumerate(generated):
-        corpus.append((f"seed {s}", p, p.nodes[-1:], s))
+        corpus.append((f"seed {s}", p, p.nodes[-1:], s, base_inputs))
     paths = sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.lus")))
     paths += sorted(glob.glob(os.path.join(ROOT, "fixtures", "leaky", "*.lus")))
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             p = parse_program(fh.read())
-        corpus.append((os.path.relpath(path, ROOT), p, p.nodes, 0))
+        corpus.append((os.path.relpath(path, ROOT), p, p.nodes, 0, base_inputs))
     for s, p in enumerate(generated):
         q = parse_program(pretty(raising(p)))
-        corpus.append((f"raising {s}", q, q.nodes[-1:], s))
+        corpus.append((f"raising {s}", q, q.nodes[-1:], s, base_inputs))
+    for s, p in enumerate(generated):
+        q = on_a_derived_clock(p)
+        corpus.append((f"clocked {s}", q, q.nodes[-1:], s, clocked_inputs))
     h = hashlib.sha256()
     runs = errors = 0
-    for name, p, nodes, seed in corpus:
-        for label, out in outcomes(p, nodes, seed, args.horizon, ENGINES[args.engine]):
+    for name, p, nodes, seed, draw in corpus:
+        for label, out in outcomes(p, nodes, seed, args.horizon, ENGINES[args.engine], draw):
             h.update(f"{name} {label}\n{out}\n".encode())
             runs += 1
             errors += out.startswith("error ")

@@ -23,15 +23,14 @@ one set of recorded columns:
   before the loop  every live delay register that a commit stores is a
                    Python local, holding its constant initial value, in
                    order of first use
-  per instant      the input columns are zipped with the base clock; an
-                   input declared on a derived clock is checked against
-                   it by the reference's own presence rules (`on` and
-                   `check_input`, compiled from their `interp`
-                   templates); on a base-false instant a
-                   row of None is recorded and nothing else happens,
-                   otherwise the body runs with the base clock known to be
-                   true: each statement runs under its clock's flag, and
-                   one on the entry's base clock has no test
+  per instant      the input columns are zipped with the base clock,
+                   which `interp.base_clock` computes before the first
+                   instant, when it checks every input against its
+                   declared clock; on a base-false instant a row of None
+                   is recorded and nothing else happens, otherwise the
+                   body runs with the base clock known to be true: each
+                   statement runs under its clock's flag, and one on the
+                   entry's base clock has no test
   phase 1          clock flags and variable values in schedule order;
                    delays read their register and queue their second
                    operand; a call inlines the callee's phase 1 and
@@ -264,9 +263,9 @@ from seclus.interp import (
     History,
     StreamPrefix,
     Value,
-    _built,
     base_clock,
     call_cone,
+    columns,
     int_div,
     int_mod,
     node_schedule,
@@ -568,14 +567,6 @@ def _live(stmts: List[_Stmt]) -> Set[int]:
 _MAX_DEPTH = 24
 
 
-def _subst(code: Code, name: str, by: Code) -> Code:
-    """`code` with its one read of `name` replaced by `by`, folded where
-    `by` decides it."""
-    if type(code) is not Op:
-        return by
-    return _make(code.fmt, *(_subst(a, name, by) if name in a.reads else a for a in code.args))
-
-
 def _renest(stmts: List[_Stmt], registers: Dict[str, Code]) -> List[_Stmt]:
     """The live statements `stmts`, each single-use value nested back
     into its reader, in one walk.  A statement that cannot raise and
@@ -605,7 +596,7 @@ def _renest(stmts: List[_Stmt], registers: Dict[str, Code]) -> List[_Stmt]:
             if value.test is not None and value.test != test:
                 continue
             in_code = x in code.reads
-            new = _subst(code if in_code else test, x, value.code)
+            new = _substitute(code if in_code else test, {x: value.code})
             if new.depth > _MAX_DEPTH:
                 continue
             if in_code:
@@ -1085,25 +1076,11 @@ class _Run:
     @property
     def fn(self) -> Callable:
         if self._fn is None:
-            namespace = {
-                "int_div": int_div,
-                "int_mod": int_mod,
-                "on": _built("scalar", "on"),
-                "check": _built("scalar", "check_input"),
-            }
+            namespace = {"int_div": int_div, "int_mod": int_mod}
             exec(compile(self.source, f"<compiled {self.node.name}>", "exec"), namespace)
             # taken out, so that `run` and its globals form no reference cycle
             self._fn = namespace.pop("run")
         return self._fn
-
-
-def _ticks(ck: Clock, env: Dict[str, Code]) -> str:
-    """Code for whether `ck` ticks at the start of an instant, where only
-    the inputs (named in `env`) are present; `b` is the base clock."""
-    if isinstance(ck, Base):
-        return "b"
-    x = env[ck.var].text if ck.var in env else "None"
-    return f"on({_ticks(ck.clock, env)}, {x}, {ck.var!r}, {ck.value!r})"
 
 
 def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
@@ -1112,19 +1089,16 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         raise ValueError(f"node {node.name!r} is not one of this program object's nodes")
     # every node of the call cone scheduled, in the order the reference
     # engine prepares them, and the entry checked against the instance
-    # limit, before any code is built
+    # limit, then the columns resolved, before any code is built, as
+    # the reference engine resolves a run
     call_cone(prog, node.name)
+    want = columns(node, want)
     gen = _Codegen(prog)
     env: Dict[str, Code] = {d.name: _mangle("V", d.name) for d in node.decls}
     inputs = {d.name: k for k, d in enumerate(node.inputs)}
     spelt = [env[d.name].text for d in node.inputs]
     targets = spelt + ["b"]
     lines = ["def run(cols, bs, div=int_div, mod=int_mod):"]
-    # an input on a derived clock is checked against it by the
-    # reference's rules, before the instant runs
-    derived = [d for d in node.inputs if not isinstance(d.clock, Base)]
-    in_env = {d.name: env[d.name] for d in node.inputs}
-    checks = [f"check({_ticks(d.clock, in_env)}, {env[d.name].text}, {d.name!r})" for d in derived]
     # the names that keep their spelling: the inputs and the recorded
     # columns, taken before compiling gives a variable another code
     keep = {*spelt, *map(attrgetter("text"), map(env.__getitem__, want))}
@@ -1135,9 +1109,9 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     # where its clock is off, and read through the registers that no
     # commit stores; a row of one code is unboxed
     clocks = {d.name: d.clock for d in node.decls}
-    columns = {x: _guard(env[x], code.flag(clocks[x], code.lines)) for x in want if x not in inputs}
-    columns = {x: _substitute(c, gen.constants) for x, c in columns.items()}
-    row = list(dict.fromkeys(columns.values()))
+    recorded = {x: _guard(env[x], code.flag(clocks[x], code.lines)) for x in want if x not in inputs}
+    recorded = {x: _substitute(c, gen.constants) for x, c in recorded.items()}
+    row = list(dict.fromkeys(recorded.values()))
     width = len(row)
     stmts = code.lines + code.phase2
     if row:
@@ -1170,7 +1144,6 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
     read.update(x for st in commits for x in st.reads)
     lines += [f"    {new} = {gen.registers[x].text}" for x, new in names.registers if x in read]
     lines.append(f"    for {', '.join(targets)}, in zip(*cols, bs):")
-    lines += ["        " + line for line in checks]
     lines.append("        if not b:")
     if row:
         lines.append(f"            row({(None,) * width if width > 1 else None!r})")
@@ -1184,7 +1157,7 @@ def _generate(prog: Program, node: Node, want: Tuple[str, ...]) -> _Run:
         if x in inputs:
             history.append(f"list(cols[{inputs[x]}])")
         elif width > 1:
-            history.append(f"list(columns[{row.index(columns[x])}])")
+            history.append(f"list(columns[{row.index(recorded[x])}])")
         else:
             # the first such column is the rows themselves; another with
             # the same code gets a list of its own
@@ -1221,22 +1194,13 @@ class CompiledProgram:
         return gen.fn(inputs, base_clock(gen.node, inputs, N))
 
     def _code(self, name: str, want: Optional[Sequence[str]]) -> _Run:
-        if want is None:
-            key = name, tuple(d.name for d in self.prog.node(name).decls)
-        else:
-            key = name, tuple(dict.fromkeys(want))
+        # the key's columns are checked only where the code is generated
+        node = self.prog.node(name)
+        key = name, tuple(d.name for d in node.decls) if want is None else tuple(dict.fromkeys(want))
         gen = self.nodes.get(key)
         if gen is None:
-            gen = self.nodes[key] = self._build(*key)
+            gen = self.nodes[key] = _generate(self.prog, node, key[1])
         return gen
-
-    def _build(self, name: str, cols: Tuple[str, ...]) -> _Run:
-        node = self.prog.node(name)
-        declared = {d.name for d in node.decls}
-        unknown = [x for x in cols if x not in declared]
-        if unknown:
-            raise ValueError(f"{name} has no variable {unknown[0]!r}")
-        return _generate(self.prog, node, cols)
 
     def source(self, name: str, want: Optional[Sequence[str]] = None) -> str:
         """The step code that runs of `name` recording `want` execute.

@@ -9,8 +9,9 @@ presence raises ClockMismatch.  These templates are the one source of
 the rules.  They are compiled, at first use, into the reference
 evaluator's closures and the loops of the whole-stream operators
 (`sem_*`), each with its operator's own template inline, and into the
-scalar rules `on` and `check_input` that the compiled engine's generated
-code calls.
+scalar rules `on` and `check_input`, by which `base_clock` checks each
+input declared on a derived clock before the first instant of a run on
+either engine.
 
 `ReferenceProgram` is a deterministic instant-by-instant evaluator
 (equations scheduled by instantaneous dependency, delay state carried
@@ -26,8 +27,11 @@ an operator costs one call per instant.  As in Vélus's normal form
 (Bourke et al., PLDI 2017) a call is a statement of its own, which steps
 the callee once per instant and writes its outputs to slots; a callee
 is prepared before its callers, in the order of the entry's call cone
-(`call_cone`), which the compiled engine reads too.  `run_node` runs
-one node of a program through it.  `check_history` is an independent
+(`call_cone`), which the compiled engine reads too.  Both engines
+resolve a run in one order: the program (dialect, node, call cone), the
+recorded columns (`columns`), then the inputs (`base_clock`), so a
+request raises one error on either.  `run_node` runs one node of a
+program through it.  `check_history` is an independent
 route: it replays a produced history through the whole-stream operators
 and reports every equation whose defined streams disagree.
 """
@@ -187,8 +191,8 @@ _BINARY = {op: _function(t, 2) for op, t in BINARY_TEMPLATES.items()}
 # operand kinds), with the rule and the operator inline.  Those are the
 # reference engine's closures (see `_Prepared`), the loops of the
 # whole-stream operators (`sem_*`) and the scalar rules `on` and
-# `check_input` that the compiled engine's step code calls,
-# so an operator costs one Python call per instant.
+# `check_input` by which `base_clock` checks a run's inputs, so an
+# operator costs one Python call per instant.
 
 
 class _Rule(NamedTuple):
@@ -433,17 +437,6 @@ def make(PARENT, X, var, k):
 """
 
 
-def _input_source() -> Tuple[str, str]:
-    check, _ = _rule("check_input", None, 8)
-    return "make", f"""\
-def make(TICKS, X, name):
-    def check(f, base):
-        ticks = TICKS(f, base)
-        x = f[X]
-{check}    return check
-"""
-
-
 def _call_source(slots: Tuple[bool, ...], base: bool) -> Tuple[str, str]:
     """A factory of the statement that steps a callee (`step`, its frame
     in slot `I`) where the call's clock `ON` ticks, checking the
@@ -483,7 +476,6 @@ _SOURCES: Dict[str, Callable[..., Tuple[str, str]]] = {
     "assign": _assign_source,
     "checked": _checked_source,
     "clock": _clock_source,
-    "input": _input_source,
     "call": _call_source,
 }
 _GLOBALS = {"ClockMismatch": ClockMismatch, "div": int_div, "mod": int_mod, "FIRST": _FIRST}
@@ -573,8 +565,10 @@ def base_clock(
     node: Node, inputs: Sequence[StreamPrefix], N: Optional[int] = None
 ) -> ClockStream:
     """The base clock of a run of `node` on `inputs`: the presence of its
-    base-clocked inputs, else N instants that all tick.  EvalError when
-    the inputs do not fit the node."""
+    base-clocked inputs, else N instants that all tick.  Every input is
+    checked against its declared clock here, before the first instant
+    runs, on both engines: EvalError when the inputs do not fit the
+    node, ClockMismatch when one is off its clock (`_check_derived`)."""
     if len(inputs) != len(node.inputs):
         raise EvalError(f"{node.name}: expected {len(node.inputs)} input streams")
     if inputs:
@@ -586,10 +580,53 @@ def base_clock(
         raise EvalError("a horizon is required for a node without inputs")
     # one scan per base-clocked input, and no list built, when every
     # value is present (every campaign run)
+    bs = None
+    derived = False
     for s, d in zip(inputs, node.inputs):
-        if isinstance(d.clock, Base) and ABSENT in s:
-            return base_of([s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)])
-    return [True] * N
+        if not isinstance(d.clock, Base):
+            derived = True
+        elif ABSENT in s and bs is None:
+            bs = base_of([s for s, d in zip(inputs, node.inputs) if isinstance(d.clock, Base)])
+    if bs is None:
+        bs = [True] * N
+    if derived:
+        _check_derived(node, inputs, bs)
+    return bs
+
+
+def _check_derived(node: Node, inputs: Sequence[StreamPrefix], bs: ClockStream) -> None:
+    """Check each input of `node` declared on a derived clock against
+    that clock, instant by instant and, within an instant, in
+    declaration order, through the rules `on` and `check_input`; a clock
+    variable that is not an input reads as absent, as no equation has
+    run yet."""
+    on, check = _built("scalar", "on"), _built("scalar", "check_input")
+    streams = {d.name: s for s, d in zip(inputs, node.inputs)}
+    derived = [(s, d) for s, d in zip(inputs, node.inputs) if not isinstance(d.clock, Base)]
+
+    def ticks(ck: Clock, n: int) -> bool:
+        if isinstance(ck, Base):
+            return bs[n]
+        s = streams.get(ck.var)
+        return on(ticks(ck.clock, n), None if s is None else s[n], ck.var, ck.value)
+
+    for n in range(len(bs)):
+        for s, d in derived:
+            check(ticks(d.clock, n), s[n], d.name)
+
+
+def columns(node: Node, want: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The variables that a run of `node` records: `want` without
+    repeats, in order, or every input, output and local when None.  A
+    name that `node` does not declare is a ValueError."""
+    if want is None:
+        return tuple(d.name for d in node.decls)
+    cols = tuple(dict.fromkeys(want))
+    declared = {d.name for d in node.decls}
+    for x in cols:
+        if x not in declared:
+            raise ValueError(f"{node.name} has no variable {x!r}")
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -838,13 +875,7 @@ class _Prepared:
         self.constants: Dict[Tuple[type, Value], int] = {}
         self.phase1: List[Stmt] = []
         self.phase2: List[Stmt] = []
-        order = node_schedule(program.prog, node)
-        # inputs on the base clock are present exactly when it ticks
-        self.checks = [
-            self.input_check(k, d) for k, d in enumerate(node.inputs)
-            if not isinstance(d.clock, Base)
-        ]
-        for eq in order:
+        for eq in node_schedule(program.prog, node):
             self.equation(eq)
         self.body = self.phase1 + self.phase2
         del self.program
@@ -870,8 +901,6 @@ class _Prepared:
         """One instant at which the base clock ticks."""
         f[: self.nin] = inputs
         f[self.nin : self.nvars] = self.idle
-        for check in self.checks:
-            check(f, True)
         for run in self.body:
             run(f)
 
@@ -884,9 +913,6 @@ class _Prepared:
             return None
         parent = self.clock(ck.clock)
         return _built("clock", parent is None)(parent, self.slots[ck.var], ck.var, ck.value)
-
-    def input_check(self, k: int, d) -> Callable[[Frame, bool], None]:
-        return _built("input")(self.clock(d.clock), k, d.name)
 
     # -- expressions: one slot or closure per component stream --
     # `sink` collects the statements that the closures read: the phase-1
@@ -1048,30 +1074,27 @@ class ReferenceProgram:
             for n in self.prog.nodes:
                 if not n.is_normalised:
                     raise EvalError(f"node {n.name} is not in NLustre form")
+        # a request is resolved in one order on both engines: the
+        # program (dialect, node, call cone), its columns, its inputs
         node = self.prog.node(name)
-        bs = base_clock(node, inputs, N)
         p = self.prepared(name)
-        cols = [d.name for d in node.decls] if want is None else list(dict.fromkeys(want))
-        unknown = [x for x in cols if x not in p.slots]
-        if unknown:
-            raise ValueError(f"{name} has no variable {unknown[0]!r}")
+        cols = columns(node, want)
+        bs = base_clock(node, inputs, N)
         f = p.new_frame()
-        nin, nvars, idle, checks, body = p.nin, p.nvars, p.idle, p.checks, p.body
+        nin, nvars, idle, body = p.nin, p.nvars, p.idle, p.body
         absent = [ABSENT] * nvars
         rows: List[Frame] = []
         for vals, base in zip(zip(*inputs) if inputs else repeat(()), bs):
-            f[:nin] = vals
-            f[nin:nvars] = idle
-            for check in checks:
-                check(f, base)
             if base:
+                f[:nin] = vals
+                f[nin:nvars] = idle
                 for run in body:
                     run(f)
                 rows.append(f[:nvars])
             else:
                 rows.append(absent)
-        columns = list(zip(*rows)) or [()] * nvars
-        return {x: list(columns[p.slots[x]]) for x in cols}
+        by_slot = list(zip(*rows)) or [()] * nvars
+        return {x: list(by_slot[p.slots[x]]) for x in cols}
 
 
 def run_node(

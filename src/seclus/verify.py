@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from seclus.ast import (
@@ -509,12 +509,16 @@ class GenConfig:
     seed: int = 0
     max_nodes: int = 5
     max_equations: int = 8
-    max_depth: int = 4
-    max_inputs: int = 3
-    merge_depth: int = 2
-    # call sites per program; keeps the tree of node instances (which
-    # multiplies through chained calls) small enough to execute quickly
-    max_calls: int = 6
+
+
+# the generator's other bounds: expression depth, inputs per node and
+# `merge`s nested in one expression
+MAX_DEPTH = 4
+MAX_INPUTS = 3
+MERGE_DEPTH = 2
+# call sites per program; keeps the tree of node instances (which
+# multiplies through chained calls) small enough to execute quickly
+MAX_CALLS = 6
 
 
 _INT_BIN = ["+", "-", "*"]
@@ -527,7 +531,7 @@ class _Gen:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.nodes: List[Node] = []
-        self.calls_left = cfg.max_calls
+        self.calls_left = MAX_CALLS
 
     def program(self) -> Program:
         count = self.rng.randint(1, self.cfg.max_nodes)
@@ -537,7 +541,7 @@ class _Gen:
 
     def node(self, name: str) -> Node:
         rng = self.rng
-        n_in = rng.randint(1, self.cfg.max_inputs)
+        n_in = rng.randint(1, MAX_INPUTS)
         inputs = tuple(
             VarDecl(f"i{k}", rng.choice(["bool", "int"])) for k in range(n_in)
         )
@@ -555,7 +559,7 @@ class _Gen:
         every = dict(all_vars)
         every.update({x: ty for x, ty in defined})
         for x, ty in defined:
-            e = self.expr(ty, ready, every, self.cfg.max_depth, self.cfg.merge_depth)
+            e = self.expr(ty, ready, every, MAX_DEPTH, MERGE_DEPTH)
             eqs.append(Equation((x,), (e,)))
             ready[x] = ty
         return Node(name, inputs, outputs, locals_, tuple(eqs))
@@ -646,7 +650,7 @@ def generate_program(cfg: GenConfig) -> Program:
     and raises ValueError after `GEN_ATTEMPTS` draws."""
     seed = cfg.seed
     for _ in range(GEN_ATTEMPTS):
-        p = _Gen(GenConfig(**{**cfg.__dict__, "seed": seed})).program()
+        p = _Gen(replace(cfg, seed=seed)).program()
         if not validate(p):
             try:
                 for n in p.nodes:

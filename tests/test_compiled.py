@@ -18,6 +18,7 @@ from seclus.interp import (
     INT_MAX,
     INT_MIN,
     CausalityError,
+    ClockMismatch,
     EvalError,
     ReferenceProgram,
     check_history,
@@ -543,6 +544,102 @@ def test_a_call_cycle_is_a_recursion_error_on_both_engines():
     for engine in (CompiledProgram, ReferenceProgram):
         with pytest.raises(RecursionError, match="^call cycle through f$"):
             engine(parse_program(src)).run("f", [[1, 2]])
+
+
+# -- a run's request, resolved alike on both engines -------------------------------
+
+
+def _raised(thunk):
+    """The type and message of the error that `thunk` raises."""
+    with pytest.raises(Exception) as exc:
+        thunk()
+    return type(exc.value), str(exc.value)
+
+
+_F_NON_CAUSAL = "node f(a: int) returns (o: int) var x: int; let x = o + a; o = x; tel"
+_DIV_UNDER_C = (
+    "node g(c: bool; x: int :: base on c) returns (o: int)"
+    " let o = merge c (x div 0) (0 when not c); tel"
+)
+
+
+@pytest.mark.parametrize(
+    "src, name, inputs, want, error",
+    [
+        # the program before the inputs and the columns
+        (_F_NON_CAUSAL, "f", [[1], [2]], None, (CausalityError, "instantaneous dependency cycle among: x; o")),
+        (_F_NON_CAUSAL, "f", [[1]], ["zz"], (CausalityError, "instantaneous dependency cycle among: x; o")),
+        # the columns before the inputs
+        ("node h(a: int) returns (o: int) let o = a; tel", "h", [], ["zz"], (ValueError, "h has no variable 'zz'")),
+        # every input before the first instant: `x` is off its clock at
+        # the second, and `x div 0` raises at the first
+        (_DIV_UNDER_C, "g", [[True, False], [1, 5]], None, (ClockMismatch, "input x off its declared clock")),
+    ],
+    ids=["two input streams", "an unknown column", "columns first", "inputs first"],
+)
+def test_both_engines_resolve_a_request_in_one_order(src, name, inputs, want, error):
+    for engine in (CompiledProgram, ReferenceProgram):
+        run = engine(parse_program(src)).run
+        assert _raised(lambda: run(name, inputs, want=want)) == error, engine
+
+
+# `x` on `base on c on d`, declared before `d`, so that its clock is
+# tested before `d` is checked as an input, and the same with `d` first
+_X_THEN_D = "x: int :: base on c on d; d: bool :: base on c"
+_NESTED = (
+    f"node h(c: bool; {_X_THEN_D}) returns (o: int)"
+    " let o = merge c (merge d (x) (0 when not d)) (0 when not c); tel"
+)
+_D_FIRST = _NESTED.replace(_X_THEN_D, "d: bool :: base on c; x: int :: base on c on d")
+_TWO = (
+    "node t(c: bool; x: int :: base on c; y: int :: base on c) returns (o: int)"
+    " let o = merge c (x + y) (0 when not c); tel"
+)
+
+
+@pytest.mark.parametrize(
+    "src, inputs, message",
+    [
+        # present where its clock is off, and absent where it ticks
+        (_DIV_UNDER_C, [[False], [1]], "input x off its declared clock"),
+        (_DIV_UNDER_C, [[True], [None]], "input x off its declared clock"),
+        # present where the base clock is off
+        (_TWO, [[True, None], [1, None], [1, 2]], "input y off its declared clock"),
+        # a clock variable off the clock of its own variable: present
+        # while `base on c` is off, absent while it ticks
+        (_NESTED, [[False], [None], [True]], "d present while its clock is off"),
+        (_NESTED, [[True], [1], [None]], "d absent while its clock ticks"),
+        (_D_FIRST, [[False], [True], [None]], "input d off its declared clock"),
+        # a clock variable that is not an input reads as absent
+        ("node k(x: int :: base on o) returns (o: bool) let o = true; tel", [[1]], "o absent while its clock ticks"),
+        # two faulty inputs in one instant: the first declared
+        (_TWO, [[True, False], [1, 2], [1, 3]], "input x off its declared clock"),
+        # the earlier instant first
+        (_TWO, [[True, False], [1, 2], [None, None]], "input y off its declared clock"),
+    ],
+    ids=[
+        "present off", "absent on", "present off base", "clock present off", "clock absent on",
+        "clock input first", "clock variable an output", "first declared", "earlier instant",
+    ],
+)
+def test_both_engines_check_each_input_against_its_declared_clock(src, inputs, message):
+    p = parse_program(src)
+    name = p.nodes[0].name
+    for engine in (CompiledProgram, ReferenceProgram):
+        run = engine(p).run
+        for want in (None, ["o"]):
+            assert _raised(lambda: run(name, inputs, want=want)) == (ClockMismatch, message), (engine, want)
+
+
+def test_the_step_code_of_a_derived_clock_input_checks_nothing():
+    # the inputs are checked before the first instant, so the step code
+    # calls no presence rule, and its namespace holds the divisions only
+    fast = CompiledProgram(parse_program(_NESTED))
+    inputs = [[True, True, False], [1, None, None], [True, False, None]]
+    assert fast.run("h", inputs)["o"] == [1, 0, 0]
+    run = next(iter(fast.nodes.values()))
+    assert "check(" not in run.source and "on(" not in run.source
+    assert set(run.fn.__globals__) == {"__builtins__", "int_div", "int_mod"}
 
 
 def test_delays_of_sampled_and_repeated_callees_at_boundary_values():
